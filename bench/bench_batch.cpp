@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     }
 
     // The same members as one batch (per-class grids, hoisted labels,
-    // two-level postings, shared verification arena).
+    // shared verification arena).
     double batch_wall = 0.0;
     mio::BatchStats bstats;
     {

@@ -1,6 +1,7 @@
 #include "common/guardrails.hpp"
 
 #include <cstdio>
+#include <utility>
 
 namespace mio {
 
@@ -30,17 +31,16 @@ DegradationPlan PlanDegradation(const DegradationInputs& in) {
 
   std::size_t projected = in.required_bytes + in.label_bytes +
                           in.cache_bytes + in.lb_bitset_bytes;
-  if (projected > in.budget_bytes && in.label_bytes > 0) {
-    plan.shed_label_recording = true;
-    projected -= in.label_bytes;
-  }
-  if (projected > in.budget_bytes && in.cache_bytes > 0) {
-    plan.drop_grid_cache = true;
-    projected -= in.cache_bytes;
-  }
-  if (projected > in.budget_bytes && in.lb_bitset_bytes > 0) {
-    plan.stream_verification = true;
-    projected -= in.lb_bitset_bytes;
+  const std::pair<DegradationStep, std::size_t> ladder[] = {
+      {DegradationStep::kShedLabels, in.label_bytes},
+      {DegradationStep::kDropGridCache, in.cache_bytes},
+      {DegradationStep::kStreamVerification, in.lb_bitset_bytes},
+  };
+  for (const auto& [step, bytes] : ladder) {
+    if (projected > in.budget_bytes && bytes > 0) {
+      plan.step = step;
+      projected -= bytes;
+    }
   }
   plan.abort = projected > in.budget_bytes;
   return plan;

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/status.hpp"
 
@@ -107,6 +108,19 @@ class QueryGuard {
   const CancelToken* cancel_ = nullptr;
 };
 
+/// The degradation ladder (docs/ROBUSTNESS.md): optional work shed in a
+/// fixed order, cheapest first. A step implies every step before it. The
+/// engine's memory-budget planner may climb to any step; the server's
+/// admission control enters the same ladder at kShedLabels or
+/// kDropGridCache. The integer value is the step number that qlog
+/// `degradation_level` and stats/health `ladder_stage` report.
+enum class DegradationStep : std::uint8_t {
+  kNone = 0,
+  kShedLabels = 1,          ///< skip label recording
+  kDropGridCache = 2,       ///< drop the reuse-grid cache
+  kStreamVerification = 3,  ///< streaming instead of EWAH-seeded verification
+};
+
 /// Inputs to the memory-budget planner: the index bytes the query cannot
 /// run without, plus the cost of each sheddable extra (0 = not wanted).
 struct DegradationInputs {
@@ -117,27 +131,14 @@ struct DegradationInputs {
   std::size_t lb_bitset_bytes = 0;  ///< kept lower-bound bitsets (step 3)
 };
 
-/// The degradation ladder (docs/ROBUSTNESS.md): optional work is shed in
-/// a fixed order until the projection fits the budget —
-///   1. skip label recording
-///   2. drop the reuse-grid cache
-///   3. fall back from EWAH-seeded to streaming verification
-/// and only if the required bytes alone still exceed the budget does the
-/// query abort with kResourceExhausted.
+/// The planner's verdict: the highest ladder step needed for the
+/// projection to fit the budget, and whether the query must still abort
+/// with kResourceExhausted because the required bytes alone exceed it.
+/// Steps whose extra costs nothing are never the reason to climb, so the
+/// caller applies the steps below `step` only where that work was wanted.
 struct DegradationPlan {
-  bool shed_label_recording = false;
-  bool drop_grid_cache = false;
-  bool stream_verification = false;
+  DegradationStep step = DegradationStep::kNone;
   bool abort = false;
-
-  /// Highest ladder step applied (0 = none, 3 = streaming verification).
-  int level() const {
-    if (stream_verification) return 3;
-    if (drop_grid_cache) return 2;
-    if (shed_label_recording) return 1;
-    return 0;
-  }
-  bool degraded() const { return level() > 0; }
 };
 
 DegradationPlan PlanDegradation(const DegradationInputs& in);

@@ -13,8 +13,7 @@
 
 namespace mio {
 
-BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries,
-                                  const BatchOptions& options) {
+BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries) {
   MIO_TRACE_SPAN_CAT("query_batch", "query");
   BatchResult out;
   out.results.resize(queries.size());
@@ -28,7 +27,8 @@ BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries,
   // a handful of distinct ceilings.
   std::vector<std::pair<int, std::vector<std::size_t>>> classes;
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    if (queries[qi].r <= 0.0) continue;  // empty result, like Query
+    out.results[qi].status = CheckRadius(queries[qi].r);
+    if (!out.results[qi].status.ok()) continue;  // rejected, like Query
     const int ceil_r = static_cast<int>(LargeGridWidth(queries[qi].r));
     auto it = std::find_if(
         classes.begin(), classes.end(),
@@ -55,12 +55,6 @@ BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries,
     std::size_t class_posting_bytes = 0;
     auto adopt_class_grid = [&](std::shared_ptr<LargeGridData> g) {
       class_grid = std::move(g);
-      if (options.partition_postings) {
-        const std::size_t cells = PartitionLargeGridPostings(
-            class_grid.get(), options.partition_min_points);
-        out.stats.cells_partitioned += cells;
-        obs::Add(obs::Counter::kBatchCellsPartitioned, cells);
-      }
       class_posting_bytes = LargeGridPostingBytes(*class_grid);
     };
     if (class_grid != nullptr) adopt_class_grid(std::move(class_grid));

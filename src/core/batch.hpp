@@ -1,17 +1,16 @@
 // Batch query execution types (MioEngine::QueryBatch). A batch is a
 // sequence of MIO queries evaluated together: members are grouped by
 // ceil(r) class, each class builds its large grid once (through the
-// engine's grid cache), hoists the label lookup, rewrites the class
-// grid's postings into the two-level octant layout (core/bigrid.hpp),
-// and shares one verification arena — so index construction, label
-// probing, and scratch allocation are paid per class, not per query.
+// engine's grid cache), hoists the label lookup, and shares one
+// verification arena — so index construction, label probing, and
+// scratch allocation are paid per class, not per query.
 //
 // Results are exact and bit-identical to running each member through
-// MioEngine::Query: grid sharing, posting partitioning, and arena reuse
-// change where work happens, never what is computed. Per-query
-// guardrails (deadline/budget/cancel) still apply to each member
-// individually, and a member that trips or degrades cannot poison its
-// siblings — at worst the next member of the class rebuilds the grid.
+// MioEngine::Query: grid sharing and arena reuse change where work
+// happens, never what is computed. Per-query guardrails
+// (deadline/budget/cancel) still apply to each member individually, and
+// a member that trips or degrades cannot poison its siblings — at worst
+// the next member of the class rebuilds the grid.
 #pragma once
 
 #include <cstddef>
@@ -31,23 +30,12 @@ struct BatchQuery {
   QueryOptions options;
 };
 
-struct BatchOptions {
-  /// Rewrite each class grid's cell postings into the two-level octant
-  /// layout after the first member builds it, so sibling scans prune
-  /// whole octants (LargeCell::PartitionPostings).
-  bool partition_postings = true;
-
-  /// Cells with fewer posting points keep the flat layout (the offset
-  /// directory would cost more than the scan it prunes).
-  std::size_t partition_min_points = 32;
-};
-
 /// Batch-level accounting (also mirrored into the batch.* metrics).
 struct BatchStats {
   std::size_t classes = 0;           ///< distinct ceil(r) classes
   std::size_t grid_builds = 0;       ///< large grids actually built
   std::size_t grid_builds_saved = 0; ///< members served by a class grid
-  std::size_t cells_partitioned = 0; ///< cells rewritten to two-level
+  std::size_t cells_partitioned = 0; ///< always 0; kept for stats readers
   std::uint64_t postings_bytes_shared = 0;  ///< posting bytes reused
   std::uint64_t arena_high_water_bytes = 0; ///< verify-arena footprint
 };

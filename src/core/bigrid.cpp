@@ -58,109 +58,12 @@ PostingView LargeCell::Posting(ObjectId obj) const {
   return PostingAt(static_cast<std::size_t>(it - post_obj.begin()));
 }
 
-void LargeCell::PartitionPostings(const CellKey& key, double width,
-                                  std::size_t min_points) {
-  if (partitioned() || post_xs.size() < min_points) return;
-  const std::size_t runs = post_obj.size();
-  const std::size_t pts = post_xs.size();
-  const double half = 0.5 * width;
-  const double base_x = static_cast<double>(key.x) * width;
-  const double base_y = static_cast<double>(key.y) * width;
-  const double base_z = static_cast<double>(key.z) * width;
-
-  // Octant of every point (bit 0/1/2 = upper half along x/y/z). The
-  // assignment only has to be consistent — the prune uses the tight point
-  // boxes below, not the geometric octant boundaries, so floating-point
-  // edge cases at the half-width plane cannot produce a wrong skip.
-  std::vector<std::uint8_t> oct(pts);
-  for (std::size_t p = 0; p < pts; ++p) {
-    std::uint8_t o = 0;
-    if (post_xs[p] - base_x >= half) o |= 1;
-    if (post_ys[p] - base_y >= half) o |= 2;
-    if (post_zs[p] - base_z >= half) o |= 4;
-    oct[p] = o;
-  }
-
-  std::vector<ObjectId> new_obj;
-  std::vector<std::uint32_t> new_start;
-  new_obj.reserve(runs);
-  new_start.reserve(runs);
-  std::vector<double> new_xs, new_ys, new_zs;
-  new_xs.reserve(pts);
-  new_ys.reserve(pts);
-  new_zs.reserve(pts);
-  part_runs.assign(9, 0);
-  part_box.assign(48, 0.0);
-
-  // Emit octants in order; within each octant walk the original runs in
-  // order, so runs stay ascending by object id inside every partition.
-  for (int o = 0; o < 8; ++o) {
-    double* box = &part_box[o * 6];
-    bool box_init = false;
-    for (std::size_t ri = 0; ri < runs; ++ri) {
-      const std::uint32_t begin = post_start[ri];
-      const std::uint32_t end = ri + 1 < runs
-                                    ? post_start[ri + 1]
-                                    : static_cast<std::uint32_t>(pts);
-      bool emitted = false;
-      for (std::uint32_t p = begin; p < end; ++p) {
-        if (oct[p] != o) continue;
-        if (!emitted) {
-          new_obj.push_back(post_obj[ri]);
-          new_start.push_back(static_cast<std::uint32_t>(new_xs.size()));
-          emitted = true;
-        }
-        const double x = post_xs[p], y = post_ys[p], z = post_zs[p];
-        new_xs.push_back(x);
-        new_ys.push_back(y);
-        new_zs.push_back(z);
-        if (!box_init) {
-          box[0] = box[3] = x;
-          box[1] = box[4] = y;
-          box[2] = box[5] = z;
-          box_init = true;
-        } else {
-          box[0] = std::min(box[0], x);
-          box[1] = std::min(box[1], y);
-          box[2] = std::min(box[2], z);
-          box[3] = std::max(box[3], x);
-          box[4] = std::max(box[4], y);
-          box[5] = std::max(box[5], z);
-        }
-      }
-    }
-    part_runs[static_cast<std::size_t>(o) + 1] =
-        static_cast<std::uint32_t>(new_obj.size());
-  }
-
-  post_obj = std::move(new_obj);
-  post_start = std::move(new_start);
-  post_xs = std::move(new_xs);
-  post_ys = std::move(new_ys);
-  post_zs = std::move(new_zs);
-}
-
 std::size_t LargeCell::MemoryUsageBytes() const {
   return bits.MemoryUsageBytes() + (AdjReady() ? adj.MemoryUsageBytes() : 0) +
          post_obj.capacity() * sizeof(ObjectId) +
          post_start.capacity() * sizeof(std::uint32_t) +
          (post_xs.capacity() + post_ys.capacity() + post_zs.capacity()) *
-             sizeof(double) +
-         part_runs.capacity() * sizeof(std::uint32_t) +
-         part_box.capacity() * sizeof(double);
-}
-
-std::size_t PartitionLargeGridPostings(LargeGridData* grid,
-                                       std::size_t min_points) {
-  std::size_t cells = 0;
-  for (auto& shard : grid->shards) {
-    shard.ForEach([&](const CellKey& key, LargeCell& cell) {
-      if (cell.partitioned()) return;
-      cell.PartitionPostings(key, grid->width, min_points);
-      if (cell.partitioned()) ++cells;
-    });
-  }
-  return cells;
+             sizeof(double);
 }
 
 std::size_t LargeGridPostingBytes(const LargeGridData& grid) {

@@ -77,15 +77,6 @@ struct PostingView {
 /// because the build visits objects in id order). Posting coordinates are
 /// kept structure-of-arrays (contiguous xs/ys/zs) so verification's inner
 /// loop is one batch-kernel call per (point, candidate-object) pair.
-///
-/// Two-level layout (batch execution): PartitionPostings rewrites the
-/// postings grouped by the octant (2x2x2 sub-cell) their point falls in,
-/// with `part_runs` as a 9-entry run-offset directory and `part_box` the
-/// tight per-octant point bounding boxes. Candidate scans then skip whole
-/// octants whose box lies farther than r from the probe point, so only
-/// the relevant partition's SoA spans are handed to the kernels. Within
-/// one octant, runs stay ordered by ascending object id; an object may
-/// own up to eight runs (one per occupied octant).
 struct LargeCell {
   Ewah bits;
 
@@ -106,69 +97,27 @@ struct LargeCell {
 
   ObjectId last_obj = static_cast<ObjectId>(-1);
 
-  std::vector<ObjectId> post_obj;        ///< object ids (ascending per level)
+  std::vector<ObjectId> post_obj;        ///< object ids (ascending)
   std::vector<std::uint32_t> post_start; ///< post_obj-parallel offsets
   std::vector<double> post_xs;           ///< concatenated posting xs
   std::vector<double> post_ys;           ///< concatenated posting ys
   std::vector<double> post_zs;           ///< concatenated posting zs
 
-  /// Two-level offset directory: when non-empty (always 9 entries), runs
-  /// [part_runs[o], part_runs[o+1]) of post_obj belong to octant o.
-  /// Empty = flat single-level layout.
-  std::vector<std::uint32_t> part_runs;
-  /// part_runs-parallel tight AABBs, 6 doubles per octant
-  /// (minx,miny,minz,maxx,maxy,maxz); only octants with runs are valid.
-  /// Tight point boxes (not geometric octant boxes) make the distance
-  /// prune exact: a skipped octant provably holds no point within r.
-  std::vector<double> part_box;
-
-  bool partitioned() const { return !part_runs.empty(); }
-
   /// Appends a point to object `obj`'s posting (obj must be >= the last
-  /// object added — the ascending build order). Flat layout only.
+  /// object added — the ascending build order).
   void AddPostingPoint(ObjectId obj, const Point& p);
 
   /// Posting list I(c)[obj], empty when the object has no points here.
-  /// Flat layout only: a partitioned cell may hold several runs per
-  /// object, so callers must iterate runs via part_runs/PostingAt.
   PostingView Posting(ObjectId obj) const;
 
-  /// Posting list of post_obj[idx] (no binary search). Valid in both
-  /// layouts — a partitioned cell's idx just names one octant-level run.
+  /// Posting list of post_obj[idx] (no binary search).
   PostingView PostingAt(std::size_t idx) const;
 
   /// Total points stored across all postings.
   std::size_t NumPostingPoints() const { return post_xs.size(); }
 
-  /// Rewrites the postings into the two-level octant layout. Idempotent;
-  /// cells with fewer than `min_points` points keep the flat layout (the
-  /// directory would cost more than the scan it prunes). Must not run
-  /// concurrently with readers of this cell.
-  void PartitionPostings(const CellKey& key, double width,
-                         std::size_t min_points);
-
   std::size_t MemoryUsageBytes() const;
 };
-
-/// Squared distance from p to octant o's point bounding box in
-/// `part_box` (0 when p is inside). Exact prune for the two-level scan:
-/// every point of the octant lies inside its box by construction, so
-/// MinDist2 > r^2 implies no point of the octant is within r of p.
-inline double MinDist2ToOctantBox(const Point& p, const double* part_box,
-                                  int octant) {
-  const double* box = part_box + octant * 6;
-  double d2 = 0.0;
-  double d = box[0] - p.x;
-  if (d < 0.0) d = p.x - box[3];
-  if (d > 0.0) d2 += d * d;
-  d = box[1] - p.y;
-  if (d < 0.0) d = p.y - box[4];
-  if (d > 0.0) d2 += d * d;
-  d = box[2] - p.z;
-  if (d < 0.0) d = p.z - box[5];
-  if (d > 0.0) d2 += d * d;
-  return d2;
-}
 
 /// Per-object grouping of points by large-grid key (paper §IV: P_{i,K}),
 /// the unit of the cost-based parallel partitioning.
@@ -245,14 +194,6 @@ struct LargeGridData {
     std::atomic_ref<bool>(has_groups).store(true, std::memory_order_release);
   }
 };
-
-/// Rewrites every large cell with >= `min_points` posting points into the
-/// two-level octant layout (see LargeCell::PartitionPostings). Returns the
-/// number of cells partitioned by this call (already-partitioned cells
-/// are skipped). Used by QueryBatch on class grids shared across batch
-/// members; must not run concurrently with queries reading the grid.
-std::size_t PartitionLargeGridPostings(LargeGridData* grid,
-                                       std::size_t min_points);
 
 /// Bytes held by the SoA posting arrays across all cells of the grid —
 /// the payload a batch class shares instead of rebuilding per member.

@@ -73,7 +73,14 @@ std::shared_ptr<const LabelSet> MioEngine::CachedLabels(int ceil_r) const {
   return it != label_cache_.end() ? it->second : nullptr;
 }
 
+Status MioEngine::CheckRadius(double r) {
+  if (r > 0.0 && std::isfinite(r)) return Status::OK();
+  return Status::InvalidArgument("radius must be finite and > 0, got " +
+                                 std::to_string(r));
+}
+
 bool MioEngine::HasLabelsFor(double r) const {
+  if (!CheckRadius(r).ok()) return false;
   int ceil_r = static_cast<int>(LargeGridWidth(r));
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (label_cache_.count(ceil_r) > 0) return true;
@@ -132,7 +139,8 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
                                    const PipelineContext* ctx) {
   MIO_TRACE_SPAN_CAT("query", "query");
   QueryResult res;
-  if (objects_.empty() || r <= 0.0) return res;
+  res.status = CheckRadius(r);
+  if (!res.status.ok() || objects_.empty()) return res;
   obs::Add(obs::Counter::kQueriesExecuted);
 
   const int threads = ResolveThreads(options.threads);
@@ -244,21 +252,23 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
     // bitset per object.
     in.lb_bitset_bytes = keep_lb_bitsets ? objects_.size() * 128 : 0;
     DegradationPlan plan = PlanDegradation(in);
-    if (plan.shed_label_recording && record_labels != nullptr) {
+    if (plan.step >= DegradationStep::kShedLabels && record_labels != nullptr) {
       record_labels = nullptr;
       recorded = LabelSet{};
     }
-    if (plan.drop_grid_cache) {
+    if (plan.step >= DegradationStep::kDropGridCache && cache_this_grid) {
       ClearGridCache();
       cache_this_grid = false;
     }
-    if (plan.stream_verification) {
+    if (plan.step >= DegradationStep::kStreamVerification) {
       keep_lb_bitsets = false;
       use_verify_bit = false;  // sound only on top of the lb-bitset seed
     }
     if (plan.abort) guard.TripResource();
-    stats.degradation_level = static_cast<std::uint8_t>(plan.level());
-    if (plan.degraded()) obs::Add(obs::Counter::kQueryDegraded);
+    stats.degradation_level = static_cast<std::uint8_t>(plan.step);
+    if (plan.step != DegradationStep::kNone) {
+      obs::Add(obs::Counter::kQueryDegraded);
+    }
   }
   if (cache_this_grid && !guard.tripped()) {
     std::lock_guard<std::mutex> lock(cache_mu_);

@@ -42,11 +42,9 @@ class VerifyArena;  // core/verification.hpp
 /// mutex, cached grids and label sets are shared read-only via
 /// shared_ptr (lazy per-cell memoisation inside a shared grid
 /// synchronises itself, see BiGrid::EnsureAdj), and everything else is
-/// per-call state. QueryBatch is safe against concurrent Query calls
-/// only when `partition_postings` is off: partitioning rewrites the
-/// cells of a shared class grid in place and must not overlap readers.
-/// `mio serve` therefore runs batch replay with partitioning disabled
-/// or serialised.
+/// per-call state. QueryBatch is equally safe beside concurrent Query
+/// calls: a class grid is a cached grid like any other, never rewritten
+/// once built.
 class MioEngine {
  public:
   /// `objects` must outlive the engine. When `label_dir` is non-empty,
@@ -55,19 +53,20 @@ class MioEngine {
   /// live only in the in-process cache.
   explicit MioEngine(const ObjectSet& objects, std::string label_dir = "");
 
-  /// Runs one MIO query with threshold r > 0.
+  /// Runs one MIO query with a finite threshold r > 0. Any other r
+  /// returns kInvalidArgument with an empty top-k.
   QueryResult Query(double r, const QueryOptions& options = {});
 
   /// Runs a batch of queries, amortising work across members that share
-  /// a ceil(r) class: one large-grid build, one label lookup, a shared
-  /// two-level posting layout, and one verification arena per class (see
-  /// core/batch.hpp). Results are parallel to `queries` and bit-identical
-  /// to calling Query per member. Per-member guardrails still apply; a
-  /// degrading member cannot poison its siblings.
-  BatchResult QueryBatch(const std::vector<BatchQuery>& queries,
-                         const BatchOptions& options = {});
+  /// a ceil(r) class: one large-grid build, one label lookup, and one
+  /// verification arena per class (see core/batch.hpp). Results are
+  /// parallel to `queries` and bit-identical to calling Query per member.
+  /// Per-member guardrails still apply; a degrading member cannot poison
+  /// its siblings.
+  BatchResult QueryBatch(const std::vector<BatchQuery>& queries);
 
-  /// True if labels for ceil(r) are available (cache or disk).
+  /// True if labels for ceil(r) are available (cache or disk); false for
+  /// an r that Query would reject.
   bool HasLabelsFor(double r) const;
 
   /// Drops cached and persisted labels.
@@ -82,7 +81,7 @@ class MioEngine {
   /// cache's reference: a grid still held by an in-flight query or batch
   /// class stays alive until its last reader releases it, so a mid-batch
   /// clear (including the one issued by the memory-budget degradation
-  /// ladder's drop_grid_cache step, or by the server's overload shedding)
+  /// ladder's kDropGridCache step, or by the server's overload shedding)
   /// can never dangle — it only forces later lookups to rebuild.
   void ClearGridCache();
 
@@ -125,6 +124,10 @@ class MioEngine {
     /// grid so the caller can share it with the remaining members.
     std::shared_ptr<LargeGridData>* grid_out = nullptr;
   };
+
+  /// OK for a finite r > 0, kInvalidArgument otherwise. Checked before
+  /// any cast of ceil(r) to int, which is undefined for NaN and infinity.
+  static Status CheckRadius(double r);
 
   /// The Algorithm-2 pipeline behind Query and QueryBatch. `ctx` (null
   /// for single queries) supplies batch-hoisted state.

@@ -110,8 +110,8 @@ struct QueryStats {
   /// not requested).
   LabelOutcome label_outcome = LabelOutcome::kOff;
 
-  /// Highest memory-budget degradation step applied (0 = none; 1 = label
-  /// recording shed, 2 = grid cache dropped, 3 = streaming verification).
+  /// Memory-budget DegradationStep reached, as its integer value (0 =
+  /// none ... 3 = streaming verification; common/guardrails.hpp).
   std::uint8_t degradation_level = 0;
 
   /// Seconds each OpenMP worker spent scoring candidates (index = thread

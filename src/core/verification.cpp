@@ -91,14 +91,14 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
 
   std::size_t comps = 0;
   std::size_t postings = 0;
-  std::size_t octants_pruned = 0;
   // Scan the cell itself, then its neighbours, stopping as soon as no
   // candidate remains near p. Postings are only touched for set bits of
   // b (Algorithm 6 line 13); each touched posting is one batch-kernel
   // call over its contiguous SoA coordinates.
-  auto scan_runs = [&](const LargeCell* c, std::size_t run_begin,
-                       std::size_t run_end) -> bool {  // false = stop
-    for (std::size_t oi = run_begin; oi < run_end; ++oi) {
+  auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
+    const LargeCell* c = grid.FindLarge(ck);
+    if (c == nullptr) return true;
+    for (std::size_t oi = 0; oi < c->post_obj.size(); ++oi) {
       ObjectId obj = c->post_obj[oi];
       if (!b.Test(obj)) continue;
       ++postings;
@@ -116,27 +116,6 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
     }
     return true;
   };
-  auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
-    const LargeCell* c = grid.FindLarge(ck);
-    if (c == nullptr) return true;
-    if (!c->partitioned()) return scan_runs(c, 0, c->post_obj.size());
-    // Two-level layout: visit only octants whose point box can reach p.
-    // Pruned octants provably hold no point within r (the boxes are tight
-    // over the points), so the confirmed set — and the exact score — is
-    // identical to the flat scan.
-    for (int o = 0; o < 8; ++o) {
-      const std::size_t run_begin = c->part_runs[static_cast<std::size_t>(o)];
-      const std::size_t run_end =
-          c->part_runs[static_cast<std::size_t>(o) + 1];
-      if (run_begin == run_end) continue;
-      if (MinDist2ToOctantBox(p, c->part_box.data(), o) > r2) {
-        ++octants_pruned;
-        continue;
-      }
-      if (!scan_runs(c, run_begin, run_end)) return false;
-    }
-    return true;
-  };
 
   if (scan_cell(key)) {
     bool stop = false;
@@ -145,9 +124,6 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
     });
   }
   obs::Add(obs::Counter::kPostingScans, postings);
-  if (octants_pruned > 0) {
-    obs::Add(obs::Counter::kVerifyOctantsPruned, octants_pruned);
-  }
   if (dist_comps != nullptr) *dist_comps += comps;
 }
 

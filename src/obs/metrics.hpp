@@ -50,13 +50,11 @@ enum class Counter : int {
   kLabelCacheHits,          ///< label lookups served from cache or disk
   kLabelCacheMisses,        ///< label lookups with nothing reusable
   kTraceDroppedSpans,       ///< spans overwritten by tracer ring overflow
-  kVerifyOctantsPruned,     ///< two-level octants skipped by the box prune
   kBatchQueries,            ///< queries submitted through QueryBatch
   kBatchClasses,            ///< distinct ceil(r) classes across batches
   kBatchGridBuildsSaved,    ///< batch members that reused a class grid
   kBatchPostingsBytesShared,  ///< posting bytes served from a shared grid
-  kBatchCellsPartitioned,   ///< cells rewritten into the two-level layout
-  kQueriesExecuted,         ///< engine pipeline runs (sequential + batch)
+  kQueriesExecuted,        ///< engine pipeline runs (sequential + batch)
   kTelemetrySamples,        ///< background telemetry samples taken
   kServerConnections,       ///< client connections accepted by mio serve
   kServerRequests,          ///< requests parsed off server connections
@@ -114,12 +112,10 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "labels.cache_hits",
     "labels.cache_misses",
     "trace.dropped_spans",
-    "verify_octants_pruned",
     "batch.queries",
     "batch.classes",
     "batch.grid_builds_saved",
     "batch.postings_bytes_shared",
-    "batch.cells_partitioned",
     "query.executed",
     "telemetry.samples",
     "server.connections",
@@ -158,12 +154,10 @@ inline constexpr std::array<const char*, kNumCounters> kCounterMetricNames = {
     "labels_cache_hits",
     "labels_cache_misses",
     "trace_dropped_spans",
-    "verify_octants_pruned",
     "batch_queries",
     "batch_classes",
     "batch_grid_builds_saved",
     "batch_postings_bytes_shared",
-    "batch_cells_partitioned",
     "query_executed",
     "telemetry_samples",
     "server_connections",

@@ -39,17 +39,15 @@ AdmissionDecision PlanAdmission(std::size_t depth, std::uint64_t queued_cost,
   }
   // Degradation ladder below the refusal point: shed the cheap optional
   // work first so the queue keeps moving before anyone is turned away.
-  const int stage = LadderStage(depth, config);
-  if (stage >= 1) d.shed_labels = true;
-  if (stage >= 2) d.shed_grid_cache = true;
+  d.step = LadderStage(depth, config);
   return d;
 }
 
-int LadderStage(std::size_t depth, const AdmissionConfig& config) {
+DegradationStep LadderStage(std::size_t depth, const AdmissionConfig& config) {
   const std::size_t cap = config.max_queue == 0 ? 1 : config.max_queue;
-  if (depth >= cap - cap / 4) return 2;
-  if (depth >= cap / 2) return 1;
-  return 0;
+  if (depth >= cap - cap / 4) return DegradationStep::kDropGridCache;
+  if (depth >= cap / 2) return DegradationStep::kShedLabels;
+  return DegradationStep::kNone;
 }
 
 AdmissionQueue::PushResult AdmissionQueue::Push(std::function<void()> job,

@@ -5,9 +5,10 @@
 // Overloaded status and a retry-after hint, so clients back off instead
 // of piling onto a queue that will never drain.
 //
-// The ladder (cheapest shed first, refusal last):
-//   depth >= max_queue/2    -> shed label recording for admitted queries
-//   depth >= 3*max_queue/4  -> additionally drop the engine's grid cache
+// The ladder is the engine's (DegradationStep, common/guardrails.hpp),
+// entered at a step chosen by queue depth; refusal comes last:
+//   depth >= max_queue/2    -> kShedLabels: no label recording
+//   depth >= 3*max_queue/4  -> kDropGridCache: also drop the grid cache
 //   depth == max_queue, or queued cost over budget -> reject Overloaded
 //
 // The planner is a pure function of (queue depth, queued cost, request
@@ -20,6 +21,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+
+#include "common/guardrails.hpp"
 
 namespace mio {
 namespace server {
@@ -44,9 +47,8 @@ std::uint64_t EstimateQueryCost(double r, std::uint64_t k);
 /// The planner's verdict for one push.
 struct AdmissionDecision {
   bool admit = true;
-  /// Degradation-ladder outputs for an admitted request.
-  bool shed_labels = false;
-  bool shed_grid_cache = false;
+  /// Ladder step an admitted request runs at.
+  DegradationStep step = DegradationStep::kNone;
   /// Backoff hint for a refused request.
   double retry_after_ms = 0.0;
 };
@@ -57,11 +59,11 @@ AdmissionDecision PlanAdmission(std::size_t depth, std::uint64_t queued_cost,
                                 std::uint64_t cost,
                                 const AdmissionConfig& config);
 
-/// Degradation-ladder stage for a queue of `depth`: 0 = normal, 1 =
-/// shedding label recording, 2 = additionally dropping the grid cache.
-/// Shared by PlanAdmission and the server's health/stats surfaces so the
-/// reported stage is exactly the one the next admission would apply.
-int LadderStage(std::size_t depth, const AdmissionConfig& config);
+/// Ladder step for a queue of `depth`: kNone, kShedLabels or
+/// kDropGridCache. Shared by PlanAdmission and the server's health/stats
+/// surfaces so the reported stage is exactly the one the next admission
+/// would apply.
+DegradationStep LadderStage(std::size_t depth, const AdmissionConfig& config);
 
 /// Thread-safe bounded job queue with the admission policy applied at
 /// push time. Session threads push; worker threads pop; Close() starts

@@ -1,5 +1,7 @@
 #include "server/protocol.hpp"
 
+#include <cmath>
+
 #include "obs/json.hpp"
 
 namespace mio {
@@ -60,8 +62,8 @@ Status ParseServeRequest(std::string_view line, ServeRequest* out) {
       return Status::InvalidArgument("query op requires numeric 'r'");
     }
     req.r = r->AsDouble();
-    if (!(req.r > 0.0)) {
-      return Status::InvalidArgument("query radius must be > 0");
+    if (!(req.r > 0.0 && std::isfinite(req.r))) {
+      return Status::InvalidArgument("query radius must be finite and > 0");
     }
     req.k = doc.GetUInt("k", 1);
     if (req.k == 0) req.k = 1;

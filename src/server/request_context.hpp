@@ -75,9 +75,6 @@ struct RequestContext {
   double responded = kUnstamped;  ///< response line handed to the socket
 
   // Outcome tags.
-  int ladder_stage = 0;           ///< admission ladder stage at decision
-  bool shed_labels = false;
-  bool shed_grid_cache = false;
   std::string role;               ///< kRole* ("" until resolved)
   std::string refusal;            ///< "" = accepted; else refusal reason
 

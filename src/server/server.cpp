@@ -555,7 +555,8 @@ std::string MioServer::HealthJson() const {
   w.Key("draining").Bool(draining_.load(std::memory_order_acquire));
   w.Key("queue_depth").UInt(depth);
   w.Key("queued_cost").UInt(admission_.queued_cost());
-  w.Key("ladder_stage").Int(LadderStage(depth, config_.admission));
+  w.Key("ladder_stage").Int(
+      static_cast<int>(LadderStage(depth, config_.admission)));
   w.Key("inflight").UInt(inflight_.load(std::memory_order_acquire));
   w.Key("sessions").UInt(active_sessions());
   w.Key("cache_entries").UInt(cache_.size());
@@ -589,7 +590,8 @@ std::string MioServer::StatsJson() const {
   w.Key("queue_depth").UInt(depth);
   w.Key("queue_capacity").UInt(config_.admission.max_queue);
   w.Key("queued_cost").UInt(admission_.queued_cost());
-  w.Key("ladder_stage").Int(LadderStage(depth, config_.admission));
+  w.Key("ladder_stage").Int(
+      static_cast<int>(LadderStage(depth, config_.admission)));
   w.Key("inflight").UInt(inflight_.load(std::memory_order_acquire));
   w.Key("sessions").UInt(active_sessions());
   w.Key("workers").Int(config_.workers);
@@ -802,29 +804,31 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
     ctx->enqueued = NowSeconds();
     auto job = [this, req, key, exec, publish, decision, ctx]() {
       ctx->dequeued = NowSeconds();
-      if (decision->shed_labels) obs::Add(obs::Counter::kServerShedLabels);
-      if (decision->shed_grid_cache) {
-        obs::Add(obs::Counter::kServerShedGridCache);
-        engine_->ClearGridCache();
-      }
-      if (decision->shed_labels || decision->shed_grid_cache) {
+      const bool shed_labels = decision->step >= DegradationStep::kShedLabels;
+      const bool shed_grid_cache =
+          decision->step >= DegradationStep::kDropGridCache;
+      if (shed_labels) {
+        obs::Add(obs::Counter::kServerShedLabels);
         EvlogEvent ev;
         ev.ts = ctx->dequeued;
         ev.level = "warn";
         ev.event = "shed";
         ev.request_id = ctx->request_id;
         ev.client = ctx->client;
-        ev.detail = decision->shed_grid_cache ? "labels+grid_cache"
-                                              : "labels";
+        ev.detail = shed_grid_cache ? "labels+grid_cache" : "labels";
         evlog_.Emit(std::move(ev));
+      }
+      if (shed_grid_cache) {
+        obs::Add(obs::Counter::kServerShedGridCache);
+        engine_->ClearGridCache();
       }
       Timer timer;
       QueryOptions opt;
       opt.threads = req.threads;
       opt.k = req.k;
       opt.use_labels = req.use_labels;
-      opt.record_labels = req.use_labels && !decision->shed_labels;
-      opt.reuse_grid = !decision->shed_grid_cache;
+      opt.record_labels = req.use_labels && !shed_labels;
+      opt.reuse_grid = !shed_grid_cache;
       opt.deadline_ms = req.deadline_ms;
       opt.cancel = &drain_cancel_;
       QueryResult qres = engine_->Query(req.r, opt);
@@ -876,10 +880,6 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
   }
 
   ctx->role = publish ? kRoleLeader : kRoleSolo;
-  ctx->shed_labels = decision->shed_labels;
-  ctx->shed_grid_cache = decision->shed_grid_cache;
-  ctx->ladder_stage =
-      decision->shed_grid_cache ? 2 : (decision->shed_labels ? 1 : 0);
 
   // 4. Block this session on the (own) execution; workers do the rest.
   QueryResult qres;

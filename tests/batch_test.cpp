@@ -5,14 +5,12 @@
 // ClearGridCache-mid-batch lifetime contract, mio_engine.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
 #include <map>
-#include <memory>
 #include <string>
-#include <tuple>
+#include <thread>
 #include <vector>
 
-#include "core/bigrid.hpp"
 #include "core/mio_engine.hpp"
 #include "geo/kernels.hpp"
 #include "test_utils.hpp"
@@ -236,9 +234,7 @@ TEST_F(BatchTest, MidBatchCacheClearCannotDangle) {
   batch[1].options.memory_budget_bytes = warm_bytes;
 
   MioEngine engine(set);
-  BatchOptions bopt;
-  bopt.partition_postings = false;  // budget pinned to the flat footprint
-  BatchResult res = engine.QueryBatch(batch, bopt);
+  BatchResult res = engine.QueryBatch(batch);
   EXPECT_TRUE(res.results[1].complete);
   EXPECT_GE(res.results[1].stats.degradation_level, 2);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -259,14 +255,112 @@ TEST_F(BatchTest, EmptyAndDegenerateMembers) {
   MioEngine engine(set_);
   EXPECT_TRUE(engine.QueryBatch({}).results.empty());
 
-  std::vector<BatchQuery> batch = MakeBatch({4.0, 0.0, -1.0, 3.5});
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<BatchQuery> batch =
+      MakeBatch({4.0, 0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                 inf, -inf, 3.5});
   BatchResult res = engine.QueryBatch(batch);
-  ASSERT_EQ(res.results.size(), 4u);
+  ASSERT_EQ(res.results.size(), batch.size());
   EXPECT_EQ(res.results[0].best().score, Oracle(4.0));
-  EXPECT_TRUE(res.results[1].topk.empty());
-  EXPECT_TRUE(res.results[2].topk.empty());
-  EXPECT_EQ(res.results[3].best().score, Oracle(3.5));
+  EXPECT_TRUE(res.results[0].status.ok());
+  for (std::size_t i = 1; i + 1 < batch.size(); ++i) {
+    EXPECT_TRUE(res.results[i].topk.empty()) << batch[i].r;
+    EXPECT_EQ(res.results[i].status.code(), StatusCode::kInvalidArgument)
+        << batch[i].r;
+  }
+  EXPECT_EQ(res.results.back().best().score, Oracle(3.5));
   EXPECT_EQ(res.stats.classes, 1u);  // 4.0 and 3.5 share ceiling 4
+}
+
+TEST_F(BatchTest, RejectedMembersJoinNoClass) {
+  // Invalid radii are rejected before grouping: they form no class,
+  // build no grid, and do not split the class of their valid siblings.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  QueryOptions opt;
+  opt.record_labels = true;
+  MioEngine engine(set_);
+
+  BatchResult none = engine.QueryBatch(MakeBatch({nan, inf, -1.0, 0.0}, opt));
+  ASSERT_EQ(none.results.size(), 4u);
+  for (const QueryResult& r : none.results) {
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(r.topk.empty());
+  }
+  EXPECT_EQ(none.stats.classes, 0u);
+  EXPECT_EQ(none.stats.grid_builds, 0u);
+  EXPECT_EQ(none.stats.grid_builds_saved, 0u);
+  EXPECT_EQ(none.stats.postings_bytes_shared, 0u);
+
+  BatchResult mixed = engine.QueryBatch(MakeBatch({nan, 3.5, inf, 3.2}, opt));
+  ASSERT_EQ(mixed.results.size(), 4u);
+  EXPECT_EQ(mixed.results[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mixed.results[2].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mixed.results[1].best().score, Oracle(3.5));
+  EXPECT_EQ(mixed.results[3].best().score, Oracle(3.2));
+  EXPECT_EQ(mixed.stats.classes, 1u);
+  EXPECT_EQ(mixed.stats.grid_builds, 1u);
+  EXPECT_EQ(mixed.stats.grid_builds_saved, 1u);
+  EXPECT_TRUE(engine.HasLabelsFor(3.5));
+}
+
+TEST_F(BatchTest, BatchBesideConcurrentQueriesStaysExact) {
+  // QueryBatch shares its class grids through the engine's grid cache, so
+  // concurrent reuse_grid queries adopt the very grids the batch is
+  // reading. Nothing may rewrite a shared grid in place: every answer
+  // must match a fresh sequential engine (TSan covers the races via
+  // scripts/check_batch.sh). threads=1 keeps OpenMP out of the picture.
+  // A dense set, so large cells hold dozens of posting points.
+  ObjectSet set = testing::MakeRandomObjects(200, 8, 16, 12.0, 29, 3.0);
+  const std::vector<double> radii = {3.0, 2.5, 2.2, 4.0, 3.6, 3.3};
+  std::vector<BatchQuery> batch = MakeBatch(radii);
+  std::vector<QueryResult> want = RunSequential(set, batch);
+
+  MioEngine engine(set);
+  constexpr int kRounds = 3;
+  constexpr int kQueryThreads = 2;
+  std::vector<BatchResult> batch_out(kRounds);
+  std::vector<std::vector<QueryResult>> query_out(kQueryThreads);
+  std::vector<std::thread> workers;
+  workers.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      batch_out[round] = engine.QueryBatch(batch);
+    }
+  });
+  for (int t = 0; t < kQueryThreads; ++t) {
+    workers.emplace_back([&, t] {
+      QueryOptions opt;
+      opt.reuse_grid = true;
+      for (int round = 0; round < kRounds; ++round) {
+        for (double r : radii) query_out[t].push_back(engine.Query(r, opt));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  auto expect_exact = [&](const QueryResult& got, std::size_t i,
+                          const std::string& what) {
+    ExpectSameAnswer(got, want[i], what);
+    EXPECT_EQ(got.stats.distance_computations,
+              want[i].stats.distance_computations)
+        << what;
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(batch_out[round].results.size(), radii.size());
+    for (std::size_t i = 0; i < radii.size(); ++i) {
+      expect_exact(batch_out[round].results[i], i,
+                   "batch round " + std::to_string(round) + " member " +
+                       std::to_string(i));
+    }
+  }
+  for (int t = 0; t < kQueryThreads; ++t) {
+    ASSERT_EQ(query_out[t].size(), kRounds * radii.size());
+    for (std::size_t q = 0; q < query_out[t].size(); ++q) {
+      expect_exact(query_out[t][q], q % radii.size(),
+                   "query thread " + std::to_string(t) + " #" +
+                       std::to_string(q));
+    }
+  }
 }
 
 TEST_F(BatchTest, BatchWarmStartsFromEngineGridCache) {
@@ -283,95 +377,6 @@ TEST_F(BatchTest, BatchWarmStartsFromEngineGridCache) {
   EXPECT_EQ(res.results[0].best().score, Oracle(4.0));
   EXPECT_EQ(res.results[1].best().score, Oracle(3.7));
   EXPECT_EQ(res.results[2].best().score, Oracle(3.1));
-}
-
-// --- Two-level posting layout structural invariants ------------------------
-
-TEST(PartitionPostingsTest, PreservesPointsAndBoxesAreTight) {
-  ObjectSet set = testing::MakeRandomObjects(40, 6, 12, 20.0, 7, 4.0);
-  BiGrid grid(set, 4.0);
-  grid.Build();
-  std::shared_ptr<LargeGridData> large = grid.ShareLargeGrid();
-
-  // Flat-layout inventory per cell: multiset of (obj, x, y, z).
-  using Entry = std::tuple<ObjectId, double, double, double>;
-  std::map<const LargeCell*, std::vector<Entry>> before;
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      std::vector<Entry>& inv = before[&cell];
-      for (std::size_t ri = 0; ri < cell.post_obj.size(); ++ri) {
-        PostingView v = cell.PostingAt(ri);
-        for (std::size_t p = 0; p < v.size; ++p) {
-          inv.emplace_back(cell.post_obj[ri], v.xs[p], v.ys[p], v.zs[p]);
-        }
-      }
-      std::sort(inv.begin(), inv.end());
-    });
-  }
-
-  const std::size_t cells = PartitionLargeGridPostings(large.get(),
-                                                       /*min_points=*/1);
-  EXPECT_GT(cells, 0u);
-  // Idempotent: a second pass finds nothing left to do.
-  EXPECT_EQ(PartitionLargeGridPostings(large.get(), 1), 0u);
-
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      ASSERT_TRUE(cell.partitioned());
-      ASSERT_EQ(cell.part_runs.size(), 9u);
-      ASSERT_EQ(cell.part_box.size(), 48u);
-      EXPECT_EQ(cell.part_runs[0], 0u);
-      EXPECT_EQ(cell.part_runs[8], cell.post_obj.size());
-
-      std::vector<Entry> after;
-      for (int o = 0; o < 8; ++o) {
-        ObjectId prev_obj = 0;
-        bool first = true;
-        for (std::uint32_t ri = cell.part_runs[o]; ri < cell.part_runs[o + 1];
-             ++ri) {
-          // Runs stay ascending by object id within each octant.
-          if (!first) {
-            EXPECT_LT(prev_obj, cell.post_obj[ri]);
-          }
-          prev_obj = cell.post_obj[ri];
-          first = false;
-          PostingView v = cell.PostingAt(ri);
-          ASSERT_GT(v.size, 0u);
-          const double* box = cell.part_box.data() + o * 6;
-          for (std::size_t p = 0; p < v.size; ++p) {
-            after.emplace_back(cell.post_obj[ri], v.xs[p], v.ys[p], v.zs[p]);
-            // Every point sits inside its octant's tight box — the exact
-            // soundness condition for MinDist2ToOctantBox pruning.
-            EXPECT_GE(v.xs[p], box[0]);
-            EXPECT_GE(v.ys[p], box[1]);
-            EXPECT_GE(v.zs[p], box[2]);
-            EXPECT_LE(v.xs[p], box[3]);
-            EXPECT_LE(v.ys[p], box[4]);
-            EXPECT_LE(v.zs[p], box[5]);
-            EXPECT_EQ(MinDist2ToOctantBox(Point{v.xs[p], v.ys[p], v.zs[p]},
-                                          cell.part_box.data(), o),
-                      0.0);
-          }
-        }
-      }
-      std::sort(after.begin(), after.end());
-      EXPECT_EQ(after, before[&cell]);
-    });
-  }
-}
-
-TEST(PartitionPostingsTest, SmallCellsKeepFlatLayout) {
-  ObjectSet set = testing::MakeRandomObjects(10, 2, 3, 50.0, 5, 2.0);
-  BiGrid grid(set, 3.0);
-  grid.Build();
-  std::shared_ptr<LargeGridData> large = grid.ShareLargeGrid();
-  // An absurd threshold partitions nothing.
-  EXPECT_EQ(PartitionLargeGridPostings(large.get(), 1u << 20), 0u);
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      EXPECT_FALSE(cell.partitioned());
-    });
-  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/query_result.hpp"
 #include "test_utils.hpp"
@@ -136,8 +137,14 @@ TEST(EngineEdgeTest, EmptyDataset) {
 TEST(EngineEdgeTest, InvalidRadius) {
   ObjectSet set = testing::MakeRandomObjects(5, 2, 4, 10.0, 1);
   MioEngine engine(set);
-  EXPECT_TRUE(engine.Query(0.0).topk.empty());
-  EXPECT_TRUE(engine.Query(-3.0).topk.empty());
+  for (double r : {0.0, -3.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    QueryResult res = engine.Query(r);
+    EXPECT_TRUE(res.topk.empty()) << r;
+    EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument) << r;
+    EXPECT_FALSE(engine.HasLabelsFor(r)) << r;
+  }
 }
 
 TEST(EngineEdgeTest, SingleObjectScoresZero) {

@@ -348,7 +348,7 @@ TEST(DegradationPlanTest, UnlimitedBudgetPlansNothing) {
   in.required_bytes = 1u << 30;
   in.label_bytes = 1u << 20;
   DegradationPlan plan = PlanDegradation(in);
-  EXPECT_EQ(plan.level(), 0);
+  EXPECT_EQ(plan.step, DegradationStep::kNone);
   EXPECT_FALSE(plan.abort);
 }
 
@@ -360,26 +360,24 @@ TEST(DegradationPlanTest, LadderShedsInOrder) {
   in.lb_bitset_bytes = 400;
 
   in.budget_bytes = 1700;  // everything fits
-  EXPECT_EQ(PlanDegradation(in).level(), 0);
+  EXPECT_EQ(PlanDegradation(in).step, DegradationStep::kNone);
 
   in.budget_bytes = 1650;  // shedding labels is enough
   DegradationPlan p1 = PlanDegradation(in);
-  EXPECT_EQ(p1.level(), 1);
-  EXPECT_TRUE(p1.shed_label_recording);
-  EXPECT_FALSE(p1.drop_grid_cache);
+  EXPECT_EQ(p1.step, DegradationStep::kShedLabels);
+  EXPECT_EQ(static_cast<int>(p1.step), 1);  // qlog degradation_level
   EXPECT_FALSE(p1.abort);
 
   in.budget_bytes = 1400;  // labels + cache must go
   DegradationPlan p2 = PlanDegradation(in);
-  EXPECT_EQ(p2.level(), 2);
-  EXPECT_TRUE(p2.shed_label_recording);
-  EXPECT_TRUE(p2.drop_grid_cache);
-  EXPECT_FALSE(p2.stream_verification);
+  EXPECT_EQ(p2.step, DegradationStep::kDropGridCache);
+  EXPECT_EQ(static_cast<int>(p2.step), 2);
+  EXPECT_FALSE(p2.abort);
 
   in.budget_bytes = 1000;  // only the bare grid fits
   DegradationPlan p3 = PlanDegradation(in);
-  EXPECT_EQ(p3.level(), 3);
-  EXPECT_TRUE(p3.stream_verification);
+  EXPECT_EQ(p3.step, DegradationStep::kStreamVerification);
+  EXPECT_EQ(static_cast<int>(p3.step), 3);
   EXPECT_FALSE(p3.abort);
 
   in.budget_bytes = 999;  // the grid alone does not fit
@@ -393,10 +391,16 @@ TEST(DegradationPlanTest, ZeroCostStepsAreSkipped) {
   in.label_bytes = 0;  // nothing to shed at step 1
   in.cache_bytes = 500;
   in.budget_bytes = 1000;
+  // Step 1 frees nothing, so the planner climbs straight to step 2 and
+  // the projection fits after dropping the cache alone.
   DegradationPlan plan = PlanDegradation(in);
-  EXPECT_FALSE(plan.shed_label_recording);
-  EXPECT_TRUE(plan.drop_grid_cache);
+  EXPECT_EQ(plan.step, DegradationStep::kDropGridCache);
   EXPECT_FALSE(plan.abort);
+  in.cache_bytes = 0;  // nothing optional to shed: straight to abort
+  in.budget_bytes = 999;
+  plan = PlanDegradation(in);
+  EXPECT_EQ(plan.step, DegradationStep::kNone);
+  EXPECT_TRUE(plan.abort);
 }
 
 // ---------------------------------------------------------------------------

@@ -86,6 +86,11 @@ TEST(ServeProtocol, RequestValidation) {
                 R"({"schema":"mio-serve-v1","op":"query","r":0})", &out)
                 .code(),
             StatusCode::kInvalidArgument);
+  // Overflowing radius (parses to +Inf).
+  EXPECT_EQ(ParseServeRequest(
+                R"({"schema":"mio-serve-v1","op":"query","r":1e999})", &out)
+                .code(),
+            StatusCode::kInvalidArgument);
   // Ping needs no radius; k/threads clamp to sane minimums.
   ASSERT_TRUE(ParseServeRequest(
                   R"({"schema":"mio-serve-v1","op":"ping","id":"p"})", &out)
@@ -157,22 +162,46 @@ TEST(Admission, LadderShedsBeforeRefusing) {
 
   AdmissionDecision empty = PlanAdmission(0, 0, 10, cfg);
   EXPECT_TRUE(empty.admit);
-  EXPECT_FALSE(empty.shed_labels);
-  EXPECT_FALSE(empty.shed_grid_cache);
+  EXPECT_EQ(empty.step, DegradationStep::kNone);
 
   AdmissionDecision half = PlanAdmission(8, 0, 10, cfg);
   EXPECT_TRUE(half.admit);
-  EXPECT_TRUE(half.shed_labels);
-  EXPECT_FALSE(half.shed_grid_cache);
+  EXPECT_EQ(half.step, DegradationStep::kShedLabels);
+  EXPECT_EQ(LadderStage(8, cfg), half.step);
 
   AdmissionDecision deep = PlanAdmission(12, 0, 10, cfg);
   EXPECT_TRUE(deep.admit);
-  EXPECT_TRUE(deep.shed_labels);
-  EXPECT_TRUE(deep.shed_grid_cache);
+  EXPECT_EQ(deep.step, DegradationStep::kDropGridCache);
+  EXPECT_EQ(LadderStage(12, cfg), deep.step);
 
   AdmissionDecision full = PlanAdmission(16, 0, 10, cfg);
   EXPECT_FALSE(full.admit);
   EXPECT_GT(full.retry_after_ms, 0.0);
+}
+
+TEST(Admission, LadderStepClimbsMonotonicallyAndStopsAtGridCache) {
+  // Admission enters the engine's ladder but never past kDropGridCache:
+  // streaming verification is the memory planner's step alone. Every
+  // admitted request runs at exactly the stage health/stats report.
+  for (std::size_t cap : {1u, 2u, 3u, 4u, 7u, 16u, 100u}) {
+    AdmissionConfig cfg;
+    cfg.max_queue = cap;
+    DegradationStep prev = DegradationStep::kNone;
+    for (std::size_t depth = 0; depth < cap; ++depth) {
+      AdmissionDecision d = PlanAdmission(depth, 0, 1, cfg);
+      ASSERT_TRUE(d.admit) << "cap " << cap << " depth " << depth;
+      EXPECT_EQ(d.step, LadderStage(depth, cfg))
+          << "cap " << cap << " depth " << depth;
+      EXPECT_GE(d.step, prev) << "cap " << cap << " depth " << depth;
+      EXPECT_LE(d.step, DegradationStep::kDropGridCache)
+          << "cap " << cap << " depth " << depth;
+      prev = d.step;
+    }
+    // A refusal runs nothing, so it carries no ladder step.
+    AdmissionDecision refused = PlanAdmission(cap, 0, 1, cfg);
+    EXPECT_FALSE(refused.admit) << "cap " << cap;
+    EXPECT_EQ(refused.step, DegradationStep::kNone) << "cap " << cap;
+  }
 }
 
 TEST(Admission, RetryAfterScalesWithDepth) {

@@ -987,15 +987,13 @@ int CmdRunWorkload(const mio::ArgParser& args) {
   if (opts.batch) {
     std::printf(
         "batch: %llu classes, %llu grid builds saved, %llu posting bytes "
-        "shared, %llu cells partitioned\n",
+        "shared\n",
         static_cast<unsigned long long>(m.counters[static_cast<std::size_t>(
             mio::obs::Counter::kBatchClasses)]),
         static_cast<unsigned long long>(m.counters[static_cast<std::size_t>(
             mio::obs::Counter::kBatchGridBuildsSaved)]),
         static_cast<unsigned long long>(m.counters[static_cast<std::size_t>(
-            mio::obs::Counter::kBatchPostingsBytesShared)]),
-        static_cast<unsigned long long>(m.counters[static_cast<std::size_t>(
-            mio::obs::Counter::kBatchCellsPartitioned)]));
+            mio::obs::Counter::kBatchPostingsBytesShared)]));
   }
   std::uint64_t hits = m.counters[static_cast<std::size_t>(
       mio::obs::Counter::kLabelCacheHits)];
