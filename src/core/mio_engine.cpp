@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/guardrails.hpp"
 #include "common/omp_utils.hpp"
@@ -19,6 +21,21 @@ namespace mio {
 
 MioEngine::MioEngine(const ObjectSet& objects, std::string label_dir)
     : objects_(objects), planar_(objects.IsPlanar()) {
+  // Branch-free: NaN and ±inf fail `<= max()`, and NaN never wins a max.
+  constexpr double kMaxFinite = std::numeric_limits<double>::max();
+  for (const Object& o : objects.objects()) {
+    double max_abs = 0.0;
+    bool finite = true;
+    for (const Point& p : o.points) {
+      const double ax = std::fabs(p.x);
+      const double ay = std::fabs(p.y);
+      const double az = std::fabs(p.z);
+      finite &= (ax <= kMaxFinite) & (ay <= kMaxFinite) & (az <= kMaxFinite);
+      max_abs = std::max(max_abs, std::max(ax, std::max(ay, az)));
+    }
+    coords_finite_ = coords_finite_ && finite;
+    max_abs_coord_ = std::max(max_abs_coord_, max_abs);
+  }
   if (!label_dir.empty()) {
     store_ = std::make_unique<LabelStore>(std::move(label_dir));
   }
@@ -73,10 +90,23 @@ std::shared_ptr<const LabelSet> MioEngine::CachedLabels(int ceil_r) const {
   return it != label_cache_.end() ? it->second : nullptr;
 }
 
-Status MioEngine::CheckRadius(double r) {
-  if (r > 0.0 && std::isfinite(r)) return Status::OK();
-  return Status::InvalidArgument("radius must be finite and > 0, got " +
-                                 std::to_string(r));
+Status MioEngine::CheckRadius(double r) const {
+  if (!(r > 0.0 && std::isfinite(r))) {
+    return Status::InvalidArgument("radius must be finite and > 0, got " +
+                                   std::to_string(r));
+  }
+  if (!coords_finite_) {
+    return Status::InvalidArgument("dataset has a non-finite coordinate");
+  }
+  // Both sides of the lattice: floor(-c/w) - 1 >= INT32_MIN is the same
+  // bound as floor(c/w) + 1 <= INT32_MAX.
+  if (std::floor(max_abs_coord_ / SmallGridWidth(r)) + 1.0 >
+      static_cast<double>(std::numeric_limits<std::int32_t>::max())) {
+    return Status::InvalidArgument(
+        "radius " + std::to_string(r) +
+        " too small for the coordinate range: grid cell keys overflow int32");
+  }
+  return Status::OK();
 }
 
 bool MioEngine::HasLabelsFor(double r) const {

@@ -125,9 +125,14 @@ class MioEngine {
     std::shared_ptr<LargeGridData>* grid_out = nullptr;
   };
 
-  /// OK for a finite r > 0, kInvalidArgument otherwise. Checked before
-  /// any cast of ceil(r) to int, which is undefined for NaN and infinity.
-  static Status CheckRadius(double r);
+  /// OK for a finite r > 0 whose grids fit the int32 cell lattice,
+  /// kInvalidArgument otherwise. Checked before any cast of ceil(r) to
+  /// int, which is undefined for NaN and infinity, and before any point
+  /// is mapped: a cell key is floor(c / width) cast to int32, and
+  /// neighbour enumeration adds ±1 to it, so every key at the finest
+  /// width (the small grid's r/sqrt(3)) needs headroom of one. Data with
+  /// a non-finite coordinate has no valid key at any r.
+  Status CheckRadius(double r) const;
 
   /// The Algorithm-2 pipeline behind Query and QueryBatch. `ctx` (null
   /// for single queries) supplies batch-hoisted state.
@@ -153,6 +158,9 @@ class MioEngine {
 
   const ObjectSet& objects_;
   bool planar_ = false;
+  /// Coordinate range, scanned once at construction for CheckRadius.
+  bool coords_finite_ = true;
+  double max_abs_coord_ = 0.0;
   /// Guards label_cache_, grid_cache_, and all store_ operations. Held
   /// only around cache/disk bookkeeping, never across a pipeline run, so
   /// concurrent queries contend for microseconds (or one disk load).

@@ -1,6 +1,7 @@
 #include "core/parallel_phases.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/guardrails.hpp"
@@ -387,11 +388,19 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
 
 namespace {
 
+/// One core's share of one P_{i,K} group: a contiguous run of that core's
+/// point list, verified with one VerifyGroup call.
+struct GroupShare {
+  std::size_t group;
+  std::size_t begin;
+  std::size_t end;
+};
+
 /// Parallel exact score of one candidate: points are partitioned across
 /// cores (round-robin within each P_{i,K}; tiny groups go to the least
-/// loaded core) and each core scans with a private accumulator; the
-/// accumulators are merged afterwards (paper §IV, with/without label).
-/// Each worker's scan time is accumulated into
+/// loaded core) and each core scans its share of every group with a
+/// private accumulator; the accumulators are merged afterwards (paper
+/// §IV, with/without label). Each worker's scan time is accumulated into
 /// stats->verify_thread_seconds so load imbalance is reportable.
 std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
                                  const LabelSet* use_labels,
@@ -428,28 +437,39 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     }
   }
 
-  // Phase 3: distribute points. Each surviving group is split round-robin
-  // across cores; groups smaller than the core count feed the least
-  // loaded core instead.
-  std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>> tasks(
-      threads);  // (group index, point index)
-  std::vector<std::size_t> load(threads, 0);
+  // Phase 3: distribute the label-filtered points. Each surviving group
+  // is split round-robin across cores; groups smaller than the core count
+  // feed the least loaded core instead. A core's points of one group form
+  // one contiguous share.
+  const std::size_t nthreads = static_cast<std::size_t>(threads);
+  std::vector<std::vector<std::uint32_t>> task_points(nthreads);
+  std::vector<std::vector<GroupShare>> shares(nthreads);
+  std::vector<std::size_t> load(nthreads, 0);
+  std::vector<std::size_t> share_begin(nthreads);
+  std::vector<std::uint32_t> live;  // the current group's filtered points
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (!group_alive[g]) continue;
-    const PointGroup& group = groups[g];
-    if (group.point_idx.size() >=
-        static_cast<std::size_t>(threads)) {
-      for (std::size_t idx = 0; idx < group.point_idx.size(); ++idx) {
-        int t = static_cast<int>(idx % static_cast<std::size_t>(threads));
-        tasks[t].emplace_back(g, group.point_idx[idx]);
-        ++load[t];
-      }
-    } else {
-      for (std::uint32_t j : group.point_idx) {
-        int t = static_cast<int>(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        tasks[t].emplace_back(g, j);
-        ++load[t];
+    live.clear();
+    for (std::uint32_t j : groups[g].point_idx) {
+      if (VerifiesPoint(use_labels, i, j, use_verify_bit)) live.push_back(j);
+    }
+    if (live.empty()) continue;
+    for (std::size_t t = 0; t < nthreads; ++t) {
+      share_begin[t] = task_points[t].size();
+    }
+    for (std::size_t idx = 0; idx < live.size(); ++idx) {
+      std::size_t t =
+          live.size() >= nthreads
+              ? idx % nthreads
+              : static_cast<std::size_t>(
+                    std::min_element(load.begin(), load.end()) - load.begin());
+      task_points[t].push_back(live[idx]);
+      ++load[t];
+    }
+    for (std::size_t t = 0; t < nthreads; ++t) {
+      if (task_points[t].size() > share_begin[t]) {
+        shares[t].push_back(
+            GroupShare{g, share_begin[t], task_points[t].size()});
       }
     }
   }
@@ -480,22 +500,22 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     pmu.Enter(t);
     PlainBitset& acc = acc_of(t);
     acc = seed;
-    PlainBitset local_scratch;  // per-core candidate-set scratch
-    PlainBitset& b_scratch =
+    GroupScratch local_scratch;  // per-core VerifyGroup scratch
+    GroupScratch& scratch =
         arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].scratch
                          : local_scratch;
-    std::size_t done = 0;
-    for (const auto& [g, j] : tasks[t]) {
-      if (guard != nullptr && (done++ % kGuardStridePoints) == 0 &&
-          guard->Poll()) {
-        break;  // partial score: the caller discards it
+    const std::span<const std::uint32_t> mine(
+        task_points[static_cast<std::size_t>(t)]);
+    std::size_t since_poll = kGuardStridePoints;  // poll before the first
+    for (const GroupShare& share : shares[static_cast<std::size_t>(t)]) {
+      if (guard != nullptr && since_poll >= kGuardStridePoints) {
+        since_poll = 0;
+        if (guard->Poll()) break;  // partial score: the caller discards it
       }
-      if (use_labels != nullptr) {
-        std::uint8_t l = use_labels->Get(i, j);
-        if ((l & label::kMap) == 0) continue;
-        if (use_verify_bit && (l & label::kVerify) == 0) continue;
-      }
-      VerifyPoint(grid, i, j, &acc, &b_scratch, record_labels, &comps[t]);
+      since_poll += share.end - share.begin;
+      VerifyGroup(grid, i, groups[share.group].key,
+                  mine.subspan(share.begin, share.end - share.begin), &acc,
+                  &scratch, record_labels, &comps[t]);
     }
     seconds[static_cast<std::size_t>(t)] = worker_timer.ElapsedSeconds();
     pmu.Leave(t);

@@ -1,6 +1,8 @@
 #include "core/verification.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "common/guardrails.hpp"
 #include "geo/kernels.hpp"
@@ -59,59 +61,111 @@ std::vector<ScoredObject> TopKTracker::Sorted() const {
 // Exact score
 // ---------------------------------------------------------------------------
 
-void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
-                 PlainBitset* acc, PlainBitset* b_scratch,
-                 LabelSet* record_labels, std::size_t* dist_comps) {
-  const Point& p = grid.objects()[i].points[point_idx];
+namespace {
+
+/// Relative widening of a cell face: covers the rounding of floor(c / w)
+/// at cell boundaries (~1e-16 relative), so a face gap never exceeds the
+/// true coordinate gap to a point mapped into the neighbour cell.
+constexpr double kFaceSlack = 1e-9;
+
+/// Lower bound on the squared distance from `p` (mapped into cell `home`)
+/// to any point mapped into the neighbouring cell `nb` at width `w`. It
+/// never exceeds the kernel's own squared distance to such a point
+/// (per-axis gaps are smaller, and rounded arithmetic is monotone), so
+/// `> r²` proves no point of `nb` is within r of p.
+double NeighborGap2(const Point& p, const CellKey& home, const CellKey& nb,
+                    double w) {
+  auto axis = [w](double c, std::int32_t h, std::int32_t n) {
+    if (n == h) return 0.0;
+    double face = (n > h ? static_cast<double>(h) + 1.0
+                         : static_cast<double>(h)) * w;
+    double gap = (n > h ? face - c : c - face) -
+                 kFaceSlack * (std::fabs(face) + w);
+    return gap > 0.0 ? gap * gap : 0.0;
+  };
+  return axis(p.x, home.x, nb.x) + axis(p.y, home.y, nb.y) +
+         axis(p.z, home.z, nb.z);
+}
+
+}  // namespace
+
+void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
+                 std::span<const std::uint32_t> points, PlainBitset* acc,
+                 GroupScratch* scratch, LabelSet* record_labels,
+                 std::size_t* dist_comps) {
+  const std::vector<Point>& pts = grid.objects()[i].points;
   const double r2 = grid.r() * grid.r();
-  CellKey key = KeyForWidth(p, grid.large_width());
+  const double width = grid.large_width();
   // With labels, some cells may have skipped upper-bounding entirely, so
   // b_adj may be missing here — compute it first (paper §III-D).
   LargeCell& cell = grid.EnsureAdj(key);
 
-  // b <- b_adj(c) - b(o_i): candidates not yet confirmed. Decoded into the
-  // caller's scratch bitset, so steady-state verification allocates
-  // nothing per point.
-  PlainBitset& b = *b_scratch;
+  // b <- b_adj(c) - b(o_i): candidates not yet confirmed, shared by every
+  // point of the group (they all have the same 27-cell neighbourhood).
+  PlainBitset& b = scratch->b;
   cell.adj.DecodeInto(&b);
   b.AndNotWith(*acc);
   std::size_t remaining = b.Count();
-  obs::Add(obs::Counter::kVerifyPoints);
+  obs::Add(obs::Counter::kVerifyGroups);
+  obs::Add(obs::Counter::kVerifyPoints, points.size());
   obs::Observe(obs::Histogram::kVerifyCandsPerPoint, remaining);
-  if (remaining == 0) {
-    obs::Add(obs::Counter::kVerifyPointsSettled);
-    if (record_labels != nullptr) {
-      // Labeling-3: this point's whole neighbourhood is already
-      // confirmed (Observation 3).
-      record_labels->labels[i][point_idx] &=
-          static_cast<std::uint8_t>(~label::kVerify);
+  if (record_labels != nullptr) {
+    // Labeling-3 at group granularity: clear every point, then restore
+    // kVerify on each witness below. Every confirmed partner keeps a
+    // witness, so a replay at the recorded radius still confirms it; a
+    // settled group (Observation 3) keeps none.
+    for (std::uint32_t j : points) {
+      record_labels->labels[i][j] &= static_cast<std::uint8_t>(~label::kVerify);
     }
+  }
+  if (remaining == 0) {
+    obs::Add(obs::Counter::kVerifyPointsSettled, points.size());
     return;
   }
 
   std::size_t comps = 0;
   std::size_t postings = 0;
+  std::size_t probes = 0;
+  std::size_t confirmed = 0;
   // Scan the cell itself, then its neighbours, stopping as soon as no
-  // candidate remains near p. Postings are only touched for set bits of
-  // b (Algorithm 6 line 13); each touched posting is one batch-kernel
-  // call over its contiguous SoA coordinates.
+  // candidate remains. Postings are only touched for set bits of b
+  // (Algorithm 6 line 13); each touched posting is tested against the
+  // group's points that can reach the cell, nearest first, until the
+  // first hit — one batch-kernel call per point over the posting's
+  // contiguous SoA coordinates.
+  std::vector<std::pair<double, std::uint32_t>>& order = scratch->order;
   auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
+    ++probes;
     const LargeCell* c = grid.FindLarge(ck);
     if (c == nullptr) return true;
-    for (std::size_t oi = 0; oi < c->post_obj.size(); ++oi) {
+    order.clear();
+    for (std::uint32_t j : points) {
+      double gap2 = NeighborGap2(pts[j], key, ck, width);
+      if (gap2 <= r2) order.emplace_back(gap2, j);
+    }
+    std::sort(order.begin(), order.end());
+    for (std::size_t oi = 0; oi < c->post_obj.size() && !order.empty();
+         ++oi) {
       ObjectId obj = c->post_obj[oi];
       if (!b.Test(obj)) continue;
       ++postings;
       PostingView posting = c->PostingAt(oi);
-      std::ptrdiff_t hit =
-          AnyWithin(p, posting.xs, posting.ys, posting.zs, posting.size, r2);
-      if (hit >= 0) {
+      for (const auto& [gap2, j] : order) {
+        std::ptrdiff_t hit = AnyWithin(pts[j], posting.xs, posting.ys,
+                                       posting.zs, posting.size, r2);
+        if (hit < 0) {
+          comps += posting.size;
+          continue;
+        }
         comps += static_cast<std::size_t>(hit) + 1;
         acc->Set(obj);
         b.Clear(obj);
+        ++confirmed;
+        if (record_labels != nullptr) {
+          record_labels->labels[i][j] |= label::kVerify;
+        }
         if (--remaining == 0) return false;
-      } else {
-        comps += posting.size;
+        break;
       }
     }
     return true;
@@ -123,24 +177,26 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
       if (!stop) stop = !scan_cell(nk);
     });
   }
+  obs::Add(obs::Counter::kVerifyCellProbes, probes);
   obs::Add(obs::Counter::kPostingScans, postings);
+  obs::Add(obs::Counter::kVerifyPartnersConfirmed, confirmed);
   if (dist_comps != nullptr) *dist_comps += comps;
 }
 
 std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          LabelSet* record_labels, const Ewah* lb_bitset,
                          std::size_t* dist_comps, bool use_verify_bit,
-                         PlainBitset* b_scratch, QueryGuard* guard,
-                         PlainBitset* acc_scratch) {
+                         QueryGuard* guard, VerifyArena* arena) {
   const Object& o = grid.objects()[i];
+  VerifyArena local_arena;
+  VerifyArena& a = arena != nullptr ? *arena : local_arena;
 
   // b(o_i): confirmed interaction partners (plus bit i). With labels it is
   // seeded from the lower-bound union — those objects are certain partners
   // (Lemma 1), so no posting scan needs to rediscover them. The seed fully
-  // overwrites `acc_scratch` (DecodeInto resets first), so arena reuse
+  // overwrites the accumulator (DecodeInto resets first), so arena reuse
   // across candidates is safe.
-  PlainBitset local_acc;
-  PlainBitset& acc = acc_scratch != nullptr ? *acc_scratch : local_acc;
+  PlainBitset& acc = a.acc;
   if (lb_bitset != nullptr) {
     lb_bitset->DecodeInto(&acc);
   } else {
@@ -148,23 +204,41 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
   }
   acc.Set(i);
 
-  PlainBitset local_scratch;
-  if (b_scratch == nullptr) b_scratch = &local_scratch;
-
+  // Group the points to verify by large cell. The order is fixed (key,
+  // then point index), so distance_computations does not depend on how
+  // the grid was built; scores do not depend on the order at all.
+  const double width = grid.large_width();
+  a.keyed.clear();
   for (std::size_t j = 0; j < o.points.size(); ++j) {
-    if (guard != nullptr && (j % kGuardStridePoints) == 0 && guard->Poll()) {
-      break;  // partial score: the caller must discard it
+    if (!VerifiesPoint(use_labels, i, j, use_verify_bit)) continue;
+    a.keyed.push_back(KeyedPoint{KeyForWidth(o.points[j], width),
+                                 static_cast<std::uint32_t>(j)});
+  }
+  std::sort(a.keyed.begin(), a.keyed.end(),
+            [](const KeyedPoint& x, const KeyedPoint& y) {
+              if (!(x.key == y.key)) return x.key < y.key;
+              return x.idx < y.idx;
+            });
+  a.points.resize(a.keyed.size());
+  for (std::size_t n = 0; n < a.keyed.size(); ++n) {
+    a.points[n] = a.keyed[n].idx;
+  }
+
+  const std::span<const std::uint32_t> all(a.points);
+  std::size_t since_poll = kGuardStridePoints;  // poll before the first group
+  for (std::size_t begin = 0; begin < a.keyed.size();) {
+    std::size_t end = begin + 1;
+    while (end < a.keyed.size() && a.keyed[end].key == a.keyed[begin].key) {
+      ++end;
     }
-    if (use_labels != nullptr) {
-      std::uint8_t l = use_labels->Get(i, j);
-      // VERIFICATION-WITH-LABEL iterates only points labelled 1*1. The
-      // kVerify bit is honoured only at the recorded radius (see
-      // labels.hpp); kMap must always be honoured — pruned points were
-      // never mapped into the grid.
-      if ((l & label::kMap) == 0) continue;
-      if (use_verify_bit && (l & label::kVerify) == 0) continue;
+    if (guard != nullptr && since_poll >= kGuardStridePoints) {
+      since_poll = 0;
+      if (guard->Poll()) break;  // partial score: the caller must discard it
     }
-    VerifyPoint(grid, i, j, &acc, b_scratch, record_labels, dist_comps);
+    since_poll += end - begin;
+    VerifyGroup(grid, i, a.keyed[begin].key, all.subspan(begin, end - begin),
+                &acc, &a.scratch, record_labels, dist_comps);
+    begin = end;
   }
 
   std::size_t count = acc.Count();
@@ -186,9 +260,8 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        QueryGuard* guard,
                                        VerifyArena* arena) {
   TopKTracker tracker(k);
-  PlainBitset local_scratch;  // reused across every verified point
-  PlainBitset* b_scratch = arena != nullptr ? &arena->scratch : &local_scratch;
-  PlainBitset* acc_scratch = arena != nullptr ? &arena->acc : nullptr;
+  VerifyArena local_arena;  // reused across every verified candidate
+  if (arena == nullptr) arena = &local_arena;
   for (ObjectId i : ub.candidates) {
     // Early termination (Corollary 1): the queue is sorted by descending
     // upper bound, so once the front cannot beat the k-th best exact
@@ -201,7 +274,7 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
     std::uint32_t score = ExactScore(
         grid, i, use_labels, record_labels, lb,
         stats != nullptr ? &stats->distance_computations : nullptr,
-        use_verify_bit, b_scratch, guard, acc_scratch);
+        use_verify_bit, guard, arena);
     if (guard != nullptr && guard->tripped()) break;  // partial: discard
     if (stats != nullptr) ++stats->num_verified;
     tracker.Offer(i, score);

@@ -40,6 +40,9 @@ enum class Counter : int {
   kVerifyPoints,         ///< points exactly verified
   kVerifyPointsSettled,  ///< verified points whose neighbourhood was
                          ///< already fully confirmed (no posting scan)
+  kVerifyGroups,         ///< per-cell point groups verified (VerifyGroup)
+  kVerifyCellProbes,     ///< neighbourhood cell lookups during verification
+  kVerifyPartnersConfirmed,  ///< partners confirmed by a posting scan
   kFaultsInjected,        ///< fault-injection sites that fired
   kQueryDeadlineExceeded, ///< queries stopped by their deadline
   kQueryCancelled,        ///< queries stopped by a cancel token
@@ -79,7 +82,8 @@ enum class Histogram : int {
   kLbUnionBits,           ///< lower-bound union cardinality per object
   kUbGroupsPerObject,     ///< large-cell groups per object
   kUbUnionBits,           ///< upper-bound union cardinality per object
-  kVerifyCandsPerPoint,   ///< unconfirmed candidates per verified point
+  kVerifyCandsPerPoint,   ///< unconfirmed candidates per verified group
+                          ///< (observed once per VerifyGroup entry)
   kKernelBatchSize,       ///< span length per dispatched kernel call
   kBatchArenaHighWater,   ///< verify-arena high-water bytes per batch
   kServerQueueWaitUs,     ///< admission-queue wait per executed request (µs)
@@ -102,6 +106,9 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "kernel_batches",
     "verify_points",
     "verify_points_settled",
+    "verify_groups",
+    "verify_cell_probes",
+    "verify_partners_confirmed",
     "faults.injected",
     "query.deadline_exceeded",
     "query.cancelled",
@@ -144,6 +151,9 @@ inline constexpr std::array<const char*, kNumCounters> kCounterMetricNames = {
     "kernel_batches",
     "verify_points",
     "verify_points_settled",
+    "verify_groups",
+    "verify_cell_probes",
+    "verify_partners_confirmed",
     "faults_injected",
     "query_deadline_exceeded",
     "query_cancelled",

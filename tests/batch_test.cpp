@@ -181,6 +181,35 @@ TEST_F(BatchTest, ParallelBatchMatchesSerialBatch) {
   }
 }
 
+// Dense fixture (sigma 1): most large cells hold several points of one
+// object, so verification runs multi-point groups. Grouping order is
+// fixed by (cell key, point index), never by how the grid was built, so
+// even the comparison count matches the sequential run — with and
+// without labels.
+TEST_F(BatchTest, DenseGroupsMatchSequentialIncludingComparisons) {
+  ObjectSet dense = testing::MakeRandomObjects(80, 20, 40, 30.0, 31, 1.0);
+  QueryOptions labelled;
+  labelled.use_labels = true;
+  labelled.record_labels = true;
+  for (const QueryOptions& opt : {QueryOptions{}, labelled}) {
+    std::vector<BatchQuery> batch = MakeBatch({3.5, 3.2, 4.8, 3.9, 4.1}, opt);
+    std::vector<QueryResult> seq = RunSequential(dense, batch);
+    MioEngine engine(dense);
+    BatchResult res = engine.QueryBatch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::string what = std::string(opt.use_labels ? "labels" : "plain") +
+                               " member " + std::to_string(i);
+      ExpectSameAnswer(res.results[i], seq[i], what);
+      EXPECT_EQ(res.results[i].stats.distance_computations,
+                seq[i].stats.distance_computations)
+          << what;
+      EXPECT_EQ(res.results[i].best().score,
+                testing::MaxScore(testing::OracleScores(dense, batch[i].r)))
+          << what;
+    }
+  }
+}
+
 TEST_F(BatchTest, TrippedMemberDoesNotPoisonSiblings) {
   std::vector<BatchQuery> batch = MakeBatch({4.0, 3.5, 3.2, 3.8});
   batch[1].options.deadline_ms = 1e-7;  // trips at the first guard poll

@@ -6,6 +6,7 @@
 #include "core/lower_bound.hpp"
 #include "core/upper_bound.hpp"
 #include "core/verification.hpp"
+#include "obs/metrics.hpp"
 #include "test_utils.hpp"
 
 namespace mio {
@@ -97,6 +98,78 @@ INSTANTIATE_TEST_SUITE_P(
         BoundsCase{50, 3, 8, 300.0, 2.0, 5.0, 4},  // sparse
         BoundsCase{30, 4, 10, 18.0, 8.0, 0.7, 5},  // r < 1 (ceil = 1)
         BoundsCase{20, 5, 10, 20.0, 4.0, 6.0, 6}));
+
+// Cell-major verification on a dense fixture: tight clouds (sigma 1)
+// against width-4 cells put several points of one object in most large
+// cells, so nearly every VerifyGroup call serves a multi-point group.
+TEST(GroupedVerificationTest, DenseGroupsMatchOracleForEveryCandidate) {
+  const double r = 3.5;
+  ObjectSet set = testing::MakeRandomObjects(40, 20, 40, 20.0, 21, 1.0);
+  std::vector<std::uint32_t> exact = testing::OracleScores(set, r);
+
+  BiGrid grid(set, r);
+  grid.Build();
+  UpperBoundResult ub = UpperBounding(grid, 0, nullptr, nullptr, nullptr);
+  ASSERT_FALSE(ub.candidates.empty());
+  obs::ResetMetrics();
+  VerifyArena arena;  // shared across candidates, like Verification does
+  std::size_t comps = 0;
+  for (ObjectId i : ub.candidates) {
+    EXPECT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, &comps, true,
+                         nullptr, &arena),
+              exact[i])
+        << "object " << i;
+  }
+  EXPECT_GT(comps, 0u);
+  obs::MetricsSnapshot m = obs::SnapshotMetrics();
+  auto counter = [&m](obs::Counter c) {
+    return m.counters[static_cast<std::size_t>(c)];
+  };
+  const std::uint64_t groups = counter(obs::Counter::kVerifyGroups);
+  ASSERT_GT(groups, 0u);
+  EXPECT_GE(counter(obs::Counter::kVerifyPoints), 2 * groups)
+      << "fixture is not dense enough to exercise multi-point groups";
+  EXPECT_LE(counter(obs::Counter::kVerifyCellProbes),
+            groups * static_cast<std::uint64_t>(kNeighborhoodSize));
+  EXPECT_GT(counter(obs::Counter::kVerifyPartnersConfirmed), 0u);
+}
+
+// Isolated single-point pairs at exactly distance r whose second point
+// sits on the corner of a neighbouring large cell, so the face gap the
+// per-cell reachability filter computes equals the true distance: axis,
+// edge and corner neighbours, near the origin, at negative keys and far
+// from it. The filter must keep every such point.
+TEST(GroupedVerificationTest, ExactDistancePairsAcrossCellFacesMatchOracle) {
+  struct Offset {
+    double r;
+    Point d;  // exact integer offset of length r
+  };
+  const Offset offsets[] = {{3.0, {3, 0, 0}}, {3.0, {0, 0, 3}},
+                            {3.0, {1, 2, 2}}, {5.0, {3, 4, 0}},
+                            {5.0, {0, 4, 3}}, {5.0, {5, 0, 0}}};
+  for (const Offset& off : offsets) {
+    const double w = LargeGridWidth(off.r);
+    ObjectSet set;
+    for (double f : {0.0, 3000.0, -6000.0, 3000000.0}) {
+      // q is the lower corner of cell (f/w + 1, ...) on every axis the
+      // offset moves along; p = q - d lies in the cell below.
+      Point q{f + (off.d.x != 0 ? w : 0.5), f + (off.d.y != 0 ? w : 0.5),
+              f + (off.d.z != 0 ? w : 0.5)};
+      Point p{q.x - off.d.x, q.y - off.d.y, q.z - off.d.z};
+      set.Add(Object{{p}, {}});
+      set.Add(Object{{q}, {}});
+    }
+    std::vector<std::uint32_t> exact = testing::OracleScores(set, off.r);
+    BiGrid grid(set, off.r);
+    grid.Build();
+    for (ObjectId i = 0; i < set.size(); ++i) {
+      EXPECT_EQ(exact[i], 1u) << "fixture pair " << i << " r=" << off.r;
+      EXPECT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, nullptr),
+                exact[i])
+          << "object " << i << " r=" << off.r;
+    }
+  }
+}
 
 TEST(TopKTrackerTest, ThresholdAndReplacement) {
   TopKTracker t(2);

@@ -127,6 +127,40 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{80, 3, 8, 400.0, 2.0, 5.0, 6},    // sparse
         EngineCase{40, 4, 12, 30.0, 6.0, 1.3, 7}));  // ceil boundary
 
+// Labeling-3 is recorded per point group (a point keeps kVerify only if
+// it confirmed a partner). Replaying at the recorded radius must still
+// reproduce every object's exact score, not just the winner's: with
+// k = n every candidate is verified in both runs. Dense fixture, so most
+// groups hold several points and most points lose kVerify.
+TEST(EngineLabelTest, GroupLabelsReplayEveryExactScore) {
+  const double r = 3.5;
+  ObjectSet set = testing::MakeRandomObjects(50, 20, 40, 25.0, 17, 1.0);
+  std::vector<std::uint32_t> exact = testing::OracleScores(set, r);
+  for (int threads : {1, 2}) {
+    MioEngine engine(set);
+    QueryOptions opt;
+    opt.k = set.size();
+    opt.threads = threads;
+    opt.use_labels = true;
+    opt.record_labels = true;
+    QueryResult recorded = engine.Query(r, opt);
+    ASSERT_EQ(recorded.stats.label_outcome, LabelOutcome::kMissRecorded);
+    QueryResult replayed = engine.Query(r, opt);
+    ASSERT_EQ(replayed.stats.label_outcome, LabelOutcome::kHitMemory);
+    for (const QueryResult* res : {&recorded, &replayed}) {
+      ASSERT_EQ(res->topk.size(), set.size()) << "threads=" << threads;
+      for (const ScoredObject& s : res->topk) {
+        EXPECT_EQ(s.score, exact[s.id])
+            << "threads=" << threads << " object " << s.id;
+      }
+    }
+    // The replay skipped the points whose kVerify bit was cleared.
+    EXPECT_LT(replayed.stats.distance_computations,
+              recorded.stats.distance_computations)
+        << "threads=" << threads;
+  }
+}
+
 TEST(EngineEdgeTest, EmptyDataset) {
   ObjectSet empty;
   MioEngine engine(empty);
@@ -144,6 +178,38 @@ TEST(EngineEdgeTest, InvalidRadius) {
     EXPECT_TRUE(res.topk.empty()) << r;
     EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument) << r;
     EXPECT_FALSE(engine.HasLabelsFor(r)) << r;
+  }
+}
+
+// Cell keys are int32 lattice coordinates and neighbour enumeration adds
+// ±1 to them: a radius whose small grid would overflow that lattice, or
+// data with a non-finite coordinate, is rejected before any key is cast.
+TEST(EngineEdgeTest, LatticeOverflowIsInvalidArgument) {
+  ObjectSet far;
+  far.Add(Object{{{1e12, -1e12, 5e11}, {1e12 + 1e-4, -1e12, 5e11}}, {}});
+  far.Add(Object{{{1e12 + 5e-4, -1e12, 5e11}}, {}});
+  MioEngine engine(far);
+  QueryResult res = engine.Query(1e-3);
+  EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(res.topk.empty());
+  EXPECT_FALSE(engine.HasLabelsFor(1e-3));
+  BatchResult batch = engine.QueryBatch({BatchQuery{1e-3, {}}});
+  EXPECT_EQ(batch.results[0].status.code(), StatusCode::kInvalidArgument);
+  // A radius whose lattice fits is still answered.
+  QueryResult ok = engine.Query(1e6);
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_EQ(ok.best().score, 1u);
+
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    ObjectSet set;
+    set.Add(Object{{{0.0, 0.0, 0.0}}, {}});
+    set.Add(Object{{{1.0, bad, 0.0}}, {}});
+    MioEngine nonfinite(set);
+    EXPECT_EQ(nonfinite.Query(4.0).status.code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(nonfinite.HasLabelsFor(4.0)) << bad;
   }
 }
 

@@ -158,6 +158,38 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{3, 5.5, 3}, ParallelCase{4, 4.0, 4},
                       ParallelCase{4, 10.0, 5}, ParallelCase{8, 6.0, 6}));
 
+// Dense fixture (sigma 1, r 3.5): most large cells hold several points
+// of one object, so every core's share of a group is a multi-point
+// VerifyGroup call. Cores split groups differently at every thread count;
+// the answer must not move.
+TEST(ParallelGroupedVerificationTest, DenseTopKIdenticalAcrossThreads) {
+  const double r = 3.5;
+  ObjectSet set = testing::MakeRandomObjects(60, 20, 40, 25.0, 23, 1.0);
+  std::vector<std::uint32_t> exact = testing::OracleScores(set, r);
+  std::vector<ScoredObject> want = TopKFromScores(exact, 10);
+
+  QueryOptions opt;
+  opt.k = 10;
+  MioEngine serial_engine(set);
+  QueryResult serial = serial_engine.Query(r, opt);
+  ASSERT_EQ(serial.topk.size(), 10u);
+  for (std::size_t pos = 0; pos < want.size(); ++pos) {
+    EXPECT_EQ(serial.topk[pos].score, want[pos].score) << "pos " << pos;
+  }
+  for (int threads : {2, 4}) {
+    opt.threads = threads;
+    MioEngine engine(set);
+    QueryResult par = engine.Query(r, opt);
+    ASSERT_EQ(par.topk.size(), serial.topk.size()) << threads;
+    for (std::size_t pos = 0; pos < serial.topk.size(); ++pos) {
+      EXPECT_EQ(par.topk[pos].id, serial.topk[pos].id)
+          << "threads=" << threads << " pos " << pos;
+      EXPECT_EQ(par.topk[pos].score, serial.topk[pos].score)
+          << "threads=" << threads << " pos " << pos;
+    }
+  }
+}
+
 TEST(ParallelCrossModeTest, SerialLabelsUsableByParallelRunAndViceVersa) {
   ObjectSet set = testing::MakeRandomObjects(40, 4, 10, 25.0, 9, 5.0);
   double r = 5.0;

@@ -822,7 +822,7 @@ int CmdExplain(const mio::ArgParser& args) {
   opt.k = k;
   opt.threads = threads;
   opt.use_labels = opt.record_labels = args.Has("labels");
-  mio::obs::ResetMetrics();  // label cache hit/miss counters, this query only
+  mio::obs::ResetMetrics();  // label and verification counters, this query only
 
   mio::Timer t;
   mio::QueryResult res = engine.Query(r, opt);
@@ -861,12 +861,36 @@ int CmdExplain(const mio::ArgParser& args) {
   }
   std::printf("\nwork: %zu distance computations, cells small/large %zu/%zu\n",
               st.distance_computations, st.cells_small, st.cells_large);
+  const mio::obs::MetricsSnapshot m = mio::obs::SnapshotMetrics();
+  auto counter = [&m](mio::obs::Counter c) {
+    return m.counters[static_cast<std::size_t>(c)];
+  };
+  auto ratio = [](double num, std::uint64_t den) {
+    return den > 0 ? num / static_cast<double>(den) : 0.0;
+  };
+  {
+    // Cell-major verification: one neighbourhood walk per point group.
+    const std::uint64_t points = counter(mio::obs::Counter::kVerifyPoints);
+    const std::uint64_t groups = counter(mio::obs::Counter::kVerifyGroups);
+    const std::uint64_t partners =
+        counter(mio::obs::Counter::kVerifyPartnersConfirmed);
+    std::printf(
+        "verification: %llu points in %llu groups (%.2f points/group), "
+        "%llu cell probes, %llu postings touched, %llu partners confirmed "
+        "(%.1f comparisons/partner)\n",
+        static_cast<unsigned long long>(points),
+        static_cast<unsigned long long>(groups),
+        ratio(static_cast<double>(points), groups),
+        static_cast<unsigned long long>(
+            counter(mio::obs::Counter::kVerifyCellProbes)),
+        static_cast<unsigned long long>(
+            counter(mio::obs::Counter::kPostingScans)),
+        static_cast<unsigned long long>(partners),
+        ratio(static_cast<double>(st.distance_computations), partners));
+  }
   if (opt.use_labels) {
-    mio::obs::MetricsSnapshot m = mio::obs::SnapshotMetrics();
-    std::uint64_t hits = m.counters[static_cast<std::size_t>(
-        mio::obs::Counter::kLabelCacheHits)];
-    std::uint64_t misses = m.counters[static_cast<std::size_t>(
-        mio::obs::Counter::kLabelCacheMisses)];
+    std::uint64_t hits = counter(mio::obs::Counter::kLabelCacheHits);
+    std::uint64_t misses = counter(mio::obs::Counter::kLabelCacheMisses);
     std::printf("labels: %s (%zu points pruned by labels; cache hits %llu, "
                 "misses %llu)\n",
                 mio::LabelOutcomeName(st.label_outcome),
