@@ -1,9 +1,10 @@
 // Batch execution (MioEngine::QueryBatch) vs the sequential Query loop:
 // a mixed-ceil(r) workload of N queries cycling r = 3, 4.5, 9 (three
 // radius classes, like the canonical workload), run twice per dataset —
-// once as plain per-query calls, once as one batch. Reports wall time,
-// throughput speedup, and the batch's amortisation accounting (grid
-// builds saved, posting bytes shared, arena high-water).
+// once as plain per-query calls that rebuild every grid, once as one
+// batch, which is the reuse_grid Query loop in ceil(r)-class order.
+// Reports wall time, throughput speedup, and the batch's accounting
+// (grid builds saved, posting bytes shared).
 //
 //   ./bench_batch [--full] [--datasets=...] [--queries=30] [--threads=1]
 //                 [--json-out=FILE|-]
@@ -68,8 +69,7 @@ int main(int argc, char** argv) {
       sink.Record(name, "sequential", 0.0, 1, threads, seq_wall, agg);
     }
 
-    // The same members as one batch (per-class grids, hoisted labels,
-    // shared verification arena).
+    // The same members as one batch (one cached large grid per class).
     double batch_wall = 0.0;
     mio::BatchStats bstats;
     {

@@ -10,8 +10,10 @@ set -eu
 
 PREFIX=${1:-build-robust}
 SRC=$(cd "$(dirname "$0")/.." && pwd)
-# The tests that exercise the guardrails, fault sites, and hardened IO.
-TESTS="robustness_test io_test importers_test mio_engine_test"
+# The tests that exercise the guardrails, fault sites, and hardened IO,
+# plus the workload-spec and serve-protocol parsers' numeric domain.
+TESTS="robustness_test io_test importers_test mio_engine_test \
+  workload_test server_test"
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 build() { # build <dir> <extra cmake flags...>

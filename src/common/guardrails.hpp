@@ -12,6 +12,7 @@
 // the best-so-far answer (docs/ROBUSTNESS.md).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -50,12 +51,21 @@ class QueryGuard {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Arms the deadline `ms` milliseconds from now (<= 0 leaves it off).
+  /// Arms the deadline `ms` milliseconds from now. NaN and ms <= 0 leave
+  /// it off, and so does a deadline past the clock's range (~292 years of
+  /// int64 nanoseconds), which could never fire: converting it would
+  /// overflow the clock's integer duration, which is undefined.
   void SetDeadline(double ms) {
-    if (ms <= 0.0) return;
+    if (!(ms > 0.0)) return;
+    using Millis = std::chrono::duration<double, std::milli>;
+    const Clock::time_point now = Clock::now();
+    const Clock::duration headroom = Clock::time_point::max() - now;
+    if (!(ms < Millis(headroom).count())) return;
     deadline_ms_ = ms;
-    deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double, std::milli>(ms));
+    // min(): the double product may round a few ns past the headroom.
+    deadline_ = now + std::min(headroom,
+                               std::chrono::duration_cast<Clock::duration>(
+                                   Millis(ms)));
     has_deadline_ = true;
   }
 

@@ -84,12 +84,6 @@ std::shared_ptr<LargeGridData> MioEngine::LookupCachedGrid(int ceil_r) const {
   return it != grid_cache_.end() ? it->second : nullptr;
 }
 
-std::shared_ptr<const LabelSet> MioEngine::CachedLabels(int ceil_r) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = label_cache_.find(ceil_r);
-  return it != label_cache_.end() ? it->second : nullptr;
-}
-
 Status MioEngine::CheckRadius(double r) const {
   if (!(r > 0.0 && std::isfinite(r))) {
     return Status::InvalidArgument("radius must be finite and > 0, got " +
@@ -105,6 +99,15 @@ Status MioEngine::CheckRadius(double r) const {
     return Status::InvalidArgument(
         "radius " + std::to_string(r) +
         " too small for the coordinate range: grid cell keys overflow int32");
+  }
+  return Status::OK();
+}
+
+Status MioEngine::CheckInput(double r, const QueryOptions& options) const {
+  MIO_RETURN_NOT_OK(CheckRadius(r));
+  if (!std::isfinite(options.deadline_ms)) {
+    return Status::InvalidArgument("deadline_ms must be finite, got " +
+                                   std::to_string(options.deadline_ms));
   }
   return Status::OK();
 }
@@ -162,14 +165,9 @@ void FinalizeTripped(const QueryGuard& guard, const LowerBoundResult& lb,
 }  // namespace
 
 QueryResult MioEngine::Query(double r, const QueryOptions& options) {
-  return RunPipeline(r, options, nullptr);
-}
-
-QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
-                                   const PipelineContext* ctx) {
   MIO_TRACE_SPAN_CAT("query", "query");
   QueryResult res;
-  res.status = CheckRadius(r);
+  res.status = CheckInput(r, options);
   if (!res.status.ok() || objects_.empty()) return res;
   obs::Add(obs::Counter::kQueriesExecuted);
 
@@ -188,28 +186,20 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
   Timer total_timer;
 
   // --- Label lookup (BIGrid-label: Label-Input row of Table II) ---------
-  // A batch context carries the class-hoisted lookup result, so members
-  // after the first skip the probe entirely.
   const int ceil_r = static_cast<int>(LargeGridWidth(r));
   // labels_owner pins the set for this whole run: a concurrent
   // ClearLabels only drops the cache's reference, never ours.
   std::shared_ptr<const LabelSet> labels_owner;
   if (options.use_labels) {
-    if (ctx != nullptr && ctx->labels_resolved) {
-      labels_owner = ctx->labels;
-      stats.label_outcome = ctx->label_outcome;
-    } else {
-      MIO_TRACE_SPAN_CAT("label_input", "query");
-      obs::PmuPhaseScope pmu(&stats.hardware.label_input);
-      labels_owner =
-          LookupLabels(ceil_r, &stats.phases.label_input, &stats.label_outcome);
-    }
+    MIO_TRACE_SPAN_CAT("label_input", "query");
+    obs::PmuPhaseScope pmu(&stats.hardware.label_input);
+    labels_owner =
+        LookupLabels(ceil_r, &stats.phases.label_input, &stats.label_outcome);
   }
   const LabelSet* use_labels = labels_owner.get();
   LabelSet recorded;
   LabelSet* record_labels = nullptr;
-  if (options.record_labels && use_labels == nullptr &&
-      (ctx == nullptr || ctx->allow_record)) {
+  if (options.record_labels && use_labels == nullptr) {
     recorded = LabelSet::MakeAllOnes(objects_);
     recorded.recorded_r = r;
     record_labels = &recorded;
@@ -225,26 +215,16 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
   // a cached large grid for this ceiling (complete, with memoised b_adj)
   // is adopted and only the small grid is mapped.
   std::shared_ptr<LargeGridData> reuse;
-  if (ctx != nullptr && ctx->shared_grid != nullptr) {
-    reuse = ctx->shared_grid;  // class grid pinned by the batch
-  } else if (options.reuse_grid) {
-    reuse = LookupCachedGrid(ceil_r);
-  }
-  // A batch's class grid must be complete (shareable with every sibling,
-  // labelled or not), so its build ignores label pruning — exactly the
-  // grid a cache hit would have supplied. The LB/UB/verification label
-  // filters are unaffected and still prune per point.
-  const LabelSet* grid_labels =
-      ctx != nullptr && ctx->build_complete_grid ? nullptr : use_labels;
+  if (options.reuse_grid) reuse = LookupCachedGrid(ceil_r);
   BiGrid grid(objects_, r, planar_, std::move(reuse));
   {
     MIO_TRACE_SPAN_CAT("grid_mapping", "query");
     ScopedAccumulator acc(&stats.phases.grid_mapping);
     obs::PmuPhaseScope pmu(&stats.hardware.grid_mapping);
     if (parallel) {
-      grid.BuildParallel(threads, grid_labels, /*build_groups=*/true, &guard);
+      grid.BuildParallel(threads, use_labels, /*build_groups=*/true, &guard);
     } else {
-      grid.Build(grid_labels, /*build_groups=*/false, &guard);
+      grid.Build(use_labels, /*build_groups=*/false, &guard);
     }
   }
   stats.reused_grid = grid.reused_large_grid();
@@ -259,8 +239,7 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
   // degradation ladder may shed them (with use_verify_bit — the kVerify
   // bit is only sound on top of the lower-bound seed).
   bool keep_lb_bitsets = use_labels != nullptr;
-  bool cache_this_grid = (options.reuse_grid || ctx != nullptr) &&
-                         grid.large_grid_complete();
+  bool cache_this_grid = options.reuse_grid && grid.large_grid_complete();
 
   // --- Memory-budget degradation (docs/ROBUSTNESS.md) ---------------------
   // Project this query's footprint against the budget and shed optional
@@ -304,13 +283,6 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
     std::lock_guard<std::mutex> lock(cache_mu_);
     grid_cache_[ceil_r] = grid.ShareLargeGrid();
   }
-  // Hand the class grid back to the batch loop. A tripped member leaves
-  // grid_out empty, so the next member of the class builds afresh —
-  // guardrail isolation: one degrading member never poisons siblings.
-  if (ctx != nullptr && ctx->grid_out != nullptr &&
-      grid.large_grid_complete() && !guard.tripped()) {
-    *ctx->grid_out = grid.ShareLargeGrid();
-  }
 
   // --- LOWER-BOUNDING(O, r) ----------------------------------------------
   LowerBoundResult lb;
@@ -346,14 +318,13 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
     obs::PmuPhaseScope pmu(&stats.hardware.verification);
     const std::vector<Ewah>* lb_bits =
         keep_lb_bitsets ? &lb.lb_bitsets : nullptr;
-    VerifyArena* arena = ctx != nullptr ? ctx->arena : nullptr;
     res.topk =
         parallel
             ? ParallelVerification(grid, ub, k, threads, use_labels,
                                    record_labels, lb_bits, &stats,
-                                   use_verify_bit, &guard, arena)
+                                   use_verify_bit, &guard)
             : Verification(grid, ub, k, use_labels, record_labels, lb_bits,
-                           &stats, use_verify_bit, &guard, arena);
+                           &stats, use_verify_bit, &guard);
   }
 
   // --- Post-processing: label output (§III-D) -----------------------------

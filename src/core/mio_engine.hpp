@@ -33,8 +33,6 @@
 
 namespace mio {
 
-class VerifyArena;  // core/verification.hpp
-
 /// Query processor over one (static, memory-resident) object collection.
 ///
 /// Thread safety: concurrent Query calls on one engine are safe — the
@@ -42,9 +40,8 @@ class VerifyArena;  // core/verification.hpp
 /// mutex, cached grids and label sets are shared read-only via
 /// shared_ptr (lazy per-cell memoisation inside a shared grid
 /// synchronises itself, see BiGrid::EnsureAdj), and everything else is
-/// per-call state. QueryBatch is equally safe beside concurrent Query
-/// calls: a class grid is a cached grid like any other, never rewritten
-/// once built.
+/// per-call state. QueryBatch is a loop of Query calls and equally safe
+/// beside them: a cached grid is never rewritten once built.
 class MioEngine {
  public:
   /// `objects` must outlive the engine. When `label_dir` is non-empty,
@@ -53,16 +50,16 @@ class MioEngine {
   /// live only in the in-process cache.
   explicit MioEngine(const ObjectSet& objects, std::string label_dir = "");
 
-  /// Runs one MIO query with a finite threshold r > 0. Any other r
-  /// returns kInvalidArgument with an empty top-k.
+  /// Runs one MIO query with a finite threshold r > 0. Any other r, or a
+  /// non-finite options.deadline_ms, returns kInvalidArgument with an
+  /// empty top-k.
   QueryResult Query(double r, const QueryOptions& options = {});
 
-  /// Runs a batch of queries, amortising work across members that share
-  /// a ceil(r) class: one large-grid build, one label lookup, and one
-  /// verification arena per class (see core/batch.hpp). Results are
-  /// parallel to `queries` and bit-identical to calling Query per member.
-  /// Per-member guardrails still apply; a degrading member cannot poison
-  /// its siblings.
+  /// Runs a batch of queries: Query per member with reuse_grid forced on,
+  /// in ceil(r)-class order (see core/batch.hpp), so the engine's
+  /// ceil(r)-keyed grid and label caches share work within a class.
+  /// Results are parallel to `queries` and identical to that sequential
+  /// loop, so per-member guardrails apply exactly as they do to Query.
   BatchResult QueryBatch(const std::vector<BatchQuery>& queries);
 
   /// True if labels for ceil(r) are available (cache or disk); false for
@@ -75,14 +72,13 @@ class MioEngine {
   /// Drops cached large grids (the reuse_grid cache).
   ///
   /// Lifetime contract: the cache stores shared_ptr<LargeGridData>, and
-  /// every consumer — a Query that adopted a cached grid, a QueryBatch
-  /// class pinning its grid across members — holds its own shared_ptr
-  /// for as long as it reads the grid. Clearing therefore only drops the
-  /// cache's reference: a grid still held by an in-flight query or batch
-  /// class stays alive until its last reader releases it, so a mid-batch
-  /// clear (including the one issued by the memory-budget degradation
-  /// ladder's kDropGridCache step, or by the server's overload shedding)
-  /// can never dangle — it only forces later lookups to rebuild.
+  /// a Query that adopted a cached grid holds its own shared_ptr for as
+  /// long as it reads the grid. Clearing therefore only drops the cache's
+  /// reference: a grid still held by an in-flight query stays alive until
+  /// it releases it, so a clear (including the one issued by the
+  /// memory-budget degradation ladder's kDropGridCache step, or by the
+  /// server's overload shedding) can never dangle — it only forces later
+  /// lookups, including the next member of a running batch, to rebuild.
   void ClearGridCache();
 
   const ObjectSet& objects() const { return objects_; }
@@ -92,39 +88,6 @@ class MioEngine {
   bool planar() const { return planar_; }
 
  private:
-  /// Batch-supplied context for one pipeline run: the hoisted per-class
-  /// state QueryBatch threads through its members so class-wide work is
-  /// not redone per query. Null fields fall back to the single-query
-  /// behaviour.
-  struct PipelineContext {
-    /// Class grid to adopt (overrides the grid_cache_ lookup). Held by
-    /// the caller for the whole class — see ClearGridCache's contract.
-    std::shared_ptr<LargeGridData> shared_grid;
-
-    /// Build the large grid from every point even when labels are in
-    /// use, so the resulting grid is complete and shareable with
-    /// label-free siblings (the same grid a cache hit would supply).
-    bool build_complete_grid = false;
-
-    /// When true, `labels`/`label_outcome` replace the per-query
-    /// LookupLabels probe (the class-hoisted lookup). The shared_ptr
-    /// keeps the set alive even if ClearLabels races the class.
-    bool labels_resolved = false;
-    std::shared_ptr<const LabelSet> labels;
-    LabelOutcome label_outcome = LabelOutcome::kOff;
-
-    /// False suppresses label recording (only one member per class
-    /// records; its siblings replay the freshly recorded set).
-    bool allow_record = true;
-
-    /// Shared verification scratch, allocated once per class.
-    VerifyArena* arena = nullptr;
-
-    /// When non-null, receives the built (complete, untripped) large
-    /// grid so the caller can share it with the remaining members.
-    std::shared_ptr<LargeGridData>* grid_out = nullptr;
-  };
-
   /// OK for a finite r > 0 whose grids fit the int32 cell lattice,
   /// kInvalidArgument otherwise. Checked before any cast of ceil(r) to
   /// int, which is undefined for NaN and infinity, and before any point
@@ -134,10 +97,9 @@ class MioEngine {
   /// a non-finite coordinate has no valid key at any r.
   Status CheckRadius(double r) const;
 
-  /// The Algorithm-2 pipeline behind Query and QueryBatch. `ctx` (null
-  /// for single queries) supplies batch-hoisted state.
-  QueryResult RunPipeline(double r, const QueryOptions& options,
-                          const PipelineContext* ctx);
+  /// The input check Query and QueryBatch share: CheckRadius plus a
+  /// finite options.deadline_ms (a non-finite one cannot be armed).
+  Status CheckInput(double r, const QueryOptions& options) const;
 
   /// Looks up reusable labels for `ceil_r` and classifies the result
   /// (memory hit / disk hit / miss) into `*outcome`, bumping the
@@ -151,10 +113,6 @@ class MioEngine {
 
   /// Locked grid-cache probe (empty shared_ptr on miss).
   std::shared_ptr<LargeGridData> LookupCachedGrid(int ceil_r) const;
-
-  /// Locked label-cache-only probe (no disk, no counters); used by the
-  /// batch recorder-refresh path.
-  std::shared_ptr<const LabelSet> CachedLabels(int ceil_r) const;
 
   const ObjectSet& objects_;
   bool planar_ = false;

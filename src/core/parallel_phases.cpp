@@ -401,12 +401,14 @@ struct GroupShare {
 /// loaded core) and each core scans its share of every group with a
 /// private accumulator; the accumulators are merged afterwards (paper
 /// §IV, with/without label). Each worker's scan time is accumulated into
-/// stats->verify_thread_seconds so load imbalance is reportable.
+/// stats->verify_thread_seconds so load imbalance is reportable. `cores`
+/// holds one scratch arena per thread, reused across candidates.
 std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
                                  const LabelSet* use_labels,
                                  LabelSet* record_labels, const Ewah* lb_bitset,
                                  QueryStats* stats, bool use_verify_bit,
-                                 QueryGuard* guard, VerifyArena* arena) {
+                                 QueryGuard* guard,
+                                 std::vector<VerifyArena>& cores) {
   const std::vector<PointGroup>& groups = grid.LargeGroups(i);
   const std::size_t n = grid.objects().size();
 
@@ -477,18 +479,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   // Phase 4: per-core scans with private accumulators. PMU capture is
   // per candidate (this function runs once per verified object): two
   // group reads per worker per candidate, paid only on the hardware tier.
-  // With an arena the per-core bitsets come from its slots (allocated
-  // once per batch class); copy-assigning the seed reuses their capacity.
-  std::vector<PlainBitset> local_accs;
-  if (arena != nullptr) {
-    arena->PrepareThreads(threads);
-  } else {
-    local_accs.resize(static_cast<std::size_t>(threads));
-  }
-  auto acc_of = [&](int t) -> PlainBitset& {
-    return arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].acc
-                            : local_accs[static_cast<std::size_t>(t)];
-  };
+  // Copy-assigning the seed reuses each core's accumulator capacity.
   std::vector<std::size_t> comps(threads, 0);
   std::vector<double> seconds(threads, 0.0);
   WorkerPmuCapture pmu(threads);
@@ -498,12 +489,8 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     Timer worker_timer;
     int t = ThreadId();
     pmu.Enter(t);
-    PlainBitset& acc = acc_of(t);
-    acc = seed;
-    GroupScratch local_scratch;  // per-core VerifyGroup scratch
-    GroupScratch& scratch =
-        arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].scratch
-                         : local_scratch;
+    VerifyArena& core = cores[static_cast<std::size_t>(t)];
+    core.acc = seed;
     const std::span<const std::uint32_t> mine(
         task_points[static_cast<std::size_t>(t)]);
     std::size_t since_poll = kGuardStridePoints;  // poll before the first
@@ -514,15 +501,17 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
       }
       since_poll += share.end - share.begin;
       VerifyGroup(grid, i, groups[share.group].key,
-                  mine.subspan(share.begin, share.end - share.begin), &acc,
-                  &scratch, record_labels, &comps[t]);
+                  mine.subspan(share.begin, share.end - share.begin),
+                  &core.acc, &core.scratch, record_labels, &comps[t]);
     }
     seconds[static_cast<std::size_t>(t)] = worker_timer.ElapsedSeconds();
     pmu.Leave(t);
   }
 
-  PlainBitset& merged = acc_of(0);
-  for (int t = 1; t < threads; ++t) merged.OrWith(acc_of(t));
+  PlainBitset& merged = cores[0].acc;
+  for (int t = 1; t < threads; ++t) {
+    merged.OrWith(cores[static_cast<std::size_t>(t)].acc);
+  }
   if (stats != nullptr) pmu.FoldInto(&stats->hardware.verification);
   if (stats != nullptr) {
     for (int t = 0; t < threads; ++t) {
@@ -541,13 +530,14 @@ std::vector<ScoredObject> ParallelVerification(
     BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
     const LabelSet* use_labels, LabelSet* record_labels,
     const std::vector<Ewah>* lb_bitsets, QueryStats* stats,
-    bool use_verify_bit, QueryGuard* guard, VerifyArena* arena) {
+    bool use_verify_bit, QueryGuard* guard) {
   threads = ResolveThreads(threads);
   if (threads <= 1 || !grid.has_groups()) {
     return Verification(grid, ub, k, use_labels, record_labels, lb_bitsets,
-                        stats, use_verify_bit, guard, arena);
+                        stats, use_verify_bit, guard);
   }
   TopKTracker tracker(k);
+  std::vector<VerifyArena> cores(static_cast<std::size_t>(threads));
   if (stats != nullptr) {
     stats->verify_thread_seconds.assign(static_cast<std::size_t>(threads),
                                         0.0);
@@ -559,7 +549,7 @@ std::vector<ScoredObject> ParallelVerification(
     std::uint32_t score =
         ParallelExactScore(grid, i, threads, use_labels, record_labels,
                            lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr,
-                           stats, use_verify_bit, guard, arena);
+                           stats, use_verify_bit, guard, cores);
     if (guard != nullptr && guard->tripped()) break;  // partial: discard
     if (stats != nullptr) ++stats->num_verified;
     tracker.Offer(i, score);

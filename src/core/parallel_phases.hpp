@@ -48,14 +48,11 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
 /// best-first and serially (the early-termination check is inherently
 /// sequential); the per-candidate point scan is parallelised. On a guard
 /// trip the in-flight candidate's partial score is discarded, so the
-/// returned list is a sound best-so-far answer. `arena` (optional)
-/// supplies per-core accumulator/scratch slots (see
-/// core/verification.hpp); null keeps the query-local scratch.
+/// returned list is a sound best-so-far answer.
 std::vector<ScoredObject> ParallelVerification(
     BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
     const LabelSet* use_labels, LabelSet* record_labels,
     const std::vector<Ewah>* lb_bitsets, QueryStats* stats,
-    bool use_verify_bit = true, QueryGuard* guard = nullptr,
-    VerifyArena* arena = nullptr);
+    bool use_verify_bit = true, QueryGuard* guard = nullptr);
 
 }  // namespace mio

@@ -257,11 +257,9 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        const std::vector<Ewah>* lb_bitsets,
                                        QueryStats* stats,
                                        bool use_verify_bit,
-                                       QueryGuard* guard,
-                                       VerifyArena* arena) {
+                                       QueryGuard* guard) {
   TopKTracker tracker(k);
-  VerifyArena local_arena;  // reused across every verified candidate
-  if (arena == nullptr) arena = &local_arena;
+  VerifyArena arena;  // reused across every verified candidate
   for (ObjectId i : ub.candidates) {
     // Early termination (Corollary 1): the queue is sorted by descending
     // upper bound, so once the front cannot beat the k-th best exact
@@ -274,7 +272,7 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
     std::uint32_t score = ExactScore(
         grid, i, use_labels, record_labels, lb,
         stats != nullptr ? &stats->distance_computations : nullptr,
-        use_verify_bit, guard, arena);
+        use_verify_bit, guard, &arena);
     if (guard != nullptr && guard->tripped()) break;  // partial: discard
     if (stats != nullptr) ++stats->num_verified;
     tracker.Offer(i, score);

@@ -39,51 +39,17 @@ struct GroupScratch {
   PlainBitset b;
   /// (distance² lower bound to the scanned cell, point index)
   std::vector<std::pair<double, std::uint32_t>> order;
-
-  std::size_t MemoryUsageBytes() const {
-    return b.MemoryUsageBytes() +
-           order.capacity() * sizeof(std::pair<double, std::uint32_t>);
-  }
 };
 
-/// Reusable verification scratch. A single query allocates its scratch
-/// lazily inside the verification loop; a batch hands one arena to every
-/// member of a ceil(r) class so it is allocated once per class instead of
-/// once per query (bitsets and vectors never shrink, so steady state is
-/// allocation-free). HighWaterBytes feeds the
-/// batch.arena_high_water_bytes histogram.
-class VerifyArena {
- public:
-  PlainBitset acc;       ///< serial-path accumulator b(o_i)
-  GroupScratch scratch;  ///< serial-path VerifyGroup scratch
-  std::vector<KeyedPoint> keyed;      ///< serial-path group sort
-  std::vector<std::uint32_t> points;  ///< serial-path grouped point indices
-
-  /// Per-core scratch for the parallel verification path.
-  struct Slot {
-    PlainBitset acc;
-    GroupScratch scratch;
-  };
-  std::vector<Slot> slots;
-
-  /// Grows `slots` to cover `threads` entries (existing capacity kept).
-  void PrepareThreads(int threads) {
-    if (slots.size() < static_cast<std::size_t>(threads)) {
-      slots.resize(static_cast<std::size_t>(threads));
-    }
-  }
-
-  /// Bytes currently held across every buffer — monotone over the arena's
-  /// lifetime, so reading it after a batch gives the high-water mark.
-  std::size_t HighWaterBytes() const {
-    std::size_t bytes = acc.MemoryUsageBytes() + scratch.MemoryUsageBytes() +
-                        keyed.capacity() * sizeof(KeyedPoint) +
-                        points.capacity() * sizeof(std::uint32_t);
-    for (const Slot& s : slots) {
-      bytes += s.acc.MemoryUsageBytes() + s.scratch.MemoryUsageBytes();
-    }
-    return bytes;
-  }
+/// Verification scratch of one query, reused across its candidates:
+/// bitsets and vectors never shrink, so after the first candidate the
+/// loop is allocation-free. Verification owns one; ParallelVerification
+/// owns one per core and uses only its `acc` and `scratch`.
+struct VerifyArena {
+  PlainBitset acc;                    ///< accumulator b(o_i)
+  GroupScratch scratch;               ///< VerifyGroup scratch
+  std::vector<KeyedPoint> keyed;      ///< ExactScore's group sort
+  std::vector<std::uint32_t> points;  ///< ExactScore's grouped point indices
 };
 
 /// True when point j of object i takes part in verification: every
@@ -142,9 +108,7 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
 /// objects by exact score, descending. `guard` (optional): on a trip the
 /// in-flight candidate's partial score is discarded and the loop stops —
 /// scores already offered to the tracker stay exact, so the returned
-/// (possibly short) list is a sound best-so-far answer. `arena`
-/// (optional) supplies the accumulator/scratch bitsets; null keeps the
-/// query-local scratch of the single-query path.
+/// (possibly short) list is a sound best-so-far answer.
 std::vector<ScoredObject> Verification(BiGrid& grid,
                                        const UpperBoundResult& ub,
                                        std::size_t k,
@@ -153,8 +117,7 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        const std::vector<Ewah>* lb_bitsets,
                                        QueryStats* stats,
                                        bool use_verify_bit = true,
-                                       QueryGuard* guard = nullptr,
-                                       VerifyArena* arena = nullptr);
+                                       QueryGuard* guard = nullptr);
 
 /// Maintains the k best exact scores seen so far and the resulting
 /// termination threshold (shared by serial and parallel verification).

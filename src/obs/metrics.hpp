@@ -85,7 +85,6 @@ enum class Histogram : int {
   kVerifyCandsPerPoint,   ///< unconfirmed candidates per verified group
                           ///< (observed once per VerifyGroup entry)
   kKernelBatchSize,       ///< span length per dispatched kernel call
-  kBatchArenaHighWater,   ///< verify-arena high-water bytes per batch
   kServerQueueWaitUs,     ///< admission-queue wait per executed request (µs)
   kServerE2eUs,           ///< accept-to-respond latency per request (µs)
   kCount_
@@ -192,7 +191,6 @@ inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {
     "ub_union_bits",
     "verify_cands_per_point",
     "kernel_batch_size",
-    "batch.arena_high_water_bytes",
     "server.queue_wait_us",
     "server.e2e_us",
 };
@@ -205,7 +203,6 @@ inline constexpr std::array<const char*, kNumHistograms>
         "ub_union_bits",
         "verify_cands_per_point",
         "kernel_batch_size",
-        "batch_arena_high_water_bytes",
         "server_queue_wait_us",
         "server_e2e_us",
 };

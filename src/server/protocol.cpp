@@ -1,6 +1,7 @@
 #include "server/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/json.hpp"
 
@@ -12,6 +13,16 @@ namespace {
 bool KnownOp(const std::string& op) {
   return op == "query" || op == "ping" || op == "health" ||
          op == "metrics" || op == "stats";
+}
+
+/// False when field `key` is a number that is non-finite or outside
+/// [lo, hi). Absent and non-numeric fields pass: their getters fall back.
+bool NumberInRange(const obs::JsonValue& doc, std::string_view key,
+                   double lo, double hi) {
+  const obs::JsonValue* v = doc.Find(key);
+  if (v == nullptr || !v->IsNumber()) return true;
+  const double x = v->AsDouble();
+  return std::isfinite(x) && x >= lo && x < hi;
 }
 
 }  // namespace
@@ -64,6 +75,15 @@ Status ParseServeRequest(std::string_view line, ServeRequest* out) {
     req.r = r->AsDouble();
     if (!(req.r > 0.0 && std::isfinite(req.r))) {
       return Status::InvalidArgument("query radius must be finite and > 0");
+    }
+    // Checked before the casts below, which are undefined past their
+    // target type's range ("1e999" parses to +inf).
+    const double inf = std::numeric_limits<double>::infinity();
+    if (!NumberInRange(doc, "k", 0.0, 0x1p64) ||
+        !NumberInRange(doc, "threads", -0x1p31, 0x1p31) ||
+        !NumberInRange(doc, "deadline_ms", -inf, inf)) {
+      return Status::InvalidArgument(
+          "query k, threads and deadline_ms must be finite and in range");
     }
     req.k = doc.GetUInt("k", 1);
     if (req.k == 0) req.k = 1;

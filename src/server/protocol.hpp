@@ -80,7 +80,8 @@ struct ServeResponse {
 std::string ServeRequestToJsonLine(const ServeRequest& req);
 
 /// Parses and validates one request line. Unknown ops, missing/invalid
-/// radii on "query", and non-object documents are kInvalidArgument.
+/// radii on "query", a non-finite or out-of-range numeric k, threads or
+/// deadline_ms, and non-object documents are kInvalidArgument.
 Status ParseServeRequest(std::string_view line, ServeRequest* out);
 
 /// Serialises a response as one JSON line (no trailing newline).

@@ -144,10 +144,10 @@ Result<WorkloadRunSummary> RunWorkload(const ObjectSet& objects,
   Timer workload_timer;
 
   // --- Batch mode: fold every query directive into one QueryBatch ---------
-  // The engine amortises grid builds / label lookups / verification
-  // scratch per ceil(r) class; per-member qlog records are emitted
-  // afterwards with engine-side timings (there is no per-member harness
-  // wall clock inside a single engine call).
+  // Members run as reuse_grid Query calls in ceil(r)-class order (see
+  // core/batch.hpp); per-member qlog records are emitted afterwards with
+  // engine-side timings (there is no per-member harness wall clock inside
+  // a single engine call).
   if (opts.batch) {
     std::vector<BatchQuery> batch(spec.queries.size());
     for (std::size_t i = 0; i < spec.queries.size(); ++i) {

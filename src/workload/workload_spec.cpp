@@ -1,5 +1,6 @@
 #include "workload/workload_spec.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -38,10 +39,13 @@ bool ParseOnOff(const std::string& value, bool* out) {
   return false;
 }
 
+/// A finite number. strtod also accepts "nan", "inf" and overflow to
+/// infinity, which no setting can take, and NaN would slip through the
+/// `x <= bound` rejections below.
 bool ParseDouble(const std::string& value, double* out) {
   char* end = nullptr;
   *out = std::strtod(value.c_str(), &end);
-  return end != value.c_str() && *end == '\0';
+  return end != value.c_str() && *end == '\0' && std::isfinite(*out);
 }
 
 bool ParseUInt(const std::string& value, std::uint64_t* out) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/bigrid.hpp"
 #include "core/mio_engine.hpp"
 #include "geo/kernels.hpp"
 #include "test_utils.hpp"
@@ -92,7 +93,6 @@ TEST_F(BatchTest, MixedCeilingBitIdenticalToSequential) {
   EXPECT_EQ(res.stats.grid_builds, ceilings.size());
   EXPECT_EQ(res.stats.grid_builds_saved, kMixedRadii.size() - ceilings.size());
   EXPECT_GT(res.stats.postings_bytes_shared, 0u);
-  EXPECT_GT(res.stats.arena_high_water_bytes, 0u);
 }
 
 TEST_F(BatchTest, BitIdenticalAcrossKernelTiers) {
@@ -142,21 +142,29 @@ TEST_F(BatchTest, TopKMatchesSequentialAndOracle) {
   }
 }
 
-TEST_F(BatchTest, LabelsHoistedOncePerClassStayExact) {
+TEST_F(BatchTest, LabelledMembersMatchSequentialPerMember) {
   QueryOptions opt;
   opt.use_labels = true;
   opt.record_labels = true;
-  // Three members of ceiling 4: the first records, siblings must replay
-  // the hoisted set as a memory hit without re-probing.
+  // Three members of ceiling 4: the first records labels and caches the
+  // grid; its siblings replay the labels as a memory hit, adopt the grid,
+  // and map only the points their labels keep into the small grid —
+  // member for member what the sequential reuse_grid loop does.
   std::vector<BatchQuery> batch = MakeBatch({4.0, 3.7, 3.3, 6.5, 6.0}, opt);
   std::vector<QueryResult> seq = RunSequential(set_, batch);
 
   MioEngine engine(set_);
   BatchResult res = engine.QueryBatch(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ExpectSameAnswer(res.results[i], seq[i],
-                     "labels member " + std::to_string(i));
+    const std::string what = "labels member " + std::to_string(i);
+    ExpectSameAnswer(res.results[i], seq[i], what);
     EXPECT_EQ(res.results[i].best().score, Oracle(batch[i].r)) << i;
+    const QueryStats& got = res.results[i].stats;
+    const QueryStats& want = seq[i].stats;
+    EXPECT_EQ(got.label_outcome, want.label_outcome) << what;
+    EXPECT_EQ(got.reused_grid, want.reused_grid) << what;
+    EXPECT_EQ(got.cells_small, want.cells_small) << what;
+    EXPECT_EQ(got.distance_computations, want.distance_computations) << what;
   }
   EXPECT_EQ(res.results[0].stats.label_outcome, LabelOutcome::kMissRecorded);
   EXPECT_EQ(res.results[1].stats.label_outcome, LabelOutcome::kHitMemory);
@@ -226,8 +234,8 @@ TEST_F(BatchTest, TrippedMemberDoesNotPoisonSiblings) {
 }
 
 TEST_F(BatchTest, TrippedFirstMemberLeavesClassRebuildable) {
-  // The class builder itself trips: grid_out must stay empty (a partial
-  // grid is never shared) and the next member rebuilds and answers.
+  // The class builder itself trips: it caches nothing (a partial grid is
+  // never shared) and the next member rebuilds and answers.
   std::vector<BatchQuery> batch = MakeBatch({4.0, 3.5});
   batch[0].options.deadline_ms = 1e-7;
 
@@ -240,12 +248,14 @@ TEST_F(BatchTest, TrippedFirstMemberLeavesClassRebuildable) {
 }
 
 TEST_F(BatchTest, MidBatchCacheClearCannotDangle) {
-  // Satellite regression for the ClearGridCache lifetime contract: a
-  // member whose memory budget walks the degradation ladder to "drop the
-  // grid cache" clears grid_cache_ in the middle of the batch. The class
-  // grid is pinned by the batch loop's shared_ptr, so later siblings must
-  // keep reading it (no rebuild, no dangle — ASan covers the latter via
-  // scripts/check_batch.sh).
+  // Regression for the ClearGridCache lifetime contract: a member whose
+  // memory budget walks the degradation ladder to "drop the grid cache"
+  // clears grid_cache_ in the middle of the batch while it still reads
+  // the adopted grid. Nothing may dangle (ASan covers that via
+  // scripts/check_batch.sh), and the clear holds for the rest of the
+  // batch: the next member rebuilds and re-caches, the one after reuses.
+  // Member 3 drops the cache again, so no grid is cached when the batch
+  // returns; both saved members still count their grid's posting bytes.
   ObjectSet set = testing::MakeRandomObjects(400, 4, 8, 40.0, 81);
   const double r = 3.0;
   // The class grid reaches member 1 with member 0's memoised b_adj
@@ -259,20 +269,28 @@ TEST_F(BatchTest, MidBatchCacheClearCannotDangle) {
       probe.Query(r, probe_opt).stats.index_memory_bytes;
   const std::uint32_t oracle = testing::MaxScore(testing::OracleScores(set, r));
 
+  BiGrid complete(set, r);
+  complete.Build();
+  const std::size_t grid_bytes =
+      LargeGridPostingBytes(*complete.ShareLargeGrid());
+
   std::vector<BatchQuery> batch = MakeBatch({r, r, r, r});
   batch[1].options.memory_budget_bytes = warm_bytes;
+  batch[3].options.memory_budget_bytes = warm_bytes;
 
   MioEngine engine(set);
   BatchResult res = engine.QueryBatch(batch);
   EXPECT_TRUE(res.results[1].complete);
   EXPECT_GE(res.results[1].stats.degradation_level, 2);
+  EXPECT_GE(res.results[3].stats.degradation_level, 2);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(res.results[i].complete) << i;
     EXPECT_EQ(res.results[i].best().score, oracle) << i;
   }
-  // Members 1..3 all ran off the pinned class grid (no rebuild).
-  EXPECT_EQ(res.stats.grid_builds, 1u);
-  EXPECT_EQ(res.stats.grid_builds_saved, 3u);
+  // Members 0 and 2 build; members 1 and 3 adopt the cached grid.
+  EXPECT_EQ(res.stats.grid_builds, 2u);
+  EXPECT_EQ(res.stats.grid_builds_saved, 2u);
+  EXPECT_EQ(res.stats.postings_bytes_shared, 2 * grid_bytes);
   // And the engine survives the cleared cache: a fresh query rebuilds.
   QueryOptions reuse;
   reuse.reuse_grid = true;

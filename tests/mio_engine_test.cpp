@@ -181,6 +181,32 @@ TEST(EngineEdgeTest, InvalidRadius) {
   }
 }
 
+// A deadline that cannot be armed is rejected; one past the clock's range
+// is no deadline at all, not one that trips at the first poll.
+TEST(EngineEdgeTest, DeadlineDomain) {
+  ObjectSet set = testing::MakeRandomObjects(20, 2, 6, 10.0, 3);
+  MioEngine engine(set);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double ms : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    QueryOptions opt;
+    opt.deadline_ms = ms;
+    QueryResult res = engine.Query(4.0, opt);
+    EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument) << ms;
+    EXPECT_TRUE(res.topk.empty()) << ms;
+    BatchResult batch = engine.QueryBatch({BatchQuery{4.0, opt}});
+    EXPECT_EQ(batch.results[0].status.code(), StatusCode::kInvalidArgument)
+        << ms;
+    EXPECT_EQ(batch.stats.classes, 0u) << ms;
+  }
+  QueryOptions far;
+  far.deadline_ms = 1e13;  // about 317 years
+  QueryResult res = engine.Query(4.0, far);
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(res.best().score,
+            testing::MaxScore(testing::OracleScores(set, 4.0)));
+}
+
 // Cell keys are int32 lattice coordinates and neighbour enumeration adds
 // ±1 to them: a radius whose small grid would overflow that lattice, or
 // data with a non-finite coordinate, is rejected before any key is cast.

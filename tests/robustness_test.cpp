@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +306,19 @@ TEST(QueryGuardTest, InertUntilArmed) {
   EXPECT_TRUE(guard.status().ok());
   guard.SetDeadline(0.0);  // <= 0 keeps the deadline off
   EXPECT_FALSE(guard.active());
+  // NaN, and deadlines past steady_clock's ~292-year range, stay off
+  // instead of overflowing the conversion and tripping at once.
+  for (double ms : {std::numeric_limits<double>::quiet_NaN(), 1e13, 1e300,
+                    std::numeric_limits<double>::infinity()}) {
+    QueryGuard far;
+    far.SetDeadline(ms);
+    EXPECT_FALSE(far.active()) << ms;
+    EXPECT_FALSE(far.Poll()) << ms;
+  }
+  QueryGuard year;
+  year.SetDeadline(3.2e10);  // about a year: armed, far from firing
+  EXPECT_TRUE(year.active());
+  EXPECT_FALSE(year.Poll());
 }
 
 TEST(QueryGuardTest, DeadlineTrips) {

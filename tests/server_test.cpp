@@ -91,6 +91,19 @@ TEST(ServeProtocol, RequestValidation) {
                 R"({"schema":"mio-serve-v1","op":"query","r":1e999})", &out)
                 .code(),
             StatusCode::kInvalidArgument);
+  // Non-finite or out-of-range k, threads and deadline_ms are rejected
+  // before they are cast.
+  for (const char* field :
+       {R"("k":1e999)", R"("k":-1)", R"("k":1e20)", R"("threads":1e999)",
+        R"("threads":-1e999)", R"("threads":3e9)", R"("deadline_ms":1e999)",
+        R"("deadline_ms":-1e999)"}) {
+    EXPECT_EQ(ParseServeRequest(std::string(R"({"schema":"mio-serve-v1",)") +
+                                    R"("op":"query","r":2,)" + field + "}",
+                                &out)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << field;
+  }
   // Ping needs no radius; k/threads clamp to sane minimums.
   ASSERT_TRUE(ParseServeRequest(
                   R"({"schema":"mio-serve-v1","op":"ping","id":"p"})", &out)

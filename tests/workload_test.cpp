@@ -86,6 +86,10 @@ TEST(WorkloadSpec, ErrorsCarryTheLineNumber) {
       {"name only\n", ""},                          // no queries at all
       {"query r=4 labels=maybe\n", "line 1"},       // bad on/off value
       {"bogus-directive 1\n", "line 1"},            // unknown directive
+      {"query r=nan\n", "line 1"},                  // non-finite radius
+      {"query r=inf\n", "line 1"},
+      {"query r=4 deadline_ms=nan\n", "line 1"},    // non-finite deadline
+      {"query r=4 deadline_ms=inf\n", "line 1"},
   };
   for (const Case& c : cases) {
     Result<WorkloadSpec> spec = ParseWorkloadSpec(c.text);

@@ -112,8 +112,9 @@ void Usage() {
       "            (runs the spec's query sequence through one engine:\n"
       "             one mio-qlog-v1 JSONL record per query; Chrome traces\n"
       "             are kept only for tail queries; --batch folds the\n"
-      "             queries into one QueryBatch call, amortising grid\n"
-      "             builds and label lookups per ceil(r) class;\n"
+      "             queries into one QueryBatch call: reuse_grid\n"
+      "             queries in ceil(r)-class order, sharing each class's\n"
+      "             cached grid;\n"
       "             --metrics-out keeps an OpenMetrics scrape file fresh\n"
       "             via a background sampler, atomically rewritten every\n"
       "             interval — MIO_TELEMETRY_INTERVAL_MS, default 1000)\n"
