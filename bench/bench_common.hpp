@@ -17,7 +17,7 @@
 #include "datagen/presets.hpp"
 #include "object/sampling.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stats_sink.hpp"
+#include "obs/qlog.hpp"
 
 namespace mio {
 namespace bench {
@@ -96,9 +96,11 @@ inline void Header(const std::string& title) {
 }
 
 /// Machine-readable bench output: when --json-out=FILE is given, each
-/// measured run appends one `mio-stats-v1` JSON document (JSONL, "-" for
-/// stdout). `Begin()` resets the metrics registry so counter/histogram
-/// values are per-run, not cumulative across the harness.
+/// measured run appends one mio-qlog-v1 record (JSONL, "-" for stdout)
+/// whose `workload` is the harness name, with `params.scale` set and the
+/// metrics snapshot attached. `Begin()` resets the metrics registry so
+/// counter/histogram values are per-run, not cumulative across the
+/// harness.
 class JsonSink {
  public:
   JsonSink(const ArgParser& args, std::string bench)
@@ -118,28 +120,23 @@ class JsonSink {
               std::size_t k, int threads, double wall_seconds,
               const QueryStats& stats) const {
     if (!enabled()) return;
-    obs::RunInfo info;
-    info.bench = bench_;
-    info.dataset = dataset;
-    info.algo = algo;
-    info.r = r;
-    info.k = k;
-    info.threads = threads;
-    info.scale = scale_;
-    info.wall_seconds = wall_seconds;
+    obs::QlogRecord id;
+    id.workload = bench_;
+    id.dataset = dataset;
+    id.algo = algo;
+    id.r = r;
+    id.k = k;
+    id.threads = threads;
+    id.scale = scale_;
+    id.wall_seconds = wall_seconds;
+    QueryResult res;
+    res.stats = stats;
     obs::MetricsSnapshot metrics = obs::SnapshotMetrics();
-    std::string line = obs::StatsJson(stats, info, &metrics) + "\n";
-    if (path_ == "-") {
-      std::fwrite(line.data(), 1, line.size(), stdout);
-      return;
-    }
-    std::FILE* f = std::fopen(path_.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "json-out: cannot open %s\n", path_.c_str());
-      return;
-    }
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fclose(f);
+    obs::QlogWriter out;
+    Status st = out.Open(path_, /*append=*/true);
+    if (st.ok()) st = out.Append(obs::BuildQlogRecord(id, &res, &metrics));
+    if (st.ok()) st = out.Close();
+    if (!st.ok()) std::fprintf(stderr, "json-out: %s\n", st.ToString().c_str());
   }
 
  private:

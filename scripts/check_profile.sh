@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Profiling gate: builds the CLI with PMU support ON and OFF, smoke-runs
-# `mio profile` on a synthetic dataset, and asserts
-#  - the report is a valid mio-profile-v1 document in both builds;
-#  - MIO_PMU=off forces the timing tier (fallback marker present, no
+# `mio profile` on a synthetic dataset, and asserts for every record it
+# writes (one mio-qlog-v1 record per measured run)
+#  - the schema, the run identity and the timing/hardware sections are
+#    present, with positive wall and phase time, in both builds;
+#  - `mio qlog report --in` loads the records;
+#  - MIO_PMU=off forces the timing tier (env.pmu_tier "timing", no
 #    hardware event fields beyond task_clock_ns);
 #  - the PMU-disabled build reports the timing tier unconditionally;
+#  - on the hardware tier, cycles are counted and derived rates present;
 #  - `mio explain` runs clean and prints the pruning funnel.
 # On hosts without a hardware PMU (most VMs) the PMU-ON build also lands
 # on the timing tier — that degradation is exactly what this gate checks.
@@ -29,44 +33,57 @@ build_cli() { # build_cli <dir> <extra cmake flags...>
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# `python3 -c` validates schema + structural invariants of one report.
-check_report() { # check_report <file> <label> <expect-timing: 0|1>
-  python3 - "$1" "$2" "$3" <<'PYEOF'
+# Validates every record of one profile run: schema, structure, tier
+# invariants, one record per measured run; then loads them with
+# `mio qlog report`.
+check_report() { # check_report <cli> <file> <label> <expect-timing: 0|1> <runs>
+  python3 - "$2" "$3" "$4" "$5" <<'PYEOF'
 import json, sys
-path, label, expect_timing = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
-doc = json.load(open(path))
-def fail(msg):
-    sys.exit(f"FAILED [{label}]: {msg}\n{json.dumps(doc, indent=1)[:800]}")
-if doc.get("schema") != "mio-profile-v1":
-    fail(f"schema = {doc.get('schema')!r}")
-for key in ("git", "dataset", "algo", "params", "kernel_tier", "pmu_tier",
-            "wall_seconds", "phases", "hardware"):
-    if key not in doc:
-        fail(f"missing key {key!r}")
-if doc["wall_seconds"]["median"] <= 0:
-    fail("non-positive wall_seconds.median")
-if doc["phases"]["total"] <= 0:
-    fail("non-positive phases.total")
-tier = doc["pmu_tier"]
-if expect_timing and tier != "timing":
-    fail(f"expected timing tier, got {tier!r}")
-if tier == "timing":
-    if doc.get("fallback") != "timing":
-        fail("timing tier must carry the fallback marker")
-    for phase, counts in doc["hardware"]["phases"].items():
-        extra = set(counts) - {"task_clock_ns"}
-        if extra:
-            fail(f"timing tier leaked hardware fields in {phase}: {extra}")
-else:
-    if "fallback" in doc:
-        fail("hardware tier must not carry the fallback marker")
-    total = doc["hardware"]["phases"].get("total", {})
-    if total.get("cycles", 0) <= 0:
-        fail("hardware tier reported no cycles")
-    if "derived" not in doc["hardware"]:
-        fail("hardware tier missing derived rates")
-print(f"  [{label}] ok: pmu_tier={tier}")
+path, label, expect_timing, runs = (sys.argv[1], sys.argv[2],
+                                    sys.argv[3] == "1", int(sys.argv[4]))
+docs = [json.loads(line) for line in open(path) if line.strip()]
+if len(docs) != runs:
+    sys.exit(f"FAILED [{label}]: {len(docs)} records for {runs} runs")
+for i, doc in enumerate(docs):
+    def fail(msg):
+        sys.exit(f"FAILED [{label}] record {i}: {msg}\n"
+                 f"{json.dumps(doc, indent=1)[:800]}")
+    if doc.get("schema") != "mio-qlog-v1":
+        fail(f"schema = {doc.get('schema')!r}")
+    if doc.get("query_index") != i:
+        fail(f"query_index = {doc.get('query_index')!r}")
+    env = doc.get("env", {})
+    for key in ("git", "kernel_tier", "pmu_tier"):
+        if key not in env:
+            fail(f"missing key env.{key}")
+    for key in ("dataset", "algo", "params", "wall_seconds", "phases",
+                "hardware"):
+        if key not in doc:
+            fail(f"missing key {key!r}")
+    if doc["wall_seconds"] <= 0:
+        fail("non-positive wall_seconds")
+    if doc["phases"]["total"] <= 0:
+        fail("non-positive phases.total")
+    tier = env["pmu_tier"]
+    if expect_timing and tier != "timing":
+        fail(f"expected timing tier, got {tier!r}")
+    if tier == "timing":
+        if "derived" in doc["hardware"]:
+            fail("timing tier carries hardware-derived rates")
+        for phase, counts in doc["hardware"]["phases"].items():
+            extra = set(counts) - {"task_clock_ns"}
+            if extra:
+                fail(f"timing tier leaked hardware fields in {phase}: {extra}")
+    else:
+        total = doc["hardware"]["phases"].get("total", {})
+        if total.get("cycles", 0) <= 0:
+            fail("hardware tier reported no cycles")
+        if "derived" not in doc["hardware"]:
+            fail("hardware tier missing derived rates")
+print(f"  [{label}] ok: {len(docs)} records, pmu_tier={tier}")
 PYEOF
+  "$1" qlog report --in="$2" > /dev/null \
+    || { echo "FAILED [$3]: mio qlog report cannot load $2"; exit 1; }
 }
 
 echo "== build: PMU support ON =="
@@ -82,18 +99,18 @@ CLI_OFF="$PREFIX-off/tools/mio"
 
 echo "== mio profile: PMU-ON build, host default =="
 "$CLI_ON" profile --in="$WORK/data.bin" --r=3 --warmup=1 --runs=3 \
-  --out="$WORK/on.json" > /dev/null
-check_report "$WORK/on.json" "pmu-on/default" 0
+  --out="$WORK/on.jsonl" > /dev/null
+check_report "$CLI_ON" "$WORK/on.jsonl" "pmu-on/default" 0 3
 
 echo "== mio profile: PMU-ON build, MIO_PMU=off fallback =="
 MIO_PMU=off "$CLI_ON" profile --in="$WORK/data.bin" --r=3 --warmup=0 \
-  --runs=2 --out="$WORK/forced.json" > /dev/null
-check_report "$WORK/forced.json" "pmu-on/MIO_PMU=off" 1
+  --runs=2 --out="$WORK/forced.jsonl" > /dev/null
+check_report "$CLI_ON" "$WORK/forced.jsonl" "pmu-on/MIO_PMU=off" 1 2
 
 echo "== mio profile: PMU-OFF build =="
 "$CLI_OFF" profile --in="$WORK/data.bin" --r=3 --warmup=0 --runs=2 \
-  --out="$WORK/off.json" > /dev/null
-check_report "$WORK/off.json" "pmu-off-build" 1
+  --out="$WORK/off.jsonl" > /dev/null
+check_report "$CLI_OFF" "$WORK/off.jsonl" "pmu-off-build" 1 2
 
 echo "== mio explain smoke =="
 "$CLI_ON" explain --in="$WORK/data.bin" --r=3 > "$WORK/explain.txt"

@@ -10,7 +10,9 @@
 #    query forced slow via the workload.query_delay fault site so the
 #    threshold path is exercised deterministically;
 #  - `mio qlog report --json` agrees with an independent R-7 percentile
-#    computation and with per-class label-reuse tallies from the qlog.
+#    computation and with per-class label-reuse tallies from the qlog;
+#  - `mio query --stats-json` writes one such record (with the metrics
+#    snapshot) and `mio qlog report` loads it.
 # Usage: scripts/check_qlog.sh [build-dir]
 #   build-dir  reused if it already contains tools/mio, else configured
 #              and built (default build-qlog)
@@ -81,12 +83,13 @@ SHAPE = {  # section -> {field: type}
                "lower_bounding": NUMBER, "upper_bounding": NUMBER,
                "verification": NUMBER, "total": NUMBER},
     "funnel": {"objects": NUMBER, "candidates": NUMBER, "verified": NUMBER,
-               "distance_computations": NUMBER},
+               "distance_computations": NUMBER, "tau_low_max": NUMBER},
+    "grid": {"reused": BOOL, "cells_small": NUMBER, "cells_large": NUMBER},
     "winner": {"id": NUMBER, "score": NUMBER},
     "labels": {"outcome": STRING, "points_pruned": NUMBER},
     "outcome": {"status": STRING, "complete": BOOL,
                 "degradation_level": NUMBER},
-    "env": {"pmu_tier": STRING, "kernel_tier": STRING},
+    "env": {"git": STRING, "pmu_tier": STRING, "kernel_tier": STRING},
     "memory": {"index_bytes": NUMBER, "peak_bytes": NUMBER},
     "trace": {"dropped_spans": NUMBER},
 }
@@ -224,6 +227,27 @@ for row in slowest:
 
 print(f"  ok: 102 records valid, tail={sorted(tail)} matches trace dir, "
       "report agrees with recomputation")
+PYEOF
+
+echo "== mio query --stats-json: one record, loadable =="
+"$CLI" query --in="$WORK/data.bin" --r=3 --threads=2 \
+  --stats-json="$WORK/stats.jsonl" > /dev/null
+"$CLI" qlog report --in="$WORK/stats.jsonl" > /dev/null \
+  || { echo "FAILED: qlog report cannot load --stats-json output" >&2; exit 1; }
+python3 - "$WORK/stats.jsonl" <<'PYEOF'
+import json, sys
+docs = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+if len(docs) != 1 or docs[0].get("schema") != "mio-qlog-v1":
+    sys.exit(f"FAILED: --stats-json wrote {len(docs)} records: {docs!r:.400}")
+doc = docs[0]
+if doc["workload"] != "query" or doc["params"]["r"] != 3:
+    sys.exit(f"FAILED: --stats-json identity {doc['workload']!r} r={doc['params']['r']}")
+for section in ("metrics", "hardware"):
+    if section not in doc:
+        sys.exit(f"FAILED: --stats-json record lacks {section!r}")
+if "tracker" not in doc["memory"]:
+    sys.exit("FAILED: --stats-json record lacks memory.tracker")
+print("  ok: --stats-json record valid and loadable")
 PYEOF
 
 echo "check_qlog: all passes clean"

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Compare two mio bench record files and flag regressions.
 
-Records (JSONL — the output of scripts/run_benches.sh, `--json-out`, or
-`mio query --stats-json`) are matched by (bench, dataset, algo, r, k,
-threads, scale). Both record kinds run_benches.sh emits are understood:
-mio-stats-v1 harness records, and mio-qlog-v1 per-query workload records
-(keyed as bench "workload:<name>", so a workload configuration repeated
-across its radius cycle reduces to per-radius medians like repeated
-harness runs do). A leading `mio-bench-header-v1` machine-identity line
-is skipped. A configuration repeated within one file (run_benches.sh
-repeats each harness for exactly this reason) is reduced to the median
-of the compared metric, so a single noisy run cannot fake a regression.
-For each matched pair the metric is compared; slowdowns beyond the
-threshold are reported and make the script exit non-zero.
+Records (JSONL: the output of scripts/run_benches.sh, a harness's
+`--json-out`, `mio run-workload --qlog`, `mio query --stats-json` or
+`mio profile --out`) are mio-qlog-v1 per-query records, matched by
+(workload, dataset, algo, r, k, threads, scale). A harness writes its
+name as the workload, so a workload configuration repeated across its
+radius cycle reduces to per-radius medians like repeated harness runs
+do. The committed BENCH_PR4-6.json files also hold legacy mio-stats-v1
+harness records; those are keyed by their `bench` name in the workload
+slot, so old and new records of one harness match. A leading
+`mio-bench-header-v1` machine-identity line is skipped, as are recorded
+`mio-qlog-diff-v1` verdicts. A configuration repeated within one file
+(run_benches.sh repeats each harness for exactly this reason) is reduced
+to the median of the compared metric, so a single noisy run cannot fake
+a regression. For each matched pair the metric is compared; slowdowns
+beyond the threshold are reported and make the script exit non-zero.
 
 Usage:
   scripts/compare_bench.py BASELINE.json CANDIDATE.json [--threshold=0.10]
@@ -24,7 +27,7 @@ import json
 import statistics
 import sys
 
-SKIPPED_SCHEMAS = {"mio-bench-header-v1", "mio-profile-v1", "mio-qlog-diff-v1"}
+SKIPPED_SCHEMAS = {"mio-bench-header-v1", "mio-qlog-diff-v1"}
 
 
 def load_records(path):
@@ -47,18 +50,15 @@ def load_records(path):
             if schema in SKIPPED_SCHEMAS:
                 continue
             if schema == "mio-qlog-v1":
-                # Workload per-query record: the workload name plays the
-                # bench role; wall_seconds / total_seconds / phases.* are
-                # reachable through the same metric paths.
-                bench = "workload:" + doc.get("workload", "")
-            elif schema == "mio-stats-v1":
-                bench = doc.get("bench", "")
+                workload = doc.get("workload", "")
+            elif schema == "mio-stats-v1":  # legacy harness record
+                workload = doc.get("bench", "")
             else:
                 sys.exit(f"{path}:{lineno}: unexpected schema {schema!r} "
-                         "(want 'mio-stats-v1' or 'mio-qlog-v1')")
+                         "(want 'mio-qlog-v1' or legacy 'mio-stats-v1')")
             params = doc.get("params", {})
             key = (
-                bench,
+                workload,
                 doc.get("dataset", ""),
                 doc.get("algo", ""),
                 params.get("r", 0),
@@ -100,7 +100,7 @@ def metric_value(doc, metric):
         value = doc[metric]
         return value if isinstance(value, (int, float)) else None
     # Dotted paths reach nested sections, e.g. phases.verification or
-    # counters.distance_computations.
+    # funnel.distance_computations.
     node = doc
     for part in metric.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -117,8 +117,8 @@ def median_metric(docs, metric):
 
 
 def key_str(key):
-    bench, dataset, algo, r, k, threads, scale = key
-    s = f"{bench}/{dataset}/{algo} r={r} k={k} t={threads}"
+    workload, dataset, algo, r, k, threads, scale = key
+    s = f"{workload}/{dataset}/{algo} r={r} k={k} t={threads}"
     return s + (f" [{scale}]" if scale else "")
 
 
@@ -129,8 +129,8 @@ def batch_speedups(records):
     batch throughput speedup."""
     walls = {}
     for key, docs in records.items():
-        bench, dataset, algo, r, k, threads, scale = key
-        if bench != "batch" or algo not in ("sequential", "batch"):
+        workload, dataset, algo, r, k, threads, scale = key
+        if workload != "batch" or algo not in ("sequential", "batch"):
             continue
         wall = median_metric(docs, "total_seconds")
         if wall is not None:
@@ -165,8 +165,8 @@ def main():
     warn_on_machine_mismatch(base_header, cand_header)
     common = sorted(set(base) & set(cand))
     if not common:
-        sys.exit("no matching (bench, dataset, algo, r, k, threads, scale) "
-                 "configurations between the two files")
+        sys.exit("no matching (workload, dataset, algo, r, k, threads, "
+                 "scale) configurations between the two files")
 
     regressions = []
     improvements = 0

@@ -6,12 +6,15 @@
 #   line 1   mio-bench-header-v1 — machine identity (host, OS, CPU count,
 #            model) and the git describe of the checkout, so a committed
 #            baseline (e.g. BENCH_PR4.json) records where it was measured;
-#   rest     mio-stats-v1 records. Each harness runs MIO_BENCH_REPEATS
-#            times (default 3); compare_bench.py aggregates the repeated
+#   rest     mio-qlog-v1 records, the one per-query record every
+#            emitter writes; a harness's records carry its name as the
+#            workload. Each harness runs MIO_BENCH_REPEATS times
+#            (default 3); compare_bench.py aggregates the repeated
 #            configurations by median, which is why the repeats are
 #            appended rather than pre-reduced. When the mio CLI is built,
-#            a canonical 30-query workload's mio-qlog-v1 records are
-#            appended as well (per-query latency coverage).
+#            a canonical 30-query workload's records (workload
+#            bench-canonical) are appended as well (per-query latency
+#            coverage), followed by a mio-qlog-diff-v1 verdict.
 #
 # Usage: scripts/run_benches.sh [build-dir] [out-file]
 #   build-dir  defaults to ./build (must already be built)
@@ -112,13 +115,15 @@ SPEC
   cat "$WORKDIR/qlog.jsonl" >> "$TMP"
 
   # Qlog regression gate: diff the fresh canonical-workload qlog against the
-  # committed PR6-era baseline's mio-qlog-v1 lines. The verdict is recorded
+  # committed PR6-era baseline's canonical-workload lines (harness records
+  # are qlog lines too, so select by workload). The verdict is recorded
   # (stdout + a mio-qlog-diff-v1 record in the output file) but does not fail
   # the bench run — machines and load differ; compare_bench.py remains the
   # authoritative gate. Threshold is loose for the same reason.
   BASELINE_BENCH="$SRC/BENCH_PR6.json"
   if [ -f "$BASELINE_BENCH" ]; then
-    grep '"schema":"mio-qlog-v1"' "$BASELINE_BENCH" > "$WORKDIR/baseline-qlog.jsonl" || true
+    grep '"workload":"bench-canonical"' "$BASELINE_BENCH" \
+      > "$WORKDIR/baseline-qlog.jsonl" || true
     if [ -s "$WORKDIR/baseline-qlog.jsonl" ]; then
       echo "== qlog diff vs $(basename "$BASELINE_BENCH") =="
       if "$CLI" qlog diff "$WORKDIR/baseline-qlog.jsonl" "$WORKDIR/qlog.jsonl" \
@@ -131,7 +136,7 @@ SPEC
       # Single-line JSON — append the verdict record alongside the bench data.
       tr -d '\n' < "$WORKDIR/qlog-diff.json" >> "$TMP" && echo >> "$TMP"
     else
-      echo "skip: no mio-qlog-v1 records in $BASELINE_BENCH" >&2
+      echo "skip: no bench-canonical records in $BASELINE_BENCH" >&2
     fi
   else
     echo "skip: $BASELINE_BENCH not found — no qlog diff" >&2

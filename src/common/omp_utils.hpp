@@ -26,8 +26,11 @@ inline int ThreadId() {
 #endif
 }
 
-/// Clamps a requested thread count to [1, max] where max defaults to the
-/// OpenMP runtime limit; 0 means "use all".
+/// A requested thread count <= 0 means "use all" (the OpenMP runtime
+/// limit). Positive requests pass through unclamped: callers may
+/// oversubscribe on purpose (the parallel tests keep their partition
+/// counts on small hosts), so untrusted input must be capped by its
+/// caller (`mio serve` caps at MaxThreads()).
 inline int ResolveThreads(int requested) {
   int hw = MaxThreads();
   if (requested <= 0) return hw;

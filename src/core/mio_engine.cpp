@@ -89,6 +89,12 @@ Status MioEngine::CheckRadius(double r) const {
     return Status::InvalidArgument("radius must be finite and > 0, got " +
                                    std::to_string(r));
   }
+  // ceil(r) keys the label and grid caches as an int.
+  if (LargeGridWidth(r) >
+      static_cast<double>(std::numeric_limits<std::int32_t>::max())) {
+    return Status::InvalidArgument("radius " + std::to_string(r) +
+                                   " exceeds the int32 label-class range");
+  }
   if (!coords_finite_) {
     return Status::InvalidArgument("dataset has a non-finite coordinate");
   }

@@ -88,9 +88,10 @@ class MioEngine {
   bool planar() const { return planar_; }
 
  private:
-  /// OK for a finite r > 0 whose grids fit the int32 cell lattice,
-  /// kInvalidArgument otherwise. Checked before any cast of ceil(r) to
-  /// int, which is undefined for NaN and infinity, and before any point
+  /// OK for a finite r > 0 with ceil(r) <= INT32_MAX whose grids fit
+  /// the int32 cell lattice, kInvalidArgument otherwise. Checked before
+  /// any cast of ceil(r) to int, which is undefined for NaN, infinity and
+  /// anything past INT32_MAX, and before any point
   /// is mapped: a cell key is floor(c / width) cast to int32, and
   /// neighbour enumeration adds ±1 to it, so every key at the finest
   /// width (the small grid's r/sqrt(3)) needs headroom of one. Data with

@@ -108,7 +108,7 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
   std::size_t remaining = b.Count();
   obs::Add(obs::Counter::kVerifyGroups);
   obs::Add(obs::Counter::kVerifyPoints, points.size());
-  obs::Observe(obs::Histogram::kVerifyCandsPerPoint, remaining);
+  obs::Observe(obs::Histogram::kVerifyCandsPerGroup, remaining);
   if (record_labels != nullptr) {
     // Labeling-3 at group granularity: clear every point, then restore
     // kVerify on each witness below. Every confirmed partner keeps a

@@ -1,6 +1,7 @@
 #include "io/importers.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -86,6 +87,14 @@ std::vector<std::string> SplitLine(const std::string& line, char delim) {
   return out;
 }
 
+/// A numeric CSV field: the whole (trimmed) field must be one finite
+/// number — no trailing text, no NaN or infinity.
+bool ParseFiniteField(const std::string& field, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(field.c_str(), &end);
+  return end != field.c_str() && *end == '\0' && std::isfinite(*out);
+}
+
 }  // namespace
 
 Result<ObjectSet> LoadTrajectoryCsv(const std::string& path,
@@ -141,19 +150,24 @@ Result<ObjectSet> LoadTrajectoryCsv(const std::string& path,
     auto [it, inserted] = tracks.try_emplace(id);
     if (inserted) track_order.push_back(id);
 
-    char* end = nullptr;
     Point p;
-    p.x = std::strtod(fields[x_col].c_str(), &end);
-    if (end == fields[x_col].c_str()) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) +
-                                ": bad x value");
+    double time = 0.0;
+    const struct {
+      int col;
+      const char* name;
+      double* value;
+    } numeric[] = {{x_col, "x", &p.x},
+                   {y_col, "y", &p.y},
+                   {z_col, "z", &p.z},
+                   {t_col, "time", &time}};
+    for (const auto& f : numeric) {
+      if (f.col >= 0 && !ParseFiniteField(fields[f.col], f.value)) {
+        return Status::Corruption(path + ":" + std::to_string(lineno) +
+                                  ": bad " + f.name + " value");
+      }
     }
-    p.y = std::strtod(fields[y_col].c_str(), nullptr);
-    if (z_col >= 0) p.z = std::strtod(fields[z_col].c_str(), nullptr);
     it->second.points.push_back(p);
-    if (t_col >= 0) {
-      it->second.times.push_back(std::strtod(fields[t_col].c_str(), nullptr));
-    }
+    if (t_col >= 0) it->second.times.push_back(time);
   }
 
   ObjectSet set;

@@ -27,7 +27,7 @@ bool g_hooks_installed = false;
 
 // Signal-handler view of the stats fallback: a stable byte buffer and
 // path, published before g_armed flips true. Sized generously — the
-// fallback document is a few hundred bytes of run identity.
+// fallback record is under a kilobyte (no detail sections).
 constexpr std::size_t kSigBufCap = 4096;
 char g_sig_stats_path[kSigBufCap];
 char g_sig_stats_doc[kSigBufCap];
@@ -63,6 +63,14 @@ void SignalHandler(int sig) {
 void AtExitHook() { FlushObservabilityNow(); }
 
 }  // namespace
+
+std::string InterruptedRecordLine(QlogRecord identity) {
+  QlogRecord rec = BuildQlogRecord(std::move(identity), /*result=*/nullptr);
+  rec.status = StatusCodeName(StatusCode::kCancelled);
+  rec.complete = false;
+  rec.truncated = true;
+  return QlogRecordToJsonLine(rec);
+}
 
 void ArmExitFlush(ExitFlushConfig cfg) {
   std::lock_guard<std::mutex> lock(g_mu);

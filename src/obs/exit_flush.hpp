@@ -5,13 +5,15 @@
 // emission at the end of the command.
 //
 // Protocol: the CLI arms the flusher with the output paths (and a
-// pre-rendered minimal stats document) before running the query, and
-// disarms it after the normal emission succeeds. If the process exits
-// while armed:
+// pre-rendered stats record: a schema-valid mio-qlog-v1 line for the
+// run with outcome Cancelled, complete false and a top-level
+// `"truncated": true`, so an interrupted run's file still loads with
+// `mio qlog report`) before running the query, and disarms it after the
+// normal emission succeeds. If the process exits while armed:
 //  - atexit: the trace ring is exported with a top-level
-//    `"truncated": true` marker and the fallback stats document is
-//    written — both full-fidelity, since atexit runs on a normal stack;
-//  - SIGINT/SIGTERM: only the pre-rendered stats document is written
+//    `"truncated": true` marker and the pre-rendered record is written —
+//    atexit runs on a normal stack;
+//  - SIGINT/SIGTERM: only the pre-rendered record is written
 //    (open/write/close are async-signal-safe; JSON rendering is not),
 //    then the signal is re-raised with default disposition so the exit
 //    status stays honest.
@@ -19,14 +21,17 @@
 
 #include <string>
 
+#include "obs/qlog.hpp"
+
 namespace mio {
 namespace obs {
 
 struct ExitFlushConfig {
   std::string trace_path;  ///< "" = no trace flush
   std::string stats_path;  ///< "" = no stats flush ("-" writes stderr-safe fd 1)
-  /// Complete JSON document written verbatim as the stats fallback. Must
-  /// already carry its truncation marker (`"truncated": true`).
+  /// One complete JSON line (no trailing newline) written verbatim as the
+  /// stats fallback. Must already carry its truncation marker
+  /// (`"truncated": true`).
   std::string stats_document;
   /// "" = no metrics flush. On the atexit path a fresh OpenMetrics
   /// exposition of the registry (+ process health) is rendered and
@@ -37,6 +42,11 @@ struct ExitFlushConfig {
   /// valid scrape file survives SIGTERM.
   std::string metrics_path;
 };
+
+/// The stats fallback for a run interrupted before its record: the
+/// record of `identity` (see BuildQlogRecord) with outcome Cancelled,
+/// complete false and `"truncated": true`, as one JSON line.
+std::string InterruptedRecordLine(QlogRecord identity);
 
 /// Arms (or re-arms) the flush; installs the atexit hook and the
 /// SIGINT/SIGTERM handlers on first use.

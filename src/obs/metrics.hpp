@@ -82,7 +82,7 @@ enum class Histogram : int {
   kLbUnionBits,           ///< lower-bound union cardinality per object
   kUbGroupsPerObject,     ///< large-cell groups per object
   kUbUnionBits,           ///< upper-bound union cardinality per object
-  kVerifyCandsPerPoint,   ///< unconfirmed candidates per verified group
+  kVerifyCandsPerGroup,   ///< unconfirmed candidates per verified group
                           ///< (observed once per VerifyGroup entry)
   kKernelBatchSize,       ///< span length per dispatched kernel call
   kServerQueueWaitUs,     ///< admission-queue wait per executed request (µs)
@@ -189,7 +189,7 @@ inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {
     "lb_union_bits",
     "ub_groups_per_object",
     "ub_union_bits",
-    "verify_cands_per_point",
+    "verify_cands_per_group",
     "kernel_batch_size",
     "server.queue_wait_us",
     "server.e2e_us",
@@ -201,7 +201,7 @@ inline constexpr std::array<const char*, kNumHistograms>
         "lb_union_bits",
         "ub_groups_per_object",
         "ub_union_bits",
-        "verify_cands_per_point",
+        "verify_cands_per_group",
         "kernel_batch_size",
         "server_queue_wait_us",
         "server_e2e_us",

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 
+#include "geo/kernels.hpp"
 #include "obs/json.hpp"
+#include "obs/perf_counters.hpp"
 #include "obs/stats_sink.hpp"
 
 namespace mio {
@@ -15,19 +18,6 @@ namespace obs {
 namespace {
 
 constexpr const char* kQlogSchema = "mio-qlog-v1";
-
-/// Canonical label-outcome names. Kept in sync with LabelOutcomeName()
-/// in core/query_result.cpp (the obs layer cannot include core headers);
-/// a test asserts the two lists match.
-constexpr const char* kLabelOutcomes[] = {"off", "hit_memory", "hit_disk",
-                                          "recorded", "miss"};
-
-bool IsLabelOutcome(const std::string& name) {
-  for (const char* o : kLabelOutcomes) {
-    if (name == o) return true;
-  }
-  return false;
-}
 
 /// Canonical server coalesce-role names. Kept in sync with the kRole*
 /// constants in server/request_context.hpp (the obs layer cannot include
@@ -84,6 +74,14 @@ Status RequireBool(const JsonValue& obj, const char* section,
                    const char* field) {
   const JsonValue* v = obj.Find(field);
   if (v == nullptr || !v->IsBool()) return Missing(section, field);
+  return Status::OK();
+}
+
+/// An optional field: absent is fine, present must pass `is_type`.
+Status OptionalTyped(const JsonValue& obj, const char* section,
+                     const char* field, bool (JsonValue::*is_type)() const) {
+  const JsonValue* v = obj.Find(field);
+  if (v != nullptr && !(v->*is_type)()) return Missing(section, field);
   return Status::OK();
 }
 
@@ -146,7 +144,9 @@ Status CheckQlogDocument(const JsonValue& doc) {
   MIO_RETURN_NOT_OK(labels.status());
   MIO_RETURN_NOT_OK(RequireString(*labels.value(), "labels", "outcome"));
   MIO_RETURN_NOT_OK(RequireNumber(*labels.value(), "labels", "points_pruned"));
-  if (!IsLabelOutcome(labels.value()->GetString("outcome"))) {
+  LabelOutcome label_outcome = LabelOutcome::kOff;
+  if (!ParseLabelOutcome(labels.value()->GetString("outcome"),
+                         &label_outcome)) {
     return Status::InvalidArgument("qlog: unknown labels.outcome \"" +
                                    labels.value()->GetString("outcome") + "\"");
   }
@@ -174,6 +174,30 @@ Status CheckQlogDocument(const JsonValue& doc) {
   Result<const JsonValue*> trace = RequireObject(doc, "trace");
   MIO_RETURN_NOT_OK(trace.status());
   MIO_RETURN_NOT_OK(RequireNumber(*trace.value(), "trace", "dropped_spans"));
+
+  // Fields and sections added after the first records were written are
+  // optional, so older qlogs (e.g. the committed BENCH files) stay
+  // readable, but each must have its type when present.
+  MIO_RETURN_NOT_OK(OptionalTyped(*params.value(), "params", "scale",
+                                  &JsonValue::IsString));
+  MIO_RETURN_NOT_OK(OptionalTyped(*funnel.value(), "funnel", "tau_low_max",
+                                  &JsonValue::IsNumber));
+  MIO_RETURN_NOT_OK(
+      OptionalTyped(*env.value(), "env", "git", &JsonValue::IsString));
+  MIO_RETURN_NOT_OK(OptionalTyped(doc, "", "truncated", &JsonValue::IsBool));
+  for (const char* f : {"parts", "tracker"}) {
+    MIO_RETURN_NOT_OK(
+        OptionalTyped(*memory.value(), "memory", f, &JsonValue::IsObject));
+  }
+  for (const char* f : {"grid", "hardware", "verify_load_balance",
+                        "compression", "metrics"}) {
+    MIO_RETURN_NOT_OK(OptionalTyped(doc, "", f, &JsonValue::IsObject));
+  }
+  if (const JsonValue* grid = doc.Find("grid")) {
+    MIO_RETURN_NOT_OK(RequireBool(*grid, "grid", "reused"));
+    MIO_RETURN_NOT_OK(RequireNumber(*grid, "grid", "cells_small"));
+    MIO_RETURN_NOT_OK(RequireNumber(*grid, "grid", "cells_large"));
+  }
 
   // The "batch" section is optional (absent on sequential queries) but
   // must be well-formed when present.
@@ -217,12 +241,185 @@ Status CheckQlogDocument(const JsonValue& doc) {
   return Status::OK();
 }
 
+/// Sum of per-tag peaks from the process-wide tracker — an upper-bound
+/// style footprint (tags peak at different times), stable across runs.
+std::uint64_t TrackerPeakBytes() {
+  std::uint64_t total = 0;
+  for (const MemoryTracker::Entry& e : MemoryTracker::Instance().Snapshot()) {
+    total += e.peak_bytes;
+  }
+  return total;
+}
+
+/// ceil(r) as the record's label class; 0 for a radius outside the
+/// engine's domain (MioEngine::CheckRadius), so no cast is undefined.
+int CeilClass(double r) {
+  const double c = std::ceil(r);
+  if (!(r > 0.0 && c <= std::numeric_limits<std::int32_t>::max())) return 0;
+  return static_cast<int>(c);
+}
+
+// --- Detail sections (records that carry their QueryStats) ------------------
+
+void WriteLoadBalance(JsonWriter& w, const QueryStats& s) {
+  if (s.verify_thread_seconds.empty()) return;
+  ThreadLoadReport report = ComputeThreadLoad(s.verify_thread_seconds);
+  w.Key("verify_load_balance").BeginObject();
+  w.Key("workers").UInt(s.verify_thread_seconds.size());
+  w.Key("per_thread_seconds").BeginArray();
+  for (double sec : s.verify_thread_seconds) w.Double(sec);
+  w.EndArray();
+  w.Key("min_seconds").Double(report.min_seconds);
+  w.Key("max_seconds").Double(report.max_seconds);
+  w.Key("mean_seconds").Double(report.mean_seconds);
+  w.Key("imbalance").Double(report.imbalance);
+  w.EndObject();
+}
+
+void WritePmuCounts(JsonWriter& w, const char* key, const PmuCounts& c) {
+  if (c.Empty()) return;
+  w.Key(key).BeginObject();
+  for (int e = 0; e < kNumPmuEvents; ++e) {
+    PmuEvent pe = static_cast<PmuEvent>(e);
+    std::uint64_t v = c.Get(pe);
+    if (v == 0 && !c.valid) continue;  // timing tier: task_clock_ns only
+    w.Key(PmuEventName(pe)).UInt(v);
+  }
+  if (c.valid) {
+    w.Key("ipc").Double(c.Ipc());
+    w.Key("cache_miss_rate").Double(c.CacheMissRate());
+    w.Key("branch_misses_per_ki").Double(c.BranchMissesPerKiloInstructions());
+  }
+  w.EndObject();
+}
+
+void WriteHardware(JsonWriter& w, const QueryStats& s) {
+  PmuCounts total = s.hardware.Total();
+  if (total.Empty()) return;  // never sampled (baselines, compiled out)
+  w.Key("hardware").BeginObject();
+  w.Key("phases").BeginObject();
+  WritePmuCounts(w, "label_input", s.hardware.label_input);
+  WritePmuCounts(w, "grid_mapping", s.hardware.grid_mapping);
+  WritePmuCounts(w, "lower_bounding", s.hardware.lower_bounding);
+  WritePmuCounts(w, "upper_bounding", s.hardware.upper_bounding);
+  WritePmuCounts(w, "verification", s.hardware.verification);
+  WritePmuCounts(w, "total", total);
+  w.EndObject();
+  if (total.valid) {
+    w.Key("derived").BeginObject();
+    if (s.total_points > 0) {
+      w.Key("cycles_per_point")
+          .Double(static_cast<double>(total.Get(PmuEvent::kCycles)) /
+                  static_cast<double>(s.total_points));
+    }
+    if (s.num_verified > 0) {
+      w.Key("cycles_per_candidate")
+          .Double(static_cast<double>(
+                      s.hardware.verification.Get(PmuEvent::kCycles)) /
+                  static_cast<double>(s.num_verified));
+    }
+    w.EndObject();
+  }
+  w.EndObject();
+}
+
+void WriteCompression(JsonWriter& w, const QueryStats& s) {
+  if (s.compression.num_bitsets == 0) return;
+  w.Key("compression").BeginObject();
+  w.Key("num_bitsets").UInt(s.compression.num_bitsets);
+  w.Key("compressed_bytes").UInt(s.compression.compressed_bytes);
+  w.Key("uncompressed_bytes").UInt(s.compression.uncompressed_bytes);
+  w.Key("savings_ratio").Double(s.compression.SavingsRatio());
+  w.EndObject();
+}
+
+void WriteMetrics(JsonWriter& w, const MetricsSnapshot& m) {
+  w.Key("metrics").BeginObject();
+  w.Key("counters").BeginObject();
+  for (int c = 0; c < kNumCounters; ++c) {
+    std::uint64_t v = m.counters[static_cast<std::size_t>(c)];
+    if (v == 0) continue;
+    w.Key(CounterName(static_cast<Counter>(c))).UInt(v);
+  }
+  w.EndObject();
+  w.Key("histograms").BeginObject();
+  for (int h = 0; h < kNumHistograms; ++h) {
+    const HistogramSnapshot& hist = m.histograms[static_cast<std::size_t>(h)];
+    if (hist.count == 0) continue;
+    w.Key(HistogramName(static_cast<Histogram>(h))).BeginObject();
+    w.Key("count").UInt(hist.count);
+    w.Key("sum").UInt(hist.sum);
+    w.Key("min").UInt(hist.min);
+    w.Key("max").UInt(hist.max);
+    w.Key("mean").Double(hist.Mean());
+    w.Key("p50").Double(hist.Percentile(0.50));
+    w.Key("p90").Double(hist.Percentile(0.90));
+    w.Key("p99").Double(hist.Percentile(0.99));
+    // Sparse bucket map: "log2_bucket" -> count, upper bound 2^b exclusive.
+    w.Key("log2_buckets").BeginObject();
+    for (int b = 0; b < HistogramSnapshot::kBuckets; ++b) {
+      std::uint64_t n = hist.buckets[static_cast<std::size_t>(b)];
+      if (n == 0) continue;
+      w.Key(std::to_string(b)).UInt(n);
+    }
+    w.EndObject();
+    w.EndObject();
+  }
+  w.EndObject();
+  w.EndObject();
+}
+
 }  // namespace
+
+QlogRecord BuildQlogRecord(QlogRecord rec, const QueryResult* result,
+                           const MetricsSnapshot* metrics) {
+  rec.ceil_r = CeilClass(rec.r);
+  rec.git = GitDescribe();
+  rec.pmu_tier = PmuTierName(ActivePmuTier());
+  rec.kernel_tier = KernelTierName(ActiveKernelTier());
+  if (metrics != nullptr) {
+    rec.metrics = std::make_shared<const MetricsSnapshot>(*metrics);
+    rec.tracker = MemoryTracker::Instance().Snapshot();
+  }
+  if (result == nullptr) return rec;
+
+  const QueryStats& stats = result->stats;
+  // A rejected request's radius never reached the engine's class cast.
+  if (result->status.code() == StatusCode::kInvalidArgument) rec.ceil_r = 0;
+  rec.threads = stats.threads;
+  rec.total_seconds = stats.total_seconds;
+  rec.phase_label_input = stats.phases.label_input;
+  rec.phase_grid_mapping = stats.phases.grid_mapping;
+  rec.phase_lower_bounding = stats.phases.lower_bounding;
+  rec.phase_upper_bounding = stats.phases.upper_bounding;
+  rec.phase_verification = stats.phases.verification;
+  rec.candidates = stats.num_candidates;
+  rec.verified = stats.num_verified;
+  rec.distance_computations = stats.distance_computations;
+  rec.tau_low_max = stats.tau_low_max;
+  if (!result->topk.empty()) {
+    rec.winner_id = result->best().id;
+    rec.winner_score = result->best().score;
+  }
+  rec.grid_reused = stats.reused_grid;
+  rec.cells_small = stats.cells_small;
+  rec.cells_large = stats.cells_large;
+  rec.label_outcome = LabelOutcomeName(stats.label_outcome);
+  rec.points_pruned_by_labels = stats.points_pruned_by_labels;
+  rec.status = StatusCodeName(result->status.code());
+  rec.complete = result->complete;
+  rec.degradation_level = stats.degradation_level;
+  rec.index_memory_bytes = stats.index_memory_bytes;
+  rec.peak_memory_bytes = TrackerPeakBytes();
+  rec.detail = std::make_shared<const QueryStats>(stats);
+  return rec;
+}
 
 std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   JsonWriter w;
   w.BeginObject();
   w.Key("schema").String(kQlogSchema);
+  if (rec.truncated) w.Key("truncated").Bool(true);
   w.Key("query_index").UInt(rec.query_index);
   w.Key("workload").String(rec.workload);
   w.Key("dataset").String(rec.dataset);
@@ -232,6 +429,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("ceil_r").Int(rec.ceil_r);
   w.Key("k").UInt(rec.k);
   w.Key("threads").Int(rec.threads);
+  if (!rec.scale.empty()) w.Key("scale").String(rec.scale);
   w.EndObject();
   w.Key("wall_seconds").Double(rec.wall_seconds);
   w.Key("total_seconds").Double(rec.total_seconds);
@@ -249,6 +447,12 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("candidates").UInt(rec.candidates);
   w.Key("verified").UInt(rec.verified);
   w.Key("distance_computations").UInt(rec.distance_computations);
+  w.Key("tau_low_max").UInt(rec.tau_low_max);
+  w.EndObject();
+  w.Key("grid").BeginObject();
+  w.Key("reused").Bool(rec.grid_reused);
+  w.Key("cells_small").UInt(rec.cells_small);
+  w.Key("cells_large").UInt(rec.cells_large);
   w.EndObject();
   w.Key("winner").BeginObject();
   w.Key("id").UInt(rec.winner_id);
@@ -264,12 +468,32 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("degradation_level").UInt(rec.degradation_level);
   w.EndObject();
   w.Key("env").BeginObject();
+  w.Key("git").String(rec.git);
   w.Key("pmu_tier").String(rec.pmu_tier);
   w.Key("kernel_tier").String(rec.kernel_tier);
   w.EndObject();
   w.Key("memory").BeginObject();
   w.Key("index_bytes").UInt(rec.index_memory_bytes);
   w.Key("peak_bytes").UInt(rec.peak_memory_bytes);
+  if (rec.detail && !rec.detail->memory.parts.empty()) {
+    w.Key("parts").BeginObject();
+    for (const auto& [name, bytes] : rec.detail->memory.parts) {
+      w.Key(name).UInt(bytes);
+    }
+    w.EndObject();
+  }
+  if (rec.metrics) {
+    // Process-wide current/peak per tag: outlives this query, so peaks
+    // from earlier (larger) runs show in every later snapshot.
+    w.Key("tracker").BeginObject();
+    for (const MemoryTracker::Entry& e : rec.tracker) {
+      w.Key(e.tag).BeginObject();
+      w.Key("current_bytes").UInt(e.current_bytes);
+      w.Key("peak_bytes").UInt(e.peak_bytes);
+      w.EndObject();
+    }
+    w.EndObject();
+  }
   w.EndObject();
   w.Key("trace").BeginObject();
   w.Key("dropped_spans").UInt(rec.trace_dropped_spans);
@@ -294,6 +518,12 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
     w.Key("e2e_seconds").Double(rec.server_e2e_seconds);
     w.EndObject();
   }
+  if (rec.detail) {
+    WriteHardware(w, *rec.detail);
+    WriteLoadBalance(w, *rec.detail);
+    WriteCompression(w, *rec.detail);
+  }
+  if (rec.metrics && !rec.metrics->Empty()) WriteMetrics(w, *rec.metrics);
   w.EndObject();
   return std::move(w).Take();
 }
@@ -324,6 +554,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.ceil_r = static_cast<int>(params->GetUInt("ceil_r"));
   rec.k = params->GetUInt("k");
   rec.threads = static_cast<int>(params->GetUInt("threads", 1));
+  rec.scale = params->GetString("scale");
   rec.wall_seconds = doc.GetDouble("wall_seconds");
   rec.total_seconds = doc.GetDouble("total_seconds");
   const JsonValue* phases = doc.Find("phases");
@@ -335,6 +566,12 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.candidates = funnel->GetUInt("candidates");
   rec.verified = funnel->GetUInt("verified");
   rec.distance_computations = funnel->GetUInt("distance_computations");
+  rec.tau_low_max = funnel->GetUInt("tau_low_max");
+  if (const JsonValue* grid = doc.Find("grid")) {
+    rec.grid_reused = grid->GetBool("reused");
+    rec.cells_small = grid->GetUInt("cells_small");
+    rec.cells_large = grid->GetUInt("cells_large");
+  }
   const JsonValue* winner = doc.Find("winner");
   rec.winner_id = winner->GetUInt("id");
   rec.winner_score = winner->GetUInt("score");
@@ -347,6 +584,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.degradation_level =
       static_cast<std::uint32_t>(outcome->GetUInt("degradation_level"));
   const JsonValue* env = doc.Find("env");
+  rec.git = env->GetString("git");
   rec.pmu_tier = env->GetString("pmu_tier");
   rec.kernel_tier = env->GetString("kernel_tier");
   const JsonValue* memory = doc.Find("memory");

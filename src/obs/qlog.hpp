@@ -1,10 +1,14 @@
-// Per-query structured logging (qlog) for workload runs. Where the
-// stats sink (mio-stats-v1) serialises *one* query per process in full
-// depth, the qlog is the workload-scale surface: one compact validated
-// JSONL record per query ("mio-qlog-v1") — wall latency, per-phase
-// seconds, the pruning funnel, the label-reuse outcome, the guardrail
-// outcome, and resource footprints — cheap enough to append on every
-// query of a long run.
+// The per-query record ("mio-qlog-v1"): one validated JSON line per
+// query — wall latency, per-phase seconds, the pruning funnel, the grid
+// shape, the label-reuse outcome, the guardrail outcome, and resource
+// footprints. It is the only per-query record the repo writes: every
+// emitter (`mio run-workload`, `mio serve`, `mio query`/`sweep
+// --stats-json`, `mio profile`, the bench harnesses' --json-out, and the
+// exit backstop) builds it with BuildQlogRecord and serialises it with
+// QlogRecordToJsonLine. Emitters that hold the query's QueryStats add
+// the per-query detail sections (hardware counters, verification load
+// balance, memory parts, compression); one-shot emitters that reset the
+// metrics registry around their run add the registry snapshot too.
 //
 // The same header also holds the tail-based trace sampler: tracing stays
 // armed for every query, but the Chrome trace is only kept for queries
@@ -12,38 +16,42 @@
 // outliers that matter stay fully explainable while a 10k-query workload
 // does not write 10k trace files.
 //
-// `mio run-workload` writes qlogs; `mio qlog report` aggregates them
-// (p50/p95/p99 latency via the shared R-7 percentile helpers, per-phase
-// aggregates, label hit rate per ceil(r) class, slowest-N pointers).
+// `mio qlog report` aggregates qlogs (p50/p95/p99 latency via the shared
+// R-7 percentile helpers, per-phase aggregates, label hit rate per
+// ceil(r) class, slowest-N pointers) and `mio qlog diff` compares two.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/memory_tracker.hpp"
 #include "common/status.hpp"
+#include "core/query_result.hpp"
+#include "obs/metrics.hpp"
 
 namespace mio {
 namespace obs {
 
 /// One query's log record. String enums (`label_outcome`, `status`) are
-/// carried as their canonical short names so the record round-trips
-/// without pulling core headers into the obs layer; the workload runner
-/// fills them from LabelOutcomeName / StatusCodeName.
+/// carried as their canonical short names (LabelOutcomeName /
+/// StatusCodeName) so the record round-trips through its JSON line.
 struct QlogRecord {
   // Identity.
-  std::uint64_t query_index = 0;  ///< position in the workload, 0-based
-  std::string workload;           ///< workload-spec name ("" = unnamed)
+  std::uint64_t query_index = 0;  ///< position in the run, 0-based
+  std::string workload;           ///< spec name, "serve", bench or tool name
   std::string dataset;
-  std::string algo;               ///< "bigrid" / "bigrid-label"
+  std::string algo;               ///< "bigrid" / "bigrid-label" / baseline
   double r = 0.0;
   int ceil_r = 0;                 ///< the label-reuse equivalence class
   std::uint64_t k = 1;
   int threads = 1;
+  std::string scale;              ///< preset scale; "" omits params.scale
 
   // Timing. `wall_seconds` is the harness-side clock around the query;
   // `total_seconds` the engine-side clock (phases + glue).
@@ -62,6 +70,13 @@ struct QlogRecord {
   std::uint64_t distance_computations = 0;
   std::uint64_t winner_id = 0;
   std::uint64_t winner_score = 0;
+  std::uint64_t tau_low_max = 0;  ///< best lower bound found
+
+  // Grid shape: small/large cell counts, and whether the large grid came
+  // from the engine's grid cache (reuse_grid).
+  bool grid_reused = false;
+  std::uint64_t cells_small = 0;
+  std::uint64_t cells_large = 0;
 
   // Label reuse (LabelOutcomeName: off / hit_memory / hit_disk /
   // recorded / miss).
@@ -74,6 +89,7 @@ struct QlogRecord {
   std::uint32_t degradation_level = 0;
 
   // Environment and resources.
+  std::string git;  ///< GitDescribe() of the emitting binary
   std::string pmu_tier;
   std::string kernel_tier;
   std::uint64_t index_memory_bytes = 0;
@@ -102,6 +118,21 @@ struct QlogRecord {
   double server_queue_wait_seconds = 0.0;  ///< enqueued -> dequeued
   double server_e2e_seconds = 0.0;         ///< accepted -> responded
 
+  /// Set only on the exit backstop's record: the run was interrupted
+  /// before it wrote its real record (adds a top-level "truncated").
+  bool truncated = false;
+
+  // Per-query detail sections, written when present and never parsed
+  // back (readers ignore them). `detail` is the query's own QueryStats:
+  // "hardware", "verify_load_balance", "memory.parts" and "compression"
+  // come from it, each only when non-empty. `metrics` adds the registry
+  // snapshot ("metrics") and the tracker's per-tag current/peak bytes
+  // ("memory.tracker"), captured with it. Held by pointer so records
+  // loaded by the readers stay small.
+  std::shared_ptr<const QueryStats> detail;
+  std::shared_ptr<const MetricsSnapshot> metrics;
+  std::vector<MemoryTracker::Entry> tracker;
+
   /// True when the query ran as a QueryBatch member.
   bool Batched() const { return batch_size > 0; }
 
@@ -120,20 +151,38 @@ struct QlogRecord {
   }
 };
 
+/// The one record builder. `identity` carries who ran the query and
+/// with what parameters (query_index, workload, dataset, algo, r, k,
+/// threads, scale, objects, wall_seconds, and any batch/server fields);
+/// the builder keeps those and fills the rest from `result` and the
+/// environment (git, kernel and PMU tiers, the tracker's peak bytes).
+/// `ceil_r` is derived from r and is 0 for a radius the engine rejects.
+///
+/// `result` null means the request was answered without an execution of
+/// its own (a server follower or cache hit): engine fields stay zeroed,
+/// the outcome is OK/complete, and no detail section is written.
+/// Otherwise params.threads is the team the engine resolved
+/// (QueryStats::threads) and the record carries the stats as `detail`.
+/// `metrics` (one-shot emitters, which reset the registry around their
+/// run) adds the metrics and memory.tracker sections.
+QlogRecord BuildQlogRecord(QlogRecord identity, const QueryResult* result,
+                           const MetricsSnapshot* metrics = nullptr);
+
 /// Serialises one record as a single "mio-qlog-v1" JSON line (no
 /// trailing newline). The output always passes ValidateQlogLine.
 std::string QlogRecordToJsonLine(const QlogRecord& rec);
 
 /// Schema check of one JSONL line: well-formed JSON, `"schema":
 /// "mio-qlog-v1"`, every required section and field present with the
-/// right type, and enum strings from their canonical sets.
+/// right type, enum strings from their canonical sets, and each optional
+/// section an object when present.
 Status ValidateQlogLine(std::string_view line);
 
 /// Parses (and validates) one line back into a record.
 Status ParseQlogRecord(std::string_view line, QlogRecord* out);
 
 /// Reads a whole qlog file, validating every line; the line number is
-/// included in any error.
+/// included in any error. Blank lines are skipped.
 Result<std::vector<QlogRecord>> LoadQlogFile(const std::string& path);
 
 /// Append-oriented qlog file writer: one validated JSONL line per
@@ -146,8 +195,8 @@ class QlogWriter {
   QlogWriter(const QlogWriter&) = delete;
   QlogWriter& operator=(const QlogWriter&) = delete;
 
-  /// Opens `path` (truncating, or appending with `append` — the bench
-  /// collector appends workload records after the harness records).
+  /// Opens `path` (truncating, or appending with `append` — each bench
+  /// harness run appends its records to one --json-out file).
   Status Open(const std::string& path, bool append = false);
 
   Status Append(const QlogRecord& rec);
@@ -216,7 +265,7 @@ std::string TailTraceFileName(std::uint64_t query_index);
 // --- Aggregation (`mio qlog report`) ---------------------------------------
 
 /// Latency/seconds summary over one field of the records (R-7
-/// percentiles, shared with `mio profile`).
+/// percentiles).
 struct QlogLatencySummary {
   double min = 0.0;
   double max = 0.0;

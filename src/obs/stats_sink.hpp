@@ -1,56 +1,26 @@
-// Structured stats sink: serialises one query execution — QueryStats
-// (per-phase times, pruning counters, compression), the metrics-registry
-// snapshot, the MemoryTracker peaks, and the active kernel tier — as a
-// single JSON document. The CLI (--stats-json) and every bench harness
-// (--json-out) emit this same schema ("mio-stats-v1"), so bench records
-// are machine-comparable across commits (scripts/compare_bench.py).
+// Small helpers shared by the per-query record (obs/qlog.hpp), the CLI
+// and the bench harnesses: the build's git describe, R-7 percentiles,
+// and whole-file text output.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/query_result.hpp"
-#include "obs/metrics.hpp"
 
 namespace mio {
 namespace obs {
 
-/// Identification of one measured run: which harness, which workload,
-/// which parameters. Unset strings are emitted as "".
-struct RunInfo {
-  std::string bench;    ///< harness/tool name, e.g. "table2_breakdown"
-  std::string dataset;  ///< preset or input-file name
-  std::string algo;     ///< "bigrid", "bigrid-label", "nl", ...
-  double r = 0.0;
-  std::size_t k = 1;
-  int threads = 1;
-  std::string scale;           ///< "quick" / "full" / "" for file inputs
-  double wall_seconds = 0.0;   ///< harness-side wall clock, 0 if unmeasured
-};
-
 /// `git describe` of the tree this binary was built from (configure-time;
 /// "unknown" outside a git checkout).
 const char* GitDescribe();
-
-/// The full stats document. `metrics` may be null to omit the registry
-/// section (e.g. when the caller could not reset it around the run).
-std::string StatsJson(const QueryStats& stats, const RunInfo& info,
-                      const MetricsSnapshot* metrics = nullptr);
-
-/// As above, from a whole QueryResult: adds an "outcome" object with the
-/// query Status, the `complete` flag, and the degradation level, so
-/// incomplete or degraded runs are machine-detectable.
-std::string StatsJson(const QueryResult& result, const RunInfo& info,
-                      const MetricsSnapshot* metrics = nullptr);
 
 /// Writes `contents` to `path` ("-" writes to stdout).
 Status WriteTextFile(const std::string& path, const std::string& contents);
 
 /// The p-quantile (p in [0,1]) of `values` with linear interpolation
 /// between adjacent order statistics (the numpy/R-7 rule). Sorts a copy;
-/// 0 on empty input. Shared by `mio profile` and the bench summaries.
+/// 0 on empty input. Shared by `mio qlog report` and the bench summaries.
 double Percentile(std::vector<double> values, double p);
 
 /// Shorthand for Percentile(values, 0.5).

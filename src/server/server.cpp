@@ -15,14 +15,11 @@
 #include <algorithm>
 
 #include "common/fault_injection.hpp"
-#include "common/memory_tracker.hpp"
+#include "common/omp_utils.hpp"
 #include "common/timer.hpp"
-#include "geo/cell_key.hpp"
-#include "geo/kernels.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "server/protocol.hpp"
@@ -44,14 +41,6 @@ extern "C" void ServeSignalHandler(int /*signum*/) {
     // the accept loop wakes and counts the shutdown request.
     (void)!::write(fd, &byte, 1);
   }
-}
-
-std::uint64_t TrackerPeakBytes() {
-  std::uint64_t total = 0;
-  for (const MemoryTracker::Entry& e : MemoryTracker::Instance().Snapshot()) {
-    total += e.peak_bytes;
-  }
-  return total;
 }
 
 }  // namespace
@@ -455,56 +444,31 @@ void AwaitOwn(Execution& exec, QueryResult* result, double* wall) {
 void MioServer::AppendQlog(const ServeRequest& req, const RequestContext& ctx,
                            const QueryResult* qres, double exec_wall) {
   if (!qlog_.is_open()) return;
-  obs::QlogRecord rec;
-  rec.query_index = ctx.seq;  // qlog id == request id == trace-file stem
-  rec.workload = "serve";
-  rec.dataset = config_.dataset_name;
-  rec.algo = req.use_labels ? "bigrid-label" : "bigrid";
-  rec.r = req.r;
-  rec.ceil_r = static_cast<int>(LargeGridWidth(req.r));
-  rec.k = req.k;
-  rec.threads = req.threads;
-  rec.server_request_id = ctx.request_id;
-  rec.server_correlation_id = ctx.correlation_id;
-  rec.server_client = ctx.client;
-  rec.server_role = ctx.role;
-  rec.server_queue_wait_seconds = ctx.QueueWaitSeconds();
-  rec.server_e2e_seconds = ctx.E2eSeconds();
-  rec.pmu_tier = obs::PmuTierName(obs::ActivePmuTier());
-  rec.kernel_tier = KernelTierName(ActiveKernelTier());
+  obs::QlogRecord id;
+  id.query_index = ctx.seq;  // qlog id == request id == trace-file stem
+  id.workload = "serve";
+  id.dataset = config_.dataset_name;
+  id.algo = req.use_labels ? "bigrid-label" : "bigrid";
+  id.r = req.r;
+  id.k = req.k;
+  id.threads = req.threads;
+  id.server_request_id = ctx.request_id;
+  id.server_correlation_id = ctx.correlation_id;
+  id.server_client = ctx.client;
+  id.server_role = ctx.role;
+  id.server_queue_wait_seconds = ctx.QueueWaitSeconds();
+  id.server_e2e_seconds = ctx.E2eSeconds();
+  // Solo/leader: the engine stats are this request's own execution.
+  // Follower/cached (qres null): engine stats stay zeroed — counting the
+  // leader's work twice would corrupt funnel and phase aggregates — and
+  // wall is the client-visible end-to-end time.
   if (qres != nullptr) {
-    // Solo/leader: the engine stats are this request's own execution.
-    const QueryStats& stats = qres->stats;
-    rec.objects = objects_.size();
-    rec.threads = stats.threads;
-    rec.wall_seconds = exec_wall;
-    rec.total_seconds = stats.total_seconds;
-    rec.phase_label_input = stats.phases.label_input;
-    rec.phase_grid_mapping = stats.phases.grid_mapping;
-    rec.phase_lower_bounding = stats.phases.lower_bounding;
-    rec.phase_upper_bounding = stats.phases.upper_bounding;
-    rec.phase_verification = stats.phases.verification;
-    rec.candidates = stats.num_candidates;
-    rec.verified = stats.num_verified;
-    rec.distance_computations = stats.distance_computations;
-    if (!qres->topk.empty()) {
-      rec.winner_id = qres->best().id;
-      rec.winner_score = qres->best().score;
-    }
-    rec.label_outcome = LabelOutcomeName(stats.label_outcome);
-    rec.points_pruned_by_labels = stats.points_pruned_by_labels;
-    rec.status = StatusCodeName(qres->status.code());
-    rec.complete = qres->complete;
-    rec.degradation_level = stats.degradation_level;
-    rec.index_memory_bytes = stats.index_memory_bytes;
-    rec.peak_memory_bytes = TrackerPeakBytes();
+    id.objects = objects_.size();
+    id.wall_seconds = exec_wall;
   } else {
-    // Follower/cached: no execution of its own — engine stats stay
-    // zeroed (counting the leader's work twice would corrupt funnel and
-    // phase aggregates) and wall is the client-visible end-to-end time.
-    rec.wall_seconds = ctx.E2eSeconds();
-    rec.complete = true;
+    id.wall_seconds = ctx.E2eSeconds();
   }
+  obs::QlogRecord rec = obs::BuildQlogRecord(std::move(id), qres);
   std::lock_guard<std::mutex> lock(qlog_mu_);
   (void)qlog_.Append(rec);
 }
@@ -662,8 +626,8 @@ bool MioServer::FinishQuery(int fd, const ServeRequest& req,
                             const std::shared_ptr<RequestContext>& ctx,
                             const QueryResult* qres, ServeResponse* res) {
   ctx->responded = NowSeconds();
-  const bool wrote = WriteResponse(fd, *res);
-
+  // Counted before the write: a client that asks for `stats` as soon as
+  // it has this response must already see the request in them.
   auto micros = [](double seconds) {
     return static_cast<std::uint64_t>(seconds * 1e6 + 0.5);
   };
@@ -673,6 +637,7 @@ bool MioServer::FinishQuery(int fd, const ServeRequest& req,
                  micros(ctx->QueueWaitSeconds()));
   }
   RecordClient(ctx->client, *ctx);
+  const bool wrote = WriteResponse(fd, *res);
   if (!ctx->Refused()) AppendQlog(req, *ctx, qres, res->wall_seconds);
 
   // Exactly one terminal event per query request, whatever happened —
@@ -744,6 +709,10 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
   }
 
   // --- op == "query" -----------------------------------------------------
+  // A team larger than the host's cores only oversubscribes them, and the
+  // grid build sizes per-thread shards by it: cap before the request is
+  // keyed, cached or executed.
+  req.threads = std::min(req.threads, MaxThreads());
   const CoalesceKey key{req.r, req.k, req.threads, req.use_labels};
 
   // 1. Result cache (complete OK results only; bit-identical replay).

@@ -3,14 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <utility>
 
 #include "common/fault_injection.hpp"
-#include "common/memory_tracker.hpp"
 #include "common/timer.hpp"
 #include "core/mio_engine.hpp"
-#include "geo/cell_key.hpp"
-#include "geo/kernels.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "object/sampling.hpp"
@@ -19,57 +16,22 @@ namespace mio {
 
 namespace {
 
-/// Sum of per-tag peaks from the process-wide tracker — an upper-bound
-/// style footprint (tags peak at different times), stable across runs.
-std::uint64_t TrackerPeakBytes() {
-  std::uint64_t total = 0;
-  for (const MemoryTracker::Entry& e : MemoryTracker::Instance().Snapshot()) {
-    total += e.peak_bytes;
-  }
-  return total;
-}
-
-/// One query's qlog record — shared by the sequential and batch paths so
-/// the two emit field-identical lines (batch adds the "batch" section).
-obs::QlogRecord MakeQlogRecord(const WorkloadSpec& spec,
-                               const std::string& dataset_name,
-                               std::size_t objects, std::size_t index,
-                               const WorkloadQuery& wq, const QueryResult& res,
-                               double wall) {
-  const QueryStats& stats = res.stats;
+/// A workload query's identity in its qlog record; BuildQlogRecord adds
+/// the rest from the result.
+obs::QlogRecord QueryIdentity(const WorkloadSpec& spec,
+                              const std::string& dataset_name,
+                              std::size_t objects, std::size_t index,
+                              const WorkloadQuery& wq, double wall) {
   obs::QlogRecord rec;
   rec.query_index = index;
   rec.workload = spec.name;
   rec.dataset = dataset_name;
   rec.algo = wq.use_labels ? "bigrid-label" : "bigrid";
   rec.r = wq.r;
-  rec.ceil_r = static_cast<int>(LargeGridWidth(wq.r));
   rec.k = wq.k;
-  rec.threads = stats.threads;
-  rec.wall_seconds = wall;
-  rec.total_seconds = stats.total_seconds;
-  rec.phase_label_input = stats.phases.label_input;
-  rec.phase_grid_mapping = stats.phases.grid_mapping;
-  rec.phase_lower_bounding = stats.phases.lower_bounding;
-  rec.phase_upper_bounding = stats.phases.upper_bounding;
-  rec.phase_verification = stats.phases.verification;
+  rec.threads = wq.threads;
   rec.objects = objects;
-  rec.candidates = stats.num_candidates;
-  rec.verified = stats.num_verified;
-  rec.distance_computations = stats.distance_computations;
-  if (!res.topk.empty()) {
-    rec.winner_id = res.best().id;
-    rec.winner_score = res.best().score;
-  }
-  rec.label_outcome = LabelOutcomeName(stats.label_outcome);
-  rec.points_pruned_by_labels = stats.points_pruned_by_labels;
-  rec.status = StatusCodeName(res.status.code());
-  rec.complete = res.complete;
-  rec.degradation_level = stats.degradation_level;
-  rec.pmu_tier = obs::PmuTierName(obs::ActivePmuTier());
-  rec.kernel_tier = KernelTierName(ActiveKernelTier());
-  rec.index_memory_bytes = stats.index_memory_bytes;
-  rec.peak_memory_bytes = TrackerPeakBytes();
+  rec.wall_seconds = wall;
   return rec;
 }
 
@@ -175,11 +137,12 @@ Result<WorkloadRunSummary> RunWorkload(const ObjectSet& objects,
       if (!res.status.ok()) ++summary.failed;
       if (!res.complete) ++summary.incomplete;
       if (qlog.is_open()) {
-        obs::QlogRecord rec = MakeQlogRecord(spec, dataset_name, use->size(),
-                                             i, spec.queries[i], res, wall);
-        rec.batch_id = 0;
-        rec.batch_size = spec.queries.size();
-        MIO_RETURN_NOT_OK(qlog.Append(rec));
+        obs::QlogRecord id = QueryIdentity(spec, dataset_name, use->size(),
+                                           i, spec.queries[i], wall);
+        id.batch_id = 0;
+        id.batch_size = spec.queries.size();
+        MIO_RETURN_NOT_OK(
+            qlog.Append(obs::BuildQlogRecord(std::move(id), &res)));
       }
       if (sampler.enabled()) {
         (void)sampler.Offer(static_cast<std::uint64_t>(i), wall);
@@ -232,10 +195,10 @@ Result<WorkloadRunSummary> RunWorkload(const ObjectSet& objects,
     if (!res.complete) ++summary.incomplete;
 
     if (qlog.is_open()) {
-      obs::QlogRecord rec =
-          MakeQlogRecord(spec, dataset_name, use->size(), i, wq, res, wall);
-      rec.trace_dropped_spans = want_traces ? tracer.DroppedEvents() : 0;
-      MIO_RETURN_NOT_OK(qlog.Append(rec));
+      obs::QlogRecord id =
+          QueryIdentity(spec, dataset_name, use->size(), i, wq, wall);
+      id.trace_dropped_spans = want_traces ? tracer.DroppedEvents() : 0;
+      MIO_RETURN_NOT_OK(qlog.Append(obs::BuildQlogRecord(std::move(id), &res)));
     }
 
     if (want_traces) {

@@ -127,6 +127,23 @@ TEST_F(ImportersTest, CsvErrorCases) {
       LoadTrajectoryCsv(Write("short.csv", "id,x,y\nt,1\n")).ok());
   EXPECT_FALSE(
       LoadTrajectoryCsv(Write("badnum.csv", "id,x,y\nt,abc,2\n")).ok());
+  // Every numeric field must be one whole finite number: y, z and time
+  // as well as x, and no trailing text.
+  TrajectoryCsvOptions zt;
+  zt.z_column = "z";
+  zt.time_column = "t";
+  for (const char* row : {"a,2,abc,3,0", "b,nan,1,1,0", "b,1,inf,2,0",
+                          "a,1.5x,2,0,0", "a,1,2,nan,0", "a,1,2,3,x",
+                          "a,1,2,,0", "a,1,2,3,-inf"}) {
+    Result<ObjectSet> set = LoadTrajectoryCsv(
+        Write("badfield.csv", std::string("id,x,y,z,t\nok,1,2,3,0\n") +
+                                  row + "\n"),
+        zt);
+    ASSERT_FALSE(set.ok()) << row;
+    EXPECT_EQ(set.status().code(), StatusCode::kCorruption) << row;
+    EXPECT_NE(set.status().message().find(":3: bad "), std::string::npos)
+        << set.status().message();
+  }
   TrajectoryCsvOptions opt;
   opt.time_column = "nope";
   EXPECT_FALSE(

@@ -171,14 +171,19 @@ TEST(EngineEdgeTest, EmptyDataset) {
 TEST(EngineEdgeTest, InvalidRadius) {
   ObjectSet set = testing::MakeRandomObjects(5, 2, 4, 10.0, 1);
   MioEngine engine(set);
+  // 3e9 and 1e300: finite, and the lattice fits, but ceil(r) is past
+  // INT32_MAX, so the label-class cast would be undefined.
   for (double r : {0.0, -3.0, std::numeric_limits<double>::quiet_NaN(),
                    std::numeric_limits<double>::infinity(),
-                   -std::numeric_limits<double>::infinity()}) {
+                   -std::numeric_limits<double>::infinity(), 3e9, 1e300}) {
     QueryResult res = engine.Query(r);
     EXPECT_TRUE(res.topk.empty()) << r;
     EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument) << r;
     EXPECT_FALSE(engine.HasLabelsFor(r)) << r;
   }
+  BatchResult batch = engine.QueryBatch({BatchQuery{3e9, QueryOptions{}}});
+  EXPECT_EQ(batch.results[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch.stats.classes, 0u);
 }
 
 // A deadline that cannot be armed is rejected; one past the clock's range

@@ -1,7 +1,8 @@
 // Tests for the observability layer: span tracer (nesting, per-thread
 // tracks, ring overflow, Chrome-trace export), metrics registry (shard
-// merge, log2 bucketing), the JSON writer/validator, the stats sink
-// document, and the load-balance summary.
+// merge, log2 bucketing), the JSON writer/validator, the detail sections
+// of the per-query record (--stats-json / --json-out), the exit flush,
+// and the load-balance summary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 #include "obs/trace.hpp"
 
@@ -179,7 +181,7 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
 #pragma omp for
     for (int i = 0; i < threads * per_thread; ++i) {
       Add(Counter::kVerifyPoints);
-      Observe(Histogram::kVerifyCandsPerPoint,
+      Observe(Histogram::kVerifyCandsPerGroup,
               static_cast<std::uint64_t>(i % 7));
     }
   }
@@ -187,7 +189,7 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
   EXPECT_EQ(snap.counters[static_cast<int>(Counter::kVerifyPoints)],
             static_cast<std::uint64_t>(threads * per_thread));
   const HistogramSnapshot& h =
-      snap.histograms[static_cast<int>(Histogram::kVerifyCandsPerPoint)];
+      snap.histograms[static_cast<int>(Histogram::kVerifyCandsPerGroup)];
   EXPECT_EQ(h.count, static_cast<std::uint64_t>(threads * per_thread));
   EXPECT_EQ(h.min, 0u);
   EXPECT_EQ(h.max, 6u);
@@ -276,6 +278,18 @@ TEST(JsonValidatorTest, RejectsMalformed) {
   EXPECT_FALSE(error.empty());
 }
 
+/// The record a one-shot emitter (--stats-json, --json-out) writes for
+/// `stats`, with `identity` naming the run.
+std::string RecordLine(const QueryStats& stats,
+                       const MetricsSnapshot* metrics,
+                       QlogRecord identity = QlogRecord{}) {
+  if (identity.workload.empty()) identity.workload = "obs_test";
+  QueryResult res;
+  res.stats = stats;
+  return QlogRecordToJsonLine(
+      BuildQlogRecord(std::move(identity), &res, metrics));
+}
+
 TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   QueryStats stats;
   stats.total_seconds = 1.5;
@@ -288,31 +302,35 @@ TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   stats.memory.Add("small_grid", 1024);
   stats.verify_thread_seconds = {0.3, 0.45};
 
-  RunInfo info;
-  info.bench = "obs_test";
-  info.dataset = "synthetic";
-  info.algo = "bigrid";
-  info.r = 4.0;
-  info.k = 2;
-  info.threads = 2;
-  info.scale = "quick";
-  info.wall_seconds = 1.6;
+  QlogRecord id;
+  id.workload = "obs_test";
+  id.dataset = "synthetic";
+  id.algo = "bigrid";
+  id.r = 4.0;
+  id.k = 2;
+  id.threads = 2;
+  id.scale = "quick";
+  id.wall_seconds = 1.6;
 
   ResetMetrics();
   Add(Counter::kPostingScans, 3);
   Observe(Histogram::kKernelBatchSize, 32);
   MetricsSnapshot metrics = SnapshotMetrics();
 
-  std::string doc = StatsJson(stats, info, &metrics);
+  std::string doc = RecordLine(stats, &metrics, id);
   std::string error;
   ASSERT_TRUE(ValidateJson(doc, &error)) << error << "\n" << doc;
-  EXPECT_NE(doc.find("\"schema\":\"mio-stats-v1\""), std::string::npos);
-  EXPECT_NE(doc.find("\"bench\":\"obs_test\""), std::string::npos);
+  ASSERT_TRUE(ValidateQlogLine(doc).ok()) << doc;
+  EXPECT_NE(doc.find("\"schema\":\"mio-qlog-v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"workload\":\"obs_test\""), std::string::npos);
+  EXPECT_NE(doc.find("\"scale\":\"quick\""), std::string::npos);
   EXPECT_NE(doc.find("\"kernel_tier\""), std::string::npos);
   EXPECT_NE(doc.find("\"phases\""), std::string::npos);
   EXPECT_NE(doc.find("\"verify_load_balance\""), std::string::npos);
   EXPECT_NE(doc.find("\"imbalance\""), std::string::npos);
   EXPECT_NE(doc.find("\"memory\""), std::string::npos);
+  EXPECT_NE(doc.find("\"parts\":{\"small_grid\":1024}"), std::string::npos);
+  EXPECT_NE(doc.find("\"tracker\""), std::string::npos);
   EXPECT_NE(doc.find("\"metrics\""), std::string::npos);
   EXPECT_NE(doc.find("\"posting_scans\":3"), std::string::npos);
   EXPECT_NE(doc.find("\"kernel_batch_size\""), std::string::npos);
@@ -322,12 +340,12 @@ TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
 
 TEST(StatsSinkTest, OmitsMetricsWhenNull) {
   QueryStats stats;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
+  std::string doc = RecordLine(stats, nullptr);
   std::string error;
   ASSERT_TRUE(ValidateJson(doc, &error)) << error;
+  EXPECT_TRUE(ValidateQlogLine(doc).ok()) << doc;
   EXPECT_EQ(doc.find("\"metrics\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"tracker\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,9 +439,7 @@ TEST(StatsSinkTest, HistogramJsonCarriesPercentiles) {
   for (std::uint64_t v = 1; v <= 7; ++v) Observe(Histogram::kKernelBatchSize, v);
   MetricsSnapshot metrics = SnapshotMetrics();
   QueryStats stats;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, &metrics);
+  std::string doc = RecordLine(stats, &metrics);
   std::string error;
   ASSERT_TRUE(ValidateJson(doc, &error)) << error;
   EXPECT_NE(doc.find("\"p50\""), std::string::npos);
@@ -538,9 +554,7 @@ TEST_F(PmuTimingTierTest, StatsJsonMarksTimingTier) {
   QueryStats stats;
   stats.hardware.verification.Set(PmuEvent::kTaskClockNs, 1234567);
   stats.total_points = 100;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
+  std::string doc = RecordLine(stats, nullptr);
   std::string error;
   ASSERT_TRUE(ValidateJson(doc, &error)) << error;
   EXPECT_NE(doc.find("\"hardware\""), std::string::npos);
@@ -553,9 +567,7 @@ TEST_F(PmuTimingTierTest, StatsJsonMarksTimingTier) {
 
 TEST(PmuStatsJsonTest, HardwareSectionOmittedWhenNeverSampled) {
   QueryStats stats;  // all-zero hardware counts
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
+  std::string doc = RecordLine(stats, nullptr);
   EXPECT_EQ(doc.find("\"hardware\""), std::string::npos);
 }
 
@@ -569,9 +581,7 @@ TEST(PmuStatsJsonTest, HardwareTierEmitsDerivedRates) {
   stats.hardware.verification.Set(PmuEvent::kCacheReferences, 2000);
   stats.hardware.verification.Set(PmuEvent::kCacheMisses, 100);
   stats.hardware.verification.valid = true;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
+  std::string doc = RecordLine(stats, nullptr);
   std::string error;
   ASSERT_TRUE(ValidateJson(doc, &error)) << error;
   EXPECT_NE(doc.find("\"cycles\":50000"), std::string::npos);
@@ -603,6 +613,13 @@ class ExitFlushTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
   std::string PathFor(const char* name) { return (dir_ / name).string(); }
+  /// The record the CLI pre-renders for the backstop.
+  static std::string BackstopLine() {
+    QlogRecord id;
+    id.workload = "query";
+    id.r = 4.0;
+    return InterruptedRecordLine(std::move(id));
+  }
   static std::string Slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in),
@@ -619,7 +636,7 @@ TEST_F(ExitFlushTest, FlushWritesTruncationMarkedArtifacts) {
   ExitFlushConfig cfg;
   cfg.trace_path = PathFor("trace.json");
   cfg.stats_path = PathFor("stats.json");
-  cfg.stats_document = "{\"schema\":\"mio-stats-v1\",\"truncated\":true}";
+  cfg.stats_document = BackstopLine();
   ArmExitFlush(cfg);
   EXPECT_TRUE(ExitFlushArmed());
 
@@ -635,12 +652,18 @@ TEST_F(ExitFlushTest, FlushWritesTruncationMarkedArtifacts) {
   std::string stats = Slurp(cfg.stats_path);
   ASSERT_FALSE(stats.empty());
   EXPECT_NE(stats.find("\"truncated\":true"), std::string::npos);
+  // The interrupted run's file still loads as a qlog.
+  Result<std::vector<QlogRecord>> loaded = LoadQlogFile(cfg.stats_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString() << "\n" << stats;
+  ASSERT_EQ(loaded.value().size(), 1u);
+  EXPECT_EQ(loaded.value()[0].status, "Cancelled");
+  EXPECT_FALSE(loaded.value()[0].complete);
 }
 
 TEST_F(ExitFlushTest, FlushIsIdempotentAndDisarmable) {
   ExitFlushConfig cfg;
   cfg.stats_path = PathFor("stats.json");
-  cfg.stats_document = "{\"truncated\":true}";
+  cfg.stats_document = BackstopLine();
   ArmExitFlush(cfg);
   DisarmExitFlush();
   FlushObservabilityNow();  // disarmed: must write nothing

@@ -1,7 +1,8 @@
-// Tests for the qlog layer (obs/qlog.hpp): mio-qlog-v1 record round-trip
-// on every field, string-escaping edge cases, validator rejections, the
-// JsonValue parser, writer/loader file behaviour, tail-sampling policy,
-// and report aggregation against the shared R-7 percentile helper.
+// Tests for the qlog layer (obs/qlog.hpp): the record builder against
+// real engine queries, mio-qlog-v1 record round-trip on every field,
+// string-escaping edge cases, validator rejections, the JsonValue parser,
+// writer/loader file behaviour, tail-sampling policy, and report
+// aggregation against the shared R-7 percentile helper.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,10 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "core/mio_engine.hpp"
 #include "core/query_result.hpp"
+#include "geo/kernels.hpp"
 #include "obs/json.hpp"
+#include "obs/perf_counters.hpp"
 #include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
+#include "test_utils.hpp"
 
 namespace mio {
 namespace obs {
@@ -51,6 +56,7 @@ QlogRecord MakeFullRecord() {
   rec.ceil_r = 5;
   rec.k = 3;
   rec.threads = 7;
+  rec.scale = "quick";
   rec.wall_seconds = 0.125;
   rec.total_seconds = 0.117;
   rec.phase_label_input = 0.001;
@@ -64,11 +70,16 @@ QlogRecord MakeFullRecord() {
   rec.distance_computations = 987654;
   rec.winner_id = 17;
   rec.winner_score = 290;
+  rec.tau_low_max = 288;
+  rec.grid_reused = true;
+  rec.cells_small = 4321;
+  rec.cells_large = 765;
   rec.label_outcome = "hit_disk";
   rec.points_pruned_by_labels = 23456;
   rec.status = "DeadlineExceeded";
   rec.complete = false;
   rec.degradation_level = 2;
+  rec.git = "v1.2-3-gabcdef";
   rec.pmu_tier = "timing";
   rec.kernel_tier = "avx2";
   rec.index_memory_bytes = 123456789;
@@ -99,6 +110,7 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.ceil_r, rec.ceil_r);
   EXPECT_EQ(back.k, rec.k);
   EXPECT_EQ(back.threads, rec.threads);
+  EXPECT_EQ(back.scale, rec.scale);
   EXPECT_DOUBLE_EQ(back.wall_seconds, rec.wall_seconds);
   EXPECT_DOUBLE_EQ(back.total_seconds, rec.total_seconds);
   EXPECT_DOUBLE_EQ(back.phase_label_input, rec.phase_label_input);
@@ -112,11 +124,16 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.distance_computations, rec.distance_computations);
   EXPECT_EQ(back.winner_id, rec.winner_id);
   EXPECT_EQ(back.winner_score, rec.winner_score);
+  EXPECT_EQ(back.tau_low_max, rec.tau_low_max);
+  EXPECT_EQ(back.grid_reused, rec.grid_reused);
+  EXPECT_EQ(back.cells_small, rec.cells_small);
+  EXPECT_EQ(back.cells_large, rec.cells_large);
   EXPECT_EQ(back.label_outcome, rec.label_outcome);
   EXPECT_EQ(back.points_pruned_by_labels, rec.points_pruned_by_labels);
   EXPECT_EQ(back.status, rec.status);
   EXPECT_EQ(back.complete, rec.complete);
   EXPECT_EQ(back.degradation_level, rec.degradation_level);
+  EXPECT_EQ(back.git, rec.git);
   EXPECT_EQ(back.pmu_tier, rec.pmu_tier);
   EXPECT_EQ(back.kernel_tier, rec.kernel_tier);
   EXPECT_EQ(back.index_memory_bytes, rec.index_memory_bytes);
@@ -150,6 +167,166 @@ TEST(QlogRecord, RoundTripsEscapingEdgeCases) {
 TEST(QlogRecord, DefaultRecordIsValid) {
   std::string line = QlogRecordToJsonLine(QlogRecord{});
   EXPECT_TRUE(ValidateQlogLine(line).ok()) << line;
+}
+
+// The one builder every emitter uses: each engine-derived field must be
+// the query's QueryStats value, for an unlabelled query that records
+// labels and a labelled one that reuses them.
+TEST(QlogBuilder, RecordCarriesTheQueryStats) {
+  ObjectSet set = testing::MakeRandomObjects(60, 3, 8, 20.0, 5);
+  MioEngine engine(set);
+  QueryOptions unlabelled;
+  unlabelled.threads = 2;
+  unlabelled.record_labels = true;
+  unlabelled.reuse_grid = true;  // caches its complete large grid
+  QueryOptions labelled;
+  labelled.k = 3;
+  labelled.use_labels = true;
+  labelled.reuse_grid = true;
+  const std::vector<std::pair<double, QueryOptions>> queries = {
+      {4.5, unlabelled}, {4.2, labelled}};
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto& [r, opt] = queries[i];
+    QueryResult res = engine.Query(r, opt);
+    ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+    const QueryStats& s = res.stats;
+
+    QlogRecord id;
+    id.query_index = i;
+    id.workload = "builder-test";
+    id.dataset = "random";
+    id.algo = opt.use_labels ? "bigrid-label" : "bigrid";
+    id.r = r;
+    id.k = opt.k;
+    id.threads = opt.threads;
+    id.objects = set.size();
+    id.wall_seconds = 0.5;
+    QlogRecord rec = BuildQlogRecord(id, &res);
+
+    // Identity is kept.
+    EXPECT_EQ(rec.query_index, i);
+    EXPECT_EQ(rec.workload, "builder-test");
+    EXPECT_EQ(rec.dataset, "random");
+    EXPECT_EQ(rec.algo, id.algo);
+    EXPECT_EQ(rec.r, r);
+    EXPECT_EQ(rec.ceil_r, 5);
+    EXPECT_EQ(rec.k, opt.k);
+    EXPECT_EQ(rec.objects, set.size());
+    EXPECT_EQ(rec.wall_seconds, 0.5);
+    // Everything else is the query's stats and outcome.
+    EXPECT_EQ(rec.threads, s.threads);
+    EXPECT_EQ(rec.total_seconds, s.total_seconds);
+    EXPECT_EQ(rec.phase_label_input, s.phases.label_input);
+    EXPECT_EQ(rec.phase_grid_mapping, s.phases.grid_mapping);
+    EXPECT_EQ(rec.phase_lower_bounding, s.phases.lower_bounding);
+    EXPECT_EQ(rec.phase_upper_bounding, s.phases.upper_bounding);
+    EXPECT_EQ(rec.phase_verification, s.phases.verification);
+    EXPECT_EQ(rec.candidates, s.num_candidates);
+    EXPECT_EQ(rec.verified, s.num_verified);
+    EXPECT_EQ(rec.distance_computations, s.distance_computations);
+    EXPECT_EQ(rec.tau_low_max, s.tau_low_max);
+    EXPECT_EQ(rec.winner_id, res.best().id);
+    EXPECT_EQ(rec.winner_score, res.best().score);
+    EXPECT_EQ(rec.grid_reused, s.reused_grid);
+    EXPECT_EQ(rec.cells_small, s.cells_small);
+    EXPECT_EQ(rec.cells_large, s.cells_large);
+    EXPECT_EQ(rec.label_outcome, LabelOutcomeName(s.label_outcome));
+    EXPECT_EQ(rec.points_pruned_by_labels, s.points_pruned_by_labels);
+    EXPECT_EQ(rec.status, StatusCodeName(res.status.code()));
+    EXPECT_EQ(rec.complete, res.complete);
+    EXPECT_EQ(rec.degradation_level, s.degradation_level);
+    EXPECT_EQ(rec.index_memory_bytes, s.index_memory_bytes);
+    EXPECT_GT(rec.peak_memory_bytes, 0u);
+    EXPECT_EQ(rec.git, GitDescribe());
+    EXPECT_EQ(rec.pmu_tier, PmuTierName(ActivePmuTier()));
+    EXPECT_EQ(rec.kernel_tier, KernelTierName(ActiveKernelTier()));
+    ASSERT_NE(rec.detail, nullptr);
+    EXPECT_EQ(rec.detail->memory.parts.size(), s.memory.parts.size());
+
+    // The two queries exercise both sides of the label and grid fields.
+    if (opt.use_labels) {
+      EXPECT_EQ(rec.label_outcome, "hit_memory");
+      EXPECT_TRUE(rec.grid_reused);
+    } else {
+      EXPECT_EQ(rec.label_outcome, "off");
+      EXPECT_FALSE(rec.grid_reused);
+      EXPECT_EQ(rec.threads, 2);
+    }
+
+    // The line validates, carries the per-query memory parts, and the
+    // new fields read back.
+    std::string line = QlogRecordToJsonLine(rec);
+    ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
+    EXPECT_NE(line.find("\"parts\":{"), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"metrics\""), std::string::npos) << line;
+    QlogRecord back;
+    ASSERT_TRUE(ParseQlogRecord(line, &back).ok());
+    EXPECT_EQ(back.tau_low_max, rec.tau_low_max);
+    EXPECT_EQ(back.grid_reused, rec.grid_reused);
+    EXPECT_EQ(back.cells_small, rec.cells_small);
+    EXPECT_EQ(back.cells_large, rec.cells_large);
+    EXPECT_EQ(back.git, rec.git);
+    EXPECT_EQ(back.detail, nullptr);
+  }
+}
+
+// Without an execution of its own (server follower/cached) the record
+// keeps zeroed engine fields and writes no detail section; a rejected
+// radius gets class 0 instead of an undefined cast.
+TEST(QlogBuilder, NoResultAndRejectedRadius) {
+  QlogRecord id;
+  id.r = 4.5;
+  id.threads = 3;
+  QlogRecord rec = BuildQlogRecord(id, /*result=*/nullptr);
+  EXPECT_EQ(rec.ceil_r, 5);
+  EXPECT_EQ(rec.threads, 3);
+  EXPECT_EQ(rec.status, "OK");
+  EXPECT_TRUE(rec.complete);
+  EXPECT_EQ(rec.peak_memory_bytes, 0u);
+  EXPECT_EQ(rec.detail, nullptr);
+  std::string line = QlogRecordToJsonLine(rec);
+  ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
+  for (const char* section : {"\"hardware\"", "\"verify_load_balance\"",
+                              "\"parts\"", "\"compression\"",
+                              "\"metrics\"", "\"tracker\""}) {
+    EXPECT_EQ(line.find(section), std::string::npos) << section;
+  }
+
+  ObjectSet set = testing::MakeRandomObjects(5, 2, 4, 10.0, 1);
+  MioEngine engine(set);
+  for (double r : {3e9, 1e300, -1.0}) {
+    QueryResult res = engine.Query(r);
+    id.r = r;
+    rec = BuildQlogRecord(id, &res);
+    EXPECT_EQ(rec.ceil_r, 0) << r;
+    EXPECT_EQ(rec.status, "InvalidArgument") << r;
+    EXPECT_TRUE(ValidateQlogLine(QlogRecordToJsonLine(rec)).ok()) << r;
+  }
+}
+
+TEST(QlogValidate, OptionalSectionsMustBeObjects) {
+  std::string good = QlogRecordToJsonLine(MakeFullRecord());
+  ASSERT_EQ(good.back(), '}');
+  for (const char* extra :
+       {R"("hardware":1)", R"("verify_load_balance":[])",
+        R"("compression":"x")", R"("metrics":true)",
+        R"("truncated":"yes")"}) {
+    std::string line = good.substr(0, good.size() - 1) + "," + extra + "}";
+    EXPECT_FALSE(ValidateQlogLine(line).ok()) << extra;
+  }
+  for (const char* extra :
+       {R"("hardware":{})", R"("verify_load_balance":{})",
+        R"("compression":{})", R"("metrics":{})", R"("truncated":true)"}) {
+    std::string line = good.substr(0, good.size() - 1) + "," + extra + "}";
+    EXPECT_TRUE(ValidateQlogLine(line).ok()) << extra;
+  }
+  // A present grid section must carry its fields.
+  std::string broken = good;
+  const std::string cells = "\"cells_small\":4321,";
+  std::size_t pos = broken.find(cells);
+  ASSERT_NE(pos, std::string::npos);
+  broken.erase(pos, cells.size());
+  EXPECT_FALSE(ValidateQlogLine(broken).ok());
 }
 
 TEST(QlogRecord, PhasesTotalIsSumOfPhases) {
@@ -208,8 +385,8 @@ TEST(QlogValidate, RejectsUnknownLabelOutcome) {
   EXPECT_FALSE(ValidateQlogLine(QlogRecordToJsonLine(rec)).ok());
 }
 
-// The qlog validator keeps its own copy of the outcome names (the obs
-// layer cannot depend on core); this pins the two lists together.
+// The validator accepts exactly core's outcome names (it parses them
+// with ParseLabelOutcome); every enum value must validate.
 TEST(QlogValidate, LabelOutcomeNamesMatchCoreEnum) {
   for (LabelOutcome o :
        {LabelOutcome::kOff, LabelOutcome::kHitMemory, LabelOutcome::kHitDisk,
@@ -275,6 +452,30 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
   ASSERT_TRUE(ParseQlogRecord(old_line, &old_back).ok());
   EXPECT_FALSE(old_back.HasServer());
   EXPECT_DOUBLE_EQ(old_back.server_e2e_seconds, 0.0);
+
+  // Records written before params.scale, funnel.tau_low_max, the grid
+  // section and env.git existed (the committed BENCH files) still
+  // validate and read back with defaults.
+  std::string pre_grid = new_line;
+  for (const std::string cut :
+       {",\"scale\":\"quick\"", ",\"tau_low_max\":288",
+        "\"git\":\"v1.2-3-gabcdef\","}) {
+    std::size_t pos = pre_grid.find(cut);
+    ASSERT_NE(pos, std::string::npos) << cut;
+    pre_grid.erase(pos, cut.size());
+  }
+  std::size_t grid = pre_grid.find(",\"grid\":{");
+  ASSERT_NE(grid, std::string::npos);
+  pre_grid.erase(grid, pre_grid.find('}', grid) - grid + 1);
+  QlogRecord pre_back;
+  ASSERT_TRUE(ParseQlogRecord(pre_grid, &pre_back).ok()) << pre_grid;
+  EXPECT_EQ(pre_back.scale, "");
+  EXPECT_EQ(pre_back.tau_low_max, 0u);
+  EXPECT_FALSE(pre_back.grid_reused);
+  EXPECT_EQ(pre_back.cells_small, 0u);
+  EXPECT_EQ(pre_back.cells_large, 0u);
+  EXPECT_EQ(pre_back.git, "");
+  EXPECT_EQ(pre_back.winner_id, 17u);
 
   // A report over the mixed population counts only the server records
   // in the server split.

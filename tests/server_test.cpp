@@ -548,6 +548,38 @@ TEST_F(ServeTest, MalformedLinesGetDistinctErrorsNotDisconnects) {
   EXPECT_TRUE(serve_status_.ok());
 }
 
+// A request for 2^31 - 1 threads once sized the grid build's per-thread
+// shards by it and aborted the server with bad_alloc. The server caps
+// the team at MaxThreads(): the query is answered exactly and the next
+// request on the connection is still served.
+TEST_F(ServeTest, HugeThreadCountIsCappedNotFatal) {
+  QueryResult expected = MioEngine(objects_).Query(4.0);
+  StartServer();
+  int fd = RawConnect(SocketPath());
+  ASSERT_GE(fd, 0);
+  ServeResponse res;
+  for (const char* line :
+       {R"({"schema":"mio-serve-v1","op":"query","id":"big","r":4,)"
+        R"("threads":2147483647})",
+        R"({"schema":"mio-serve-v1","op":"ping","id":"after"})"}) {
+    const std::string request = std::string(line) + "\n";
+    ASSERT_EQ(::write(fd, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_TRUE(ParseServeResponse(ReadLineFrom(fd), &res).ok()) << line;
+    EXPECT_EQ(res.status, StatusCode::kOk) << line;
+    if (res.id == "big") {
+      EXPECT_TRUE(res.complete);
+      ASSERT_EQ(res.topk.size(), 1u);
+      EXPECT_EQ(res.topk[0].id, expected.best().id);
+      EXPECT_EQ(res.topk[0].score, expected.best().score);
+    }
+  }
+  EXPECT_EQ(res.payload, "pong");
+  ::close(fd);
+  StopServer();
+  EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
+}
+
 TEST_F(ServeTest, ConcurrentClientsBitIdenticalToSequential) {
   const std::vector<double> radii = {3.0, 4.0, 5.0};
   std::vector<QueryResult> expected;

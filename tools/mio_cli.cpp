@@ -96,9 +96,10 @@ void Usage() {
       "            [--trace-out=FILE]\n"
       "  profile   --in=FILE --r=R [--k=K] [--threads=T] [--warmup=N]\n"
       "            [--runs=M] [--labels=DIR] [--out=FILE|-]\n"
-      "            (repeated measured runs; per-phase medians + hardware\n"
-      "             counters when the PMU is available, MIO_PMU=off forces\n"
-      "             the timing fallback)\n"
+      "            (repeated measured runs: one mio-qlog-v1 record per run,\n"
+      "             with hardware counters when the PMU is available —\n"
+      "             MIO_PMU=off forces the timing tier — then the qlog\n"
+      "             report of the runs, on stderr when --out is stdout)\n"
       "  explain   --in=FILE --r=R [--k=K] [--threads=T] [--labels=DIR]\n"
       "            (one query, human-readable pruning-funnel report)\n"
       "  run-workload --spec=FILE --connect=SOCKET [--attempts=N]\n"
@@ -220,9 +221,12 @@ void PrintResult(const mio::QueryResult& res, double elapsed) {
 }
 
 // Shared tail of `query`/`sweep`: dump the collected trace and/or the
-// machine-readable stats document if the user asked for them.
+// query's mio-qlog-v1 record (--stats-json) if the user asked for them.
+// `id` is the query's identity (see obs::BuildQlogRecord). The record
+// carries the metrics snapshot: each command is a one-shot process, so
+// the registry holds only this run's counts.
 int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
-                      mio::obs::RunInfo info) {
+                      mio::obs::QlogRecord id) {
   if (args.Has("trace-out")) {
     std::string path = args.GetString("trace-out", "trace.json");
     mio::Status st = mio::obs::Tracer::Instance().WriteChromeTrace(path);
@@ -238,11 +242,12 @@ int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
   if (args.Has("stats-json")) {
     std::string path = args.GetString("stats-json", "-");
     mio::obs::MetricsSnapshot metrics = mio::obs::SnapshotMetrics();
-    // The QueryResult overload adds the "outcome" section (status /
-    // complete / degradation level) so harnesses can detect degraded or
-    // incomplete runs without parsing stderr.
-    mio::Status st = mio::obs::WriteTextFile(
-        path, mio::obs::StatsJson(res, info, &metrics) + "\n");
+    mio::obs::QlogWriter out;
+    mio::Status st = out.Open(path);
+    if (st.ok()) {
+      st = out.Append(mio::obs::BuildQlogRecord(std::move(id), &res, &metrics));
+    }
+    if (st.ok()) st = out.Close();
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
@@ -253,10 +258,11 @@ int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
 }
 
 // Arms the exit-time flush backstop so an interrupted query still leaves
-// valid --trace-out / --stats-json artifacts (truncation-marked). Disarm
-// after the normal emission succeeds.
+// valid --trace-out / --stats-json artifacts: the stats file gets the
+// run's record marked Cancelled, incomplete and truncated. Disarm after
+// the normal emission succeeds.
 void ArmObservabilityBackstop(const mio::ArgParser& args,
-                              const mio::obs::RunInfo& info) {
+                              mio::obs::QlogRecord id) {
   if (!args.Has("trace-out") && !args.Has("stats-json")) return;
   mio::obs::ExitFlushConfig cfg;
   if (args.Has("trace-out")) {
@@ -264,16 +270,7 @@ void ArmObservabilityBackstop(const mio::ArgParser& args,
   }
   if (args.Has("stats-json")) {
     cfg.stats_path = args.GetString("stats-json", "-");
-    mio::obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("schema").String("mio-stats-v1");
-    w.Key("git").String(mio::obs::GitDescribe());
-    w.Key("bench").String(info.bench);
-    w.Key("dataset").String(info.dataset);
-    w.Key("algo").String(info.algo);
-    w.Key("truncated").Bool(true);
-    w.EndObject();
-    cfg.stats_document = std::move(w).Take() + "\n";
+    cfg.stats_document = mio::obs::InterruptedRecordLine(std::move(id));
   }
   mio::obs::ArmExitFlush(std::move(cfg));
 }
@@ -533,14 +530,15 @@ int CmdQuery(const mio::ArgParser& args) {
   mio::obs::ResetMetrics();
   mio::MemoryTracker::Instance().Observe("dataset", set.MemoryUsageBytes());
 
-  mio::obs::RunInfo info;
-  info.bench = "mio_cli";
-  info.dataset = args.GetString("in", "");
-  info.algo = args.Has("delta") ? "temporal" : algo;
-  info.r = r;
-  info.k = k;
-  info.threads = threads;
-  ArmObservabilityBackstop(args, info);
+  mio::obs::QlogRecord id;
+  id.workload = "query";
+  id.dataset = args.GetString("in", "");
+  id.algo = args.Has("delta") ? "temporal" : algo;
+  id.r = r;
+  id.k = k;
+  id.threads = threads;
+  id.objects = set.size();
+  ArmObservabilityBackstop(args, id);
 
   mio::Timer t;
   mio::QueryResult res;
@@ -575,9 +573,8 @@ int CmdQuery(const mio::ArgParser& args) {
   double elapsed = t.ElapsedSeconds();
   PrintResult(res, elapsed);
 
-  info.algo = algo;
-  info.wall_seconds = elapsed;
-  int obs_rc = EmitObservability(args, res, info);
+  id.wall_seconds = elapsed;
+  int obs_rc = EmitObservability(args, res, std::move(id));
   mio::obs::DisarmExitFlush();
   if (obs_rc != 0) return obs_rc;
   // A guardrail-terminated query still printed its best-so-far answer;
@@ -597,18 +594,19 @@ int CmdSweep(const mio::ArgParser& args) {
   opt.reuse_grid = true;  // same-ceiling queries share the large grid
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
 
-  mio::obs::RunInfo info;
-  info.bench = "mio_cli_sweep";
-  info.dataset = args.GetString("in", "");
-  info.algo = "bigrid-label";
-  info.k = opt.k;
-  info.threads = opt.threads;
-  ArmObservabilityBackstop(args, info);
+  mio::obs::QlogRecord id;
+  id.workload = "sweep";
+  id.dataset = args.GetString("in", "");
+  id.algo = "bigrid-label";
+  id.k = opt.k;
+  id.threads = opt.threads;
+  id.objects = set.size();
+  ArmObservabilityBackstop(args, id);
 
   std::printf("%8s %10s %10s %12s %10s\n", "r", "winner", "tau", "time[s]",
               "labels");
+  // --stats-json records the last query of the sweep.
   mio::QueryResult last;
-  double last_r = 0.0, last_wall = 0.0;
   for (double r : args.GetDoubleList("r", {4, 6, 8, 10})) {
     bool had = engine.HasLabelsFor(r);
     mio::Timer t;
@@ -618,60 +616,16 @@ int CmdSweep(const mio::ArgParser& args) {
     std::printf("%8.2f %10u %10u %12.4f %10s\n", r, res.best().id,
                 res.best().score, elapsed, had ? "reused" : "recorded");
     last = std::move(res);
-    last_r = r;
-    last_wall = elapsed;
+    id.r = r;
+    id.wall_seconds = elapsed;
   }
 
-  info.r = last_r;
-  info.wall_seconds = last_wall;
-  int obs_rc = EmitObservability(args, last, info);
+  int obs_rc = EmitObservability(args, last, std::move(id));
   mio::obs::DisarmExitFlush();
   return obs_rc;
 }
 
 // --- mio profile -----------------------------------------------------------
-
-/// Median over the measured runs of one double drawn per run.
-template <typename F>
-double MedianOver(const std::vector<mio::QueryStats>& runs, F get) {
-  std::vector<double> v;
-  v.reserve(runs.size());
-  for (const mio::QueryStats& s : runs) v.push_back(get(s));
-  return mio::obs::Median(std::move(v));
-}
-
-/// Element-wise median of one phase's PMU counts across the runs.
-mio::obs::PmuCounts PmuMedianOver(
-    const std::vector<mio::QueryStats>& runs,
-    mio::obs::PmuCounts mio::PhaseHardware::*phase) {
-  mio::obs::PmuCounts out;
-  for (int e = 0; e < mio::obs::kNumPmuEvents; ++e) {
-    mio::obs::PmuEvent pe = static_cast<mio::obs::PmuEvent>(e);
-    double med = MedianOver(runs, [&](const mio::QueryStats& s) {
-      return static_cast<double>((s.hardware.*phase).Get(pe));
-    });
-    out.Set(pe, static_cast<std::uint64_t>(med + 0.5));
-  }
-  for (const mio::QueryStats& s : runs) out.valid |= (s.hardware.*phase).valid;
-  return out;
-}
-
-void WriteProfilePmu(mio::obs::JsonWriter& w, const char* key,
-                     const mio::obs::PmuCounts& c) {
-  if (c.Empty()) return;
-  w.Key(key).BeginObject();
-  for (int e = 0; e < mio::obs::kNumPmuEvents; ++e) {
-    mio::obs::PmuEvent pe = static_cast<mio::obs::PmuEvent>(e);
-    std::uint64_t v = c.Get(pe);
-    if (v == 0 && !c.valid) continue;  // timing tier: task_clock_ns only
-    w.Key(mio::obs::PmuEventName(pe)).UInt(v);
-  }
-  if (c.valid) {
-    w.Key("ipc").Double(c.Ipc());
-    w.Key("cache_miss_rate").Double(c.CacheMissRate());
-  }
-  w.EndObject();
-}
 
 int CmdProfile(const mio::ArgParser& args) {
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
@@ -691,120 +645,43 @@ int CmdProfile(const mio::ArgParser& args) {
 
   for (int i = 0; i < warmup; ++i) (void)engine.Query(r, opt);
 
-  std::vector<double> wall;
-  std::vector<mio::QueryStats> stats;
+  // One record per measured run, written after the loop so file output
+  // never lands between measured runs.
+  mio::obs::QlogRecord id;
+  id.workload = "profile";
+  id.dataset = args.GetString("in", "");
+  id.algo = opt.use_labels ? "bigrid-label" : "bigrid";
+  id.r = r;
+  id.k = k;
+  id.threads = threads;
+  id.objects = set.size();
+  std::vector<mio::obs::QlogRecord> records;
   for (int i = 0; i < runs; ++i) {
     mio::Timer t;
     mio::QueryResult res = engine.Query(r, opt);
     if (!res.status.ok()) return StatusExit(res.status);
-    wall.push_back(t.ElapsedSeconds());
-    stats.push_back(std::move(res.stats));
+    id.query_index = static_cast<std::uint64_t>(i);
+    id.wall_seconds = t.ElapsedSeconds();
+    records.push_back(mio::obs::BuildQlogRecord(id, &res));
   }
 
-  const mio::obs::PmuTier tier = mio::obs::ActivePmuTier();
-  mio::obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("schema").String("mio-profile-v1");
-  w.Key("git").String(mio::obs::GitDescribe());
-  w.Key("dataset").String(args.GetString("in", ""));
-  w.Key("algo").String(args.Has("labels") ? "bigrid-label" : "bigrid");
-  w.Key("params").BeginObject();
-  w.Key("r").Double(r);
-  w.Key("k").UInt(k);
-  w.Key("threads").Int(threads);
-  w.Key("warmup").Int(warmup);
-  w.Key("runs").Int(runs);
-  w.EndObject();
-  w.Key("kernel_tier").String(mio::KernelTierName(mio::ActiveKernelTier()));
-  w.Key("pmu_tier").String(mio::obs::PmuTierName(tier));
-  // Machine-detectable marker that hardware counters were unavailable and
-  // only the steady-clock timing story is present.
-  if (tier == mio::obs::PmuTier::kTiming) w.Key("fallback").String("timing");
-  {
-    std::vector<double> sorted = wall;
-    w.Key("wall_seconds").BeginObject();
-    w.Key("median").Double(mio::obs::Median(sorted));
-    w.Key("min").Double(*std::min_element(wall.begin(), wall.end()));
-    w.Key("max").Double(*std::max_element(wall.begin(), wall.end()));
-    w.EndObject();
-  }
-  w.Key("phases").BeginObject();
-  w.Key("label_input").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.label_input; }));
-  w.Key("grid_mapping").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.grid_mapping; }));
-  w.Key("lower_bounding").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.lower_bounding; }));
-  w.Key("upper_bounding").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.upper_bounding; }));
-  w.Key("verification").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.verification; }));
-  w.Key("total").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.Total(); }));
-  w.EndObject();
-  {
-    mio::obs::PmuCounts label_input =
-        PmuMedianOver(stats, &mio::PhaseHardware::label_input);
-    mio::obs::PmuCounts grid =
-        PmuMedianOver(stats, &mio::PhaseHardware::grid_mapping);
-    mio::obs::PmuCounts lb =
-        PmuMedianOver(stats, &mio::PhaseHardware::lower_bounding);
-    mio::obs::PmuCounts ub =
-        PmuMedianOver(stats, &mio::PhaseHardware::upper_bounding);
-    mio::obs::PmuCounts verify =
-        PmuMedianOver(stats, &mio::PhaseHardware::verification);
-    mio::obs::PmuCounts total = label_input;
-    total += grid;
-    total += lb;
-    total += ub;
-    total += verify;
-    w.Key("hardware").BeginObject();
-    w.Key("phases").BeginObject();
-    WriteProfilePmu(w, "label_input", label_input);
-    WriteProfilePmu(w, "grid_mapping", grid);
-    WriteProfilePmu(w, "lower_bounding", lb);
-    WriteProfilePmu(w, "upper_bounding", ub);
-    WriteProfilePmu(w, "verification", verify);
-    WriteProfilePmu(w, "total", total);
-    w.EndObject();
-    if (total.valid) {
-      w.Key("derived").BeginObject();
-      w.Key("cycles_per_point")
-          .Double(MedianOver(stats, [](const mio::QueryStats& s) {
-            return s.total_points > 0
-                       ? static_cast<double>(s.hardware.Total().Get(
-                             mio::obs::PmuEvent::kCycles)) /
-                             static_cast<double>(s.total_points)
-                       : 0.0;
-          }));
-      w.Key("cycles_per_candidate")
-          .Double(MedianOver(stats, [](const mio::QueryStats& s) {
-            return s.num_verified > 0
-                       ? static_cast<double>(s.hardware.verification.Get(
-                             mio::obs::PmuEvent::kCycles)) /
-                             static_cast<double>(s.num_verified)
-                       : 0.0;
-          }));
-      w.EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndObject();
-
-  std::string doc = std::move(w).Take();
-  std::string error;
-  if (!mio::obs::ValidateJson(doc, &error)) {
-    std::fprintf(stderr, "internal error: profile JSON invalid: %s\n",
-                 error.c_str());
-    return 1;
-  }
   std::string out = args.GetString("out", "-");
-  mio::Status st = mio::obs::WriteTextFile(out, doc + "\n");
+  mio::obs::QlogWriter qlog;
+  mio::Status st = qlog.Open(out);
+  for (std::size_t i = 0; st.ok() && i < records.size(); ++i) {
+    st = qlog.Append(records[i]);
+  }
+  if (st.ok()) st = qlog.Close();
   if (!st.ok()) return StatusExit(st);
   if (out != "-") {
     std::printf("profile: %s (%d runs, pmu tier %s)\n", out.c_str(), runs,
-                mio::obs::PmuTierName(tier));
+                records.front().pmu_tier.c_str());
   }
+  // The `mio qlog report` view of the runs; stderr when the records
+  // themselves went to stdout.
+  std::fputs(
+      mio::obs::FormatQlogReport(mio::obs::BuildQlogReport(records)).c_str(),
+      out == "-" ? stderr : stdout);
   return 0;
 }
 
