@@ -10,10 +10,14 @@ PREFIX=${1:-build-check}
 SRC=$(cd "$(dirname "$0")/.." && pwd)
 # The tests that exercise the kernels and everything routed through them,
 # including cell-major verification on fresh grids (bounds_test) and on
-# cached grids with memoised b_adj (batch_test, grid_reuse_test).
+# cached grids with memoised b_adj (batch_test, grid_reuse_test), the EWAH
+# word iterator its posting walk runs on (ewah_test), the 2-D small grid
+# that feeds its seed (planar_test), and the temporal variant's domain
+# checks (temporal_test).
 TESTS="kernels_test geo_test kdtree_test bigrid_test baseline_test \
   mio_engine_test fuzz_differential_test parallel_test obs_test \
-  bounds_test batch_test grid_reuse_test"
+  bounds_test batch_test grid_reuse_test ewah_test planar_test \
+  temporal_test"
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 build() { # build <dir> <extra cmake flags...>

@@ -84,6 +84,26 @@ for seed in 1 2 3 4 5 6 7 8; do
   done
 done
 
+# Out-of-domain CLI input: each must exit 2 (InvalidArgument) with a
+# message, never run (k = -1 once verified every object and printed them
+# all), crash (--delta on untimestamped data) or hang (SG at r = 1e-300).
+echo "== out-of-domain CLI input =="
+for args in "--k=-1" "--k=abc" "--threads=99999999999" "--delta=5" \
+  "--algo=sg --r=1e-300" "--algo=nl --r=-1"; do
+  set +e
+  # shellcheck disable=SC2086
+  timeout 60 "$CLI" query --in="$STORM_DIR/data.bin" --r=2 $args \
+    > /dev/null 2> "$STORM_DIR/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || [ ! -s "$STORM_DIR/err.txt" ]; then
+    echo "FAILED: 'mio query $args' exited $rc (want 2 with a message)"
+    cat "$STORM_DIR/err.txt"
+    exit 1
+  fi
+  echo "  [domain] rc=$rc  $args"
+done
+
 echo "check_robustness: all passes clean"
 
 # The profiling gate (PMU tiers, mio profile/explain) rides along unless

@@ -90,6 +90,8 @@ QueryResult NestedLoopQuery(const ObjectSet& objects, double r, int threads,
                             std::size_t k) {
   MIO_TRACE_SPAN_CAT("nl.query", "baseline");
   QueryResult res;
+  res.status = CheckQueryDomain(r, objects.CoordinateRange());
+  if (!res.status.ok()) return res;
   Timer timer;
   std::size_t comps = 0;
   std::vector<std::uint32_t> tau = NestedLoopScores(objects, r, threads, &comps);

@@ -23,7 +23,9 @@ std::vector<std::uint32_t> NestedLoopScores(const ObjectSet& objects, double r,
                                             std::size_t* dist_comps = nullptr);
 
 /// Full MIO query via NL. k selects the top-k variant (NL computes all
-/// scores anyway, so k only changes the reported list).
+/// scores anyway, so k only changes the reported list). An r or a
+/// dataset outside CheckQueryDomain (geo/cell_key.hpp) yields
+/// kInvalidArgument and an empty top-k, as for every query path.
 QueryResult NestedLoopQuery(const ObjectSet& objects, double r,
                             int threads = 1, std::size_t k = 1);
 

@@ -71,6 +71,8 @@ QueryResult NlKdQuery(const ObjectSet& objects, double r, int threads,
                       std::size_t k) {
   MIO_TRACE_SPAN_CAT("nl-kd.query", "baseline");
   QueryResult res;
+  res.status = CheckQueryDomain(r, objects.CoordinateRange());
+  if (!res.status.ok()) return res;
   Timer timer;
   std::vector<std::uint32_t> tau = NlKdScores(objects, r, threads);
   res.topk = TopKFromScores(tau, k);

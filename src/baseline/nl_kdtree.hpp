@@ -18,7 +18,7 @@ namespace mio {
 std::vector<std::uint32_t> NlKdScores(const ObjectSet& objects, double r,
                                       int threads = 1);
 
-/// Full MIO query via NL-kd.
+/// Full MIO query via NL-kd; domain as NestedLoopQuery.
 QueryResult NlKdQuery(const ObjectSet& objects, double r, int threads = 1,
                       std::size_t k = 1);
 

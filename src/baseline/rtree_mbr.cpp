@@ -120,6 +120,8 @@ QueryResult RtreeMbrQuery(const ObjectSet& objects, double r, int threads,
                           std::size_t k) {
   MIO_TRACE_SPAN_CAT("rt.query", "baseline");
   QueryResult res;
+  res.status = CheckQueryDomain(r, objects.CoordinateRange());
+  if (!res.status.ok()) return res;
   Timer timer;
   std::vector<std::uint32_t> tau = RtreeMbrScores(objects, r, threads);
   res.topk = TopKFromScores(tau, k);

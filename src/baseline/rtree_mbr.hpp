@@ -44,7 +44,7 @@ std::vector<std::uint32_t> RtreeMbrScores(const ObjectSet& objects, double r,
                                           int threads = 1,
                                           MbrFilterStats* filter_stats = nullptr);
 
-/// Full MIO query via the RT baseline.
+/// Full MIO query via the RT baseline; domain as NestedLoopQuery.
 QueryResult RtreeMbrQuery(const ObjectSet& objects, double r, int threads = 1,
                           std::size_t k = 1);
 

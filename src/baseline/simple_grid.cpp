@@ -102,6 +102,9 @@ QueryResult SimpleGridQuery(const ObjectSet& objects, double r, int threads,
                             std::size_t k) {
   MIO_TRACE_SPAN_CAT("sg.query", "baseline");
   QueryResult res;
+  // The grid's cell width is r itself.
+  res.status = CheckQueryDomain(r, objects.CoordinateRange(), {r});
+  if (!res.status.ok()) return res;
   Timer timer;
   std::size_t grid_bytes = 0;
   std::size_t comps = 0;

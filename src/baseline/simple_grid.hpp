@@ -24,7 +24,8 @@ std::vector<std::uint32_t> SimpleGridScores(const ObjectSet& objects, double r,
                                             std::size_t* grid_memory = nullptr,
                                             std::size_t* dist_comps = nullptr);
 
-/// Full MIO query via SG, including online grid build time.
+/// Full MIO query via SG, including online grid build time. Domain as
+/// NestedLoopQuery, plus the int32 lattice at cell width r.
 QueryResult SimpleGridQuery(const ObjectSet& objects, double r,
                             int threads = 1, std::size_t k = 1);
 

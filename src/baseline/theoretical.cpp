@@ -11,9 +11,13 @@
 namespace mio {
 
 TheoreticalIndex::TheoreticalIndex(const ObjectSet& objects, int threads)
-    : n_(objects.size()) {
+    : n_(objects.size()), coords_(objects.CoordinateRange()) {
   Timer timer;
   threads = ResolveThreads(threads);
+  arrays_.assign(n_, {});
+  // Query rejects non-finite data, so no closest pair is ever computed
+  // (or sorted) over a NaN coordinate.
+  if (!coords_.finite) return;
 
   // One kd-tree per object, then all-pairs closest distances. The closest
   // pair is symmetric, so each unordered pair is computed once and stored
@@ -24,7 +28,6 @@ TheoreticalIndex::TheoreticalIndex(const ObjectSet& objects, int threads)
     trees[i] = std::make_unique<KdTree>(objects[static_cast<ObjectId>(i)].points);
   }
 
-  arrays_.assign(n_, {});
   for (std::size_t i = 0; i < n_; ++i) {
     arrays_[i].reserve(n_ > 0 ? n_ - 1 : 0);
   }
@@ -73,6 +76,8 @@ std::vector<std::uint32_t> TheoreticalIndex::Scores(double r) const {
 
 QueryResult TheoreticalIndex::Query(double r, std::size_t k) const {
   QueryResult res;
+  res.status = CheckQueryDomain(r, coords_);
+  if (!res.status.ok()) return res;
   Timer timer;
   res.topk = TopKFromScores(Scores(r), k);
   res.stats.phases.verification = timer.ElapsedSeconds();

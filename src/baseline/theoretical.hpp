@@ -22,7 +22,8 @@ class TheoreticalIndex {
   /// `threads` parallelises across objects.
   explicit TheoreticalIndex(const ObjectSet& objects, int threads = 1);
 
-  /// MIO query by n binary searches.
+  /// MIO query by n binary searches. An r or a dataset outside
+  /// CheckQueryDomain yields kInvalidArgument and an empty top-k.
   QueryResult Query(double r, std::size_t k = 1) const;
 
   /// Exact score vector for threshold r.
@@ -35,6 +36,7 @@ class TheoreticalIndex {
 
  private:
   std::size_t n_;
+  CoordRange coords_;  // for Query's domain check
   std::vector<std::vector<double>> arrays_;  // A_i, ascending
   double preprocessing_seconds_ = 0.0;
 };

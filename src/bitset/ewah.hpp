@@ -104,6 +104,34 @@ class Ewah {
     }
   }
 
+  /// Word iterator: invokes f(word_index, word) for every logical word
+  /// outside a zero run, in ascending order — each literal word verbatim
+  /// (AddLiteralWord folds all-zero words into runs) and each word of a
+  /// ones run as ~0. A zero run costs one step whatever its length. f
+  /// returns false to stop early. Verification ANDs a cell's bitset with
+  /// a decoded candidate set this way, a word at a time.
+  template <typename F>
+  void ForEachWord(F&& f) const {
+    std::size_t pos = 0;
+    std::size_t word = 0;
+    while (pos < buffer_.size()) {
+      std::uint64_t m = buffer_[pos];
+      std::uint64_t run_len = RunLen(m);
+      if (RunBit(m)) {
+        for (std::uint64_t w = 0; w < run_len; ++w) {
+          if (!f(word + w, ~std::uint64_t(0))) return;
+        }
+      }
+      word += run_len;
+      std::uint64_t lit = LitCount(m);
+      for (std::uint64_t l = 0; l < lit; ++l) {
+        if (!f(word + l, buffer_[pos + 1 + l])) return;
+      }
+      word += lit;
+      pos += 1 + lit;
+    }
+  }
+
   /// Decompresses to an uncompressed bitset.
   PlainBitset ToPlain() const;
   /// Decompresses into an existing bitset (cleared first), reusing its

@@ -56,6 +56,14 @@ class PlainBitset {
     size_in_bits_ = std::max(size_in_bits_, (word_idx + 1) * 64);
   }
 
+  /// ORs `value` into 64-bit word `word_idx` (grows if needed): folds a
+  /// compressed bitset in a word at a time (Ewah::ForEachWord).
+  void OrWord(std::size_t word_idx, std::uint64_t value) {
+    EnsureWord(word_idx);
+    words_[word_idx] |= value;
+    size_in_bits_ = std::max(size_in_bits_, (word_idx + 1) * 64);
+  }
+
   /// Invokes f(index) for each set bit in ascending order.
   template <typename F>
   void ForEachSetBit(F&& f) const {

@@ -1,5 +1,6 @@
 #include "common/argparse.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -58,6 +59,25 @@ std::int64_t ArgParser::GetInt(const std::string& name,
   auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+Result<std::int64_t> ArgParser::GetIntInRange(const std::string& name,
+                                              std::int64_t fallback,
+                                              std::int64_t lo,
+                                              std::int64_t hi) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end() || it->second.empty()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    return Status::InvalidArgument("--" + name + "=" + it->second +
+                                   ": expected an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.hpp"
+
 namespace mio {
 
 /// \brief Parses `--key[=value]` style flags; positional args are kept
@@ -22,6 +24,15 @@ class ArgParser {
   std::string GetString(const std::string& name, std::string fallback) const;
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
+
+  /// Checked GetInt: the value of `--name` as a base-10 integer in
+  /// [lo, hi], or `fallback` when absent. Non-numeric text, trailing
+  /// junk, int64 overflow and values outside [lo, hi] are
+  /// kInvalidArgument naming the flag (GetInt reads "abc" as 0 and
+  /// passes -1 through).
+  Result<std::int64_t> GetIntInRange(const std::string& name,
+                                     std::int64_t fallback, std::int64_t lo,
+                                     std::int64_t hi) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
   /// Comma-separated list flag, e.g. `--r=4,6,8,10`.

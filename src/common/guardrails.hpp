@@ -128,7 +128,10 @@ enum class DegradationStep : std::uint8_t {
   kNone = 0,
   kShedLabels = 1,          ///< skip label recording
   kDropGridCache = 2,       ///< drop the reuse-grid cache
-  kStreamVerification = 3,  ///< streaming instead of EWAH-seeded verification
+  /// Shed the kept lower-bound bitsets: verification recomputes each
+  /// verified candidate's seed from the grid instead (same work, same
+  /// kVerify filter, no n-sized array).
+  kStreamVerification = 3,
 };
 
 /// Inputs to the memory-budget planner: the index bytes the query cannot

@@ -20,22 +20,9 @@
 namespace mio {
 
 MioEngine::MioEngine(const ObjectSet& objects, std::string label_dir)
-    : objects_(objects), planar_(objects.IsPlanar()) {
-  // Branch-free: NaN and ±inf fail `<= max()`, and NaN never wins a max.
-  constexpr double kMaxFinite = std::numeric_limits<double>::max();
-  for (const Object& o : objects.objects()) {
-    double max_abs = 0.0;
-    bool finite = true;
-    for (const Point& p : o.points) {
-      const double ax = std::fabs(p.x);
-      const double ay = std::fabs(p.y);
-      const double az = std::fabs(p.z);
-      finite &= (ax <= kMaxFinite) & (ay <= kMaxFinite) & (az <= kMaxFinite);
-      max_abs = std::max(max_abs, std::max(ax, std::max(ay, az)));
-    }
-    coords_finite_ = coords_finite_ && finite;
-    max_abs_coord_ = std::max(max_abs_coord_, max_abs);
-  }
+    : objects_(objects),
+      planar_(objects.IsPlanar()),
+      coords_(objects.CoordinateRange()) {
   if (!label_dir.empty()) {
     store_ = std::make_unique<LabelStore>(std::move(label_dir));
   }
@@ -85,26 +72,14 @@ std::shared_ptr<LargeGridData> MioEngine::LookupCachedGrid(int ceil_r) const {
 }
 
 Status MioEngine::CheckRadius(double r) const {
-  if (!(r > 0.0 && std::isfinite(r))) {
-    return Status::InvalidArgument("radius must be finite and > 0, got " +
-                                   std::to_string(r));
-  }
+  MIO_RETURN_NOT_OK(CheckQueryDomain(
+      r, coords_,
+      {planar_ ? SmallGridWidth2D(r) : SmallGridWidth(r), LargeGridWidth(r)}));
   // ceil(r) keys the label and grid caches as an int.
   if (LargeGridWidth(r) >
       static_cast<double>(std::numeric_limits<std::int32_t>::max())) {
     return Status::InvalidArgument("radius " + std::to_string(r) +
                                    " exceeds the int32 label-class range");
-  }
-  if (!coords_finite_) {
-    return Status::InvalidArgument("dataset has a non-finite coordinate");
-  }
-  // Both sides of the lattice: floor(-c/w) - 1 >= INT32_MIN is the same
-  // bound as floor(c/w) + 1 <= INT32_MAX.
-  if (std::floor(max_abs_coord_ / SmallGridWidth(r)) + 1.0 >
-      static_cast<double>(std::numeric_limits<std::int32_t>::max())) {
-    return Status::InvalidArgument(
-        "radius " + std::to_string(r) +
-        " too small for the coordinate range: grid cell keys overflow int32");
   }
   return Status::OK();
 }
@@ -212,8 +187,8 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   }
   // Labeling-3 is only sound when replaying the exact recorded radius
   // (see labels.hpp); Labeling-1/2 transfer to the whole ceiling class.
-  // Non-const: the degradation ladder may clear it (see below).
-  bool use_verify_bit = use_labels != nullptr && use_labels->recorded_r == r;
+  const bool use_verify_bit =
+      use_labels != nullptr && use_labels->recorded_r == r;
 
   // --- GRID-MAPPING(O, r) ------------------------------------------------
   // Planar data gets the tighter 2-D small grid (footnote 1); the large
@@ -240,10 +215,10 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
     stats.points_pruned_by_labels = use_labels->CountAnyPruned();
   }
 
-  // The with-label verification seeds its accumulators from the
-  // lower-bound unions, so keep them in that mode. Non-const: the
-  // degradation ladder may shed them (with use_verify_bit — the kVerify
-  // bit is only sound on top of the lower-bound seed).
+  // Verification seeds each candidate with its lower-bound union. The
+  // with-label mode keeps the unions rather than recompute them per
+  // candidate. Non-const: the degradation ladder may shed them, and
+  // verification then recomputes the same seeds.
   bool keep_lb_bitsets = use_labels != nullptr;
   bool cache_this_grid = options.reuse_grid && grid.large_grid_complete();
 
@@ -277,7 +252,6 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
     }
     if (plan.step >= DegradationStep::kStreamVerification) {
       keep_lb_bitsets = false;
-      use_verify_bit = false;  // sound only on top of the lb-bitset seed
     }
     if (plan.abort) guard.TripResource();
     stats.degradation_level = static_cast<std::uint8_t>(plan.step);

@@ -88,14 +88,11 @@ class MioEngine {
   bool planar() const { return planar_; }
 
  private:
-  /// OK for a finite r > 0 with ceil(r) <= INT32_MAX whose grids fit
-  /// the int32 cell lattice, kInvalidArgument otherwise. Checked before
-  /// any cast of ceil(r) to int, which is undefined for NaN, infinity and
-  /// anything past INT32_MAX, and before any point
-  /// is mapped: a cell key is floor(c / width) cast to int32, and
-  /// neighbour enumeration adds ±1 to it, so every key at the finest
-  /// width (the small grid's r/sqrt(3)) needs headroom of one. Data with
-  /// a non-finite coordinate has no valid key at any r.
+  /// OK for an r inside CheckQueryDomain (geo/cell_key.hpp) for both
+  /// BIGrid widths with ceil(r) <= INT32_MAX, kInvalidArgument otherwise.
+  /// Checked before any point is mapped and before any cast of ceil(r) to
+  /// int, which is undefined for NaN, infinity and anything past
+  /// INT32_MAX.
   Status CheckRadius(double r) const;
 
   /// The input check Query and QueryBatch share: CheckRadius plus a
@@ -118,8 +115,7 @@ class MioEngine {
   const ObjectSet& objects_;
   bool planar_ = false;
   /// Coordinate range, scanned once at construction for CheckRadius.
-  bool coords_finite_ = true;
-  double max_abs_coord_ = 0.0;
+  CoordRange coords_;
   /// Guards label_cache_, grid_cache_, and all store_ operations. Held
   /// only around cache/disk bookkeeping, never across a pipeline run, so
   /// concurrent queries contend for microseconds (or one disk load).

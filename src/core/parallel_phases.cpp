@@ -399,7 +399,8 @@ struct GroupShare {
 /// Parallel exact score of one candidate: points are partitioned across
 /// cores (round-robin within each P_{i,K}; tiny groups go to the least
 /// loaded core) and each core scans its share of every group with a
-/// private accumulator; the accumulators are merged afterwards (paper
+/// private accumulator, seeded like the serial path's (SeedPartners);
+/// the accumulators are merged afterwards (paper
 /// §IV, with/without label). Each worker's scan time is accumulated into
 /// stats->verify_thread_seconds so load imbalance is reportable. `cores`
 /// holds one scratch arena per thread, reused across candidates.
@@ -410,7 +411,6 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
                                  QueryGuard* guard,
                                  std::vector<VerifyArena>& cores) {
   const std::vector<PointGroup>& groups = grid.LargeGroups(i);
-  const std::size_t n = grid.objects().size();
 
   // Phase 1: make sure every needed b_adj exists (with labels, upper
   // bounding may have skipped some cells). Keys are unique per group, so
@@ -420,13 +420,14 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     grid.EnsureAdj(groups[g].key);
   }
 
-  PlainBitset seed = lb_bitset != nullptr ? lb_bitset->ToPlain() : PlainBitset(n);
-  seed.Set(i);
+  PlainBitset seed;
+  SeedPartners(grid, i, lb_bitset, &seed);
 
-  // Phase 2 (with-label): prune whole cells already covered by the
-  // lower-bound union before distributing any points.
+  // Phase 2: prune whole cells already covered by the seed before
+  // distributing any points. A recording query keeps them: VerifyGroup
+  // must see a settled group to clear its kVerify bits (Labeling-3).
   std::vector<char> group_alive(groups.size(), 1);
-  if (lb_bitset != nullptr) {
+  if (record_labels == nullptr) {
 #pragma omp parallel num_threads(threads)
     {
       PlainBitset b;  // per-thread decode scratch

@@ -181,6 +181,44 @@ class TemporalAdj {
   std::unordered_map<TemporalKey, Ewah, TemporalKeyHash> memo_;
 };
 
+/// The temporal query's domain: CheckQueryDomain at both grid widths,
+/// one finite timestamp per point on every object, and a finite
+/// delta >= 0 whose sub-domain index floor(t / delta), cast to int64 and
+/// walked ±1, stays in range.
+Status CheckTemporalDomain(const ObjectSet& objects, double r,
+                           double delta) {
+  MIO_RETURN_NOT_OK(CheckQueryDomain(r, objects.CoordinateRange(),
+                                     {SmallGridWidth(r), LargeGridWidth(r)}));
+  if (!(delta >= 0.0 && std::isfinite(delta))) {
+    return Status::InvalidArgument("delta must be finite and >= 0, got " +
+                                   std::to_string(delta));
+  }
+  double max_abs_t = 0.0;
+  for (ObjectId i = 0; i < objects.size(); ++i) {
+    const Object& o = objects[i];
+    if (o.times.size() != o.points.size()) {
+      return Status::InvalidArgument(
+          "temporal query needs one timestamp per point; object " +
+          std::to_string(i) + " has " + std::to_string(o.times.size()) +
+          " for " + std::to_string(o.points.size()) + " points");
+    }
+    for (double t : o.times) {
+      if (!std::isfinite(t)) {
+        return Status::InvalidArgument("object " + std::to_string(i) +
+                                       " has a non-finite timestamp");
+      }
+      max_abs_t = std::max(max_abs_t, std::fabs(t));
+    }
+  }
+  // Negated, so an infinite quotient (a tiny delta) fails too.
+  if (delta > 0.0 && !(std::floor(max_abs_t / delta) + 1.0 < 0x1p63)) {
+    return Status::InvalidArgument(
+        "delta " + std::to_string(delta) +
+        " too small for the time range: sub-domain index overflows int64");
+  }
+  return Status::OK();
+}
+
 std::uint32_t TemporalExactScore(const TemporalBiGrid& grid, TemporalAdj& adj,
                                  ObjectId i, std::size_t* dist_comps) {
   const Object& o = grid.objects_[i];
@@ -239,7 +277,8 @@ std::uint32_t TemporalExactScore(const TemporalBiGrid& grid, TemporalAdj& adj,
 QueryResult TemporalMioQuery(const ObjectSet& objects, double r, double delta,
                              std::size_t k) {
   QueryResult res;
-  if (objects.empty() || r <= 0.0 || delta < 0.0) return res;
+  res.status = CheckTemporalDomain(objects, r, delta);
+  if (!res.status.ok() || objects.empty()) return res;
   k = std::min(std::max<std::size_t>(k, 1), objects.size());
   Timer total;
 

@@ -19,8 +19,11 @@
 
 namespace mio {
 
-/// Runs one temporal MIO query. Every object must be fully timestamped.
-/// k selects the top-k variant.
+/// Runs one temporal MIO query; k selects the top-k variant. An r outside
+/// CheckQueryDomain (geo/cell_key.hpp), a non-finite or negative delta,
+/// an object whose times are not one finite value per point, or a delta
+/// so small that a sub-domain index overflows int64 yields
+/// kInvalidArgument and an empty top-k.
 QueryResult TemporalMioQuery(const ObjectSet& objects, double r, double delta,
                              std::size_t k = 1);
 

@@ -89,6 +89,23 @@ double NeighborGap2(const Point& p, const CellKey& home, const CellKey& nb,
 
 }  // namespace
 
+void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
+                  PlainBitset* acc) {
+  if (lb_bitset != nullptr) {
+    lb_bitset->DecodeInto(acc);
+  } else {
+    acc->Reset();
+    for (const CellKey& key : grid.KeyList(i)) {
+      grid.FindSmall(key)->bits.ForEachWord(
+          [acc](std::size_t w, std::uint64_t word) {
+            acc->OrWord(w, word);
+            return true;
+          });
+    }
+  }
+  acc->Set(i);
+}
+
 void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
                  std::span<const std::uint32_t> points, PlainBitset* acc,
                  GroupScratch* scratch, LabelSet* record_labels,
@@ -129,11 +146,17 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
   std::size_t confirmed = 0;
   // Scan the cell itself, then its neighbours, stopping as soon as no
   // candidate remains. Postings are only touched for set bits of b
-  // (Algorithm 6 line 13); each touched posting is tested against the
-  // group's points that can reach the cell, nearest first, until the
-  // first hit — one batch-kernel call per point over the posting's
-  // contiguous SoA coordinates.
+  // (Algorithm 6 line 13): the walk ANDs b's words with the cell's
+  // bitset, a word at a time, and finds each surviving object's posting
+  // by rank — the cell's set bits below it. That index is valid because
+  // MapPointLarge sets an object's bit exactly when it opens the object's
+  // posting, so bits and post_obj list the same ids in the same ascending
+  // order. Each touched posting is tested against the group's points that
+  // can reach the cell, nearest first, until the first hit — one
+  // batch-kernel call per point over the posting's contiguous SoA
+  // coordinates.
   std::vector<std::pair<double, std::uint32_t>>& order = scratch->order;
+  const std::vector<std::uint64_t>& live_words = b.words();
   auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
     ++probes;
     const LargeCell* c = grid.FindLarge(ck);
@@ -143,32 +166,47 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
       double gap2 = NeighborGap2(pts[j], key, ck, width);
       if (gap2 <= r2) order.emplace_back(gap2, j);
     }
+    if (order.empty()) return true;
     std::sort(order.begin(), order.end());
-    for (std::size_t oi = 0; oi < c->post_obj.size() && !order.empty();
-         ++oi) {
-      ObjectId obj = c->post_obj[oi];
-      if (!b.Test(obj)) continue;
-      ++postings;
-      PostingView posting = c->PostingAt(oi);
-      for (const auto& [gap2, j] : order) {
-        std::ptrdiff_t hit = AnyWithin(pts[j], posting.xs, posting.ys,
-                                       posting.zs, posting.size, r2);
-        if (hit < 0) {
-          comps += posting.size;
-          continue;
+    bool more = true;
+    std::size_t rank = 0;  // set bits of c->bits before word w
+    c->bits.ForEachWord([&](std::size_t w, std::uint64_t cell_word) {
+      if (w >= live_words.size()) return false;  // past b: nothing live
+      std::uint64_t live = cell_word & live_words[w];
+      while (live != 0) {
+        const int bit = __builtin_ctzll(live);
+        live &= live - 1;
+        const ObjectId obj = static_cast<ObjectId>(w * 64 + bit);
+        const std::uint64_t below = (std::uint64_t(1) << bit) - 1;
+        ++postings;
+        PostingView posting = c->PostingAt(
+            rank + static_cast<std::size_t>(
+                       __builtin_popcountll(cell_word & below)));
+        for (const auto& [gap2, j] : order) {
+          std::ptrdiff_t hit = AnyWithin(pts[j], posting.xs, posting.ys,
+                                         posting.zs, posting.size, r2);
+          if (hit < 0) {
+            comps += posting.size;
+            continue;
+          }
+          comps += static_cast<std::size_t>(hit) + 1;
+          acc->Set(obj);
+          b.Clear(obj);
+          ++confirmed;
+          if (record_labels != nullptr) {
+            record_labels->labels[i][j] |= label::kVerify;
+          }
+          if (--remaining == 0) {
+            more = false;
+            return false;
+          }
+          break;
         }
-        comps += static_cast<std::size_t>(hit) + 1;
-        acc->Set(obj);
-        b.Clear(obj);
-        ++confirmed;
-        if (record_labels != nullptr) {
-          record_labels->labels[i][j] |= label::kVerify;
-        }
-        if (--remaining == 0) return false;
-        break;
       }
-    }
-    return true;
+      rank += static_cast<std::size_t>(__builtin_popcountll(cell_word));
+      return true;
+    });
+    return more;
   };
 
   if (scan_cell(key)) {
@@ -191,18 +229,11 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
   VerifyArena local_arena;
   VerifyArena& a = arena != nullptr ? *arena : local_arena;
 
-  // b(o_i): confirmed interaction partners (plus bit i). With labels it is
-  // seeded from the lower-bound union — those objects are certain partners
-  // (Lemma 1), so no posting scan needs to rediscover them. The seed fully
-  // overwrites the accumulator (DecodeInto resets first), so arena reuse
-  // across candidates is safe.
+  // b(o_i): confirmed interaction partners (plus bit i), seeded with the
+  // Lemma-1 partners. The seed fully overwrites the accumulator, so arena
+  // reuse across candidates is safe.
   PlainBitset& acc = a.acc;
-  if (lb_bitset != nullptr) {
-    lb_bitset->DecodeInto(&acc);
-  } else {
-    acc.Reset();
-  }
-  acc.Set(i);
+  SeedPartners(grid, i, lb_bitset, &acc);
 
   // Group the points to verify by large cell. The order is fixed (key,
   // then point index), so distance_computations does not depend on how

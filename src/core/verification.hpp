@@ -2,11 +2,12 @@
 // are verified best-first (descending upper bound); verification stops as
 // soon as the next upper bound cannot beat the best exact score found
 // (the k-th best, for the top-k variant). The exact score of one object
-// uses the large grid, cell-major: the object's points are grouped by
-// large cell, and per group the still-unconfirmed candidates are
-// b = b_adj(c) - b(o_i); the 27-cell neighbourhood is walked once per
-// group, posting lists are scanned only for set bits of b, and the walk
-// stops the moment b empties.
+// uses the large grid, cell-major: b(o_i) starts from the object's
+// Lemma-1 partners, the object's points are grouped by large cell, and
+// per group the still-unconfirmed candidates are b = b_adj(c) - b(o_i);
+// the 27-cell neighbourhood is walked once per group, each cell's
+// postings are reached only through b AND b(c), and the walk stops the
+// moment b empties.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +65,23 @@ inline bool VerifiesPoint(const LabelSet* use_labels, ObjectId i,
   return !use_verify_bit || (l & label::kVerify) != 0;
 }
 
+/// Starts b(o_i) for object i's exact score with its Lemma-1 partners:
+/// the kept lower-bound union when `lb_bitset` is given, else the same
+/// union computed here — the OR of the small-cell bitsets of
+/// grid.KeyList(i). Two points in one small cell are within r, so every
+/// seeded object is a certain partner and no posting walk needs to
+/// rediscover it. Overwrites `acc` wholesale (reused scratch cannot leak
+/// between candidates) and sets bit i.
+void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
+                  PlainBitset* acc);
+
 /// Verifies one group of object i's points that share the large cell
 /// `key` (the cell-major step of exact scoring). Computes the
 /// unconfirmed-candidate set b = b_adj(key) - acc once, probes each of
-/// the 27 neighbourhood cells once, and walks each cell's posting list
-/// once: a posting whose object is still in b is tested with the batch
-/// distance kernel (geo/kernels.hpp) against the group's points until
-/// the first hit, which folds the object into `acc`. Per cell, points
+/// the 27 neighbourhood cells once, and walks b AND b(c) once per cell,
+/// word by word: the posting of each object in both is tested with the
+/// batch distance kernel (geo/kernels.hpp) against the group's points
+/// until the first hit, which folds the object into `acc`. Per cell, points
 /// that cannot reach it (distance to the cell's box > r) are skipped and
 /// the rest are tried nearest first. The walk stops as soon as b
 /// empties. `scratch` is caller-owned, so steady-state verification
@@ -86,14 +97,15 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
 
 /// Exact score of a single object via the large grid (the body of
 /// Algorithm 6's loop). `use_labels` activates the 1*1 point filter;
-/// `record_labels` performs Labeling-3; `lb_bitset` (with-label mode)
-/// seeds the accumulator with the lower-bound union; `dist_comps`
+/// `record_labels` performs Labeling-3; the accumulator starts from
+/// SeedPartners — `lb_bitset` (the with-label mode's kept lower-bound
+/// union) or, when null, the union recomputed from the grid; `dist_comps`
 /// accumulates distance evaluations. The filtered points are grouped by
 /// large cell — sorted by key, then ascending point index — and each
 /// group is one VerifyGroup call. `arena` (optional) supplies the
 /// accumulator and every scratch buffer; pass one arena across many
-/// ExactScore calls to keep verification allocation-free (the lb seed is
-/// decoded over the accumulator wholesale, so a stale value cannot leak
+/// ExactScore calls to keep verification allocation-free (the seed
+/// overwrites the accumulator wholesale, so a stale value cannot leak
 /// between candidates). `guard` (optional) is polled at group boundaries,
 /// once per kGuardStridePoints points; once tripped the scan stops and
 /// the returned score is PARTIAL (a valid lower bound of the true score,
@@ -105,7 +117,10 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          VerifyArena* arena = nullptr);
 
 /// Best-first verification of the candidate queue; returns the top-k
-/// objects by exact score, descending. `guard` (optional): on a trip the
+/// objects by exact score, descending. `lb_bitsets` (optional) are the
+/// kept lower-bound unions; without them each verified candidate's seed
+/// is recomputed from the grid, so the answer and the work are the same.
+/// `guard` (optional): on a trip the
 /// in-flight candidate's partial score is discarded and the loop stops —
 /// scores already offered to the tracker stay exact, so the returned
 /// (possibly short) list is a sound best-so-far answer.

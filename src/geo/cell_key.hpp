@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 
+#include "common/status.hpp"
 #include "geo/point.hpp"
 
 namespace mio {
@@ -71,6 +73,22 @@ inline double SmallGridWidth2D(double r) { return r / std::sqrt(2.0); }
 /// sub-unit thresholds ceil(r) would still be 1, which the definition
 /// intends (any r in (0,1] shares the width-1 grid).
 inline double LargeGridWidth(double r) { return std::ceil(r); }
+
+/// What the query-domain check needs to know about a dataset's points
+/// (ObjectSet::CoordinateRange()).
+struct CoordRange {
+  bool finite = true;    ///< no NaN or infinite coordinate
+  double max_abs = 0.0;  ///< largest |coordinate|
+};
+
+/// The domain check every query path runs before it maps a point: r
+/// finite and > 0, every coordinate finite, and, for each grid width the
+/// caller builds (`widths`), floor(max|coordinate| / width) + 1 within
+/// int32 — KeyForWidth casts floor(c / width) to int32 and the neighbour
+/// walk adds ±1, so both sides of the lattice need one cell of headroom.
+/// kInvalidArgument otherwise, so no key is ever cast out of range.
+Status CheckQueryDomain(double r, const CoordRange& coords,
+                        std::initializer_list<double> widths = {});
 
 /// Invokes f(key) for the 26 neighbours of k, and for k itself when
 /// `include_self`. Deterministic (z-fastest) order: label replay and

@@ -1,7 +1,9 @@
 #include "object/object_set.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace mio {
 
@@ -63,6 +65,23 @@ bool ObjectSet::IsPlanar() const {
     }
   }
   return seen;
+}
+
+CoordRange ObjectSet::CoordinateRange() const {
+  // Branch-free: NaN and ±inf fail `<= max()`, and NaN never wins a max.
+  constexpr double kMaxFinite = std::numeric_limits<double>::max();
+  CoordRange range;
+  for (const Object& o : objects_) {
+    for (const Point& p : o.points) {
+      const double ax = std::fabs(p.x);
+      const double ay = std::fabs(p.y);
+      const double az = std::fabs(p.z);
+      range.finite &=
+          (ax <= kMaxFinite) & (ay <= kMaxFinite) & (az <= kMaxFinite);
+      range.max_abs = std::max(range.max_abs, std::max(ax, std::max(ay, az)));
+    }
+  }
+  return range;
 }
 
 double ObjectSet::MaxTime() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geo/aabb.hpp"
+#include "geo/cell_key.hpp"
 #include "object/object.hpp"
 
 namespace mio {
@@ -43,6 +44,10 @@ class ObjectSet {
 
   /// Total heap bytes held by the point arrays.
   std::size_t MemoryUsageBytes() const;
+
+  /// Whether every coordinate is finite, and the largest |coordinate|:
+  /// the dataset half of CheckQueryDomain. One pass over the points.
+  CoordRange CoordinateRange() const;
 
   /// Maximum timestamp across all objects (0 when untimestamped).
   double MaxTime() const;

@@ -2,8 +2,14 @@
 // algorithm must produce identical exact score vectors on any input.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "baseline/nested_loop.hpp"
 #include "baseline/nl_kdtree.hpp"
+#include "baseline/rtree_mbr.hpp"
 #include "baseline/simple_grid.hpp"
 #include "baseline/theoretical.hpp"
 #include "test_utils.hpp"
@@ -106,6 +112,43 @@ TEST(TheoreticalTest, MemoryIsQuadratic) {
   TheoreticalIndex ts(small), tl(large);
   // 4x the objects -> ~16x the array bytes.
   EXPECT_GT(tl.MemoryUsageBytes(), 10 * ts.MemoryUsageBytes());
+}
+
+// Every baseline shares the engine's query domain (CheckQueryDomain): an
+// out-of-domain radius or a non-finite coordinate is kInvalidArgument with
+// an empty answer — not an all-zero ranking with an OK status, and for SG
+// at r = 1e-300 not an int32 cell-key overflow that never finishes.
+TEST(BaselineDomainTest, OutOfDomainInputIsInvalidArgument) {
+  using Run = std::function<QueryResult(const ObjectSet&, double)>;
+  const std::vector<std::pair<const char*, Run>> baselines = {
+      {"nl", [](const ObjectSet& s, double r) { return NestedLoopQuery(s, r); }},
+      {"nl-kd", [](const ObjectSet& s, double r) { return NlKdQuery(s, r); }},
+      {"sg", [](const ObjectSet& s, double r) { return SimpleGridQuery(s, r); }},
+      {"rt", [](const ObjectSet& s, double r) { return RtreeMbrQuery(s, r); }},
+      {"theoretical",
+       [](const ObjectSet& s, double r) { return TheoreticalIndex(s).Query(r); }},
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ObjectSet set = testing::MakeRandomObjects(12, 3, 6, 20.0, 5);
+  ObjectSet nonfinite = set;
+  nonfinite.Add(Object{{{1.0, nan, 0.0}}, {}});
+  for (const auto& [name, run] : baselines) {
+    for (double r : {nan, -1.0, 0.0, inf}) {
+      QueryResult res = run(set, r);
+      EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument)
+          << name << " r=" << r;
+      EXPECT_TRUE(res.topk.empty()) << name << " r=" << r;
+    }
+    EXPECT_EQ(run(nonfinite, 4.0).status.code(), StatusCode::kInvalidArgument)
+        << name;
+    QueryResult ok = run(set, 4.0);
+    EXPECT_TRUE(ok.status.ok()) << name << ": " << ok.status.ToString();
+    EXPECT_FALSE(ok.topk.empty()) << name;
+  }
+  // SG maps every point into a width-r grid.
+  EXPECT_EQ(SimpleGridQuery(set, 1e-300).status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TopKFromScoresTest, OrderingAndTies) {

@@ -14,6 +14,18 @@
 namespace mio {
 namespace {
 
+/// The lockstep invariant verification's posting walk relies on: a large
+/// cell's set bits, in ascending order, are exactly its post_obj, so an
+/// object's rank in `bits` is the index of its posting.
+void ExpectBitsInLockstep(const LargeCell& cell) {
+  std::vector<ObjectId> from_bits;
+  cell.bits.ForEachSetBit([&](std::size_t obj) {
+    from_bits.push_back(static_cast<ObjectId>(obj));
+  });
+  EXPECT_EQ(from_bits, cell.post_obj);
+  EXPECT_EQ(cell.post_start.size(), cell.post_obj.size());
+}
+
 TEST(BiGridTest, WidthsFollowDefinitions) {
   ObjectSet set = testing::MakeRandomObjects(5, 3, 5, 20.0, 1);
   BiGrid grid(set, 4.3);
@@ -98,6 +110,7 @@ TEST(BiGridTest, LargeCellPostingsHoldEveryPoint) {
     total_postings += cell.NumPostingPoints();
     // Posting object ids ascend (build order).
     EXPECT_TRUE(std::is_sorted(cell.post_obj.begin(), cell.post_obj.end()));
+    ExpectBitsInLockstep(cell);
   });
   EXPECT_EQ(total_postings, set.Stats().nm);
 }
@@ -170,6 +183,7 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
       ASSERT_NE(pcell, nullptr);
       EXPECT_TRUE(pcell->bits == scell.bits);
       EXPECT_EQ(pcell->NumPostingPoints(), scell.NumPostingPoints());
+      ExpectBitsInLockstep(*pcell);
     });
     // Groups cover every point exactly once.
     for (ObjectId i = 0; i < set.size(); ++i) {
@@ -210,8 +224,31 @@ TEST(BiGridTest, BuildWithLabelsSkipsPrunedPoints) {
   // Object 0 must appear in no large cell.
   grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
     EXPECT_FALSE(cell.bits.Test(0));
+    ExpectBitsInLockstep(cell);
   });
   EXPECT_TRUE(grid.KeyList(0).empty());
+}
+
+// A cached large grid is adopted verbatim by later queries of its
+// ceiling, after earlier ones memoised b_adj into it; its postings stay in
+// lockstep with its bits for every adopter.
+TEST(BiGridTest, ReusedGridKeepsPostingsInLockstep) {
+  ObjectSet set = testing::MakeRandomObjects(40, 5, 12, 20.0, 12, 2.0);
+  BiGrid first(set, 3.2);
+  first.BuildParallel(2, nullptr, true);
+  first.ForEachLargeCell(
+      [&](const CellKey& k, LargeCell&) { first.EnsureAdj(k); });
+  ASSERT_TRUE(first.large_grid_complete());
+  BiGrid adopter(set, 3.7, /*planar=*/false, first.ShareLargeGrid());
+  adopter.Build();
+  ASSERT_TRUE(adopter.reused_large_grid());
+  std::size_t cells = 0;
+  adopter.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
+    EXPECT_TRUE(cell.AdjReady());
+    ExpectBitsInLockstep(cell);
+    ++cells;
+  });
+  EXPECT_EQ(cells, first.NumLargeCells());
 }
 
 }  // namespace

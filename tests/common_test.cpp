@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/argparse.hpp"
 #include "common/memory_tracker.hpp"
@@ -203,6 +206,39 @@ TEST(ArgParseTest, NumericLists) {
   EXPECT_EQ(args.GetIntList("k", {}),
             (std::vector<std::int64_t>{1, 10, 100}));
   EXPECT_EQ(args.GetIntList("absent", {5}), (std::vector<std::int64_t>{5}));
+}
+
+// The checked integer the CLI parses --k and --threads through: the
+// value within [lo, hi] or the fallback, else kInvalidArgument naming
+// the flag — never a silent 0 for junk or a wrapped -1.
+TEST(ArgParseTest, IntInRangeRejectsJunkAndOverflow) {
+  const char* argv[] = {"prog",         "--k=5",      "--zero=0",
+                        "--neg=-1",     "--abc=abc",  "--tail=7x",
+                        "--big=99999999999999999999", "--wide=3000000000",
+                        "--empty="};
+  ArgParser args(9, const_cast<char**>(argv));
+  auto value = [&](const char* name, std::int64_t lo, std::int64_t hi) {
+    return args.GetIntInRange(name, 42, lo, hi);
+  };
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(value("k", 0, kMax).value(), 5);
+  EXPECT_EQ(value("zero", 0, kMax).value(), 0);
+  EXPECT_EQ(value("absent", 0, kMax).value(), 42);
+  EXPECT_EQ(value("empty", 0, kMax).value(), 42);
+  EXPECT_EQ(value("neg", -10, 10).value(), -1);
+  for (const char* bad : {"neg", "abc", "tail", "big"}) {
+    Result<std::int64_t> res = value(bad, 0, kMax);
+    ASSERT_FALSE(res.ok()) << bad;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(res.status().message().find(std::string("--") + bad),
+              std::string::npos)
+        << res.status().ToString();
+  }
+  // In int64 but outside an int range.
+  EXPECT_FALSE(value("wide", std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max())
+                   .ok());
+  EXPECT_EQ(value("wide", 0, kMax).value(), 3000000000);
 }
 
 }  // namespace

@@ -112,6 +112,117 @@ TEST(EwahTest, ForEachSetBitMatchesPlain) {
   EXPECT_EQ(got, ref.SetBits());
 }
 
+// --- word iterator, differential against DecodeInto -----------------------
+
+/// Rebuilds a bitset from ForEachWord's words, checking on the way that
+/// word indices strictly ascend and no zero word is yielded.
+PlainBitset FromWords(const Ewah& e) {
+  PlainBitset out;
+  bool first = true;
+  std::size_t prev = 0;
+  e.ForEachWord([&](std::size_t w, std::uint64_t word) {
+    EXPECT_TRUE(first || w > prev) << w;
+    EXPECT_NE(word, 0u) << w;
+    first = false;
+    prev = w;
+    out.AssignWord(w, word);
+    return true;
+  });
+  return out;
+}
+
+PlainBitset Decoded(const Ewah& e) {
+  PlainBitset out;
+  e.DecodeInto(&out);
+  return out;
+}
+
+TEST(EwahWordIteratorTest, EmptySetYieldsNoWord) {
+  Ewah empty;
+  std::size_t calls = 0;
+  empty.ForEachWord([&](std::size_t, std::uint64_t) {
+    ++calls;
+    return true;
+  });
+  EXPECT_EQ(calls, 0u);
+  Ewah cleared;
+  cleared.Set(5000);
+  cleared.Reset();
+  cleared.ForEachWord([&](std::size_t, std::uint64_t) {
+    ++calls;
+    return true;
+  });
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(EwahWordIteratorTest, LiteralsAndZeroRunsMatchDecode) {
+  Ewah b;
+  // Literals separated by zero runs of 0, 1 and many words.
+  for (std::size_t i : {1u, 3u, 64u, 130u, 131u, 640u, 100000u, 100063u}) {
+    b.Set(i);
+  }
+  EXPECT_TRUE(FromWords(b) == Decoded(b));
+  std::vector<std::size_t> words;
+  b.ForEachWord([&](std::size_t w, std::uint64_t) {
+    words.push_back(w);
+    return true;
+  });
+  EXPECT_EQ(words, (std::vector<std::size_t>{0, 1, 2, 10, 1562, 1563}));
+}
+
+TEST(EwahWordIteratorTest, OnesRunsYieldEveryWord) {
+  Ewah b;
+  b.Set(7);
+  for (std::size_t i = 128; i < 128 + 64 * 5; ++i) b.Set(i);  // 5 full words
+  b.Set(1000);
+  ASSERT_TRUE(FromWords(b) == Decoded(b));
+  std::size_t ones = 0;
+  b.ForEachWord([&](std::size_t w, std::uint64_t word) {
+    if (word == ~std::uint64_t(0)) {
+      EXPECT_GE(w, 2u);
+      EXPECT_LE(w, 6u);
+      ++ones;
+    }
+    return true;
+  });
+  EXPECT_EQ(ones, 5u);
+  // A run produced by an op rather than by Set: the union of two
+  // complementary halves is all ones.
+  PlainBitset evens, odds;
+  for (std::size_t i = 0; i < 64 * 40; ++i) (i % 2 == 0 ? evens : odds).Set(i);
+  Ewah all = Ewah::Or(Ewah::FromPlain(evens), Ewah::FromPlain(odds));
+  EXPECT_TRUE(FromWords(all) == Decoded(all));
+  EXPECT_EQ(FromWords(all).Count(), 64u * 40);
+}
+
+TEST(EwahWordIteratorTest, RandomSetsMatchDecode) {
+  Pcg32 rng(29);
+  for (int trial = 0; trial < 50; ++trial) {
+    PlainBitset plain;
+    const std::size_t universe = 64 + rng.NextBounded(20000);
+    // Mix sparse bits with dense stretches, so runs of both kinds occur.
+    for (int i = 0; i < 200; ++i) plain.Set(rng.NextBounded(universe));
+    std::size_t start = rng.NextBounded(universe);
+    for (std::size_t i = start; i < start + rng.NextBounded(1000); ++i) {
+      plain.Set(i);
+    }
+    Ewah e = Ewah::FromPlain(plain);
+    EXPECT_TRUE(FromWords(e) == Decoded(e)) << "trial " << trial;
+    EXPECT_TRUE(FromWords(e) == plain) << "trial " << trial;
+  }
+}
+
+TEST(EwahWordIteratorTest, FalseStopsTheWalk) {
+  Ewah b;
+  for (std::size_t i : {0u, 100u, 200u, 300u}) b.Set(i);
+  std::vector<std::size_t> seen;
+  b.ForEachWord([&](std::size_t w, std::uint64_t) {
+    seen.push_back(w);
+    return seen.size() < 2;
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
+}
+
 TEST(EwahTest, ResetClears) {
   Ewah b;
   b.Set(100);

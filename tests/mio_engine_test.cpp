@@ -10,6 +10,8 @@
 #include <limits>
 
 #include "core/query_result.hpp"
+#include "core/upper_bound.hpp"
+#include "core/verification.hpp"
 #include "test_utils.hpp"
 
 namespace mio {
@@ -131,7 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
 // it confirmed a partner). Replaying at the recorded radius must still
 // reproduce every object's exact score, not just the winner's: with
 // k = n every candidate is verified in both runs. Dense fixture, so most
-// groups hold several points and most points lose kVerify.
+// groups hold several points and most points lose kVerify. Both runs seed
+// each candidate with its Lemma-1 partners (see the next test for why the
+// recording's seed is the replay's).
 TEST(EngineLabelTest, GroupLabelsReplayEveryExactScore) {
   const double r = 3.5;
   ObjectSet set = testing::MakeRandomObjects(50, 20, 40, 25.0, 17, 1.0);
@@ -158,6 +162,71 @@ TEST(EngineLabelTest, GroupLabelsReplayEveryExactScore) {
     EXPECT_LT(replayed.stats.distance_computations,
               recorded.stats.distance_computations)
         << "threads=" << threads;
+  }
+}
+
+// Labels recorded the way a plain query at r records them: Labeling-1/2
+// in upper-bounding, Labeling-3 while verifying every object.
+LabelSet RecordLabelsAt(const ObjectSet& set, double r) {
+  BiGrid grid(set, r, set.IsPlanar());
+  grid.Build();
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  labels.recorded_r = r;
+  UpperBoundResult ub = UpperBounding(grid, 0, nullptr, &labels, nullptr);
+  Verification(grid, ub, set.size(), nullptr, &labels, nullptr, nullptr);
+  return labels;
+}
+
+// The recording seeds each candidate with its Lemma-1 union over the full
+// grid, so a partner in that seed gets no kVerify witness. A replay at the
+// recorded r seeds from the grid built with the recorded labels, so the
+// two unions must be equal for every object: Labeling-1 clears kMap only
+// on a point whose large-cell neighbourhood holds no other object, so no
+// small cell shared by two objects loses a point.
+TEST(EngineLabelTest, RecordedLabelsKeepEveryLemma1Union) {
+  // A dense cluster (shared small cells: non-empty seeds), scattered
+  // loners (empty neighbourhoods: kMap-pruned points), and isolated twins:
+  // two objects alone in their neighbourhood that share small cells, the
+  // points Labeling-1 must keep.
+  ObjectSet dense = testing::MakeRandomObjects(40, 10, 30, 12.0, 17, 1.0);
+  const ObjectSet scattered =
+      testing::MakeRandomObjects(20, 5, 10, 300.0, 18, 1.0);
+  for (ObjectId i = 0; i < scattered.size(); ++i) {
+    Object far = scattered[i];
+    for (Point& p : far.points) p.x += 100.0;
+    dense.Add(far);
+    if (i % 2 == 1) {
+      for (Point& p : far.points) p.x += 0.3;
+      dense.Add(std::move(far));
+    }
+  }
+  ObjectSet planar;
+  for (const Object& o : dense.objects()) {
+    Object flat = o;
+    for (Point& p : flat.points) p.z = 0.0;
+    planar.Add(std::move(flat));
+  }
+  ASSERT_TRUE(planar.IsPlanar());
+  for (const ObjectSet* set : {&dense, &planar}) {
+    for (double r : {2.5, 3.5}) {
+      const LabelSet labels = RecordLabelsAt(*set, r);
+      ASSERT_GT(labels.CountMapPruned(), 0u) << "r=" << r;
+      BiGrid full(*set, r, set->IsPlanar());
+      full.Build();
+      BiGrid pruned(*set, r, set->IsPlanar());
+      pruned.Build(&labels);
+      PlainBitset want;
+      PlainBitset got;
+      std::size_t seeded = 0;
+      for (ObjectId i = 0; i < set->size(); ++i) {
+        SeedPartners(full, i, nullptr, &want);
+        SeedPartners(pruned, i, nullptr, &got);
+        EXPECT_TRUE(got == want)
+            << "planar=" << set->IsPlanar() << " r=" << r << " object " << i;
+        seeded += want.Count() - 1;
+      }
+      EXPECT_GT(seeded, 0u) << "r=" << r;
+    }
   }
 }
 

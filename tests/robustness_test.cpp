@@ -565,9 +565,11 @@ TEST_F(RobustnessTest, MemoryBudgetDegradationLadder) {
   }
 
   // Step 3: with labels in use, the kept lower-bound bitsets are the last
-  // extra; shedding them falls back to streaming verification. Label
-  // pruning shrinks the small grid, so the budget is pinned to the
-  // labeled grid's own post-build footprint.
+  // extra; shedding them makes verification recompute each candidate's
+  // seed, so it does exactly the work of the unbudgeted labelled query
+  // (same seeds, same kVerify filter). Label pruning shrinks the small
+  // grid, so the budget is pinned to the labeled grid's own post-build
+  // footprint.
   {
     const std::string label_dir = PathFor("ladder_labels");
     MioEngine engine(set, label_dir);
@@ -590,6 +592,11 @@ TEST_F(RobustnessTest, MemoryBudgetDegradationLadder) {
     EXPECT_TRUE(res.complete);
     EXPECT_EQ(res.stats.degradation_level, 3);
     EXPECT_EQ(res.best().score, plain.best().score);
+    opt.memory_budget_bytes = 0;
+    QueryResult labelled = engine.Query(r, opt);
+    EXPECT_EQ(labelled.stats.degradation_level, 0);
+    EXPECT_EQ(res.stats.distance_computations,
+              labelled.stats.distance_computations);
   }
 
   // Past the ladder: a budget below the bare grid aborts.

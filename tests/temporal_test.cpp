@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "test_utils.hpp"
 
@@ -98,10 +101,38 @@ TEST(TemporalTest, LargeDeltaEqualsSpatialQuery) {
 TEST(TemporalTest, EdgeCases) {
   ObjectSet empty;
   EXPECT_TRUE(TemporalMioQuery(empty, 5.0, 1.0).topk.empty());
+  EXPECT_TRUE(TemporalMioQuery(empty, 5.0, 1.0).status.ok());
 
+  // Out-of-domain r and delta are rejected before any key is cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   ObjectSet set = testing::MakeRandomObjects(5, 3, 5, 10.0, 9, 2.0, true, 10.0);
-  EXPECT_TRUE(TemporalMioQuery(set, -1.0, 1.0).topk.empty());
-  EXPECT_TRUE(TemporalMioQuery(set, 5.0, -1.0).topk.empty());
+  for (auto [r, delta] : std::vector<std::pair<double, double>>{
+           {-1.0, 1.0}, {0.0, 1.0}, {nan, 1.0}, {inf, 1.0}, {1e-300, 1.0},
+           {5.0, -1.0}, {5.0, nan}, {5.0, inf}, {5.0, 1e-300}}) {
+    QueryResult res = TemporalMioQuery(set, r, delta);
+    EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument)
+        << "r=" << r << " delta=" << delta;
+    EXPECT_TRUE(res.topk.empty()) << "r=" << r << " delta=" << delta;
+  }
+  EXPECT_TRUE(TemporalMioQuery(set, 5.0, 0.0).status.ok());
+
+  // Times must be one finite value per point: an untimestamped set (every
+  // generated preset), a short times vector and a NaN time are rejected.
+  ObjectSet untimed = testing::MakeRandomObjects(5, 3, 5, 10.0, 9);
+  for (double delta : {0.0, 5.0}) {
+    EXPECT_EQ(TemporalMioQuery(untimed, 4.0, delta).status.code(),
+              StatusCode::kInvalidArgument)
+        << delta;
+  }
+  ObjectSet short_times;
+  short_times.Add(Object{{{0, 0, 0}, {1, 0, 0}}, {1.0}});
+  EXPECT_EQ(TemporalMioQuery(short_times, 4.0, 1.0).status.code(),
+            StatusCode::kInvalidArgument);
+  ObjectSet nan_time;
+  nan_time.Add(Object{{{0, 0, 0}}, {nan}});
+  EXPECT_EQ(TemporalMioQuery(nan_time, 4.0, 0.0).status.code(),
+            StatusCode::kInvalidArgument);
   // Single object: score zero.
   ObjectSet one;
   one.Add(Object{{{0, 0, 0}}, {1.0}});

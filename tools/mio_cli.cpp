@@ -13,9 +13,11 @@
 //   mio convert  --in=birds.bin --out=birds.txt
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -145,6 +147,23 @@ int StatusExit(const mio::Status& st) {
   return mio::ExitCodeFor(st.code());
 }
 
+/// `--k` and `--threads`, range-checked: k >= 0, as `mio serve` accepts
+/// (0 and 1 both ask for the single most interactive object), and threads
+/// within int, where <= 0 means every core.
+mio::Status ParseKAndThreads(const mio::ArgParser& args, std::size_t* k,
+                             int* threads) {
+  mio::Result<std::int64_t> kv = args.GetIntInRange(
+      "k", 1, 0, std::numeric_limits<std::int64_t>::max());
+  if (!kv.ok()) return kv.status();
+  mio::Result<std::int64_t> tv =
+      args.GetIntInRange("threads", 1, std::numeric_limits<int>::min(),
+                         std::numeric_limits<int>::max());
+  if (!tv.ok()) return tv.status();
+  *k = static_cast<std::size_t>(kv.value());
+  *threads = static_cast<int>(tv.value());
+  return mio::Status::OK();
+}
+
 bool EndsWith(const std::string& s, const char* suffix) {
   std::size_t len = std::strlen(suffix);
   return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
@@ -205,6 +224,8 @@ void PrintResult(const mio::QueryResult& res, double elapsed) {
   if (!res.complete) {
     std::printf("INCOMPLETE (%s) — answer above is best-so-far\n",
                 res.status.ToString().c_str());
+  } else if (!res.status.ok()) {
+    std::fprintf(stderr, "%s\n", res.status.ToString().c_str());
   }
   if (res.stats.degradation_level > 0) {
     std::printf("degraded: level %u (memory budget shed optional work)\n",
@@ -293,8 +314,10 @@ int CmdQueryConnect(const mio::ArgParser& args) {
   req.id = "cli";
   req.op = "query";
   req.r = args.GetDouble("r", 4.0);
-  req.k = static_cast<std::uint64_t>(args.GetInt("k", 1));
-  req.threads = static_cast<int>(args.GetInt("threads", 1));
+  std::size_t k = 1;
+  mio::Status parsed = ParseKAndThreads(args, &k, &req.threads);
+  if (!parsed.ok()) return StatusExit(parsed);
+  req.k = k;
   req.use_labels = args.Has("use-labels");
   req.deadline_ms = args.GetDouble("deadline-ms", 0.0);
   req.no_coalesce = args.Has("no-coalesce");
@@ -523,8 +546,10 @@ int CmdQuery(const mio::ArgParser& args) {
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
-  std::size_t k = static_cast<std::size_t>(args.GetInt("k", 1));
-  int threads = static_cast<int>(args.GetInt("threads", 1));
+  std::size_t k = 1;
+  int threads = 1;
+  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
+  if (!parsed.ok()) return StatusExit(parsed);
   std::string algo = args.GetString("algo", "bigrid");
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
   mio::obs::ResetMetrics();
@@ -588,8 +613,8 @@ int CmdSweep(const mio::ArgParser& args) {
   const mio::ObjectSet& set = loaded.value();
   mio::MioEngine engine(set, args.GetString("labels", ""));
   mio::QueryOptions opt;
-  opt.k = static_cast<std::size_t>(args.GetInt("k", 1));
-  opt.threads = static_cast<int>(args.GetInt("threads", 1));
+  mio::Status parsed = ParseKAndThreads(args, &opt.k, &opt.threads);
+  if (!parsed.ok()) return StatusExit(parsed);
   opt.use_labels = opt.record_labels = true;  // the sweep is labels' use case
   opt.reuse_grid = true;  // same-ceiling queries share the large grid
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
@@ -632,8 +657,10 @@ int CmdProfile(const mio::ArgParser& args) {
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
-  std::size_t k = static_cast<std::size_t>(args.GetInt("k", 1));
-  int threads = static_cast<int>(args.GetInt("threads", 1));
+  std::size_t k = 1;
+  int threads = 1;
+  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
+  if (!parsed.ok()) return StatusExit(parsed);
   int warmup = std::max(0, static_cast<int>(args.GetInt("warmup", 1)));
   int runs = std::max(1, static_cast<int>(args.GetInt("runs", 5)));
 
@@ -692,8 +719,10 @@ int CmdExplain(const mio::ArgParser& args) {
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
-  std::size_t k = static_cast<std::size_t>(args.GetInt("k", 1));
-  int threads = static_cast<int>(args.GetInt("threads", 1));
+  std::size_t k = 1;
+  int threads = 1;
+  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
+  if (!parsed.ok()) return StatusExit(parsed);
 
   mio::MioEngine engine(set, args.GetString("labels", ""));
   mio::QueryOptions opt;
