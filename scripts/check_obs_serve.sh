@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
-# Serve observability gate: proves the request-lifecycle surfaces agree
-# with each other and cost ~nothing:
-#  - differential over an 8-client soak with qlog + evlog + traces on:
-#    every response carries a unique server request id; the evlog has
-#    exactly one terminal respond/refuse event per query request with
-#    monotonic stage timestamps; the qlog has exactly one record per
-#    accepted request and its id set equals the evlog's responded set;
-#    refusals are evlog-only and carry a retry hint but no enqueued
-#    stage; kept tail traces are named by request id;
+# Serve observability gate: proves each request is explained by its one
+# qlog record and that the observability costs ~nothing:
+#  - two-way differential over an 8-client soak with qlog + traces on,
+#    responses vs qlog: every response carries a unique server request
+#    id; the qlog has exactly one record per query request, with
+#    monotonic stage timestamps, and its id set equals the responses';
+#    kept tail traces are named by request id;
 #  - `mio top --once` renders a live stats snapshot; `mio qlog report`
 #    shows the server queue-wait/execute/e2e split;
 #  - the OpenMetrics scrape declares the server latency histograms
 #    (validate_openmetrics.py --require);
-#  - SIGTERM mid-burst with forced refusals: every refusal gets exactly
-#    one terminal refuse event, nothing is double-logged as both refuse
-#    and respond, and the drain begin/end markers land exactly once;
+#  - SIGTERM mid-burst with forced refusals: every response has exactly
+#    one record and its outcome (a refused record for an Overloaded
+#    response, with a retry hint and no enqueued stage), and the server
+#    log carries the drain begin/end markers exactly once each;
 #  - overhead A/B: a qlog-only server run vs the full observability
-#    stack (evlog + traces + metrics) on the canonical 30-query
-#    workload, gated by compare_bench.py.
+#    stack (traces + metrics) on the canonical 30-query workload, gated
+#    by compare_bench.py.
 # Usage: scripts/check_obs_serve.sh [build-dir]
 #   build-dir  reused if it already contains tools/mio, else configured
 #              and built (default build-obs-serve)
@@ -107,16 +106,18 @@ with open(out_path, "w") as f:
 print(f"soak: {len(responses)} responses")
 PYEOF
 
-# Differential validator: responses vs evlog vs qlog.
-#   validate_obs.py RESPONSES EVLOG QLOG EXPECTED
-# EXPECTED > 0 additionally requires that many responses, all accepted
-# (the clean-soak case); 0 skips that (the drain case, where transport
-# races and refusals are legitimate).
+# Two-way differential validator: responses vs qlog, plus the server
+# log for the drain markers.
+#   validate_obs.py RESPONSES QLOG SERVER_LOG EXPECTED
+# EXPECTED > 0 additionally requires that many responses, none refused,
+# and a qlog holding exactly the responded requests (the clean-soak
+# case); 0 skips that (the drain case, where transport races and
+# refusals are legitimate).
 cat > "$WORK/validate_obs.py" <<'PYEOF'
 import json
 import sys
 
-resp_path, evlog_path, qlog_path, expected = (
+resp_path, qlog_path, log_path, expected = (
     sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]))
 fails = 0
 
@@ -142,67 +143,52 @@ def load_jsonl(path):
 
 
 responses = load_jsonl(resp_path)
-events = load_jsonl(evlog_path)
 qlog = load_jsonl(qlog_path)
 
-EVENTS = {"accept", "disconnect", "refuse", "shed", "respond", "drain",
-          "fault"}
-LEVELS = {"info", "warn", "error"}
+ROLES = {"solo", "leader", "follower", "cached", "refused"}
 STAGE_ORDER = ["accepted", "enqueued", "dequeued", "executed", "responded"]
 
-# --- evlog schema, seq monotonicity, stage monotonicity ---------------------
-terminal = {}  # request_id -> [event docs]
-drain_begin = drain_end = 0
-prev_seq = -1
-for ev in events:
-    if ev.get("schema") != "mio-evlog-v1":
-        fail(f"evlog schema {ev.get('schema')!r}")
-    seq = ev.get("seq")
-    if not isinstance(seq, int) or seq <= prev_seq:
-        fail(f"evlog seq not strictly increasing at {seq!r}")
-    prev_seq = seq if isinstance(seq, int) else prev_seq
-    if ev.get("event") not in EVENTS:
-        fail(f"unknown evlog event {ev.get('event')!r}")
-    if ev.get("level") not in LEVELS:
-        fail(f"unknown evlog level {ev.get('level')!r}")
-    stages = ev.get("stages", {})
+# --- qlog: one record per query request, monotonic stages -------------------
+records = {}  # request_id -> record
+for rec in qlog:
+    if rec.get("schema") != "mio-qlog-v1":
+        fail(f"qlog schema {rec.get('schema')!r}")
+    server = rec.get("server")
+    if not server:
+        fail(f"qlog record without a server section: {rec}")
+        continue
+    rid = server.get("request_id", "")
+    if not rid:
+        fail(f"qlog record without a request_id: {rec}")
+        continue
+    if rid in records:
+        fail(f"{rid}: two qlog records (want exactly one per request)")
+    records[rid] = rec
+    role = server.get("role")
+    if role not in ROLES:
+        fail(f"{rid}: bad role {role!r}")
+    if server.get("queue_wait_seconds", 0) < 0:
+        fail(f"{rid}: negative queue wait")
+    stages = server.get("stages", {})
+    for s in ("accepted", "responded"):
+        if s not in stages:
+            fail(f"{rid}: no {s} stage")
     stamped = [stages[s] for s in STAGE_ORDER if s in stages]
     if any(b < a for a, b in zip(stamped, stamped[1:])):
-        fail(f"non-monotonic stages in {ev}")
-    name = ev.get("event")
-    if name in ("respond", "refuse"):
-        rid = ev.get("request_id", "")
-        if not rid:
-            fail(f"terminal event without request_id: {ev}")
-        terminal.setdefault(rid, []).append(ev)
-        if name == "refuse":
-            if "enqueued" in stages:
-                fail(f"refusal has an enqueued stage: {ev}")
-            if ev.get("status") == "Overloaded" and \
-                    not ev.get("retry_after_ms", 0) > 0:
-                fail(f"overloaded refusal without retry hint: {ev}")
-    elif name == "drain":
-        if str(ev.get("detail", "")).startswith("begin"):
-            drain_begin += 1
-        else:
-            drain_end += 1
+        fail(f"{rid}: non-monotonic stages {stages}")
+    if role == "refused":
+        if "enqueued" in stages:
+            fail(f"{rid}: refusal has an enqueued stage")
+        if rec.get("outcome", {}).get("status") != "Overloaded":
+            fail(f"{rid}: refused record is not Overloaded")
+        if not server.get("retry_after_ms", 0) > 0:
+            fail(f"{rid}: refusal without retry hint")
+    elif not server.get("e2e_seconds", 0) > 0:
+        fail(f"{rid}: non-positive e2e")
 
-if drain_begin != 1 or drain_end != 1:
-    fail(f"drain markers begin={drain_begin} end={drain_end} (want 1/1)")
-
-# --- exactly one terminal event per request ---------------------------------
-respond_ids, refuse_ids = set(), set()
-for rid, evs in terminal.items():
-    if len(evs) != 1:
-        fail(f"{rid}: {len(evs)} terminal events (want exactly 1): "
-             f"{[e['event'] for e in evs]}")
-    if evs[0]["event"] == "respond":
-        respond_ids.add(rid)
-    else:
-        refuse_ids.add(rid)
-
-# --- responses: unique ids, outcome matches the evlog -----------------------
+# --- responses: unique ids, each matched by its one record -------------------
 seen_ids = set()
+refused = 0
 for res in responses:
     rid = res.get("request_id", "")
     if not rid:
@@ -211,53 +197,47 @@ for res in responses:
     if rid in seen_ids:
         fail(f"duplicate request_id across responses: {rid}")
     seen_ids.add(rid)
-    want = refuse_ids if res.get("status") == "Overloaded" else respond_ids
-    if rid not in want:
-        fail(f"{rid}: response status {res.get('status')!r} has no "
-             f"matching terminal event")
-    evs = terminal.get(rid)
-    if evs and evs[0].get("correlation_id", "") != res.get("id", ""):
+    rec = records.get(rid)
+    if rec is None:
+        fail(f"{rid}: response status {res.get('status')!r} has no qlog "
+             f"record")
+        continue
+    is_refusal = res.get("status") == "Overloaded"
+    refused += is_refusal
+    if is_refusal != (rec["server"].get("role") == "refused"):
+        fail(f"{rid}: response status {res.get('status')!r} vs record role "
+             f"{rec['server'].get('role')!r}")
+    if rec["outcome"].get("status") != res.get("status"):
+        fail(f"{rid}: status mismatch (qlog "
+             f"{rec['outcome'].get('status')!r}, response "
+             f"{res.get('status')!r})")
+    if rec["server"].get("correlation_id", "") != res.get("id", ""):
         fail(f"{rid}: correlation id mismatch "
-             f"(evlog {evs[0].get('correlation_id')!r}, "
+             f"(qlog {rec['server'].get('correlation_id')!r}, "
              f"response {res.get('id')!r})")
 
-# --- qlog: one record per accepted request, ids shared with the evlog -------
-qlog_ids = set()
-for rec in qlog:
-    server = rec.get("server")
-    if not server:
-        fail(f"qlog record without a server section: {rec}")
-        continue
-    rid = server.get("request_id", "")
-    if rid in qlog_ids:
-        fail(f"duplicate qlog record for {rid}")
-    qlog_ids.add(rid)
-    if server.get("role") not in ("solo", "leader", "follower", "cached"):
-        fail(f"{rid}: bad role {server.get('role')!r}")
-    if server.get("queue_wait_seconds", 0) < 0:
-        fail(f"{rid}: negative queue wait")
-    if not server.get("e2e_seconds", 0) > 0:
-        fail(f"{rid}: non-positive e2e")
-
-if qlog_ids != respond_ids:
-    fail(f"qlog ids != evlog responded ids "
-         f"(qlog-only {sorted(qlog_ids - respond_ids)[:5]}, "
-         f"evlog-only {sorted(respond_ids - qlog_ids)[:5]})")
-if qlog_ids & refuse_ids:
-    fail(f"refused requests leaked into the qlog: "
-         f"{sorted(qlog_ids & refuse_ids)[:5]}")
+# --- server log: each drain marker exactly once ------------------------------
+with open(log_path) as f:
+    log = f.read().splitlines()
+begin = sum(line.startswith("serve: drain begin") for line in log)
+end = sum(line.startswith("serve: drained") for line in log)
+if begin != 1 or end != 1:
+    fail(f"drain markers begin={begin} end={end} (want 1/1)")
 
 if expected > 0:
     if len(responses) != expected:
         fail(f"{len(responses)} responses (want {expected})")
-    if refuse_ids:
-        fail(f"unexpected refusals in a clean soak: {sorted(refuse_ids)[:5]}")
+    if set(records) != seen_ids:
+        fail(f"qlog ids != response ids "
+             f"(qlog-only {sorted(set(records) - seen_ids)[:5]}, "
+             f"response-only {sorted(seen_ids - set(records))[:5]})")
+    if refused:
+        fail(f"{refused} unexpected refusals in a clean soak")
 
 if fails:
     sys.exit(1)
-print(f"differential: {len(responses)} responses, "
-      f"{len(respond_ids)} responded + {len(refuse_ids)} refused, "
-      f"{len(qlog_ids)} qlog records — consistent")
+print(f"differential: {len(responses)} responses ({refused} refused), "
+      f"{len(records)} qlog records — consistent")
 PYEOF
 
 # start_server SOCKET FAULTSPEC [serve args...]; sets SERVER_PID and
@@ -306,10 +286,10 @@ stop_server() {
 }
 
 # --- 1. Clean 8-client soak: full observability + differential --------------
-echo "== soak: 8 clients x 6 queries, evlog+qlog+traces on =="
+echo "== soak: 8 clients x 6 queries, qlog+traces on =="
 mkdir -p "$WORK/traces"
 start_server "$WORK/mio.sock" "" --workers=2 --max-queue=16 --cache=8 \
-  --qlog="$WORK/serve.jsonl" --evlog="$WORK/events.jsonl" \
+  --qlog="$WORK/serve.jsonl" \
   --trace-dir="$WORK/traces" --tail-slowest=3 \
   --metrics-out="$WORK/serve.prom" --telemetry-interval-ms=100
 python3 "$WORK/soak.py" "$WORK/mio.sock" "$WORK/responses.jsonl" 8 6
@@ -325,9 +305,9 @@ grep -q '^client' "$WORK/top.out" \
 
 stop_server "$WORK/mio.sock" "0"
 
-echo "== differential: responses vs evlog vs qlog =="
+echo "== differential: responses vs qlog =="
 python3 "$WORK/validate_obs.py" "$WORK/responses.jsonl" \
-  "$WORK/events.jsonl" "$WORK/serve.jsonl" 48
+  "$WORK/serve.jsonl" "$WORK/mio.sock.log" 48
 
 echo "== qlog report shows the server split =="
 "$CLI" qlog report --in="$WORK/serve.jsonl" > "$WORK/report.out"
@@ -351,8 +331,7 @@ python3 "$SRC/scripts/validate_openmetrics.py" \
 # --- 2. SIGTERM mid-burst with forced refusals ------------------------------
 echo "== drain accounting: refusal storm + SIGTERM mid-burst =="
 start_server "$WORK/drain.sock" 'server.enqueue:p=0.5' \
-  --workers=1 --max-queue=2 \
-  --qlog="$WORK/drain.jsonl" --evlog="$WORK/drain-events.jsonl"
+  --workers=1 --max-queue=2 --qlog="$WORK/drain.jsonl"
 python3 "$WORK/soak.py" "$WORK/drain.sock" "$WORK/drain-responses.jsonl" \
   8 6 > "$WORK/drain-soak.out" &
 SOAK_PID=$!
@@ -371,7 +350,7 @@ if [ "$RC" -ne 0 ] && [ "$RC" -ne 9 ]; then
   exit 1
 fi
 python3 "$WORK/validate_obs.py" "$WORK/drain-responses.jsonl" \
-  "$WORK/drain-events.jsonl" "$WORK/drain.jsonl" 0
+  "$WORK/drain.jsonl" "$WORK/drain.sock.log" 0
 
 # --- 3. Observability overhead within noise ---------------------------------
 echo "== observability overhead A/B (threshold $OVERHEAD_THRESHOLD) =="
@@ -387,10 +366,10 @@ start_server "$WORK/ab.sock" "" --workers=2 --cache=0 \
 "$CLI" run-workload --spec="$WORK/canonical.spec" \
   --connect="$WORK/ab.sock" > /dev/null
 stop_server "$WORK/ab.sock" "0"
-# B: the full stack — evlog, tail traces, live metrics.
+# B: the full stack — tail traces, live metrics.
 mkdir -p "$WORK/ab-traces"
 start_server "$WORK/ab.sock" "" --workers=2 --cache=0 \
-  --qlog="$WORK/ab-full.jsonl" --evlog="$WORK/ab-events.jsonl" \
+  --qlog="$WORK/ab-full.jsonl" \
   --trace-dir="$WORK/ab-traces" --tail-slowest=3 \
   --metrics-out="$WORK/ab.prom" --telemetry-interval-ms=100
 "$CLI" run-workload --spec="$WORK/canonical.spec" \

@@ -11,9 +11,11 @@ set -eu
 PREFIX=${1:-build-robust}
 SRC=$(cd "$(dirname "$0")/.." && pwd)
 # The tests that exercise the guardrails, fault sites, and hardened IO,
-# plus the workload-spec and serve-protocol parsers' numeric domain.
+# the workload-spec and serve-protocol parsers' numeric domain, the qlog
+# reader and the protocol fuzz loops, the telemetry sampler thread, and
+# the request-lifecycle helpers.
 TESTS="robustness_test io_test importers_test mio_engine_test \
-  workload_test server_test"
+  workload_test server_test qlog_test telemetry_test obs_serve_test"
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 build() { # build <dir> <extra cmake flags...>
@@ -102,6 +104,27 @@ for args in "--k=-1" "--k=abc" "--threads=99999999999" "--delta=5" \
     exit 1
   fi
   echo "  [domain] rc=$rc  $args"
+done
+# `mio serve` checks its numeric flags before it loads or binds: a
+# wrapped --max-queue=-1 once disabled overload refusal, and a NaN drain
+# deadline reached a float->int cast.
+for args in "--max-queue=-1" "--workers=abc" "--cache=-1" \
+  "--drain-deadline-ms=nan" "--telemetry-interval-ms=5"; do
+  set +e
+  # shellcheck disable=SC2086
+  timeout 60 "$CLI" serve --in="$STORM_DIR/data.bin" \
+    --socket="$STORM_DIR/serve.sock" $args \
+    > /dev/null 2> "$STORM_DIR/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || [ ! -s "$STORM_DIR/err.txt" ] \
+    || [ -e "$STORM_DIR/serve.sock" ]; then
+    echo "FAILED: 'mio serve $args' exited $rc (want 2 with a message" \
+      "and no socket)"
+    cat "$STORM_DIR/err.txt"
+    exit 1
+  fi
+  echo "  [domain] rc=$rc  serve $args"
 done
 
 echo "check_robustness: all passes clean"

@@ -11,7 +11,8 @@ do. The committed BENCH_PR4-6.json files also hold legacy mio-stats-v1
 harness records; those are keyed by their `bench` name in the workload
 slot, so old and new records of one harness match. A leading
 `mio-bench-header-v1` machine-identity line is skipped, as are recorded
-`mio-qlog-diff-v1` verdicts. A configuration repeated within one file
+`mio-qlog-diff-v1` verdicts, and so are `mio serve` records of refused
+requests, which never executed. A configuration repeated within one file
 (run_benches.sh repeats each harness for exactly this reason) is reduced
 to the median of the compared metric, so a single noisy run cannot fake
 a regression. For each matched pair the metric is compared; slowdowns
@@ -48,6 +49,8 @@ def load_records(path):
             if schema == "mio-bench-header-v1" and header is None:
                 header = doc
             if schema in SKIPPED_SCHEMAS:
+                continue
+            if doc.get("server", {}).get("role") == "refused":
                 continue
             if schema == "mio-qlog-v1":
                 workload = doc.get("workload", "")

@@ -8,11 +8,13 @@ set -eu
 
 SRC=$(cd "$(dirname "$0")/.." && pwd)
 
+SUMMARY="all passes clean"
 if command -v shellcheck > /dev/null 2>&1; then
   echo "== shellcheck scripts/*.sh =="
   shellcheck "$SRC"/scripts/*.sh
 else
   echo "skip: shellcheck not installed — shell scripts unchecked" >&2
+  SUMMARY="pass (shellcheck not installed: shell scripts unchecked)"
 fi
 
 echo "== python3 compile check scripts/*.py =="
@@ -27,4 +29,4 @@ for path in sys.argv[1:]:
     print(f"  ok: {path}")
 PYEOF
 
-echo "lint_scripts: all passes clean"
+echo "lint_scripts: $SUMMARY"

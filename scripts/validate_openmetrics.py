@@ -4,7 +4,7 @@ monotonicity across two scrapes).
 
 Checks, per file:
   - every sample line belongs to a preceding `# TYPE <name> <type>` family
-    (process_* / telemetry_* gauges included — everything must be declared);
+    (process_* gauges included — everything must be declared);
   - metric names match the OpenMetrics grammar [a-z_][a-z0-9_]*;
   - counter samples use the `_total` suffix and are finite and >= 0;
   - histogram families expose `_bucket{le=...}` with non-decreasing `le`

@@ -1,6 +1,8 @@
 #include "common/argparse.hpp"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -78,6 +80,23 @@ Result<std::int64_t> ArgParser::GetIntInRange(const std::string& name,
                                    std::to_string(hi) + "]");
   }
   return static_cast<std::int64_t>(v);
+}
+
+Result<double> ArgParser::GetDoubleInRange(const std::string& name,
+                                           double fallback, double lo,
+                                           double hi) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end() || it->second.empty()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < lo || v > hi) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
+    return Status::InvalidArgument("--" + name + "=" + it->second +
+                                   ": expected a finite number in " + range);
+  }
+  return v;
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {

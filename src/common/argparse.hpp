@@ -33,6 +33,12 @@ class ArgParser {
   Result<std::int64_t> GetIntInRange(const std::string& name,
                                      std::int64_t fallback, std::int64_t lo,
                                      std::int64_t hi) const;
+  /// Checked GetDouble: the value of `--name` as a finite number in
+  /// [lo, hi], or `fallback` when absent. Non-numeric text, trailing
+  /// junk, nan, inf and values outside [lo, hi] are kInvalidArgument
+  /// naming the flag.
+  Result<double> GetDoubleInRange(const std::string& name, double fallback,
+                                  double lo, double hi) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
   /// Comma-separated list flag, e.g. `--r=4,6,8,10`.

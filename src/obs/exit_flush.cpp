@@ -120,7 +120,7 @@ void FlushObservabilityNow() {
     // handler, which leaves the sampler's last atomic write in place).
     (void)WriteOpenMetricsFile(
         g_cfg.metrics_path, SnapshotMetrics(),
-        ProcessExtraSamples(ReadProcessHealth(), nullptr, 0.0), nullptr);
+        ProcessExtraSamples(ReadProcessHealth()), nullptr);
   }
   g_cfg = ExitFlushConfig{};
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace mio {
@@ -486,6 +487,8 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
 
 std::uint64_t JsonValue::AsUInt(std::uint64_t fallback) const {
   if (!IsNumber() || num_ < 0.0) return fallback;
+  // Saturate: casting 2^64 or more ("1e999" parses to Inf) is undefined.
+  if (!(num_ < 0x1p64)) return std::numeric_limits<std::uint64_t>::max();
   return static_cast<std::uint64_t>(num_ + 0.5);
 }
 

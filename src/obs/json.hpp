@@ -78,6 +78,8 @@ class JsonValue {
   double AsDouble(double fallback = 0.0) const {
     return IsNumber() ? num_ : fallback;
   }
+  /// Rounded to the nearest integer; negative numbers give `fallback`,
+  /// 2^64 and above saturate.
   std::uint64_t AsUInt(std::uint64_t fallback = 0) const;
   const std::string& AsString() const { return str_; }
 

@@ -69,9 +69,6 @@ enum class Counter : int {
   kServerShedGridCache,     ///< admissions that dropped the grid cache
   kServerDrainCompleted,    ///< requests finished during graceful drain
   kServerIoErrors,          ///< read/write/accept failures on sessions
-  kServerEvlogEvents,       ///< structured events written to the evlog
-  kServerEvlogDropped,      ///< evlog events lost to a full ring
-  kServerEvlogRateLimited,  ///< evlog events suppressed by the rate limit
   kCount_
 };
 
@@ -134,9 +131,6 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "server.shed_grid_cache",
     "server.drain_completed",
     "server.io_errors",
-    "server.evlog_events",
-    "server.evlog_dropped",
-    "server.evlog_rate_limited",
 };
 
 /// OpenMetrics sample names (exposition adds the "mio_" prefix and, for
@@ -179,9 +173,6 @@ inline constexpr std::array<const char*, kNumCounters> kCounterMetricNames = {
     "server_shed_grid_cache",
     "server_drain_completed",
     "server_io_errors",
-    "server_evlog_events",
-    "server_evlog_dropped",
-    "server_evlog_rate_limited",
 };
 
 inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {

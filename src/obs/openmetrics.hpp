@@ -33,7 +33,7 @@ struct LeBucket {
 /// yields a single +Inf bucket with cumulative 0.
 std::vector<LeBucket> CumulativeLeBuckets(const HistogramSnapshot& h);
 
-/// A process-health or rate sample rendered alongside the registry.
+/// A process-health sample rendered alongside the registry.
 /// `name` must be OpenMetrics-legal and carries no "mio_" prefix;
 /// counters get "_total" appended by the writer.
 struct ExtraSample {

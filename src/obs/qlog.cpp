@@ -19,11 +19,11 @@ namespace {
 
 constexpr const char* kQlogSchema = "mio-qlog-v1";
 
-/// Canonical server coalesce-role names. Kept in sync with the kRole*
-/// constants in server/request_context.hpp (the obs layer cannot include
-/// server headers); a test asserts the two lists match.
+/// Canonical server role names. Kept in sync with the kRole* constants
+/// in server/request_context.hpp (the obs layer cannot include server
+/// headers); a test asserts the two lists match.
 constexpr const char* kServerRoles[] = {"solo", "leader", "follower",
-                                        "cached"};
+                                        "cached", "refused"};
 
 bool IsServerRole(const std::string& name) {
   for (const char* r : kServerRoles) {
@@ -56,11 +56,25 @@ Status Missing(const char* section, const char* field) {
                                  section + "." + field);
 }
 
+/// A number the writer can emit back: JSON has no Inf, and "1e999"
+/// parses to one.
+bool IsFiniteNumber(const JsonValue* v) {
+  return v != nullptr && v->IsNumber() && std::isfinite(v->AsDouble());
+}
+
 Status RequireNumber(const JsonValue& obj, const char* section,
                      const char* field) {
-  const JsonValue* v = obj.Find(field);
-  if (v == nullptr || !v->IsNumber()) return Missing(section, field);
+  if (!IsFiniteNumber(obj.Find(field))) return Missing(section, field);
   return Status::OK();
+}
+
+/// An int field, clamped to int's range so a parsed record always
+/// serialises to the value it holds.
+int ReadInt(const JsonValue& obj, const char* field, int fallback) {
+  const double v = obj.GetDouble(field, fallback);
+  return static_cast<int>(
+      std::clamp(v, double{std::numeric_limits<int>::min()},
+                 double{std::numeric_limits<int>::max()}));
 }
 
 Status RequireString(const JsonValue& obj, const char* section,
@@ -232,10 +246,21 @@ Status CheckQlogDocument(const JsonValue& doc) {
     MIO_RETURN_NOT_OK(
         RequireNumber(*server, "server", "queue_wait_seconds"));
     MIO_RETURN_NOT_OK(RequireNumber(*server, "server", "e2e_seconds"));
-    // correlation_id and client are optional but must be strings.
-    for (const char* f : {"correlation_id", "client"}) {
-      const JsonValue* v = server->Find(f);
-      if (v != nullptr && !v->IsString()) return Missing("server", f);
+    // The rest is optional but must have its type when present.
+    for (const char* f : {"correlation_id", "client", "refusal"}) {
+      MIO_RETURN_NOT_OK(
+          OptionalTyped(*server, "server", f, &JsonValue::IsString));
+    }
+    if (server->Find("retry_after_ms") != nullptr) {
+      MIO_RETURN_NOT_OK(RequireNumber(*server, "server", "retry_after_ms"));
+    }
+    if (const JsonValue* stages = server->Find("stages")) {
+      if (!stages->IsObject()) return Missing("server", "stages");
+      for (const char* f : kServerStageNames) {
+        if (stages->Find(f) != nullptr) {
+          MIO_RETURN_NOT_OK(RequireNumber(*stages, "server.stages", f));
+        }
+      }
     }
   }
   return Status::OK();
@@ -516,6 +541,19 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
     w.Key("role").String(rec.server_role);
     w.Key("queue_wait_seconds").Double(rec.server_queue_wait_seconds);
     w.Key("e2e_seconds").Double(rec.server_e2e_seconds);
+    if (!rec.server_refusal.empty()) {
+      w.Key("refusal").String(rec.server_refusal);
+    }
+    if (rec.server_retry_after_ms > 0.0) {
+      w.Key("retry_after_ms").Double(rec.server_retry_after_ms);
+    }
+    w.Key("stages").BeginObject();
+    for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
+      if (rec.server_stages[i] >= 0.0) {
+        w.Key(kServerStageNames[i]).Double(rec.server_stages[i]);
+      }
+    }
+    w.EndObject();
     w.EndObject();
   }
   if (rec.detail) {
@@ -551,9 +589,9 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.algo = doc.GetString("algo");
   const JsonValue* params = doc.Find("params");
   rec.r = params->GetDouble("r");
-  rec.ceil_r = static_cast<int>(params->GetUInt("ceil_r"));
+  rec.ceil_r = ReadInt(*params, "ceil_r", 0);
   rec.k = params->GetUInt("k");
-  rec.threads = static_cast<int>(params->GetUInt("threads", 1));
+  rec.threads = ReadInt(*params, "threads", 1);
   rec.scale = params->GetString("scale");
   rec.wall_seconds = doc.GetDouble("wall_seconds");
   rec.total_seconds = doc.GetDouble("total_seconds");
@@ -602,6 +640,14 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
     rec.server_role = server->GetString("role");
     rec.server_queue_wait_seconds = server->GetDouble("queue_wait_seconds");
     rec.server_e2e_seconds = server->GetDouble("e2e_seconds");
+    rec.server_refusal = server->GetString("refusal");
+    rec.server_retry_after_ms = server->GetDouble("retry_after_ms");
+    if (const JsonValue* stages = server->Find("stages")) {
+      for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
+        rec.server_stages[i] =
+            stages->GetDouble(kServerStageNames[i], rec.server_stages[i]);
+      }
+    }
   }
   *out = std::move(rec);
   return Status::OK();
@@ -792,6 +838,9 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
   std::vector<std::vector<double>> phase_values(5);
   std::map<int, QlogCeilClassStats> classes;
   for (const QlogRecord& rec : records) {
+    // A refused request never executed: it has no latency, phases or
+    // label outcome of its own (the server split counts it below).
+    if (rec.ServerRefused()) continue;
     wall.push_back(rec.wall_seconds);
     if (rec.Batched()) {
       batched_wall.push_back(rec.wall_seconds);
@@ -821,13 +870,17 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
 
   // Server split: queue-wait and execute over the actually-executed
   // requests only (follower/cached never queued an execution of their
-  // own), e2e over every server record.
+  // own), e2e over every answered request.
   std::vector<double> server_queue_wait;
   std::vector<double> server_execute;
   std::vector<double> server_e2e;
   for (const QlogRecord& rec : records) {
     if (!rec.HasServer()) continue;
     ++report.server_requests;
+    if (rec.ServerRefused()) {
+      ++report.server_refused;
+      continue;
+    }
     server_e2e.push_back(rec.server_e2e_seconds);
     if (rec.ServerExecuted()) {
       ++report.server_executed;
@@ -866,7 +919,9 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
   // the kept trace files.
   std::vector<const QlogRecord*> by_wall;
   by_wall.reserve(records.size());
-  for (const QlogRecord& rec : records) by_wall.push_back(&rec);
+  for (const QlogRecord& rec : records) {
+    if (!rec.ServerRefused()) by_wall.push_back(&rec);
+  }
   std::sort(by_wall.begin(), by_wall.end(),
             [](const QlogRecord* a, const QlogRecord* b) {
               if (a->wall_seconds != b->wall_seconds) {
@@ -934,6 +989,7 @@ std::string QlogReportToJson(const QlogReport& report,
     w.Key("executed").UInt(report.server_executed);
     w.Key("coalesced").UInt(report.server_coalesced);
     w.Key("cached").UInt(report.server_cached);
+    w.Key("refused").UInt(report.server_refused);
     emit_summary("queue_wait", report.server_queue_wait);
     emit_summary("execute", report.server_execute);
     emit_summary("e2e", report.server_e2e);
@@ -1013,9 +1069,10 @@ std::string FormatQlogReport(const QlogReport& report,
   if (report.server_requests > 0) {
     std::snprintf(buf, sizeof(buf),
                   "  server: %zu requests (%zu executed, %zu coalesced, "
-                  "%zu cached)\n",
+                  "%zu cached, %zu refused)\n",
                   report.server_requests, report.server_executed,
-                  report.server_coalesced, report.server_cached);
+                  report.server_coalesced, report.server_cached,
+                  report.server_refused);
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "    queue wait:  p50 %.6fs  p95 %.6fs  p99 %.6fs  "
@@ -1087,7 +1144,10 @@ std::vector<SloResult> EvaluateSlos(const std::vector<QlogRecord>& records,
     for (const QlogRecord& rec : records) {
       if (slo.ceil_r != 0 && rec.ceil_r != slo.ceil_r) continue;
       ++res.queries;
-      if (rec.wall_seconds > limit_seconds) ++res.violations;
+      // A failed request misses its objective however fast it failed.
+      if (rec.status != "OK" || rec.wall_seconds > limit_seconds) {
+        ++res.violations;
+      }
     }
     res.error_budget =
         (1.0 - slo.objective) * static_cast<double>(res.queries);

@@ -21,6 +21,7 @@
 // ceil(r) class, slowest-N pointers) and `mio qlog diff` compares two.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -37,6 +38,11 @@
 
 namespace mio {
 namespace obs {
+
+/// The server request stages, in lifecycle order — the keys of a server
+/// record's "stages" object.
+inline constexpr const char* kServerStageNames[] = {
+    "accepted", "enqueued", "dequeued", "executed", "responded"};
 
 /// One query's log record. String enums (`label_outcome`, `status`) are
 /// carried as their canonical short names (LabelOutcomeName /
@@ -106,17 +112,25 @@ struct QlogRecord {
   // Server request lifecycle (`mio serve`). An empty server_request_id
   // means the query did not run through the server and the optional
   // "server" section is omitted from the JSON line. The role strings are
-  // the coalescer outcomes: "solo" / "leader" (actually executed),
+  // the request outcomes: "solo" / "leader" (actually executed),
   // "follower" (result shared from an identical in-flight query),
-  // "cached" (served from the result cache). Follower/cached records
-  // carry zeroed engine stats — their wall_seconds is the client-visible
-  // end-to-end time, not an execution.
+  // "cached" (served from the result cache), "refused" (turned away by
+  // admission: outcome Overloaded, with the reason and a retry hint).
+  // Follower, cached and refused records carry zeroed engine stats —
+  // their wall_seconds is the client-visible end-to-end time, not an
+  // execution. An admission shed raises degradation_level to its step.
   std::string server_request_id;      ///< "r000042"
   std::string server_correlation_id;  ///< client-supplied request `id`
   std::string server_client;          ///< connection id ("c3")
-  std::string server_role;            ///< solo/leader/follower/cached
+  std::string server_role;            ///< solo/leader/follower/cached/refused
   double server_queue_wait_seconds = 0.0;  ///< enqueued -> dequeued
   double server_e2e_seconds = 0.0;         ///< accepted -> responded
+  std::string server_refusal;              ///< refusal reason ("" = none)
+  double server_retry_after_ms = 0.0;      ///< refusal backoff hint
+  /// Stage timestamps in kServerStageNames order: seconds since server
+  /// start, negative for a stage the request never reached (omitted
+  /// from the "stages" object).
+  std::array<double, 5> server_stages = {-1.0, -1.0, -1.0, -1.0, -1.0};
 
   /// Set only on the exit backstop's record: the run was interrupted
   /// before it wrote its real record (adds a top-level "truncated").
@@ -140,10 +154,14 @@ struct QlogRecord {
   bool HasServer() const { return !server_request_id.empty(); }
 
   /// True for server records whose engine stats are real (solo/leader);
-  /// follower and cached records never touched the engine.
+  /// follower, cached and refused records never touched the engine.
   bool ServerExecuted() const {
     return server_role == "solo" || server_role == "leader";
   }
+
+  /// True for a request admission turned away: it never executed, so
+  /// latency statistics leave it out (SLOs count it as a violation).
+  bool ServerRefused() const { return server_role == "refused"; }
 
   /// True when the label lookup reused an existing set (memory or disk).
   bool LabelHit() const {
@@ -313,7 +331,10 @@ struct QlogReport {
   std::size_t num_queries = 0;
   std::size_t incomplete = 0;
   std::size_t degraded = 0;
-  QlogLatencySummary latency;             ///< over wall_seconds
+  /// Over the wall_seconds of every record except refused server
+  /// requests, which never executed; the phase, label-class and slowest
+  /// tables skip them too.
+  QlogLatencySummary latency;
   std::vector<QlogPhaseAggregate> phases;
   std::vector<QlogCeilClassStats> ceil_classes;  ///< sorted by ceil_r
   std::vector<QlogSlowQuery> slowest;     ///< wall-descending, max N
@@ -325,18 +346,20 @@ struct QlogReport {
   QlogLatencySummary batched_latency;
   QlogLatencySummary sequential_latency;
 
-  // Server split (records with a "server" section): how the accepted
-  // requests resolved and where their time went. queue-wait and execute
+  // Server split (records with a "server" section): how the requests
+  // resolved and where their time went. queue-wait and execute
   // summaries cover only the actually-executed (solo/leader) requests;
-  // the e2e summary covers every server record, so coalesce and cache
-  // wins show up as the gap between execute and e2e percentiles.
+  // the e2e summary covers every answered (not refused) request, so
+  // coalesce and cache wins show up as the gap between execute and e2e
+  // percentiles.
   std::size_t server_requests = 0;
   std::size_t server_executed = 0;   ///< role solo or leader
   std::size_t server_coalesced = 0;  ///< role follower
   std::size_t server_cached = 0;     ///< role cached
+  std::size_t server_refused = 0;    ///< role refused
   QlogLatencySummary server_queue_wait;  ///< over executed requests
   QlogLatencySummary server_execute;     ///< wall_seconds over executed
-  QlogLatencySummary server_e2e;         ///< over all server records
+  QlogLatencySummary server_e2e;         ///< over answered requests
 };
 
 /// Aggregates records (any order) into a report; `slowest_n` bounds the
@@ -356,7 +379,7 @@ std::string FormatQlogReport(const QlogReport& report,
 // --- SLOs (`mio qlog report --slo`) -----------------------------------------
 
 /// One latency objective from the workload spec's `slo` directive:
-/// at least `objective` of the in-scope queries must finish within
+/// at least `objective` of the in-scope queries must succeed within
 /// `latency_ms` of wall time. `ceil_r == 0` scopes the objective to
 /// every query; a positive value to that ⌈r⌉ class only.
 struct SloObjective {
@@ -372,7 +395,7 @@ struct SloObjective {
 struct SloResult {
   SloObjective slo;
   std::uint64_t queries = 0;     ///< in-scope queries
-  std::uint64_t violations = 0;  ///< wall > latency_ms
+  std::uint64_t violations = 0;  ///< status not OK, or wall > latency_ms
   double error_budget = 0.0;
   double burn_rate = 0.0;
   bool met = true;  ///< violations <= error_budget (vacuous when no queries)

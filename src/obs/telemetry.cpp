@@ -69,22 +69,7 @@ ProcessHealth ReadProcessHealth() {
   return h;
 }
 
-TelemetryConfig TelemetryConfigFromEnv() {
-  TelemetryConfig cfg;
-  const char* env = std::getenv("MIO_TELEMETRY_INTERVAL_MS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 10 && v <= 3600000) {
-      cfg.interval_ms = static_cast<int>(v);
-    }
-  }
-  return cfg;
-}
-
-std::vector<ExtraSample> ProcessExtraSamples(const ProcessHealth& health,
-                                             const TelemetryRates* rates,
-                                             double interval_seconds) {
+std::vector<ExtraSample> ProcessExtraSamples(const ProcessHealth& health) {
   std::vector<ExtraSample> out;
   out.push_back({"process_resident_memory_bytes", "gauge",
                  static_cast<double>(health.rss_bytes)});
@@ -99,26 +84,12 @@ std::vector<ExtraSample> ProcessExtraSamples(const ProcessHealth& health,
     out.push_back(
         {"process_threads", "gauge", static_cast<double>(health.threads)});
   }
-  if (rates != nullptr) {
-    out.push_back(
-        {"telemetry_queries_per_second", "gauge", rates->queries_per_sec});
-    out.push_back({"telemetry_verify_points_per_second", "gauge",
-                   rates->verify_points_per_sec});
-    if (rates->cache_hit_rate >= 0.0) {
-      out.push_back(
-          {"telemetry_cache_hit_rate", "gauge", rates->cache_hit_rate});
-    }
-    out.push_back(
-        {"telemetry_interval_seconds", "gauge", interval_seconds});
-  }
   return out;
 }
 
 TelemetrySampler::TelemetrySampler(TelemetryConfig config)
     : config_(std::move(config)) {
   if (config_.interval_ms < 10) config_.interval_ms = 10;
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  ring_.reserve(config_.ring_capacity);
 }
 
 TelemetrySampler::~TelemetrySampler() { Stop(); }
@@ -129,9 +100,6 @@ void TelemetrySampler::Start() {
     if (running_) return;
     running_ = true;
     stop_requested_ = false;
-    start_time_ = std::chrono::steady_clock::now();
-    last_sample_time_ = start_time_;
-    last_counters_ = SnapshotMetrics().counters;
   }
   // The immediate first sample guarantees a scrape file exists before
   // any query runs — a process killed inside its first interval still
@@ -163,26 +131,6 @@ std::uint64_t TelemetrySampler::SampleCount() const {
   return sample_count_;
 }
 
-std::vector<TelemetrySample> TelemetrySampler::Samples() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::vector<TelemetrySample> out;
-  out.reserve(ring_.size());
-  // When full, ring_head_ points at the oldest entry.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-TelemetrySample TelemetrySampler::Latest() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (ring_.empty()) return TelemetrySample{};
-  std::size_t latest = ring_.size() < config_.ring_capacity
-                           ? ring_.size() - 1
-                           : (ring_head_ + ring_.size() - 1) % ring_.size();
-  return ring_[latest];
-}
-
 void TelemetrySampler::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_requested_) {
@@ -195,57 +143,17 @@ void TelemetrySampler::Loop() {
 }
 
 void TelemetrySampler::SampleOnce() {
-  TelemetrySample s;
-  s.metrics = SnapshotMetrics();
-  s.health = ReadProcessHealth();
-  auto now = std::chrono::steady_clock::now();
-
-  std::string scrape;
-  std::string path;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    s.uptime_seconds =
-        std::chrono::duration<double>(now - start_time_).count();
-    s.interval_seconds =
-        std::chrono::duration<double>(now - last_sample_time_).count();
-    for (int c = 0; c < kNumCounters; ++c) {
-      std::uint64_t cur = s.metrics.counters[static_cast<std::size_t>(c)];
-      std::uint64_t prev = last_counters_[static_cast<std::size_t>(c)];
-      // Shard counters are merged from racing threads; clamp to keep the
-      // delta well-defined even if a merge momentarily reads backwards.
-      s.deltas[static_cast<std::size_t>(c)] = cur >= prev ? cur - prev : 0;
-      last_counters_[static_cast<std::size_t>(c)] = cur;
-    }
-    double dt = s.interval_seconds > 1e-9 ? s.interval_seconds : 1e-9;
-    auto delta = [&](Counter c) {
-      return static_cast<double>(s.deltas[static_cast<std::size_t>(c)]);
-    };
-    s.rates.queries_per_sec = delta(Counter::kQueriesExecuted) / dt;
-    s.rates.verify_points_per_sec = delta(Counter::kVerifyPoints) / dt;
-    double hits = delta(Counter::kLabelCacheHits);
-    double misses = delta(Counter::kLabelCacheMisses);
-    s.rates.cache_hit_rate =
-        hits + misses > 0.0 ? hits / (hits + misses) : -1.0;
-    last_sample_time_ = now;
     ++sample_count_;
-    if (ring_.size() < config_.ring_capacity) {
-      ring_.push_back(s);
-    } else {
-      ring_[ring_head_] = s;
-      ring_head_ = (ring_head_ + 1) % config_.ring_capacity;
-    }
-    if (!config_.metrics_path.empty()) {
-      path = config_.metrics_path;
-      scrape = OpenMetricsText(
-          s.metrics,
-          ProcessExtraSamples(s.health, &s.rates, s.interval_seconds));
-    }
   }
   Add(Counter::kTelemetrySamples);
-  if (!path.empty()) {
-    // Atomic write outside the lock: a slow disk must not stall readers.
-    WriteFileAtomic(path, scrape, nullptr);
-  }
+  if (config_.metrics_path.empty()) return;
+  // Written outside the lock: a slow disk must not stall readers.
+  WriteFileAtomic(config_.metrics_path,
+                  OpenMetricsText(SnapshotMetrics(),
+                                  ProcessExtraSamples(ReadProcessHealth())),
+                  nullptr);
 }
 
 }  // namespace obs

@@ -1,20 +1,14 @@
 // Continuous telemetry: a background sampler thread that periodically
-// snapshots the metrics registry plus process health (/proc/self) into
-// a fixed-size timestamped ring of deltas, computing per-interval rates
-// (queries/s, verify points/s, label cache hit rate), and optionally
-// writing an OpenMetrics scrape file atomically after every sample.
+// snapshots the metrics registry plus process health (/proc/self) and
+// writes an OpenMetrics scrape file atomically after every sample. It
+// keeps no history: a scraper derives rates from the counters.
 //
 // The sampler takes one sample immediately on Start() and one final
 // sample on Stop(), so even a run shorter than the interval — or one
 // killed by SIGTERM between intervals — leaves a valid, recent scrape
 // file behind (each write is tmp+rename, never partial).
-//
-// This is the substrate `mio serve` will expose over HTTP: the ring is
-// the time-series buffer, the exposition writer the scrape handler.
 #pragma once
 
-#include <array>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -42,39 +36,14 @@ struct ProcessHealth {
 ProcessHealth ReadProcessHealth();
 
 struct TelemetryConfig {
-  int interval_ms = 1000;          ///< sampling period
-  std::size_t ring_capacity = 600; ///< samples kept (10 min at default)
-  std::string metrics_path;        ///< scrape file; empty = in-memory only
+  int interval_ms = 1000;    ///< sampling period
+  std::string metrics_path;  ///< scrape file; empty = count samples only
 };
 
-/// Default config with the interval overridden by MIO_TELEMETRY_INTERVAL_MS
-/// (clamped to [10, 3600000]; unparsable values are ignored).
-TelemetryConfig TelemetryConfigFromEnv();
-
-/// Per-interval rates derived from counter deltas.
-struct TelemetryRates {
-  double queries_per_sec = 0.0;
-  double verify_points_per_sec = 0.0;
-  double cache_hit_rate = -1.0;  ///< label hits/(hits+misses); -1 = no lookups
-};
-
-/// One ring entry: the cumulative snapshot at sample time, the deltas
-/// against the previous sample, and the derived rates.
-struct TelemetrySample {
-  double uptime_seconds = 0.0;    ///< monotonic time since Start()
-  double interval_seconds = 0.0;  ///< time since the previous sample
-  std::array<std::uint64_t, kNumCounters> deltas{};
-  MetricsSnapshot metrics;
-  ProcessHealth health;
-  TelemetryRates rates;
-};
-
-/// Extra samples (process gauges + latest rates) to render alongside a
-/// metrics snapshot. Usable without a sampler — the exit-flush path
-/// calls this for its one-shot final exposition.
-std::vector<ExtraSample> ProcessExtraSamples(const ProcessHealth& health,
-                                             const TelemetryRates* rates,
-                                             double interval_seconds);
+/// The process gauges to render alongside a metrics snapshot. Usable
+/// without a sampler — the exit-flush path and the server's metrics op
+/// call this for their one-shot expositions.
+std::vector<ExtraSample> ProcessExtraSamples(const ProcessHealth& health);
 
 /// Background sampler. Start()/Stop() are not thread-safe against each
 /// other; everything else may be called from any thread.
@@ -91,25 +60,19 @@ class TelemetrySampler {
   void Start();
 
   /// Takes a final sample, stops and joins the thread. No-op when not
-  /// running. The ring and scrape file remain readable afterwards.
+  /// running. The scrape file remains readable afterwards.
   void Stop();
 
   bool Running() const;
 
-  /// Total samples taken since construction (ring may hold fewer).
+  /// Total samples taken since construction.
   std::uint64_t SampleCount() const;
-
-  /// Ring contents, oldest first.
-  std::vector<TelemetrySample> Samples() const;
-
-  /// Most recent sample; default-constructed when none taken yet.
-  TelemetrySample Latest() const;
 
   const TelemetryConfig& Config() const { return config_; }
 
  private:
   void Loop();
-  void SampleOnce();  ///< takes mu_, appends to ring, writes scrape
+  void SampleOnce();  ///< counts the sample, writes the scrape
 
   TelemetryConfig config_;
   mutable std::mutex mu_;
@@ -118,11 +81,6 @@ class TelemetrySampler {
   bool running_ = false;
   bool stop_requested_ = false;
   std::uint64_t sample_count_ = 0;
-  std::chrono::steady_clock::time_point start_time_;
-  std::chrono::steady_clock::time_point last_sample_time_;
-  std::array<std::uint64_t, kNumCounters> last_counters_{};
-  std::vector<TelemetrySample> ring_;  ///< bounded by config_.ring_capacity
-  std::size_t ring_head_ = 0;          ///< next slot when ring is full
 };
 
 }  // namespace obs

@@ -11,8 +11,7 @@ namespace server {
 namespace {
 
 bool KnownOp(const std::string& op) {
-  return op == "query" || op == "ping" || op == "health" ||
-         op == "metrics" || op == "stats";
+  return op == "query" || op == "ping" || op == "metrics" || op == "stats";
 }
 
 /// False when field `key` is a number that is non-finite or outside
@@ -138,6 +137,12 @@ Status ParseServeResponse(std::string_view line, ServeResponse* out) {
   }
   if (!doc.IsObject() || doc.GetString("schema") != kServeSchema) {
     return Status::Corruption("response is not mio-serve-v1");
+  }
+  // JSON cannot carry these back out ("1e999" parses to +inf).
+  const double inf = std::numeric_limits<double>::infinity();
+  if (!NumberInRange(doc, "retry_after_ms", -inf, inf) ||
+      !NumberInRange(doc, "wall_seconds", -inf, inf)) {
+    return Status::Corruption("response number is not finite");
   }
   ServeResponse res;
   res.id = doc.GetString("id");

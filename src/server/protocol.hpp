@@ -8,12 +8,12 @@
 // Request:
 //   {"schema":"mio-serve-v1","id":"q1","op":"query","r":4.0,"k":1,
 //    "threads":1,"use_labels":false,"deadline_ms":0,"no_coalesce":false}
-// ops: "query" (the MIO query), "ping" (liveness), "health" (server
-// state + queue depth), "metrics" (OpenMetrics text in `payload`),
-// "stats" (live server snapshot JSON in `payload` — queue/ladder/
-// inflight/per-client/cache state, rendered by `mio top`).
+// ops: "query" (the MIO query), "ping" (liveness), "metrics"
+// (OpenMetrics text in `payload`), "stats" (the one introspection op:
+// live server snapshot JSON in `payload` — uptime, draining, queue/
+// ladder/inflight/per-client/cache state, rendered by `mio top`).
 // `id` is an optional client-supplied correlation id; the server echoes
-// it back and stamps it into its qlog/evlog records alongside the
+// it back and stamps it into its qlog record alongside the
 // server-assigned request id.
 //
 // Response:
@@ -24,7 +24,7 @@
 // `status` carries the canonical StatusCodeName; "Overloaded" responses
 // set retry_after_ms as the server's backoff hint. `request_id` is the
 // server-assigned id for this request — quote it when correlating a
-// response with the server's qlog, evlog, and tail trace files.
+// response with the server's qlog record and tail trace file.
 // Readers of either direction MUST ignore unknown keys (that is how
 // request_id arrived in v1 without a version bump).
 #pragma once
@@ -73,7 +73,7 @@ struct ServeResponse {
   double retry_after_ms = 0.0;  ///< backoff hint on Overloaded
   double wall_seconds = 0.0;
   std::vector<ScoredObject> topk;
-  std::string payload;      ///< health/metrics op payload
+  std::string payload;      ///< metrics/stats op payload
 };
 
 /// Serialises a request as one JSON line (no trailing newline).
@@ -88,8 +88,9 @@ Status ParseServeRequest(std::string_view line, ServeRequest* out);
 std::string ServeResponseToJsonLine(const ServeResponse& res);
 
 /// Parses one response line (the client side). A response whose schema
-/// or status name is unknown is kCorruption — the client must not
-/// mistake it for a success.
+/// or status name is unknown, or whose retry_after_ms or wall_seconds is
+/// not finite, is kCorruption — the client must not mistake it for a
+/// success.
 Status ParseServeResponse(std::string_view line, ServeResponse* out);
 
 }  // namespace server

@@ -2,17 +2,15 @@
 // off a session gets a server-assigned request id and a RequestContext
 // that rides with it through session -> admission -> worker -> response,
 // collecting monotonic stage timestamps and outcome tags. The context is
-// the single source for the qlog "server" section, the evlog terminal
-// event, and the server latency histograms — one struct, one story per
-// request, whichever surface an operator reads.
+// the single source for the request's qlog record (its "server" section)
+// and the server latency histograms: one struct, one record per request.
 //
-// Timestamps are steady-clock seconds relative to server start (the same
-// zero the evlog uses), so stages within one process compare directly.
-// A stage the request never reached stays at the kUnstamped sentinel;
-// stage order for the stages a request did reach is monotonically
-// non-decreasing by construction (each stamp reads the clock later than
-// the previous one), and the check scripts re-verify that invariant from
-// the evlog.
+// Timestamps are steady-clock seconds relative to server start, so stages
+// within one process compare directly. A stage the request never reached
+// stays at the kUnstamped sentinel; stage order for the stages a request
+// did reach is monotonically non-decreasing by construction (each stamp
+// reads the clock later than the previous one), and the check scripts
+// re-verify that invariant from the qlog.
 //
 // Ownership: the session thread creates the context; the worker that
 // executes the query stamps `dequeued`/`executed` through a shared_ptr.
@@ -28,14 +26,15 @@
 namespace mio {
 namespace server {
 
-/// Coalesce-role tags stamped into qlog/evlog records. "solo" ran its
-/// own execution outside the coalescer, "leader" ran the execution on
-/// behalf of followers, "follower" received a leader's shared result,
-/// "cached" replayed the result cache.
+/// Role tags stamped into qlog records. "solo" ran its own execution
+/// outside the coalescer, "leader" ran the execution on behalf of
+/// followers, "follower" received a leader's shared result, "cached"
+/// replayed the result cache, "refused" was turned away by admission.
 inline constexpr const char* kRoleSolo = "solo";
 inline constexpr const char* kRoleLeader = "leader";
 inline constexpr const char* kRoleFollower = "follower";
 inline constexpr const char* kRoleCached = "cached";
+inline constexpr const char* kRoleRefused = "refused";
 
 /// Canonical server request-id string for sequence `seq`: "r000042".
 /// Width matches TailTraceFileName's zero padding so a request's trace
@@ -77,6 +76,9 @@ struct RequestContext {
   // Outcome tags.
   std::string role;               ///< kRole* ("" until resolved)
   std::string refusal;            ///< "" = accepted; else refusal reason
+  /// Admission ladder step the request ran at (DegradationStep value;
+  /// 0 = nothing shed).
+  std::uint32_t shed_step = 0;
 
   bool Refused() const { return !refusal.empty(); }
 
@@ -97,7 +99,7 @@ struct RequestContext {
 
   /// True when every stamped stage is in lifecycle order (unstamped
   /// stages are skipped). The differential gate re-checks this from the
-  /// evlog; this form backs the unit tests.
+  /// qlog; this form backs the unit tests.
   bool StagesMonotonic() const {
     const double stages[] = {accepted, enqueued, dequeued, executed,
                              responded};

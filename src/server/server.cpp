@@ -105,14 +105,6 @@ Status MioServer::Start() {
   if (!config_.qlog_path.empty()) {
     MIO_RETURN_NOT_OK(qlog_.Open(config_.qlog_path));
   }
-  if (!config_.evlog_path.empty()) {
-    EvlogConfig ev;
-    ev.path = config_.evlog_path;
-    ev.capacity = config_.evlog_capacity;
-    ev.rate_limit_per_sec = config_.evlog_rate_limit_per_sec;
-    ev.rate_burst = config_.evlog_rate_burst;
-    MIO_RETURN_NOT_OK(evlog_.Open(std::move(ev)));
-  }
   if (config_.tail.enabled()) {
     tail_ = std::make_unique<obs::TailSampler>(config_.tail);
     if (!config_.trace_dir.empty()) {
@@ -191,25 +183,12 @@ Status MioServer::Serve() {
     }
     if (MIO_FAULT_HIT("server.accept")) {
       obs::Add(obs::Counter::kServerIoErrors);
-      EvlogEvent ev;
-      ev.ts = NowSeconds();
-      ev.level = "error";
-      ev.event = "fault";
-      ev.detail = "injected accept fault";
-      evlog_.Emit(std::move(ev));
       ::close(conn);
       continue;
     }
     obs::Add(obs::Counter::kServerConnections);
     const std::uint64_t conn_id =
         conn_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    {
-      EvlogEvent ev;
-      ev.ts = NowSeconds();
-      ev.event = "accept";
-      ev.client = "c" + std::to_string(conn_id);
-      evlog_.Emit(std::move(ev));
-    }
     std::lock_guard<std::mutex> lock(sessions_mu_);
     auto session = std::make_unique<Session>();
     Session* raw = session.get();
@@ -221,16 +200,10 @@ Status MioServer::Serve() {
 
   // --- Graceful drain ----------------------------------------------------
   draining_.store(true, std::memory_order_release);
-  {
-    EvlogEvent ev;
-    ev.ts = NowSeconds();
-    ev.event = "drain";
-    ev.detail = "begin: queue_depth=" + std::to_string(admission_.depth()) +
-                " inflight=" +
-                std::to_string(inflight_.load(std::memory_order_acquire));
-    ev.critical = true;  // drain markers must land even under event storms
-    evlog_.Emit(std::move(ev));
-  }
+  std::fprintf(stderr, "serve: drain begin: queue_depth=%zu inflight=%llu\n",
+               admission_.depth(),
+               static_cast<unsigned long long>(
+                   inflight_.load(std::memory_order_acquire)));
   ::close(listen_fd_);  // stop accepting; connect() now fails fast
   listen_fd_ = -1;
   admission_.Close();
@@ -281,24 +254,10 @@ Status MioServer::Serve() {
   }
   for (std::thread& t : to_join) t.join();
   ::unlink(config_.socket_path.c_str());
+  // Every session and worker has joined, so the qlog is complete.
   if (qlog_.is_open()) (void)qlog_.Close();
-  // Every producer thread (sessions, workers) has joined: emit the drain
-  // outcome and only then close the evlog, so the terminal accounting in
-  // the file is complete.
-  {
-    EvlogEvent ev;
-    ev.ts = NowSeconds();
-    ev.event = "drain";
-    ev.level = forced ? "warn" : "info";
-    ev.detail = forced ? "forced" : "clean";
-    ev.critical = true;
-    evlog_.Emit(std::move(ev));
-  }
-  if (evlog_.is_open()) (void)evlog_.Close();
-  if (config_.verbose) {
-    std::fprintf(stderr, "serve: drained %s\n",
-                 forced ? "(forced by deadline)" : "cleanly");
-  }
+  std::fprintf(stderr, "serve: drained %s\n",
+               forced ? "(forced by deadline)" : "cleanly");
   if (forced) {
     return Status::DeadlineExceeded(
         "serve: drain deadline exceeded; in-flight queries cancelled");
@@ -322,13 +281,6 @@ void MioServer::SessionLoop(int fd, std::uint64_t conn_id) {
   while (alive) {
     if (MIO_FAULT_HIT("server.read")) {
       obs::Add(obs::Counter::kServerIoErrors);
-      EvlogEvent ev;
-      ev.ts = NowSeconds();
-      ev.level = "error";
-      ev.event = "fault";
-      ev.client = client;
-      ev.detail = "injected read fault";
-      evlog_.Emit(std::move(ev));
       break;
     }
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -356,13 +308,6 @@ void MioServer::SessionLoop(int fd, std::uint64_t conn_id) {
       break;
     }
   }
-  {
-    EvlogEvent ev;
-    ev.ts = NowSeconds();
-    ev.event = "disconnect";
-    ev.client = client;
-    evlog_.Emit(std::move(ev));
-  }
   std::lock_guard<std::mutex> lock(sessions_mu_);
   for (const auto& s : sessions_) {
     if (s->fd == fd) {
@@ -378,13 +323,6 @@ bool MioServer::WriteResponse(int fd, const ServeResponse& res) {
     // Injected write failure: close without responding. The client sees
     // EOF mid-request and retries on a fresh connection.
     obs::Add(obs::Counter::kServerIoErrors);
-    EvlogEvent ev;
-    ev.ts = NowSeconds();
-    ev.level = "error";
-    ev.event = "fault";
-    ev.request_id = res.request_id;
-    ev.detail = "injected write fault";
-    evlog_.Emit(std::move(ev));
     return false;
   }
   std::string line = ServeResponseToJsonLine(res);
@@ -442,7 +380,7 @@ void AwaitOwn(Execution& exec, QueryResult* result, double* wall) {
 }  // namespace
 
 void MioServer::AppendQlog(const ServeRequest& req, const RequestContext& ctx,
-                           const QueryResult* qres, double exec_wall) {
+                           const QueryResult* qres, const ServeResponse& res) {
   if (!qlog_.is_open()) return;
   obs::QlogRecord id;
   id.query_index = ctx.seq;  // qlog id == request id == trace-file stem
@@ -458,17 +396,27 @@ void MioServer::AppendQlog(const ServeRequest& req, const RequestContext& ctx,
   id.server_role = ctx.role;
   id.server_queue_wait_seconds = ctx.QueueWaitSeconds();
   id.server_e2e_seconds = ctx.E2eSeconds();
+  id.server_refusal = ctx.refusal;
+  id.server_retry_after_ms = res.retry_after_ms;
+  id.server_stages = {ctx.accepted, ctx.enqueued, ctx.dequeued, ctx.executed,
+                      ctx.responded};
   // Solo/leader: the engine stats are this request's own execution.
-  // Follower/cached (qres null): engine stats stay zeroed — counting the
-  // leader's work twice would corrupt funnel and phase aggregates — and
-  // wall is the client-visible end-to-end time.
+  // Follower/cached/refused (qres null): engine stats stay zeroed —
+  // counting the leader's work twice would corrupt funnel and phase
+  // aggregates — the outcome is the response's, and wall is the
+  // client-visible end-to-end time.
   if (qres != nullptr) {
     id.objects = objects_.size();
-    id.wall_seconds = exec_wall;
+    id.wall_seconds = res.wall_seconds;
   } else {
     id.wall_seconds = ctx.E2eSeconds();
   }
   obs::QlogRecord rec = obs::BuildQlogRecord(std::move(id), qres);
+  if (qres == nullptr) {
+    rec.status = StatusCodeName(res.status);
+    rec.complete = res.complete;
+  }
+  rec.degradation_level = std::max(rec.degradation_level, ctx.shed_step);
   std::lock_guard<std::mutex> lock(qlog_mu_);
   (void)qlog_.Append(rec);
 }
@@ -505,31 +453,6 @@ void MioServer::OfferTail(std::uint64_t seq, double wall_seconds) {
   for (std::uint64_t evicted : d.evict) {
     ::unlink((dir + ServerTraceFileName(evicted)).c_str());
   }
-}
-
-std::string MioServer::HealthJson() const {
-  const std::size_t depth = admission_.depth();
-  const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
-  auto counter = [&snap](obs::Counter c) {
-    return snap.counters[static_cast<std::size_t>(c)];
-  };
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("uptime_seconds").Double(NowSeconds());
-  w.Key("draining").Bool(draining_.load(std::memory_order_acquire));
-  w.Key("queue_depth").UInt(depth);
-  w.Key("queued_cost").UInt(admission_.queued_cost());
-  w.Key("ladder_stage").Int(
-      static_cast<int>(LadderStage(depth, config_.admission)));
-  w.Key("inflight").UInt(inflight_.load(std::memory_order_acquire));
-  w.Key("sessions").UInt(active_sessions());
-  w.Key("cache_entries").UInt(cache_.size());
-  w.Key("objects").UInt(objects_.size());
-  w.Key("coalesced").UInt(counter(obs::Counter::kServerCoalesced));
-  w.Key("cache_hits").UInt(counter(obs::Counter::kServerCacheHits));
-  w.Key("cache_misses").UInt(counter(obs::Counter::kServerCacheMisses));
-  w.EndObject();
-  return std::move(w).Take();
 }
 
 std::string MioServer::StatsJson() const {
@@ -578,11 +501,6 @@ std::string MioServer::StatsJson() const {
                   ? static_cast<double>(cache_hits) /
                         static_cast<double>(cache_hits + cache_misses)
                   : 0.0);
-  w.Key("evlog").BeginObject();
-  w.Key("events").UInt(counter(obs::Counter::kServerEvlogEvents));
-  w.Key("dropped").UInt(counter(obs::Counter::kServerEvlogDropped));
-  w.Key("rate_limited").UInt(counter(obs::Counter::kServerEvlogRateLimited));
-  w.EndObject();
   auto emit_latency = [&w](const char* key,
                            const obs::HistogramSnapshot& h) {
     w.Key(key).BeginObject();
@@ -638,30 +556,9 @@ bool MioServer::FinishQuery(int fd, const ServeRequest& req,
   }
   RecordClient(ctx->client, *ctx);
   const bool wrote = WriteResponse(fd, *res);
-  if (!ctx->Refused()) AppendQlog(req, *ctx, qres, res->wall_seconds);
-
-  // Exactly one terminal event per query request, whatever happened —
-  // including a failed response write (the event then says so).
-  EvlogEvent ev;
-  ev.ts = ctx->responded;
-  ev.event = ctx->Refused() ? "refuse" : "respond";
-  ev.level = ctx->Refused() || !wrote ? "warn" : "info";
-  ev.request_id = ctx->request_id;
-  ev.correlation_id = ctx->correlation_id;
-  ev.client = ctx->client;
-  ev.role = ctx->role;
-  ev.status = StatusCodeName(res->status);
-  ev.detail = ctx->Refused()
-                  ? ctx->refusal
-                  : (wrote ? std::string() : "response write failed");
-  ev.retry_after_ms = res->retry_after_ms;
-  ev.accepted = ctx->accepted;
-  ev.enqueued = ctx->enqueued;
-  ev.dequeued = ctx->dequeued;
-  ev.executed = ctx->executed;
-  ev.responded = ctx->responded;
-  ev.critical = true;
-  evlog_.Emit(std::move(ev));
+  // Exactly one record per query request, whatever happened — a failed
+  // response write included.
+  AppendQlog(req, *ctx, qres, *res);
   return wrote;
 }
 
@@ -678,9 +575,8 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
     return WriteResponse(fd, res);
   }
 
-  // Every parsed request gets a server id; only query requests get
-  // lifecycle events and qlog records — ping/health/metrics/stats are
-  // probes, not workload.
+  // Every parsed request gets a server id; only query requests get qlog
+  // records — ping/metrics/stats are probes, not workload.
   auto ctx = std::make_shared<RequestContext>();
   ctx->seq = request_seq_.fetch_add(1, std::memory_order_relaxed);
   ctx->request_id = FormatRequestId(ctx->seq);
@@ -693,14 +589,10 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
     res.payload = "pong";
     return WriteResponse(fd, res);
   }
-  if (req.op == "health") {
-    res.payload = HealthJson();
-    return WriteResponse(fd, res);
-  }
   if (req.op == "metrics") {
     res.payload = obs::OpenMetricsText(
         obs::SnapshotMetrics(),
-        obs::ProcessExtraSamples(obs::ReadProcessHealth(), nullptr, 0.0));
+        obs::ProcessExtraSamples(obs::ReadProcessHealth()));
     return WriteResponse(fd, res);
   }
   if (req.op == "stats") {
@@ -776,17 +668,7 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
       const bool shed_labels = decision->step >= DegradationStep::kShedLabels;
       const bool shed_grid_cache =
           decision->step >= DegradationStep::kDropGridCache;
-      if (shed_labels) {
-        obs::Add(obs::Counter::kServerShedLabels);
-        EvlogEvent ev;
-        ev.ts = ctx->dequeued;
-        ev.level = "warn";
-        ev.event = "shed";
-        ev.request_id = ctx->request_id;
-        ev.client = ctx->client;
-        ev.detail = shed_grid_cache ? "labels+grid_cache" : "labels";
-        evlog_.Emit(std::move(ev));
-      }
+      if (shed_labels) obs::Add(obs::Counter::kServerShedLabels);
       if (shed_grid_cache) {
         obs::Add(obs::Counter::kServerShedGridCache);
         engine_->ClearGridCache();
@@ -836,8 +718,9 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
                              : config_.admission.retry_after_base_ms;
     res.complete = false;
     // The request never actually entered the queue: un-stamp enqueued so
-    // the refuse event's stages tell the truth.
+    // the record's stages tell the truth.
     ctx->enqueued = RequestContext::kUnstamped;
+    ctx->role = kRoleRefused;
     ctx->refusal = res.error;
     if (publish) {
       QueryResult refused;
@@ -849,6 +732,7 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
   }
 
   ctx->role = publish ? kRoleLeader : kRoleSolo;
+  ctx->shed_step = static_cast<std::uint32_t>(decision->step);
 
   // 4. Block this session on the (own) execution; workers do the rest.
   QueryResult qres;

@@ -29,11 +29,10 @@
 // request gets a server request id and a RequestContext that collects
 // monotonic stage timestamps (accepted/enqueued/dequeued/executed/
 // responded) and outcome tags as it moves through the pipeline. The
-// context feeds four surfaces from one source of truth: the qlog's
-// "server" section (one record per accepted query request — followers
-// and cache hits log too, with zeroed engine stats), the structured
-// event log (server/evlog.hpp; exactly one terminal respond/refuse
-// event per query request), the server latency histograms
+// context feeds the request's one qlog record (every query request,
+// refusals included: its "server" section carries the role, the stages,
+// the refusal reason and retry hint, and a shed raises the record's
+// degradation_level to its ladder step), the server latency histograms
 // (server_queue_wait_us / server_e2e_us), and the live "stats" op that
 // `mio top` renders. Tail-sampled requests additionally keep a Chrome
 // trace ("r%06llu.trace.json") — note the tracer rings are process-wide,
@@ -57,7 +56,6 @@
 #include "obs/qlog.hpp"
 #include "server/admission.hpp"
 #include "server/coalescer.hpp"
-#include "server/evlog.hpp"
 #include "server/request_context.hpp"
 
 namespace mio {
@@ -77,18 +75,11 @@ struct ServerConfig {
   /// Grace period for in-flight work after a shutdown request; once it
   /// expires the drain cancel token trips every remaining query.
   double drain_deadline_ms = 5000.0;
-  /// Per-request qlog ("" = off); one record per accepted query request.
-  /// Coalesced followers and cache hits log too (role "follower" /
-  /// "cached", zeroed engine stats) so the qlog accounts for every
-  /// accepted request exactly once; refusals are evlog-only.
+  /// Per-request qlog ("" = off); one record per query request.
+  /// Coalesced followers, cache hits and refusals log too (role
+  /// "follower" / "cached" / "refused", zeroed engine stats) so the qlog
+  /// accounts for every query request exactly once.
   std::string qlog_path;
-  /// Structured event log ("" = off); "mio-evlog-v1" JSONL.
-  std::string evlog_path;
-  /// Evlog ring capacity and non-critical rate limit (events/second,
-  /// 0 = unlimited; terminal respond/refuse events always bypass both).
-  std::size_t evlog_capacity = 1024;
-  double evlog_rate_limit_per_sec = 500.0;
-  std::size_t evlog_rate_burst = 128;
   /// Directory for tail-sampled request traces ("" = off; requires
   /// `tail` to be enabled too).
   std::string trace_dir;
@@ -99,7 +90,6 @@ struct ServerConfig {
   std::string label_dir;
   /// Dataset display name stamped into qlog records.
   std::string dataset_name;
-  bool verbose = false;
 };
 
 class MioServer {
@@ -135,10 +125,6 @@ class MioServer {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   std::size_t active_sessions() const;
 
-  /// Evlog backpressure counters (0 when the evlog is off).
-  std::uint64_t evlog_written() const { return evlog_.written(); }
-  std::uint64_t evlog_dropped() const { return evlog_.dropped(); }
-
  private:
   struct Session {
     int fd = -1;
@@ -146,7 +132,7 @@ class MioServer {
   };
 
   /// Per-client request accounting for the "stats" op. Query ops only —
-  /// ping/health/metrics/stats probes are not client workload. Bounded:
+  /// ping/metrics/stats probes are not client workload. Bounded:
   /// once kMaxClients distinct connection ids exist, further clients
   /// aggregate under the "~other" key.
   struct ClientStats {
@@ -164,26 +150,27 @@ class MioServer {
   bool HandleRequest(int fd, const std::string& client,
                      const std::string& line);
   bool WriteResponse(int fd, const ServeResponse& res);
-  /// Terminal step for an accepted query request: stamps `responded`,
-  /// writes the response, then appends the qlog record, emits the
-  /// (exactly-one) terminal evlog event, records the latency histograms,
-  /// and updates the per-client table. `qres` is null for follower/
-  /// cached roles (no engine stats of their own).
+  /// Terminal step for a query request: stamps `responded`, records
+  /// the latency histograms and the per-client table, writes the
+  /// response, then appends the request's (exactly-one) qlog record.
+  /// `qres` is null for follower/cached/refused roles (no engine stats
+  /// of their own).
   bool FinishQuery(int fd, const ServeRequest& req,
                    const std::shared_ptr<RequestContext>& ctx,
                    const QueryResult* qres, ServeResponse* res);
-  std::string HealthJson() const;
   std::string StatsJson() const;
-  /// `exec_wall` is the engine wall clock for solo/leader records
-  /// (ignored when `qres` is null — follower/cached wall is e2e).
+  /// Solo/leader records take their engine stats from `qres` and their
+  /// wall from the response (the engine wall clock); follower, cached
+  /// and refused records (`qres` null) take the response's outcome and
+  /// the end-to-end time as wall.
   void AppendQlog(const ServeRequest& req, const RequestContext& ctx,
-                  const QueryResult* qres, double exec_wall);
+                  const QueryResult* qres, const ServeResponse& res);
   /// Tail-samples one executed request; exports/evicts trace files under
   /// `tail_mu_` when a trace directory is configured.
   void OfferTail(std::uint64_t seq, double wall_seconds);
   void RecordClient(const std::string& client, const RequestContext& ctx);
-  /// Seconds since server construction — the shared clock for stage
-  /// timestamps and evlog event times.
+  /// Seconds since server construction — the clock of the stage
+  /// timestamps.
   double NowSeconds() const;
 
   const ObjectSet& objects_;
@@ -210,7 +197,6 @@ class MioServer {
 
   std::mutex qlog_mu_;
   obs::QlogWriter qlog_;
-  EvlogWriter evlog_;
 
   std::mutex tail_mu_;
   std::unique_ptr<obs::TailSampler> tail_;

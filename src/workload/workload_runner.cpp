@@ -88,10 +88,8 @@ Result<WorkloadRunSummary> RunWorkload(const ObjectSet& objects,
   // point still leaves a valid exposition behind.
   std::optional<obs::TelemetrySampler> telemetry;
   if (!opts.metrics_out.empty()) {
-    obs::TelemetryConfig tcfg = obs::TelemetryConfigFromEnv();
-    if (opts.telemetry_interval_ms > 0) {
-      tcfg.interval_ms = opts.telemetry_interval_ms;
-    }
+    obs::TelemetryConfig tcfg;
+    tcfg.interval_ms = opts.telemetry_interval_ms;
     tcfg.metrics_path = opts.metrics_out;
     telemetry.emplace(std::move(tcfg));
     telemetry->Start();

@@ -50,9 +50,8 @@ struct WorkloadRunOptions {
   /// start, once on finish). "" disables the sampler entirely.
   std::string metrics_out;
 
-  /// Sampler interval; 0 picks up MIO_TELEMETRY_INTERVAL_MS (default
-  /// 1000 ms).
-  int telemetry_interval_ms = 0;
+  /// Sampler interval in milliseconds.
+  int telemetry_interval_ms = 1000;
 
   /// Per-query progress lines on stderr.
   bool verbose = false;

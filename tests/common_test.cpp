@@ -241,5 +241,32 @@ TEST(ArgParseTest, IntInRangeRejectsJunkAndOverflow) {
   EXPECT_EQ(value("wide", 0, kMax).value(), 3000000000);
 }
 
+// The checked double `mio serve` parses its millisecond flags through:
+// a finite value within [lo, hi] or the fallback — strtod alone reads
+// "nan" and "inf" as numbers and "abc" as 0.
+TEST(ArgParseTest, DoubleInRangeRejectsJunkAndNonFinite) {
+  const char* argv[] = {"prog",         "--ms=250.5",  "--zero=0",
+                        "--neg=-1",     "--nan=nan",   "--inf=inf",
+                        "--big=1e999",  "--abc=abc",   "--tail=5ms",
+                        "--empty="};
+  ArgParser args(10, const_cast<char**>(argv));
+  auto value = [&](const char* name) {
+    return args.GetDoubleInRange(name, 42.0, 0.0, 1e9);
+  };
+  EXPECT_DOUBLE_EQ(value("ms").value(), 250.5);
+  EXPECT_DOUBLE_EQ(value("zero").value(), 0.0);
+  EXPECT_DOUBLE_EQ(value("absent").value(), 42.0);
+  EXPECT_DOUBLE_EQ(value("empty").value(), 42.0);
+  for (const char* bad : {"neg", "nan", "inf", "big", "abc", "tail"}) {
+    Result<double> res = value(bad);
+    ASSERT_FALSE(res.ok()) << bad;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(res.status().message().find(std::string("--") + bad),
+              std::string::npos)
+        << res.status().ToString();
+  }
+  EXPECT_TRUE(args.GetDoubleInRange("neg", 0.0, -5.0, 5.0).ok());
+}
+
 }  // namespace
 }  // namespace mio

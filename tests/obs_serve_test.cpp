@@ -1,24 +1,14 @@
 // Tests for the server request-lifecycle observability layer: the
 // RequestContext stage-timestamp invariants, the canonical request-id /
-// trace-file naming, the "mio-evlog-v1" structured event log (line
-// shape, validator, async writer ring with rate limiting and the
-// critical-event no-drop guarantee), the role-name contract shared with
-// the qlog validator, and the client's pure jittered-backoff helper.
+// trace-file naming, the role-name contract shared with the qlog
+// validator, and the client's pure jittered-backoff helper.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/json.hpp"
 #include "obs/qlog.hpp"
 #include "server/client.hpp"
-#include "server/evlog.hpp"
 #include "server/request_context.hpp"
 
 namespace mio {
@@ -79,292 +69,14 @@ TEST(RequestContext, RefusalFlag) {
 // The qlog validator keeps its own copy of the role names (the obs layer
 // cannot depend on the server); this pins the two lists together.
 TEST(RequestContext, RoleNamesMatchQlogValidator) {
-  for (const char* role :
-       {kRoleSolo, kRoleLeader, kRoleFollower, kRoleCached}) {
+  for (const char* role : {kRoleSolo, kRoleLeader, kRoleFollower,
+                           kRoleCached, kRoleRefused}) {
     obs::QlogRecord rec;
     rec.server_request_id = "r000001";
     rec.server_role = role;
     EXPECT_TRUE(obs::ValidateQlogLine(obs::QlogRecordToJsonLine(rec)).ok())
         << role;
   }
-}
-
-// --- Evlog line shape and validator -----------------------------------------
-
-EvlogEvent TerminalEvent() {
-  EvlogEvent ev;
-  ev.ts = 12.5;
-  ev.level = "info";
-  ev.event = "respond";
-  ev.request_id = "r000007";
-  ev.correlation_id = "cli-7";
-  ev.client = "c2";
-  ev.role = kRoleLeader;
-  ev.status = "OK";
-  ev.accepted = 12.0;
-  ev.enqueued = 12.1;
-  ev.dequeued = 12.2;
-  ev.executed = 12.4;
-  ev.responded = 12.5;
-  ev.critical = true;
-  return ev;
-}
-
-TEST(Evlog, LineRoundTripsThroughTheValidator) {
-  std::string line = EvlogEventToJsonLine(TerminalEvent(), 3);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  ASSERT_TRUE(ValidateEvlogLine(line).ok()) << line;
-
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::ParseJson(line, &doc));
-  EXPECT_EQ(doc.GetString("schema"), kEvlogSchema);
-  EXPECT_EQ(doc.GetUInt("seq"), 3u);
-  EXPECT_EQ(doc.GetString("event"), "respond");
-  EXPECT_EQ(doc.GetString("request_id"), "r000007");
-  EXPECT_EQ(doc.GetString("correlation_id"), "cli-7");
-  EXPECT_EQ(doc.GetString("role"), "leader");
-  const obs::JsonValue* stages = doc.Find("stages");
-  ASSERT_NE(stages, nullptr);
-  EXPECT_DOUBLE_EQ(stages->GetDouble("accepted"), 12.0);
-  EXPECT_DOUBLE_EQ(stages->GetDouble("responded"), 12.5);
-}
-
-TEST(Evlog, EmptyFieldsAndUnstampedStagesAreOmitted) {
-  EvlogEvent ev;
-  ev.ts = 1.0;
-  ev.event = "accept";
-  ev.client = "c1";
-  std::string line = EvlogEventToJsonLine(ev, 0);
-  ASSERT_TRUE(ValidateEvlogLine(line).ok()) << line;
-  EXPECT_EQ(line.find("request_id"), std::string::npos);
-  EXPECT_EQ(line.find("stages"), std::string::npos);
-  EXPECT_EQ(line.find("retry_after_ms"), std::string::npos);
-}
-
-TEST(Evlog, RefusalCarriesRetryHintAndPartialStages) {
-  EvlogEvent ev;
-  ev.ts = 2.0;
-  ev.level = "warn";
-  ev.event = "refuse";
-  ev.request_id = "r000009";
-  ev.status = "Overloaded";
-  ev.detail = "queue full";
-  ev.retry_after_ms = 75.0;
-  ev.accepted = 2.0;  // refused before enqueue: later stages unstamped
-  ev.critical = true;
-  std::string line = EvlogEventToJsonLine(ev, 1);
-  ASSERT_TRUE(ValidateEvlogLine(line).ok()) << line;
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::ParseJson(line, &doc));
-  EXPECT_DOUBLE_EQ(doc.GetDouble("retry_after_ms"), 75.0);
-  const obs::JsonValue* stages = doc.Find("stages");
-  ASSERT_NE(stages, nullptr);
-  EXPECT_NE(stages->Find("accepted"), nullptr);
-  EXPECT_EQ(stages->Find("enqueued"), nullptr);
-}
-
-TEST(Evlog, ValidatorRejectsBadLines) {
-  EXPECT_FALSE(ValidateEvlogLine("").ok());
-  EXPECT_FALSE(ValidateEvlogLine("not json").ok());
-  EXPECT_FALSE(ValidateEvlogLine(R"({"schema":"other"})").ok());
-  // Unknown event / level names.
-  EXPECT_FALSE(
-      ValidateEvlogLine(
-          R"({"schema":"mio-evlog-v1","seq":0,"ts":1,"level":"info",)"
-          R"("event":"explode"})")
-          .ok());
-  EXPECT_FALSE(
-      ValidateEvlogLine(
-          R"({"schema":"mio-evlog-v1","seq":0,"ts":1,"level":"loud",)"
-          R"("event":"accept"})")
-          .ok());
-  // Terminal events must carry a request id.
-  EXPECT_FALSE(
-      ValidateEvlogLine(
-          R"({"schema":"mio-evlog-v1","seq":0,"ts":1,"level":"info",)"
-          R"("event":"respond"})")
-          .ok());
-  // But unknown keys are fine — same forward-compat rule as the qlog.
-  EXPECT_TRUE(
-      ValidateEvlogLine(
-          R"({"schema":"mio-evlog-v1","seq":0,"ts":1,"level":"info",)"
-          R"("event":"accept","client":"c1","carrier_pigeon":7})")
-          .ok());
-}
-
-TEST(Evlog, EventAndLevelTablesBackTheHelpers) {
-  for (const char* e : kEvlogEvents) EXPECT_TRUE(IsEvlogEvent(e)) << e;
-  for (const char* l : kEvlogLevels) EXPECT_TRUE(IsEvlogLevel(l)) << l;
-  EXPECT_FALSE(IsEvlogEvent("reticulate"));
-  EXPECT_FALSE(IsEvlogLevel("debug"));
-}
-
-// --- EvlogWriter ------------------------------------------------------------
-
-class EvlogWriterTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mio_evlog_test_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::string Path() const { return (dir_ / "events.jsonl").string(); }
-  std::vector<std::string> Lines() const {
-    std::vector<std::string> lines;
-    std::ifstream in(Path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
-    return lines;
-  }
-  std::filesystem::path dir_;
-};
-
-TEST_F(EvlogWriterTest, WritesValidLinesWithMonotonicSeq) {
-  EvlogWriter writer;
-  EvlogConfig cfg;
-  cfg.path = Path();
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  for (int i = 0; i < 5; ++i) {
-    EvlogEvent ev = TerminalEvent();
-    ev.request_id = FormatRequestId(static_cast<std::uint64_t>(i));
-    writer.Emit(ev);
-  }
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(writer.written(), 5u);
-  EXPECT_EQ(writer.dropped(), 0u);
-
-  std::vector<std::string> lines = Lines();
-  ASSERT_EQ(lines.size(), 5u);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    ASSERT_TRUE(ValidateEvlogLine(lines[i]).ok()) << lines[i];
-    obs::JsonValue doc;
-    ASSERT_TRUE(obs::ParseJson(lines[i], &doc));
-    EXPECT_EQ(doc.GetUInt("seq"), i);
-    EXPECT_EQ(doc.GetString("request_id"),
-              FormatRequestId(static_cast<std::uint64_t>(i)));
-  }
-}
-
-TEST_F(EvlogWriterTest, EmitWithoutOpenOrAfterCloseIsANoOp) {
-  EvlogWriter writer;
-  writer.Emit(TerminalEvent());  // never opened
-  EXPECT_EQ(writer.written(), 0u);
-
-  EvlogConfig cfg;
-  cfg.path = Path();
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  writer.Emit(TerminalEvent());
-  ASSERT_TRUE(writer.Close().ok());
-  writer.Emit(TerminalEvent());  // after close: harmless
-  EXPECT_EQ(writer.written(), 1u);
-  EXPECT_EQ(Lines().size(), 1u);
-}
-
-TEST_F(EvlogWriterTest, RateLimitSuppressesNonCriticalFloods) {
-  EvlogWriter writer;
-  EvlogConfig cfg;
-  cfg.path = Path();
-  cfg.rate_limit_per_sec = 1.0;  // effectively: only the burst passes
-  cfg.rate_burst = 4;
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  for (int i = 0; i < 100; ++i) {
-    EvlogEvent ev;
-    ev.ts = static_cast<double>(i);
-    ev.event = "fault";
-    ev.level = "error";
-    ev.detail = "storm";
-    writer.Emit(ev);
-  }
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_GT(writer.rate_limited(), 0u);
-  EXPECT_LE(writer.written(), 8u);  // burst + at most a refill of slack
-  EXPECT_EQ(Lines().size(), writer.written());
-}
-
-TEST_F(EvlogWriterTest, CriticalEventsBypassTheRateLimit) {
-  EvlogWriter writer;
-  EvlogConfig cfg;
-  cfg.path = Path();
-  cfg.rate_limit_per_sec = 1.0;
-  cfg.rate_burst = 1;
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  constexpr int kEvents = 200;
-  for (int i = 0; i < kEvents; ++i) {
-    EvlogEvent ev = TerminalEvent();
-    ev.request_id = FormatRequestId(static_cast<std::uint64_t>(i));
-    writer.Emit(ev);  // critical: must never be suppressed
-  }
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(writer.written(), static_cast<std::uint64_t>(kEvents));
-  EXPECT_EQ(Lines().size(), static_cast<std::size_t>(kEvents));
-}
-
-TEST_F(EvlogWriterTest, FullRingDropsNonCriticalButKeepsCritical) {
-  EvlogWriter writer;
-  EvlogConfig cfg;
-  cfg.path = Path();
-  cfg.capacity = 4;  // tiny ring to force pressure
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  constexpr int kCritical = 500;
-  std::uint64_t non_critical_sent = 0;
-  for (int i = 0; i < kCritical; ++i) {
-    EvlogEvent noise;
-    noise.ts = static_cast<double>(i);
-    noise.event = "disconnect";
-    noise.client = "c1";
-    writer.Emit(noise);
-    ++non_critical_sent;
-
-    EvlogEvent ev = TerminalEvent();
-    ev.request_id = FormatRequestId(static_cast<std::uint64_t>(i));
-    writer.Emit(ev);
-  }
-  ASSERT_TRUE(writer.Close().ok());
-  // Every critical event made it to disk; non-critical drops (if any)
-  // are counted, never silent.
-  std::size_t critical_lines = 0;
-  for (const std::string& line : Lines()) {
-    ASSERT_TRUE(ValidateEvlogLine(line).ok());
-    if (line.find("\"event\":\"respond\"") != std::string::npos) {
-      ++critical_lines;
-    }
-  }
-  EXPECT_EQ(critical_lines, static_cast<std::size_t>(kCritical));
-  EXPECT_EQ(writer.written() + writer.dropped(),
-            static_cast<std::uint64_t>(kCritical) + non_critical_sent);
-}
-
-TEST_F(EvlogWriterTest, ConcurrentProducersLoseNoCriticalEvents) {
-  EvlogWriter writer;
-  EvlogConfig cfg;
-  cfg.path = Path();
-  cfg.capacity = 8;
-  ASSERT_TRUE(writer.Open(cfg).ok());
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 100;
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&writer, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        EvlogEvent ev = TerminalEvent();
-        ev.request_id = FormatRequestId(
-            static_cast<std::uint64_t>(t * kPerThread + i));
-        writer.Emit(ev);
-      }
-    });
-  }
-  for (std::thread& p : producers) p.join();
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(writer.written(),
-            static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(Lines().size(), static_cast<std::size_t>(kThreads * kPerThread));
 }
 
 // --- Client backoff ---------------------------------------------------------

@@ -91,6 +91,28 @@ QlogRecord MakeFullRecord() {
   rec.server_role = "leader";
   rec.server_queue_wait_seconds = 0.004;
   rec.server_e2e_seconds = 0.131;
+  rec.server_refusal = "not really";
+  rec.server_retry_after_ms = 12.5;
+  rec.server_stages = {10.0, 10.002, 10.006, 10.123, 10.131};
+  return rec;
+}
+
+/// A refused server request's record: no execution, no enqueued stage.
+QlogRecord MakeRefusedRecord() {
+  QlogRecord rec;
+  rec.query_index = 42;
+  rec.workload = "serve";
+  rec.r = 3.0;
+  rec.server_request_id = "r000042";
+  rec.server_client = "c4";
+  rec.server_role = "refused";
+  rec.server_refusal = "admission queue full";
+  rec.server_retry_after_ms = 75.0;
+  rec.server_e2e_seconds = 0.0001;
+  rec.server_stages = {11.0, -1.0, -1.0, -1.0, 11.0001};
+  rec.status = "Overloaded";
+  rec.complete = false;
+  rec.wall_seconds = 0.0001;
   return rec;
 }
 
@@ -146,8 +168,32 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(back.server_queue_wait_seconds,
                    rec.server_queue_wait_seconds);
   EXPECT_DOUBLE_EQ(back.server_e2e_seconds, rec.server_e2e_seconds);
+  EXPECT_EQ(back.server_refusal, rec.server_refusal);
+  EXPECT_DOUBLE_EQ(back.server_retry_after_ms, rec.server_retry_after_ms);
+  for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
+    EXPECT_DOUBLE_EQ(back.server_stages[i], rec.server_stages[i]) << i;
+  }
   EXPECT_TRUE(back.HasServer());
   EXPECT_TRUE(back.ServerExecuted());
+  EXPECT_FALSE(back.ServerRefused());
+}
+
+TEST(QlogRecord, RefusedRecordRoundTripsItsReasonHintAndStages) {
+  QlogRecord rec = MakeRefusedRecord();
+  std::string line = QlogRecordToJsonLine(rec);
+  ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
+  // Unstamped stages are omitted, not written as negatives.
+  EXPECT_NE(line.find(R"("stages":{"accepted":11,"responded":11.0001})"),
+            std::string::npos)
+      << line;
+  QlogRecord back;
+  ASSERT_TRUE(ParseQlogRecord(line, &back).ok());
+  EXPECT_TRUE(back.ServerRefused());
+  EXPECT_FALSE(back.ServerExecuted());
+  EXPECT_LT(back.server_stages[1], 0.0);
+  EXPECT_DOUBLE_EQ(back.server_stages[4], 11.0001);
+  EXPECT_EQ(back.status, "Overloaded");
+  EXPECT_FALSE(back.complete);
 }
 
 TEST(QlogRecord, RoundTripsEscapingEdgeCases) {
@@ -411,13 +457,18 @@ TEST(QlogValidate, ServerSectionRejectsBadShapes) {
   broken.replace(pos, std::string("\"request_id\":\"r000041\"").size(),
                  "\"request_id\":\"\"");
   EXPECT_FALSE(ValidateQlogLine(broken).ok());
-  // Wrong type on a server latency.
-  broken = good;
-  pos = broken.find("\"queue_wait_seconds\":0.004");
-  ASSERT_NE(pos, std::string::npos);
-  broken.replace(pos, std::string("\"queue_wait_seconds\":0.004").size(),
-                 "\"queue_wait_seconds\":\"slow\"");
-  EXPECT_FALSE(ValidateQlogLine(broken).ok());
+  // Wrong type on a server latency, a stage, or the stages object.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"queue_wait_seconds\":0.004", "\"queue_wait_seconds\":\"slow\""},
+           {"\"dequeued\":10.006", "\"dequeued\":\"late\""},
+           {"\"stages\":{", "\"stages\":[],\"x\":{"}}) {
+    broken = good;
+    pos = broken.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    broken.replace(pos, from.size(), to);
+    EXPECT_FALSE(ValidateQlogLine(broken).ok()) << broken;
+  }
 }
 
 // Forward compatibility: the validator and parser must accept records
@@ -509,15 +560,27 @@ TEST(QlogReportTest, ServerSplitSeparatesQueueWaitFromExecute) {
   cached.wall_seconds = 0.001;
   cached.server_e2e_seconds = 0.001;
   records.push_back(cached);
+  // A refused request is counted but never executed: its 0.1 ms must
+  // not pull down any latency summary.
+  records.push_back(MakeRefusedRecord());
   // A non-server record must stay out of the split entirely.
-  records.push_back(QlogRecord{});
+  QlogRecord local;
+  local.wall_seconds = 0.050;
+  records.push_back(local);
 
   QlogReport report = BuildQlogReport(records);
-  EXPECT_EQ(report.num_queries, 5u);
-  EXPECT_EQ(report.server_requests, 4u);
+  EXPECT_EQ(report.num_queries, 6u);
+  EXPECT_EQ(report.server_requests, 5u);
   EXPECT_EQ(report.server_executed, 2u);
   EXPECT_EQ(report.server_coalesced, 1u);
   EXPECT_EQ(report.server_cached, 1u);
+  EXPECT_EQ(report.server_refused, 1u);
+  EXPECT_EQ(report.incomplete, 0u);
+  EXPECT_DOUBLE_EQ(report.latency.min, 0.001);  // the cache hit
+  ASSERT_FALSE(report.slowest.empty());
+  for (const QlogSlowQuery& slow : report.slowest) {
+    EXPECT_NE(slow.status, "Overloaded");
+  }
   // Queue-wait and execute cover only the executed pair — a follower's
   // or cache hit's e2e wall must not leak into the execute summary.
   EXPECT_DOUBLE_EQ(report.server_queue_wait.max, 0.010);
@@ -532,8 +595,12 @@ TEST(QlogReportTest, ServerSplitSeparatesQueueWaitFromExecute) {
   std::string json = QlogReportToJson(report);
   EXPECT_NE(json.find("\"server\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_wait\""), std::string::npos);
+  EXPECT_NE(json.find("\"refused\":1"), std::string::npos);
   std::string text = FormatQlogReport(report);
-  EXPECT_NE(text.find("server:"), std::string::npos);
+  EXPECT_NE(text.find("server: 5 requests (2 executed, 1 coalesced, "
+                      "1 cached, 1 refused)"),
+            std::string::npos)
+      << text;
 }
 
 TEST(QlogValidate, LabelHitHelperMatchesNames) {
@@ -902,6 +969,27 @@ TEST(QlogSlo, CeilRScopesTheObjective) {
   EXPECT_TRUE(results[1].met);
 }
 
+// A failed request misses its objective however fast it failed: an
+// Overloaded refusal and a DeadlineExceeded cut, both well under the
+// latency bound, are violations.
+TEST(QlogSlo, FailedRequestsAreViolationsHoweverFast) {
+  QlogRecord ok;
+  ok.wall_seconds = 0.002;
+  QlogRecord cut;
+  cut.wall_seconds = 0.003;
+  cut.status = "DeadlineExceeded";
+  cut.complete = false;
+  std::vector<QlogRecord> records = {ok, MakeRefusedRecord(), cut};
+  SloObjective slo;
+  slo.latency_ms = 100.0;
+  slo.objective = 0.5;
+  std::vector<SloResult> results = EvaluateSlos(records, {slo});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].queries, 3u);
+  EXPECT_EQ(results[0].violations, 2u);
+  EXPECT_FALSE(results[0].met);
+}
+
 TEST(QlogSlo, FormatMarksMissedObjectives) {
   std::vector<QlogRecord> records = MakeWorkloadRecords();
   SloObjective missed;
@@ -909,6 +997,39 @@ TEST(QlogSlo, FormatMarksMissedObjectives) {
   missed.objective = 0.99;
   std::string text = FormatSloReport(EvaluateSlos(records, {missed}));
   EXPECT_NE(text.find("MISSED"), std::string::npos);
+}
+
+// --- Fuzzing ----------------------------------------------------------------
+
+// Deterministic mutation fuzzing of mio-qlog-v1 lines, the server section's
+// stages, retry hint and refused role included: no input may crash the
+// validator or the parser, the two must agree, and every accepted line
+// must reach a fixed point after one parse -> serialise pass.
+TEST(QlogValidate, FuzzedLinesNeverCrashAndRoundTrip) {
+  QlogRecord batched;
+  batched.batch_id = 3;
+  batched.batch_size = 8;
+  batched.label_outcome = "recorded";
+  const std::vector<std::string> seeds = {
+      QlogRecordToJsonLine(MakeFullRecord()),
+      QlogRecordToJsonLine(MakeRefusedRecord()),
+      QlogRecordToJsonLine(batched)};
+  Pcg32 rng(0x716c6f67 /* "qlog" */, 2);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string line = mio::testing::MutateLine(seeds, rng);
+    QlogRecord rec;
+    const Status parsed = ParseQlogRecord(line, &rec);
+    ASSERT_EQ(ValidateQlogLine(line).ok(), parsed.ok()) << line;
+    if (!parsed.ok()) continue;
+    ++accepted;
+    const std::string once = QlogRecordToJsonLine(rec);
+    QlogRecord back;
+    ASSERT_TRUE(ParseQlogRecord(once, &back).ok()) << line << "\n" << once;
+    ASSERT_EQ(QlogRecordToJsonLine(back), once) << line;
+  }
+  // The mutations must reach the accepting paths, not only the errors.
+  EXPECT_GT(accepted, 100u);
 }
 
 // --- Diff -------------------------------------------------------------------

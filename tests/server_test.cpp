@@ -1,8 +1,9 @@
-// Tests for the `mio serve` subsystem: the mio-serve-v1 wire protocol,
-// the admission policy/queue, the coalescer and result cache, the
-// engine's thread-safety contract, and end-to-end socket tests against a
-// live server (concurrent clients, coalescing/caching differentials,
-// overload refusal, graceful drain). The end-to-end tests drive queries
+// Tests for the `mio serve` subsystem: the mio-serve-v1 wire protocol
+// (with a mutation fuzz loop), the admission policy/queue, the coalescer
+// and result cache, the engine's thread-safety contract, and end-to-end
+// socket tests against a live server (concurrent clients,
+// coalescing/caching differentials, overload refusal, graceful drain,
+// and exactly one qlog record per query request). The end-to-end tests drive queries
 // with threads=1 so a TSan build exercises the server's own concurrency
 // without tripping over libgomp's uninstrumented internals.
 #include <sys/socket.h>
@@ -13,9 +14,9 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/qlog.hpp"
-#include "server/evlog.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
 #include "server/coalescer.hpp"
@@ -71,11 +71,15 @@ TEST(ServeProtocol, RequestValidation) {
   // Wrong schema.
   EXPECT_EQ(ParseServeRequest(R"({"schema":"v999","op":"ping"})", &out).code(),
             StatusCode::kInvalidArgument);
-  // Unknown op.
-  EXPECT_EQ(ParseServeRequest(
-                R"({"schema":"mio-serve-v1","op":"explode"})", &out)
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Unknown op, and the deleted "health" op (stats carries its fields).
+  for (const char* op : {"explode", "health"}) {
+    EXPECT_EQ(ParseServeRequest(std::string(R"({"schema":"mio-serve-v1",)") +
+                                    R"("op":")" + op + R"("})",
+                                &out)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << op;
+  }
   // Query without a radius.
   EXPECT_EQ(
       ParseServeRequest(R"({"schema":"mio-serve-v1","op":"query"})", &out)
@@ -149,6 +153,12 @@ TEST(ServeProtocol, CorruptResponsesAreNeverMistakenForSuccess) {
   ServeResponse out;
   EXPECT_EQ(ParseServeResponse("garbage", &out).code(),
             StatusCode::kCorruption);
+  // A number the writer could not emit back ("1e999" parses to Inf).
+  EXPECT_EQ(ParseServeResponse(
+                R"({"schema":"mio-serve-v1","status":"OK","wall_seconds":1e999})",
+                &out)
+                .code(),
+            StatusCode::kCorruption);
   EXPECT_EQ(ParseServeResponse(R"({"schema":"other","status":"OK"})", &out)
                 .code(),
             StatusCode::kCorruption);
@@ -157,6 +167,68 @@ TEST(ServeProtocol, CorruptResponsesAreNeverMistakenForSuccess) {
           R"({"schema":"mio-serve-v1","status":"TotallyFine"})", &out)
           .code(),
       StatusCode::kCorruption);
+}
+
+// Deterministic mutation fuzzing of both directions of mio-serve-v1: no
+// input may crash a parser, and every accepted line must reach a fixed
+// point after one parse -> serialise pass.
+TEST(ServeProtocol, FuzzedLinesNeverCrashAndRoundTrip) {
+  ServeRequest query;
+  query.id = "q7";
+  query.r = 4.25;
+  query.k = 3;
+  query.threads = 2;
+  query.use_labels = true;
+  query.deadline_ms = 250.0;
+  query.no_coalesce = true;
+  ServeRequest stats;
+  stats.id = "top";
+  stats.op = "stats";
+  const std::vector<std::string> requests = {ServeRequestToJsonLine(query),
+                                             ServeRequestToJsonLine(stats)};
+  ServeResponse ok;
+  ok.id = "q7";
+  ok.request_id = "r000042";
+  ok.wall_seconds = 0.0125;
+  ok.coalesced = true;
+  ok.topk = {{7, 42}, {3, 41}};
+  ServeResponse refused;
+  refused.request_id = "r000043";
+  refused.status = StatusCode::kOverloaded;
+  refused.error = "admission queue full";
+  refused.complete = false;
+  refused.retry_after_ms = 75.0;
+  ServeResponse metrics;
+  metrics.payload = "# TYPE mio_x counter\nmio_x_total 1\n# EOF\n";
+  const std::vector<std::string> responses = {
+      ServeResponseToJsonLine(ok), ServeResponseToJsonLine(refused),
+      ServeResponseToJsonLine(metrics)};
+
+  Pcg32 rng(0x73657276 /* "serv" */, 1);
+  std::size_t accepted_requests = 0, accepted_responses = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string line = mio::testing::MutateLine(requests, rng);
+    ServeRequest req;
+    if (!ParseServeRequest(line, &req).ok()) continue;
+    ++accepted_requests;
+    const std::string once = ServeRequestToJsonLine(req);
+    ServeRequest back;
+    ASSERT_TRUE(ParseServeRequest(once, &back).ok()) << line << "\n" << once;
+    ASSERT_EQ(ServeRequestToJsonLine(back), once) << line;
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const std::string line = mio::testing::MutateLine(responses, rng);
+    ServeResponse res;
+    if (!ParseServeResponse(line, &res).ok()) continue;
+    ++accepted_responses;
+    const std::string once = ServeResponseToJsonLine(res);
+    ServeResponse back;
+    ASSERT_TRUE(ParseServeResponse(once, &back).ok()) << line << "\n" << once;
+    ASSERT_EQ(ServeResponseToJsonLine(back), once) << line;
+  }
+  // The mutations must reach the accepting paths, not only the errors.
+  EXPECT_GT(accepted_requests, 100u);
+  EXPECT_GT(accepted_responses, 100u);
 }
 
 // --- Admission policy -------------------------------------------------------
@@ -479,11 +551,12 @@ TEST_F(ServeTest, PingHealthAndMetricsOps) {
   EXPECT_EQ(res.status, StatusCode::kOk);
   EXPECT_EQ(res.payload, "pong");
 
+  // "health" is gone ("stats" is the one introspection op): the server
+  // answers it as an unknown op and keeps the connection usable.
   ServeRequest health;
   health.op = "health";
   ASSERT_TRUE(Call(Client(), health, &res).ok());
-  EXPECT_NE(res.payload.find("queue_depth"), std::string::npos);
-  EXPECT_NE(res.payload.find("\"draining\":false"), std::string::npos);
+  EXPECT_EQ(res.status, StatusCode::kInvalidArgument);
 
   ServeRequest metrics;
   metrics.op = "metrics";
@@ -791,26 +864,6 @@ TEST_F(ServeTest, ResponsesCarryUniqueRequestIdsMatchingTheQlog) {
   }
 }
 
-TEST_F(ServeTest, HealthReportsUptimeLadderAndHitCounters) {
-  StartServer();
-  ServeResponse res;
-  ASSERT_TRUE(Call(Client(), Query(4.0), &res).ok());
-  ASSERT_TRUE(Call(Client(), Query(4.0), &res).ok());  // cache hit
-
-  ServeRequest health;
-  health.op = "health";
-  ASSERT_TRUE(Call(Client(), health, &res).ok());
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::ParseJson(res.payload, &doc)) << res.payload;
-  EXPECT_GT(doc.GetDouble("uptime_seconds", -1.0), 0.0);
-  EXPECT_FALSE(doc.GetBool("draining", true));
-  EXPECT_EQ(doc.GetUInt("ladder_stage", 99), 0u);  // idle server
-  ASSERT_NE(doc.Find("cache_hits"), nullptr);
-  EXPECT_GE(doc.GetUInt("cache_hits"), 1u);
-  ASSERT_NE(doc.Find("coalesced"), nullptr);
-  StopServer();
-}
-
 TEST_F(ServeTest, StatsOpSnapshotsTheLivePipeline) {
   StartServer();
   ServeResponse res;
@@ -825,12 +878,15 @@ TEST_F(ServeTest, StatsOpSnapshotsTheLivePipeline) {
   ASSERT_TRUE(obs::ParseJson(res.payload, &doc)) << res.payload;
   EXPECT_EQ(doc.GetString("schema"), "mio-server-stats-v1");
   EXPECT_GT(doc.GetDouble("uptime_seconds", -1.0), 0.0);
+  EXPECT_FALSE(doc.GetBool("draining", true));
+  EXPECT_EQ(doc.GetUInt("ladder_stage", 99), 0u);  // idle server
   EXPECT_EQ(doc.GetUInt("workers", 0), 2u);
   EXPECT_GT(doc.GetUInt("objects"), 0u);
   const obs::JsonValue* counters = doc.Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_GE(counters->GetUInt("requests"), 2u);
   EXPECT_GE(counters->GetUInt("cache_hits"), 1u);
+  ASSERT_NE(counters->Find("coalesced"), nullptr);
   // The e2e histogram saw both query requests; queue-wait only the
   // executed one (the cache hit never queued).
   const obs::JsonValue* e2e = doc.Find("e2e");
@@ -850,90 +906,81 @@ TEST_F(ServeTest, StatsOpSnapshotsTheLivePipeline) {
   StopServer();
 }
 
-std::vector<obs::JsonValue> LoadEvlog(const std::string& path) {
-  std::vector<obs::JsonValue> events;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    EXPECT_TRUE(ValidateEvlogLine(line).ok()) << line;
-    obs::JsonValue doc;
-    EXPECT_TRUE(obs::ParseJson(line, &doc));
-    events.push_back(std::move(doc));
+/// A server qlog keyed by request id; a request logged twice fails.
+std::map<std::string, obs::QlogRecord> LoadQlogById(const std::string& path) {
+  std::map<std::string, obs::QlogRecord> by_id;
+  Result<std::vector<obs::QlogRecord>> records = obs::LoadQlogFile(path);
+  EXPECT_TRUE(records.ok()) << records.status().ToString();
+  if (!records.ok()) return by_id;
+  for (obs::QlogRecord& rec : records.value()) {
+    const std::string id = rec.server_request_id;
+    EXPECT_TRUE(by_id.emplace(id, std::move(rec)).second)
+        << id << " has two records";
   }
-  return events;
+  return by_id;
 }
 
-TEST_F(ServeTest, EvlogHasExactlyOneTerminalEventPerQueryRequest) {
+/// Stamped stages (the ones a record carries) in lifecycle order.
+bool StagesMonotonic(const obs::QlogRecord& rec) {
+  double prev = 0.0;
+  for (double stage : rec.server_stages) {
+    if (stage < 0.0) continue;
+    if (stage < prev) return false;
+    prev = stage;
+  }
+  return true;
+}
+
+TEST_F(ServeTest, QlogHasExactlyOneRecordPerQueryRequest) {
   ServerConfig cfg;
-  cfg.evlog_path = (dir_ / "events.jsonl").string();
+  cfg.qlog_path = (dir_ / "serve.jsonl").string();
   StartServer(cfg);
+  std::vector<std::string> ids;
   ServeResponse res;
-  ASSERT_TRUE(Call(Client(), Query(3.0), &res).ok());
-  const std::string first_id = res.request_id;
-  ASSERT_TRUE(Call(Client(), Query(3.0), &res).ok());  // cache hit
-  server_->RequestShutdown();
-  if (serve_thread_.joinable()) serve_thread_.join();
-  EXPECT_GE(server_->evlog_written(), 2u);
-  EXPECT_EQ(server_->evlog_dropped(), 0u);
-  server_.reset();
+  for (int i = 0; i < 2; ++i) {  // executed, then a cache hit
+    ASSERT_TRUE(Call(Client(), Query(3.0), &res).ok());
+    ids.push_back(res.request_id);
+  }
+  ServeRequest ping;  // probes are not query requests: no record
+  ping.op = "ping";
+  ASSERT_TRUE(Call(Client(), ping, &res).ok());
+  StopServer();
 
-  std::vector<obs::JsonValue> events = LoadEvlog(cfg.evlog_path);
-  std::map<std::string, int> terminal_per_request;
-  bool saw_drain_begin = false, saw_drain_end = false;
-  for (const obs::JsonValue& ev : events) {
-    const std::string name = ev.GetString("event");
-    if (name == "respond" || name == "refuse") {
-      ++terminal_per_request[ev.GetString("request_id")];
-      // Terminal events carry monotonic stages.
-      const obs::JsonValue* stages = ev.Find("stages");
-      ASSERT_NE(stages, nullptr);
-      double prev = -1.0;
-      for (const char* s :
-           {"accepted", "enqueued", "dequeued", "executed", "responded"}) {
-        const obs::JsonValue* v = stages->Find(s);
-        if (v == nullptr) continue;
-        EXPECT_GE(v->AsDouble(), prev) << s;
-        prev = v->AsDouble();
-      }
-    } else if (name == "drain") {
-      if (ev.GetString("detail").rfind("begin", 0) == 0) {
-        saw_drain_begin = true;
-      } else {
-        saw_drain_end = true;
-      }
-    }
+  std::map<std::string, obs::QlogRecord> by_id = LoadQlogById(cfg.qlog_path);
+  ASSERT_EQ(by_id.size(), ids.size());
+  for (const std::string& id : ids) {
+    ASSERT_EQ(by_id.count(id), 1u) << id;
+    const obs::QlogRecord& rec = by_id.at(id);
+    EXPECT_TRUE(StagesMonotonic(rec)) << id;
+    EXPECT_GE(rec.server_stages[0], 0.0) << id;  // accepted
+    EXPECT_GE(rec.server_stages[4], 0.0) << id;  // responded
+    EXPECT_TRUE(rec.server_refusal.empty()) << id;
   }
-  ASSERT_EQ(terminal_per_request.size(), 2u);
-  for (const auto& [id, count] : terminal_per_request) {
-    EXPECT_EQ(count, 1) << id;
-  }
-  EXPECT_EQ(terminal_per_request.count(first_id), 1u);
-  EXPECT_TRUE(saw_drain_begin);
-  EXPECT_TRUE(saw_drain_end);
+  EXPECT_EQ(by_id.at(ids[1]).server_role, kRoleCached);
 }
 
-TEST_F(ServeTest, RefusalsGetExactlyOneTerminalEventDuringDrainBurst) {
+TEST_F(ServeTest, RefusalsGetExactlyOneQlogRecordDuringDrainBurst) {
   if (!fault::kCompiledIn) {
     GTEST_SKIP() << "fault injection compiled out";
   }
   ServerConfig cfg;
-  cfg.evlog_path = (dir_ / "events.jsonl").string();
+  cfg.qlog_path = (dir_ / "serve.jsonl").string();
   StartServer(cfg);
   // Force every admission to refuse, then fire a burst and shut down in
   // the middle of it — the drain accounting must still be exact.
   ASSERT_TRUE(fault::Arm("server.enqueue", "always").ok());
   constexpr int kClients = 6;
-  std::atomic<int> refused{0}, transport{0};
+  std::mutex mu;
+  std::vector<std::string> refused;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       ServeResponse r;
       Status st = server::Call(Client(/*attempts=*/1), Query(3.0 + c), &r);
+      // Anything else raced the listener close: acceptable.
       if (st.code() == StatusCode::kOverloaded) {
-        refused.fetch_add(1);
-      } else if (!st.ok()) {
-        transport.fetch_add(1);  // raced the listener close: acceptable
+        std::lock_guard<std::mutex> lock(mu);
+        refused.push_back(r.request_id);
       }
     });
   }
@@ -943,31 +990,51 @@ TEST_F(ServeTest, RefusalsGetExactlyOneTerminalEventDuringDrainBurst) {
   server_.reset();
   fault::Reset();
 
-  std::vector<obs::JsonValue> events = LoadEvlog(cfg.evlog_path);
-  std::map<std::string, int> refuse_per_request;
-  int responds = 0;
-  for (const obs::JsonValue& ev : events) {
-    const std::string name = ev.GetString("event");
-    if (name == "refuse") {
-      ++refuse_per_request[ev.GetString("request_id")];
-      EXPECT_EQ(ev.GetString("status"), "Overloaded");
-      EXPECT_GT(ev.GetDouble("retry_after_ms"), 0.0);
-      // A refusal never entered the queue: no enqueued stage.
-      const obs::JsonValue* stages = ev.Find("stages");
-      ASSERT_NE(stages, nullptr);
-      EXPECT_EQ(stages->Find("enqueued"), nullptr);
-    } else if (name == "respond") {
-      ++responds;
-    }
+  // Every Overloaded response has exactly one record, a refused one, and
+  // nothing else was logged.
+  std::map<std::string, obs::QlogRecord> by_id = LoadQlogById(cfg.qlog_path);
+  EXPECT_EQ(by_id.size(), refused.size());
+  for (const std::string& id : refused) {
+    ASSERT_EQ(by_id.count(id), 1u) << id;
+    const obs::QlogRecord& rec = by_id.at(id);
+    EXPECT_EQ(rec.server_role, kRoleRefused);
+    EXPECT_EQ(rec.status, "Overloaded");
+    EXPECT_FALSE(rec.complete);
+    EXPECT_GT(rec.server_retry_after_ms, 0.0);
+    EXPECT_FALSE(rec.server_refusal.empty());
+    // A refusal never entered the queue: no enqueued stage.
+    EXPECT_LT(rec.server_stages[1], 0.0);
+    EXPECT_TRUE(StagesMonotonic(rec));
+    EXPECT_EQ(rec.distance_computations, 0u);
   }
-  // Every client that saw an Overloaded response has exactly one refuse
-  // event; nothing was double-logged as both refuse and respond.
-  EXPECT_EQ(refuse_per_request.size(),
-            static_cast<std::size_t>(refused.load()));
-  for (const auto& [id, count] : refuse_per_request) {
-    EXPECT_EQ(count, 1) << id;
+}
+
+// With max_queue = 1 the ladder sheds labels at depth 0, so every
+// admitted request runs at DegradationStep::kShedLabels.
+TEST_F(ServeTest, ShedRequestRecordsItsAdmissionStep) {
+  ServerConfig cfg;
+  cfg.qlog_path = (dir_ / "serve.jsonl").string();
+  cfg.admission.max_queue = 1;
+  StartServer(cfg);
+  const auto step =
+      static_cast<std::uint32_t>(LadderStage(0, cfg.admission));
+  ASSERT_EQ(step, static_cast<std::uint32_t>(DegradationStep::kShedLabels));
+  ServeResponse res;
+  for (double r : {3.0, 4.0}) {
+    ASSERT_TRUE(Call(Client(), Query(r, 3, /*no_coalesce=*/true), &res).ok());
+    ASSERT_EQ(res.status, StatusCode::kOk);
   }
-  EXPECT_EQ(responds, 0);
+  StopServer();
+
+  std::map<std::string, obs::QlogRecord> by_id = LoadQlogById(cfg.qlog_path);
+  ASSERT_EQ(by_id.size(), 2u);
+  for (const auto& [id, rec] : by_id) {
+    EXPECT_TRUE(rec.ServerExecuted()) << id;
+    EXPECT_EQ(rec.degradation_level, step) << id;
+  }
+  EXPECT_EQ(obs::SnapshotMetrics().counters[static_cast<std::size_t>(
+                obs::Counter::kServerShedLabels)],
+            2u);
 }
 
 TEST_F(ServeTest, CoalescedRolesLandInQlogAndFollowersSkipQueueWait) {

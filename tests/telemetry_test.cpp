@@ -1,11 +1,11 @@
 // Tests for the continuous-telemetry layer: metric-name legality and
 // exhaustiveness, log2 -> cumulative le-bucket conversion, the
 // OpenMetrics exposition writer, process health, the background
-// sampler's ring/deltas/rates, and the exit-flush metrics path.
+// sampler's scrape writes and tick count, and the exit-flush metrics
+// path.
 #include <unistd.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -321,8 +321,6 @@ TEST_F(TelemetryFileTest, SamplerSurvivesPersistentWriteFailures) {
   EXPECT_GE(sampler.SampleCount(), 3u);
   EXPECT_FALSE(std::filesystem::exists(cfg.metrics_path));
   EXPECT_FALSE(std::filesystem::exists(cfg.metrics_path + ".tmp"));
-  // In-memory telemetry was unaffected by the dead disk.
-  EXPECT_GT(sampler.Latest().health.rss_bytes, 0u);
   fault::Reset();
 
   // With the disk back, the next sampler run scrapes again.
@@ -341,17 +339,6 @@ TEST(ProcessHealth, ReadsPlausibleValues) {
   EXPECT_GE(h.cpu_seconds, 0.0);
   EXPECT_GE(h.threads, 1);
   EXPECT_GE(h.open_fds, 3);  // stdin/stdout/stderr at minimum
-}
-
-TEST(TelemetryConfig, EnvOverridesInterval) {
-  ::setenv("MIO_TELEMETRY_INTERVAL_MS", "250", 1);
-  EXPECT_EQ(TelemetryConfigFromEnv().interval_ms, 250);
-  ::setenv("MIO_TELEMETRY_INTERVAL_MS", "garbage", 1);
-  EXPECT_EQ(TelemetryConfigFromEnv().interval_ms, 1000);
-  ::setenv("MIO_TELEMETRY_INTERVAL_MS", "5", 1);  // below the clamp
-  EXPECT_EQ(TelemetryConfigFromEnv().interval_ms, 1000);
-  ::unsetenv("MIO_TELEMETRY_INTERVAL_MS");
-  EXPECT_EQ(TelemetryConfigFromEnv().interval_ms, 1000);
 }
 
 // --- Sampler ----------------------------------------------------------------
@@ -374,29 +361,20 @@ TEST_F(TelemetryFileTest, SamplerTakesImmediateAndFinalSamples) {
   EXPECT_FALSE(sampler.Running());
   EXPECT_GE(sampler.SampleCount(), 2u);
 
-  // The final sample carries the counter deltas and derived rates.
-  TelemetrySample last = sampler.Latest();
-  EXPECT_EQ(
-      last.deltas[static_cast<std::size_t>(Counter::kQueriesExecuted)], 10u);
-  EXPECT_EQ(last.deltas[static_cast<std::size_t>(Counter::kVerifyPoints)],
-            500u);
-  EXPECT_GT(last.rates.queries_per_sec, 0.0);
-  EXPECT_GT(last.rates.verify_points_per_sec, 0.0);
-  EXPECT_LT(last.rates.cache_hit_rate, 0.0);  // no lookups -> unknown
-  EXPECT_GT(last.interval_seconds, 0.0);
-  EXPECT_GT(last.health.rss_bytes, 0u);
-
-  // The final scrape reflects the cumulative counters and terminates.
+  // The final scrape reflects the cumulative counters and the process
+  // gauges, and terminates.
   std::string text = ReadAll(cfg.metrics_path);
+  EXPECT_NE(text.find("mio_query_executed_total 10\n"), std::string::npos);
   EXPECT_NE(text.find("mio_verify_points_total 500\n"), std::string::npos);
+  EXPECT_NE(text.find("mio_process_resident_memory_bytes"),
+            std::string::npos);
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
 }
 
-TEST(TelemetrySampler, PeriodicSamplingAndRing) {
+TEST(TelemetrySampler, PeriodicSamplingCountsEveryTick) {
   ResetMetrics();
   TelemetryConfig cfg;
   cfg.interval_ms = 10;
-  cfg.ring_capacity = 4;
   TelemetrySampler sampler(cfg);
   sampler.Start();
   // Enough wall time for several intervals even on a loaded 1-core box.
@@ -406,29 +384,11 @@ TEST(TelemetrySampler, PeriodicSamplingAndRing) {
   sampler.Stop();
   std::uint64_t total = sampler.SampleCount();
   EXPECT_GE(total, 6u);
-  std::vector<TelemetrySample> ring = sampler.Samples();
-  ASSERT_EQ(ring.size(), 4u);  // bounded by capacity
-  // Oldest-first ordering by uptime.
-  for (std::size_t i = 1; i < ring.size(); ++i) {
-    EXPECT_GE(ring[i].uptime_seconds, ring[i - 1].uptime_seconds);
-  }
   // The registry counted every sampler tick.
   MetricsSnapshot snap = SnapshotMetrics();
   EXPECT_GE(
       snap.counters[static_cast<std::size_t>(Counter::kTelemetrySamples)],
       total);
-}
-
-TEST(TelemetrySampler, CacheHitRateFromLabelDeltas) {
-  ResetMetrics();
-  TelemetryConfig cfg;
-  cfg.interval_ms = 3600000;
-  TelemetrySampler sampler(cfg);
-  sampler.Start();
-  Add(Counter::kLabelCacheHits, 3);
-  Add(Counter::kLabelCacheMisses, 1);
-  sampler.Stop();
-  EXPECT_DOUBLE_EQ(sampler.Latest().rates.cache_hit_rate, 0.75);
 }
 
 // --- Exit flush -------------------------------------------------------------

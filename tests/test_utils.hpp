@@ -1,8 +1,11 @@
-// Shared helpers for the mio test suite: deterministic random datasets and
-// the brute-force oracle every algorithm is differentially tested against.
+// Shared helpers for the mio test suite: deterministic random datasets,
+// the brute-force oracle every algorithm is differentially tested against,
+// and the line mutator the in-tree parser fuzz loops run on.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baseline/nested_loop.hpp"
@@ -52,6 +55,55 @@ inline std::uint32_t MaxScore(const std::vector<std::uint32_t>& scores) {
   std::uint32_t best = 0;
   for (std::uint32_t s : scores) best = std::max(best, s);
   return best;
+}
+
+/// One deterministic fuzz input: a seed line with 1-3 mutations — a bit
+/// flip, a truncation, a splice onto a tail of another seed, or a number
+/// replaced by an extreme ("1e999", "-0", 2^64, ...). No corpus: the
+/// seeds are valid lines of the format under test.
+inline std::string MutateLine(const std::vector<std::string>& seeds,
+                              Pcg32& rng) {
+  static const char* kExtremes[] = {
+      "1e999",      "-1e999", "-0",         "18446744073709551616",
+      "-1",         "1e-320", "2147483648", "18446744073709551615",
+      "0.5",        "0",      "1e308",      "9007199254740993"};
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.NextBounded(static_cast<std::uint32_t>(n)));
+  };
+  std::string line = seeds[pick(seeds.size())];
+  const int rounds = 1 + static_cast<int>(rng.NextBounded(3));
+  for (int i = 0; i < rounds && !line.empty(); ++i) {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        line[pick(line.size())] ^= static_cast<char>(1u << rng.NextBounded(8));
+        break;
+      case 1:
+        line.resize(pick(line.size()));
+        break;
+      case 2: {
+        const std::string& other = seeds[pick(seeds.size())];
+        line = line.substr(0, pick(line.size() + 1)) +
+               other.substr(pick(other.size() + 1));
+        break;
+      }
+      default: {
+        // The first number at or after a random offset.
+        std::size_t b = line.find_first_of("0123456789", pick(line.size()));
+        if (b == std::string::npos) break;
+        auto in_number = [&line](std::size_t j) {
+          const char c = line[j];
+          return std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
+                 c == 'e' || c == 'E' || c == '-' || c == '+';
+        };
+        std::size_t e = b;
+        while (b > 0 && in_number(b - 1)) --b;
+        while (e < line.size() && in_number(e)) ++e;
+        line.replace(b, e - b, kExtremes[pick(std::size(kExtremes))]);
+      }
+    }
+  }
+  return line;
 }
 
 }  // namespace testing

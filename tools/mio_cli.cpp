@@ -75,19 +75,17 @@ void Usage() {
       "             server's retry-after hint)\n"
       "  serve     --in=FILE --socket=PATH [--workers=N] [--max-queue=N]\n"
       "            [--max-queued-cost=N] [--retry-after-ms=MS] [--cache=N]\n"
-      "            [--drain-deadline-ms=MS] [--qlog=FILE] [--evlog=FILE]\n"
-      "            [--evlog-rate-limit=N] [--evlog-capacity=N]\n"
+      "            [--drain-deadline-ms=MS] [--qlog=FILE]\n"
       "            [--trace-dir=DIR] [--tail-threshold-ms=MS]\n"
       "            [--tail-slowest=N] [--labels=DIR] [--metrics-out=FILE]\n"
-      "            [--telemetry-interval-ms=MS] [--verbose]\n"
+      "            [--telemetry-interval-ms=MS]\n"
       "            (long-lived query server on a Unix socket: bounded\n"
       "             admission with overload shedding, request coalescing\n"
       "             + result cache, graceful drain on SIGTERM — exit 0\n"
       "             after a clean drain, 9 when the drain deadline forced\n"
-      "             cancellation; --qlog writes one record per accepted\n"
-      "             query request, --evlog a mio-evlog-v1 lifecycle event\n"
-      "             stream, --trace-dir keeps Chrome traces for\n"
-      "             tail-sampled requests)\n"
+      "             cancellation; --qlog writes one record per query\n"
+      "             request, refusals included, --trace-dir keeps Chrome\n"
+      "             traces for tail-sampled requests)\n"
       "  top       --connect=SOCKET [--interval-ms=MS] [--once]\n"
       "            [--count=N]\n"
       "            (live terminal view of a running `mio serve`: queue\n"
@@ -120,7 +118,7 @@ void Usage() {
       "             cached grid;\n"
       "             --metrics-out keeps an OpenMetrics scrape file fresh\n"
       "             via a background sampler, atomically rewritten every\n"
-      "             interval — MIO_TELEMETRY_INTERVAL_MS, default 1000)\n"
+      "             --telemetry-interval-ms, default 1000)\n"
       "  qlog report --in=FILE [--slowest=N] [--trace-dir=DIR]\n"
       "            [--json=FILE|-] [--slo=SPECFILE]\n"
       "            (aggregates a qlog: p50/p95/p99 latency, per-phase\n"
@@ -147,21 +145,38 @@ int StatusExit(const mio::Status& st) {
   return mio::ExitCodeFor(st.code());
 }
 
+/// Range-checked integer flag: `--name` in [lo, hi] into `*out`, or
+/// `fallback` when absent.
+template <typename T>
+mio::Status IntFlag(const mio::ArgParser& args, const char* name,
+                    std::int64_t fallback, std::int64_t lo, std::int64_t hi,
+                    T* out) {
+  mio::Result<std::int64_t> v = args.GetIntInRange(name, fallback, lo, hi);
+  if (!v.ok()) return v.status();
+  *out = static_cast<T>(v.value());
+  return mio::Status::OK();
+}
+
+/// Range-checked millisecond flag: a finite `--name` in [0, 1e9].
+mio::Status MsFlag(const mio::ArgParser& args, const char* name,
+                   double fallback, double* out) {
+  mio::Result<double> v = args.GetDoubleInRange(name, fallback, 0.0, 1e9);
+  if (!v.ok()) return v.status();
+  *out = v.value();
+  return mio::Status::OK();
+}
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
 /// `--k` and `--threads`, range-checked: k >= 0, as `mio serve` accepts
 /// (0 and 1 both ask for the single most interactive object), and threads
 /// within int, where <= 0 means every core.
 mio::Status ParseKAndThreads(const mio::ArgParser& args, std::size_t* k,
                              int* threads) {
-  mio::Result<std::int64_t> kv = args.GetIntInRange(
-      "k", 1, 0, std::numeric_limits<std::int64_t>::max());
-  if (!kv.ok()) return kv.status();
-  mio::Result<std::int64_t> tv =
-      args.GetIntInRange("threads", 1, std::numeric_limits<int>::min(),
-                         std::numeric_limits<int>::max());
-  if (!tv.ok()) return tv.status();
-  *k = static_cast<std::size_t>(kv.value());
-  *threads = static_cast<int>(tv.value());
-  return mio::Status::OK();
+  MIO_RETURN_NOT_OK(
+      IntFlag(args, "k", 1, 0, std::numeric_limits<std::int64_t>::max(), k));
+  return IntFlag(args, "threads", 1, std::numeric_limits<int>::min(),
+                 std::numeric_limits<int>::max(), threads);
 }
 
 bool EndsWith(const std::string& s, const char* suffix) {
@@ -349,6 +364,29 @@ int CmdServe(const mio::ArgParser& args) {
     std::fprintf(stderr, "serve: --socket=PATH is required\n");
     return 1;
   }
+  // Every numeric flag is checked before the dataset loads and the
+  // socket binds: a wrapped --max-queue=-1 would disable overload
+  // refusal, a NaN drain deadline would reach a float->int cast.
+  mio::server::ServerConfig cfg;
+  int telemetry_interval_ms = 1000;
+  double tail_threshold_ms = 0.0;
+  for (const mio::Status& st :
+       {IntFlag(args, "workers", 2, 1, 256, &cfg.workers),
+        IntFlag(args, "max-queue", 16, 1, kInt32Max, &cfg.admission.max_queue),
+        IntFlag(args, "max-queued-cost", 0, 0, kInt32Max,
+                &cfg.admission.max_queued_cost),
+        IntFlag(args, "cache", 32, 0, kInt32Max, &cfg.cache_capacity),
+        IntFlag(args, "tail-slowest", 0, 0, kInt32Max, &cfg.tail.slowest_n),
+        IntFlag(args, "telemetry-interval-ms", 1000, 10, 3600000,
+                &telemetry_interval_ms),
+        MsFlag(args, "retry-after-ms", 25.0,
+               &cfg.admission.retry_after_base_ms),
+        MsFlag(args, "drain-deadline-ms", 5000.0, &cfg.drain_deadline_ms),
+        MsFlag(args, "tail-threshold-ms", 0.0, &tail_threshold_ms)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
+  cfg.tail.threshold_seconds = tail_threshold_ms / 1000.0;
+
   std::string dataset = args.GetString("in", "");
   mio::Result<mio::ObjectSet> loaded = LoadAny(dataset);
   if (!loaded.ok()) return StatusExit(loaded.status());
@@ -356,41 +394,11 @@ int CmdServe(const mio::ArgParser& args) {
   mio::MemoryTracker::Instance().Observe("dataset",
                                          loaded.value().MemoryUsageBytes());
 
-  mio::server::ServerConfig cfg;
   cfg.socket_path = args.GetString("socket", "");
-  cfg.workers = static_cast<int>(args.GetInt("workers", 2));
-  cfg.admission.max_queue =
-      static_cast<std::size_t>(args.GetInt("max-queue", 16));
-  cfg.admission.max_queued_cost =
-      static_cast<std::uint64_t>(args.GetInt("max-queued-cost", 0));
-  cfg.admission.retry_after_base_ms = args.GetDouble("retry-after-ms", 25.0);
-  cfg.cache_capacity = static_cast<std::size_t>(args.GetInt("cache", 32));
-  cfg.drain_deadline_ms = args.GetDouble("drain-deadline-ms", 5000.0);
   cfg.qlog_path = args.GetString("qlog", "");
-  cfg.evlog_path = args.GetString("evlog", "");
-  // Env defaults let the check scripts tune evlog backpressure without
-  // threading extra flags through every invocation; explicit flags win.
-  if (const char* env = std::getenv("MIO_EVLOG_RATE_LIMIT")) {
-    cfg.evlog_rate_limit_per_sec = std::atof(env);
-  }
-  if (const char* env = std::getenv("MIO_EVLOG_CAPACITY")) {
-    cfg.evlog_capacity = static_cast<std::size_t>(std::atoll(env));
-  }
-  if (args.Has("evlog-rate-limit")) {
-    cfg.evlog_rate_limit_per_sec = args.GetDouble("evlog-rate-limit", 500.0);
-  }
-  if (args.Has("evlog-capacity")) {
-    cfg.evlog_capacity =
-        static_cast<std::size_t>(args.GetInt("evlog-capacity", 1024));
-  }
   cfg.trace_dir = args.GetString("trace-dir", "");
-  cfg.tail.threshold_seconds =
-      args.GetDouble("tail-threshold-ms", 0.0) / 1000.0;
-  cfg.tail.slowest_n =
-      static_cast<std::size_t>(args.GetInt("tail-slowest", 0));
   cfg.label_dir = args.GetString("labels", "");
   cfg.dataset_name = dataset;
-  cfg.verbose = args.Has("verbose");
 
   mio::server::MioServer server(loaded.value(), cfg);
   mio::Status st = server.Start();
@@ -402,9 +410,8 @@ int CmdServe(const mio::ArgParser& args) {
   std::string metrics_out = args.GetString("metrics-out", "");
   std::optional<mio::obs::TelemetrySampler> telemetry;
   if (!metrics_out.empty()) {
-    mio::obs::TelemetryConfig tcfg = mio::obs::TelemetryConfigFromEnv();
-    int interval = static_cast<int>(args.GetInt("telemetry-interval-ms", 0));
-    if (interval > 0) tcfg.interval_ms = interval;
+    mio::obs::TelemetryConfig tcfg;
+    tcfg.interval_ms = telemetry_interval_ms;
     tcfg.metrics_path = metrics_out;
     telemetry.emplace(std::move(tcfg));
     telemetry->Start();
@@ -465,12 +472,6 @@ void RenderServerStats(const mio::obs::JsonValue& doc) {
         static_cast<unsigned long long>(c->GetUInt("shed_grid_cache")),
         static_cast<unsigned long long>(c->GetUInt("io_errors")));
   }
-  if (const mio::obs::JsonValue* ev = doc.Find("evlog")) {
-    std::printf("evlog %llu events (%llu dropped, %llu rate-limited)\n",
-                static_cast<unsigned long long>(ev->GetUInt("events")),
-                static_cast<unsigned long long>(ev->GetUInt("dropped")),
-                static_cast<unsigned long long>(ev->GetUInt("rate_limited")));
-  }
   auto latency_line = [&doc](const char* key, const char* name) {
     const mio::obs::JsonValue* h = doc.Find(key);
     if (h == nullptr) return;
@@ -510,16 +511,20 @@ int CmdTop(const mio::ArgParser& args) {
   cfg.socket_path = args.GetString("connect", "");
   cfg.attempts = 2;  // one quick retry rides out a momentary hiccup
   const bool once = args.Has("once");
-  const long long count = args.GetInt("count", 0);
-  const int interval_ms =
-      static_cast<int>(args.GetInt("interval-ms", 1000));
+  std::int64_t count = 0;
+  int interval_ms = 1000;
+  for (const mio::Status& st :
+       {IntFlag(args, "count", 0, 0, std::numeric_limits<std::int64_t>::max(),
+                &count),
+        IntFlag(args, "interval-ms", 1000, 1, 3600000, &interval_ms)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
   mio::server::ServeRequest req;
   req.id = "top";
   req.op = "stats";
-  for (long long i = 0; once ? i < 1 : (count <= 0 || i < count); ++i) {
+  for (std::int64_t i = 0; once ? i < 1 : (count == 0 || i < count); ++i) {
     if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          interval_ms > 0 ? interval_ms : 1000));
+      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
     mio::server::ServeResponse res;
     mio::Status st = mio::server::Call(cfg, req, &res);
@@ -849,6 +854,17 @@ int CmdRunWorkload(const mio::ArgParser& args) {
     return rs.transport_errors == 0 ? 0 : 3;
   }
 
+  mio::WorkloadRunOptions opts;
+  double tail_threshold_ms = 0.0;
+  for (const mio::Status& st :
+       {IntFlag(args, "tail-slowest", 0, 0, kInt32Max, &opts.tail.slowest_n),
+        IntFlag(args, "telemetry-interval-ms", 1000, 10, 3600000,
+                &opts.telemetry_interval_ms),
+        MsFlag(args, "tail-threshold-ms", 0.0, &tail_threshold_ms)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
+  opts.tail.threshold_seconds = tail_threshold_ms / 1000.0;
+
   std::string dataset = args.GetString("in", spec.dataset);
   if (dataset.empty()) {
     std::fprintf(stderr,
@@ -862,19 +878,12 @@ int CmdRunWorkload(const mio::ArgParser& args) {
   mio::MemoryTracker::Instance().Observe("dataset",
                                          loaded.value().MemoryUsageBytes());
 
-  mio::WorkloadRunOptions opts;
   opts.dataset_name = dataset;
   opts.qlog_path = args.GetString("qlog", "");
   opts.trace_dir = args.GetString("trace-dir", "");
-  opts.tail.threshold_seconds =
-      args.GetDouble("tail-threshold-ms", 0.0) / 1000.0;
-  opts.tail.slowest_n =
-      static_cast<std::size_t>(args.GetInt("tail-slowest", 0));
   opts.label_dir = args.GetString("labels", "");
   opts.batch = args.Has("batch");
   opts.metrics_out = args.GetString("metrics-out", "");
-  opts.telemetry_interval_ms =
-      static_cast<int>(args.GetInt("telemetry-interval-ms", 0));
   opts.verbose = args.Has("verbose");
 
   // Backstop: an abnormal exit mid-workload (std::exit from a library,
