@@ -471,6 +471,25 @@ TEST(QlogValidate, ServerSectionRejectsBadShapes) {
   }
 }
 
+TEST(QlogValidate, RefusalFieldsMustHaveTheirTypes) {
+  const std::string good = QlogRecordToJsonLine(MakeRefusedRecord());
+  ASSERT_TRUE(ValidateQlogLine(good).ok()) << good;
+  // The reason is a string and the retry hint a finite number: a writer
+  // cannot emit Inf, so "1e999" is a corrupt record, not a long backoff.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"refusal\":\"admission queue full\"", "\"refusal\":7"},
+           {"\"retry_after_ms\":75", "\"retry_after_ms\":\"soon\""},
+           {"\"retry_after_ms\":75", "\"retry_after_ms\":1e999"},
+           {"\"retry_after_ms\":75", "\"retry_after_ms\":null"}}) {
+    std::string broken = good;
+    std::size_t pos = broken.find(from);
+    ASSERT_NE(pos, std::string::npos) << from << " in " << good;
+    broken.replace(pos, from.size(), to);
+    EXPECT_FALSE(ValidateQlogLine(broken).ok()) << broken;
+  }
+}
+
 // Forward compatibility: the validator and parser must accept records
 // written before the "server" section existed (no section at all) and
 // records from a future writer carrying unknown keys — mixing shapes in
@@ -1142,6 +1161,33 @@ TEST(QlogDiff, HitRateDropIsFlaggedPerClassAndOverall) {
   }
   EXPECT_TRUE(overall);
   EXPECT_TRUE(per_class);
+}
+
+// Fast refusals in the candidate must neither mask a latency regression
+// nor read as a speed-up: they never executed.
+TEST(QlogDiff, RefusedRecordsStayOutOfWallPercentiles) {
+  std::vector<QlogRecord> base = MakeDiffRecords(1.0, 0.8);
+  std::vector<QlogRecord> slower = MakeDiffRecords(1.5, 0.8);
+  std::vector<QlogRecord> slower_and_refusing = slower;
+  for (int i = 0; i < 120; ++i) {
+    slower_and_refusing.push_back(MakeRefusedRecord());
+  }
+  QlogDiffResult plain = DiffQlogs(base, slower);
+  QlogDiffResult mixed = DiffQlogs(base, slower_and_refusing);
+  ASSERT_EQ(plain.entries.size(), mixed.entries.size());
+  for (std::size_t i = 0; i < plain.entries.size(); ++i) {
+    EXPECT_EQ(mixed.entries[i].metric, plain.entries[i].metric);
+    EXPECT_DOUBLE_EQ(mixed.entries[i].candidate, plain.entries[i].candidate)
+        << mixed.entries[i].metric;
+    EXPECT_EQ(mixed.entries[i].regression, plain.entries[i].regression)
+        << mixed.entries[i].metric;
+  }
+  bool p50_flagged = false;
+  for (const QlogDiffEntry& e : mixed.entries) {
+    if (e.metric == "latency.p50") p50_flagged = e.regression;
+  }
+  EXPECT_TRUE(p50_flagged);
+  EXPECT_EQ(mixed.candidate_queries, slower_and_refusing.size());
 }
 
 TEST(QlogDiff, JsonIsValidAndCarriesVerdict) {

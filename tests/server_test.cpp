@@ -2,10 +2,11 @@
 // (with a mutation fuzz loop), the admission policy/queue, the coalescer
 // and result cache, the engine's thread-safety contract, and end-to-end
 // socket tests against a live server (concurrent clients,
-// coalescing/caching differentials, overload refusal, graceful drain,
-// and exactly one qlog record per query request). The end-to-end tests drive queries
-// with threads=1 so a TSan build exercises the server's own concurrency
-// without tripping over libgomp's uninstrumented internals.
+// coalescing/caching differentials, overload refusal, graceful drain and
+// its stderr markers, and exactly one qlog record per query request). The
+// end-to-end tests drive queries with threads=1 so a TSan build exercises
+// the server's own concurrency without tripping over libgomp's
+// uninstrumented internals.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -781,6 +782,29 @@ TEST_F(ServeTest, DrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(answered.load() + transport.load(), kClients);
   server_.reset();
   EXPECT_FALSE(std::filesystem::exists(SocketPath()));
+}
+
+// The server log marks the drain twice, once as it begins and once as
+// it ends, each exactly once per drain and with no --verbose needed.
+TEST_F(ServeTest, DrainMarkersPrintExactlyOnceEach) {
+  StartServer();
+  ServeResponse res;
+  ASSERT_TRUE(Call(Client(), Query(3.0), &res).ok());
+  ::testing::internal::CaptureStderr();
+  StopServer();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  auto count = [&err](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t pos = err.find(needle); pos != std::string::npos;
+         pos = err.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("serve: drain begin: queue_depth="), 1u) << err;
+  EXPECT_EQ(count("serve: drained"), 1u) << err;
+  EXPECT_EQ(count("serve: drained cleanly\n"), 1u) << err;
+  EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
 }
 
 TEST_F(ServeTest, QlogRecordsOnePerAcceptedRequest) {
