@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
-# Runs the JSON-emitting bench harnesses and collects the records into one
-# JSONL file, suitable for scripts/compare_bench.py.
+# Runs the JSON-emitting bench harnesses (the paper's tables and figures)
+# and collects their records into one JSONL file. Two such files from the
+# same host compare with `mio qlog diff A.json B.json`.
 #
 # Layout (one JSON document per line):
 #   line 1   mio-bench-header-v1 — machine identity (host, OS, CPU count,
-#            model) and the git describe of the checkout, so a committed
-#            baseline (e.g. BENCH_PR4.json) records where it was measured;
+#            model) and the git describe of the checkout; `mio qlog diff`
+#            skips it;
 #   rest     mio-qlog-v1 records, the one per-query record every
 #            emitter writes; a harness's records carry its name as the
 #            workload. Each harness runs MIO_BENCH_REPEATS times
-#            (default 3); compare_bench.py aggregates the repeated
-#            configurations by median, which is why the repeats are
-#            appended rather than pre-reduced. When the mio CLI is built,
-#            a canonical 30-query workload's records (workload
-#            bench-canonical) are appended as well (per-query latency
-#            coverage), followed by a mio-qlog-diff-v1 verdict.
+#            (default 3); `mio qlog diff` reduces each repeated
+#            configuration to its median wall, which is why the repeats
+#            are appended rather than pre-reduced.
 #
 # Usage: scripts/run_benches.sh [build-dir] [out-file]
 #   build-dir  defaults to ./build (must already be built)
@@ -37,8 +35,6 @@ if [ ! -d "$BUILD/bench" ]; then
   echo "error: $BUILD/bench not found — build with -DMIO_BUILD_BENCHMARKS=ON" >&2
   exit 1
 fi
-# Absolute: the workload step below runs the CLI from another directory.
-BUILD=$(cd "$BUILD" && pwd)
 
 TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
@@ -86,67 +82,10 @@ run() { # run <binary> <flags...>
 
 run bench_table2_breakdown
 run bench_fig9_parallel --t=1,2
-# Batch-vs-sequential throughput (30-query mixed-ceil(r) workload): emits
-# paired algo=sequential / algo=batch records per dataset, from which
-# compare_bench.py derives and tracks the batch speedup.
+# Batch-vs-sequential throughput (30-query mixed-ceil(r) workload): paired
+# algo=sequential / algo=batch records per dataset; the harness prints the
+# speedup.
 run bench_batch --queries=30
-
-# Canonical workload: per-query latency records (mio-qlog-v1) from the
-# CLI's workload runner, appended alongside the harness records so
-# compare_bench.py can also flag per-query regressions (keyed by
-# workload/r/threads; repeated radii reduce to the median). Skipped when
-# the CLI is not built. The dataset path is relative so the stamped
-# `dataset` field is stable across checkouts and machines.
-CLI="$BUILD/tools/mio"
-if [ -x "$CLI" ]; then
-  WORKDIR=$(mktemp -d)
-  # shellcheck disable=SC2064
-  trap "rm -f '$TMP'; rm -rf '$WORKDIR'" EXIT
-  echo "== canonical workload (mio run-workload) =="
-  "$CLI" generate --preset=bird2 --scale=quick --seed=11 \
-    --out="$WORKDIR/bench-bird2-quick.bin" > /dev/null
-  cat > "$WORKDIR/bench.spec" <<'SPEC'
-name bench-canonical
-defaults k=1 threads=2 labels=on
-repeat 30 r=3,4.5,9
-SPEC
-  (cd "$WORKDIR" && "$CLI" run-workload --spec=bench.spec \
-    --in=bench-bird2-quick.bin --qlog=qlog.jsonl)
-  cat "$WORKDIR/qlog.jsonl" >> "$TMP"
-
-  # Qlog regression gate: diff the fresh canonical-workload qlog against the
-  # committed PR6-era baseline's canonical-workload lines (harness records
-  # are qlog lines too, so select by workload). The verdict is recorded
-  # (stdout + a mio-qlog-diff-v1 record in the output file) but does not fail
-  # the bench run — machines and load differ; compare_bench.py remains the
-  # authoritative gate. Threshold is loose for the same reason.
-  BASELINE_BENCH="$SRC/BENCH_PR6.json"
-  if [ -f "$BASELINE_BENCH" ]; then
-    grep '"workload":"bench-canonical"' "$BASELINE_BENCH" \
-      > "$WORKDIR/baseline-qlog.jsonl" || true
-    if [ -s "$WORKDIR/baseline-qlog.jsonl" ]; then
-      echo "== qlog diff vs $(basename "$BASELINE_BENCH") =="
-      if "$CLI" qlog diff "$WORKDIR/baseline-qlog.jsonl" "$WORKDIR/qlog.jsonl" \
-        --threshold="${MIO_QLOG_DIFF_THRESHOLD:-0.25}" \
-        --json="$WORKDIR/qlog-diff.json"; then
-        echo "qlog diff verdict: no regressions vs $(basename "$BASELINE_BENCH")"
-      else
-        echo "qlog diff verdict: REGRESSION(S) vs $(basename "$BASELINE_BENCH") (informational)" >&2
-      fi
-      # Single-line JSON — append the verdict record alongside the bench data.
-      tr -d '\n' < "$WORKDIR/qlog-diff.json" >> "$TMP" && echo >> "$TMP"
-    else
-      echo "skip: no bench-canonical records in $BASELINE_BENCH" >&2
-    fi
-  else
-    echo "skip: $BASELINE_BENCH not found — no qlog diff" >&2
-  fi
-
-  rm -rf "$WORKDIR"
-  trap 'rm -f "$TMP"' EXIT
-else
-  echo "skip: $CLI (not built) — no canonical workload records" >&2
-fi
 
 if [ "$(wc -l < "$TMP")" -le 1 ]; then
   echo "error: no JSON records were produced" >&2

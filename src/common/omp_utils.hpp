@@ -26,11 +26,15 @@ inline int ThreadId() {
 #endif
 }
 
+/// The largest thread count a CLI flag or a workload spec may request.
+inline constexpr int kMaxRequestedThreads = 256;
+
 /// A requested thread count <= 0 means "use all" (the OpenMP runtime
 /// limit). Positive requests pass through unclamped: callers may
 /// oversubscribe on purpose (the parallel tests keep their partition
 /// counts on small hosts), so untrusted input must be capped by its
-/// caller (`mio serve` caps at MaxThreads()).
+/// caller (`mio serve` caps at MaxThreads(), the CLI and the workload
+/// spec at kMaxRequestedThreads).
 inline int ResolveThreads(int requested) {
   int hw = MaxThreads();
   if (requested <= 0) return hw;

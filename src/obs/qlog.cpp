@@ -1,6 +1,7 @@
 #include "obs/qlog.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -664,6 +665,13 @@ Result<std::vector<QlogRecord>> LoadQlogFile(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
+    if (lineno == 1) {
+      JsonValue doc;
+      if (ParseJson(line, &doc) &&
+          doc.GetString("schema") == "mio-bench-header-v1") {
+        continue;
+      }
+    }
     QlogRecord rec;
     Status st = ParseQlogRecord(line, &rec);
     if (!st.ok()) {
@@ -1190,6 +1198,12 @@ std::string FormatSloReport(const std::vector<SloResult>& results) {
 
 namespace {
 
+// The fixed gates; only the latency threshold is a `mio qlog diff` flag.
+constexpr double kShareThreshold = 0.10;    ///< absolute phase-share rise
+constexpr double kFunnelThreshold = 0.25;   ///< relative funnel loosening
+constexpr double kHitRateThreshold = 0.10;  ///< absolute hit-rate drop
+constexpr double kMinGatedSeconds = 1e-4;   ///< smaller baselines: no gate
+
 struct FunnelShape {
   double cand_per_object = 0.0;   ///< sum(candidates)/sum(objects)
   double verified_per_cand = 0.0; ///< sum(verified)/sum(candidates)
@@ -1230,6 +1244,31 @@ FunnelShape ShapeOf(const std::vector<QlogRecord>& records) {
   return s;
 }
 
+/// A run configuration: "workload/dataset/algo r=R k=K t=T [scale]". R
+/// is the shortest text that reads back as the same double, so two
+/// records share a key exactly when their identities are equal.
+std::string ConfigKey(const QlogRecord& rec) {
+  char r[32];
+  *std::to_chars(r, r + sizeof(r) - 1, rec.r).ptr = '\0';
+  std::string key = rec.workload + "/" + rec.dataset + "/" + rec.algo +
+                    " r=" + r + " k=" + std::to_string(rec.k) +
+                    " t=" + std::to_string(rec.threads);
+  if (!rec.scale.empty()) key += " [" + rec.scale + "]";
+  return key;
+}
+
+/// Wall seconds of the executed (non-refused) records, per configuration.
+std::map<std::string, std::vector<double>> WallsByConfig(
+    const std::vector<QlogRecord>& records) {
+  std::map<std::string, std::vector<double>> walls;
+  for (const QlogRecord& rec : records) {
+    if (!rec.ServerRefused()) {
+      walls[ConfigKey(rec)].push_back(rec.wall_seconds);
+    }
+  }
+  return walls;
+}
+
 }  // namespace
 
 QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
@@ -1257,6 +1296,13 @@ QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
     e.regression = gate && base > 0.0 && e.delta > threshold;
     return e;
   };
+  // Gate a latency only when the baseline is big enough to carry a
+  // relative claim; micro-second baselines whipsaw on scheduler noise.
+  auto latency_entry = [&](const std::string& metric, double base,
+                           double cand) {
+    return relative_entry(metric, base, cand, opts.latency_threshold,
+                          base >= kMinGatedSeconds);
+  };
 
   QlogReport base_report = BuildQlogReport(baseline, 0);
   QlogReport cand_report = BuildQlogReport(candidate, 0);
@@ -1268,12 +1314,8 @@ QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
                      {"latency.p95", &QlogLatencySummary::p95},
                      {"latency.p99", &QlogLatencySummary::p99}};
   for (const auto& p : percentiles) {
-    double base = base_report.latency.*(p.field);
-    double cand = cand_report.latency.*(p.field);
-    // Gate only when the baseline is big enough to carry a relative
-    // claim; micro-second baselines whipsaw on scheduler noise.
-    push(relative_entry(p.name, base, cand, opts.latency_threshold,
-                        base >= opts.min_seconds));
+    push(latency_entry(p.name, base_report.latency.*(p.field),
+                       cand_report.latency.*(p.field)));
   }
 
   for (std::size_t i = 0; i < base_report.phases.size() &&
@@ -1283,10 +1325,10 @@ QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
     e.metric = "phase_share." + base_report.phases[i].name;
     e.baseline = base_report.phases[i].share;
     e.candidate = cand_report.phases[i].share;
-    e.threshold = opts.share_threshold;
+    e.threshold = kShareThreshold;
     e.relative = false;
     e.delta = e.candidate - e.baseline;
-    e.regression = e.delta > opts.share_threshold;
+    e.regression = e.delta > kShareThreshold;
     push(std::move(e));
   }
 
@@ -1294,28 +1336,27 @@ QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
   FunnelShape cand_shape = ShapeOf(candidate);
   push(relative_entry("funnel.candidates_per_object",
                       base_shape.cand_per_object, cand_shape.cand_per_object,
-                      opts.funnel_threshold, true));
+                      kFunnelThreshold, true));
   push(relative_entry("funnel.verified_per_candidate",
                       base_shape.verified_per_cand,
-                      cand_shape.verified_per_cand, opts.funnel_threshold,
-                      true));
+                      cand_shape.verified_per_cand, kFunnelThreshold, true));
 
   // Label hit rate: a drop is the regression (inverted direction).
   auto hit_rate_entry = [&](const std::string& metric, double base,
-                            double cand, bool gate) {
+                            double cand) {
     QlogDiffEntry e;
     e.metric = metric;
     e.baseline = base;
     e.candidate = cand;
-    e.threshold = opts.hit_rate_threshold;
+    e.threshold = kHitRateThreshold;
     e.relative = false;
     e.delta = cand - base;
-    e.regression = gate && -e.delta > opts.hit_rate_threshold;
+    e.regression = -e.delta > kHitRateThreshold;
     return e;
   };
   if (base_shape.labelled > 0 && cand_shape.labelled > 0) {
     push(hit_rate_entry("labels.hit_rate", base_shape.hit_rate,
-                        cand_shape.hit_rate, true));
+                        cand_shape.hit_rate));
     for (const auto& [ceil_r, base_cls] : base_shape.class_hits) {
       auto it = cand_shape.class_hits.find(ceil_r);
       if (it == cand_shape.class_hits.end()) continue;
@@ -1327,11 +1368,28 @@ QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
                              ? static_cast<double>(it->second.first) /
                                    static_cast<double>(it->second.second)
                              : 0.0;
-      push(hit_rate_entry(
-          "labels.hit_rate.ceil_r_" + std::to_string(ceil_r), base_rate,
-          cand_rate, true));
+      push(hit_rate_entry("labels.hit_rate.ceil_r_" + std::to_string(ceil_r),
+                          base_rate, cand_rate));
     }
   }
+
+  // Per configuration: the median wall over its repeats, so a regression
+  // confined to one radius or one harness is not averaged away.
+  std::map<std::string, std::vector<double>> base_walls =
+      WallsByConfig(baseline);
+  std::map<std::string, std::vector<double>> cand_walls =
+      WallsByConfig(candidate);
+  for (const auto& [key, walls] : base_walls) {
+    auto it = cand_walls.find(key);
+    if (it == cand_walls.end()) {
+      ++diff.configs_only_baseline;
+      continue;
+    }
+    ++diff.configs_compared;
+    push(latency_entry("latency.median[" + key + "]", Median(walls),
+                       Median(it->second)));
+  }
+  diff.configs_only_candidate = cand_walls.size() - diff.configs_compared;
   return diff;
 }
 
@@ -1339,12 +1397,18 @@ std::string FormatQlogDiff(const QlogDiffResult& diff) {
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof(buf),
-                "qlog diff: %zu baseline vs %zu candidate queries\n",
-                diff.baseline_queries, diff.candidate_queries);
+                "qlog diff: %zu baseline vs %zu candidate queries; %zu "
+                "configurations compared, %zu only in baseline, %zu only "
+                "in candidate\n",
+                diff.baseline_queries, diff.candidate_queries,
+                diff.configs_compared, diff.configs_only_baseline,
+                diff.configs_only_candidate);
   out += buf;
   for (const QlogDiffEntry& e : diff.entries) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %-34s %12.6f -> %12.6f  %+7.2f%s%s\n", e.metric.c_str(),
+    // A configuration key carries a dataset path of any length.
+    out += "  " + e.metric;
+    if (e.metric.size() < 34) out.append(34 - e.metric.size(), ' ');
+    std::snprintf(buf, sizeof(buf), " %12.6f -> %12.6f  %+7.2f%s%s\n",
                   e.baseline, e.candidate,
                   e.relative ? 100.0 * e.delta : e.delta,
                   e.relative ? "%" : "",
@@ -1363,6 +1427,9 @@ std::string QlogDiffToJson(const QlogDiffResult& diff) {
   w.Key("schema").String("mio-qlog-diff-v1");
   w.Key("baseline_queries").UInt(diff.baseline_queries);
   w.Key("candidate_queries").UInt(diff.candidate_queries);
+  w.Key("configs_compared").UInt(diff.configs_compared);
+  w.Key("configs_only_baseline").UInt(diff.configs_only_baseline);
+  w.Key("configs_only_candidate").UInt(diff.configs_only_candidate);
   w.Key("regressions").UInt(diff.regressions);
   w.Key("entries").BeginArray();
   for (const QlogDiffEntry& e : diff.entries) {

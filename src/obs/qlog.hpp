@@ -200,7 +200,8 @@ Status ValidateQlogLine(std::string_view line);
 Status ParseQlogRecord(std::string_view line, QlogRecord* out);
 
 /// Reads a whole qlog file, validating every line; the line number is
-/// included in any error. Blank lines are skipped.
+/// included in any error. Blank lines are skipped, and so is a leading
+/// "mio-bench-header-v1" line (scripts/run_benches.sh output).
 Result<std::vector<QlogRecord>> LoadQlogFile(const std::string& path);
 
 /// Append-oriented qlog file writer: one validated JSONL line per
@@ -410,20 +411,13 @@ std::string FormatSloReport(const std::vector<SloResult>& results);
 // --- Regression diff (`mio qlog diff`) --------------------------------------
 
 struct QlogDiffOptions {
-  /// Relative increase in wall p50/p95/p99 counted as regression (the
-  /// baseline percentile must also be >= min_seconds).
+  /// Relative increase counted as a regression in the wall p50/p95/p99
+  /// and in each shared configuration's median wall. A value whose
+  /// baseline is under 1e-4 s is reported but not gated: a relative
+  /// claim on a near-zero baseline is pure noise. The phase-share (0.10
+  /// absolute), funnel (0.25 relative) and label hit-rate (0.10 absolute
+  /// drop) gates are fixed.
   double latency_threshold = 0.10;
-  /// Absolute increase in a phase's share of total phase time.
-  double share_threshold = 0.10;
-  /// Relative increase in a pruning-funnel ratio (candidates/objects,
-  /// verified/candidates) — a looser funnel means pruning got worse.
-  double funnel_threshold = 0.25;
-  /// Absolute drop in label hit rate (overall and per shared ceil(r)
-  /// class).
-  double hit_rate_threshold = 0.10;
-  /// Latency percentiles with a baseline below this are skipped — a
-  /// relative gate on a near-zero baseline is pure noise.
-  double min_seconds = 1e-4;
 };
 
 /// One compared metric. `delta` is relative ((cand-base)/base) when
@@ -442,14 +436,20 @@ struct QlogDiffEntry {
 struct QlogDiffResult {
   std::size_t baseline_queries = 0;
   std::size_t candidate_queries = 0;
+  /// Configurations (workload, dataset, algo, r, k, threads, scale) of
+  /// the non-refused records: in both runs, or in only one of them.
+  std::size_t configs_compared = 0;
+  std::size_t configs_only_baseline = 0;
+  std::size_t configs_only_candidate = 0;
   std::vector<QlogDiffEntry> entries;
   std::size_t regressions = 0;
   bool HasRegression() const { return regressions > 0; }
 };
 
 /// Compares two qlogs metric by metric: wall latency p50/p95/p99,
-/// per-phase shares, pruning-funnel shape, and label hit rate (overall
-/// and per ceil(r) class present in both runs).
+/// per-phase shares, pruning-funnel shape, label hit rate (overall and
+/// per ceil(r) class present in both runs), and the median wall of every
+/// configuration present in both runs ("latency.median[KEY]").
 QlogDiffResult DiffQlogs(const std::vector<QlogRecord>& baseline,
                          const std::vector<QlogRecord>& candidate,
                          const QlogDiffOptions& opts = QlogDiffOptions{});

@@ -1,9 +1,14 @@
 #include "workload/workload_spec.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "common/omp_utils.hpp"
 
 namespace mio {
 
@@ -48,11 +53,20 @@ bool ParseDouble(const std::string& value, double* out) {
   return end != value.c_str() && *end == '\0' && std::isfinite(*out);
 }
 
-bool ParseUInt(const std::string& value, std::uint64_t* out) {
+/// A decimal integer in [lo, hi]. strtoull alone accepts a sign ("-1"
+/// wraps to 2^64 - 1) and saturates silently on overflow.
+bool ParseUInt(const std::string& value, std::uint64_t lo, std::uint64_t hi,
+               std::uint64_t* out) {
+  if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0]))) {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(value.c_str(), &end, 10);
-  return end != value.c_str() && *end == '\0';
+  return *end == '\0' && errno != ERANGE && *out >= lo && *out <= hi;
 }
+
+constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 /// Applies one key=value setting to `q`. `r_list` (nullable) receives the
 /// radii: `query` allows one, `repeat` a comma-separated list.
@@ -81,8 +95,9 @@ Status ApplySetting(const std::string& setting, WorkloadQuery* q,
     return Status::OK();
   }
   if (key == "k") {
+    // k as `mio query --k` bounds it.
     std::uint64_t k = 0;
-    if (!ParseUInt(value, &k) || k == 0) {
+    if (!ParseUInt(value, 1, kInt64Max, &k)) {
       return LineError(lineno, "bad k \"" + value + "\"");
     }
     q->k = static_cast<std::size_t>(k);
@@ -90,7 +105,7 @@ Status ApplySetting(const std::string& setting, WorkloadQuery* q,
   }
   if (key == "threads") {
     std::uint64_t t = 0;
-    if (!ParseUInt(value, &t) || t == 0) {
+    if (!ParseUInt(value, 1, kMaxRequestedThreads, &t)) {
       return LineError(lineno, "bad threads \"" + value + "\"");
     }
     q->threads = static_cast<int>(t);
@@ -161,7 +176,9 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
       }
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i].rfind("seed=", 0) == 0) {
-          if (!ParseUInt(tokens[i].substr(5), &spec.sample_seed)) {
+          if (!ParseUInt(tokens[i].substr(5), 0,
+                         std::numeric_limits<std::uint64_t>::max(),
+                         &spec.sample_seed)) {
             return LineError(lineno, "bad seed \"" + tokens[i] + "\"");
           }
         } else {
@@ -175,6 +192,11 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
             ApplySetting(tokens[i], &defaults, nullptr, lineno));
       }
     } else if (directive == "query") {
+      if (spec.queries.size() >= kMaxWorkloadQueries) {
+        return LineError(lineno, "more than " +
+                                     std::to_string(kMaxWorkloadQueries) +
+                                     " queries");
+      }
       WorkloadQuery q = defaults;
       std::vector<double> r_list;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
@@ -201,7 +223,8 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
           have_latency = true;
         } else if (tok.rfind("ceil_r=", 0) == 0) {
           std::uint64_t c = 0;
-          if (!ParseUInt(tok.substr(7), &c) || c == 0) {
+          if (!ParseUInt(tok.substr(7), 1, std::numeric_limits<int>::max(),
+                         &c)) {
             return LineError(lineno, "bad ceil_r \"" + tok + "\"");
           }
           slo.ceil_r = static_cast<int>(c);
@@ -223,8 +246,12 @@ Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
         return LineError(lineno, "repeat takes a count and settings");
       }
       std::uint64_t count = 0;
-      if (!ParseUInt(tokens[1], &count) || count == 0) {
-        return LineError(lineno, "bad repeat count \"" + tokens[1] + "\"");
+      if (!ParseUInt(tokens[1], 1, kMaxWorkloadQueries - spec.queries.size(),
+                     &count)) {
+        return LineError(lineno, "bad repeat count \"" + tokens[1] +
+                                     "\" (a spec holds at most " +
+                                     std::to_string(kMaxWorkloadQueries) +
+                                     " queries)");
       }
       WorkloadQuery q = defaults;
       std::vector<double> r_list;

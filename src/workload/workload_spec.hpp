@@ -20,8 +20,8 @@
 //
 // Key=value settings (usable in `defaults`, `query`, and `repeat`):
 //   r=F            query radius (required on `query`; list on `repeat`)
-//   k=N            top-k
-//   threads=N      OpenMP threads (<=1 serial)
+//   k=N            top-k, >= 1
+//   threads=N      OpenMP threads, 1..256 (1 = serial)
 //   labels=on|off  BIGrid-label: consult AND record labels
 //   record=on|off  record_labels alone (labels=on implies record=on)
 //   reuse_grid=on|off
@@ -65,7 +65,13 @@ struct WorkloadSpec {
   std::vector<obs::SloObjective> slos;  ///< latency objectives, may be empty
 };
 
-/// Parses a spec document. Errors carry the 1-based line number.
+/// The most queries one spec may hold.
+inline constexpr std::size_t kMaxWorkloadQueries = 1000000;
+
+/// Parses a spec document. Errors carry the 1-based line number. Every
+/// accepted spec holds 1..kMaxWorkloadQueries queries with finite r > 0,
+/// k in [1, 2^63 - 1], threads in [1, kMaxRequestedThreads], and SLO
+/// objectives in (0, 1).
 Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text);
 
 /// Reads and parses a spec file; errors are prefixed with the path.

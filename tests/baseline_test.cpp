@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,12 @@ struct AgreementCase {
   double r;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " m=" << c.m_min << ".." << c.m_max
+      << " domain=" << c.domain << " r=" << c.r << " seed=" << c.seed;
+}
 
 class BaselineAgreementTest : public ::testing::TestWithParam<AgreementCase> {
 };

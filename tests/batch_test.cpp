@@ -251,8 +251,8 @@ TEST_F(BatchTest, MidBatchCacheClearCannotDangle) {
   // Regression for the ClearGridCache lifetime contract: a member whose
   // memory budget walks the degradation ladder to "drop the grid cache"
   // clears grid_cache_ in the middle of the batch while it still reads
-  // the adopted grid. Nothing may dangle (ASan covers that via
-  // scripts/check_batch.sh), and the clear holds for the rest of the
+  // the adopted grid. Nothing may dangle (ASan covers that in the batch
+  // stage of scripts/check.sh), and the clear holds for the rest of the
   // batch: the next member rebuilds and re-caches, the one after reuses.
   // Member 3 drops the cache again, so no grid is cached when the batch
   // returns; both saved members still count their grid's posting bytes.
@@ -355,8 +355,9 @@ TEST_F(BatchTest, BatchBesideConcurrentQueriesStaysExact) {
   // QueryBatch shares its class grids through the engine's grid cache, so
   // concurrent reuse_grid queries adopt the very grids the batch is
   // reading. Nothing may rewrite a shared grid in place: every answer
-  // must match a fresh sequential engine (TSan covers the races via
-  // scripts/check_batch.sh). threads=1 keeps OpenMP out of the picture.
+  // must match a fresh sequential engine (TSan covers the races in the
+  // batch stage of scripts/check.sh). threads=1 keeps OpenMP out of the
+  // picture.
   // A dense set, so large cells hold dozens of posting points.
   ObjectSet set = testing::MakeRandomObjects(200, 8, 16, 12.0, 29, 3.0);
   const std::vector<double> radii = {3.0, 2.5, 2.2, 4.0, 3.6, 3.3};

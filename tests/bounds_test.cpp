@@ -2,6 +2,8 @@
 // (Lemmas 1 and 2), and the pruning theorem never discards the answer.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/bigrid.hpp"
 #include "core/lower_bound.hpp"
 #include "core/upper_bound.hpp"
@@ -20,6 +22,13 @@ struct BoundsCase {
   double r;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const BoundsCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " m=" << c.m_min << ".." << c.m_max
+      << " domain=" << c.domain << " sigma=" << c.cluster_sigma << " r=" << c.r
+      << " seed=" << c.seed;
+}
 
 class BoundsTest : public ::testing::TestWithParam<BoundsCase> {};
 

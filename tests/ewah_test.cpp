@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -251,6 +252,12 @@ struct OpCase {
   double density_b;
   std::size_t universe;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const OpCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " density=" << c.density_a << "," << c.density_b
+      << " universe=" << c.universe;
+}
 
 class EwahOpsTest : public ::testing::TestWithParam<OpCase> {};
 

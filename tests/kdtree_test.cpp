@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ostream>
 
 #include "common/random.hpp"
 #include "kdtree/closest_pair.hpp"
@@ -54,6 +55,12 @@ struct TreeCase {
   int kind;  // 0 uniform, 1 clustered, 2 collinear
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  static const char* const kKinds[] = {"uniform", "clustered", "collinear"};
+  *os << "n=" << c.n << " kind=" << kKinds[c.kind] << " seed=" << c.seed;
+}
 
 class KdTreeParamTest : public ::testing::TestWithParam<TreeCase> {
  protected:

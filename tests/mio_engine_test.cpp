@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "core/query_result.hpp"
 #include "core/upper_bound.hpp"
@@ -25,6 +26,13 @@ struct EngineCase {
   double r;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " m=" << c.m_min << ".." << c.m_max
+      << " domain=" << c.domain << " sigma=" << c.cluster_sigma << " r=" << c.r
+      << " seed=" << c.seed;
+}
 
 class EngineOracleTest : public ::testing::TestWithParam<EngineCase> {
  protected:

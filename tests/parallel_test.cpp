@@ -2,6 +2,8 @@
 // and thread count, label mode included.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/bigrid.hpp"
 #include "core/lower_bound.hpp"
 #include "core/mio_engine.hpp"
@@ -47,6 +49,11 @@ struct ParallelCase {
   double r;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const ParallelCase& c, std::ostream* os) {
+  *os << "threads=" << c.threads << " r=" << c.r << " seed=" << c.seed;
+}
 
 class ParallelPhaseTest : public ::testing::TestWithParam<ParallelCase> {
  protected:

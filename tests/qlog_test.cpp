@@ -749,6 +749,30 @@ TEST_F(QlogFileTest, LoaderSkipsBlankLinesAndMissingFileFails) {
   EXPECT_FALSE(LoadQlogFile(PathFor("nope.jsonl")).ok());
 }
 
+// scripts/run_benches.sh output starts with a machine-identity line; it
+// must not stop `mio qlog diff` from reading the records below it. Only
+// the first line may be one.
+TEST_F(QlogFileTest, LoaderSkipsABenchHeaderFirstLine) {
+  const std::string header =
+      R"({"schema":"mio-bench-header-v1","git":"abc","machine":{"cpus":4}})";
+  std::string path = PathFor("bench.jsonl");
+  {
+    std::ofstream out(path);
+    out << header << "\n" << QlogRecordToJsonLine(MakeFullRecord()) << "\n";
+  }
+  Result<std::vector<QlogRecord>> loaded = LoadQlogFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), 1u);
+  EXPECT_EQ(loaded.value()[0].query_index, 41u);
+
+  std::string late = PathFor("late.jsonl");
+  {
+    std::ofstream out(late);
+    out << QlogRecordToJsonLine(MakeFullRecord()) << "\n" << header << "\n";
+  }
+  EXPECT_FALSE(LoadQlogFile(late).ok());
+}
+
 // --- Tail sampler -----------------------------------------------------------
 
 TEST(TailSampler, DisabledExportsNothing) {
@@ -1190,6 +1214,63 @@ TEST(QlogDiff, RefusedRecordsStayOutOfWallPercentiles) {
   EXPECT_EQ(mixed.candidate_queries, slower_and_refusing.size());
 }
 
+/// `n` records of one configuration (workload, r), each `wall` seconds.
+std::vector<QlogRecord> ConfigRecords(const std::string& workload, double r,
+                                      int n, double wall) {
+  QlogRecord rec;
+  rec.workload = workload;
+  rec.r = r;
+  rec.wall_seconds = wall;
+  return std::vector<QlogRecord>(static_cast<std::size_t>(n), rec);
+}
+
+// A slowdown of the fast r = 2 configuration sits below every wall
+// percentile of the run, which the r = 9 queries dominate; only that
+// configuration's median entry can see it.
+TEST(QlogDiff, RegressionConfinedToOneConfigurationIsFlaggedByItsEntry) {
+  std::vector<QlogRecord> base = ConfigRecords("w", 9.0, 40, 0.010);
+  std::vector<QlogRecord> cand = base;
+  for (const QlogRecord& rec : ConfigRecords("w", 2.0, 10, 0.002)) {
+    base.push_back(rec);
+  }
+  for (const QlogRecord& rec : ConfigRecords("w", 2.0, 10, 0.003)) {
+    cand.push_back(rec);
+  }
+  cand.push_back(MakeRefusedRecord());  // never executed: no configuration
+  QlogDiffResult diff = DiffQlogs(base, cand);
+  EXPECT_EQ(diff.configs_compared, 2u);
+  EXPECT_EQ(diff.configs_only_baseline, 0u);
+  EXPECT_EQ(diff.configs_only_candidate, 0u);
+  std::size_t config_entries = 0;
+  for (const QlogDiffEntry& e : diff.entries) {
+    if (e.metric == "latency.median[w// r=2 k=1 t=1]") {
+      ++config_entries;
+      EXPECT_DOUBLE_EQ(e.baseline, 0.002);
+      EXPECT_DOUBLE_EQ(e.candidate, 0.003);
+      EXPECT_TRUE(e.regression);
+    } else if (e.metric == "latency.median[w// r=9 k=1 t=1]") {
+      ++config_entries;
+      EXPECT_FALSE(e.regression);
+    } else {
+      EXPECT_FALSE(e.regression) << e.metric;
+    }
+  }
+  EXPECT_EQ(config_entries, 2u);
+  EXPECT_EQ(diff.regressions, 1u);
+}
+
+TEST(QlogDiff, NoSharedConfigurationComparesNothing) {
+  QlogDiffResult diff = DiffQlogs(ConfigRecords("w", 3.0, 5, 0.01),
+                                  ConfigRecords("other", 3.0, 5, 0.01));
+  EXPECT_EQ(diff.configs_compared, 0u);
+  EXPECT_EQ(diff.configs_only_baseline, 1u);
+  EXPECT_EQ(diff.configs_only_candidate, 1u);
+  for (const QlogDiffEntry& e : diff.entries) {
+    EXPECT_EQ(e.metric.rfind("latency.median[", 0), std::string::npos)
+        << e.metric;
+  }
+}
+
 TEST(QlogDiff, JsonIsValidAndCarriesVerdict) {
   QlogDiffResult diff =
       DiffQlogs(MakeDiffRecords(1.0, 0.8), MakeDiffRecords(1.5, 0.8));
@@ -1203,6 +1284,7 @@ TEST(QlogDiff, JsonIsValidAndCarriesVerdict) {
   EXPECT_GT(diff.regressions, 0u);
   ASSERT_NE(parsed.Find("entries"), nullptr);
   EXPECT_EQ(parsed.Find("entries")->elements().size(), diff.entries.size());
+  EXPECT_EQ(parsed.GetUInt("configs_compared"), 1u);
 
   std::string text = FormatQlogDiff(diff);
   EXPECT_NE(text.find("REGRESSION"), std::string::npos);

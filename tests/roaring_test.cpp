@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bitset/plain_bitset.hpp"
 #include "common/random.hpp"
 
@@ -70,6 +72,12 @@ struct RoaringOpCase {
   double density_b;
   std::size_t universe;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const RoaringOpCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " density=" << c.density_a << "," << c.density_b
+      << " universe=" << c.universe;
+}
 
 class RoaringOpsTest : public ::testing::TestWithParam<RoaringOpCase> {};
 

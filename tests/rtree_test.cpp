@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "baseline/rtree_mbr.hpp"
@@ -110,6 +111,11 @@ struct RtCase {
   double r;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const RtCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " r=" << c.r << " seed=" << c.seed;
+}
 
 class RtreeMbrTest : public ::testing::TestWithParam<RtCase> {};
 

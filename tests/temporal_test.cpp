@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,12 @@ struct TemporalCase {
   double time_span;
   std::uint64_t seed;
 };
+
+// Names the ctest entry after the case, not its raw bytes.
+void PrintTo(const TemporalCase& c, std::ostream* os) {
+  *os << "r=" << c.r << " delta=" << c.delta << " span=" << c.time_span
+      << " seed=" << c.seed;
+}
 
 class TemporalOracleTest : public ::testing::TestWithParam<TemporalCase> {};
 

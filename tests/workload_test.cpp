@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/omp_utils.hpp"
 #include "obs/metrics.hpp"
 #include "obs/qlog.hpp"
 #include "test_utils.hpp"
@@ -90,6 +92,24 @@ TEST(WorkloadSpec, ErrorsCarryTheLineNumber) {
       {"query r=inf\n", "line 1"},
       {"query r=4 deadline_ms=nan\n", "line 1"},    // non-finite deadline
       {"query r=4 deadline_ms=inf\n", "line 1"},
+      // strtoull accepts a sign and saturates on overflow: k=-1 once ran
+      // with k = 2^64 - 1 and verified every object.
+      {"defaults k=-1\nquery r=3\n", "line 1"},
+      {"query r=3 k=+2\n", "line 1"},
+      {"query r=3 k=18446744073709551616\n", "line 1"},  // ERANGE
+      {"query r=3 k=9223372036854775808\n", "line 1"},   // above --k's bound
+      {"query r=3 threads=-1\n", "line 1"},
+      {"sample 0.5 seed=-1\nquery r=3\n", "line 1"},
+      // threads=99999999999 once became 1,215,752,191 threads and the run
+      // aborted with bad_alloc; the cap is `mio query --threads`'s.
+      {"query r=3 threads=257\n", "line 1"},
+      {"query r=3 threads=99999999999\n", "line 1"},
+      {"defaults threads=4294967297\nquery r=3\n", "line 1"},
+      // At most kMaxWorkloadQueries: `repeat 18446744073709551615 r=3`
+      // would push 2^64 queries.
+      {"repeat 1000001 r=3\n", "line 1"},
+      {"repeat 999999 r=3\nrepeat 2 r=4\n", "line 2"},
+      {"repeat 1000000 r=3\nquery r=4\n", "line 2"},
   };
   for (const Case& c : cases) {
     Result<WorkloadSpec> spec = ParseWorkloadSpec(c.text);
@@ -103,6 +123,72 @@ TEST(WorkloadSpec, ErrorsCarryTheLineNumber) {
 
 TEST(WorkloadSpec, LoadFromMissingFileFails) {
   EXPECT_FALSE(LoadWorkloadSpec("/nonexistent/spec.workload").ok());
+}
+
+// The domain's bounds themselves: k as `mio query --k` bounds it,
+// threads at the CLI's cap, the query cap, ceil_r at int32.
+TEST(WorkloadSpec, AcceptsTheDomainBounds) {
+  Result<WorkloadSpec> spec = ParseWorkloadSpec(
+      "slo latency_ms=5 ceil_r=2147483647\n"
+      "query r=3 k=9223372036854775807 threads=256\n"
+      "repeat 999999 r=3\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec.value().queries.size(), kMaxWorkloadQueries);
+  EXPECT_EQ(spec.value().queries[0].k, 9223372036854775807u);
+  EXPECT_EQ(spec.value().queries[0].threads, kMaxRequestedThreads);
+  EXPECT_EQ(spec.value().slos[0].ceil_r, 2147483647);
+}
+
+// Deterministic mutation fuzzing of whole spec texts, seeded with the
+// specs scripts/check.sh runs: no input may crash the parser, and every
+// accepted spec must lie inside the documented domain.
+TEST(WorkloadSpec, FuzzedSpecsNeverCrash) {
+  const std::vector<std::string> seeds = {
+      "name check-qlog-mix\nsample 0.25 seed=1\n"
+      "defaults k=1 threads=2 labels=on\nrepeat 102 r=3,4.5,3.2,6.8,2.1,5.5\n",
+      "name bench-canonical\ndefaults k=1 threads=2 labels=on\n"
+      "slo latency_ms=10000 objective=0.95\nrepeat 30 r=3,4.5,9\n",
+      "name bench-canonical\ndefaults k=1 threads=2 labels=on\n"
+      "slo latency_ms=0.000001 objective=0.999\nrepeat 30 r=3,4.5,9\n",
+      "name serve-replay\ndefaults k=2 threads=1 labels=off\n"
+      "repeat 12 r=3,4.5,6\n",
+      "name mix\ndataset d.bin\nquery r=4 k=3 threads=4 record=on "
+      "reuse_grid=off deadline_ms=50\n"
+      "slo ceil_r=5 latency_ms=80 objective=0.99\n",
+  };
+  Pcg32 rng(0x73706563 /* "spec" */, 3);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string text = mio::testing::MutateLine(seeds, rng);
+    Result<WorkloadSpec> spec = ParseWorkloadSpec(text);
+    if (!spec.ok()) {
+      ASSERT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+      continue;
+    }
+    ++accepted;
+    const WorkloadSpec& s = spec.value();
+    ASSERT_TRUE(s.sample_rate > 0.0 && s.sample_rate <= 1.0) << text;
+    ASSERT_FALSE(s.queries.empty()) << text;
+    ASSERT_LE(s.queries.size(), kMaxWorkloadQueries) << text;
+    for (const WorkloadQuery& q : s.queries) {
+      ASSERT_TRUE(std::isfinite(q.r) && q.r > 0.0) << text;
+      ASSERT_GE(q.k, 1u) << text;
+      ASSERT_LE(q.k, 9223372036854775807u) << text;
+      ASSERT_GE(q.threads, 1) << text;
+      ASSERT_LE(q.threads, kMaxRequestedThreads) << text;
+      ASSERT_TRUE(std::isfinite(q.deadline_ms) && q.deadline_ms >= 0.0)
+          << text;
+    }
+    for (const obs::SloObjective& slo : s.slos) {
+      ASSERT_GT(slo.objective, 0.0) << text;
+      ASSERT_LT(slo.objective, 1.0) << text;
+      ASSERT_GE(slo.ceil_r, 0) << text;
+      ASSERT_TRUE(std::isfinite(slo.latency_ms) && slo.latency_ms > 0.0)
+          << text;
+    }
+  }
+  // The mutations must reach the accepting paths, not only the errors.
+  EXPECT_GT(accepted, 100u);
 }
 
 // --- Runner -----------------------------------------------------------------
@@ -354,6 +440,7 @@ TEST(WorkloadSpec, SloDirectiveRejectsBadOptions) {
       "slo latency_ms=50 objective=1\nquery r=3\n",    // objective not < 1
       "slo latency_ms=50 objective=0\nquery r=3\n",    // objective not > 0
       "slo latency_ms=50 ceil_r=0\nquery r=3\n",   // explicit zero class
+      "slo latency_ms=50 ceil_r=2147483648\nquery r=3\n",  // above int32
       "slo latency_ms=50 bogus=1\nquery r=3\n",    // unknown option
   };
   for (const char* text : bad) {

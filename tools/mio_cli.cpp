@@ -31,6 +31,7 @@
 #include "baseline/theoretical.hpp"
 #include "common/argparse.hpp"
 #include "common/memory_tracker.hpp"
+#include "common/omp_utils.hpp"
 #include "common/timer.hpp"
 #include "core/mio_engine.hpp"
 #include "core/temporal.hpp"
@@ -125,13 +126,12 @@ void Usage() {
       "             totals, label hit rate per ceil(r) class, slowest-N;\n"
       "             --slo evaluates the spec's latency objectives and\n"
       "             exits 1 when any is missed)\n"
-      "  qlog diff BASELINE CANDIDATE [--threshold=F]\n"
-      "            [--share-threshold=F] [--funnel-threshold=F]\n"
-      "            [--hit-rate-threshold=F] [--min-seconds=F]\n"
-      "            [--json=FILE|-]\n"
-      "            (compares two qlogs: wall p50/p95/p99, phase shares,\n"
-      "             pruning-funnel shape, label hit rate; exits 1 on any\n"
-      "             regression beyond the thresholds)\n"
+      "  qlog diff BASELINE CANDIDATE [--threshold=F] [--json=FILE|-]\n"
+      "            (compares two qlogs: wall p50/p95/p99 and the median\n"
+      "             wall of every shared configuration, gated at\n"
+      "             --threshold (default 0.10); phase shares, pruning-\n"
+      "             funnel shape, label hit rate; exits 1 on any\n"
+      "             regression, 2 when no configuration is shared)\n"
       "  convert   --in=FILE --out=FILE [--format=binary|text]\n"
       "  import-swc --dir=DIR --out=FILE      (NeuroMorpho morphologies)\n"
       "  import-csv --in=FILE --out=FILE [--id-col=id --x-col=x --y-col=y]\n"
@@ -157,26 +157,33 @@ mio::Status IntFlag(const mio::ArgParser& args, const char* name,
   return mio::Status::OK();
 }
 
-/// Range-checked millisecond flag: a finite `--name` in [0, 1e9].
-mio::Status MsFlag(const mio::ArgParser& args, const char* name,
-                   double fallback, double* out) {
-  mio::Result<double> v = args.GetDoubleInRange(name, fallback, 0.0, 1e9);
+/// Range-checked number flag: a finite `--name` in [lo, hi] into `*out`,
+/// or `fallback` when absent.
+mio::Status DoubleFlag(const mio::ArgParser& args, const char* name,
+                       double fallback, double lo, double hi, double* out) {
+  mio::Result<double> v = args.GetDoubleInRange(name, fallback, lo, hi);
   if (!v.ok()) return v.status();
   *out = v.value();
   return mio::Status::OK();
+}
+
+/// Range-checked millisecond flag: a finite `--name` in [0, 1e9].
+mio::Status MsFlag(const mio::ArgParser& args, const char* name,
+                   double fallback, double* out) {
+  return DoubleFlag(args, name, fallback, 0.0, 1e9, out);
 }
 
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
 /// `--k` and `--threads`, range-checked: k >= 0, as `mio serve` accepts
 /// (0 and 1 both ask for the single most interactive object), and threads
-/// within int, where <= 0 means every core.
+/// at most kMaxRequestedThreads, where <= 0 means every core.
 mio::Status ParseKAndThreads(const mio::ArgParser& args, std::size_t* k,
                              int* threads) {
   MIO_RETURN_NOT_OK(
       IntFlag(args, "k", 1, 0, std::numeric_limits<std::int64_t>::max(), k));
   return IntFlag(args, "threads", 1, std::numeric_limits<int>::min(),
-                 std::numeric_limits<int>::max(), threads);
+                 mio::kMaxRequestedThreads, threads);
 }
 
 bool EndsWith(const std::string& s, const char* suffix) {
@@ -313,25 +320,26 @@ void ArmObservabilityBackstop(const mio::ArgParser& args,
 
 /// Builds the client config shared by `query --connect` and
 /// `run-workload --connect`.
-mio::server::ClientConfig ClientConfigFromArgs(const mio::ArgParser& args) {
-  mio::server::ClientConfig cfg;
-  cfg.socket_path = args.GetString("connect", "");
-  cfg.attempts = static_cast<int>(args.GetInt("attempts", 5));
-  cfg.backoff_base_ms = args.GetDouble("backoff-ms", 10.0);
-  return cfg;
+mio::Status ClientConfigFromArgs(const mio::ArgParser& args,
+                                 mio::server::ClientConfig* cfg) {
+  cfg->socket_path = args.GetString("connect", "");
+  MIO_RETURN_NOT_OK(IntFlag(args, "attempts", 5, 1, 100, &cfg->attempts));
+  return MsFlag(args, "backoff-ms", 10.0, &cfg->backoff_base_ms);
 }
 
 /// `mio query --connect=SOCKET`: runs the query on a `mio serve` process
 /// instead of an in-process engine.
 int CmdQueryConnect(const mio::ArgParser& args) {
-  mio::server::ClientConfig cfg = ClientConfigFromArgs(args);
+  mio::server::ClientConfig cfg;
   mio::server::ServeRequest req;
   req.id = "cli";
   req.op = "query";
   req.r = args.GetDouble("r", 4.0);
   std::size_t k = 1;
-  mio::Status parsed = ParseKAndThreads(args, &k, &req.threads);
-  if (!parsed.ok()) return StatusExit(parsed);
+  for (const mio::Status& st : {ClientConfigFromArgs(args, &cfg),
+                                ParseKAndThreads(args, &k, &req.threads)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
   req.k = k;
   req.use_labels = args.Has("use-labels");
   req.deadline_ms = args.GetDouble("deadline-ms", 0.0);
@@ -547,14 +555,19 @@ int CmdTop(const mio::ArgParser& args) {
 
 int CmdQuery(const mio::ArgParser& args) {
   if (args.Has("connect")) return CmdQueryConnect(args);
-  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
-  if (!loaded.ok()) return StatusExit(loaded.status());
-  const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
   std::size_t k = 1;
   int threads = 1;
-  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
-  if (!parsed.ok()) return StatusExit(parsed);
+  double memory_budget_mb = 0.0;
+  for (const mio::Status& st :
+       {ParseKAndThreads(args, &k, &threads),
+        DoubleFlag(args, "memory-budget-mb", 0.0, 0.0, 1e9,
+                   &memory_budget_mb)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
+  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
+  if (!loaded.ok()) return StatusExit(loaded.status());
+  const mio::ObjectSet& set = loaded.value();
   std::string algo = args.GetString("algo", "bigrid");
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
   mio::obs::ResetMetrics();
@@ -596,8 +609,8 @@ int CmdQuery(const mio::ArgParser& args) {
     opt.threads = threads;
     opt.use_labels = opt.record_labels = args.Has("labels");
     opt.deadline_ms = args.GetDouble("deadline-ms", 0.0);
-    opt.memory_budget_bytes = static_cast<std::size_t>(
-        args.GetDouble("memory-budget-mb", 0.0) * 1024.0 * 1024.0);
+    opt.memory_budget_bytes =
+        static_cast<std::size_t>(memory_budget_mb * 1024.0 * 1024.0);
     res = engine.Query(r, opt);
   }
   double elapsed = t.ElapsedSeconds();
@@ -613,13 +626,13 @@ int CmdQuery(const mio::ArgParser& args) {
 }
 
 int CmdSweep(const mio::ArgParser& args) {
+  mio::QueryOptions opt;
+  mio::Status parsed = ParseKAndThreads(args, &opt.k, &opt.threads);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
   mio::MioEngine engine(set, args.GetString("labels", ""));
-  mio::QueryOptions opt;
-  mio::Status parsed = ParseKAndThreads(args, &opt.k, &opt.threads);
-  if (!parsed.ok()) return StatusExit(parsed);
   opt.use_labels = opt.record_labels = true;  // the sweep is labels' use case
   opt.reuse_grid = true;  // same-ceiling queries share the large grid
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
@@ -658,16 +671,20 @@ int CmdSweep(const mio::ArgParser& args) {
 // --- mio profile -----------------------------------------------------------
 
 int CmdProfile(const mio::ArgParser& args) {
-  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
-  if (!loaded.ok()) return StatusExit(loaded.status());
-  const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
   std::size_t k = 1;
   int threads = 1;
-  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
-  if (!parsed.ok()) return StatusExit(parsed);
-  int warmup = std::max(0, static_cast<int>(args.GetInt("warmup", 1)));
-  int runs = std::max(1, static_cast<int>(args.GetInt("runs", 5)));
+  int warmup = 1;
+  int runs = 5;
+  for (const mio::Status& st :
+       {ParseKAndThreads(args, &k, &threads),
+        IntFlag(args, "warmup", 1, 0, 1000000, &warmup),
+        IntFlag(args, "runs", 5, 1, 1000000, &runs)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
+  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
+  if (!loaded.ok()) return StatusExit(loaded.status());
+  const mio::ObjectSet& set = loaded.value();
 
   mio::MioEngine engine(set, args.GetString("labels", ""));
   mio::QueryOptions opt;
@@ -720,14 +737,14 @@ int CmdProfile(const mio::ArgParser& args) {
 // --- mio explain -----------------------------------------------------------
 
 int CmdExplain(const mio::ArgParser& args) {
-  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
-  if (!loaded.ok()) return StatusExit(loaded.status());
-  const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
   std::size_t k = 1;
   int threads = 1;
   mio::Status parsed = ParseKAndThreads(args, &k, &threads);
   if (!parsed.ok()) return StatusExit(parsed);
+  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
+  if (!loaded.ok()) return StatusExit(loaded.status());
+  const mio::ObjectSet& set = loaded.value();
 
   mio::MioEngine engine(set, args.GetString("labels", ""));
   mio::QueryOptions opt;
@@ -833,6 +850,11 @@ int CmdRunWorkload(const mio::ArgParser& args) {
     std::fprintf(stderr, "run-workload: --spec=FILE is required\n");
     return 1;
   }
+  mio::server::ClientConfig cfg;
+  if (args.Has("connect")) {
+    mio::Status st = ClientConfigFromArgs(args, &cfg);
+    if (!st.ok()) return StatusExit(st);
+  }
   mio::Result<mio::WorkloadSpec> spec_res =
       mio::LoadWorkloadSpec(args.GetString("spec", ""));
   if (!spec_res.ok()) return StatusExit(spec_res.status());
@@ -840,7 +862,6 @@ int CmdRunWorkload(const mio::ArgParser& args) {
 
   // Replay against a running server instead of an in-process engine.
   if (args.Has("connect")) {
-    mio::server::ClientConfig cfg = ClientConfigFromArgs(args);
     mio::Result<mio::server::ReplaySummary> replay =
         mio::server::ReplayWorkload(cfg, spec);
     if (!replay.ok()) return StatusExit(replay.status());
@@ -1014,6 +1035,12 @@ int CmdQlogDiff(const mio::ArgParser& args) {
     std::fprintf(stderr, "usage: mio qlog diff BASELINE CANDIDATE\n");
     return 1;
   }
+  // A NaN or infinite threshold would pass any candidate, a negative one
+  // would flag a file diffed against itself.
+  mio::obs::QlogDiffOptions opts;
+  mio::Status parsed = DoubleFlag(args, "threshold", opts.latency_threshold,
+                                  0.0, 10.0, &opts.latency_threshold);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<std::vector<mio::obs::QlogRecord>> baseline =
       mio::obs::LoadQlogFile(pos[0]);
   if (!baseline.ok()) return StatusExit(baseline.status());
@@ -1030,18 +1057,18 @@ int CmdQlogDiff(const mio::ArgParser& args) {
     return mio::ExitCodeFor(mio::StatusCode::kInvalidArgument);
   }
 
-  mio::obs::QlogDiffOptions opts;
-  opts.latency_threshold = args.GetDouble("threshold", opts.latency_threshold);
-  opts.share_threshold =
-      args.GetDouble("share-threshold", opts.share_threshold);
-  opts.funnel_threshold =
-      args.GetDouble("funnel-threshold", opts.funnel_threshold);
-  opts.hit_rate_threshold =
-      args.GetDouble("hit-rate-threshold", opts.hit_rate_threshold);
-  opts.min_seconds = args.GetDouble("min-seconds", opts.min_seconds);
-
   mio::obs::QlogDiffResult diff =
       mio::obs::DiffQlogs(baseline.value(), candidate.value(), opts);
+  if (diff.configs_compared == 0) {
+    // Two runs of different workloads share no configuration: a "pass"
+    // would compare nothing per configuration.
+    std::fprintf(stderr,
+                 "qlog diff: no configuration (workload, dataset, algo, r, "
+                 "k, threads, scale) is in both %s and %s — refusing a "
+                 "vacuous comparison\n",
+                 pos[0].c_str(), pos[1].c_str());
+    return mio::ExitCodeFor(mio::StatusCode::kInvalidArgument);
+  }
   if (args.Has("json")) {
     std::string doc = mio::obs::QlogDiffToJson(diff);
     std::string out = args.GetString("json", "-");
