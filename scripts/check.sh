@@ -54,9 +54,12 @@
 # serve       plain asan tsan   --connect = in-process = cached =
 #                               --no-coalesce; replay with 0 transport
 #                               errors; armed enqueue fault -> exit 12 with
-#                               a retry hint; empty qlogs exit 2; 8-client
-#                               soak, server.* storm and SIGTERM mid-burst
-#                               under plain, ASan and TSan, no reports
+#                               a retry hint; empty qlogs exit 2; the
+#                               result-table, coalescing, cache and drain
+#                               tests of server_test clean under TSan;
+#                               8-client soak, server.* storm and SIGTERM
+#                               mid-burst under plain, ASan and TSan, no
+#                               reports
 # obs_serve   plain             responses vs qlog two-way differential over
 #                               a clean soak and a refusal storm + drain;
 #                               `mio top`; `qlog report` server split; tail
@@ -78,6 +81,8 @@ KERNEL_TESTS="kernels_test geo_test kdtree_test bigrid_test baseline_test \
   temporal_test"
 ROBUST_TESTS="robustness_test io_test importers_test mio_engine_test \
   workload_test server_test qlog_test telemetry_test obs_serve_test"
+SERVE_TSAN_FILTER="ResultTable.*:ServeTest.*Coalesc*:ServeTest.*Cache*:\
+ServeTest.*Concurrent*:ServeTest.*Drain*"
 
 PREFIX=build-check
 SELECTED=" "
@@ -130,7 +135,10 @@ for s in "${RUN[@]}"; do
       need ubsan batch_test
       need tsan batch_test
       ;;
-    serve) for t in plain asan tsan; do need $t mio_cli; done ;;
+    serve)
+      for t in plain asan tsan; do need $t mio_cli; done
+      need tsan server_test
+      ;;
   esac
 done
 
@@ -891,9 +899,11 @@ SPEC
   expect_rc 2 "$CLI" qlog diff "$W/empty.jsonl" "$W/empty.jsonl"
   grep -q 'vacuous' "$W/err.txt" || fail "empty qlog diff: no diagnostic"
 
-  # 5. Chaos: plain, then ASan, then TSan. TSan queries stay at
-  # threads=1: libgomp is not TSan-instrumented, so the concurrency under
-  # test is the server's own (sessions, workers, coalescer).
+  # 5. The sharing path's unit and end-to-end tests under TSan, then
+  # chaos: plain, ASan, TSan. TSan queries stay at threads=1: libgomp is
+  # not TSan-instrumented, so the concurrency under test is the server's
+  # own (sessions, workers, the result table).
+  OMP_NUM_THREADS=1 run_tests tsan tsan "$SERVE_TSAN_FILTER" server_test
   soak "$CLI" plain
   soak "$PREFIX/asan/tools/mio" asan
   OMP_NUM_THREADS=1 soak "$PREFIX/tsan/tools/mio" tsan

@@ -82,21 +82,48 @@ Result<std::int64_t> ArgParser::GetIntInRange(const std::string& name,
   return static_cast<std::int64_t>(v);
 }
 
+namespace {
+
+/// `text` as a finite number in [lo, hi], or kInvalidArgument naming
+/// `--name=value`.
+Result<double> ParseDoubleInRange(const std::string& name,
+                                  const std::string& value,
+                                  const std::string& text, double lo,
+                                  double hi) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v) || v < lo ||
+      v > hi) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
+    return Status::InvalidArgument("--" + name + "=" + value +
+                                   ": expected a finite number in " + range);
+  }
+  return v;
+}
+
+}  // namespace
+
 Result<double> ArgParser::GetDoubleInRange(const std::string& name,
                                            double fallback, double lo,
                                            double hi) const {
   auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < lo || v > hi) {
-    char range[64];
-    std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
-    return Status::InvalidArgument("--" + name + "=" + it->second +
-                                   ": expected a finite number in " + range);
+  return ParseDoubleInRange(name, it->second, it->second, lo, hi);
+}
+
+Result<std::vector<double>> ArgParser::GetDoubleListInRange(
+    const std::string& name, std::vector<double> fallback, double lo,
+    double hi) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end() || it->second.empty()) return fallback;
+  std::vector<double> out;
+  for (const std::string& tok : SplitCommas(it->second)) {
+    Result<double> v = ParseDoubleInRange(name, it->second, tok, lo, hi);
+    if (!v.ok()) return v.status();
+    out.push_back(v.value());
   }
-  return v;
+  return out;
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {

@@ -39,6 +39,12 @@ class ArgParser {
   /// naming the flag.
   Result<double> GetDoubleInRange(const std::string& name, double fallback,
                                   double lo, double hi) const;
+  /// Checked GetDoubleList: every comma-separated item of `--name` as
+  /// GetDoubleInRange reads one value, or `fallback` when absent. One bad
+  /// item rejects the whole list (GetDoubleList reads "abc" as 0).
+  Result<std::vector<double>> GetDoubleListInRange(
+      const std::string& name, std::vector<double> fallback, double lo,
+      double hi) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
   /// Comma-separated list flag, e.g. `--r=4,6,8,10`.

@@ -99,9 +99,8 @@ Status LabelStore::SaveOnce(int ceil_r, const LabelSet& labels) {
   return Status::OK();
 }
 
-Result<LabelSet> LabelStore::LoadOnce(int ceil_r,
-                                      const ObjectSet& expected_shape) const {
-  std::string path = PathFor(ceil_r);
+Result<LabelSet> LabelStore::ReadFile(const std::string& path, int ceil_r,
+                                      const ObjectSet& expected_shape) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("no label file: " + path);
 
@@ -172,13 +171,13 @@ Status LabelStore::Save(int ceil_r, const LabelSet& labels) {
 
 Result<LabelSet> LabelStore::Load(int ceil_r,
                                   const ObjectSet& expected_shape) const {
-  Result<LabelSet> r = LoadOnce(ceil_r, expected_shape);
+  Result<LabelSet> r = ReadFile(PathFor(ceil_r), ceil_r, expected_shape);
   for (int attempt = 0;
        !r.ok() && Retryable(r.status()) && attempt < kIoAttempts - 1;
        ++attempt) {
     obs::Add(obs::Counter::kLabelRetryAttempts);
     BackoffSleep(attempt);
-    r = LoadOnce(ceil_r, expected_shape);
+    r = ReadFile(PathFor(ceil_r), ceil_r, expected_shape);
   }
   if (!r.ok() && Retryable(r.status())) {
     obs::Add(obs::Counter::kLabelRetryExhausted);

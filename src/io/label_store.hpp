@@ -39,6 +39,11 @@ class LabelStore {
   /// immediately.
   Result<LabelSet> Load(int ceil_r, const ObjectSet& expected_shape) const;
 
+  /// One attempt at reading `path` as the label file for `ceil_r`,
+  /// validated against `expected_shape` — the reader Load retries.
+  static Result<LabelSet> ReadFile(const std::string& path, int ceil_r,
+                                   const ObjectSet& expected_shape);
+
   /// Removes the label file for one ceil(r) (no-op if absent). The engine
   /// uses this to evict a corrupt file so the next query rewrites it.
   void Remove(int ceil_r);
@@ -51,7 +56,6 @@ class LabelStore {
 
  private:
   Status SaveOnce(int ceil_r, const LabelSet& labels);
-  Result<LabelSet> LoadOnce(int ceil_r, const ObjectSet& expected_shape) const;
 
   std::string dir_;
 };

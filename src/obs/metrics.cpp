@@ -134,18 +134,22 @@ const char* HistogramName(Histogram h) {
              : "unknown";
 }
 
-const char* CounterMetricName(Counter c) {
-  int i = static_cast<int>(c);
-  return i >= 0 && i < kNumCounters
-             ? kCounterMetricNames[static_cast<std::size_t>(i)]
-             : "unknown";
+namespace {
+
+std::string SampleName(const char* display) {
+  std::string name = display;
+  for (char& c : name) {
+    if (c == '.') c = '_';
+  }
+  return name;
 }
 
-const char* HistogramMetricName(Histogram h) {
-  int i = static_cast<int>(h);
-  return i >= 0 && i < kNumHistograms
-             ? kHistogramMetricNames[static_cast<std::size_t>(i)]
-             : "unknown";
+}  // namespace
+
+std::string CounterMetricName(Counter c) { return SampleName(CounterName(c)); }
+
+std::string HistogramMetricName(Histogram h) {
+  return SampleName(HistogramName(h));
 }
 
 }  // namespace obs

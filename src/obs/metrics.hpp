@@ -23,14 +23,15 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace mio {
 namespace obs {
 
-/// Monotonic event counts. Extend here; names live in the
-/// kCounterNames/kCounterMetricNames tables below — a static_assert
-/// fails the build when an enum value is added without both names.
+/// Monotonic event counts. Extend here; names live in the kCounterNames
+/// table below — a static_assert fails the build when an enum value is
+/// added without one.
 enum class Counter : int {
   kLbCellOrs = 0,        ///< small-cell bitset ORs during lower bounding
   kUbCellOrs,            ///< b_adj ORs during upper bounding
@@ -72,8 +73,8 @@ enum class Counter : int {
   kCount_
 };
 
-/// Value distributions, bucketed by log2. Names in the
-/// kHistogramNames/kHistogramMetricNames tables below.
+/// Value distributions, bucketed by log2. Names in the kHistogramNames
+/// table below.
 enum class Histogram : int {
   kLbKeyListLen = 0,      ///< small-grid key-list length per object
   kLbUnionBits,           ///< lower-bound union cardinality per object
@@ -90,10 +91,11 @@ enum class Histogram : int {
 inline constexpr int kNumCounters = static_cast<int>(Counter::kCount_);
 inline constexpr int kNumHistograms = static_cast<int>(Histogram::kCount_);
 
-/// Dotted display names, used by stats-json and the human CLI surfaces.
-/// Index = enum value. Every enum value MUST have an entry here AND in
-/// the matching *MetricNames table; the static_asserts below turn a
-/// forgotten entry into a compile error instead of an "unknown" metric.
+/// Dotted display names, used by stats-json and the human CLI surfaces;
+/// the OpenMetrics sample names derive from them ('.' -> '_'). Index =
+/// enum value. Every enum value MUST have an entry here; the
+/// static_asserts below turn a forgotten entry into a compile error
+/// instead of an "unknown" metric.
 inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "lb_cell_ors",
     "ub_cell_ors",
@@ -133,48 +135,6 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "server.io_errors",
 };
 
-/// OpenMetrics sample names (exposition adds the "mio_" prefix and, for
-/// counters, the "_total" suffix). Must match `[a-z_][a-z0-9_]*` — the
-/// dotted display names are not legal here.
-inline constexpr std::array<const char*, kNumCounters> kCounterMetricNames = {
-    "lb_cell_ors",
-    "ub_cell_ors",
-    "adj_builds",
-    "posting_scans",
-    "kernel_batches",
-    "verify_points",
-    "verify_points_settled",
-    "verify_groups",
-    "verify_cell_probes",
-    "verify_partners_confirmed",
-    "faults_injected",
-    "query_deadline_exceeded",
-    "query_cancelled",
-    "query_degraded",
-    "labels_corrupt_recovered",
-    "labels_retry_attempts",
-    "labels_retry_exhausted",
-    "labels_cache_hits",
-    "labels_cache_misses",
-    "trace_dropped_spans",
-    "batch_queries",
-    "batch_classes",
-    "batch_grid_builds_saved",
-    "batch_postings_bytes_shared",
-    "query_executed",
-    "telemetry_samples",
-    "server_connections",
-    "server_requests",
-    "server_overload_rejected",
-    "server_coalesced",
-    "server_cache_hits",
-    "server_cache_misses",
-    "server_shed_labels",
-    "server_shed_grid_cache",
-    "server_drain_completed",
-    "server_io_errors",
-};
-
 inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {
     "lb_key_list_len",
     "lb_union_bits",
@@ -186,72 +146,55 @@ inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {
     "server.e2e_us",
 };
 
-inline constexpr std::array<const char*, kNumHistograms>
-    kHistogramMetricNames = {
-        "lb_key_list_len",
-        "lb_union_bits",
-        "ub_groups_per_object",
-        "ub_union_bits",
-        "verify_cands_per_group",
-        "kernel_batch_size",
-        "server_queue_wait_us",
-        "server_e2e_us",
-};
+namespace detail {
 
-/// True when `s` is a legal OpenMetrics/Prometheus sample-name fragment:
-/// `[a-z_][a-z0-9_]*`. constexpr so the name tables are checked at
-/// compile time; also used by the unit tests.
-constexpr bool IsOpenMetricsName(std::string_view s) {
+/// `[a-z_][a-z0-9_]*`, plus '.' after the first character when
+/// `allow_dot`.
+constexpr bool IsMetricIdent(std::string_view s, bool allow_dot) {
   if (s.empty()) return false;
   auto lower = [](char c) { return c >= 'a' && c <= 'z'; };
   auto digit = [](char c) { return c >= '0' && c <= '9'; };
   if (!lower(s[0]) && s[0] != '_') return false;
   for (char c : s) {
-    if (!lower(c) && !digit(c) && c != '_') return false;
+    if (!lower(c) && !digit(c) && c != '_' && !(allow_dot && c == '.')) {
+      return false;
+    }
   }
   return true;
 }
 
-namespace detail {
-
-/// Exhaustiveness: std::array zero-fills missing initialisers with
-/// nullptr, so "every enum value has a name" reduces to "no entry is
-/// null or empty".
+/// Exhaustiveness and legality: std::array zero-fills missing
+/// initialisers with nullptr, so "every enum value has a name" reduces to
+/// "no entry is null", and each name must be a display name.
 template <std::size_t N>
-constexpr bool AllNamed(const std::array<const char*, N>& names) {
+constexpr bool AllDisplayNames(const std::array<const char*, N>& names) {
   for (const char* n : names) {
-    if (n == nullptr || *n == '\0') return false;
-  }
-  return true;
-}
-
-template <std::size_t N>
-constexpr bool AllOpenMetricsNames(const std::array<const char*, N>& names) {
-  for (const char* n : names) {
-    if (n == nullptr || !IsOpenMetricsName(n)) return false;
+    if (n == nullptr || !IsMetricIdent(n, /*allow_dot=*/true)) return false;
   }
   return true;
 }
 
 }  // namespace detail
 
-static_assert(detail::AllNamed(kCounterNames),
-              "every Counter needs a display name in kCounterNames");
-static_assert(detail::AllNamed(kHistogramNames),
-              "every Histogram needs a display name in kHistogramNames");
-static_assert(detail::AllOpenMetricsNames(kCounterMetricNames),
-              "every Counter needs a legal [a-z_][a-z0-9_]* name in "
-              "kCounterMetricNames");
-static_assert(detail::AllOpenMetricsNames(kHistogramMetricNames),
-              "every Histogram needs a legal [a-z_][a-z0-9_]* name in "
-              "kHistogramMetricNames");
+/// True when `s` is a legal OpenMetrics/Prometheus sample-name fragment:
+/// `[a-z_][a-z0-9_]*`. constexpr; also used by the unit tests.
+constexpr bool IsOpenMetricsName(std::string_view s) {
+  return detail::IsMetricIdent(s, /*allow_dot=*/false);
+}
+
+static_assert(detail::AllDisplayNames(kCounterNames),
+              "every Counter needs a [a-z_][a-z0-9_.]* name in kCounterNames");
+static_assert(detail::AllDisplayNames(kHistogramNames),
+              "every Histogram needs a [a-z_][a-z0-9_.]* name in "
+              "kHistogramNames");
 
 const char* CounterName(Counter c);
 const char* HistogramName(Histogram h);
 
-/// OpenMetrics sample name (no "mio_" prefix, no "_total" suffix).
-const char* CounterMetricName(Counter c);
-const char* HistogramMetricName(Histogram h);
+/// OpenMetrics sample name: the display name with every '.' as '_' (no
+/// "mio_" prefix, no "_total" suffix).
+std::string CounterMetricName(Counter c);
+std::string HistogramMetricName(Histogram h);
 
 /// Merged state of one histogram. Bucket 0 holds the value 0; bucket
 /// b >= 1 holds values in [2^(b-1), 2^b).

@@ -58,7 +58,7 @@ std::string OpenMetricsText(const MetricsSnapshot& snap,
   std::string out;
   out.reserve(4096);
   for (int c = 0; c < kNumCounters; ++c) {
-    const char* name = CounterMetricName(static_cast<Counter>(c));
+    const std::string name = CounterMetricName(static_cast<Counter>(c));
     out += "# TYPE mio_";
     out += name;
     out += " counter\nmio_";
@@ -80,7 +80,7 @@ std::string OpenMetricsText(const MetricsSnapshot& snap,
     out += '\n';
   }
   for (int h = 0; h < kNumHistograms; ++h) {
-    const char* name = HistogramMetricName(static_cast<Histogram>(h));
+    const std::string name = HistogramMetricName(static_cast<Histogram>(h));
     const HistogramSnapshot& hs = snap.histograms[static_cast<std::size_t>(h)];
     out += "# TYPE mio_";
     out += name;

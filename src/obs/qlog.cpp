@@ -20,14 +20,8 @@ namespace {
 
 constexpr const char* kQlogSchema = "mio-qlog-v1";
 
-/// Canonical server role names. Kept in sync with the kRole* constants
-/// in server/request_context.hpp (the obs layer cannot include server
-/// headers); a test asserts the two lists match.
-constexpr const char* kServerRoles[] = {"solo", "leader", "follower",
-                                        "cached", "refused"};
-
 bool IsServerRole(const std::string& name) {
-  for (const char* r : kServerRoles) {
+  for (const char* r : kServerRoleNames) {
     if (name == r) return true;
   }
   return false;
@@ -787,6 +781,13 @@ std::string TailTraceFileName(std::uint64_t query_index) {
   return buf;
 }
 
+std::string ServerTraceFileName(std::uint64_t seq) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "r%06llu.trace.json",
+                static_cast<unsigned long long>(seq));
+  return buf;
+}
+
 // --- Report ------------------------------------------------------------------
 
 namespace {
@@ -822,13 +823,10 @@ std::string ResolveTraceFile(const std::string& trace_dir,
   if (trace_dir.empty()) return "";
   std::string dir = trace_dir;
   if (dir.back() != '/') dir.push_back('/');
-  std::string path = dir + TailTraceFileName(query_index);
-  if (FileExists(path)) return path;
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "r%06llu.trace.json",
-                static_cast<unsigned long long>(query_index));
-  path = dir + buf;
-  if (FileExists(path)) return path;
+  for (const std::string& name :
+       {TailTraceFileName(query_index), ServerTraceFileName(query_index)}) {
+    if (FileExists(dir + name)) return dir + name;
+  }
   return "";
 }
 
@@ -894,9 +892,9 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
       ++report.server_executed;
       server_queue_wait.push_back(rec.server_queue_wait_seconds);
       server_execute.push_back(rec.wall_seconds);
-    } else if (rec.server_role == "follower") {
+    } else if (rec.server_role == kRoleFollower) {
       ++report.server_coalesced;
-    } else if (rec.server_role == "cached") {
+    } else if (rec.server_role == kRoleCached) {
       ++report.server_cached;
     }
   }

@@ -44,6 +44,20 @@ namespace obs {
 inline constexpr const char* kServerStageNames[] = {
     "accepted", "enqueued", "dequeued", "executed", "responded"};
 
+/// The server request roles — the values of a server record's "role".
+/// "solo" ran its own execution outside the result table, "leader" ran
+/// the execution on behalf of followers, "follower" received a leader's
+/// shared result, "cached" replayed a finished result, "refused" was
+/// turned away by admission. The server stamps them and the validator
+/// accepts exactly these.
+inline constexpr const char* kRoleSolo = "solo";
+inline constexpr const char* kRoleLeader = "leader";
+inline constexpr const char* kRoleFollower = "follower";
+inline constexpr const char* kRoleCached = "cached";
+inline constexpr const char* kRoleRefused = "refused";
+inline constexpr std::array<const char*, 5> kServerRoleNames = {
+    kRoleSolo, kRoleLeader, kRoleFollower, kRoleCached, kRoleRefused};
+
 /// One query's log record. String enums (`label_outcome`, `status`) are
 /// carried as their canonical short names (LabelOutcomeName /
 /// StatusCodeName) so the record round-trips through its JSON line.
@@ -156,12 +170,12 @@ struct QlogRecord {
   /// True for server records whose engine stats are real (solo/leader);
   /// follower, cached and refused records never touched the engine.
   bool ServerExecuted() const {
-    return server_role == "solo" || server_role == "leader";
+    return server_role == kRoleSolo || server_role == kRoleLeader;
   }
 
   /// True for a request admission turned away: it never executed, so
   /// latency statistics leave it out (SLOs count it as a violation).
-  bool ServerRefused() const { return server_role == "refused"; }
+  bool ServerRefused() const { return server_role == kRoleRefused; }
 
   /// True when the label lookup reused an existing set (memory or disk).
   bool LabelHit() const {
@@ -280,6 +294,11 @@ class TailSampler {
 /// Conventional trace-file name for a workload query, used by the
 /// runner, the report, and the check scripts alike: "q000123.trace.json".
 std::string TailTraceFileName(std::uint64_t query_index);
+
+/// Trace-file name for a tail-sampled server request: "r000042.trace.json",
+/// whose stem is the request id (the report tries it after the workload
+/// name).
+std::string ServerTraceFileName(std::uint64_t seq);
 
 // --- Aggregation (`mio qlog report`) ---------------------------------------
 

@@ -14,9 +14,10 @@
 //
 // Ownership: the session thread creates the context; the worker that
 // executes the query stamps `dequeued`/`executed` through a shared_ptr.
-// The session only reads those fields after the execution's done flag
-// (Execution::mu) has been observed, which orders the worker's writes
-// before the session's reads — no atomics needed on the doubles.
+// The session only reads those fields after its Execution::Await has
+// observed the execution resolved under the execution's mutex, which
+// orders the worker's writes before the session's reads — no atomics
+// needed on the doubles.
 #pragma once
 
 #include <cstdint>
@@ -26,31 +27,12 @@
 namespace mio {
 namespace server {
 
-/// Role tags stamped into qlog records. "solo" ran its own execution
-/// outside the coalescer, "leader" ran the execution on behalf of
-/// followers, "follower" received a leader's shared result, "cached"
-/// replayed the result cache, "refused" was turned away by admission.
-inline constexpr const char* kRoleSolo = "solo";
-inline constexpr const char* kRoleLeader = "leader";
-inline constexpr const char* kRoleFollower = "follower";
-inline constexpr const char* kRoleCached = "cached";
-inline constexpr const char* kRoleRefused = "refused";
-
 /// Canonical server request-id string for sequence `seq`: "r000042".
-/// Width matches TailTraceFileName's zero padding so a request's trace
-/// file ("r000042.trace.json") sorts next to its id.
+/// Width matches obs::ServerTraceFileName's zero padding, so a request's
+/// trace file ("r000042.trace.json") is named after its id.
 inline std::string FormatRequestId(std::uint64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "r%06llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-/// Trace-file name for a tail-sampled server request: "r000042.trace.json"
-/// (the server-side sibling of the workload runner's "q000042.trace.json").
-inline std::string ServerTraceFileName(std::uint64_t seq) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "r%06llu.trace.json",
                 static_cast<unsigned long long>(seq));
   return buf;
 }
@@ -74,7 +56,7 @@ struct RequestContext {
   double responded = kUnstamped;  ///< response line handed to the socket
 
   // Outcome tags.
-  std::string role;               ///< kRole* ("" until resolved)
+  std::string role;               ///< obs::kRole* ("" until resolved)
   std::string refusal;            ///< "" = accepted; else refusal reason
   /// Admission ladder step the request ran at (DegradationStep value;
   /// 0 = nothing shed).

@@ -49,7 +49,7 @@ MioServer::MioServer(const ObjectSet& objects, ServerConfig config)
     : objects_(objects),
       config_(std::move(config)),
       admission_(config_.admission),
-      cache_(config_.cache_capacity) {
+      results_(config_.cache_capacity) {
   engine_ = std::make_unique<MioEngine>(objects_, config_.label_dir);
   if (config_.workers < 1) config_.workers = 1;
   start_time_ = std::chrono::steady_clock::now();
@@ -355,28 +355,6 @@ void FillFromResult(const QueryResult& qres, double wall,
   res->topk = qres.topk;
 }
 
-/// Resolves an unshared (per-request) execution directly.
-void ResolveOwn(Execution& exec, QueryResult result, double wall) {
-  {
-    std::lock_guard<std::mutex> lock(exec.mu);
-    exec.shareable = result.status.ok() && result.complete;
-    exec.result = std::move(result);
-    exec.wall_seconds = wall;
-    exec.done = true;
-  }
-  exec.cv.notify_all();
-}
-
-/// Waits for an execution this request owns (leader or solo), taking
-/// the result whether or not it is shareable — it IS this request's
-/// answer, degraded or not.
-void AwaitOwn(Execution& exec, QueryResult* result, double* wall) {
-  std::unique_lock<std::mutex> lock(exec.mu);
-  exec.cv.wait(lock, [&] { return exec.done; });
-  *result = exec.result;
-  *wall = exec.wall_seconds;
-}
-
 }  // namespace
 
 void MioServer::AppendQlog(const ServeRequest& req, const RequestContext& ctx,
@@ -435,8 +413,8 @@ void MioServer::RecordClient(const std::string& client,
   ClientStats& cs = it->second;
   ++cs.requests;
   if (ctx.Refused()) ++cs.refused;
-  if (ctx.role == kRoleFollower) ++cs.coalesced;
-  if (ctx.role == kRoleCached) ++cs.cached;
+  if (ctx.role == obs::kRoleFollower) ++cs.coalesced;
+  if (ctx.role == obs::kRoleCached) ++cs.cached;
 }
 
 void MioServer::OfferTail(std::uint64_t seq, double wall_seconds) {
@@ -448,10 +426,10 @@ void MioServer::OfferTail(std::uint64_t seq, double wall_seconds) {
   if (dir.back() != '/') dir.push_back('/');
   if (d.export_trace) {
     (void)obs::Tracer::Instance().WriteChromeTrace(
-        dir + ServerTraceFileName(seq));
+        dir + obs::ServerTraceFileName(seq));
   }
   for (std::uint64_t evicted : d.evict) {
-    ::unlink((dir + ServerTraceFileName(evicted)).c_str());
+    ::unlink((dir + obs::ServerTraceFileName(evicted)).c_str());
   }
 }
 
@@ -483,7 +461,7 @@ std::string MioServer::StatsJson() const {
   w.Key("sessions").UInt(active_sessions());
   w.Key("workers").Int(config_.workers);
   w.Key("objects").UInt(objects_.size());
-  w.Key("cache_entries").UInt(cache_.size());
+  w.Key("cache_entries").UInt(results_.cached());
   w.Key("counters").BeginObject();
   w.Key("connections").UInt(counter(obs::Counter::kServerConnections));
   w.Key("requests").UInt(counter(obs::Counter::kServerRequests));
@@ -607,55 +585,53 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
   req.threads = std::min(req.threads, MaxThreads());
   const CoalesceKey key{req.r, req.k, req.threads, req.use_labels};
 
-  // 1. Result cache (complete OK results only; bit-identical replay).
+  // 1. One lookup in the result table (skipped by no_coalesce): a
+  // finished entry replays as a cache hit, an in-flight one makes this
+  // request its follower, a missing one makes it the leader. A follower
+  // of a degraded or refused execution runs solo instead.
+  std::shared_ptr<Execution> exec;
+  bool leader = false;
   if (!req.no_coalesce) {
-    QueryResult cached;
-    double cached_wall = 0.0;
-    if (cache_.Lookup(key, &cached, &cached_wall)) {
-      ctx->role = kRoleCached;
+    ResultTable::Ticket ticket = results_.Join(key);
+    leader = ticket.role == ResultTable::Role::kLeader;
+    QueryResult shared;
+    double shared_wall = 0.0;
+    if (leader) {
+      exec = std::move(ticket.exec);
+    } else if (ticket.exec->Await(&shared, &shared_wall)) {
+      const bool cached = ticket.role == ResultTable::Role::kCached;
+      ctx->role = cached ? obs::kRoleCached : obs::kRoleFollower;
       // The request skipped the queue and the engine: collapse the
-      // middle stages onto the lookup instant so the stage order stays
+      // middle stages onto this instant so the stage order stays
       // monotonic and queue wait reads zero.
       ctx->enqueued = ctx->dequeued = ctx->executed = NowSeconds();
-      FillFromResult(cached, cached_wall, &res);
-      res.cached = true;
+      FillFromResult(shared, shared_wall, &res);
+      res.cached = cached;
+      res.coalesced = !cached;
       return FinishQuery(fd, req, ctx, nullptr, &res);
     }
   }
-
-  // 2. Coalesce with an identical in-flight execution.
-  std::shared_ptr<Execution> exec;
-  bool publish = false;
-  if (!req.no_coalesce) {
-    Coalescer::Ticket ticket = coalescer_.Join(key);
-    if (!ticket.leader) {
-      QueryResult shared;
-      double shared_wall = 0.0;
-      if (Coalescer::Await(*ticket.exec, &shared, &shared_wall)) {
-        ctx->role = kRoleFollower;
-        ctx->enqueued = ctx->dequeued = ctx->executed = NowSeconds();
-        FillFromResult(shared, shared_wall, &res);
-        res.coalesced = true;
-        return FinishQuery(fd, req, ctx, nullptr, &res);
-      }
-      // The leader's result was degraded by its own limits (deadline,
-      // cancel, shed) — not shareable. Fall through and execute solo.
-    } else {
-      exec = ticket.exec;
-      publish = true;
-    }
-  }
   if (exec == nullptr) exec = std::make_shared<Execution>();
+  // Every execution ends here: a no_coalesce one resolves alone, any
+  // other is published to the table (a solo run offers its result).
+  auto publish = [this, key, exec, no_coalesce = req.no_coalesce](
+                     QueryResult result, double wall) {
+    if (no_coalesce) {
+      exec->Resolve(std::move(result), wall);
+    } else {
+      results_.Publish(key, exec, std::move(result), wall);
+    }
+  };
 
-  // 3. Admission. The decision lives in a shared_ptr filled by Push
+  // 2. Admission. The decision lives in a shared_ptr filled by Push
   // under the queue lock before the job is enqueued, so the worker's
   // read of the shed flags is ordered after the write (Push's unlock
   // happens-before Pop's lock). A leader refused admission still
   // publishes the failure so followers unblock (and then run solo,
   // usually meeting the same refusal — backpressure propagates, nobody
   // hangs). The worker stamps ctx->dequeued/executed; the session only
-  // reads them after AwaitOwn observes the done flag under the
-  // execution mutex, so those cross-thread writes are ordered.
+  // reads them after its Await observes the execution resolved under the
+  // execution's mutex, so those cross-thread writes are ordered.
   auto decision = std::make_shared<AdmissionDecision>();
   const std::uint64_t cost = EstimateQueryCost(req.r, req.k);
   AdmissionQueue::PushResult pushed = AdmissionQueue::PushResult::kOverloaded;
@@ -663,7 +639,7 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
   if (!enqueue_fault) {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     ctx->enqueued = NowSeconds();
-    auto job = [this, req, key, exec, publish, decision, ctx]() {
+    auto job = [this, req, publish, decision, ctx]() {
       ctx->dequeued = NowSeconds();
       const bool shed_labels = decision->step >= DegradationStep::kShedLabels;
       const bool shed_grid_cache =
@@ -686,15 +662,10 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
       const double wall = timer.ElapsedSeconds();
       ctx->executed = NowSeconds();
       OfferTail(ctx->seq, wall);
-      if (!req.no_coalesce) cache_.Insert(key, qres, wall);
       if (draining_.load(std::memory_order_acquire)) {
         obs::Add(obs::Counter::kServerDrainCompleted);
       }
-      if (publish) {
-        coalescer_.Publish(key, std::move(qres), wall);
-      } else {
-        ResolveOwn(*exec, std::move(qres), wall);
-      }
+      publish(std::move(qres), wall);
       if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(inflight_mu_);
         inflight_cv_.notify_all();
@@ -720,24 +691,22 @@ bool MioServer::HandleRequest(int fd, const std::string& client,
     // The request never actually entered the queue: un-stamp enqueued so
     // the record's stages tell the truth.
     ctx->enqueued = RequestContext::kUnstamped;
-    ctx->role = kRoleRefused;
+    ctx->role = obs::kRoleRefused;
     ctx->refusal = res.error;
-    if (publish) {
-      QueryResult refused;
-      refused.status = Status::Overloaded(res.error);
-      refused.complete = false;
-      coalescer_.Publish(key, std::move(refused), 0.0);
-    }
+    QueryResult refused;
+    refused.status = Status::Overloaded(res.error);
+    refused.complete = false;
+    publish(std::move(refused), 0.0);
     return FinishQuery(fd, req, ctx, nullptr, &res);
   }
 
-  ctx->role = publish ? kRoleLeader : kRoleSolo;
+  ctx->role = leader ? obs::kRoleLeader : obs::kRoleSolo;
   ctx->shed_step = static_cast<std::uint32_t>(decision->step);
 
-  // 4. Block this session on the (own) execution; workers do the rest.
+  // 3. Block this session on its own execution; workers do the rest.
   QueryResult qres;
   double wall = 0.0;
-  AwaitOwn(*exec, &qres, &wall);
+  (void)exec->Await(&qres, &wall);
   FillFromResult(qres, wall, &res);
   return FinishQuery(fd, req, ctx, &qres, &res);
 }

@@ -7,9 +7,9 @@
 //    server cannot take on (distinct Overloaded status + retry-after
 //    hint) and sheds optional work (label recording, grid cache) before
 //    refusing anything (server/admission.hpp);
-//  - identical in-flight queries coalesce into one execution and recent
-//    results replay from a small LRU, both bit-identical to uncoalesced
-//    execution (server/coalescer.hpp);
+//  - one result table coalesces identical in-flight queries into one
+//    execution and keeps recent complete results for LRU replay, both
+//    bit-identical to uncoalesced execution (server/result_table.hpp);
 //  - SIGTERM/SIGINT starts a graceful drain: the listener closes, queued
 //    and running requests finish under a drain deadline, then a shared
 //    cancel token force-cancels stragglers; every accepted request
@@ -20,10 +20,11 @@
 //
 // Threading model: one accept loop (the Serve() caller), one session
 // thread per connection doing all socket I/O, and a fixed worker pool
-// executing admitted queries. Session threads never run queries except
-// on the rare re-execution path after a non-shareable coalesced result;
-// workers never touch sockets. Engine state is safely shared — see
-// MioEngine's thread-safety contract.
+// executing admitted queries. Session threads never run queries: every
+// execution, including a follower's re-execution after a non-shareable
+// result, goes through admission to a worker, and workers never touch
+// sockets. Engine state is safely shared — see MioEngine's
+// thread-safety contract.
 //
 // Request-lifecycle observability (docs/OBSERVABILITY.md): every parsed
 // request gets a server request id and a RequestContext that collects
@@ -55,8 +56,8 @@
 #include "core/mio_engine.hpp"
 #include "obs/qlog.hpp"
 #include "server/admission.hpp"
-#include "server/coalescer.hpp"
 #include "server/request_context.hpp"
+#include "server/result_table.hpp"
 
 namespace mio {
 namespace server {
@@ -70,7 +71,8 @@ struct ServerConfig {
   /// Query worker threads.
   int workers = 2;
   AdmissionConfig admission;
-  /// Result-cache entries (0 disables caching).
+  /// Finished entries the result table keeps (0 disables caching;
+  /// in-flight queries still coalesce).
   std::size_t cache_capacity = 32;
   /// Grace period for in-flight work after a shutdown request; once it
   /// expires the drain cancel token trips every remaining query.
@@ -177,8 +179,7 @@ class MioServer {
   ServerConfig config_;
   std::unique_ptr<MioEngine> engine_;
   AdmissionQueue admission_;
-  Coalescer coalescer_;
-  ResultCache cache_;
+  ResultTable results_;
   CancelToken drain_cancel_;
 
   int listen_fd_ = -1;

@@ -1,16 +1,20 @@
 // Tests for the `mio` command line's numeric-flag domain: `mio serve`,
-// `top`, `query`, `profile` and `qlog diff` range-check their numeric
+// `top`, `query`, `sweep`, `profile`, `explain`, `qlog report`,
+// `qlog diff`, `generate` and `import-csv` range-check their numeric
 // flags and exit 2 (kInvalidArgument) before they load a dataset or a
-// qlog, bind a socket or connect to one. A wrapped `--max-queue=-1` would
-// otherwise disable overload refusal, a NaN drain deadline or memory
-// budget would reach a float->int cast, `--threads=2147483647` would
-// abort on bad_alloc, and a NaN `qlog diff --threshold` would pass any
-// candidate.
+// qlog, generate one, bind a socket or connect to one. A wrapped
+// `--max-queue=-1` would otherwise disable overload refusal, a NaN drain
+// deadline or memory budget would reach a float->int cast,
+// `--threads=2147483647` would abort on bad_alloc, and a NaN `qlog diff
+// --threshold` would pass any candidate. A flag read by prefix would run
+// `--r=3x` at r = 3, drop the "abc" of `sweep --r=3,abc,4`, and read
+// `--seed=abc` as seed 0.
 //
-// Each case runs the real binary against inputs that do not exist:
-// loading them fails with IOError (exit 3), so exit 2 with the flag
-// named on stderr shows the flag check ran before the load — and the
-// load comes before the socket binds.
+// Each case runs the real binary against inputs that do not exist (for
+// `generate`, an output directory that does not exist): loading them, or
+// saving, fails with IOError (exit 3), so exit 2 with the flag named on
+// stderr shows the flag check ran before the load — and the load comes
+// before the socket binds.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -30,7 +34,7 @@ namespace {
 
 struct CliCase {
   const char* name;  ///< test-name suffix
-  const char* cmd;   ///< "serve", "top", "query", "profile", "qlog diff"
+  const char* cmd;   ///< a `mio` command, see CliTest::Run
   const char* flag;  ///< the out-of-domain flag
 };
 
@@ -74,7 +78,14 @@ class CliTest : public ::testing::Test {
     } else if (cmd == "qlog diff") {
       base = "'" + PathFor("missing-a.jsonl") + "' '" +
              PathFor("missing-b.jsonl") + "'";
-    } else {  // query, profile
+    } else if (cmd == "qlog report") {
+      base = "--in='" + PathFor("missing.jsonl") + "'";
+    } else if (cmd == "generate") {
+      base = "--preset=bird2 --out='" + PathFor("no-such-dir/out.bin") + "'";
+    } else if (cmd == "import-csv") {
+      base = "--in='" + PathFor("missing.csv") + "' --out='" +
+             PathFor("out.bin") + "'";
+    } else {  // query, sweep, profile, explain
       base = "--in='" + PathFor("missing.bin") + "' --r=2";
     }
     return RunArgs(cmd + " " + base + " " + extra);
@@ -137,7 +148,24 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"profile_warmup_wrapping", "profile", "--warmup=4294967297"},
         CliCase{"diff_threshold_nan", "qlog diff", "--threshold=nan"},
         CliCase{"diff_threshold_infinite", "qlog diff", "--threshold=1e999"},
-        CliCase{"diff_threshold_negative", "qlog diff", "--threshold=-1"}),
+        CliCase{"diff_threshold_negative", "qlog diff", "--threshold=-1"},
+        CliCase{"query_r_trailing_junk", "query", "--r=3x"},
+        CliCase{"query_r_negative", "query", "--r=-1"},
+        CliCase{"query_deadline_trailing_junk", "query", "--deadline-ms=1x"},
+        CliCase{"query_delta_junk", "query", "--delta=abc"},
+        CliCase{"connect_r_trailing_junk", "query",
+                "--r=3x --connect=/nonexistent/mio.sock"},
+        CliCase{"connect_deadline_nan", "query",
+                "--deadline-ms=nan --connect=/nonexistent/mio.sock"},
+        CliCase{"sweep_r_list_junk_item", "sweep", "--r=3,abc,4"},
+        CliCase{"profile_r_trailing_junk", "profile", "--r=3x"},
+        CliCase{"explain_r_trailing_junk", "explain", "--r=3x"},
+        CliCase{"report_slowest_junk", "qlog report", "--slowest=abc"},
+        CliCase{"report_slowest_negative", "qlog report", "--slowest=-1"},
+        CliCase{"generate_seed_junk", "generate", "--seed=abc"},
+        CliCase{"generate_seed_negative", "generate", "--seed=-1"},
+        CliCase{"import_csv_split_junk", "import-csv", "--split=abc"},
+        CliCase{"import_csv_split_negative", "import-csv", "--split=-1"}),
     [](const ::testing::TestParamInfo<CliCase>& info) {
       return std::string(info.param.name);
     });
@@ -163,6 +191,18 @@ TEST_F(CliTest, InRangeQueryProfileAndDiffFlagsReachTheLoad) {
       << stderr_;
   EXPECT_EQ(Run("qlog diff", "--threshold=10"), 3) << stderr_;
   EXPECT_NE(stderr_.find("missing-a.jsonl"), std::string::npos) << stderr_;
+}
+
+TEST_F(CliTest, InRangeRadiusSeedAndReportFlagsReachTheLoad) {
+  EXPECT_EQ(Run("query", "--r=0.5 --delta=0 --deadline-ms=1e9"), 3)
+      << stderr_;
+  EXPECT_EQ(Run("sweep", "--r=3,4.5,1e3"), 3) << stderr_;
+  EXPECT_EQ(Run("explain", "--r=1e300"), 3) << stderr_;
+  EXPECT_EQ(Run("qlog report", "--slowest=0"), 3) << stderr_;
+  EXPECT_EQ(Run("generate", "--seed=9223372036854775807"), 3) << stderr_;
+  EXPECT_NE(stderr_.find("no-such-dir"), std::string::npos) << stderr_;
+  EXPECT_EQ(Run("import-csv", "--split=2147483647"), 3) << stderr_;
+  EXPECT_NE(stderr_.find("missing.csv"), std::string::npos) << stderr_;
 }
 
 // Two runs of different workloads share no configuration: comparing them

@@ -5,6 +5,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
+
+#include "test_utils.hpp"
 
 namespace mio {
 namespace {
@@ -148,6 +152,83 @@ TEST_F(ImportersTest, CsvErrorCases) {
   opt.time_column = "nope";
   EXPECT_FALSE(
       LoadTrajectoryCsv(Write("not.csv", "id,x,y\nt,1,2\n"), opt).ok());
+}
+
+// --- fuzzing ----------------------------------------------------------------
+// One deterministic PCG32 mutation loop per importer: every input either
+// loads — and then keeps the loaded-set contract — or fails with a typed
+// Status, never a crash, bad_alloc or sanitizer report. The robustness
+// stage of scripts/check.sh runs these under ASan and UBSan.
+
+constexpr int kFuzzInputs = 2000;
+
+/// Half the inputs mutate one line (numbers become extremes), half the
+/// raw bytes.
+std::string MutateFile(const std::vector<std::string>& seeds, int i,
+                       Pcg32& rng) {
+  return i % 2 == 0
+             ? testing::MutateOneLine(
+                   seeds[rng.NextBounded(static_cast<std::uint32_t>(
+                       seeds.size()))],
+                   rng)
+             : testing::MutateBytes(seeds, rng);
+}
+
+TEST_F(ImportersTest, FuzzedSwcFilesLoadOrFailTyped) {
+  const std::vector<std::string> seeds = {
+      "# header\n1 1 0.0 0.0 0.0 5.0 -1\n2 3 1.5 0.5 0.0 0.5 1\n"
+      "  3 3 3.0 1.0 0.5 0.4 2\n",
+      "1 2 -4.25 7 1e3 0.1 -1\n\n# gap\n2 2 -4 7.5 1000.5 0.1 1\n"};
+  Pcg32 rng(41, 0x737763);  // "swc"
+  int loaded = 0;
+  for (int i = 0; i < kFuzzInputs; ++i) {
+    Result<Object> obj =
+        LoadSwcFile(Write("fuzz.swc", MutateFile(seeds, i, rng)));
+    if (!obj.ok()) {
+      EXPECT_TRUE(testing::IsTypedFailure(obj.status()))
+          << obj.status().ToString();
+      continue;
+    }
+    ++loaded;
+    EXPECT_FALSE(obj.value().points.empty());
+    EXPECT_TRUE(obj.value().times.empty());
+  }
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kFuzzInputs);
+}
+
+TEST_F(ImportersTest, FuzzedTrajectoryCsvsLoadOrFailTyped) {
+  const std::vector<std::string> seeds = {
+      "id,x,y,z,t\nfox,1,2,3,100\nfox,1.5,2,31,101\nowl,-3,4e1,0,7\n"
+      "fox,2,2,3,102\n",
+      "t,x,y,id,z\n5,0.5,0.25,a,1\n6,0.75,0.5,b,2\n7,1,1,a,3\n"};
+  TrajectoryCsvOptions timed;
+  timed.z_column = "z";
+  timed.time_column = "t";
+  timed.max_points_per_object = 2;
+  const TrajectoryCsvOptions planar;
+  Pcg32 rng(42, 0x637376);  // "csv"
+  int loaded = 0;
+  for (int i = 0; i < kFuzzInputs; ++i) {
+    const std::string path = Write("fuzz.csv", MutateFile(seeds, i, rng));
+    Result<ObjectSet> set =
+        LoadTrajectoryCsv(path, (i / 2) % 2 == 0 ? timed : planar);
+    if (!set.ok()) {
+      EXPECT_TRUE(testing::IsTypedFailure(set.status()))
+          << set.status().ToString();
+      continue;
+    }
+    ++loaded;
+    for (ObjectId o = 0; o < set.value().size(); ++o) {
+      const Object& obj = set.value()[o];
+      EXPECT_TRUE(obj.times.empty() || obj.times.size() == obj.points.size())
+          << "object " << o;
+    }
+  }
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kFuzzInputs);
 }
 
 }  // namespace

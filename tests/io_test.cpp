@@ -1,12 +1,14 @@
-// Round-trip and failure-injection tests for dataset files and the
-// external-memory label store.
+// Round-trip, failure-injection and mutation-fuzz tests for dataset files
+// and the external-memory label store.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "core/labels.hpp"
 #include "io/dataset_io.hpp"
@@ -182,6 +184,149 @@ TEST_F(IoTest, LabelStoreKeysAreIndependent) {
   ASSERT_TRUE(store.Save(5, l5).ok());
   EXPECT_EQ(store.Load(4, set).value().labels, l4.labels);
   EXPECT_EQ(store.Load(5, set).value().labels, l5.labels);
+}
+
+// --- fuzzing ----------------------------------------------------------------
+// One deterministic PCG32 mutation loop per reader: every input either
+// loads — and then keeps the loaded-set contract — or fails with a typed
+// Status, never a crash, bad_alloc or sanitizer report. The robustness
+// stage of scripts/check.sh runs these under ASan and UBSan.
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+/// Re-seals a mutated "MIOD"/"MIOL" file: the FNV-1a of everything
+/// between the 4-byte magic and the 8-byte trailer goes into the trailer,
+/// so the mutation reaches the code behind the checksum.
+void ResealFnv1aTrailer(std::string* bytes) {
+  if (bytes->size() < 12) return;
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 4; i < bytes->size() - 8; ++i) {
+    h ^= static_cast<unsigned char>((*bytes)[i]);
+    h *= 1099511628211ULL;
+  }
+  std::memcpy(&(*bytes)[bytes->size() - 8], &h, sizeof(h));
+}
+
+/// Each object's times are absent or one per point.
+void ExpectDatasetContract(const ObjectSet& set) {
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    EXPECT_TRUE(set[i].times.empty() ||
+                set[i].times.size() == set[i].points.size())
+        << "object " << i;
+  }
+}
+
+constexpr int kFuzzInputs = 2000;
+
+class IoFuzzTest : public IoTest {
+ protected:
+  /// The seed files: `save` over a timed and an untimed dataset.
+  template <typename Save>
+  std::vector<std::string> Seeds(Save save) {
+    std::vector<std::string> seeds;
+    for (const ObjectSet& set :
+         {testing::MakeRandomObjects(6, 0, 5, 20.0, 21, 5.0, true),
+          testing::MakeRandomObjects(5, 1, 4, 20.0, 22)}) {
+      const std::string path = PathFor("seed");
+      EXPECT_TRUE(save(set, path).ok());
+      seeds.push_back(ReadBytes(path));
+    }
+    return seeds;
+  }
+
+  /// Loads every input with `load`; returns how many loaded.
+  template <typename Load>
+  int Run(const std::vector<std::string>& inputs, Load load) {
+    int loaded = 0;
+    const std::string path = PathFor("fuzz");
+    for (const std::string& bytes : inputs) {
+      WriteBytes(path, bytes);
+      Result<ObjectSet> set = load(path);
+      if (set.ok()) {
+        ++loaded;
+        ExpectDatasetContract(set.value());
+      } else {
+        EXPECT_TRUE(testing::IsTypedFailure(set.status()))
+            << set.status().ToString();
+      }
+    }
+    return loaded;
+  }
+};
+
+TEST_F(IoFuzzTest, FuzzedTextDatasetsLoadOrFailTyped) {
+  const std::vector<std::string> seeds = Seeds(SaveDatasetText);
+  Pcg32 rng(31, 0x74657874);  // "text"
+  std::vector<std::string> inputs;
+  for (int i = 0; i < kFuzzInputs; ++i) {
+    inputs.push_back(i % 2 == 0
+                         ? testing::MutateOneLine(
+                               seeds[rng.NextBounded(2)], rng)
+                         : testing::MutateBytes(seeds, rng));
+  }
+  const int loaded = Run(inputs, LoadDatasetText);
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kFuzzInputs);
+}
+
+TEST_F(IoFuzzTest, FuzzedBinaryDatasetsLoadOrFailTyped) {
+  const std::vector<std::string> seeds = Seeds(SaveDatasetBinary);
+  Pcg32 rng(32, 0x62696e);  // "bin"
+  std::vector<std::string> inputs;
+  for (int i = 0; i < kFuzzInputs; ++i) {
+    std::string bytes = testing::MutateBytes(seeds, rng);
+    // One input in eight keeps its stale trailer: the mismatch path.
+    if (i % 8 != 0) ResealFnv1aTrailer(&bytes);
+    inputs.push_back(std::move(bytes));
+  }
+  const int loaded = Run(inputs, LoadDatasetBinary);
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kFuzzInputs);
+}
+
+TEST_F(IoFuzzTest, FuzzedLabelFilesLoadOrFailTyped) {
+  const ObjectSet set = testing::MakeRandomObjects(6, 0, 5, 20.0, 23);
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  labels.recorded_r = 3.5;
+  for (auto& object : labels.labels) {
+    if (!object.empty()) object[0] = label::kMap;
+  }
+  LabelStore store(PathFor("labels"));
+  ASSERT_TRUE(store.Save(4, labels).ok());
+  const std::vector<std::string> seeds = {ReadBytes(store.PathFor(4))};
+  Pcg32 rng(33, 0x6c6162);  // "lab"
+  const std::string path = PathFor("fuzz.labels");
+  int loaded = 0;
+  for (int i = 0; i < kFuzzInputs; ++i) {
+    std::string bytes = testing::MutateBytes(seeds, rng);
+    if (i % 8 != 0) ResealFnv1aTrailer(&bytes);
+    WriteBytes(path, bytes);
+    // One read attempt: Load's retry backoff would only slow the loop.
+    Result<LabelSet> got = LabelStore::ReadFile(path, 4, set);
+    if (!got.ok()) {
+      EXPECT_TRUE(testing::IsTypedFailure(got.status()))
+          << got.status().ToString();
+      continue;
+    }
+    ++loaded;
+    ASSERT_EQ(got.value().labels.size(), set.size());
+    for (ObjectId o = 0; o < set.size(); ++o) {
+      EXPECT_EQ(got.value().labels[o].size(), set[o].NumPoints()) << o;
+    }
+  }
+  RecordProperty("loaded", loaded);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kFuzzInputs);
 }
 
 TEST(LabelSetTest, Counters) {

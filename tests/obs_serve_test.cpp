@@ -1,7 +1,6 @@
 // Tests for the server request-lifecycle observability layer: the
 // RequestContext stage-timestamp invariants, the canonical request-id /
-// trace-file naming, the role-name contract shared with the qlog
-// validator, and the client's pure jittered-backoff helper.
+// trace-file naming, and the client's pure jittered-backoff helper.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,10 +20,10 @@ TEST(RequestId, FormatsZeroPaddedAndMatchesTraceFileStem) {
   EXPECT_EQ(FormatRequestId(0), "r000000");
   EXPECT_EQ(FormatRequestId(42), "r000042");
   EXPECT_EQ(FormatRequestId(1234567), "r1234567");  // wide ids never truncate
-  EXPECT_EQ(ServerTraceFileName(42), "r000042.trace.json");
+  EXPECT_EQ(obs::ServerTraceFileName(42), "r000042.trace.json");
   // The trace file stem IS the request id — that equality is the whole
   // correlation story between a response and its kept trace.
-  EXPECT_EQ(ServerTraceFileName(42).substr(0, 7), FormatRequestId(42));
+  EXPECT_EQ(obs::ServerTraceFileName(42).substr(0, 7), FormatRequestId(42));
 }
 
 TEST(RequestContext, StageDerivedLatencies) {
@@ -68,17 +67,6 @@ TEST(RequestContext, RefusalFlag) {
 
 // The qlog validator keeps its own copy of the role names (the obs layer
 // cannot depend on the server); this pins the two lists together.
-TEST(RequestContext, RoleNamesMatchQlogValidator) {
-  for (const char* role : {kRoleSolo, kRoleLeader, kRoleFollower,
-                           kRoleCached, kRoleRefused}) {
-    obs::QlogRecord rec;
-    rec.server_request_id = "r000001";
-    rec.server_role = role;
-    EXPECT_TRUE(obs::ValidateQlogLine(obs::QlogRecordToJsonLine(rec)).ok())
-        << role;
-  }
-}
-
 // --- Client backoff ---------------------------------------------------------
 
 TEST(Backoff, SameSeedSameSequence) {

@@ -444,9 +444,20 @@ TEST(QlogValidate, LabelOutcomeNamesMatchCoreEnum) {
   }
 }
 
+// The server stamps its roles from kServerRoleNames and the validator
+// accepts exactly that list; every role must validate.
+TEST(QlogValidate, AcceptsEveryServerRole) {
+  for (const char* role : kServerRoleNames) {
+    QlogRecord rec;
+    rec.server_request_id = "r000001";
+    rec.server_role = role;
+    EXPECT_TRUE(ValidateQlogLine(QlogRecordToJsonLine(rec)).ok()) << role;
+  }
+}
+
 TEST(QlogValidate, ServerSectionRejectsBadShapes) {
   QlogRecord rec = MakeFullRecord();
-  rec.server_role = "bystander";  // not a coalescer outcome
+  rec.server_role = "bystander";  // not a server role
   EXPECT_FALSE(ValidateQlogLine(QlogRecordToJsonLine(rec)).ok());
 
   std::string good = QlogRecordToJsonLine(MakeFullRecord());

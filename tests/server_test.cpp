@@ -1,7 +1,7 @@
 // Tests for the `mio serve` subsystem: the mio-serve-v1 wire protocol
-// (with a mutation fuzz loop), the admission policy/queue, the coalescer
-// and result cache, the engine's thread-safety contract, and end-to-end
-// socket tests against a live server (concurrent clients,
+// (with a mutation fuzz loop), the admission policy/queue, the result
+// table that coalesces and caches, the engine's thread-safety contract,
+// and end-to-end socket tests against a live server (concurrent clients,
 // coalescing/caching differentials, overload refusal, graceful drain and
 // its stderr markers, and exactly one qlog record per query request). The
 // end-to-end tests drive queries with threads=1 so a TSan build exercises
@@ -30,14 +30,17 @@
 #include "obs/qlog.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
-#include "server/coalescer.hpp"
 #include "server/protocol.hpp"
+#include "server/result_table.hpp"
 #include "server/server.hpp"
 #include "test_utils.hpp"
 
 namespace mio {
 namespace server {
 namespace {
+
+using obs::kRoleCached;
+using obs::kRoleRefused;
 
 // --- Protocol ---------------------------------------------------------------
 
@@ -347,7 +350,7 @@ TEST(AdmissionQueue, CloseDrainsThenReturnsFalse) {
   EXPECT_FALSE(q.Pop(&job));  // closed and empty
 }
 
-// --- Coalescer and result cache ---------------------------------------------
+// --- Result table -----------------------------------------------------------
 
 QueryResult MakeResult(std::uint32_t score, bool complete = true,
                        Status status = Status::OK()) {
@@ -358,74 +361,140 @@ QueryResult MakeResult(std::uint32_t score, bool complete = true,
   return res;
 }
 
-TEST(Coalescer, FollowersShareTheLeadersCompleteResult) {
-  Coalescer c;
-  CoalesceKey key{4.0, 1, 1, false};
-  Coalescer::Ticket leader = c.Join(key);
-  ASSERT_TRUE(leader.leader);
-  Coalescer::Ticket follower = c.Join(key);
-  ASSERT_FALSE(follower.leader);
-  EXPECT_EQ(leader.exec.get(), follower.exec.get());
-  EXPECT_EQ(c.InFlight(), 1u);
+/// The score `exec` resolved with, or -1 when it is not shareable.
+std::int64_t SharedScore(Execution& exec) {
+  QueryResult out;
+  double wall = 0.0;
+  if (!exec.Await(&out, &wall)) return -1;
+  return out.topk.empty() ? 0 : out.topk[0].score;
+}
 
-  c.Publish(key, MakeResult(42), 0.5);
-  EXPECT_EQ(c.InFlight(), 0u);
+TEST(ResultTable, FollowersShareTheLeadersCompleteResult) {
+  ResultTable table(4);
+  const CoalesceKey key{4.0, 1, 1, false};
+  ResultTable::Ticket leader = table.Join(key);
+  ASSERT_EQ(leader.role, ResultTable::Role::kLeader);
+  ResultTable::Ticket follower = table.Join(key);
+  ASSERT_EQ(follower.role, ResultTable::Role::kFollower);
+  EXPECT_EQ(leader.exec.get(), follower.exec.get());
+  EXPECT_EQ(table.cached(), 0u);  // in flight, not yet a cache entry
+
+  table.Publish(key, leader.exec, MakeResult(42), 0.5);
 
   QueryResult shared;
   double wall = 0.0;
-  ASSERT_TRUE(Coalescer::Await(*follower.exec, &shared, &wall));
+  ASSERT_TRUE(follower.exec->Await(&shared, &wall));
   ASSERT_EQ(shared.topk.size(), 1u);
   EXPECT_EQ(shared.topk[0].score, 42u);
   EXPECT_DOUBLE_EQ(wall, 0.5);
-
-  // After Publish the key is free again: the next Join leads.
-  EXPECT_TRUE(c.Join(key).leader);
 }
 
-TEST(Coalescer, DegradedResultsAreNotShared) {
-  Coalescer c;
-  CoalesceKey key{4.0, 1, 1, false};
-  Coalescer::Ticket leader = c.Join(key);
-  Coalescer::Ticket follower = c.Join(key);
-  c.Publish(key, MakeResult(10, /*complete=*/false,
-                            Status::DeadlineExceeded("slow")),
-            0.1);
-  QueryResult shared;
-  double wall = 0.0;
-  // Await resolves but reports non-shareable: the follower must run the
-  // query itself.
-  EXPECT_FALSE(Coalescer::Await(*follower.exec, &shared, &wall));
-  (void)leader;
+// A Join after a shareable Publish is a cache hit. The window this
+// closes: with a separate cache and in-flight map, a request could miss
+// the cache, then the leader cached and published (leaving the in-flight
+// map), and the request's Join found nothing in flight and led a second
+// execution. With one table the lookup and the join are one step.
+TEST(ResultTable, JoinAfterTheLeadersPublishIsACacheHitNotASecondLeader) {
+  ResultTable table(4);
+  const CoalesceKey key{4.0, 1, 1, false};
+  ResultTable::Ticket leader = table.Join(key);
+  table.Publish(key, leader.exec, MakeResult(7), 0.25);
+  ResultTable::Ticket late = table.Join(key);
+  ASSERT_EQ(late.role, ResultTable::Role::kCached);
+  EXPECT_EQ(late.exec.get(), leader.exec.get());
+  EXPECT_EQ(SharedScore(*late.exec), 7);
+  EXPECT_EQ(table.cached(), 1u);
 }
 
-TEST(ResultCache, LruEvictionAndTouch) {
-  ResultCache cache(2);
-  CoalesceKey a{1.0, 1, 1, false}, b{2.0, 1, 1, false}, c{3.0, 1, 1, false};
-  cache.Insert(a, MakeResult(1), 0.0);
-  cache.Insert(b, MakeResult(2), 0.0);
-  QueryResult out;
-  double wall = 0.0;
-  ASSERT_TRUE(cache.Lookup(a, &out, &wall));  // touch a: b is now LRU
-  cache.Insert(c, MakeResult(3), 0.0);        // evicts b
-  EXPECT_TRUE(cache.Lookup(a, &out, &wall));
-  EXPECT_FALSE(cache.Lookup(b, &out, &wall));
-  EXPECT_TRUE(cache.Lookup(c, &out, &wall));
-  EXPECT_EQ(cache.size(), 2u);
+TEST(ResultTable, DegradedAndRefusedResultsAreNeitherSharedNorCached) {
+  ResultTable table(4);
+  const CoalesceKey key{4.0, 1, 1, false};
+  for (QueryResult bad :
+       {MakeResult(10, /*complete=*/false, Status::DeadlineExceeded("slow")),
+        MakeResult(10, /*complete=*/false, Status::Overloaded("queue full")),
+        MakeResult(10, /*complete=*/true, Status::Cancelled("drain"))}) {
+    ResultTable::Ticket leader = table.Join(key);
+    ASSERT_EQ(leader.role, ResultTable::Role::kLeader);
+    ResultTable::Ticket follower = table.Join(key);
+    ASSERT_EQ(follower.role, ResultTable::Role::kFollower);
+    table.Publish(key, leader.exec, std::move(bad), 0.1);
+    // Await resolves but reports non-shareable: the follower must run
+    // the query itself.
+    EXPECT_EQ(SharedScore(*follower.exec), -1);
+    EXPECT_EQ(table.cached(), 0u);
+    // The entry left the table: the next request leads a fresh run.
+    ResultTable::Ticket next = table.Join(key);
+    EXPECT_EQ(next.role, ResultTable::Role::kLeader);
+    EXPECT_NE(next.exec.get(), leader.exec.get());
+    table.Publish(key, next.exec, MakeResult(0, false), 0.0);
+  }
+  // A solo run's degraded result is not offered either.
+  table.Publish(key, std::make_shared<Execution>(), MakeResult(3, false), 0.0);
+  EXPECT_EQ(table.cached(), 0u);
 }
 
-TEST(ResultCache, RefusesDegradedResultsAndHonorsZeroCapacity) {
-  ResultCache cache(4);
-  CoalesceKey key{1.0, 1, 1, false};
-  cache.Insert(key, MakeResult(1, /*complete=*/false), 0.0);
-  cache.Insert(key, MakeResult(1, true, Status::Cancelled("drain")), 0.0);
-  QueryResult out;
-  double wall = 0.0;
-  EXPECT_FALSE(cache.Lookup(key, &out, &wall));
-  EXPECT_EQ(cache.size(), 0u);
+TEST(ResultTable, LruEvictionAndTouch) {
+  ResultTable table(2);
+  const CoalesceKey a{1.0, 1, 1, false}, b{2.0, 1, 1, false},
+      c{3.0, 1, 1, false};
+  for (const CoalesceKey& key : {a, b}) {
+    table.Publish(key, table.Join(key).exec, MakeResult(1), 0.0);
+  }
+  ASSERT_EQ(table.Join(a).role, ResultTable::Role::kCached);  // b is LRU
+  table.Publish(c, table.Join(c).exec, MakeResult(3), 0.0);   // evicts b
+  EXPECT_EQ(table.cached(), 2u);
+  EXPECT_EQ(table.Join(a).role, ResultTable::Role::kCached);
+  EXPECT_EQ(table.Join(c).role, ResultTable::Role::kCached);
+  ResultTable::Ticket again = table.Join(b);
+  EXPECT_EQ(again.role, ResultTable::Role::kLeader);
+  table.Publish(b, again.exec, MakeResult(2), 0.0);
+}
 
-  ResultCache off(0);
-  off.Insert(key, MakeResult(1), 0.0);
-  EXPECT_FALSE(off.Lookup(key, &out, &wall));
+TEST(ResultTable, EvictionNeverDropsAnInFlightEntry) {
+  ResultTable table(1);
+  const CoalesceKey slow{1.0, 1, 1, false};
+  ResultTable::Ticket leader = table.Join(slow);
+  // Finished entries for other keys churn through the single slot while
+  // `slow` stays in flight.
+  for (double r : {2.0, 3.0, 4.0}) {
+    const CoalesceKey key{r, 1, 1, false};
+    table.Publish(key, table.Join(key).exec, MakeResult(1), 0.0);
+    EXPECT_EQ(table.cached(), 1u);
+  }
+  ResultTable::Ticket follower = table.Join(slow);
+  ASSERT_EQ(follower.role, ResultTable::Role::kFollower);
+  EXPECT_EQ(follower.exec.get(), leader.exec.get());
+  table.Publish(slow, leader.exec, MakeResult(9), 0.0);
+  EXPECT_EQ(SharedScore(*follower.exec), 9);
+  EXPECT_EQ(table.Join(slow).role, ResultTable::Role::kCached);
+}
+
+TEST(ResultTable, SoloRunOffersItsCompleteResult) {
+  ResultTable table(4);
+  const CoalesceKey key{5.0, 2, 1, true};
+  auto solo = std::make_shared<Execution>();
+  table.Publish(key, solo, MakeResult(11), 0.0);
+  EXPECT_EQ(SharedScore(*solo), 11);  // the solo's own answer
+  ResultTable::Ticket hit = table.Join(key);
+  ASSERT_EQ(hit.role, ResultTable::Role::kCached);
+  EXPECT_EQ(SharedScore(*hit.exec), 11);
+}
+
+TEST(ResultTable, ZeroCapacityCoalescesButCachesNothing) {
+  ResultTable table(0);
+  const CoalesceKey key{1.0, 1, 1, false};
+  ResultTable::Ticket leader = table.Join(key);
+  ResultTable::Ticket follower = table.Join(key);
+  ASSERT_EQ(leader.role, ResultTable::Role::kLeader);
+  ASSERT_EQ(follower.role, ResultTable::Role::kFollower);
+  table.Publish(key, leader.exec, MakeResult(5), 0.0);
+  EXPECT_EQ(SharedScore(*follower.exec), 5);
+  EXPECT_EQ(table.cached(), 0u);
+  ResultTable::Ticket next = table.Join(key);
+  EXPECT_EQ(next.role, ResultTable::Role::kLeader);
+  table.Publish(key, next.exec, MakeResult(5), 0.0);
+  table.Publish(key, std::make_shared<Execution>(), MakeResult(5), 0.0);
+  EXPECT_EQ(table.cached(), 0u);
 }
 
 // --- Engine thread-safety (the TSan target) ---------------------------------

@@ -55,22 +55,22 @@ TEST(MetricNames, EveryCounterHasLegalUniqueNames) {
   std::set<std::string> display, metric;
   for (int c = 0; c < kNumCounters; ++c) {
     const char* d = CounterName(static_cast<Counter>(c));
-    const char* m = CounterMetricName(static_cast<Counter>(c));
+    const std::string m = CounterMetricName(static_cast<Counter>(c));
     ASSERT_NE(d, nullptr);
-    ASSERT_NE(m, nullptr);
     EXPECT_STRNE(d, "unknown") << "counter " << c;
-    EXPECT_STRNE(m, "unknown") << "counter " << c;
     EXPECT_TRUE(IsOpenMetricsName(m)) << m;
     EXPECT_TRUE(display.insert(d).second) << "duplicate display name " << d;
     EXPECT_TRUE(metric.insert(m).second) << "duplicate metric name " << m;
   }
+  // The sample name is the display name with '.' as '_'.
+  EXPECT_EQ(CounterMetricName(Counter::kServerCacheHits), "server_cache_hits");
 }
 
 TEST(MetricNames, EveryHistogramHasLegalUniqueNames) {
   std::set<std::string> display, metric;
   for (int h = 0; h < kNumHistograms; ++h) {
     const char* d = HistogramName(static_cast<Histogram>(h));
-    const char* m = HistogramMetricName(static_cast<Histogram>(h));
+    const std::string m = HistogramMetricName(static_cast<Histogram>(h));
     EXPECT_STRNE(d, "unknown") << "histogram " << h;
     EXPECT_TRUE(IsOpenMetricsName(m)) << m;
     EXPECT_TRUE(display.insert(d).second) << "duplicate display name " << d;

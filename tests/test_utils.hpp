@@ -1,15 +1,19 @@
 // Shared helpers for the mio test suite: deterministic random datasets,
 // the brute-force oracle every algorithm is differentially tested against,
-// and the line mutator the in-tree parser fuzz loops run on.
+// and the line and byte mutators the in-tree parser fuzz loops run on.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "baseline/nested_loop.hpp"
 #include "common/random.hpp"
+#include "common/status.hpp"
 #include "object/object_set.hpp"
 
 namespace mio {
@@ -104,6 +108,82 @@ inline std::string MutateLine(const std::vector<std::string>& seeds,
     }
   }
   return line;
+}
+
+/// How a fuzzed input that fails to load must fail: a typed non-OK
+/// Status (not kInternal) with a message.
+inline bool IsTypedFailure(const Status& st) {
+  return !st.ok() && st.code() != StatusCode::kInternal &&
+         !st.message().empty();
+}
+
+/// One deterministic fuzz input for a line-oriented file: `text` with one
+/// line replaced by MutateLine over the file's own lines.
+inline std::string MutateOneLine(const std::string& text, Pcg32& rng) {
+  std::vector<std::string> lines;
+  for (std::size_t b = 0; b < text.size();) {
+    std::size_t e = text.find('\n', b);
+    if (e == std::string::npos) e = text.size();
+    lines.push_back(text.substr(b, e - b));
+    b = e + 1;
+  }
+  if (lines.empty()) return text;
+  lines[rng.NextBounded(static_cast<std::uint32_t>(lines.size()))] =
+      MutateLine(lines, rng);
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+/// One deterministic fuzz input for a file reader: a seed file with 1-3
+/// mutations — a bit flip, a truncation, a span deleted or duplicated, or
+/// 8 bytes overwritten by an extreme little-endian value (0, 2^64 - 1,
+/// 2^63, NaN, +-Inf, DBL_MAX, 2^32). No corpus: the seeds are valid
+/// files of the format under test.
+inline std::string MutateBytes(const std::vector<std::string>& seeds,
+                               Pcg32& rng) {
+  static const std::uint64_t kExtremes[] = {
+      0,
+      ~std::uint64_t{0},
+      std::uint64_t{1} << 63,
+      0x7FF8000000000000ULL,  // NaN
+      0x7FF0000000000000ULL,  // +Inf
+      0xFFF0000000000000ULL,  // -Inf
+      0x7FEFFFFFFFFFFFFFULL,  // DBL_MAX
+      std::uint64_t{1} << 32};
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.NextBounded(static_cast<std::uint32_t>(n)));
+  };
+  std::string bytes = seeds[pick(seeds.size())];
+  const int rounds = 1 + static_cast<int>(rng.NextBounded(3));
+  for (int i = 0; i < rounds && !bytes.empty(); ++i) {
+    const std::size_t at = pick(bytes.size());
+    switch (rng.NextBounded(4)) {
+      case 0:
+        bytes[at] ^= static_cast<char>(1u << rng.NextBounded(8));
+        break;
+      case 1:
+        bytes.resize(at);
+        break;
+      case 2: {
+        const std::size_t len = 1 + pick(std::min<std::size_t>(
+                                        64, bytes.size() - at));
+        if (rng.NextBounded(2) == 0) {
+          bytes.erase(at, len);
+        } else {
+          bytes.insert(at, bytes.substr(at, len));
+        }
+        break;
+      }
+      default: {
+        const std::uint64_t v = kExtremes[pick(std::size(kExtremes))];
+        std::memcpy(&bytes[at], &v,
+                    std::min(sizeof(v), bytes.size() - at));
+      }
+    }
+  }
+  return bytes;
 }
 
 }  // namespace testing

@@ -174,6 +174,13 @@ mio::Status MsFlag(const mio::ArgParser& args, const char* name,
 }
 
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr double kDoubleMax = std::numeric_limits<double>::max();
+
+/// `--r`: a finite number >= 0. The engine keeps its own radius domain
+/// (r > 0, a cell lattice that fits int32).
+mio::Status RadiusFlag(const mio::ArgParser& args, double* r) {
+  return DoubleFlag(args, "r", 4.0, 0.0, kDoubleMax, r);
+}
 
 /// `--k` and `--threads`, range-checked: k >= 0, as `mio serve` accepts
 /// (0 and 1 both ask for the single most interactive object), and threads
@@ -215,9 +222,12 @@ int CmdGenerate(const mio::ArgParser& args) {
                                   ? mio::datagen::Scale::kFull
                                   : mio::datagen::Scale::kQuick;
   std::string out = args.GetString("out", name + ".bin");
+  std::uint64_t seed = 42;
+  mio::Status parsed = IntFlag(args, "seed", 42, 0,
+                               std::numeric_limits<std::int64_t>::max(), &seed);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Timer t;
-  mio::ObjectSet set = mio::datagen::MakePreset(
-      preset, scale, static_cast<std::uint64_t>(args.GetInt("seed", 42)));
+  mio::ObjectSet set = mio::datagen::MakePreset(preset, scale, seed);
   mio::Status st = SaveAny(set, out, args.GetString("format", ""));
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s (%.2fs)\n", out.c_str(),
@@ -334,15 +344,15 @@ int CmdQueryConnect(const mio::ArgParser& args) {
   mio::server::ServeRequest req;
   req.id = "cli";
   req.op = "query";
-  req.r = args.GetDouble("r", 4.0);
   std::size_t k = 1;
-  for (const mio::Status& st : {ClientConfigFromArgs(args, &cfg),
-                                ParseKAndThreads(args, &k, &req.threads)}) {
+  for (const mio::Status& st :
+       {RadiusFlag(args, &req.r), ClientConfigFromArgs(args, &cfg),
+        ParseKAndThreads(args, &k, &req.threads),
+        MsFlag(args, "deadline-ms", 0.0, &req.deadline_ms)}) {
     if (!st.ok()) return StatusExit(st);
   }
   req.k = k;
   req.use_labels = args.Has("use-labels");
-  req.deadline_ms = args.GetDouble("deadline-ms", 0.0);
   req.no_coalesce = args.Has("no-coalesce");
   mio::server::ServeResponse res;
   mio::Timer t;
@@ -555,14 +565,18 @@ int CmdTop(const mio::ArgParser& args) {
 
 int CmdQuery(const mio::ArgParser& args) {
   if (args.Has("connect")) return CmdQueryConnect(args);
-  double r = args.GetDouble("r", 4.0);
+  double r = 4.0;
   std::size_t k = 1;
   int threads = 1;
   double memory_budget_mb = 0.0;
+  double delta = 0.0;
+  double deadline_ms = 0.0;
   for (const mio::Status& st :
-       {ParseKAndThreads(args, &k, &threads),
+       {RadiusFlag(args, &r), ParseKAndThreads(args, &k, &threads),
         DoubleFlag(args, "memory-budget-mb", 0.0, 0.0, 1e9,
-                   &memory_budget_mb)}) {
+                   &memory_budget_mb),
+        DoubleFlag(args, "delta", 0.0, 0.0, kDoubleMax, &delta),
+        MsFlag(args, "deadline-ms", 0.0, &deadline_ms)}) {
     if (!st.ok()) return StatusExit(st);
   }
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
@@ -587,7 +601,7 @@ int CmdQuery(const mio::ArgParser& args) {
   mio::QueryResult res;
   if (args.Has("delta")) {
     algo = "temporal";
-    res = mio::TemporalMioQuery(set, r, args.GetDouble("delta", 0.0), k);
+    res = mio::TemporalMioQuery(set, r, delta, k);
   } else if (algo == "nl") {
     res = mio::NestedLoopQuery(set, r, threads, k);
   } else if (algo == "nl-kd") {
@@ -608,7 +622,7 @@ int CmdQuery(const mio::ArgParser& args) {
     opt.k = k;
     opt.threads = threads;
     opt.use_labels = opt.record_labels = args.Has("labels");
-    opt.deadline_ms = args.GetDouble("deadline-ms", 0.0);
+    opt.deadline_ms = deadline_ms;
     opt.memory_budget_bytes =
         static_cast<std::size_t>(memory_budget_mb * 1024.0 * 1024.0);
     res = engine.Query(r, opt);
@@ -629,6 +643,9 @@ int CmdSweep(const mio::ArgParser& args) {
   mio::QueryOptions opt;
   mio::Status parsed = ParseKAndThreads(args, &opt.k, &opt.threads);
   if (!parsed.ok()) return StatusExit(parsed);
+  mio::Result<std::vector<double>> radii =
+      args.GetDoubleListInRange("r", {4, 6, 8, 10}, 0.0, kDoubleMax);
+  if (!radii.ok()) return StatusExit(radii.status());
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
@@ -650,7 +667,7 @@ int CmdSweep(const mio::ArgParser& args) {
               "labels");
   // --stats-json records the last query of the sweep.
   mio::QueryResult last;
-  for (double r : args.GetDoubleList("r", {4, 6, 8, 10})) {
+  for (double r : radii.value()) {
     bool had = engine.HasLabelsFor(r);
     mio::Timer t;
     mio::QueryResult res = engine.Query(r, opt);
@@ -671,13 +688,13 @@ int CmdSweep(const mio::ArgParser& args) {
 // --- mio profile -----------------------------------------------------------
 
 int CmdProfile(const mio::ArgParser& args) {
-  double r = args.GetDouble("r", 4.0);
+  double r = 4.0;
   std::size_t k = 1;
   int threads = 1;
   int warmup = 1;
   int runs = 5;
   for (const mio::Status& st :
-       {ParseKAndThreads(args, &k, &threads),
+       {RadiusFlag(args, &r), ParseKAndThreads(args, &k, &threads),
         IntFlag(args, "warmup", 1, 0, 1000000, &warmup),
         IntFlag(args, "runs", 5, 1, 1000000, &runs)}) {
     if (!st.ok()) return StatusExit(st);
@@ -737,11 +754,13 @@ int CmdProfile(const mio::ArgParser& args) {
 // --- mio explain -----------------------------------------------------------
 
 int CmdExplain(const mio::ArgParser& args) {
-  double r = args.GetDouble("r", 4.0);
+  double r = 4.0;
   std::size_t k = 1;
   int threads = 1;
-  mio::Status parsed = ParseKAndThreads(args, &k, &threads);
-  if (!parsed.ok()) return StatusExit(parsed);
+  for (const mio::Status& st :
+       {RadiusFlag(args, &r), ParseKAndThreads(args, &k, &threads)}) {
+    if (!st.ok()) return StatusExit(st);
+  }
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
@@ -975,6 +994,9 @@ int CmdQlogReport(const mio::ArgParser& args) {
     std::fprintf(stderr, "qlog report: --in=FILE is required\n");
     return 1;
   }
+  std::size_t slowest_n = 5;
+  mio::Status parsed = IntFlag(args, "slowest", 5, 0, kInt32Max, &slowest_n);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<std::vector<mio::obs::QlogRecord>> records =
       mio::obs::LoadQlogFile(args.GetString("in", ""));
   if (!records.ok()) return StatusExit(records.status());
@@ -990,8 +1012,6 @@ int CmdQlogReport(const mio::ArgParser& args) {
                  args.Has("slo") ? " (refusing a vacuous SLO pass)" : "");
     return mio::ExitCodeFor(mio::StatusCode::kInvalidArgument);
   }
-  std::size_t slowest_n =
-      static_cast<std::size_t>(args.GetInt("slowest", 5));
   std::string trace_dir = args.GetString("trace-dir", "");
   mio::obs::QlogReport report =
       mio::obs::BuildQlogReport(records.value(), slowest_n);
@@ -1112,8 +1132,9 @@ int CmdImportCsv(const mio::ArgParser& args) {
   opt.time_column = args.GetString("time-col", "");
   std::string delim = args.GetString("delim", ",");
   if (!delim.empty()) opt.delimiter = delim[0];
-  opt.max_points_per_object =
-      static_cast<std::size_t>(args.GetInt("split", 0));
+  mio::Status parsed =
+      IntFlag(args, "split", 0, 0, kInt32Max, &opt.max_points_per_object);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<mio::ObjectSet> set =
       mio::LoadTrajectoryCsv(args.GetString("in", ""), opt);
   if (!set.ok()) return StatusExit(set.status());
