@@ -215,6 +215,158 @@ TEST(QlogRecord, DefaultRecordIsValid) {
   EXPECT_TRUE(ValidateQlogLine(line).ok()) << line;
 }
 
+/// A batched member's record, without a server section.
+QlogRecord MakeBatchedRecord() {
+  QlogRecord rec;
+  rec.batch_id = 3;
+  rec.batch_size = 8;
+  rec.label_outcome = "recorded";
+  return rec;
+}
+
+/// A record whose detail sections are filled by hand: memory parts, two
+/// verification threads, compression, timing-tier hardware counts, one
+/// counter and one histogram, and the tracker entries.
+QlogRecord MakeDetailRecord() {
+  QlogRecord rec;
+  rec.query_index = 7;
+  rec.workload = "detail";
+  rec.r = 2.5;
+  auto stats = std::make_shared<QueryStats>();
+  stats->memory.Add("small_grid", 4096);
+  stats->memory.Add("large_grid", 1024);
+  stats->verify_thread_seconds = {0.25, 0.75};
+  stats->compression.num_bitsets = 12;
+  stats->compression.compressed_bytes = 300;
+  stats->compression.uncompressed_bytes = 1200;
+  stats->hardware.grid_mapping.Set(PmuEvent::kTaskClockNs, 1500);
+  stats->hardware.verification.Set(PmuEvent::kTaskClockNs, 2500);
+  rec.detail = stats;
+  auto metrics = std::make_shared<MetricsSnapshot>();
+  metrics->counters[static_cast<std::size_t>(Counter::kPostingScans)] = 9;
+  HistogramSnapshot& hist =
+      metrics->histograms[static_cast<std::size_t>(Histogram::kUbUnionBits)];
+  hist.count = 3;
+  hist.sum = 14;
+  hist.min = 2;
+  hist.max = 8;
+  hist.buckets[2] = 1;
+  hist.buckets[3] = 1;
+  hist.buckets[4] = 1;
+  rec.metrics = metrics;
+  rec.tracker = {{"small_grid", 4096, 8192}, {"labels", 0, 512}};
+  return rec;
+}
+
+// The exact bytes of the writer, captured from the writer before the
+// record's fields moved into one table: keys, order, number formatting
+// and every omission rule.
+TEST(QlogRecord, WriterBytesArePinned) {
+  QlogRecord truncated = MakeFullRecord();
+  truncated.truncated = true;
+  const std::pair<QlogRecord, std::string> pins[] = {
+      {truncated,
+       R"({"schema":"mio-qlog-v1","truncated":true,"query_index":41)"
+       R"(,"workload":"mix-workload","dataset":"data/birds.bin")"
+       R"(,"algo":"bigrid-label","params":{"r":4.25,"ceil_r":5,"k":3)"
+       R"(,"threads":7,"scale":"quick"},"wall_seconds":0.125)"
+       R"(,"total_seconds":0.117,"phases":{"label_input":0.001)"
+       R"(,"grid_mapping":0.032,"lower_bounding":0.008)"
+       R"(,"upper_bounding":0.046,"verification":0.03,"total":0.117})"
+       R"(,"funnel":{"objects":1200,"candidates":321,"verified":54)"
+       R"(,"distance_computations":987654,"tau_low_max":288})"
+       R"(,"grid":{"reused":true,"cells_small":4321,"cells_large":765})"
+       R"(,"winner":{"id":17,"score":290},"labels":{"outcome":"hit_disk")"
+       R"(,"points_pruned":23456},"outcome":{"status":"DeadlineExceeded")"
+       R"(,"complete":false,"degradation_level":2})"
+       R"(,"env":{"git":"v1.2-3-gabcdef","pmu_tier":"timing")"
+       R"(,"kernel_tier":"avx2"},"memory":{"index_bytes":123456789)"
+       R"(,"peak_bytes":234567890},"trace":{"dropped_spans":11})"
+       R"(,"server":{"request_id":"r000041","correlation_id":"client-7")"
+       R"(,"client":"c3","role":"leader","queue_wait_seconds":0.004)"
+       R"(,"e2e_seconds":0.131,"refusal":"not really")"
+       R"(,"retry_after_ms":12.5,"stages":{"accepted":10,"enqueued":10.002)"
+       R"(,"dequeued":10.006,"executed":10.123,"responded":10.131}}})"},
+      {MakeRefusedRecord(),
+       R"({"schema":"mio-qlog-v1","query_index":42,"workload":"serve")"
+       R"(,"dataset":"","algo":"","params":{"r":3,"ceil_r":0,"k":1)"
+       R"(,"threads":1},"wall_seconds":0.0001,"total_seconds":0)"
+       R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
+       R"(,"upper_bounding":0,"verification":0,"total":0})"
+       R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
+       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
+       R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
+       R"(,"points_pruned":0},"outcome":{"status":"Overloaded")"
+       R"(,"complete":false,"degradation_level":0},"env":{"git":"")"
+       R"(,"pmu_tier":"","kernel_tier":""},"memory":{"index_bytes":0)"
+       R"(,"peak_bytes":0},"trace":{"dropped_spans":0})"
+       R"(,"server":{"request_id":"r000042","client":"c4","role":"refused")"
+       R"(,"queue_wait_seconds":0,"e2e_seconds":0.0001)"
+       R"(,"refusal":"admission queue full","retry_after_ms":75)"
+       R"(,"stages":{"accepted":11,"responded":11.0001}}})"},
+      {MakeBatchedRecord(),
+       R"({"schema":"mio-qlog-v1","query_index":0,"workload":"")"
+       R"(,"dataset":"","algo":"","params":{"r":0,"ceil_r":0,"k":1)"
+       R"(,"threads":1},"wall_seconds":0,"total_seconds":0)"
+       R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
+       R"(,"upper_bounding":0,"verification":0,"total":0})"
+       R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
+       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
+       R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"recorded")"
+       R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
+       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0})"
+       R"(,"trace":{"dropped_spans":0},"batch":{"id":3,"size":8}})"},
+      {QlogRecord{},
+       R"({"schema":"mio-qlog-v1","query_index":0,"workload":"")"
+       R"(,"dataset":"","algo":"","params":{"r":0,"ceil_r":0,"k":1)"
+       R"(,"threads":1},"wall_seconds":0,"total_seconds":0)"
+       R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
+       R"(,"upper_bounding":0,"verification":0,"total":0})"
+       R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
+       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
+       R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
+       R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
+       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0})"
+       R"(,"trace":{"dropped_spans":0}})"},
+      {MakeDetailRecord(),
+       R"({"schema":"mio-qlog-v1","query_index":7,"workload":"detail")"
+       R"(,"dataset":"","algo":"","params":{"r":2.5,"ceil_r":0,"k":1)"
+       R"(,"threads":1},"wall_seconds":0,"total_seconds":0)"
+       R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
+       R"(,"upper_bounding":0,"verification":0,"total":0})"
+       R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
+       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
+       R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
+       R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
+       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0)"
+       R"(,"parts":{"small_grid":4096,"large_grid":1024})"
+       R"(,"tracker":{"small_grid":{"current_bytes":4096)"
+       R"(,"peak_bytes":8192},"labels":{"current_bytes":0)"
+       R"(,"peak_bytes":512}}},"trace":{"dropped_spans":0})"
+       R"(,"hardware":{"phases":{"grid_mapping":{"task_clock_ns":1500})"
+       R"(,"verification":{"task_clock_ns":2500})"
+       R"(,"total":{"task_clock_ns":4000}}})"
+       R"(,"verify_load_balance":{"workers":2,"per_thread_seconds":[0.25)"
+       R"(,0.75],"min_seconds":0.25,"max_seconds":0.75,"mean_seconds":0.5)"
+       R"(,"imbalance":1.5},"compression":{"num_bitsets":12)"
+       R"(,"compressed_bytes":300,"uncompressed_bytes":1200)"
+       R"(,"savings_ratio":0.75},"metrics":{"counters":{"posting_scans":9})"
+       R"(,"histograms":{"ub_union_bits":{"count":3,"sum":14,"min":2)"
+       R"(,"max":8,"mean":4.66666667,"p50":6,"p90":8,"p99":8)"
+       R"(,"log2_buckets":{"2":1,"3":1,"4":1}}}}})"},
+  };
+  for (const auto& [rec, pinned] : pins) {
+    EXPECT_EQ(QlogRecordToJsonLine(rec), pinned);
+  }
+}
+
 // The one builder every emitter uses: each engine-derived field must be
 // the query's QueryStats value, for an unlabelled query that records
 // labels and a labelled one that reuses them.
@@ -401,18 +553,55 @@ TEST(QlogValidate, RejectsMissingOrWrongTypedFields) {
   ASSERT_TRUE(ValidateQlogLine(good).ok());
 
   // Dropping any single required field must fail validation. Fields are
-  // located via their serialized "key":value form.
+  // located via their serialized "key":value form, with the comma that
+  // keeps the rest well-formed, so the schema is what rejects the line.
+  // The list is written out by hand, independently of the writer.
   for (const char* needle :
-       {"\"query_index\":41,", "\"wall_seconds\":0.125,",
-        "\"verification\":0.03,", "\"objects\":1200,",
-        "\"outcome\":\"hit_disk\",", "\"complete\":false,",
-        "\"pmu_tier\":\"timing\",", "\"dropped_spans\":11"}) {
+       {"\"schema\":\"mio-qlog-v1\",", "\"query_index\":41,",
+        "\"workload\":\"mix-workload\",", "\"dataset\":\"data/birds.bin\",",
+        "\"algo\":\"bigrid-label\",", "\"r\":4.25,", "\"ceil_r\":5,",
+        "\"k\":3,", "\"threads\":7,", "\"wall_seconds\":0.125,",
+        "\"total_seconds\":0.117,", "\"label_input\":0.001,",
+        "\"grid_mapping\":0.032,", "\"lower_bounding\":0.008,",
+        "\"upper_bounding\":0.046,", "\"verification\":0.03,",
+        ",\"total\":0.117", "\"objects\":1200,", "\"candidates\":321,",
+        "\"verified\":54,", "\"distance_computations\":987654,",
+        "\"reused\":true,", "\"cells_small\":4321,", ",\"cells_large\":765",
+        "\"id\":17,", ",\"score\":290", "\"outcome\":\"hit_disk\",",
+        ",\"points_pruned\":23456", "\"status\":\"DeadlineExceeded\",",
+        "\"complete\":false,", ",\"degradation_level\":2",
+        "\"pmu_tier\":\"timing\",", ",\"kernel_tier\":\"avx2\"",
+        "\"index_bytes\":123456789,", ",\"peak_bytes\":234567890",
+        "\"dropped_spans\":11", "\"request_id\":\"r000041\",",
+        "\"role\":\"leader\",", "\"queue_wait_seconds\":0.004,",
+        "\"e2e_seconds\":0.131,"}) {
     std::string broken = good;
     std::size_t pos = broken.find(needle);
     ASSERT_NE(pos, std::string::npos) << needle;
     broken.erase(pos, std::string(needle).size());
-    // The erase may leave a syntactically valid document (trailing comma
-    // handling) or not; either way it must not validate.
+    ASSERT_TRUE(ValidateJson(broken)) << broken;
+    EXPECT_FALSE(ValidateQlogLine(broken).ok()) << "dropped " << needle;
+  }
+  // So must dropping a required section, or a present batch section's
+  // fields.
+  for (const char* section : {"params", "phases", "funnel", "winner",
+                              "labels", "outcome", "env", "memory",
+                              "trace"}) {
+    std::string broken = good;
+    const std::size_t pos = broken.find("\"" + std::string(section) + "\":{");
+    ASSERT_NE(pos, std::string::npos) << section;
+    broken.erase(pos, broken.find("},", pos) + 2 - pos);
+    ASSERT_TRUE(ValidateJson(broken)) << broken;
+    EXPECT_FALSE(ValidateQlogLine(broken).ok()) << "dropped " << section;
+  }
+  const std::string batched = QlogRecordToJsonLine(MakeBatchedRecord());
+  ASSERT_TRUE(ValidateQlogLine(batched).ok());
+  for (const char* needle : {"\"id\":3,", ",\"size\":8"}) {
+    std::string broken = batched;
+    std::size_t pos = broken.find(needle);
+    ASSERT_NE(pos, std::string::npos) << needle;
+    broken.erase(pos, std::string(needle).size());
+    ASSERT_TRUE(ValidateJson(broken)) << broken;
     EXPECT_FALSE(ValidateQlogLine(broken).ok()) << "dropped " << needle;
   }
 
@@ -536,11 +725,17 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
 
   // Records written before params.scale, funnel.tau_low_max, the grid
   // section and env.git existed (the committed BENCH files) still
-  // validate and read back with defaults.
+  // validate and read back with defaults. So does a server section
+  // without any of its optional keys. The list of optional keys is
+  // written out by hand, independently of the writer.
   std::string pre_grid = new_line;
   for (const std::string cut :
        {",\"scale\":\"quick\"", ",\"tau_low_max\":288",
-        "\"git\":\"v1.2-3-gabcdef\","}) {
+        "\"git\":\"v1.2-3-gabcdef\",", "\"correlation_id\":\"client-7\",",
+        "\"client\":\"c3\",", ",\"refusal\":\"not really\"",
+        ",\"retry_after_ms\":12.5",
+        ",\"stages\":{\"accepted\":10,\"enqueued\":10.002,"
+        "\"dequeued\":10.006,\"executed\":10.123,\"responded\":10.131}"}) {
     std::size_t pos = pre_grid.find(cut);
     ASSERT_NE(pos, std::string::npos) << cut;
     pre_grid.erase(pos, cut.size());
@@ -557,6 +752,37 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
   EXPECT_EQ(pre_back.cells_large, 0u);
   EXPECT_EQ(pre_back.git, "");
   EXPECT_EQ(pre_back.winner_id, 17u);
+  EXPECT_EQ(pre_back.server_request_id, "r000041");
+  EXPECT_EQ(pre_back.server_correlation_id, "");
+  EXPECT_EQ(pre_back.server_client, "");
+  EXPECT_EQ(pre_back.server_refusal, "");
+  EXPECT_EQ(pre_back.server_retry_after_ms, 0.0);
+  for (double stage : pre_back.server_stages) EXPECT_LT(stage, 0.0);
+
+  // The truncated marker and the detail sections are optional too.
+  QlogRecord detail = MakeDetailRecord();
+  detail.truncated = true;
+  std::string bare = QlogRecordToJsonLine(detail);
+  for (const std::string cut :
+       {"\"truncated\":true,",
+        ",\"parts\":{\"small_grid\":4096,\"large_grid\":1024}",
+        ",\"tracker\":{\"small_grid\":{\"current_bytes\":4096,"
+        "\"peak_bytes\":8192},\"labels\":{\"current_bytes\":0,"
+        "\"peak_bytes\":512}}"}) {
+    std::size_t pos = bare.find(cut);
+    ASSERT_NE(pos, std::string::npos) << cut;
+    bare.erase(pos, cut.size());
+  }
+  // hardware, verify_load_balance, compression and metrics follow trace.
+  const std::string trace = "\"trace\":{\"dropped_spans\":0}";
+  std::size_t end = bare.find(trace);
+  ASSERT_NE(end, std::string::npos);
+  bare.erase(end + trace.size());
+  bare += "}";
+  QlogRecord bare_back;
+  ASSERT_TRUE(ParseQlogRecord(bare, &bare_back).ok()) << bare;
+  EXPECT_FALSE(bare_back.truncated);
+  EXPECT_EQ(bare_back.query_index, 7u);
 
   // A report over the mixed population counts only the server records
   // in the server split.
