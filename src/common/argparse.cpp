@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <utility>
 
 namespace mio {
 namespace {
@@ -13,14 +13,18 @@ bool LooksLikeFlag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
+/// The comma-separated items of `s`; empty ones only with `keep_empty`
+/// ("3,,4" then has three items and "3," two).
+std::vector<std::string> SplitCommas(const std::string& s,
+                                     bool keep_empty = false) {
   std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = s.find(',', begin);
+    std::string item = s.substr(begin, comma - begin);
+    if (keep_empty || !item.empty()) out.push_back(std::move(item));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -118,7 +122,8 @@ Result<std::vector<double>> ArgParser::GetDoubleListInRange(
   auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
   std::vector<double> out;
-  for (const std::string& tok : SplitCommas(it->second)) {
+  // An empty item is rejected like junk, so "3,,4" does not read as 3,4.
+  for (const std::string& tok : SplitCommas(it->second, /*keep_empty=*/true)) {
     Result<double> v = ParseDoubleInRange(name, it->second, tok, lo, hi);
     if (!v.ok()) return v.status();
     out.push_back(v.value());

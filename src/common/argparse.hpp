@@ -41,7 +41,8 @@ class ArgParser {
                                   double lo, double hi) const;
   /// Checked GetDoubleList: every comma-separated item of `--name` as
   /// GetDoubleInRange reads one value, or `fallback` when absent. One bad
-  /// item rejects the whole list (GetDoubleList reads "abc" as 0).
+  /// or empty item rejects the whole list (GetDoubleList reads "abc" as 0
+  /// and skips empty items).
   Result<std::vector<double>> GetDoubleListInRange(
       const std::string& name, std::vector<double> fallback, double lo,
       double hi) const;

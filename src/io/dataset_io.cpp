@@ -1,6 +1,7 @@
 #include "io/dataset_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -111,13 +112,11 @@ Result<ObjectSet> LoadDatasetText(const std::string& path) {
       }
       std::istringstream ps(line);
       Point p;
+      double t = 0.0;
       ps >> p.x >> p.y >> p.z;
+      if (has_times) ps >> t;
       if (!ps) return Status::Corruption("bad point line: " + line);
-      if (has_times) {
-        double t = 0.0;
-        ps >> t;
-        obj.times.push_back(t);
-      }
+      if (has_times) obj.times.push_back(t);
       obj.points.push_back(p);
     }
     set.Add(std::move(obj));
@@ -245,6 +244,15 @@ Result<ObjectSet> LoadDatasetBinary(const std::string& path) {
   if (!in) return Status::Corruption("truncated checksum trailer in " + path);
   if (stored != checksum) {
     return Status::Corruption("checksum mismatch in " + path);
+  }
+  // The text loader and the importers refuse NaN and infinities; a
+  // checksum only says the bytes are the ones written.
+  bool finite_times = true;
+  for (const Object& o : set.objects()) {
+    for (double t : o.times) finite_times &= std::isfinite(t);
+  }
+  if (!set.CoordinateRange().finite || !finite_times) {
+    return Status::Corruption("non-finite coordinate or time in " + path);
   }
   return set;
 }

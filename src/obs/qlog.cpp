@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <variant>
 
 #include "geo/kernels.hpp"
 #include "obs/json.hpp"
@@ -27,239 +28,18 @@ bool IsServerRole(const std::string& name) {
   return false;
 }
 
-/// The five phase names, in pipeline order — shared by the writer, the
-/// validator, and the report.
-constexpr const char* kPhaseNames[] = {"label_input", "grid_mapping",
-                                       "lower_bounding", "upper_bounding",
-                                       "verification"};
-
-double* PhaseField(QlogRecord* rec, std::size_t i) {
-  double* fields[] = {&rec->phase_label_input, &rec->phase_grid_mapping,
-                      &rec->phase_lower_bounding, &rec->phase_upper_bounding,
-                      &rec->phase_verification};
-  return fields[i];
-}
-
-const double* PhaseField(const QlogRecord* rec, std::size_t i) {
-  return PhaseField(const_cast<QlogRecord*>(rec), i);
-}
-
-// --- Validation helpers ------------------------------------------------------
-
-Status Missing(const char* section, const char* field) {
-  return Status::InvalidArgument(std::string("qlog: missing or wrong-typed ") +
-                                 section + "." + field);
-}
-
-/// A number the writer can emit back: JSON has no Inf, and "1e999"
-/// parses to one.
-bool IsFiniteNumber(const JsonValue* v) {
-  return v != nullptr && v->IsNumber() && std::isfinite(v->AsDouble());
-}
-
-Status RequireNumber(const JsonValue& obj, const char* section,
-                     const char* field) {
-  if (!IsFiniteNumber(obj.Find(field))) return Missing(section, field);
-  return Status::OK();
-}
-
-/// An int field, clamped to int's range so a parsed record always
-/// serialises to the value it holds.
-int ReadInt(const JsonValue& obj, const char* field, int fallback) {
-  const double v = obj.GetDouble(field, fallback);
-  return static_cast<int>(
-      std::clamp(v, double{std::numeric_limits<int>::min()},
-                 double{std::numeric_limits<int>::max()}));
-}
-
-Status RequireString(const JsonValue& obj, const char* section,
-                     const char* field) {
-  const JsonValue* v = obj.Find(field);
-  if (v == nullptr || !v->IsString()) return Missing(section, field);
-  return Status::OK();
-}
-
-Status RequireBool(const JsonValue& obj, const char* section,
-                   const char* field) {
-  const JsonValue* v = obj.Find(field);
-  if (v == nullptr || !v->IsBool()) return Missing(section, field);
-  return Status::OK();
-}
-
-/// An optional field: absent is fine, present must pass `is_type`.
-Status OptionalTyped(const JsonValue& obj, const char* section,
-                     const char* field, bool (JsonValue::*is_type)() const) {
-  const JsonValue* v = obj.Find(field);
-  if (v != nullptr && !(v->*is_type)()) return Missing(section, field);
-  return Status::OK();
-}
-
-Result<const JsonValue*> RequireObject(const JsonValue& root,
-                                       const char* field) {
-  const JsonValue* v = root.Find(field);
-  if (v == nullptr || !v->IsObject()) {
-    return Status::InvalidArgument(
-        std::string("qlog: missing or wrong-typed section ") + field);
-  }
-  return v;
-}
-
-/// Full structural check of a parsed qlog document. Shared by
-/// ValidateQlogLine and ParseQlogRecord so a record can never parse
-/// without also validating.
-Status CheckQlogDocument(const JsonValue& doc) {
-  if (!doc.IsObject()) {
-    return Status::InvalidArgument("qlog: record is not a JSON object");
-  }
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->AsString() != kQlogSchema) {
-    return Status::InvalidArgument(std::string("qlog: schema is not ") +
-                                   kQlogSchema);
-  }
-  MIO_RETURN_NOT_OK(RequireNumber(doc, "", "query_index"));
-  MIO_RETURN_NOT_OK(RequireString(doc, "", "workload"));
-  MIO_RETURN_NOT_OK(RequireString(doc, "", "dataset"));
-  MIO_RETURN_NOT_OK(RequireString(doc, "", "algo"));
-  MIO_RETURN_NOT_OK(RequireNumber(doc, "", "wall_seconds"));
-  MIO_RETURN_NOT_OK(RequireNumber(doc, "", "total_seconds"));
-
-  Result<const JsonValue*> params = RequireObject(doc, "params");
-  MIO_RETURN_NOT_OK(params.status());
-  for (const char* f : {"r", "ceil_r", "k", "threads"}) {
-    MIO_RETURN_NOT_OK(RequireNumber(*params.value(), "params", f));
-  }
-
-  Result<const JsonValue*> phases = RequireObject(doc, "phases");
-  MIO_RETURN_NOT_OK(phases.status());
-  for (const char* f : kPhaseNames) {
-    MIO_RETURN_NOT_OK(RequireNumber(*phases.value(), "phases", f));
-  }
-  MIO_RETURN_NOT_OK(RequireNumber(*phases.value(), "phases", "total"));
-
-  Result<const JsonValue*> funnel = RequireObject(doc, "funnel");
-  MIO_RETURN_NOT_OK(funnel.status());
-  for (const char* f :
-       {"objects", "candidates", "verified", "distance_computations"}) {
-    MIO_RETURN_NOT_OK(RequireNumber(*funnel.value(), "funnel", f));
-  }
-
-  Result<const JsonValue*> winner = RequireObject(doc, "winner");
-  MIO_RETURN_NOT_OK(winner.status());
-  MIO_RETURN_NOT_OK(RequireNumber(*winner.value(), "winner", "id"));
-  MIO_RETURN_NOT_OK(RequireNumber(*winner.value(), "winner", "score"));
-
-  Result<const JsonValue*> labels = RequireObject(doc, "labels");
-  MIO_RETURN_NOT_OK(labels.status());
-  MIO_RETURN_NOT_OK(RequireString(*labels.value(), "labels", "outcome"));
-  MIO_RETURN_NOT_OK(RequireNumber(*labels.value(), "labels", "points_pruned"));
-  LabelOutcome label_outcome = LabelOutcome::kOff;
-  if (!ParseLabelOutcome(labels.value()->GetString("outcome"),
-                         &label_outcome)) {
-    return Status::InvalidArgument("qlog: unknown labels.outcome \"" +
-                                   labels.value()->GetString("outcome") + "\"");
-  }
-
-  Result<const JsonValue*> outcome = RequireObject(doc, "outcome");
-  MIO_RETURN_NOT_OK(outcome.status());
-  MIO_RETURN_NOT_OK(RequireString(*outcome.value(), "outcome", "status"));
-  MIO_RETURN_NOT_OK(RequireBool(*outcome.value(), "outcome", "complete"));
-  MIO_RETURN_NOT_OK(
-      RequireNumber(*outcome.value(), "outcome", "degradation_level"));
-  if (outcome.value()->GetString("status").empty()) {
-    return Status::InvalidArgument("qlog: empty outcome.status");
-  }
-
-  Result<const JsonValue*> env = RequireObject(doc, "env");
-  MIO_RETURN_NOT_OK(env.status());
-  MIO_RETURN_NOT_OK(RequireString(*env.value(), "env", "pmu_tier"));
-  MIO_RETURN_NOT_OK(RequireString(*env.value(), "env", "kernel_tier"));
-
-  Result<const JsonValue*> memory = RequireObject(doc, "memory");
-  MIO_RETURN_NOT_OK(memory.status());
-  MIO_RETURN_NOT_OK(RequireNumber(*memory.value(), "memory", "index_bytes"));
-  MIO_RETURN_NOT_OK(RequireNumber(*memory.value(), "memory", "peak_bytes"));
-
-  Result<const JsonValue*> trace = RequireObject(doc, "trace");
-  MIO_RETURN_NOT_OK(trace.status());
-  MIO_RETURN_NOT_OK(RequireNumber(*trace.value(), "trace", "dropped_spans"));
-
-  // Fields and sections added after the first records were written are
-  // optional, so older qlogs (e.g. the committed BENCH files) stay
-  // readable, but each must have its type when present.
-  MIO_RETURN_NOT_OK(OptionalTyped(*params.value(), "params", "scale",
-                                  &JsonValue::IsString));
-  MIO_RETURN_NOT_OK(OptionalTyped(*funnel.value(), "funnel", "tau_low_max",
-                                  &JsonValue::IsNumber));
-  MIO_RETURN_NOT_OK(
-      OptionalTyped(*env.value(), "env", "git", &JsonValue::IsString));
-  MIO_RETURN_NOT_OK(OptionalTyped(doc, "", "truncated", &JsonValue::IsBool));
-  for (const char* f : {"parts", "tracker"}) {
-    MIO_RETURN_NOT_OK(
-        OptionalTyped(*memory.value(), "memory", f, &JsonValue::IsObject));
-  }
-  for (const char* f : {"grid", "hardware", "verify_load_balance",
-                        "compression", "metrics"}) {
-    MIO_RETURN_NOT_OK(OptionalTyped(doc, "", f, &JsonValue::IsObject));
-  }
-  if (const JsonValue* grid = doc.Find("grid")) {
-    MIO_RETURN_NOT_OK(RequireBool(*grid, "grid", "reused"));
-    MIO_RETURN_NOT_OK(RequireNumber(*grid, "grid", "cells_small"));
-    MIO_RETURN_NOT_OK(RequireNumber(*grid, "grid", "cells_large"));
-  }
-
-  // The "batch" section is optional (absent on sequential queries) but
-  // must be well-formed when present.
-  const JsonValue* batch = doc.Find("batch");
-  if (batch != nullptr) {
-    if (!batch->IsObject()) {
-      return Status::InvalidArgument("qlog: wrong-typed section batch");
-    }
-    MIO_RETURN_NOT_OK(RequireNumber(*batch, "batch", "id"));
-    MIO_RETURN_NOT_OK(RequireNumber(*batch, "batch", "size"));
-  }
-
-  // Likewise the "server" section (absent outside `mio serve`). Note
-  // that unknown top-level keys and sections are deliberately *ignored*
-  // throughout this function — that forward-compat contract is how a
-  // qlog written by a newer mio stays readable by an older reader, and
-  // how "server" itself arrived without a schema bump.
-  const JsonValue* server = doc.Find("server");
-  if (server != nullptr) {
-    if (!server->IsObject()) {
-      return Status::InvalidArgument("qlog: wrong-typed section server");
-    }
-    MIO_RETURN_NOT_OK(RequireString(*server, "server", "request_id"));
-    if (server->GetString("request_id").empty()) {
-      return Status::InvalidArgument("qlog: empty server.request_id");
-    }
-    MIO_RETURN_NOT_OK(RequireString(*server, "server", "role"));
-    if (!IsServerRole(server->GetString("role"))) {
-      return Status::InvalidArgument("qlog: unknown server.role \"" +
-                                     server->GetString("role") + "\"");
-    }
-    MIO_RETURN_NOT_OK(
-        RequireNumber(*server, "server", "queue_wait_seconds"));
-    MIO_RETURN_NOT_OK(RequireNumber(*server, "server", "e2e_seconds"));
-    // The rest is optional but must have its type when present.
-    for (const char* f : {"correlation_id", "client", "refusal"}) {
-      MIO_RETURN_NOT_OK(
-          OptionalTyped(*server, "server", f, &JsonValue::IsString));
-    }
-    if (server->Find("retry_after_ms") != nullptr) {
-      MIO_RETURN_NOT_OK(RequireNumber(*server, "server", "retry_after_ms"));
-    }
-    if (const JsonValue* stages = server->Find("stages")) {
-      if (!stages->IsObject()) return Missing("server", "stages");
-      for (const char* f : kServerStageNames) {
-        if (stages->Find(f) != nullptr) {
-          MIO_RETURN_NOT_OK(RequireNumber(*stages, "server.stages", f));
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
+/// The five phases in pipeline order: the record's "phases" rows and the
+/// report's per-phase aggregates.
+struct Phase {
+  const char* name;
+  double QlogRecord::*seconds;
+};
+constexpr Phase kPhases[] = {
+    {"label_input", &QlogRecord::phase_label_input},
+    {"grid_mapping", &QlogRecord::phase_grid_mapping},
+    {"lower_bounding", &QlogRecord::phase_lower_bounding},
+    {"upper_bounding", &QlogRecord::phase_upper_bounding},
+    {"verification", &QlogRecord::phase_verification}};
 
 /// Sum of per-tag peaks from the process-wide tracker — an upper-bound
 /// style footprint (tags peak at different times), stable across runs.
@@ -279,15 +59,56 @@ int CeilClass(double r) {
   return static_cast<int>(c);
 }
 
-// --- Detail sections (records that carry their QueryStats) ------------------
+// --- Fields written by hand -------------------------------------------------
+// Each writes its value under `key`, or nothing when it has none.
 
-void WriteLoadBalance(JsonWriter& w, const QueryStats& s) {
-  if (s.verify_thread_seconds.empty()) return;
-  ThreadLoadReport report = ComputeThreadLoad(s.verify_thread_seconds);
-  w.Key("verify_load_balance").BeginObject();
-  w.Key("workers").UInt(s.verify_thread_seconds.size());
+void WritePhaseTotal(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  double total = 0.0;
+  for (const Phase& p : kPhases) total += rec.*p.seconds;
+  w.Key(key).Double(total);
+}
+
+void WriteMemoryParts(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.detail || rec.detail->memory.parts.empty()) return;
+  w.Key(key).BeginObject();
+  for (const auto& [name, bytes] : rec.detail->memory.parts) {
+    w.Key(name).UInt(bytes);
+  }
+  w.EndObject();
+}
+
+/// Process-wide current/peak per tag: outlives this query, so peaks from
+/// earlier (larger) runs show in every later snapshot.
+void WriteTracker(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.metrics) return;
+  w.Key(key).BeginObject();
+  for (const MemoryTracker::Entry& e : rec.tracker) {
+    w.Key(e.tag).BeginObject();
+    w.Key("current_bytes").UInt(e.current_bytes);
+    w.Key("peak_bytes").UInt(e.peak_bytes);
+    w.EndObject();
+  }
+  w.EndObject();
+}
+
+void WriteStages(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  w.Key(key).BeginObject();
+  for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
+    if (rec.server_stages[i] >= 0.0) {
+      w.Key(kServerStageNames[i]).Double(rec.server_stages[i]);
+    }
+  }
+  w.EndObject();
+}
+
+void WriteLoadBalance(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.detail || rec.detail->verify_thread_seconds.empty()) return;
+  const std::vector<double>& seconds = rec.detail->verify_thread_seconds;
+  ThreadLoadReport report = ComputeThreadLoad(seconds);
+  w.Key(key).BeginObject();
+  w.Key("workers").UInt(seconds.size());
   w.Key("per_thread_seconds").BeginArray();
-  for (double sec : s.verify_thread_seconds) w.Double(sec);
+  for (double sec : seconds) w.Double(sec);
   w.EndArray();
   w.Key("min_seconds").Double(report.min_seconds);
   w.Key("max_seconds").Double(report.max_seconds);
@@ -313,10 +134,12 @@ void WritePmuCounts(JsonWriter& w, const char* key, const PmuCounts& c) {
   w.EndObject();
 }
 
-void WriteHardware(JsonWriter& w, const QueryStats& s) {
+void WriteHardware(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.detail) return;
+  const QueryStats& s = *rec.detail;
   PmuCounts total = s.hardware.Total();
   if (total.Empty()) return;  // never sampled (baselines, compiled out)
-  w.Key("hardware").BeginObject();
+  w.Key(key).BeginObject();
   w.Key("phases").BeginObject();
   WritePmuCounts(w, "label_input", s.hardware.label_input);
   WritePmuCounts(w, "grid_mapping", s.hardware.grid_mapping);
@@ -343,18 +166,21 @@ void WriteHardware(JsonWriter& w, const QueryStats& s) {
   w.EndObject();
 }
 
-void WriteCompression(JsonWriter& w, const QueryStats& s) {
-  if (s.compression.num_bitsets == 0) return;
-  w.Key("compression").BeginObject();
-  w.Key("num_bitsets").UInt(s.compression.num_bitsets);
-  w.Key("compressed_bytes").UInt(s.compression.compressed_bytes);
-  w.Key("uncompressed_bytes").UInt(s.compression.uncompressed_bytes);
-  w.Key("savings_ratio").Double(s.compression.SavingsRatio());
+void WriteCompression(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.detail || rec.detail->compression.num_bitsets == 0) return;
+  const BitsetCompressionStats& c = rec.detail->compression;
+  w.Key(key).BeginObject();
+  w.Key("num_bitsets").UInt(c.num_bitsets);
+  w.Key("compressed_bytes").UInt(c.compressed_bytes);
+  w.Key("uncompressed_bytes").UInt(c.uncompressed_bytes);
+  w.Key("savings_ratio").Double(c.SavingsRatio());
   w.EndObject();
 }
 
-void WriteMetrics(JsonWriter& w, const MetricsSnapshot& m) {
-  w.Key("metrics").BeginObject();
+void WriteMetrics(JsonWriter& w, const char* key, const QlogRecord& rec) {
+  if (!rec.metrics || rec.metrics->Empty()) return;
+  const MetricsSnapshot& m = *rec.metrics;
+  w.Key(key).BeginObject();
   w.Key("counters").BeginObject();
   for (int c = 0; c < kNumCounters; ++c) {
     std::uint64_t v = m.counters[static_cast<std::size_t>(c)];
@@ -387,6 +213,220 @@ void WriteMetrics(JsonWriter& w, const MetricsSnapshot& m) {
   }
   w.EndObject();
   w.EndObject();
+}
+
+// --- The record's one spelling -----------------------------------------------
+
+/// When a field is written, and whether a reader requires it. The fields
+/// the schema began with are required; later ones are optional, so older
+/// qlogs (the committed BENCH files) still load.
+enum class Presence {
+  kRequired,  ///< always written; required on read
+  kOptional,  ///< always written; optional on read
+  kIfSet,     ///< written only when set (true, non-empty, > 0); optional
+};
+
+/// A field no member holds as written: `write` writes it, by its own
+/// omission rule, and a reader only checks the type of a present value.
+struct ByHand {
+  JsonValue::Type type;
+  void (*write)(JsonWriter& w, const char* key, const QlogRecord& rec);
+};
+
+/// The member a row writes and reads back. Its type is the JSON type:
+/// an arithmetic member is a number, which a reader requires finite.
+using Member =
+    std::variant<std::uint64_t QlogRecord::*, std::uint32_t QlogRecord::*,
+                 int QlogRecord::*, double QlogRecord::*,
+                 std::string QlogRecord::*, bool QlogRecord::*, ByHand>;
+
+struct Field {
+  const char* section;  ///< "" for the top level
+  const char* key;
+  Member member;
+  Presence presence = Presence::kRequired;
+};
+
+constexpr JsonValue::Type kJsonNumber = JsonValue::Type::kNumber;
+constexpr JsonValue::Type kJsonObject = JsonValue::Type::kObject;
+
+/// Every field after "schema", in write order. A section's rows are
+/// adjacent; the top level ("") resumes between sections and ends the
+/// table. Unknown keys are ignored on read, which is how fields arrive
+/// without a schema bump. tests/qlog_test.cpp and the qlog stage of
+/// scripts/check.sh keep their own key lists on purpose: a wrong row
+/// here still round-trips.
+constexpr Field kFields[] = {
+    {"", "truncated", &QlogRecord::truncated, Presence::kIfSet},
+    {"", "query_index", &QlogRecord::query_index},
+    {"", "workload", &QlogRecord::workload},
+    {"", "dataset", &QlogRecord::dataset},
+    {"", "algo", &QlogRecord::algo},
+    {"params", "r", &QlogRecord::r},
+    {"params", "ceil_r", &QlogRecord::ceil_r},
+    {"params", "k", &QlogRecord::k},
+    {"params", "threads", &QlogRecord::threads},
+    {"params", "scale", &QlogRecord::scale, Presence::kIfSet},
+    {"", "wall_seconds", &QlogRecord::wall_seconds},
+    {"", "total_seconds", &QlogRecord::total_seconds},
+    {"phases", kPhases[0].name, kPhases[0].seconds},
+    {"phases", kPhases[1].name, kPhases[1].seconds},
+    {"phases", kPhases[2].name, kPhases[2].seconds},
+    {"phases", kPhases[3].name, kPhases[3].seconds},
+    {"phases", kPhases[4].name, kPhases[4].seconds},
+    {"phases", "total", ByHand{kJsonNumber, WritePhaseTotal}},
+    {"funnel", "objects", &QlogRecord::objects},
+    {"funnel", "candidates", &QlogRecord::candidates},
+    {"funnel", "verified", &QlogRecord::verified},
+    {"funnel", "distance_computations", &QlogRecord::distance_computations},
+    {"funnel", "tau_low_max", &QlogRecord::tau_low_max, Presence::kOptional},
+    {"grid", "reused", &QlogRecord::grid_reused},
+    {"grid", "cells_small", &QlogRecord::cells_small},
+    {"grid", "cells_large", &QlogRecord::cells_large},
+    {"winner", "id", &QlogRecord::winner_id},
+    {"winner", "score", &QlogRecord::winner_score},
+    {"labels", "outcome", &QlogRecord::label_outcome},
+    {"labels", "points_pruned", &QlogRecord::points_pruned_by_labels},
+    {"outcome", "status", &QlogRecord::status},
+    {"outcome", "complete", &QlogRecord::complete},
+    {"outcome", "degradation_level", &QlogRecord::degradation_level},
+    {"env", "git", &QlogRecord::git, Presence::kOptional},
+    {"env", "pmu_tier", &QlogRecord::pmu_tier},
+    {"env", "kernel_tier", &QlogRecord::kernel_tier},
+    {"memory", "index_bytes", &QlogRecord::index_memory_bytes},
+    {"memory", "peak_bytes", &QlogRecord::peak_memory_bytes},
+    {"memory", "parts", ByHand{kJsonObject, WriteMemoryParts},
+     Presence::kIfSet},
+    {"memory", "tracker", ByHand{kJsonObject, WriteTracker}, Presence::kIfSet},
+    {"trace", "dropped_spans", &QlogRecord::trace_dropped_spans},
+    {"batch", "id", &QlogRecord::batch_id},
+    {"batch", "size", &QlogRecord::batch_size},
+    {"server", "request_id", &QlogRecord::server_request_id},
+    {"server", "correlation_id", &QlogRecord::server_correlation_id,
+     Presence::kIfSet},
+    {"server", "client", &QlogRecord::server_client, Presence::kIfSet},
+    {"server", "role", &QlogRecord::server_role},
+    {"server", "queue_wait_seconds", &QlogRecord::server_queue_wait_seconds},
+    {"server", "e2e_seconds", &QlogRecord::server_e2e_seconds},
+    {"server", "refusal", &QlogRecord::server_refusal, Presence::kIfSet},
+    {"server", "retry_after_ms", &QlogRecord::server_retry_after_ms,
+     Presence::kIfSet},
+    {"server", "stages", ByHand{kJsonObject, WriteStages},
+     Presence::kOptional},
+    {"", "hardware", ByHand{kJsonObject, WriteHardware}, Presence::kIfSet},
+    {"", "verify_load_balance", ByHand{kJsonObject, WriteLoadBalance},
+     Presence::kIfSet},
+    {"", "compression", ByHand{kJsonObject, WriteCompression},
+     Presence::kIfSet},
+    {"", "metrics", ByHand{kJsonObject, WriteMetrics}, Presence::kIfSet},
+};
+
+/// The sections added after the schema began: optional on read, and
+/// written only when `written` holds (always when null). Every other
+/// section is always written and required on read.
+struct OptionalSection {
+  const char* name;
+  bool (QlogRecord::*written)() const;
+};
+constexpr OptionalSection kOptionalSections[] = {
+    {"grid", nullptr},
+    {"batch", &QlogRecord::Batched},
+    {"server", &QlogRecord::HasServer}};
+
+const OptionalSection* FindOptionalSection(std::string_view name) {
+  for (const OptionalSection& s : kOptionalSections) {
+    if (name == s.name) return &s;
+  }
+  return nullptr;
+}
+
+// The value of a kIfSet field counts as set when true, non-empty or > 0.
+bool IsSet(const std::string& v) { return !v.empty(); }
+template <typename T>
+bool IsSet(T v) {
+  return v > T{};
+}
+
+void Put(JsonWriter& w, std::uint64_t v) { w.UInt(v); }
+void Put(JsonWriter& w, std::uint32_t v) { w.UInt(v); }
+void Put(JsonWriter& w, int v) { w.Int(v); }
+void Put(JsonWriter& w, double v) { w.Double(v); }
+void Put(JsonWriter& w, const std::string& v) { w.String(v); }
+void Put(JsonWriter& w, bool v) { w.Bool(v); }
+
+void WriteField(JsonWriter& w, const Field& f, const QlogRecord& rec) {
+  std::visit(
+      [&](const auto& member) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(member)>, ByHand>) {
+          member.write(w, f.key, rec);
+        } else if (f.presence != Presence::kIfSet || IsSet(rec.*member)) {
+          Put(w.Key(f.key), rec.*member);
+        }
+      },
+      f.member);
+}
+
+/// A number the writer can emit back: JSON has no Inf, and "1e999"
+/// parses to one.
+bool IsFiniteNumber(const JsonValue& v) {
+  return v.IsNumber() && std::isfinite(v.AsDouble());
+}
+
+// Each Get reads a present value into its member, or returns false when
+// the value has the wrong type.
+bool Get(const JsonValue& v, std::uint64_t* out) {
+  if (!IsFiniteNumber(v)) return false;
+  *out = v.AsUInt();
+  return true;
+}
+bool Get(const JsonValue& v, std::uint32_t* out) {
+  if (!IsFiniteNumber(v)) return false;
+  *out = static_cast<std::uint32_t>(v.AsUInt());
+  return true;
+}
+/// Clamped to int's range, so a parsed record serialises to the value it
+/// holds.
+bool Get(const JsonValue& v, int* out) {
+  if (!IsFiniteNumber(v)) return false;
+  *out = static_cast<int>(
+      std::clamp(v.AsDouble(), double{std::numeric_limits<int>::min()},
+                 double{std::numeric_limits<int>::max()}));
+  return true;
+}
+bool Get(const JsonValue& v, double* out) {
+  if (!IsFiniteNumber(v)) return false;
+  *out = v.AsDouble();
+  return true;
+}
+bool Get(const JsonValue& v, std::string* out) {
+  if (!v.IsString()) return false;
+  *out = v.AsString();
+  return true;
+}
+bool Get(const JsonValue& v, bool* out) {
+  if (!v.IsBool()) return false;
+  *out = v.AsBool();
+  return true;
+}
+
+bool ReadField(const Field& f, const JsonValue& v, QlogRecord* rec) {
+  return std::visit(
+      [&](const auto& member) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(member)>, ByHand>) {
+          return v.type() == member.type &&
+                 (!v.IsNumber() || IsFiniteNumber(v));
+        } else {
+          return Get(v, &(rec->*member));
+        }
+      },
+      f.member);
+}
+
+Status Missing(std::string_view section, std::string_view key) {
+  std::string name(section);
+  if (!name.empty()) name += ".";
+  name += key;
+  return Status::InvalidArgument("qlog: missing or wrong-typed " + name);
 }
 
 }  // namespace
@@ -439,135 +479,26 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   JsonWriter w;
   w.BeginObject();
   w.Key("schema").String(kQlogSchema);
-  if (rec.truncated) w.Key("truncated").Bool(true);
-  w.Key("query_index").UInt(rec.query_index);
-  w.Key("workload").String(rec.workload);
-  w.Key("dataset").String(rec.dataset);
-  w.Key("algo").String(rec.algo);
-  w.Key("params").BeginObject();
-  w.Key("r").Double(rec.r);
-  w.Key("ceil_r").Int(rec.ceil_r);
-  w.Key("k").UInt(rec.k);
-  w.Key("threads").Int(rec.threads);
-  if (!rec.scale.empty()) w.Key("scale").String(rec.scale);
-  w.EndObject();
-  w.Key("wall_seconds").Double(rec.wall_seconds);
-  w.Key("total_seconds").Double(rec.total_seconds);
-  w.Key("phases").BeginObject();
-  double phase_total = 0.0;
-  for (std::size_t i = 0; i < 5; ++i) {
-    double v = *PhaseField(&rec, i);
-    w.Key(kPhaseNames[i]).Double(v);
-    phase_total += v;
+  std::string_view open;  // the section of the previous row
+  bool written = true;    // whether `open` is written
+  for (const Field& f : kFields) {
+    if (f.section != open) {
+      if (!open.empty() && written) w.EndObject();
+      open = f.section;
+      const OptionalSection* optional = FindOptionalSection(open);
+      written = optional == nullptr || optional->written == nullptr ||
+                (rec.*optional->written)();
+      if (!open.empty() && written) w.Key(open).BeginObject();
+    }
+    if (written) WriteField(w, f, rec);
   }
-  w.Key("total").Double(phase_total);
-  w.EndObject();
-  w.Key("funnel").BeginObject();
-  w.Key("objects").UInt(rec.objects);
-  w.Key("candidates").UInt(rec.candidates);
-  w.Key("verified").UInt(rec.verified);
-  w.Key("distance_computations").UInt(rec.distance_computations);
-  w.Key("tau_low_max").UInt(rec.tau_low_max);
-  w.EndObject();
-  w.Key("grid").BeginObject();
-  w.Key("reused").Bool(rec.grid_reused);
-  w.Key("cells_small").UInt(rec.cells_small);
-  w.Key("cells_large").UInt(rec.cells_large);
-  w.EndObject();
-  w.Key("winner").BeginObject();
-  w.Key("id").UInt(rec.winner_id);
-  w.Key("score").UInt(rec.winner_score);
-  w.EndObject();
-  w.Key("labels").BeginObject();
-  w.Key("outcome").String(rec.label_outcome);
-  w.Key("points_pruned").UInt(rec.points_pruned_by_labels);
-  w.EndObject();
-  w.Key("outcome").BeginObject();
-  w.Key("status").String(rec.status);
-  w.Key("complete").Bool(rec.complete);
-  w.Key("degradation_level").UInt(rec.degradation_level);
-  w.EndObject();
-  w.Key("env").BeginObject();
-  w.Key("git").String(rec.git);
-  w.Key("pmu_tier").String(rec.pmu_tier);
-  w.Key("kernel_tier").String(rec.kernel_tier);
-  w.EndObject();
-  w.Key("memory").BeginObject();
-  w.Key("index_bytes").UInt(rec.index_memory_bytes);
-  w.Key("peak_bytes").UInt(rec.peak_memory_bytes);
-  if (rec.detail && !rec.detail->memory.parts.empty()) {
-    w.Key("parts").BeginObject();
-    for (const auto& [name, bytes] : rec.detail->memory.parts) {
-      w.Key(name).UInt(bytes);
-    }
-    w.EndObject();
-  }
-  if (rec.metrics) {
-    // Process-wide current/peak per tag: outlives this query, so peaks
-    // from earlier (larger) runs show in every later snapshot.
-    w.Key("tracker").BeginObject();
-    for (const MemoryTracker::Entry& e : rec.tracker) {
-      w.Key(e.tag).BeginObject();
-      w.Key("current_bytes").UInt(e.current_bytes);
-      w.Key("peak_bytes").UInt(e.peak_bytes);
-      w.EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("trace").BeginObject();
-  w.Key("dropped_spans").UInt(rec.trace_dropped_spans);
-  w.EndObject();
-  if (rec.batch_size > 0) {
-    w.Key("batch").BeginObject();
-    w.Key("id").UInt(rec.batch_id);
-    w.Key("size").UInt(rec.batch_size);
-    w.EndObject();
-  }
-  if (rec.HasServer()) {
-    w.Key("server").BeginObject();
-    w.Key("request_id").String(rec.server_request_id);
-    if (!rec.server_correlation_id.empty()) {
-      w.Key("correlation_id").String(rec.server_correlation_id);
-    }
-    if (!rec.server_client.empty()) {
-      w.Key("client").String(rec.server_client);
-    }
-    w.Key("role").String(rec.server_role);
-    w.Key("queue_wait_seconds").Double(rec.server_queue_wait_seconds);
-    w.Key("e2e_seconds").Double(rec.server_e2e_seconds);
-    if (!rec.server_refusal.empty()) {
-      w.Key("refusal").String(rec.server_refusal);
-    }
-    if (rec.server_retry_after_ms > 0.0) {
-      w.Key("retry_after_ms").Double(rec.server_retry_after_ms);
-    }
-    w.Key("stages").BeginObject();
-    for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
-      if (rec.server_stages[i] >= 0.0) {
-        w.Key(kServerStageNames[i]).Double(rec.server_stages[i]);
-      }
-    }
-    w.EndObject();
-    w.EndObject();
-  }
-  if (rec.detail) {
-    WriteHardware(w, *rec.detail);
-    WriteLoadBalance(w, *rec.detail);
-    WriteCompression(w, *rec.detail);
-  }
-  if (rec.metrics && !rec.metrics->Empty()) WriteMetrics(w, *rec.metrics);
   w.EndObject();
   return std::move(w).Take();
 }
 
 Status ValidateQlogLine(std::string_view line) {
-  JsonValue doc;
-  std::string error;
-  if (!ParseJson(line, &doc, &error)) {
-    return Status::InvalidArgument("qlog: bad JSON: " + error);
-  }
-  return CheckQlogDocument(doc);
+  QlogRecord discarded;
+  return ParseQlogRecord(line, &discarded);
 }
 
 Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
@@ -576,71 +507,61 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   if (!ParseJson(line, &doc, &error)) {
     return Status::InvalidArgument("qlog: bad JSON: " + error);
   }
-  MIO_RETURN_NOT_OK(CheckQlogDocument(doc));
+  if (!doc.IsObject()) {
+    return Status::InvalidArgument("qlog: record is not a JSON object");
+  }
+  const JsonValue* schema = doc.Find("schema");
+  if (schema == nullptr || !schema->IsString() ||
+      schema->AsString() != kQlogSchema) {
+    return Status::InvalidArgument(std::string("qlog: schema is not ") +
+                                   kQlogSchema);
+  }
   QlogRecord rec;
-  rec.query_index = doc.GetUInt("query_index");
-  rec.workload = doc.GetString("workload");
-  rec.dataset = doc.GetString("dataset");
-  rec.algo = doc.GetString("algo");
-  const JsonValue* params = doc.Find("params");
-  rec.r = params->GetDouble("r");
-  rec.ceil_r = ReadInt(*params, "ceil_r", 0);
-  rec.k = params->GetUInt("k");
-  rec.threads = ReadInt(*params, "threads", 1);
-  rec.scale = params->GetString("scale");
-  rec.wall_seconds = doc.GetDouble("wall_seconds");
-  rec.total_seconds = doc.GetDouble("total_seconds");
-  const JsonValue* phases = doc.Find("phases");
-  for (std::size_t i = 0; i < 5; ++i) {
-    *PhaseField(&rec, i) = phases->GetDouble(kPhaseNames[i]);
+  std::string_view open;            // the section of the previous row
+  const JsonValue* section = &doc;  // its object; null when absent
+  for (const Field& f : kFields) {
+    if (f.section != open) {
+      open = f.section;
+      section = open.empty() ? &doc : doc.Find(open);
+      if (section == nullptr ? FindOptionalSection(open) == nullptr
+                             : !section->IsObject()) {
+        return Status::InvalidArgument(
+            "qlog: missing or wrong-typed section " + std::string(open));
+      }
+    }
+    if (section == nullptr) continue;  // an absent optional section
+    const JsonValue* v = section->Find(f.key);
+    if (v == nullptr ? f.presence == Presence::kRequired
+                     : !ReadField(f, *v, &rec)) {
+      return Missing(f.section, f.key);
+    }
   }
-  const JsonValue* funnel = doc.Find("funnel");
-  rec.objects = funnel->GetUInt("objects");
-  rec.candidates = funnel->GetUInt("candidates");
-  rec.verified = funnel->GetUInt("verified");
-  rec.distance_computations = funnel->GetUInt("distance_computations");
-  rec.tau_low_max = funnel->GetUInt("tau_low_max");
-  if (const JsonValue* grid = doc.Find("grid")) {
-    rec.grid_reused = grid->GetBool("reused");
-    rec.cells_small = grid->GetUInt("cells_small");
-    rec.cells_large = grid->GetUInt("cells_large");
+
+  // The rules no row expresses: the two enums, the two non-empty
+  // strings, and the stage timestamps.
+  LabelOutcome label_outcome = LabelOutcome::kOff;
+  if (!ParseLabelOutcome(rec.label_outcome, &label_outcome)) {
+    return Status::InvalidArgument("qlog: unknown labels.outcome \"" +
+                                   rec.label_outcome + "\"");
   }
-  const JsonValue* winner = doc.Find("winner");
-  rec.winner_id = winner->GetUInt("id");
-  rec.winner_score = winner->GetUInt("score");
-  const JsonValue* labels = doc.Find("labels");
-  rec.label_outcome = labels->GetString("outcome");
-  rec.points_pruned_by_labels = labels->GetUInt("points_pruned");
-  const JsonValue* outcome = doc.Find("outcome");
-  rec.status = outcome->GetString("status");
-  rec.complete = outcome->GetBool("complete");
-  rec.degradation_level =
-      static_cast<std::uint32_t>(outcome->GetUInt("degradation_level"));
-  const JsonValue* env = doc.Find("env");
-  rec.git = env->GetString("git");
-  rec.pmu_tier = env->GetString("pmu_tier");
-  rec.kernel_tier = env->GetString("kernel_tier");
-  const JsonValue* memory = doc.Find("memory");
-  rec.index_memory_bytes = memory->GetUInt("index_bytes");
-  rec.peak_memory_bytes = memory->GetUInt("peak_bytes");
-  rec.trace_dropped_spans = doc.Find("trace")->GetUInt("dropped_spans");
-  if (const JsonValue* batch = doc.Find("batch")) {
-    rec.batch_id = batch->GetUInt("id");
-    rec.batch_size = batch->GetUInt("size");
+  if (rec.status.empty()) {
+    return Status::InvalidArgument("qlog: empty outcome.status");
   }
   if (const JsonValue* server = doc.Find("server")) {
-    rec.server_request_id = server->GetString("request_id");
-    rec.server_correlation_id = server->GetString("correlation_id");
-    rec.server_client = server->GetString("client");
-    rec.server_role = server->GetString("role");
-    rec.server_queue_wait_seconds = server->GetDouble("queue_wait_seconds");
-    rec.server_e2e_seconds = server->GetDouble("e2e_seconds");
-    rec.server_refusal = server->GetString("refusal");
-    rec.server_retry_after_ms = server->GetDouble("retry_after_ms");
+    if (rec.server_request_id.empty()) {
+      return Status::InvalidArgument("qlog: empty server.request_id");
+    }
+    if (!IsServerRole(rec.server_role)) {
+      return Status::InvalidArgument("qlog: unknown server.role \"" +
+                                     rec.server_role + "\"");
+    }
     if (const JsonValue* stages = server->Find("stages")) {
       for (std::size_t i = 0; i < rec.server_stages.size(); ++i) {
-        rec.server_stages[i] =
-            stages->GetDouble(kServerStageNames[i], rec.server_stages[i]);
+        const JsonValue* v = stages->Find(kServerStageNames[i]);
+        if (v == nullptr) continue;
+        if (!Get(*v, &rec.server_stages[i])) {
+          return Missing("server.stages", kServerStageNames[i]);
+        }
       }
     }
   }
@@ -841,7 +762,7 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
   wall.reserve(records.size());
   std::vector<double> batched_wall;
   std::vector<double> sequential_wall;
-  std::vector<std::vector<double>> phase_values(5);
+  std::vector<std::vector<double>> phase_values(std::size(kPhases));
   std::map<int, QlogCeilClassStats> classes;
   for (const QlogRecord& rec : records) {
     // A refused request never executed: it has no latency, phases or
@@ -855,8 +776,8 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
     }
     if (!rec.complete) ++report.incomplete;
     if (rec.degradation_level > 0) ++report.degraded;
-    for (std::size_t i = 0; i < 5; ++i) {
-      phase_values[i].push_back(*PhaseField(&rec, i));
+    for (std::size_t i = 0; i < std::size(kPhases); ++i) {
+      phase_values[i].push_back(rec.*kPhases[i].seconds);
     }
     QlogCeilClassStats& cls = classes[rec.ceil_r];
     cls.ceil_r = rec.ceil_r;
@@ -903,9 +824,9 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
   report.server_e2e = SummarizeLatency(std::move(server_e2e));
 
   double phase_sum = 0.0;
-  for (std::size_t i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < std::size(kPhases); ++i) {
     QlogPhaseAggregate agg;
-    agg.name = kPhaseNames[i];
+    agg.name = kPhases[i].name;
     for (double v : phase_values[i]) agg.total_seconds += v;
     agg.p50 = Percentile(phase_values[i], 0.50);
     agg.p99 = Percentile(phase_values[i], 0.99);

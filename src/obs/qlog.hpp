@@ -10,6 +10,18 @@
 // balance, memory parts, compression); one-shot emitters that reset the
 // metrics registry around their run add the registry snapshot too.
 //
+// The record's fields are spelled once, in the field table of qlog.cpp:
+// the writer writes its rows and the parser reads them, and validating
+// a line means parsing it. The read rule: the fields the schema began
+// with are required; params.scale, funnel.tau_low_max, env.git, the
+// truncated marker, the grid, batch and server sections and the server's
+// correlation_id, client, refusal, retry_after_ms and stages are
+// optional, and type-checked when present (a number must be finite). A
+// present section still needs its required fields, and unknown keys are
+// ignored. The key lists in tests/qlog_test.cpp and the qlog stage of
+// scripts/check.sh are independent copies on purpose: a wrong table row
+// still round-trips, and only they would catch it.
+//
 // The same header also holds the tail-based trace sampler: tracing stays
 // armed for every query, but the Chrome trace is only kept for queries
 // exceeding a latency threshold or landing in the slowest-N, so the
@@ -151,12 +163,12 @@ struct QlogRecord {
   bool truncated = false;
 
   // Per-query detail sections, written when present and never parsed
-  // back (readers ignore them). `detail` is the query's own QueryStats:
-  // "hardware", "verify_load_balance", "memory.parts" and "compression"
-  // come from it, each only when non-empty. `metrics` adds the registry
-  // snapshot ("metrics") and the tracker's per-tag current/peak bytes
-  // ("memory.tracker"), captured with it. Held by pointer so records
-  // loaded by the readers stay small.
+  // back (readers only check that each is an object). `detail` is the
+  // query's own QueryStats: "hardware", "verify_load_balance",
+  // "memory.parts" and "compression" come from it, each only when
+  // non-empty. `metrics` adds the registry snapshot ("metrics") and the
+  // tracker's per-tag current/peak bytes ("memory.tracker"), captured
+  // with it. Held by pointer so records loaded by the readers stay small.
   std::shared_ptr<const QueryStats> detail;
   std::shared_ptr<const MetricsSnapshot> metrics;
   std::vector<MemoryTracker::Entry> tracker;
@@ -204,13 +216,14 @@ QlogRecord BuildQlogRecord(QlogRecord identity, const QueryResult* result,
 /// trailing newline). The output always passes ValidateQlogLine.
 std::string QlogRecordToJsonLine(const QlogRecord& rec);
 
-/// Schema check of one JSONL line: well-formed JSON, `"schema":
-/// "mio-qlog-v1"`, every required section and field present with the
-/// right type, enum strings from their canonical sets, and each optional
-/// section an object when present.
+/// Schema check of one JSONL line: ParseQlogRecord into a record that
+/// is then thrown away.
 Status ValidateQlogLine(std::string_view line);
 
-/// Parses (and validates) one line back into a record.
+/// Parses one line back into a record, checking as it goes: well-formed
+/// JSON, `"schema": "mio-qlog-v1"`, every required section and field
+/// present with its type, each optional one typed when present, and enum
+/// strings from their canonical sets. Errors name the `section.key`.
 Status ParseQlogRecord(std::string_view line, QlogRecord* out);
 
 /// Reads a whole qlog file, validating every line; the line number is

@@ -8,7 +8,8 @@
 // `--threads=2147483647` would abort on bad_alloc, and a NaN `qlog diff
 // --threshold` would pass any candidate. A flag read by prefix would run
 // `--r=3x` at r = 3, drop the "abc" of `sweep --r=3,abc,4`, and read
-// `--seed=abc` as seed 0.
+// `--seed=abc` as seed 0. A list that skipped empty items would run
+// `sweep --r=,` as no query at all and `--r=3,,4` as 3,4.
 //
 // Each case runs the real binary against inputs that do not exist (for
 // `generate`, an output directory that does not exist): loading them, or
@@ -158,6 +159,9 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"connect_deadline_nan", "query",
                 "--deadline-ms=nan --connect=/nonexistent/mio.sock"},
         CliCase{"sweep_r_list_junk_item", "sweep", "--r=3,abc,4"},
+        CliCase{"sweep_r_list_only_empty_items", "sweep", "--r=,"},
+        CliCase{"sweep_r_list_empty_middle_item", "sweep", "--r=3,,4"},
+        CliCase{"sweep_r_list_empty_last_item", "sweep", "--r=3,"},
         CliCase{"profile_r_trailing_junk", "profile", "--r=3x"},
         CliCase{"explain_r_trailing_junk", "explain", "--r=3x"},
         CliCase{"report_slowest_junk", "qlog report", "--slowest=abc"},

@@ -4,11 +4,14 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <utility>
 
 #include "core/labels.hpp"
 #include "io/dataset_io.hpp"
@@ -114,6 +117,40 @@ TEST_F(IoTest, TextTruncationDetected) {
   EXPECT_FALSE(LoadDatasetText(path).ok());
 }
 
+// A timed file's point needs a finite time as it needs finite
+// coordinates: a missing, nan, inf or overflowing time must not load as
+// 0 or DBL_MAX.
+TEST_F(IoTest, TextBadTimestampDetected) {
+  for (const char* time : {"", " nan", " inf", " 1e999"}) {
+    const std::string path = PathFor("bad_time.txt");
+    std::ofstream(path) << "mio-dataset v1 1 1\nobject 2\n1 2 3 0\n1 2 4"
+                        << time << "\n";
+    Result<ObjectSet> loaded = LoadDatasetText(path);
+    ASSERT_FALSE(loaded.ok()) << "time '" << time << "'";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find("1 2 4"), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+// A checksummed binary file is refused when it holds a NaN coordinate or
+// an infinite time, as the text form of the same data is.
+TEST_F(IoTest, BinaryNonFiniteValuesDetected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [x, t] : {std::pair{std::nan(""), 1.0}, {0.0, inf}}) {
+    Object obj;
+    obj.points = {Point{1.0, 2.0, 3.0}, Point{x, 0.0, 0.0}};
+    obj.times = {0.0, t};
+    ObjectSet set;
+    set.Add(std::move(obj));
+    const std::string path = PathFor("non_finite.bin");
+    ASSERT_TRUE(SaveDatasetBinary(set, path).ok());
+    Result<ObjectSet> loaded = LoadDatasetBinary(path);
+    ASSERT_FALSE(loaded.ok()) << "x " << x << " t " << t;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
 // --- label store -----------------------------------------------------------
 
 TEST_F(IoTest, LabelStoreRoundTrip) {
@@ -215,12 +252,21 @@ void ResealFnv1aTrailer(std::string* bytes) {
   std::memcpy(&(*bytes)[bytes->size() - 8], &h, sizeof(h));
 }
 
-/// Each object's times are absent or one per point.
+/// Each object's times are absent or one per point, and every loaded
+/// coordinate and time is finite.
 void ExpectDatasetContract(const ObjectSet& set) {
   for (ObjectId i = 0; i < set.size(); ++i) {
     EXPECT_TRUE(set[i].times.empty() ||
                 set[i].times.size() == set[i].points.size())
         << "object " << i;
+    for (const Point& p : set[i].points) {
+      EXPECT_TRUE(std::isfinite(p.x) && std::isfinite(p.y) &&
+                  std::isfinite(p.z))
+          << "object " << i;
+    }
+    for (double t : set[i].times) {
+      EXPECT_TRUE(std::isfinite(t)) << "object " << i;
+    }
   }
 }
 

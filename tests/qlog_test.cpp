@@ -118,6 +118,7 @@ QlogRecord MakeRefusedRecord() {
 
 TEST(QlogRecord, RoundTripsEveryField) {
   QlogRecord rec = MakeFullRecord();
+  rec.truncated = true;
   std::string line = QlogRecordToJsonLine(rec);
   EXPECT_EQ(line.find('\n'), std::string::npos);
   ASSERT_TRUE(ValidateQlogLine(line).ok());
@@ -176,6 +177,7 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_TRUE(back.HasServer());
   EXPECT_TRUE(back.ServerExecuted());
   EXPECT_FALSE(back.ServerRefused());
+  EXPECT_TRUE(back.truncated);
 }
 
 TEST(QlogRecord, RefusedRecordRoundTripsItsReasonHintAndStages) {
@@ -666,6 +668,21 @@ TEST(QlogValidate, ServerSectionRejectsBadShapes) {
     broken = good;
     pos = broken.find(from);
     ASSERT_NE(pos, std::string::npos) << from;
+    broken.replace(pos, from.size(), to);
+    EXPECT_FALSE(ValidateQlogLine(broken).ok()) << broken;
+  }
+}
+
+// One read rule per JSON type: an optional number, like a required one,
+// must be finite when present (a writer cannot emit Inf back).
+TEST(QlogValidate, OptionalNumbersMustBeFinite) {
+  const std::string good = QlogRecordToJsonLine(MakeFullRecord());
+  ASSERT_TRUE(ValidateQlogLine(good).ok());
+  for (const char* to : {"\"tau_low_max\":1e999", "\"tau_low_max\":-1e999"}) {
+    std::string broken = good;
+    const std::string from = "\"tau_low_max\":288";
+    const std::size_t pos = broken.find(from);
+    ASSERT_NE(pos, std::string::npos);
     broken.replace(pos, from.size(), to);
     EXPECT_FALSE(ValidateQlogLine(broken).ok()) << broken;
   }
