@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <type_traits>
 #include <variant>
 
 #include "geo/kernels.hpp"
