@@ -260,9 +260,9 @@ QlogRecord MakeDetailRecord() {
   return rec;
 }
 
-// The writer's exact bytes: keys, order, number formatting and every
-// omission rule. The strings are written out, not derived from the field
-// table in qlog.cpp, so a wrong table row shows here.
+// The exact bytes of the writer, captured from the writer before the
+// record's fields moved into one table: keys, order, number formatting
+// and every omission rule.
 TEST(QlogRecord, WriterBytesArePinned) {
   QlogRecord truncated = MakeFullRecord();
   truncated.truncated = true;
