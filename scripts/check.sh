@@ -13,7 +13,8 @@
 #
 # Trees (configured and built only when a selected stage needs them;
 # `cmake --build` runs on each every time, so no binary is ever stale):
-#   plain    Release, test targets + mio_cli
+#   plain    Release with -DMIO_WERROR=ON, test targets + mio_cli; a
+#            `warning:` line in its build log fails the gate
 #   pmu-off  Release mio_cli with -DMIO_PMU_SUPPORT=OFF
 #   asan     RelWithDebInfo, -DMIO_SANITIZE=address
 #   ubsan    RelWithDebInfo, -DMIO_SANITIZE=undefined (CMake adds the
@@ -148,7 +149,7 @@ build_tree() {
   local name=$1 dir=$PREFIX/$1 flags t
   [ -n "${BUILT[$name]:-}" ] && return 0
   case $name in
-    plain) flags="-DCMAKE_BUILD_TYPE=Release" ;;
+    plain) flags="-DCMAKE_BUILD_TYPE=Release -DMIO_WERROR=ON" ;;
     pmu-off)
       flags="-DCMAKE_BUILD_TYPE=Release -DMIO_PMU_SUPPORT=OFF \
         -DMIO_BUILD_TESTS=OFF"
@@ -167,6 +168,9 @@ build_tree() {
   done
   cmake --build "$dir" "${args[@]}" -j "$JOBS" > "$dir.build.log" 2>&1 \
     || { tail -50 "$dir.build.log"; exit 1; }
+  if [ "$name" = plain ] && grep "warning:" "$dir.build.log"; then
+    fail "build: plain printed warnings ($dir.build.log)"
+  fi
   BUILT[$name]=1
 }
 

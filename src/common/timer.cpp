@@ -9,7 +9,7 @@ std::string FormatSeconds(double seconds) {
   // subtraction): format the magnitude and keep the sign. Exact zero used
   // to print "0.0 ns", which is misleading for an unmeasured field.
   if (seconds == 0.0) return "0 s";
-  if (seconds < 0.0) return "-" + FormatSeconds(-seconds);
+  if (seconds < 0.0) return std::string("-").append(FormatSeconds(-seconds));
   char buf[64];
   if (seconds < 1e-6) {
     std::snprintf(buf, sizeof(buf), "%.1f ns", seconds * 1e9);

@@ -16,6 +16,14 @@ std::uint32_t LowerBoundResult::KthLargest(std::size_t k) const {
   return copy[k - 1];
 }
 
+std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i, Ewah* acc) {
+  acc->Reset();
+  for (const CellKey& key : grid.KeyList(i)) {
+    acc->OrWith(grid.FindSmall(key)->bits);
+  }
+  return acc->Count();
+}
+
 LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
                                QueryGuard* guard) {
   const std::size_t n = grid.objects().size();
@@ -28,16 +36,11 @@ LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
       break;  // partial tau_low entries remain valid lower bounds
     }
     Ewah acc;
-    for (const CellKey& key : grid.KeyList(i)) {
-      const SmallCell* cell = grid.FindSmall(key);
-      acc.OrWith(cell->bits);
-    }
-    std::size_t count = acc.Count();
+    const std::size_t count = LowerBoundUnion(grid, i, &acc);
     obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
     obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
     obs::Observe(obs::Histogram::kLbUnionBits, count);
-    // The union contains o_i's own bit whenever the key list is non-empty
-    // (its point put it there); Lemma 1's "-1" removes it.
+    // Lemma 1's "-1" removes o_i's own bit.
     res.tau_low[i] =
         count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     res.tau_low_max = std::max(res.tau_low_max, res.tau_low[i]);

@@ -278,6 +278,8 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   stats.tau_low_max = lb.tau_low_max;
 
   // --- UPPER-BOUNDING(O, r, threshold) ------------------------------------
+  // lb.tau_low orders equal upper bounds, so verification meets the
+  // likeliest winner of a tie run first (DESIGN.md "Tie order").
   UpperBoundResult ub;
   if (!guard.tripped()) {
     MIO_TRACE_SPAN_CAT("upper_bounding", "query");
@@ -286,9 +288,9 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
     ub = parallel
              ? ParallelUpperBounding(grid, threshold, options.ub_strategy,
                                      threads, use_labels, record_labels,
-                                     &stats, &guard)
+                                     &stats, &guard, &lb.tau_low)
              : UpperBounding(grid, threshold, use_labels, record_labels,
-                             &stats, &guard);
+                             &stats, &guard, &lb.tau_low);
   }
 
   // --- VERIFICATION(O_cand, r) ---------------------------------------------

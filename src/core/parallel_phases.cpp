@@ -95,10 +95,7 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
         break;  // each worker drains independently
       }
       Ewah acc;
-      for (const CellKey& key : grid.KeyList(i)) {
-        acc.OrWith(grid.FindSmall(key)->bits);
-      }
-      std::size_t count = acc.Count();
+      const std::size_t count = LowerBoundUnion(grid, i, &acc);
       obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbUnionBits, count);
@@ -194,7 +191,7 @@ void ClearUpperLabels(LabelSet* record, ObjectId i, const PointGroup& g,
 UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
                                    int threads, const LabelSet* use_labels,
                                    LabelSet* record_labels,
-                                   QueryStats* stats, QueryGuard* guard) {
+                                   QueryGuard* guard) {
   const std::size_t n = grid.objects().size();
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
@@ -270,9 +267,6 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
     res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     if (res.tau_upp[i] >= threshold) res.candidates.push_back(i);
   }
-
-  SortCandidates(res.tau_upp, &res.candidates);
-  if (stats != nullptr) stats->num_candidates = res.candidates.size();
   return res;
 }
 
@@ -354,8 +348,6 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
   for (ObjectId i = 0; i < n; ++i) {
     if (res.tau_upp[i] >= threshold) res.candidates.push_back(i);
   }
-  SortCandidates(res.tau_upp, &res.candidates);
-  if (stats != nullptr) stats->num_candidates = res.candidates.size();
   return res;
 }
 
@@ -365,21 +357,22 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
                                        UbStrategy strategy, int threads,
                                        const LabelSet* use_labels,
                                        LabelSet* record_labels,
-                                       QueryStats* stats, QueryGuard* guard) {
+                                       QueryStats* stats, QueryGuard* guard,
+                                       const std::vector<std::uint32_t>*
+                                           tau_low) {
   threads = ResolveThreads(threads);
   if (threads <= 1 || !grid.has_groups()) {
     return UpperBounding(grid, threshold, use_labels, record_labels, stats,
-                         guard);
+                         guard, tau_low);
   }
-  switch (strategy) {
-    case UbStrategy::kGreedyDivideObjects:
-      return UbGreedyDivide(grid, threshold, threads, use_labels,
-                            record_labels, stats, guard);
-    case UbStrategy::kCostBasedGreedy:
-    default:
-      return UbCostBasedGreedy(grid, threshold, threads, use_labels,
-                               record_labels, stats, guard);
-  }
+  UpperBoundResult res =
+      strategy == UbStrategy::kGreedyDivideObjects
+          ? UbGreedyDivide(grid, threshold, threads, use_labels,
+                           record_labels, stats, guard)
+          : UbCostBasedGreedy(grid, threshold, threads, use_labels,
+                              record_labels, guard);
+  FinishCandidateQueue(grid, tau_low, stats, &res);
+  return res;
 }
 
 // ---------------------------------------------------------------------------

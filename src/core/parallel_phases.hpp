@@ -37,12 +37,16 @@ LowerBoundResult ParallelLowerBounding(const BiGrid& grid,
 /// PARALLEL-UPPER-BOUNDING(O, r, tau_low_max). Requires the BiGrid to have
 /// been built with point groups for the cost-based strategy. Guard
 /// semantics as above; a tripped scan yields a partial candidate queue.
+/// `tau_low` (optional) as for UpperBounding: both strategies queue the
+/// candidates in the serial order.
 UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
                                        UbStrategy strategy, int threads,
                                        const LabelSet* use_labels,
                                        LabelSet* record_labels,
                                        QueryStats* stats,
-                                       QueryGuard* guard = nullptr);
+                                       QueryGuard* guard = nullptr,
+                                       const std::vector<std::uint32_t>*
+                                           tau_low = nullptr);
 
 /// PARALLEL-VERIFICATION(O_cand, r). Candidates are still consumed
 /// best-first and serially (the early-termination check is inherently

@@ -329,7 +329,8 @@ QueryResult TemporalMioQuery(const ObjectSet& objects, double r, double delta,
     tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     if (tau_upp[i] >= tau_low_kth) candidates.push_back(i);
   }
-  SortCandidates(tau_upp, &candidates);
+  // The same queue order as the spatial engine, with this grid's tau_low.
+  SortCandidates(tau_upp, tau_low, &candidates);
   res.stats.num_candidates = candidates.size();
   res.stats.phases.upper_bounding = phase.ElapsedSeconds();
 

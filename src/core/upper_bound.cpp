@@ -3,23 +3,45 @@
 #include <algorithm>
 
 #include "common/guardrails.hpp"
+#include "core/lower_bound.hpp"
 #include "obs/metrics.hpp"
 
 namespace mio {
 
 void SortCandidates(const std::vector<std::uint32_t>& tau_upp,
+                    const std::vector<std::uint32_t>& tau_low,
                     std::vector<ObjectId>* candidates) {
   std::sort(candidates->begin(), candidates->end(),
             [&](ObjectId a, ObjectId b) {
               if (tau_upp[a] != tau_upp[b]) return tau_upp[a] > tau_upp[b];
+              if (tau_low[a] != tau_low[b]) return tau_low[a] > tau_low[b];
               return a < b;
             });
+}
+
+void FinishCandidateQueue(const BiGrid& grid,
+                          const std::vector<std::uint32_t>* tau_low,
+                          QueryStats* stats, UpperBoundResult* res) {
+  std::vector<std::uint32_t> own;
+  if (tau_low == nullptr) {
+    // Only candidates are ever compared, so only theirs are computed.
+    own.assign(res->tau_upp.size(), 0);
+    Ewah acc;
+    for (ObjectId i : res->candidates) {
+      const std::size_t count = LowerBoundUnion(grid, i, &acc);
+      own[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
+    }
+    tau_low = &own;
+  }
+  SortCandidates(res->tau_upp, *tau_low, &res->candidates);
+  if (stats != nullptr) stats->num_candidates = res->candidates.size();
 }
 
 UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
                                const LabelSet* use_labels,
                                LabelSet* record_labels, QueryStats* stats,
-                               QueryGuard* guard) {
+                               QueryGuard* guard,
+                               const std::vector<std::uint32_t>* tau_low) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
   const double large_width = grid.large_width();
@@ -69,8 +91,7 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
     if (res.tau_upp[i] >= threshold) res.candidates.push_back(i);
   }
 
-  SortCandidates(res.tau_upp, &res.candidates);
-  if (stats != nullptr) stats->num_candidates = res.candidates.size();
+  FinishCandidateQueue(grid, tau_low, stats, &res);
   return res;
 }
 

@@ -21,8 +21,7 @@ class QueryGuard;  // common/guardrails.hpp
 /// Upper bounds plus the surviving candidate queue.
 struct UpperBoundResult {
   std::vector<std::uint32_t> tau_upp;
-  /// Candidates with tau_upp >= threshold, descending tau_upp (ties by
-  /// ascending id, for determinism).
+  /// Candidates with tau_upp >= threshold, in SortCandidates order.
   std::vector<ObjectId> candidates;
 };
 
@@ -33,13 +32,30 @@ struct UpperBoundResult {
 /// (optional) is polled on an amortised stride; a trip abandons the scan
 /// (unvisited objects never enter the candidate queue, so the partial
 /// result is only usable for best-so-far reporting, not a final answer).
+/// `tau_low` (optional) is lower bounding's per-object result, the queue's
+/// second sort key; without it each candidate's bound is recomputed from
+/// the grid's key lists (LowerBoundUnion), so the queue is the same.
 UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
                                const LabelSet* use_labels,
                                LabelSet* record_labels, QueryStats* stats,
-                               QueryGuard* guard = nullptr);
+                               QueryGuard* guard = nullptr,
+                               const std::vector<std::uint32_t>* tau_low =
+                                   nullptr);
 
-/// Sorts `candidates` by descending tau_upp, ties by ascending id.
+/// Orders the queue for best-first verification: descending tau_upp, then
+/// descending tau_low, then ascending id. Corollary 1 fixes only the
+/// first key; the Lemma-1 bound puts the likeliest winner of a tie run
+/// first, so its exact score can stop the run early (DESIGN.md "Tie
+/// order").
 void SortCandidates(const std::vector<std::uint32_t>& tau_upp,
+                    const std::vector<std::uint32_t>& tau_low,
                     std::vector<ObjectId>* candidates);
+
+/// Ends every upper-bounding path: sorts res->candidates with `tau_low`,
+/// or with the candidates' bounds recomputed from the grid when it is
+/// null, and reports the queue length to `stats` (may be null).
+void FinishCandidateQueue(const BiGrid& grid,
+                          const std::vector<std::uint32_t>* tau_low,
+                          QueryStats* stats, UpperBoundResult* res);
 
 }  // namespace mio

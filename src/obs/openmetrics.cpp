@@ -167,8 +167,9 @@ bool WriteFileAtomic(const std::string& path, const std::string& content,
   // entry itself reaches disk — without this, a crash after the rename
   // could lose the file entirely (the data was synced, the name was not).
   std::size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0                ? std::string("/")
+                                                      : path.substr(0, slash);
   int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {
     // Best-effort: some filesystems reject directory fsync; the rename

@@ -374,15 +374,22 @@ bool IsFiniteNumber(const JsonValue& v) {
 }
 
 // Each Get reads a present value into its member, or returns false when
-// the value has the wrong type.
+// the value has the wrong type. An unsigned member also refuses a value
+// it cannot hold: AsUInt would read a negative as 0 and saturate 2^64 or
+// more, and a cast to uint32 would wrap.
 bool Get(const JsonValue& v, std::uint64_t* out) {
-  if (!IsFiniteNumber(v)) return false;
+  if (!IsFiniteNumber(v) || v.AsDouble() < 0.0 || v.AsDouble() >= 0x1p64) {
+    return false;
+  }
   *out = v.AsUInt();
   return true;
 }
 bool Get(const JsonValue& v, std::uint32_t* out) {
-  if (!IsFiniteNumber(v)) return false;
-  *out = static_cast<std::uint32_t>(v.AsUInt());
+  std::uint64_t wide = 0;
+  if (!Get(v, &wide) || wide > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(wide);
   return true;
 }
 /// Clamped to int's range, so a parsed record serialises to the value it

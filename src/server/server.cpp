@@ -274,7 +274,7 @@ void MioServer::WorkerLoop() {
 }
 
 void MioServer::SessionLoop(int fd, std::uint64_t conn_id) {
-  const std::string client = "c" + std::to_string(conn_id);
+  const std::string client = std::string("c").append(std::to_string(conn_id));
   std::string buffer;
   char chunk[4096];
   bool alive = true;

@@ -203,11 +203,23 @@ TEST(TopKTrackerTest, TiesKeepIncumbent) {
   EXPECT_EQ(t.Sorted()[0].id, 7u);
 }
 
+// Descending upper bound, then descending lower bound, then ascending id.
 TEST(SortCandidatesTest, DescendingWithIdTies) {
-  std::vector<std::uint32_t> upp = {3, 9, 9, 1};
-  std::vector<ObjectId> cand = {0, 1, 2, 3};
-  SortCandidates(upp, &cand);
-  EXPECT_EQ(cand, (std::vector<ObjectId>{1, 2, 0, 3}));
+  std::vector<std::uint32_t> upp = {3, 9, 9, 1, 9, 3};
+  std::vector<std::uint32_t> low = {2, 4, 4, 0, 1, 2};
+  std::vector<ObjectId> cand = {5, 4, 3, 2, 1, 0};
+  SortCandidates(upp, low, &cand);
+  EXPECT_EQ(cand, (std::vector<ObjectId>{1, 2, 4, 0, 5, 3}));
+}
+
+// A higher lower bound goes first among equal upper bounds, whatever the
+// ids: here the larger id.
+TEST(SortCandidatesTest, LowerBoundOrdersEqualUpperBounds) {
+  std::vector<std::uint32_t> upp = {7, 7};
+  std::vector<std::uint32_t> low = {2, 5};
+  std::vector<ObjectId> cand = {0, 1};
+  SortCandidates(upp, low, &cand);
+  EXPECT_EQ(cand, (std::vector<ObjectId>{1, 0}));
 }
 
 }  // namespace

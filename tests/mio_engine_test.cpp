@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 #include "core/query_result.hpp"
 #include "core/upper_bound.hpp"
@@ -190,7 +191,11 @@ LabelSet RecordLabelsAt(const ObjectSet& set, double r) {
 // recorded r seeds from the grid built with the recorded labels, so the
 // two unions must be equal for every object: Labeling-1 clears kMap only
 // on a point whose large-cell neighbourhood holds no other object, so no
-// small cell shared by two objects loses a point.
+// small cell shared by two objects loses a point. The same holds at every
+// r' of the recorded ceil(r) class: two points sharing a small cell are
+// within r' <= ceil(r), so inside that neighbourhood. Lower bounding uses
+// these unions, so tau_low, the candidate queue's tie key, is the same
+// with and without labels.
 TEST(EngineLabelTest, RecordedLabelsKeepEveryLemma1Union) {
   // A dense cluster (shared small cells: non-empty seeds), scattered
   // loners (empty neighbourhoods: kMap-pruned points), and isolated twins:
@@ -216,12 +221,14 @@ TEST(EngineLabelTest, RecordedLabelsKeepEveryLemma1Union) {
   }
   ASSERT_TRUE(planar.IsPlanar());
   for (const ObjectSet* set : {&dense, &planar}) {
-    for (double r : {2.5, 3.5}) {
+    // Each recorded r, then a second radius of its ceil(r) class.
+    for (auto [r, used_r] : {std::pair{2.5, 2.5}, std::pair{2.5, 2.125},
+                             std::pair{3.5, 3.5}, std::pair{3.5, 3.0625}}) {
       const LabelSet labels = RecordLabelsAt(*set, r);
       ASSERT_GT(labels.CountMapPruned(), 0u) << "r=" << r;
-      BiGrid full(*set, r, set->IsPlanar());
+      BiGrid full(*set, used_r, set->IsPlanar());
       full.Build();
-      BiGrid pruned(*set, r, set->IsPlanar());
+      BiGrid pruned(*set, used_r, set->IsPlanar());
       pruned.Build(&labels);
       PlainBitset want;
       PlainBitset got;
@@ -229,11 +236,11 @@ TEST(EngineLabelTest, RecordedLabelsKeepEveryLemma1Union) {
       for (ObjectId i = 0; i < set->size(); ++i) {
         SeedPartners(full, i, nullptr, &want);
         SeedPartners(pruned, i, nullptr, &got);
-        EXPECT_TRUE(got == want)
-            << "planar=" << set->IsPlanar() << " r=" << r << " object " << i;
+        EXPECT_TRUE(got == want) << "planar=" << set->IsPlanar() << " r=" << r
+                                 << " used at " << used_r << " object " << i;
         seeded += want.Count() - 1;
       }
-      EXPECT_GT(seeded, 0u) << "r=" << r;
+      EXPECT_GT(seeded, 0u) << "r=" << r << " used at " << used_r;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/mio_engine.hpp"
@@ -614,6 +615,25 @@ TEST(QlogValidate, RejectsMissingOrWrongTypedFields) {
   broken.replace(pos, std::string("\"wall_seconds\":0.125").size(),
                  "\"wall_seconds\":\"fast\"");
   EXPECT_FALSE(ValidateQlogLine(broken).ok());
+
+  // A number its unsigned member cannot hold: a uint32 above 2^32 - 1
+  // would wrap to 0, a negative uint64 would read as 0.
+  for (const auto& [from, to, name] :
+       {std::tuple{"\"degradation_level\":2",
+                   "\"degradation_level\":4294967296",
+                   "outcome.degradation_level"},
+        std::tuple{"\"distance_computations\":987654",
+                   "\"distance_computations\":-1",
+                   "funnel.distance_computations"}}) {
+    std::string out_of_range = good;
+    const std::size_t at = out_of_range.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    out_of_range.replace(at, std::string(from).size(), to);
+    ASSERT_TRUE(ValidateJson(out_of_range)) << out_of_range;
+    const Status st = ValidateQlogLine(out_of_range);
+    EXPECT_FALSE(st.ok()) << to;
+    EXPECT_NE(st.ToString().find(name), std::string::npos) << st.ToString();
+  }
 }
 
 TEST(QlogValidate, RejectsUnknownLabelOutcome) {
