@@ -9,7 +9,8 @@
 //      objects that must be exactly verified before termination.
 //  (3) upper-bounding OR granularity: the paper's per-point OR vs
 //      one OR per distinct cell (what Labeling-2 effectively converges
-//      to) — quantifies how much of BIGrid-label's gain is key dedup.
+//      to, and what serial UpperBounding does) — quantifies how much of
+//      BIGrid-label's gain is key dedup.
 //
 //   ./bench_ablation [--datasets=neuron,bird2] [--r=4]
 #include <cmath>
@@ -36,10 +37,11 @@ std::vector<std::uint32_t> LowerBoundsAtWidth(const mio::ObjectSet& set,
     }
   }
   std::vector<std::uint32_t> lb(set.size(), 0);
+  mio::UnionAccumulator acc;
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
-    mio::Ewah acc;
+    acc.Clear();
     for (const mio::Point& p : set[i].points) {
-      acc.OrWith(cells[mio::KeyForWidth(p, width)]);
+      acc.Add(cells[mio::KeyForWidth(p, width)]);
     }
     std::size_t c = acc.Count();
     lb[i] = c > 0 ? static_cast<std::uint32_t>(c - 1) : 0;
@@ -114,11 +116,18 @@ void ReportVerificationOrderAblation(const mio::ObjectSet& set, double r) {
 std::size_t benchmark_sink = 0;
 
 void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
+  mio::UnionAccumulator acc;
   // Per-point OR (Algorithm 5 as written).
   mio::BiGrid g1(set, r);
   g1.Build();
   mio::Timer t;
-  mio::UpperBounding(g1, 0, nullptr, nullptr, nullptr);
+  for (mio::ObjectId i = 0; i < set.size(); ++i) {
+    acc.Clear();
+    for (const mio::Point& p : set[i].points) {
+      acc.Add(g1.EnsureAdj(mio::KeyForWidth(p, g1.large_width())).adj);
+    }
+    benchmark_sink += acc.Count();
+  }
   double per_point = t.ElapsedSeconds();
 
   // One OR per distinct cell per object (grouped).
@@ -126,9 +135,9 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
   g2.Build(nullptr, /*build_groups=*/true);
   t.Restart();
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
-    mio::Ewah acc;
+    acc.Clear();
     for (const mio::PointGroup& g : g2.LargeGroups(i)) {
-      acc.OrWith(g2.EnsureAdj(g.key).adj);
+      acc.Add(g2.EnsureAdj(g.key).adj);
     }
     benchmark_sink += acc.Count();
   }

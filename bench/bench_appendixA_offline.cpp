@@ -34,10 +34,11 @@ std::vector<std::uint32_t> OfflineLowerBounds(const mio::ObjectSet& set,
     }
   }
   std::vector<std::uint32_t> lb(set.size(), 0);
+  mio::UnionAccumulator acc;
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
-    mio::Ewah acc;
+    acc.Clear();
     for (const mio::Point& p : set[i].points) {
-      acc.OrWith(cells[mio::KeyForWidth(p, w)]);
+      acc.Add(cells[mio::KeyForWidth(p, w)]);
     }
     std::size_t c = acc.Count();
     lb[i] = c > 0 ? static_cast<std::uint32_t>(c - 1) : 0;

@@ -23,7 +23,9 @@
 # A sanitizer tree runs each test binary once, whichever stages list it.
 #
 # stage       trees             assertions
-# kernels     asan ubsan plain  kernel, pipeline and verification tests
+# kernels     asan ubsan plain  kernel, bitset, pipeline and verification
+#                               tests (every query path: serial, both LB
+#                               and UB strategies, labels, batch, temporal)
 #                               clean under ASan and UBSan; the same tests
 #                               pass under MIO_KERNEL=scalar, sse2, avx2
 # robustness  asan ubsan plain  guardrail, IO, spec, protocol, qlog and
@@ -78,8 +80,8 @@ AB_THRESHOLD=0.5  # both observability overhead A/Bs
 
 KERNEL_TESTS="kernels_test geo_test kdtree_test bigrid_test baseline_test \
   mio_engine_test fuzz_differential_test parallel_test obs_test \
-  bounds_test batch_test grid_reuse_test ewah_test planar_test \
-  temporal_test"
+  bounds_test batch_test grid_reuse_test ewah_test plain_bitset_test \
+  planar_test temporal_test tie_order_test properties_test"
 ROBUST_TESTS="robustness_test io_test importers_test mio_engine_test \
   workload_test server_test qlog_test telemetry_test obs_serve_test"
 SERVE_TSAN_FILTER="ResultTable.*:ServeTest.*Coalesc*:ServeTest.*Cache*:\

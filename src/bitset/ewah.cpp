@@ -256,39 +256,6 @@ class Ewah::WordSource {
   bool exhausted_ = false;
 };
 
-void Ewah::OrWith(const Ewah& other) {
-  // The accumulator pattern (lower/upper bounding OR a bitset per key or
-  // per point) is the hottest loop in the system; reuse a per-thread
-  // scratch buffer so each OR costs no allocation once capacity warms up.
-  thread_local Ewah scratch;
-  scratch.buffer_.clear();
-  scratch.buffer_.push_back(0);
-  scratch.rlw_pos_ = 0;
-  scratch.size_in_bits_ = 0;
-
-  std::uint64_t total = std::max(WordCount(), other.WordCount());
-  WordSource sa(buffer_);
-  WordSource sb(other.buffer_);
-  std::uint64_t done = 0;
-  while (done < total) {
-    if (sa.InRun() && sb.InRun()) {
-      std::uint64_t t = std::min({sa.RunAvail(), sb.RunAvail(), total - done});
-      std::uint64_t w = sa.RunWord() | sb.RunWord();
-      scratch.AddRunWords(w != 0, t);
-      sa.ConsumeRun(t);
-      sb.ConsumeRun(t);
-      done += t;
-    } else {
-      scratch.AddLiteralWord(sa.NextWord() | sb.NextWord());
-      ++done;
-    }
-  }
-  std::size_t bits = std::max(size_in_bits_, other.size_in_bits_);
-  std::swap(buffer_, scratch.buffer_);
-  rlw_pos_ = scratch.rlw_pos_;
-  size_in_bits_ = bits;
-}
-
 template <typename Op>
 Ewah Ewah::BinaryOp(const Ewah& a, const Ewah& b, Op op) {
   Ewah out;

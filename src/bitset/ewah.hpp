@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bitset/plain_bitset.hpp"
@@ -66,10 +67,6 @@ class Ewah {
     size_in_bits_ = 0;
   }
 
-  /// this = this | other. Allocation-free on the steady state (reuses a
-  /// per-thread scratch buffer) — the accumulator op of Algorithms 4-5.
-  void OrWith(const Ewah& other);
-
   static Ewah Or(const Ewah& a, const Ewah& b);
   static Ewah And(const Ewah& a, const Ewah& b);
   /// a & ~b ("a minus b", the verification-step candidate subtraction).
@@ -108,8 +105,9 @@ class Ewah {
   /// outside a zero run, in ascending order — each literal word verbatim
   /// (AddLiteralWord folds all-zero words into runs) and each word of a
   /// ones run as ~0. A zero run costs one step whatever its length. f
-  /// returns false to stop early. Verification ANDs a cell's bitset with
-  /// a decoded candidate set this way, a word at a time.
+  /// returns false to stop early. UnionAccumulator ORs a bitset in this
+  /// way, and verification ANDs a cell's bitset with a decoded candidate
+  /// set, a word at a time.
   template <typename F>
   void ForEachWord(F&& f) const {
     std::size_t pos = 0;
@@ -151,6 +149,14 @@ class Ewah {
   const std::vector<std::uint64_t>& buffer() const { return buffer_; }
 
  private:
+  friend class UnionAccumulator;  // encodes its union in place
+
+  Ewah(std::vector<std::uint64_t> buffer, std::size_t rlw_pos,
+       std::size_t size_in_bits)
+      : buffer_(std::move(buffer)),
+        rlw_pos_(rlw_pos),
+        size_in_bits_(size_in_bits) {}
+
   static constexpr std::uint64_t kMaxRunLen = 0xFFFFFFFFull;
   static constexpr std::uint64_t kMaxLitCount = 0x7FFFFFFFull;
 

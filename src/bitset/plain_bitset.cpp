@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "bitset/ewah.hpp"
+
 namespace mio {
 
 void PlainBitset::Resize(std::size_t bits) {
@@ -92,6 +94,61 @@ bool PlainBitset::operator==(const PlainBitset& other) const {
     if (other.words_[i] != 0) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// UnionAccumulator
+// ---------------------------------------------------------------------------
+
+bool UnionAccumulator::Add(const Ewah& bits) {
+  Grow(bits.SizeInBits());
+  std::uint64_t fresh = 0;
+  bits.ForEachWord([&](std::size_t w, std::uint64_t word) {
+    fresh |= OrWord(w, word);
+    return true;
+  });
+  return fresh != 0;
+}
+
+bool UnionAccumulator::Add(const UnionAccumulator& other) {
+  Grow(other.size_in_bits_);
+  std::uint64_t fresh = 0;
+  for (std::uint32_t w : other.touched_) fresh |= OrWord(w, other.words_[w]);
+  return fresh != 0;
+}
+
+std::size_t UnionAccumulator::Count() const {
+  std::size_t count = 0;
+  for (std::uint32_t w : touched_) count += __builtin_popcountll(words_[w]);
+  return count;
+}
+
+void UnionAccumulator::Clear() {
+  for (std::uint32_t w : touched_) words_[w] = 0;
+  touched_.clear();
+  size_in_bits_ = 0;
+}
+
+Ewah UnionAccumulator::ToEwah() {
+  // Emit the words in ascending order through the Ewah builders, as
+  // Ewah::Or does: the encoding is a function of the word sequence alone,
+  // so the buffer is the fold's. It is built in the reused scratch and
+  // copied out at its exact size.
+  std::sort(touched_.begin(), touched_.end());
+  Ewah enc(std::move(encoded_), 0, 0);
+  enc.Reset();
+  std::size_t next = 0;  // first word not yet emitted
+  for (std::uint32_t w : touched_) {
+    if (w > next) enc.AddRunWords(false, w - next);
+    enc.AddLiteralWord(words_[w]);
+    next = w + 1;
+  }
+  const std::size_t total = (size_in_bits_ + 63) / 64;
+  if (total > next) enc.AddRunWords(false, total - next);
+  Ewah out(std::vector<std::uint64_t>(enc.buffer_.begin(), enc.buffer_.end()),
+           enc.rlw_pos_, size_in_bits_);
+  encoded_ = std::move(enc.buffer_);
+  return out;
 }
 
 }  // namespace mio

@@ -1,7 +1,8 @@
-// Uncompressed dynamic bitset. Two roles: (1) the random-access
+// Uncompressed bitsets. PlainBitset has two roles: (1) the random-access
 // accumulator used during verification, where bits are set/cleared in
 // arbitrary order (EWAH patching would be O(size) per write); (2) the
 // reference implementation for differential-testing the EWAH codec.
+// UnionAccumulator is the bound phases' OR-union of EWAH bitsets.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include <vector>
 
 namespace mio {
+
+class Ewah;  // bitset/ewah.hpp
 
 /// Growable uncompressed bitset over 64-bit words.
 class PlainBitset {
@@ -92,6 +95,55 @@ class PlainBitset {
   void EnsureWord(std::size_t word_idx);
 
   std::vector<std::uint64_t> words_;
+  std::size_t size_in_bits_ = 0;
+};
+
+/// \brief OR-union of EWAH bitsets, accumulated uncompressed: the bound
+/// phases' b(o_i) and every b_adj(c).
+///
+/// Add ORs a bitset's run and literal words straight into one reused word
+/// array and records each word it turns non-zero, so Count and Clear cost
+/// O(t) and ToEwah O(t log t) in the t words touched, never O(size / 64).
+/// The array grows to the largest bitset added and never shrinks: reuse
+/// one accumulator per thread across objects. EWAH stays the stored
+/// format; ToEwah re-encodes the union.
+class UnionAccumulator {
+ public:
+  /// this |= bits. True iff some bit was not set before.
+  bool Add(const Ewah& bits);
+  /// this |= other (folds per-thread accumulators together).
+  bool Add(const UnionAccumulator& other);
+
+  /// Number of set bits.
+  std::size_t Count() const;
+
+  /// Empties the union, keeping capacity.
+  void Clear();
+
+  /// The union as an exact-capacity Ewah whose buffer and SizeInBits equal
+  /// those of an Ewah::Or fold over the bitsets added since Clear. Sorts
+  /// the touched-word list in place.
+  Ewah ToEwah();
+
+ private:
+  /// ORs `value` into word w; returns the bits it newly set.
+  std::uint64_t OrWord(std::size_t w, std::uint64_t value) {
+    const std::uint64_t old = words_[w];
+    if (old == 0 && value != 0) {
+      touched_.push_back(static_cast<std::uint32_t>(w));
+    }
+    words_[w] = old | value;
+    return value & ~old;
+  }
+  void Grow(std::size_t bits) {
+    const std::size_t words = (bits + 63) / 64;
+    if (words > words_.size()) words_.resize(words, 0);
+    size_in_bits_ = std::max(size_in_bits_, bits);
+  }
+
+  std::vector<std::uint64_t> words_;     ///< zero outside touched_
+  std::vector<std::uint32_t> touched_;   ///< indices of non-zero words
+  std::vector<std::uint64_t> encoded_;   ///< ToEwah's reused scratch
   std::size_t size_in_bits_ = 0;
 };
 

@@ -6,11 +6,12 @@
 // faster than on std::unordered_map here.
 //
 // Constraints (checked by usage, not the type system):
-//  * no erase;
+//  * no erase (Clear empties the whole table);
 //  * references returned by operator[]/Find are invalidated by the next
 //    insert that triggers a rehash — do not hold them across inserts.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -56,6 +57,12 @@ class FlatHashMap {
   }
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
+
+  /// Removes every element, keeping the capacity. O(capacity).
+  void Clear() {
+    std::fill(states_.begin(), states_.end(), kEmpty);
+    size_ = 0;
+  }
 
   /// Invokes f(key, value) for every element (unspecified order).
   template <typename F>

@@ -325,15 +325,28 @@ LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
   std::lock_guard<std::mutex> lock(StripeFor(&cell));
   if (cell.AdjReady()) return cell;
   obs::Add(obs::Counter::kAdjBuilds);
-  Ewah acc = cell.bits;
-  ForEachNeighbor(k, /*include_self=*/false, [&](const CellKey& nk) {
-    if (const LargeCell* nc = FindLarge(nk)) acc.OrWith(nc->bits);
-  });
-  cell.adj = std::move(acc);
-  cell.adj_count = static_cast<std::uint32_t>(cell.adj.Count());
+  cell.adj = NeighborhoodUnion(k, cell, &cell.adj_count);
   std::atomic_ref<bool>(cell.adj_computed)
       .store(true, std::memory_order_release);
   return cell;
+}
+
+Ewah BiGrid::NeighborhoodUnion(const CellKey& k, const LargeCell& cell,
+                               std::uint32_t* count) const {
+  // Whichever thread first needs a union builds it, so the scratch is
+  // per thread: n/64 words, reused by every build on that thread.
+  thread_local UnionAccumulator acc;
+  acc.Clear();
+  acc.Add(cell.bits);
+  bool any_neighbor = false;
+  ForEachNeighbor(k, /*include_self=*/false, [&](const CellKey& nk) {
+    if (const LargeCell* nc = FindLarge(nk)) {
+      acc.Add(nc->bits);
+      any_neighbor = true;
+    }
+  });
+  *count = static_cast<std::uint32_t>(acc.Count());
+  return any_neighbor ? acc.ToEwah() : cell.bits;
 }
 
 // ---------------------------------------------------------------------------

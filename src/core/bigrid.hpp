@@ -256,6 +256,15 @@ class BiGrid {
   /// cell's union is computed exactly once across all concurrent readers.
   LargeCell& EnsureAdj(const CellKey& k);
 
+  /// b_adj of `cell`, the cell with key k, computed afresh: its bitset
+  /// ORed with those of its existing neighbours in this thread's
+  /// UnionAccumulator, encoded as the Ewah::Or fold from the cell's own
+  /// bitset would be (which keeps that bitset verbatim when no neighbour
+  /// exists). Writes |b_adj| to `count`. EnsureAdj memoises it; UB-greedy-d
+  /// keeps private per-thread memos of it.
+  Ewah NeighborhoodUnion(const CellKey& k, const LargeCell& cell,
+                         std::uint32_t* count) const;
+
   /// Shares the ceil(r)-dependent half for reuse by later queries with
   /// the same ceiling (includes memoised b_adj and groups).
   std::shared_ptr<LargeGridData> ShareLargeGrid() const { return large_; }

@@ -16,10 +16,11 @@ std::uint32_t LowerBoundResult::KthLargest(std::size_t k) const {
   return copy[k - 1];
 }
 
-std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i, Ewah* acc) {
-  acc->Reset();
+std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i,
+                            UnionAccumulator* acc) {
+  acc->Clear();
   for (const CellKey& key : grid.KeyList(i)) {
-    acc->OrWith(grid.FindSmall(key)->bits);
+    acc->Add(grid.FindSmall(key)->bits);
   }
   return acc->Count();
 }
@@ -31,11 +32,11 @@ LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
   res.tau_low.assign(n, 0);
   if (keep_bitsets) res.lb_bitsets.resize(n);
 
+  UnionAccumulator acc;
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial tau_low entries remain valid lower bounds
     }
-    Ewah acc;
     const std::size_t count = LowerBoundUnion(grid, i, &acc);
     obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
     obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
@@ -44,7 +45,7 @@ LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
     res.tau_low[i] =
         count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     res.tau_low_max = std::max(res.tau_low_max, res.tau_low[i]);
-    if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+    if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
   }
   return res;
 }

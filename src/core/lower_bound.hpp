@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bitset/ewah.hpp"
+#include "bitset/plain_bitset.hpp"
 #include "core/bigrid.hpp"
 
 namespace mio {
@@ -27,12 +28,14 @@ struct LowerBoundResult {
   std::uint32_t KthLargest(std::size_t k) const;
 };
 
-/// Lemma 1 for one object: writes b(o_i), the OR of the small-grid
-/// bitsets of o_i's key list, to `acc` and returns its size. The union
-/// holds o_i's own bit whenever the key list is non-empty, so tau_low is
-/// the size minus one. Serial lower bounding, LB-greedy-d and the
-/// upper-bounding fallback without tau_low all compute a bound with it.
-std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i, Ewah* acc);
+/// Lemma 1 for one object: clears `acc`, accumulates b(o_i), the OR of
+/// the small-grid bitsets of o_i's key list, and returns its size. The
+/// union holds o_i's own bit whenever the key list is non-empty, so
+/// tau_low is the size minus one. Serial lower bounding, LB-greedy-d and
+/// the upper-bounding fallback without tau_low all compute a bound with
+/// it.
+std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i,
+                            UnionAccumulator* acc);
 
 /// Serial lower-bounding over the whole collection. `guard` (optional) is
 /// polled on an amortised stride; a trip abandons the scan, leaving the

@@ -87,6 +87,7 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
     MIO_TRACE_SPAN_CAT("lb.worker", "lb");
     int t = ThreadId();
     pmu.Enter(t);
+    UnionAccumulator acc;
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
       if (assign[i] != t) continue;
@@ -94,14 +95,13 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
           guard->Poll()) {
         break;  // each worker drains independently
       }
-      Ewah acc;
       const std::size_t count = LowerBoundUnion(grid, i, &acc);
       obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbUnionBits, count);
       res.tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
       local_max[t] = std::max(local_max[t], res.tau_low[i]);
-      if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+      if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
     }
     pmu.Leave(t);
   }
@@ -123,7 +123,7 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
   // local bitsets, merge per object (the paper's LB-hash-p). Perfectly
   // balanced, but pays a parallel region + merge per object — exactly the
   // overhead Fig. 8 shows dominating when key lists are small.
-  std::vector<Ewah> locals(threads);
+  std::vector<UnionAccumulator> locals(threads);
   for (ObjectId i = 0; i < n; ++i) {
     // Polled per object (not per stride): each iteration already pays for
     // a parallel region, so the poll cost is negligible here.
@@ -132,18 +132,18 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
 #pragma omp parallel num_threads(threads)
     {
       std::size_t t = static_cast<std::size_t>(ThreadId());
-      locals[t].Reset();
+      locals[t].Clear();
       for (std::size_t idx = t; idx < keys.size();
            idx += static_cast<std::size_t>(threads)) {
-        locals[t].OrWith(grid.FindSmall(keys[idx])->bits);
+        locals[t].Add(grid.FindSmall(keys[idx])->bits);
       }
     }
-    Ewah acc;
-    for (int t = 0; t < threads; ++t) acc.OrWith(locals[t]);
+    UnionAccumulator& acc = locals[0];
+    for (int t = 1; t < threads; ++t) acc.Add(locals[t]);
     std::size_t count = acc.Count();
     res.tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     res.tau_low_max = std::max(res.tau_low_max, res.tau_low[i]);
-    if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+    if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
   }
   return res;
 }
@@ -196,7 +196,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
 
-  std::vector<Ewah> locals(threads);
+  std::vector<UnionAccumulator> locals(threads);
   for (ObjectId i = 0; i < n; ++i) {
     // Per-object poll: each iteration spawns a parallel region anyway.
     if (guard != nullptr && guard->Poll()) break;
@@ -220,7 +220,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
 #pragma omp parallel num_threads(threads)
     {
       int t = ThreadId();
-      locals[t].Reset();
+      locals[t].Clear();
       for (std::size_t g = 0; g < groups.size(); ++g) {
         if (assign[g] != t) continue;
         const PointGroup& group = groups[g];
@@ -246,21 +246,17 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
           }
           continue;
         }
+        const bool changed = locals[t].Add(cell.adj);
         if (record_labels != nullptr) {
-          std::size_t before = locals[t].Count();
-          locals[t].OrWith(cell.adj);
-          bool changed = locals[t].Count() != before;
           // One OR per group: the first point carries it, the rest are
           // redundant (Observation 2); if nothing changed, all are.
           ClearUpperLabels(record_labels, i, group, /*keep_first=*/changed);
-        } else {
-          locals[t].OrWith(cell.adj);
         }
       }
     }
 
-    Ewah acc;
-    for (int t = 0; t < threads; ++t) acc.OrWith(locals[t]);
+    UnionAccumulator& acc = locals[0];
+    for (int t = 1; t < threads; ++t) acc.Add(locals[t]);
     std::size_t count = acc.Count();
     obs::Observe(obs::Histogram::kUbGroupsPerObject, groups.size());
     obs::Observe(obs::Histogram::kUbUnionBits, count);
@@ -295,6 +291,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
     pmu.Enter(t);
     std::unordered_map<CellKey, std::pair<Ewah, std::uint32_t>, CellKeyHash>
         memo;
+    UnionAccumulator acc;
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
       if (assign[i] != t) continue;
@@ -303,8 +300,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
         break;  // each worker drains independently
       }
       const Object& o = objects[i];
-      Ewah acc;
-      std::size_t acc_count = 0;
+      acc.Clear();
       for (std::size_t j = 0; j < o.points.size(); ++j) {
         if (use_labels != nullptr) {
           std::uint8_t l = use_labels->Get(i, j);
@@ -313,13 +309,8 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
         CellKey key = KeyForWidth(o.points[j], large_width);
         auto it = memo.find(key);
         if (it == memo.end()) {
-          Ewah adj;
-          const LargeCell* cell = grid.FindLarge(key);
-          adj = cell->bits;
-          ForEachNeighbor(key, false, [&](const CellKey& nk) {
-            if (const LargeCell* nc = grid.FindLarge(nk)) adj.OrWith(nc->bits);
-          });
-          std::uint32_t cnt = static_cast<std::uint32_t>(adj.Count());
+          std::uint32_t cnt = 0;
+          Ewah adj = grid.NeighborhoodUnion(key, *grid.FindLarge(key), &cnt);
           it = memo.emplace(key, std::make_pair(std::move(adj), cnt)).first;
         }
         const auto& [adj, adj_count] = it->second;
@@ -328,17 +319,12 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
               static_cast<std::uint8_t>(~label::kMap);
           continue;
         }
-        acc.OrWith(adj);
-        if (record_labels != nullptr) {
-          std::size_t new_count = acc.Count();
-          if (new_count == acc_count) {
-            record_labels->labels[i][j] &=
-                static_cast<std::uint8_t>(~label::kUpper);
-          }
-          acc_count = new_count;
+        if (!acc.Add(adj) && record_labels != nullptr) {
+          record_labels->labels[i][j] &=
+              static_cast<std::uint8_t>(~label::kUpper);
         }
       }
-      std::size_t count = record_labels != nullptr ? acc_count : acc.Count();
+      const std::size_t count = acc.Count();
       res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     }
     pmu.Leave(t);

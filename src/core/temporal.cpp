@@ -166,19 +166,20 @@ class TemporalAdj {
   const Ewah& Get(const TemporalKey& k) {
     auto it = memo_.find(k);
     if (it != memo_.end()) return it->second;
-    Ewah acc;
+    acc_.Clear();
     grid_.ForEachSubNeighbor(k.sub, [&](std::int64_t s) {
       ForEachNeighbor(k.cell, /*include_self=*/true, [&](const CellKey& ck) {
         auto cit = grid_.large_.find(TemporalKey{ck, s});
-        if (cit != grid_.large_.end()) acc.OrWith(cit->second.bits);
+        if (cit != grid_.large_.end()) acc_.Add(cit->second.bits);
       });
     });
-    return memo_.emplace(k, std::move(acc)).first->second;
+    return memo_.emplace(k, acc_.ToEwah()).first->second;
   }
 
  private:
   const TemporalBiGrid& grid_;
   std::unordered_map<TemporalKey, Ewah, TemporalKeyHash> memo_;
+  UnionAccumulator acc_;
 };
 
 /// The temporal query's domain: CheckQueryDomain at both grid widths,
@@ -295,10 +296,11 @@ QueryResult TemporalMioQuery(const ObjectSet& objects, double r, double delta,
   phase.Restart();
   std::vector<std::uint32_t> tau_low(n, 0);
   std::uint32_t tau_low_kth = 0;
+  UnionAccumulator acc;
   for (ObjectId i = 0; i < n; ++i) {
-    Ewah acc;
+    acc.Clear();
     for (const TemporalKey& key : grid.key_lists_[i]) {
-      acc.OrWith(grid.small_.at(key).bits);
+      acc.Add(grid.small_.at(key).bits);
     }
     std::size_t count = acc.Count();
     tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
@@ -319,11 +321,11 @@ QueryResult TemporalMioQuery(const ObjectSet& objects, double r, double delta,
   std::vector<ObjectId> candidates;
   for (ObjectId i = 0; i < n; ++i) {
     const Object& o = objects[i];
-    Ewah acc;
+    acc.Clear();
     for (std::size_t j = 0; j < o.points.size(); ++j) {
       TemporalKey key{KeyForWidth(o.points[j], grid.large_width_),
                       grid.SubdomainOf(o.times[j])};
-      acc.OrWith(adj.Get(key));
+      acc.Add(adj.Get(key));
     }
     std::size_t count = acc.Count();
     tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/flat_hash_map.hpp"
 #include "common/guardrails.hpp"
 #include "core/lower_bound.hpp"
 #include "obs/metrics.hpp"
@@ -26,7 +27,7 @@ void FinishCandidateQueue(const BiGrid& grid,
   if (tau_low == nullptr) {
     // Only candidates are ever compared, so only theirs are computed.
     own.assign(res->tau_upp.size(), 0);
-    Ewah acc;
+    UnionAccumulator acc;
     for (ObjectId i : res->candidates) {
       const std::size_t count = LowerBoundUnion(grid, i, &acc);
       own[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
@@ -50,13 +51,20 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
   res.tau_upp.assign(n, 0);
   res.candidates.reserve(n / 4 + 1);
 
+  UnionAccumulator acc;
+  // The object's large cells seen so far, each with whether o_i is alone
+  // in its neighbourhood. A repeated cell cannot change acc, so it is
+  // ORed once; a repeat's labels are those of its first point's outcome
+  // repeated: kMap cleared for an isolated cell, else kUpper
+  // (Labeling-2: its OR would change nothing).
+  FlatHashMap<CellKey, bool, CellKeyHash> seen;
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial candidate queue; usable only for best-so-far
     }
     const Object& o = objects[i];
-    Ewah acc;
-    std::size_t acc_count = 0;
+    acc.Clear();
+    seen.Clear();
     std::size_t ors = 0;
     for (std::size_t j = 0; j < o.points.size(); ++j) {
       if (use_labels != nullptr) {
@@ -65,26 +73,28 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
         if ((l & label::kMap) == 0 || (l & label::kUpper) == 0) continue;
       }
       CellKey key = KeyForWidth(o.points[j], large_width);
-      LargeCell& cell = grid.EnsureAdj(key);
-      if (record_labels != nullptr && cell.adj_count == 1) {
-        // Labeling-1: only o_i occupies this neighbourhood — the point is
-        // irrelevant to every phase of future same-ceil(r) queries.
-        record_labels->labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
-        continue;  // it cannot change acc either (acc will contain bit i)
-      }
-      acc.OrWith(cell.adj);
-      ++ors;
-      if (record_labels != nullptr) {
-        std::size_t new_count = acc.Count();
-        if (new_count == acc_count) {
+      std::uint8_t clear = 0;
+      if (const bool* isolated = seen.Find(key)) {
+        clear = *isolated ? label::kMap : label::kUpper;
+      } else {
+        LargeCell& cell = grid.EnsureAdj(key);
+        seen[key] = cell.adj_count == 1;
+        if (record_labels != nullptr && cell.adj_count == 1) {
+          // Labeling-1: only o_i occupies this neighbourhood — the point
+          // is irrelevant to every phase of future same-ceil(r) queries.
+          // It cannot change acc either (acc will contain bit i).
+          clear = label::kMap;
+        } else {
+          ++ors;
           // Labeling-2: the OR changed nothing (Observation 2).
-          record_labels->labels[i][j] &=
-              static_cast<std::uint8_t>(~label::kUpper);
+          if (!acc.Add(cell.adj)) clear = label::kUpper;
         }
-        acc_count = new_count;
+      }
+      if (record_labels != nullptr) {
+        record_labels->labels[i][j] &= static_cast<std::uint8_t>(~clear);
       }
     }
-    std::size_t count = record_labels != nullptr ? acc_count : acc.Count();
+    const std::size_t count = acc.Count();
     obs::Add(obs::Counter::kUbCellOrs, ors);
     obs::Observe(obs::Histogram::kUbUnionBits, count);
     res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;

@@ -25,7 +25,9 @@ struct UpperBoundResult {
   std::vector<ObjectId> candidates;
 };
 
-/// Serial upper-bounding. `use_labels` (may be null) activates
+/// Serial upper-bounding. Each distinct large cell of an object is ORed
+/// once; a later point in the same cell gets its first point's label
+/// outcome. `use_labels` (may be null) activates
 /// UPPER-BOUNDING-WITH-LABEL: points whose kUpper (or kMap) bit is cleared
 /// are skipped. `record_labels` (may be null) performs Labeling-1/2 as a
 /// side effect. `stats` (may be null) receives counter updates. `guard`

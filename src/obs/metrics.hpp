@@ -34,7 +34,8 @@ namespace obs {
 /// added without one.
 enum class Counter : int {
   kLbCellOrs = 0,        ///< small-cell bitset ORs during lower bounding
-  kUbCellOrs,            ///< b_adj ORs during upper bounding
+  kUbCellOrs,            ///< b_adj ORs of serial upper bounding (one per
+                         ///< distinct large cell of an object)
   kAdjBuilds,            ///< large-cell neighbourhood unions computed
   kPostingScans,         ///< posting lists scanned during verification
   kKernelBatches,        ///< dispatched (non-inline) batch kernel calls

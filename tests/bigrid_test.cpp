@@ -144,6 +144,21 @@ TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
   EXPECT_EQ(cell.adj_count, want.Count());
   // Second call is a memo hit (same object, no recompute).
   EXPECT_EQ(&grid.EnsureAdj(key), &cell);
+
+  // Every cell's b_adj is encoded word for word as the Ewah::Or fold that
+  // starts from the cell's own bitset.
+  grid.ForEachLargeCell([&](const CellKey& k, LargeCell& c) {
+    Ewah fold = c.bits;
+    ForEachNeighbor(k, false, [&](const CellKey& nk) {
+      if (const LargeCell* nc = grid.FindLarge(nk)) {
+        fold = Ewah::Or(fold, nc->bits);
+      }
+    });
+    const LargeCell& adj = grid.EnsureAdj(k);
+    EXPECT_EQ(adj.adj.buffer(), fold.buffer());
+    EXPECT_EQ(adj.adj.SizeInBits(), fold.SizeInBits());
+    EXPECT_EQ(adj.adj_count, fold.Count());
+  });
 }
 
 TEST(BiGridTest, NoEmptyCells) {

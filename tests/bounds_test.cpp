@@ -222,5 +222,97 @@ TEST(SortCandidatesTest, LowerBoundOrdersEqualUpperBounds) {
   EXPECT_EQ(cand, (std::vector<ObjectId>{1, 0}));
 }
 
+// The fixture of the recorded-label tests: clustered objects with several
+// points per large cell, plus one object far from everything, alone in
+// its neighbourhood.
+ObjectSet LabelFixture() {
+  ObjectSet set = testing::MakeRandomObjects(40, 6, 16, 20.0, 17, 1.5);
+  Object alone;
+  for (int j = 0; j < 5; ++j) {
+    alone.points.push_back(Point{500.2 + 0.1 * j, 500.5, 500.5});
+  }
+  set.Add(std::move(alone));
+  return set;
+}
+
+// Algorithm 5 with Labeling-1/2, one OR per point, over the public
+// EnsureAdj: the reference the recorded labels must equal byte for byte.
+LabelSet PerPointUpperLabels(const ObjectSet& set, double r,
+                             std::vector<std::uint32_t>* tau_upp) {
+  BiGrid grid(set, r);
+  grid.Build();
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  tau_upp->assign(set.size(), 0);
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    PlainBitset acc;
+    std::size_t acc_count = 0;
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      LargeCell& cell =
+          grid.EnsureAdj(KeyForWidth(set[i].points[j], grid.large_width()));
+      if (cell.adj_count == 1) {
+        labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
+        continue;
+      }
+      acc.OrWith(cell.adj.ToPlain());
+      if (acc.Count() == acc_count) {
+        labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kUpper);
+      }
+      acc_count = acc.Count();
+    }
+    (*tau_upp)[i] =
+        acc_count > 0 ? static_cast<std::uint32_t>(acc_count - 1) : 0;
+  }
+  return labels;
+}
+
+TEST(RecordedLabelsTest, UpperBoundingLabelsMatchPerPointLoop) {
+  const ObjectSet set = LabelFixture();
+  const ObjectId alone = static_cast<ObjectId>(set.size() - 1);
+  for (double r : {1.5, 2.5, 4.0}) {
+    std::vector<std::uint32_t> want_upp;
+    const LabelSet want = PerPointUpperLabels(set, r, &want_upp);
+
+    BiGrid grid(set, r);
+    grid.Build();
+    LabelSet got = LabelSet::MakeAllOnes(set);
+    UpperBoundResult ub = UpperBounding(grid, 0, nullptr, &got, nullptr);
+    EXPECT_EQ(got.labels, want.labels) << "r=" << r;
+    EXPECT_EQ(ub.tau_upp, want_upp) << "r=" << r;
+
+    // The fixture exercises every outcome: the lone object's points all
+    // clear kMap, and repeated cells clear kUpper.
+    for (std::uint8_t l : got.labels[alone]) {
+      EXPECT_EQ(l, label::kAll & ~label::kMap) << "r=" << r;
+    }
+    std::size_t upper_cleared = 0;
+    for (const auto& object : got.labels) {
+      for (std::uint8_t l : object) {
+        if ((l & label::kMap) != 0 && (l & label::kUpper) == 0) {
+          ++upper_cleared;
+        }
+      }
+    }
+    EXPECT_GT(upper_cleared, set.size()) << "r=" << r;
+  }
+}
+
+TEST(RecordedLabelsTest, KeptLowerBoundBitsetsAreOrFolds) {
+  const ObjectSet set = LabelFixture();
+  BiGrid grid(set, 2.5);
+  grid.Build();
+  LowerBoundResult lb = LowerBounding(grid, /*keep_bitsets=*/true);
+  ASSERT_EQ(lb.lb_bitsets.size(), set.size());
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    Ewah fold;
+    for (const CellKey& key : grid.KeyList(i)) {
+      fold = Ewah::Or(fold, grid.FindSmall(key)->bits);
+    }
+    EXPECT_EQ(lb.lb_bitsets[i].buffer(), fold.buffer()) << "object " << i;
+    EXPECT_EQ(lb.lb_bitsets[i].SizeInBits(), fold.SizeInBits());
+    const std::size_t count = fold.Count();
+    EXPECT_EQ(lb.tau_low[i], count > 0 ? count - 1 : 0) << "object " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mio

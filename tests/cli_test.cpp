@@ -9,7 +9,11 @@
 // --threshold` would pass any candidate. A flag read by prefix would run
 // `--r=3x` at r = 3, drop the "abc" of `sweep --r=3,abc,4`, and read
 // `--seed=abc` as seed 0. A list that skipped empty items would run
-// `sweep --r=,` as no query at all and `--r=3,,4` as 3,4.
+// `sweep --r=,` as no query at all and `--r=3,,4` as 3,4. `generate`
+// requires `--preset` and `--out` (it used to write bird2.bin into the
+// working directory), and it, `convert`, `import-swc` and `import-csv`
+// refuse a `--format` other than binary or text (`txt` used to mean
+// binary), as `generate` refuses a `--scale` other than quick or full.
 //
 // Each case runs the real binary against inputs that do not exist (for
 // `generate`, an output directory that does not exist): loading them, or
@@ -86,17 +90,26 @@ class CliTest : public ::testing::Test {
     } else if (cmd == "import-csv") {
       base = "--in='" + PathFor("missing.csv") + "' --out='" +
              PathFor("out.bin") + "'";
-    } else {  // query, sweep, profile, explain
+    } else if (cmd == "import-swc") {
+      base = "--dir='" + PathFor("missing-swc") + "' --out='" +
+             PathFor("out.bin") + "'";
+    } else {  // query, sweep, profile, explain, convert
       base = "--in='" + PathFor("missing.bin") + "' --r=2";
     }
     return RunArgs(cmd + " " + base + " " + extra);
   }
 
   /// Runs `mio <args>` and returns its exit code; stderr lands in stderr_.
-  int RunArgs(const std::string& args) {
+  /// With `in_dir`, it runs in the empty directory `in_dir`/cwd.
+  int RunArgs(const std::string& args, const std::string& in_dir = "") {
     const std::string err = PathFor("stderr.txt");
-    const std::string line = std::string("'") + MIO_CLI_PATH + "' " + args +
-                             " >/dev/null 2>'" + err + "'";
+    std::string line = std::string("'") + MIO_CLI_PATH + "' " + args +
+                       " >/dev/null 2>'" + err + "'";
+    if (!in_dir.empty()) {
+      const std::filesystem::path cwd = std::filesystem::path(in_dir) / "cwd";
+      std::filesystem::create_directories(cwd);
+      line = "cd '" + cwd.string() + "' && " + line;
+    }
     const int status = std::system(line.c_str());
     std::ifstream in(err);
     stderr_.assign(std::istreambuf_iterator<char>(in),
@@ -168,6 +181,14 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"report_slowest_negative", "qlog report", "--slowest=-1"},
         CliCase{"generate_seed_junk", "generate", "--seed=abc"},
         CliCase{"generate_seed_negative", "generate", "--seed=-1"},
+        CliCase{"generate_preset_missing", "generate", "--preset="},
+        CliCase{"generate_preset_unknown", "generate", "--preset=bird3"},
+        CliCase{"generate_out_missing", "generate", "--out="},
+        CliCase{"generate_scale_unknown", "generate", "--scale=huge"},
+        CliCase{"generate_format_unknown", "generate", "--format=txt"},
+        CliCase{"convert_format_unknown", "convert", "--format=txt"},
+        CliCase{"import_swc_format_unknown", "import-swc", "--format=txt"},
+        CliCase{"import_csv_format_unknown", "import-csv", "--format=txt"},
         CliCase{"import_csv_split_junk", "import-csv", "--split=abc"},
         CliCase{"import_csv_split_negative", "import-csv", "--split=-1"}),
     [](const ::testing::TestParamInfo<CliCase>& info) {
@@ -207,6 +228,24 @@ TEST_F(CliTest, InRangeRadiusSeedAndReportFlagsReachTheLoad) {
   EXPECT_NE(stderr_.find("no-such-dir"), std::string::npos) << stderr_;
   EXPECT_EQ(Run("import-csv", "--split=2147483647"), 3) << stderr_;
   EXPECT_NE(stderr_.find("missing.csv"), std::string::npos) << stderr_;
+}
+
+TEST_F(CliTest, InRangeScaleAndFormatFlagsReachTheLoadOrSave) {
+  EXPECT_EQ(Run("generate", "--preset=neuron2 --scale=quick --format=text"),
+            3)
+      << stderr_;
+  EXPECT_NE(stderr_.find("no-such-dir"), std::string::npos) << stderr_;
+  EXPECT_EQ(Run("convert", "--format=binary"), 3) << stderr_;
+  EXPECT_EQ(Run("import-swc", "--format=text"), 3) << stderr_;
+  EXPECT_EQ(Run("import-csv", "--format=binary"), 3) << stderr_;
+}
+
+// A bare `generate` names the missing flag and writes nothing, instead of
+// generating a default preset into the working directory.
+TEST_F(CliTest, BareGenerateWritesNothing) {
+  EXPECT_EQ(RunArgs("generate", dir_.string()), 2) << stderr_;
+  EXPECT_NE(stderr_.find("--preset"), std::string::npos) << stderr_;
+  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "cwd"));
 }
 
 // Two runs of different workloads share no configuration: comparing them

@@ -338,24 +338,6 @@ TEST(EwahOpsTest, DifferentSizesTreatMissingAsZero) {
   EXPECT_TRUE(d.Test(100000));
 }
 
-TEST(EwahOpsTest, OrWithAccumulatorPattern) {
-  // The BIGrid lower bound ORs many cell bitsets into an accumulator.
-  Pcg32 rng(21);
-  Ewah acc;
-  PlainBitset ref;
-  for (int cell = 0; cell < 50; ++cell) {
-    Ewah cell_bits;
-    std::size_t base = rng.NextBounded(5000);
-    for (int j = 0; j < 20; ++j) {
-      std::size_t idx = base + j * (1 + rng.NextBounded(10));
-      cell_bits.Set(idx);
-      ref.Set(idx);
-    }
-    acc.OrWith(cell_bits);
-  }
-  EXPECT_TRUE(acc.ToPlain() == ref);
-}
-
 TEST(EwahStatsTest, CompressionStatsAggregate) {
   BitsetCompressionStats stats;
   Ewah sparse;

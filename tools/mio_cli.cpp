@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
@@ -135,7 +136,9 @@ void Usage() {
       "  convert   --in=FILE --out=FILE [--format=binary|text]\n"
       "  import-swc --dir=DIR --out=FILE      (NeuroMorpho morphologies)\n"
       "  import-csv --in=FILE --out=FILE [--id-col=id --x-col=x --y-col=y]\n"
-      "             [--z-col=C] [--time-col=C] [--delim=,] [--split=M]\n");
+      "             [--z-col=C] [--time-col=C] [--delim=,] [--split=M]\n"
+      "  (convert, import-swc and import-csv also take\n"
+      "   --format=binary|text)\n");
 }
 
 /// Reports a failure and maps it to the process exit code for its status
@@ -203,6 +206,39 @@ mio::Result<mio::ObjectSet> LoadAny(const std::string& path) {
   return mio::LoadDatasetBinary(path);
 }
 
+/// String flag that must be present with a non-empty value.
+mio::Status RequiredFlag(const mio::ArgParser& args, const char* name,
+                         std::string* out) {
+  *out = args.GetString(name, "");
+  if (out->empty()) {
+    return mio::Status::InvalidArgument(std::string("--") + name +
+                                        " is required");
+  }
+  return mio::Status::OK();
+}
+
+/// String flag limited to `choices`: `--name` into `*out`, or `fallback`
+/// when absent.
+mio::Status ChoiceFlag(const mio::ArgParser& args, const char* name,
+                       const char* fallback,
+                       std::initializer_list<const char*> choices,
+                       std::string* out) {
+  *out = args.GetString(name, fallback);
+  if (*out == fallback) return mio::Status::OK();
+  std::string msg = std::string("--") + name + "=" + *out + ": expected ";
+  for (const char* choice : choices) {
+    if (*out == choice) return mio::Status::OK();
+    if (choice != *choices.begin()) msg += '|';
+    msg += choice;
+  }
+  return mio::Status::InvalidArgument(msg);
+}
+
+/// `--format`: binary or text; absent, the output file's suffix decides.
+mio::Status FormatFlag(const mio::ArgParser& args, std::string* format) {
+  return ChoiceFlag(args, "format", "", {"binary", "text"}, format);
+}
+
 mio::Status SaveAny(const mio::ObjectSet& set, const std::string& path,
                     const std::string& format) {
   if (format == "text" || (format.empty() && EndsWith(path, ".txt"))) {
@@ -212,23 +248,31 @@ mio::Status SaveAny(const mio::ObjectSet& set, const std::string& path,
 }
 
 int CmdGenerate(const mio::ArgParser& args) {
-  mio::datagen::Preset preset;
-  std::string name = args.GetString("preset", "bird2");
-  if (!mio::datagen::ParsePreset(name, &preset)) {
-    std::fprintf(stderr, "unknown preset '%s'\n", name.c_str());
-    return 1;
-  }
-  mio::datagen::Scale scale = args.GetString("scale", "quick") == "full"
-                                  ? mio::datagen::Scale::kFull
-                                  : mio::datagen::Scale::kQuick;
-  std::string out = args.GetString("out", name + ".bin");
+  std::string name, scale, out, format;
   std::uint64_t seed = 42;
-  mio::Status parsed = IntFlag(args, "seed", 42, 0,
-                               std::numeric_limits<std::int64_t>::max(), &seed);
+  mio::Status parsed = RequiredFlag(args, "preset", &name);
+  mio::datagen::Preset preset{};
+  if (parsed.ok() && !mio::datagen::ParsePreset(name, &preset)) {
+    parsed = mio::Status::InvalidArgument(
+        "--preset=" + name + ": expected neuron|neuron2|bird|bird2|syn");
+  }
+  if (parsed.ok()) {
+    parsed = ChoiceFlag(args, "scale", "quick", {"quick", "full"}, &scale);
+  }
+  if (parsed.ok()) parsed = RequiredFlag(args, "out", &out);
+  if (parsed.ok()) parsed = FormatFlag(args, &format);
+  if (parsed.ok()) {
+    parsed = IntFlag(args, "seed", 42, 0,
+                     std::numeric_limits<std::int64_t>::max(), &seed);
+  }
   if (!parsed.ok()) return StatusExit(parsed);
   mio::Timer t;
-  mio::ObjectSet set = mio::datagen::MakePreset(preset, scale, seed);
-  mio::Status st = SaveAny(set, out, args.GetString("format", ""));
+  mio::ObjectSet set = mio::datagen::MakePreset(
+      preset,
+      scale == "full" ? mio::datagen::Scale::kFull
+                      : mio::datagen::Scale::kQuick,
+      seed);
+  mio::Status st = SaveAny(set, out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s (%.2fs)\n", out.c_str(),
               set.Stats().ToString().c_str(), t.ElapsedSeconds());
@@ -1102,22 +1146,28 @@ int CmdQlogDiff(const mio::ArgParser& args) {
 }
 
 int CmdConvert(const mio::ArgParser& args) {
+  std::string format;
+  mio::Status parsed = FormatFlag(args, &format);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
   if (!loaded.ok()) return StatusExit(loaded.status());
   std::string out = args.GetString("out", "");
-  mio::Status st = SaveAny(loaded.value(), out, args.GetString("format", ""));
+  mio::Status st = SaveAny(loaded.value(), out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
 int CmdImportSwc(const mio::ArgParser& args) {
+  std::string format;
+  mio::Status parsed = FormatFlag(args, &format);
+  if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<mio::ObjectSet> set = mio::LoadSwcDirectory(args.GetString("dir", "."));
   if (!set.ok()) return StatusExit(set.status());
   // Morton-order ids: what the compressed cell bitsets rely on.
   mio::ObjectSet sorted = mio::SortObjectsSpatially(set.value());
   std::string out = args.GetString("out", "neurons.bin");
-  mio::Status st = SaveAny(sorted, out, args.GetString("format", ""));
+  mio::Status st = SaveAny(sorted, out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s\n", out.c_str(), sorted.Stats().ToString().c_str());
   return 0;
@@ -1132,15 +1182,17 @@ int CmdImportCsv(const mio::ArgParser& args) {
   opt.time_column = args.GetString("time-col", "");
   std::string delim = args.GetString("delim", ",");
   if (!delim.empty()) opt.delimiter = delim[0];
+  std::string format;
   mio::Status parsed =
       IntFlag(args, "split", 0, 0, kInt32Max, &opt.max_points_per_object);
+  if (parsed.ok()) parsed = FormatFlag(args, &format);
   if (!parsed.ok()) return StatusExit(parsed);
   mio::Result<mio::ObjectSet> set =
       mio::LoadTrajectoryCsv(args.GetString("in", ""), opt);
   if (!set.ok()) return StatusExit(set.status());
   mio::ObjectSet sorted = mio::SortObjectsSpatially(set.value());
   std::string out = args.GetString("out", "tracks.bin");
-  mio::Status st = SaveAny(sorted, out, args.GetString("format", ""));
+  mio::Status st = SaveAny(sorted, out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s\n", out.c_str(), sorted.Stats().ToString().c_str());
   return 0;
