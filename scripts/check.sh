@@ -15,7 +15,6 @@
 # `cmake --build` runs on each every time, so no binary is ever stale):
 #   plain    Release with -DMIO_WERROR=ON, test targets + mio_cli; a
 #            `warning:` line in its build log fails the gate
-#   pmu-off  Release mio_cli with -DMIO_PMU_SUPPORT=OFF
 #   asan     RelWithDebInfo, -DMIO_SANITIZE=address
 #   ubsan    RelWithDebInfo, -DMIO_SANITIZE=undefined (CMake adds the
 #            halting float-cast-overflow flags)
@@ -34,10 +33,10 @@
 #                               convert and stats exits 0 or 2..11 with a
 #                               message; out-of-domain `mio query` input
 #                               exits 2 with a message
-# profile     plain pmu-off     `mio profile` writes one valid record per
+# profile     plain             `mio profile` writes one valid record per
 #                               run (schema, identity, positive wall and
-#                               phase time, PMU tier invariants) in both
-#                               builds and under MIO_PMU=off; `qlog report`
+#                               phase time, no hardware section, env of
+#                               git and kernel_tier only); `qlog report`
 #                               loads them; `explain` prints the funnel
 # qlog        plain             102-query ceil(r) mix: valid records, label
 #                               outcomes per class, tail traces = the tail
@@ -131,8 +130,7 @@ for s in "${RUN[@]}"; do
       need ubsan $ROBUST_TESTS
       need plain mio_cli
       ;;
-    profile) need plain mio_cli && need pmu-off mio_cli ;;
-    qlog | telemetry | obs_serve) need plain mio_cli ;;
+    profile | qlog | telemetry | obs_serve) need plain mio_cli ;;
     batch)
       need asan batch_test mio_cli
       need ubsan batch_test
@@ -152,10 +150,6 @@ build_tree() {
   [ -n "${BUILT[$name]:-}" ] && return 0
   case $name in
     plain) flags="-DCMAKE_BUILD_TYPE=Release -DMIO_WERROR=ON" ;;
-    pmu-off)
-      flags="-DCMAKE_BUILD_TYPE=Release -DMIO_PMU_SUPPORT=OFF \
-        -DMIO_BUILD_TESTS=OFF"
-      ;;
     asan) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo -DMIO_SANITIZE=address" ;;
     ubsan) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo -DMIO_SANITIZE=undefined" ;;
     tsan) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo -DMIO_SANITIZE=thread" ;;
@@ -332,76 +326,45 @@ stage_robustness() {
 }
 
 stage_profile() {
-  local ON=$PREFIX/plain/tools/mio OFF=$PREFIX/pmu-off/tools/mio
+  local CLI=$PREFIX/plain/tools/mio
   build_tree plain
-  build_tree pmu-off
-  dataset "$ON"
-  # check_report CLI FILE LABEL EXPECT_TIMING(0|1) RUNS — one valid record
-  # per measured run, then `mio qlog report` loads them. On hosts without
-  # a hardware PMU the PMU-on build lands on the timing tier too.
-  check_report() {
-    python3 - "$2" "$3" "$4" "$5" << 'PYEOF'
+  dataset "$CLI"
+  echo "== mio profile =="
+  "$CLI" profile --in="$DATA" --r=3 --warmup=1 --runs=3 \
+    --out="$W/profile.jsonl" > /dev/null
+  # One valid record per measured run. Per-phase time is the `phases`
+  # section: no record carries a hardware section or a PMU tier.
+  python3 - "$W/profile.jsonl" 3 << 'PYEOF'
 import json, sys
-path, label, expect_timing, runs = (sys.argv[1], sys.argv[2],
-                                    sys.argv[3] == "1", int(sys.argv[4]))
+path, runs = sys.argv[1], int(sys.argv[2])
 docs = [json.loads(line) for line in open(path) if line.strip()]
 if len(docs) != runs:
-    sys.exit(f"FAILED [{label}]: {len(docs)} records for {runs} runs")
+    sys.exit(f"FAILED [profile]: {len(docs)} records for {runs} runs")
 for i, doc in enumerate(docs):
     def fail(msg):
-        sys.exit(f"FAILED [{label}] record {i}: {msg}\n"
+        sys.exit(f"FAILED [profile] record {i}: {msg}\n"
                  f"{json.dumps(doc, indent=1)[:800]}")
     if doc.get("schema") != "mio-qlog-v1":
         fail(f"schema = {doc.get('schema')!r}")
     if doc.get("query_index") != i:
         fail(f"query_index = {doc.get('query_index')!r}")
-    env = doc.get("env", {})
-    for key in ("git", "kernel_tier", "pmu_tier"):
-        if key not in env:
-            fail(f"missing key env.{key}")
-    for key in ("dataset", "algo", "params", "wall_seconds", "phases",
-                "hardware"):
+    for key in ("dataset", "algo", "params", "wall_seconds", "phases", "env"):
         if key not in doc:
             fail(f"missing key {key!r}")
     if doc["wall_seconds"] <= 0:
         fail("non-positive wall_seconds")
     if doc["phases"]["total"] <= 0:
         fail("non-positive phases.total")
-    tier = env["pmu_tier"]
-    if expect_timing and tier != "timing":
-        fail(f"expected timing tier, got {tier!r}")
-    if tier == "timing":
-        if "derived" in doc["hardware"]:
-            fail("timing tier carries hardware-derived rates")
-        for phase, counts in doc["hardware"]["phases"].items():
-            extra = set(counts) - {"task_clock_ns"}
-            if extra:
-                fail(f"timing tier leaked hardware fields in {phase}: {extra}")
-    else:
-        total = doc["hardware"]["phases"].get("total", {})
-        if total.get("cycles", 0) <= 0:
-            fail("hardware tier reported no cycles")
-        if "derived" not in doc["hardware"]:
-            fail("hardware tier missing derived rates")
-print(f"  [{label}] ok: {len(docs)} records, pmu_tier={tier}")
+    if "hardware" in doc:
+        fail("record carries a hardware section")
+    if sorted(doc["env"]) != ["git", "kernel_tier"]:
+        fail(f"env holds {sorted(doc['env'])}, want git and kernel_tier")
+print(f"  [profile] ok: {len(docs)} records")
 PYEOF
-    "$1" qlog report --in="$2" > /dev/null \
-      || fail "[$3] mio qlog report cannot load $2"
-  }
-  echo "== mio profile: PMU-on build, host default =="
-  "$ON" profile --in="$DATA" --r=3 --warmup=1 --runs=3 --out="$W/on.jsonl" \
-    > /dev/null
-  check_report "$ON" "$W/on.jsonl" pmu-on/default 0 3
-  echo "== mio profile: PMU-on build, MIO_PMU=off fallback =="
-  MIO_PMU=off "$ON" profile --in="$DATA" --r=3 --warmup=0 --runs=2 \
-    --out="$W/forced.jsonl" > /dev/null
-  check_report "$ON" "$W/forced.jsonl" pmu-on/MIO_PMU=off 1 2
-  echo "== mio profile: PMU-off build =="
-  "$OFF" profile --in="$DATA" --r=3 --warmup=0 --runs=2 \
-    --out="$W/off.jsonl" > /dev/null
-  check_report "$OFF" "$W/off.jsonl" pmu-off-build 1 2
+  "$CLI" qlog report --in="$W/profile.jsonl" > /dev/null \
+    || fail "[profile] mio qlog report cannot load $W/profile.jsonl"
   echo "== mio explain smoke =="
-  "$ON" explain --in="$DATA" --r=3 > "$W/explain.txt"
+  "$CLI" explain --in="$DATA" --r=3 > "$W/explain.txt"
   grep -q "pruning funnel" "$W/explain.txt" \
     || { cat "$W/explain.txt"; fail "explain output missing funnel"; }
   grep -q "ub-survivors" "$W/explain.txt" \
@@ -457,7 +420,7 @@ SHAPE = {  # section -> {field: type}
     "labels": {"outcome": STRING, "points_pruned": NUMBER},
     "outcome": {"status": STRING, "complete": BOOL,
                 "degradation_level": NUMBER},
-    "env": {"git": STRING, "pmu_tier": STRING, "kernel_tier": STRING},
+    "env": {"git": STRING, "kernel_tier": STRING},
     "memory": {"index_bytes": NUMBER, "peak_bytes": NUMBER},
     "trace": {"dropped_spans": NUMBER},
 }
@@ -609,9 +572,8 @@ if len(docs) != 1 or docs[0].get("schema") != "mio-qlog-v1":
 doc = docs[0]
 if doc["workload"] != "query" or doc["params"]["r"] != 3:
     sys.exit(f"FAILED: --stats-json identity {doc['workload']!r} r={doc['params']['r']}")
-for section in ("metrics", "hardware"):
-    if section not in doc:
-        sys.exit(f"FAILED: --stats-json record lacks {section!r}")
+if "metrics" not in doc:
+    sys.exit("FAILED: --stats-json record lacks 'metrics'")
 if "tracker" not in doc["memory"]:
     sys.exit("FAILED: --stats-json record lacks memory.tracker")
 print("  ok: --stats-json record valid and loadable")

@@ -14,7 +14,6 @@
 #include "core/upper_bound.hpp"
 #include "core/verification.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 
 namespace mio {
@@ -173,7 +172,6 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   std::shared_ptr<const LabelSet> labels_owner;
   if (options.use_labels) {
     MIO_TRACE_SPAN_CAT("label_input", "query");
-    obs::PmuPhaseScope pmu(&stats.hardware.label_input);
     labels_owner =
         LookupLabels(ceil_r, &stats.phases.label_input, &stats.label_outcome);
   }
@@ -201,7 +199,6 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   {
     MIO_TRACE_SPAN_CAT("grid_mapping", "query");
     ScopedAccumulator acc(&stats.phases.grid_mapping);
-    obs::PmuPhaseScope pmu(&stats.hardware.grid_mapping);
     if (parallel) {
       grid.BuildParallel(threads, use_labels, /*build_groups=*/true, &guard);
     } else {
@@ -269,9 +266,8 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   if (!guard.tripped()) {
     MIO_TRACE_SPAN_CAT("lower_bounding", "query");
     ScopedAccumulator acc(&stats.phases.lower_bounding);
-    obs::PmuPhaseScope pmu(&stats.hardware.lower_bounding);
     lb = parallel ? ParallelLowerBounding(grid, options.lb_strategy, threads,
-                                          keep_lb_bitsets, &stats, &guard)
+                                          keep_lb_bitsets, &guard)
                   : LowerBounding(grid, keep_lb_bitsets, &guard);
   }
   std::uint32_t threshold = k == 1 ? lb.tau_low_max : lb.KthLargest(k);
@@ -284,7 +280,6 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   if (!guard.tripped()) {
     MIO_TRACE_SPAN_CAT("upper_bounding", "query");
     ScopedAccumulator acc(&stats.phases.upper_bounding);
-    obs::PmuPhaseScope pmu(&stats.hardware.upper_bounding);
     ub = parallel
              ? ParallelUpperBounding(grid, threshold, options.ub_strategy,
                                      threads, use_labels, record_labels,
@@ -297,7 +292,6 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   if (!guard.tripped()) {
     MIO_TRACE_SPAN_CAT("verification", "query");
     ScopedAccumulator acc(&stats.phases.verification);
-    obs::PmuPhaseScope pmu(&stats.hardware.verification);
     const std::vector<Ewah>* lb_bits =
         keep_lb_bitsets ? &lb.lb_bitsets : nullptr;
     res.topk =

@@ -10,55 +10,9 @@
 #include "core/partition.hpp"
 #include "core/verification.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 
 namespace mio {
-
-namespace {
-
-/// Collects the OpenMP workers' PMU deltas for one parallel region and
-/// folds the non-master shares into a PhaseHardware slot. The master
-/// thread (region thread 0) is excluded: the engine's per-phase
-/// PmuPhaseScope already counts it. The task-clock slot is dropped when
-/// folding — workers run concurrently, so summing their wall time would
-/// inflate the phase clock. Hardware-tier only; on the timing tier every
-/// call is a no-op.
-class WorkerPmuCapture {
- public:
-  explicit WorkerPmuCapture(int threads)
-      : active_(obs::ActivePmuTier() == obs::PmuTier::kHardware),
-        begin_(active_ ? static_cast<std::size_t>(threads) : 0),
-        delta_(active_ ? static_cast<std::size_t>(threads) : 0) {}
-
-  /// Call at worker-region entry / exit, from the worker itself.
-  void Enter(int t) {
-    if (active_) begin_[static_cast<std::size_t>(t)] = obs::ReadPmuCounts();
-  }
-  void Leave(int t) {
-    if (active_) {
-      std::size_t s = static_cast<std::size_t>(t);
-      delta_[s] += obs::ReadPmuCounts().DeltaSince(begin_[s]);
-    }
-  }
-
-  /// Call after the region, from the master thread.
-  void FoldInto(obs::PmuCounts* sink) const {
-    if (!active_ || sink == nullptr) return;
-    for (std::size_t t = 1; t < delta_.size(); ++t) {
-      obs::PmuCounts d = delta_[t];
-      d.Set(obs::PmuEvent::kTaskClockNs, 0);
-      *sink += d;
-    }
-  }
-
- private:
-  bool active_;
-  std::vector<obs::PmuCounts> begin_;
-  std::vector<obs::PmuCounts> delta_;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Lower-bounding
@@ -67,8 +21,7 @@ class WorkerPmuCapture {
 namespace {
 
 LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
-                                bool keep_bitsets, QueryStats* stats,
-                                QueryGuard* guard) {
+                                bool keep_bitsets, QueryGuard* guard) {
   const std::size_t n = grid.objects().size();
   LowerBoundResult res;
   res.tau_low.assign(n, 0);
@@ -81,12 +34,10 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
   std::vector<int> assign = GreedyAssign(weights, threads);
 
   std::vector<std::uint32_t> local_max(threads, 0);
-  WorkerPmuCapture pmu(threads);
 #pragma omp parallel num_threads(threads)
   {
     MIO_TRACE_SPAN_CAT("lb.worker", "lb");
     int t = ThreadId();
-    pmu.Enter(t);
     UnionAccumulator acc;
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
@@ -103,9 +54,7 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
       local_max[t] = std::max(local_max[t], res.tau_low[i]);
       if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
     }
-    pmu.Leave(t);
   }
-  if (stats != nullptr) pmu.FoldInto(&stats->hardware.lower_bounding);
   for (int t = 0; t < threads; ++t) {
     res.tau_low_max = std::max(res.tau_low_max, local_max[t]);
   }
@@ -152,19 +101,15 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
 
 LowerBoundResult ParallelLowerBounding(const BiGrid& grid,
                                        LbStrategy strategy, int threads,
-                                       bool keep_bitsets, QueryStats* stats,
-                                       QueryGuard* guard) {
+                                       bool keep_bitsets, QueryGuard* guard) {
   threads = ResolveThreads(threads);
   if (threads <= 1) return LowerBounding(grid, keep_bitsets, guard);
   switch (strategy) {
     case LbStrategy::kHashPartitionPoints:
-      // Per-object parallel regions: PMU capture per region would cost two
-      // group reads per object per worker, so hash-partition hardware
-      // counts cover the coordinating thread only (engine phase scope).
       return LbHashPartition(grid, threads, keep_bitsets, guard);
     case LbStrategy::kGreedyDivideObjects:
     default:
-      return LbGreedyDivide(grid, threads, keep_bitsets, stats, guard);
+      return LbGreedyDivide(grid, threads, keep_bitsets, guard);
   }
 }
 
@@ -268,8 +213,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
 
 UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
                                 int threads, const LabelSet* use_labels,
-                                LabelSet* record_labels, QueryStats* stats,
-                                QueryGuard* guard) {
+                                LabelSet* record_labels, QueryGuard* guard) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
   const double large_width = grid.large_width();
@@ -284,11 +228,9 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
   for (ObjectId i = 0; i < n; ++i) weights[i] = objects[i].NumPoints() + 1;
   std::vector<int> assign = GreedyAssign(weights, threads);
 
-  WorkerPmuCapture pmu(threads);
 #pragma omp parallel num_threads(threads)
   {
     int t = ThreadId();
-    pmu.Enter(t);
     std::unordered_map<CellKey, std::pair<Ewah, std::uint32_t>, CellKeyHash>
         memo;
     UnionAccumulator acc;
@@ -327,9 +269,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
       const std::size_t count = acc.Count();
       res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     }
-    pmu.Leave(t);
   }
-  if (stats != nullptr) pmu.FoldInto(&stats->hardware.upper_bounding);
 
   for (ObjectId i = 0; i < n; ++i) {
     if (res.tau_upp[i] >= threshold) res.candidates.push_back(i);
@@ -354,7 +294,7 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
   UpperBoundResult res =
       strategy == UbStrategy::kGreedyDivideObjects
           ? UbGreedyDivide(grid, threshold, threads, use_labels,
-                           record_labels, stats, guard)
+                           record_labels, guard)
           : UbCostBasedGreedy(grid, threshold, threads, use_labels,
                               record_labels, guard);
   FinishCandidateQueue(grid, tau_low, stats, &res);
@@ -456,19 +396,15 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     }
   }
 
-  // Phase 4: per-core scans with private accumulators. PMU capture is
-  // per candidate (this function runs once per verified object): two
-  // group reads per worker per candidate, paid only on the hardware tier.
-  // Copy-assigning the seed reuses each core's accumulator capacity.
+  // Phase 4: per-core scans with private accumulators. Copy-assigning
+  // the seed reuses each core's accumulator capacity.
   std::vector<std::size_t> comps(threads, 0);
   std::vector<double> seconds(threads, 0.0);
-  WorkerPmuCapture pmu(threads);
 #pragma omp parallel num_threads(threads)
   {
     MIO_TRACE_SPAN_CAT("verify.worker", "verify");
     Timer worker_timer;
     int t = ThreadId();
-    pmu.Enter(t);
     VerifyArena& core = cores[static_cast<std::size_t>(t)];
     core.acc = seed;
     const std::span<const std::uint32_t> mine(
@@ -485,14 +421,12 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
                   &core.acc, &core.scratch, record_labels, &comps[t]);
     }
     seconds[static_cast<std::size_t>(t)] = worker_timer.ElapsedSeconds();
-    pmu.Leave(t);
   }
 
   PlainBitset& merged = cores[0].acc;
   for (int t = 1; t < threads; ++t) {
     merged.OrWith(cores[static_cast<std::size_t>(t)].acc);
   }
-  if (stats != nullptr) pmu.FoldInto(&stats->hardware.verification);
   if (stats != nullptr) {
     for (int t = 0; t < threads; ++t) {
       stats->distance_computations += comps[t];

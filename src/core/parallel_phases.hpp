@@ -23,15 +23,13 @@ namespace mio {
 
 class QueryGuard;  // common/guardrails.hpp
 
-/// PARALLEL-LOWER-BOUNDING(O, r). `stats` (optional) receives the
-/// non-master workers' PMU deltas (hardware.lower_bounding). `guard`
-/// (optional) is polled on an amortised stride inside every worker;
-/// OpenMP regions cannot be broken, so tripped workers drain their
-/// remaining iterations at one relaxed load each (common/guardrails.hpp).
+/// PARALLEL-LOWER-BOUNDING(O, r). `guard` (optional) is polled on an
+/// amortised stride inside every worker; OpenMP regions cannot be
+/// broken, so tripped workers drain their remaining iterations at one
+/// relaxed load each (common/guardrails.hpp).
 LowerBoundResult ParallelLowerBounding(const BiGrid& grid,
                                        LbStrategy strategy, int threads,
                                        bool keep_bitsets,
-                                       QueryStats* stats = nullptr,
                                        QueryGuard* guard = nullptr);
 
 /// PARALLEL-UPPER-BOUNDING(O, r, tau_low_max). Requires the BiGrid to have

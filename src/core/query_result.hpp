@@ -11,7 +11,6 @@
 #include "common/memory_tracker.hpp"
 #include "common/status.hpp"
 #include "object/object.hpp"
-#include "obs/perf_counters.hpp"
 
 namespace mio {
 
@@ -33,28 +32,6 @@ struct PhaseTimes {
   double Total() const {
     return label_input + grid_mapping + lower_bounding + upper_bounding +
            verification;
-  }
-};
-
-/// Hardware-counter deltas per pipeline phase (same rows as PhaseTimes).
-/// On the timing PMU tier only task_clock_ns is populated; the parallel
-/// phases additionally fold in the non-master OpenMP workers' counts, so
-/// a phase's cycles cover all cores that worked on it.
-struct PhaseHardware {
-  obs::PmuCounts label_input;
-  obs::PmuCounts grid_mapping;
-  obs::PmuCounts lower_bounding;
-  obs::PmuCounts upper_bounding;
-  obs::PmuCounts verification;
-
-  obs::PmuCounts Total() const {
-    obs::PmuCounts t;
-    t += label_input;
-    t += grid_mapping;
-    t += lower_bounding;
-    t += upper_bounding;
-    t += verification;
-    return t;
   }
 };
 
@@ -81,11 +58,8 @@ struct QueryStats {
   PhaseTimes phases;
   double total_seconds = 0.0;
 
-  /// Per-phase PMU deltas (obs/perf_counters.hpp); all-zero when the
-  /// pipeline never sampled (baselines, PMU compiled out).
-  PhaseHardware hardware;
-  /// Total points in the dataset (n*m) — the denominator of the derived
-  /// cycles-per-point rate.
+  /// Total points in the dataset (n*m), which `mio explain` and
+  /// miobench read.
   std::size_t total_points = 0;
 
   /// Index structure footprint (Figs. 5f-j, 6f-j).

@@ -1,118 +1,17 @@
-// Hardware-counter (PMU) reader built on Linux perf_event_open: one
-// grouped counter set per thread (cycles, instructions, cache
-// references/misses, branch misses) plus a task-clock value, so the
-// pipeline phases can report cycles-per-point, IPC, and cache-miss rates
-// — the questions "where did the time go" spans cannot answer for a
-// memory-bound workload.
-//
-// Tiers (resolved once per process, cheap relaxed load afterwards):
-//  - hardware: the PMU group opened successfully on the probing thread;
-//    every thread lazily opens its own group (per-thread contexts, so
-//    OpenMP verify workers are counted individually);
-//  - timing:   perf_event_open is unavailable (EPERM under seccomp,
-//    ENOSYS, ENOENT on VMs without a PMU, MIO_PMU=off, or the
-//    -DMIO_PMU_SUPPORT=OFF compile-out) — counters read as zero and only
-//    the steady-clock task_clock_ns slot is filled, so every consumer
-//    degrades to the span-tracer timing story instead of failing.
-//
-// Environment: MIO_PMU=off|0|false|timing forces the timing tier (no
-// perf syscalls at all); unset or any other value probes the hardware.
+// The measurement-tier names, kept for one reader: miobench/mio_bench.cpp
+// writes obs::PmuTierName(obs::ActivePmuTier()) into its host header.
+// Nothing else uses them. Per-phase time is the steady-clock PhaseTimes
+// of core/query_result.hpp, so the one tier is "timing".
 #pragma once
-
-#include <array>
-#include <cstdint>
 
 namespace mio {
 namespace obs {
 
-/// The grouped events, in read order. kTaskClockNs is always filled from
-/// the monotonic clock (both tiers); the rest are hardware-tier only.
-enum class PmuEvent : int {
-  kCycles = 0,
-  kInstructions,
-  kCacheReferences,
-  kCacheMisses,
-  kBranchMisses,
-  kTaskClockNs,
-  kCount_
-};
+enum class PmuTier : int { kTiming = 0 };
 
-inline constexpr int kNumPmuEvents = static_cast<int>(PmuEvent::kCount_);
+inline const char* PmuTierName(PmuTier) { return "timing"; }
 
-/// Stable snake_case name used in every JSON surface ("cycles", ...).
-const char* PmuEventName(PmuEvent e);
-
-/// One counter reading (absolute) or difference of two readings (delta).
-struct PmuCounts {
-  std::array<std::uint64_t, kNumPmuEvents> v{};
-  /// True when the hardware events were actually read (hardware tier and
-  /// the calling thread's group opened). task_clock_ns is valid either way.
-  bool valid = false;
-
-  std::uint64_t Get(PmuEvent e) const {
-    return v[static_cast<std::size_t>(e)];
-  }
-  void Set(PmuEvent e, std::uint64_t value) {
-    v[static_cast<std::size_t>(e)] = value;
-  }
-
-  /// Element-wise accumulation; the sum is valid if any part was.
-  PmuCounts& operator+=(const PmuCounts& o);
-
-  /// this - begin, clamped at zero per event (counter wraps / scaling
-  /// jitter must not produce huge unsigned deltas).
-  PmuCounts DeltaSince(const PmuCounts& begin) const;
-
-  /// True when every slot (including task_clock_ns) is zero.
-  bool Empty() const;
-
-  // Derived rates; all return 0 when the denominator is zero.
-  double Ipc() const;                ///< instructions / cycles
-  double CacheMissRate() const;      ///< cache_misses / cache_references
-  double BranchMissesPerKiloInstructions() const;
-};
-
-/// The active measurement tier (see file comment).
-enum class PmuTier : int { kTiming = 0, kHardware };
-
-const char* PmuTierName(PmuTier t);
-
-/// Resolves (once) and returns the process-wide tier: the MIO_PMU
-/// environment variable, then a perf_event_open probe.
-PmuTier ActivePmuTier();
-
-/// Overrides the resolved tier (tests force the timing fallback without
-/// touching the environment). Threads that already opened hardware
-/// groups keep their fds but stop reading them under kTiming.
-void ForcePmuTier(PmuTier t);
-
-/// True when `value` (a MIO_PMU setting) selects the timing tier.
-/// Exposed for tests; `nullptr` (unset) means "probe the hardware".
-bool PmuEnvDisables(const char* value);
-
-/// Reads the calling thread's counters. Hardware tier: opens the
-/// per-thread group on first use (multiplexing-scaled group read);
-/// timing tier or open failure: zeros with only task_clock_ns filled.
-PmuCounts ReadPmuCounts();
-
-/// RAII phase accumulator: reads on construction, adds the delta into
-/// `*sink` on destruction. Null sink makes it a no-op.
-class PmuPhaseScope {
- public:
-  explicit PmuPhaseScope(PmuCounts* sink) : sink_(sink) {
-    if (sink_ != nullptr) begin_ = ReadPmuCounts();
-  }
-  ~PmuPhaseScope() {
-    if (sink_ != nullptr) *sink_ += ReadPmuCounts().DeltaSince(begin_);
-  }
-
-  PmuPhaseScope(const PmuPhaseScope&) = delete;
-  PmuPhaseScope& operator=(const PmuPhaseScope&) = delete;
-
- private:
-  PmuCounts* sink_;
-  PmuCounts begin_;
-};
+inline PmuTier ActivePmuTier() { return PmuTier::kTiming; }
 
 }  // namespace obs
 }  // namespace mio

@@ -12,7 +12,6 @@
 
 #include "geo/kernels.hpp"
 #include "obs/json.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/stats_sink.hpp"
 
 namespace mio {
@@ -115,55 +114,6 @@ void WriteLoadBalance(JsonWriter& w, const char* key, const QlogRecord& rec) {
   w.Key("max_seconds").Double(report.max_seconds);
   w.Key("mean_seconds").Double(report.mean_seconds);
   w.Key("imbalance").Double(report.imbalance);
-  w.EndObject();
-}
-
-void WritePmuCounts(JsonWriter& w, const char* key, const PmuCounts& c) {
-  if (c.Empty()) return;
-  w.Key(key).BeginObject();
-  for (int e = 0; e < kNumPmuEvents; ++e) {
-    PmuEvent pe = static_cast<PmuEvent>(e);
-    std::uint64_t v = c.Get(pe);
-    if (v == 0 && !c.valid) continue;  // timing tier: task_clock_ns only
-    w.Key(PmuEventName(pe)).UInt(v);
-  }
-  if (c.valid) {
-    w.Key("ipc").Double(c.Ipc());
-    w.Key("cache_miss_rate").Double(c.CacheMissRate());
-    w.Key("branch_misses_per_ki").Double(c.BranchMissesPerKiloInstructions());
-  }
-  w.EndObject();
-}
-
-void WriteHardware(JsonWriter& w, const char* key, const QlogRecord& rec) {
-  if (!rec.detail) return;
-  const QueryStats& s = *rec.detail;
-  PmuCounts total = s.hardware.Total();
-  if (total.Empty()) return;  // never sampled (baselines, compiled out)
-  w.Key(key).BeginObject();
-  w.Key("phases").BeginObject();
-  WritePmuCounts(w, "label_input", s.hardware.label_input);
-  WritePmuCounts(w, "grid_mapping", s.hardware.grid_mapping);
-  WritePmuCounts(w, "lower_bounding", s.hardware.lower_bounding);
-  WritePmuCounts(w, "upper_bounding", s.hardware.upper_bounding);
-  WritePmuCounts(w, "verification", s.hardware.verification);
-  WritePmuCounts(w, "total", total);
-  w.EndObject();
-  if (total.valid) {
-    w.Key("derived").BeginObject();
-    if (s.total_points > 0) {
-      w.Key("cycles_per_point")
-          .Double(static_cast<double>(total.Get(PmuEvent::kCycles)) /
-                  static_cast<double>(s.total_points));
-    }
-    if (s.num_verified > 0) {
-      w.Key("cycles_per_candidate")
-          .Double(static_cast<double>(
-                      s.hardware.verification.Get(PmuEvent::kCycles)) /
-                  static_cast<double>(s.num_verified));
-    }
-    w.EndObject();
-  }
   w.EndObject();
 }
 
@@ -292,7 +242,6 @@ constexpr Field kFields[] = {
     {"outcome", "complete", &QlogRecord::complete},
     {"outcome", "degradation_level", &QlogRecord::degradation_level},
     {"env", "git", &QlogRecord::git, Presence::kOptional},
-    {"env", "pmu_tier", &QlogRecord::pmu_tier},
     {"env", "kernel_tier", &QlogRecord::kernel_tier},
     {"memory", "index_bytes", &QlogRecord::index_memory_bytes},
     {"memory", "peak_bytes", &QlogRecord::peak_memory_bytes},
@@ -314,7 +263,6 @@ constexpr Field kFields[] = {
      Presence::kIfSet},
     {"server", "stages", ByHand{kJsonObject, WriteStages},
      Presence::kOptional},
-    {"", "hardware", ByHand{kJsonObject, WriteHardware}, Presence::kIfSet},
     {"", "verify_load_balance", ByHand{kJsonObject, WriteLoadBalance},
      Presence::kIfSet},
     {"", "compression", ByHand{kJsonObject, WriteCompression},
@@ -443,7 +391,6 @@ QlogRecord BuildQlogRecord(QlogRecord rec, const QueryResult* result,
                            const MetricsSnapshot* metrics) {
   rec.ceil_r = CeilClass(rec.r);
   rec.git = GitDescribe();
-  rec.pmu_tier = PmuTierName(ActivePmuTier());
   rec.kernel_tier = KernelTierName(ActiveKernelTier());
   if (metrics != nullptr) {
     rec.metrics = std::make_shared<const MetricsSnapshot>(*metrics);

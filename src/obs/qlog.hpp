@@ -6,9 +6,9 @@
 // --stats-json`, `mio profile`, the bench harnesses' --json-out, and the
 // exit backstop) builds it with BuildQlogRecord and serialises it with
 // QlogRecordToJsonLine. Emitters that hold the query's QueryStats add
-// the per-query detail sections (hardware counters, verification load
-// balance, memory parts, compression); one-shot emitters that reset the
-// metrics registry around their run add the registry snapshot too.
+// the per-query detail sections (verification load balance, memory
+// parts, compression); one-shot emitters that reset the metrics
+// registry around their run add the registry snapshot too.
 //
 // The record's fields are spelled once, in the field table of qlog.cpp:
 // the writer writes its rows and the parser reads them, and validating
@@ -122,7 +122,6 @@ struct QlogRecord {
 
   // Environment and resources.
   std::string git;  ///< GitDescribe() of the emitting binary
-  std::string pmu_tier;
   std::string kernel_tier;
   std::uint64_t index_memory_bytes = 0;
   std::uint64_t peak_memory_bytes = 0;
@@ -164,11 +163,11 @@ struct QlogRecord {
 
   // Per-query detail sections, written when present and never parsed
   // back (readers only check that each is an object). `detail` is the
-  // query's own QueryStats: "hardware", "verify_load_balance",
-  // "memory.parts" and "compression" come from it, each only when
-  // non-empty. `metrics` adds the registry snapshot ("metrics") and the
-  // tracker's per-tag current/peak bytes ("memory.tracker"), captured
-  // with it. Held by pointer so records loaded by the readers stay small.
+  // query's own QueryStats: "verify_load_balance", "memory.parts" and
+  // "compression" come from it, each only when non-empty. `metrics` adds
+  // the registry snapshot ("metrics") and the tracker's per-tag
+  // current/peak bytes ("memory.tracker"), captured with it. Held by
+  // pointer so records loaded by the readers stay small.
   std::shared_ptr<const QueryStats> detail;
   std::shared_ptr<const MetricsSnapshot> metrics;
   std::vector<MemoryTracker::Entry> tracker;
@@ -199,7 +198,7 @@ struct QlogRecord {
 /// with what parameters (query_index, workload, dataset, algo, r, k,
 /// threads, scale, objects, wall_seconds, and any batch/server fields);
 /// the builder keeps those and fills the rest from `result` and the
-/// environment (git, kernel and PMU tiers, the tracker's peak bytes).
+/// environment (git, kernel tier, the tracker's peak bytes).
 /// `ceil_r` is derived from r and is 0 for a radius the engine rejects.
 ///
 /// `result` null means the request was answered without an execution of

@@ -73,9 +73,6 @@ void TraceSpan::Begin(const char* name, const char* cat) {
   cat_ = cat;
   ThreadBuffer& buf = Buffer();
   ++buf.depth;
-  // PMU read only on the hardware tier (one group read(2)); the timing
-  // tier keeps spans at two clock reads.
-  if (ActivePmuTier() == PmuTier::kHardware) pmu_begin_ = ReadPmuCounts();
   start_ns_ = NowNs();
 }
 
@@ -96,8 +93,6 @@ void TraceSpan::End() {
   ev.dur_ns = end_ns - start_ns_;
   ev.tid = buf.tid;
   ev.depth = depth;
-  ev.has_pmu = pmu_begin_.valid;
-  if (ev.has_pmu) ev.pmu = ReadPmuCounts().DeltaSince(pmu_begin_);
   buf.next = (buf.next + 1) % Tracer::kRingCapacity;
   ++buf.recorded;
 }
@@ -202,17 +197,6 @@ std::string Tracer::ToChromeTraceJson(bool truncated) const {
     // Chrome's ts/dur are microseconds; fractional values keep ns detail.
     w.Key("ts").Double(static_cast<double>(ev.start_ns) / 1e3);
     w.Key("dur").Double(static_cast<double>(ev.dur_ns) / 1e3);
-    if (ev.has_pmu) {
-      w.Key("args").BeginObject();
-      for (int e = 0; e < kNumPmuEvents; ++e) {
-        PmuEvent pe = static_cast<PmuEvent>(e);
-        if (pe == PmuEvent::kTaskClockNs) continue;  // dur already says it
-        w.Key(PmuEventName(pe)).UInt(ev.pmu.Get(pe));
-      }
-      w.Key("ipc").Double(ev.pmu.Ipc());
-      w.Key("cache_miss_rate").Double(ev.pmu.CacheMissRate());
-      w.EndObject();
-    }
     w.EndObject();
   }
   w.EndArray();

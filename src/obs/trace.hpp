@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "obs/perf_counters.hpp"
 
 namespace mio {
 namespace obs {
@@ -36,11 +35,6 @@ struct TraceEvent {
   std::int64_t dur_ns = 0;
   int tid = 0;   ///< per-process thread track, in registration order
   int depth = 0;  ///< nesting level at the time the span opened (0 = root)
-  /// Per-span PMU delta (hardware tier only): exported as trace_event
-  /// args so Perfetto shows cycles/IPC/miss-rate per span. has_pmu is
-  /// false on the timing tier — the span then carries only its duration.
-  PmuCounts pmu;
-  bool has_pmu = false;
 };
 
 namespace detail {
@@ -80,12 +74,11 @@ class Tracer {
   std::size_t NumThreads() const;
 
   /// The Chrome trace_event document ({"traceEvents":[...]}) for the
-  /// current contents, with one named track per recorded thread. Spans
-  /// recorded on the hardware PMU tier carry args (cycles, instructions,
-  /// ipc, cache_miss_rate, ...). `truncated` adds a top-level
-  /// `"truncated": true` marker (the exit-flush path uses it to mark a
-  /// document written before the query finished); ring overflow adds the
-  /// same marker plus a `"dropped_spans": N` count on its own.
+  /// current contents, with one named track per recorded thread.
+  /// `truncated` adds a top-level `"truncated": true` marker (the
+  /// exit-flush path uses it to mark a document written before the query
+  /// finished); ring overflow adds the same marker plus a
+  /// `"dropped_spans": N` count on its own.
   std::string ToChromeTraceJson(bool truncated = false) const;
 
   /// Writes ToChromeTraceJson(truncated) to `path`.
@@ -119,7 +112,6 @@ class TraceSpan {
   const char* name_ = nullptr;
   const char* cat_ = nullptr;
   std::int64_t start_ns_ = 0;
-  PmuCounts pmu_begin_;  ///< read at Begin on the hardware tier only
 };
 
 }  // namespace obs

@@ -10,10 +10,11 @@
 // `--r=3x` at r = 3, drop the "abc" of `sweep --r=3,abc,4`, and read
 // `--seed=abc` as seed 0. A list that skipped empty items would run
 // `sweep --r=,` as no query at all and `--r=3,,4` as 3,4. `generate`
-// requires `--preset` and `--out` (it used to write bird2.bin into the
-// working directory), and it, `convert`, `import-swc` and `import-csv`
-// refuse a `--format` other than binary or text (`txt` used to mean
-// binary), as `generate` refuses a `--scale` other than quick or full.
+// requires `--preset` and `--out`, `convert` and `import-csv` `--in` and
+// `--out`, and `import-swc` `--dir` and `--out` (the importers used to
+// read or write the working directory without them), and all four refuse
+// a `--format` other than binary or text (`txt` used to mean binary), as
+// `generate` refuses a `--scale` other than quick or full.
 //
 // Each case runs the real binary against inputs that do not exist (for
 // `generate`, an output directory that does not exist): loading them, or
@@ -87,13 +88,16 @@ class CliTest : public ::testing::Test {
       base = "--in='" + PathFor("missing.jsonl") + "'";
     } else if (cmd == "generate") {
       base = "--preset=bird2 --out='" + PathFor("no-such-dir/out.bin") + "'";
+    } else if (cmd == "convert") {
+      base = "--in='" + PathFor("missing.bin") + "' --out='" +
+             PathFor("out.bin") + "'";
     } else if (cmd == "import-csv") {
       base = "--in='" + PathFor("missing.csv") + "' --out='" +
              PathFor("out.bin") + "'";
     } else if (cmd == "import-swc") {
       base = "--dir='" + PathFor("missing-swc") + "' --out='" +
              PathFor("out.bin") + "'";
-    } else {  // query, sweep, profile, explain, convert
+    } else {  // query, sweep, profile, explain
       base = "--in='" + PathFor("missing.bin") + "' --r=2";
     }
     return RunArgs(cmd + " " + base + " " + extra);
@@ -187,6 +191,12 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"generate_scale_unknown", "generate", "--scale=huge"},
         CliCase{"generate_format_unknown", "generate", "--format=txt"},
         CliCase{"convert_format_unknown", "convert", "--format=txt"},
+        CliCase{"convert_in_missing", "convert", "--in="},
+        CliCase{"convert_out_missing", "convert", "--out="},
+        CliCase{"import_swc_dir_missing", "import-swc", "--dir="},
+        CliCase{"import_swc_out_missing", "import-swc", "--out="},
+        CliCase{"import_csv_in_missing", "import-csv", "--in="},
+        CliCase{"import_csv_out_missing", "import-csv", "--out="},
         CliCase{"import_swc_format_unknown", "import-swc", "--format=txt"},
         CliCase{"import_csv_format_unknown", "import-csv", "--format=txt"},
         CliCase{"import_csv_split_junk", "import-csv", "--split=abc"},
@@ -245,6 +255,17 @@ TEST_F(CliTest, InRangeScaleAndFormatFlagsReachTheLoadOrSave) {
 TEST_F(CliTest, BareGenerateWritesNothing) {
   EXPECT_EQ(RunArgs("generate", dir_.string()), 2) << stderr_;
   EXPECT_NE(stderr_.find("--preset"), std::string::npos) << stderr_;
+  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "cwd"));
+}
+
+// An import without `--out` names the missing flag and writes nothing,
+// instead of writing tracks.bin into the working directory.
+TEST_F(CliTest, BareImportWritesNothing) {
+  const std::string csv = PathFor("tracks.csv");
+  std::ofstream(csv) << "id,x,y\n1,0,0\n1,1,1\n2,5,5\n2,6,6\n";
+  EXPECT_EQ(RunArgs("import-csv --in='" + csv + "'", dir_.string()), 2)
+      << stderr_;
+  EXPECT_NE(stderr_.find("--out"), std::string::npos) << stderr_;
   EXPECT_TRUE(std::filesystem::is_empty(dir_ / "cwd"));
 }
 

@@ -19,7 +19,6 @@
 #include "obs/exit_flush.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 #include "obs/trace.hpp"
@@ -446,148 +445,6 @@ TEST(StatsSinkTest, HistogramJsonCarriesPercentiles) {
   EXPECT_NE(doc.find("\"p90\""), std::string::npos);
   EXPECT_NE(doc.find("\"p99\""), std::string::npos);
   ResetMetrics();
-}
-
-// ---------------------------------------------------------------------------
-// PMU counters (obs/perf_counters.hpp)
-// ---------------------------------------------------------------------------
-
-/// Saves the resolved tier and forces the timing fallback for the test
-/// body, so assertions hold on both PMU and non-PMU hosts.
-class PmuTimingTierTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_ = ActivePmuTier();
-    ForcePmuTier(PmuTier::kTiming);
-  }
-  void TearDown() override { ForcePmuTier(saved_); }
-  PmuTier saved_ = PmuTier::kTiming;
-};
-
-TEST(PmuCountsTest, EventNamesAreStable) {
-  EXPECT_STREQ(PmuEventName(PmuEvent::kCycles), "cycles");
-  EXPECT_STREQ(PmuEventName(PmuEvent::kInstructions), "instructions");
-  EXPECT_STREQ(PmuEventName(PmuEvent::kCacheReferences), "cache_references");
-  EXPECT_STREQ(PmuEventName(PmuEvent::kCacheMisses), "cache_misses");
-  EXPECT_STREQ(PmuEventName(PmuEvent::kBranchMisses), "branch_misses");
-  EXPECT_STREQ(PmuEventName(PmuEvent::kTaskClockNs), "task_clock_ns");
-}
-
-TEST(PmuCountsTest, ArithmeticAndDeltaClamping) {
-  PmuCounts a;
-  EXPECT_TRUE(a.Empty());
-  a.Set(PmuEvent::kCycles, 100);
-  a.Set(PmuEvent::kInstructions, 250);
-  a.valid = true;
-  EXPECT_FALSE(a.Empty());
-
-  PmuCounts b;
-  b.Set(PmuEvent::kCycles, 40);
-  b.Set(PmuEvent::kInstructions, 300);  // > a's: the delta must clamp to 0
-  PmuCounts d = a.DeltaSince(b);
-  EXPECT_EQ(d.Get(PmuEvent::kCycles), 60u);
-  EXPECT_EQ(d.Get(PmuEvent::kInstructions), 0u);
-
-  PmuCounts sum;
-  sum += a;
-  sum += b;  // b.valid == false; the sum stays valid because a was
-  EXPECT_EQ(sum.Get(PmuEvent::kCycles), 140u);
-  EXPECT_TRUE(sum.valid);
-}
-
-TEST(PmuCountsTest, DerivedRatesHandleZeroDenominators) {
-  PmuCounts c;
-  EXPECT_DOUBLE_EQ(c.Ipc(), 0.0);
-  EXPECT_DOUBLE_EQ(c.CacheMissRate(), 0.0);
-  EXPECT_DOUBLE_EQ(c.BranchMissesPerKiloInstructions(), 0.0);
-  c.Set(PmuEvent::kCycles, 200);
-  c.Set(PmuEvent::kInstructions, 500);
-  c.Set(PmuEvent::kCacheReferences, 1000);
-  c.Set(PmuEvent::kCacheMisses, 50);
-  c.Set(PmuEvent::kBranchMisses, 5);
-  EXPECT_DOUBLE_EQ(c.Ipc(), 2.5);
-  EXPECT_DOUBLE_EQ(c.CacheMissRate(), 0.05);
-  EXPECT_DOUBLE_EQ(c.BranchMissesPerKiloInstructions(), 10.0);
-}
-
-TEST(PmuCountsTest, EnvDisableGrammar) {
-  EXPECT_FALSE(PmuEnvDisables(nullptr));  // unset: probe the hardware
-  EXPECT_TRUE(PmuEnvDisables("off"));
-  EXPECT_TRUE(PmuEnvDisables("0"));
-  EXPECT_TRUE(PmuEnvDisables("false"));
-  EXPECT_TRUE(PmuEnvDisables("no"));
-  EXPECT_TRUE(PmuEnvDisables("timing"));
-  EXPECT_FALSE(PmuEnvDisables("on"));
-  EXPECT_FALSE(PmuEnvDisables("1"));
-  EXPECT_FALSE(PmuEnvDisables(""));
-}
-
-TEST_F(PmuTimingTierTest, TimingTierFillsOnlyTaskClock) {
-  EXPECT_EQ(ActivePmuTier(), PmuTier::kTiming);
-  EXPECT_STREQ(PmuTierName(ActivePmuTier()), "timing");
-  PmuCounts begin = ReadPmuCounts();
-  EXPECT_FALSE(begin.valid);
-  EXPECT_EQ(begin.Get(PmuEvent::kCycles), 0u);
-  EXPECT_GT(begin.Get(PmuEvent::kTaskClockNs), 0u);
-  // Busy a little so the clock visibly advances.
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  PmuCounts delta = ReadPmuCounts().DeltaSince(begin);
-  EXPECT_GT(delta.Get(PmuEvent::kTaskClockNs), 0u);
-  EXPECT_EQ(delta.Get(PmuEvent::kCycles), 0u);
-}
-
-TEST_F(PmuTimingTierTest, PhaseScopeAccumulatesIntoSink) {
-  PmuCounts sink;
-  {
-    PmuPhaseScope scope(&sink);
-    volatile double burn = 0.0;
-    for (int i = 0; i < 100000; ++i) burn = burn + 1.0;
-  }
-  EXPECT_GT(sink.Get(PmuEvent::kTaskClockNs), 0u);
-  EXPECT_FALSE(sink.valid);  // timing tier never reads hardware events
-  // Null sink: must be a safe no-op.
-  PmuPhaseScope noop(nullptr);
-}
-
-TEST_F(PmuTimingTierTest, StatsJsonMarksTimingTier) {
-  QueryStats stats;
-  stats.hardware.verification.Set(PmuEvent::kTaskClockNs, 1234567);
-  stats.total_points = 100;
-  std::string doc = RecordLine(stats, nullptr);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_NE(doc.find("\"hardware\""), std::string::npos);
-  EXPECT_NE(doc.find("\"pmu_tier\":\"timing\""), std::string::npos);
-  EXPECT_NE(doc.find("\"task_clock_ns\":1234567"), std::string::npos);
-  // Hardware-only fields are omitted on the timing tier.
-  EXPECT_EQ(doc.find("\"ipc\""), std::string::npos);
-  EXPECT_EQ(doc.find("\"cycles_per_point\""), std::string::npos);
-}
-
-TEST(PmuStatsJsonTest, HardwareSectionOmittedWhenNeverSampled) {
-  QueryStats stats;  // all-zero hardware counts
-  std::string doc = RecordLine(stats, nullptr);
-  EXPECT_EQ(doc.find("\"hardware\""), std::string::npos);
-}
-
-TEST(PmuStatsJsonTest, HardwareTierEmitsDerivedRates) {
-  // Synthesise a hardware-tier reading regardless of the host's PMU.
-  QueryStats stats;
-  stats.total_points = 1000;
-  stats.num_verified = 10;
-  stats.hardware.verification.Set(PmuEvent::kCycles, 50000);
-  stats.hardware.verification.Set(PmuEvent::kInstructions, 100000);
-  stats.hardware.verification.Set(PmuEvent::kCacheReferences, 2000);
-  stats.hardware.verification.Set(PmuEvent::kCacheMisses, 100);
-  stats.hardware.verification.valid = true;
-  std::string doc = RecordLine(stats, nullptr);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_NE(doc.find("\"cycles\":50000"), std::string::npos);
-  EXPECT_NE(doc.find("\"ipc\":2"), std::string::npos);
-  EXPECT_NE(doc.find("\"cycles_per_point\":50"), std::string::npos);
-  EXPECT_NE(doc.find("\"cycles_per_candidate\":5000"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

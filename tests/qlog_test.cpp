@@ -18,7 +18,6 @@
 #include "core/query_result.hpp"
 #include "geo/kernels.hpp"
 #include "obs/json.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 #include "test_utils.hpp"
@@ -81,7 +80,6 @@ QlogRecord MakeFullRecord() {
   rec.complete = false;
   rec.degradation_level = 2;
   rec.git = "v1.2-3-gabcdef";
-  rec.pmu_tier = "timing";
   rec.kernel_tier = "avx2";
   rec.index_memory_bytes = 123456789;
   rec.peak_memory_bytes = 234567890;
@@ -158,7 +156,6 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.complete, rec.complete);
   EXPECT_EQ(back.degradation_level, rec.degradation_level);
   EXPECT_EQ(back.git, rec.git);
-  EXPECT_EQ(back.pmu_tier, rec.pmu_tier);
   EXPECT_EQ(back.kernel_tier, rec.kernel_tier);
   EXPECT_EQ(back.index_memory_bytes, rec.index_memory_bytes);
   EXPECT_EQ(back.peak_memory_bytes, rec.peak_memory_bytes);
@@ -228,8 +225,8 @@ QlogRecord MakeBatchedRecord() {
 }
 
 /// A record whose detail sections are filled by hand: memory parts, two
-/// verification threads, compression, timing-tier hardware counts, one
-/// counter and one histogram, and the tracker entries.
+/// verification threads, compression, one counter and one histogram, and
+/// the tracker entries.
 QlogRecord MakeDetailRecord() {
   QlogRecord rec;
   rec.query_index = 7;
@@ -242,8 +239,6 @@ QlogRecord MakeDetailRecord() {
   stats->compression.num_bitsets = 12;
   stats->compression.compressed_bytes = 300;
   stats->compression.uncompressed_bytes = 1200;
-  stats->hardware.grid_mapping.Set(PmuEvent::kTaskClockNs, 1500);
-  stats->hardware.verification.Set(PmuEvent::kTaskClockNs, 2500);
   rec.detail = stats;
   auto metrics = std::make_shared<MetricsSnapshot>();
   metrics->counters[static_cast<std::size_t>(Counter::kPostingScans)] = 9;
@@ -262,7 +257,8 @@ QlogRecord MakeDetailRecord() {
 }
 
 // The exact bytes of the writer, captured from the writer before the
-// record's fields moved into one table: keys, order, number formatting
+// record's fields moved into one table, less the environment's PMU tier
+// and the hardware section dropped since: keys, order, number formatting
 // and every omission rule.
 TEST(QlogRecord, WriterBytesArePinned) {
   QlogRecord truncated = MakeFullRecord();
@@ -282,7 +278,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"winner":{"id":17,"score":290},"labels":{"outcome":"hit_disk")"
        R"(,"points_pruned":23456},"outcome":{"status":"DeadlineExceeded")"
        R"(,"complete":false,"degradation_level":2})"
-       R"(,"env":{"git":"v1.2-3-gabcdef","pmu_tier":"timing")"
+       R"(,"env":{"git":"v1.2-3-gabcdef")"
        R"(,"kernel_tier":"avx2"},"memory":{"index_bytes":123456789)"
        R"(,"peak_bytes":234567890},"trace":{"dropped_spans":11})"
        R"(,"server":{"request_id":"r000041","correlation_id":"client-7")"
@@ -302,7 +298,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"Overloaded")"
        R"(,"complete":false,"degradation_level":0},"env":{"git":"")"
-       R"(,"pmu_tier":"","kernel_tier":""},"memory":{"index_bytes":0)"
+       R"(,"kernel_tier":""},"memory":{"index_bytes":0)"
        R"(,"peak_bytes":0},"trace":{"dropped_spans":0})"
        R"(,"server":{"request_id":"r000042","client":"c4","role":"refused")"
        R"(,"queue_wait_seconds":0,"e2e_seconds":0.0001)"
@@ -319,7 +315,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"recorded")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
-       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"degradation_level":0},"env":{"git":"")"
        R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0})"
        R"(,"trace":{"dropped_spans":0},"batch":{"id":3,"size":8}})"},
       {QlogRecord{},
@@ -333,7 +329,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
-       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"degradation_level":0},"env":{"git":"")"
        R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0})"
        R"(,"trace":{"dropped_spans":0}})"},
       {MakeDetailRecord(),
@@ -347,15 +343,12 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
-       R"(,"degradation_level":0},"env":{"git":"","pmu_tier":"")"
+       R"(,"degradation_level":0},"env":{"git":"")"
        R"(,"kernel_tier":""},"memory":{"index_bytes":0,"peak_bytes":0)"
        R"(,"parts":{"small_grid":4096,"large_grid":1024})"
        R"(,"tracker":{"small_grid":{"current_bytes":4096)"
        R"(,"peak_bytes":8192},"labels":{"current_bytes":0)"
        R"(,"peak_bytes":512}}},"trace":{"dropped_spans":0})"
-       R"(,"hardware":{"phases":{"grid_mapping":{"task_clock_ns":1500})"
-       R"(,"verification":{"task_clock_ns":2500})"
-       R"(,"total":{"task_clock_ns":4000}}})"
        R"(,"verify_load_balance":{"workers":2,"per_thread_seconds":[0.25)"
        R"(,0.75],"min_seconds":0.25,"max_seconds":0.75,"mean_seconds":0.5)"
        R"(,"imbalance":1.5},"compression":{"num_bitsets":12)"
@@ -439,7 +432,6 @@ TEST(QlogBuilder, RecordCarriesTheQueryStats) {
     EXPECT_EQ(rec.index_memory_bytes, s.index_memory_bytes);
     EXPECT_GT(rec.peak_memory_bytes, 0u);
     EXPECT_EQ(rec.git, GitDescribe());
-    EXPECT_EQ(rec.pmu_tier, PmuTierName(ActivePmuTier()));
     EXPECT_EQ(rec.kernel_tier, KernelTierName(ActiveKernelTier()));
     ASSERT_NE(rec.detail, nullptr);
     EXPECT_EQ(rec.detail->memory.parts.size(), s.memory.parts.size());
@@ -471,6 +463,36 @@ TEST(QlogBuilder, RecordCarriesTheQueryStats) {
   }
 }
 
+// A real query's record, detail sections included, carries per-phase
+// time only in "phases": no hardware section, and an env of the git
+// describe and the kernel tier alone.
+TEST(QlogBuilder, EngineRecordHasNoHardwareSectionOrPmuTier) {
+  ObjectSet set = testing::MakeRandomObjects(40, 3, 8, 20.0, 9);
+  MioEngine engine(set);
+  QueryOptions opt;
+  opt.threads = 2;
+  QueryResult res = engine.Query(4.5, opt);
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  QlogRecord id;
+  id.workload = "builder-test";
+  id.r = 4.5;
+  const QlogRecord rec = BuildQlogRecord(id, &res);
+  ASSERT_NE(rec.detail, nullptr);
+
+  const std::string line = QlogRecordToJsonLine(rec);
+  ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(line, &doc)) << line;
+  EXPECT_EQ(doc.Find("hardware"), nullptr) << line;
+  ASSERT_NE(doc.Find("phases"), nullptr);
+  EXPECT_GT(doc.Find("phases")->GetDouble("total"), 0.0) << line;
+  const JsonValue* env = doc.Find("env");
+  ASSERT_NE(env, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : env->members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"git", "kernel_tier"})) << line;
+}
+
 // Without an execution of its own (server follower/cached) the record
 // keeps zeroed engine fields and writes no detail section; a rejected
 // radius gets class 0 instead of an undefined cast.
@@ -487,9 +509,9 @@ TEST(QlogBuilder, NoResultAndRejectedRadius) {
   EXPECT_EQ(rec.detail, nullptr);
   std::string line = QlogRecordToJsonLine(rec);
   ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
-  for (const char* section : {"\"hardware\"", "\"verify_load_balance\"",
-                              "\"parts\"", "\"compression\"",
-                              "\"metrics\"", "\"tracker\""}) {
+  for (const char* section : {"\"verify_load_balance\"", "\"parts\"",
+                              "\"compression\"", "\"metrics\"",
+                              "\"tracker\""}) {
     EXPECT_EQ(line.find(section), std::string::npos) << section;
   }
 
@@ -509,15 +531,14 @@ TEST(QlogValidate, OptionalSectionsMustBeObjects) {
   std::string good = QlogRecordToJsonLine(MakeFullRecord());
   ASSERT_EQ(good.back(), '}');
   for (const char* extra :
-       {R"("hardware":1)", R"("verify_load_balance":[])",
-        R"("compression":"x")", R"("metrics":true)",
-        R"("truncated":"yes")"}) {
+       {R"("verify_load_balance":[])", R"("compression":"x")",
+        R"("metrics":true)", R"("truncated":"yes")"}) {
     std::string line = good.substr(0, good.size() - 1) + "," + extra + "}";
     EXPECT_FALSE(ValidateQlogLine(line).ok()) << extra;
   }
   for (const char* extra :
-       {R"("hardware":{})", R"("verify_load_balance":{})",
-        R"("compression":{})", R"("metrics":{})", R"("truncated":true)"}) {
+       {R"("verify_load_balance":{})", R"("compression":{})",
+        R"("metrics":{})", R"("truncated":true)"}) {
     std::string line = good.substr(0, good.size() - 1) + "," + extra + "}";
     EXPECT_TRUE(ValidateQlogLine(line).ok()) << extra;
   }
@@ -573,7 +594,7 @@ TEST(QlogValidate, RejectsMissingOrWrongTypedFields) {
         "\"id\":17,", ",\"score\":290", "\"outcome\":\"hit_disk\",",
         ",\"points_pruned\":23456", "\"status\":\"DeadlineExceeded\",",
         "\"complete\":false,", ",\"degradation_level\":2",
-        "\"pmu_tier\":\"timing\",", ",\"kernel_tier\":\"avx2\"",
+        ",\"kernel_tier\":\"avx2\"",
         "\"index_bytes\":123456789,", ",\"peak_bytes\":234567890",
         "\"dropped_spans\":11", "\"request_id\":\"r000041\",",
         "\"role\":\"leader\",", "\"queue_wait_seconds\":0.004,",
@@ -810,7 +831,7 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
     ASSERT_NE(pos, std::string::npos) << cut;
     bare.erase(pos, cut.size());
   }
-  // hardware, verify_load_balance, compression and metrics follow trace.
+  // verify_load_balance, compression and metrics follow trace.
   const std::string trace = "\"trace\":{\"dropped_spans\":0}";
   std::size_t end = bare.find(trace);
   ASSERT_NE(end, std::string::npos);
@@ -827,6 +848,52 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
   EXPECT_EQ(report.num_queries, 2u);
   EXPECT_EQ(report.server_requests, 1u);
   EXPECT_EQ(report.server_executed, 1u);
+}
+
+// A record written before the PMU tier was deleted, on a hardware-tier
+// host: env names the tier and a hardware section holds counts and
+// derived rates. It still parses, because readers ignore keys no field
+// names, and writing it back drops both keys and changes nothing else.
+TEST(QlogValidate, OlderHardwareTierRecordParsesAndWritesBackWithoutIt) {
+  const std::string env_tier = R"("pmu_tier":"hardware",)";
+  const std::string hardware =
+      R"(,"hardware":{"phases":{"grid_mapping":{"cycles":400000)"
+      R"(,"instructions":800000,"cache_references":2000,"cache_misses":100)"
+      R"(,"branch_misses":40,"task_clock_ns":125000,"ipc":2)"
+      R"(,"cache_miss_rate":0.05,"branch_misses_per_ki":0.05})"
+      R"(,"total":{"cycles":400000,"instructions":800000)"
+      R"(,"cache_references":2000,"cache_misses":100,"branch_misses":40)"
+      R"(,"task_clock_ns":125000,"ipc":2,"cache_miss_rate":0.05)"
+      R"(,"branch_misses_per_ki":0.05}},"derived":{"cycles_per_point":400)"
+      R"(,"cycles_per_candidate":80000}})";
+  const std::string older =
+      R"({"schema":"mio-qlog-v1","query_index":2,"workload":"profile")"
+      R"(,"dataset":"bird.bin","algo":"bigrid","params":{"r":4.5)"
+      R"(,"ceil_r":5,"k":1,"threads":1,"scale":"quick"})"
+      R"(,"wall_seconds":0.25,"total_seconds":0.1875,"phases")"
+      R"(:{"label_input":0,"grid_mapping":0.125,"lower_bounding":0.03125)"
+      R"(,"upper_bounding":0.015625,"verification":0.015625)"
+      R"(,"total":0.1875},"funnel":{"objects":1000,"candidates":12)"
+      R"(,"verified":5,"distance_computations":7000,"tau_low_max":30})"
+      R"(,"grid":{"reused":false,"cells_small":900,"cells_large":300})"
+      R"(,"winner":{"id":17,"score":31},"labels":{"outcome":"off")"
+      R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
+      R"(,"degradation_level":0},"env":{"git":"v1.0-5-g1234567",)" +
+      env_tier +
+      R"("kernel_tier":"avx2"},"memory":{"index_bytes":4096)"
+      R"(,"peak_bytes":8192},"trace":{"dropped_spans":0})" +
+      hardware + "}";
+  QlogRecord back;
+  ASSERT_TRUE(ParseQlogRecord(older, &back).ok()) << older;
+  EXPECT_EQ(back.kernel_tier, "avx2");
+  EXPECT_EQ(back.git, "v1.0-5-g1234567");
+  EXPECT_EQ(back.winner_id, 17u);
+  EXPECT_DOUBLE_EQ(back.phase_grid_mapping, 0.125);
+
+  std::string expected = older;
+  expected.erase(expected.find(env_tier), env_tier.size());
+  expected.erase(expected.find(hardware), hardware.size());
+  EXPECT_EQ(QlogRecordToJsonLine(back), expected);
 }
 
 TEST(QlogReportTest, ServerSplitSeparatesQueueWaitFromExecute) {

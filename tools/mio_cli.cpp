@@ -44,7 +44,6 @@
 #include "obs/exit_flush.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/qlog.hpp"
 #include "obs/openmetrics.hpp"
 #include "obs/stats_sink.hpp"
@@ -99,9 +98,8 @@ void Usage() {
       "  profile   --in=FILE --r=R [--k=K] [--threads=T] [--warmup=N]\n"
       "            [--runs=M] [--labels=DIR] [--out=FILE|-]\n"
       "            (repeated measured runs: one mio-qlog-v1 record per run,\n"
-      "             with hardware counters when the PMU is available —\n"
-      "             MIO_PMU=off forces the timing tier — then the qlog\n"
-      "             report of the runs, on stderr when --out is stdout)\n"
+      "             then the qlog report of the runs, on stderr when\n"
+      "             --out is stdout)\n"
       "  explain   --in=FILE --r=R [--k=K] [--threads=T] [--labels=DIR]\n"
       "            (one query, human-readable pruning-funnel report)\n"
       "  run-workload --spec=FILE --connect=SOCKET [--attempts=N]\n"
@@ -784,8 +782,7 @@ int CmdProfile(const mio::ArgParser& args) {
   if (st.ok()) st = qlog.Close();
   if (!st.ok()) return StatusExit(st);
   if (out != "-") {
-    std::printf("profile: %s (%d runs, pmu tier %s)\n", out.c_str(), runs,
-                records.front().pmu_tier.c_str());
+    std::printf("profile: %s (%d runs)\n", out.c_str(), runs);
   }
   // The `mio qlog report` view of the runs; stderr when the records
   // themselves went to stdout.
@@ -830,9 +827,8 @@ int CmdExplain(const mio::ArgParser& args) {
 
   std::printf("explain: %s  r=%.3g k=%zu threads=%d\n",
               args.GetString("in", "").c_str(), r, k, threads);
-  std::printf("tiers: kernel=%s pmu=%s\n",
-              mio::KernelTierName(mio::ActiveKernelTier()),
-              mio::obs::PmuTierName(mio::obs::ActivePmuTier()));
+  std::printf("tiers: kernel=%s\n",
+              mio::KernelTierName(mio::ActiveKernelTier()));
   std::printf("\npruning funnel (paper §IV):\n");
   std::printf("  objects               %12zu  (%zu points)\n", n,
               st.total_points);
@@ -1146,12 +1142,13 @@ int CmdQlogDiff(const mio::ArgParser& args) {
 }
 
 int CmdConvert(const mio::ArgParser& args) {
-  std::string format;
+  std::string format, in, out;
   mio::Status parsed = FormatFlag(args, &format);
+  if (parsed.ok()) parsed = RequiredFlag(args, "in", &in);
+  if (parsed.ok()) parsed = RequiredFlag(args, "out", &out);
   if (!parsed.ok()) return StatusExit(parsed);
-  mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
+  mio::Result<mio::ObjectSet> loaded = LoadAny(in);
   if (!loaded.ok()) return StatusExit(loaded.status());
-  std::string out = args.GetString("out", "");
   mio::Status st = SaveAny(loaded.value(), out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s\n", out.c_str());
@@ -1159,14 +1156,15 @@ int CmdConvert(const mio::ArgParser& args) {
 }
 
 int CmdImportSwc(const mio::ArgParser& args) {
-  std::string format;
+  std::string format, dir, out;
   mio::Status parsed = FormatFlag(args, &format);
+  if (parsed.ok()) parsed = RequiredFlag(args, "dir", &dir);
+  if (parsed.ok()) parsed = RequiredFlag(args, "out", &out);
   if (!parsed.ok()) return StatusExit(parsed);
-  mio::Result<mio::ObjectSet> set = mio::LoadSwcDirectory(args.GetString("dir", "."));
+  mio::Result<mio::ObjectSet> set = mio::LoadSwcDirectory(dir);
   if (!set.ok()) return StatusExit(set.status());
   // Morton-order ids: what the compressed cell bitsets rely on.
   mio::ObjectSet sorted = mio::SortObjectsSpatially(set.value());
-  std::string out = args.GetString("out", "neurons.bin");
   mio::Status st = SaveAny(sorted, out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s\n", out.c_str(), sorted.Stats().ToString().c_str());
@@ -1182,16 +1180,16 @@ int CmdImportCsv(const mio::ArgParser& args) {
   opt.time_column = args.GetString("time-col", "");
   std::string delim = args.GetString("delim", ",");
   if (!delim.empty()) opt.delimiter = delim[0];
-  std::string format;
+  std::string format, in, out;
   mio::Status parsed =
       IntFlag(args, "split", 0, 0, kInt32Max, &opt.max_points_per_object);
   if (parsed.ok()) parsed = FormatFlag(args, &format);
+  if (parsed.ok()) parsed = RequiredFlag(args, "in", &in);
+  if (parsed.ok()) parsed = RequiredFlag(args, "out", &out);
   if (!parsed.ok()) return StatusExit(parsed);
-  mio::Result<mio::ObjectSet> set =
-      mio::LoadTrajectoryCsv(args.GetString("in", ""), opt);
+  mio::Result<mio::ObjectSet> set = mio::LoadTrajectoryCsv(in, opt);
   if (!set.ok()) return StatusExit(set.status());
   mio::ObjectSet sorted = mio::SortObjectsSpatially(set.value());
-  std::string out = args.GetString("out", "tracks.bin");
   mio::Status st = SaveAny(sorted, out, format);
   if (!st.ok()) return StatusExit(st);
   std::printf("wrote %s: %s\n", out.c_str(), sorted.Stats().ToString().c_str());
