@@ -29,10 +29,13 @@
 #                               pass under MIO_KERNEL=scalar, sse2, avx2
 # robustness  asan ubsan plain  guardrail, IO, spec, protocol, qlog and
 #                               fuzz suites clean under ASan and UBSan; a
-#                               MIO_FAULT io.*:p=0.3 storm over query,
-#                               convert and stats exits 0 or 2..11 with a
-#                               message; out-of-domain `mio query` input
-#                               exits 2 with a message
+#                               fault storm over query, convert and stats
+#                               (load arm: one failed dataset read call;
+#                               post-load arm: io.label.* and
+#                               io.dataset.write at p=0.3) exits 0 or
+#                               2..11 with a message, and some post-load
+#                               run injects a fault; out-of-domain `mio
+#                               query` input exits 2 with a message
 # profile     plain             `mio profile` writes one valid record per
 #                               run (schema, identity, positive wall and
 #                               phase time, no hardware section, env of
@@ -47,7 +50,9 @@
 #                               skips the threads=4 test); `run-workload
 #                               --batch` matches the sequential run query
 #                               by query (ASan); a fault storm through the
-#                               batch path exits 0 or 2..11
+#                               batch path (load and post-load arms) exits
+#                               0 or 2..11, and some post-load run injects
+#                               a label fault
 # telemetry   plain             OpenMetrics scrapes valid mid-run, final
 #                               and after SIGTERM, counters monotone; `qlog
 #                               diff` passes an A/A rerun and flags a
@@ -285,6 +290,39 @@ storm_rc() {
   echo "  [storm] rc=$rc  $label"
 }
 
+# load_reads CLI — a lower bound on the read calls that load $DATA: the
+# binary loader reads three header fields, then at least two per object,
+# and io.dataset.read fires once per read call. A storm that arms that
+# site at p=0.3 never gets past the load, so each storm has a load arm
+# (one failed read call, K in 1..load_reads) and a post-load arm (label
+# and write sites at p=0.3, the read site unarmed).
+load_reads() {
+  local n
+  n=$("$1" stats --in="$DATA" | sed -n 's/^n=\([0-9]*\) .*/\1/p')
+  [ -n "$n" ] || fail "'mio stats' printed no object count"
+  echo $((3 + 2 * n))
+}
+
+# injected_in FILE — the faults.injected counter of a mio-qlog-v1 record
+# (--stats-json) or an OpenMetrics scrape (--metrics-out); 0 when absent.
+injected_in() {
+  python3 - "$1" << 'PYEOF'
+import json, os, re, sys
+
+path = sys.argv[1]
+text = open(path).read() if os.path.exists(path) else ""
+m = re.search(r"^mio_faults_injected_total (\d+)", text, re.M)
+if m:
+    print(m.group(1))
+elif text.strip():
+    record = json.loads(text.splitlines()[0])
+    print(record.get("metrics", {}).get("counters", {})
+          .get("faults.injected", 0))
+else:
+    print(0)
+PYEOF
+}
+
 # --- Stages ------------------------------------------------------------------
 
 stage_kernels() {
@@ -296,23 +334,47 @@ stage_kernels() {
 }
 
 stage_robustness() {
-  local CLI=$PREFIX/plain/tools/mio t seed cmd rc args
+  local CLI=$PREFIX/plain/tools/mio t seed cmd rc args reads k shown=0
   for t in asan ubsan; do run_tests $t $t '*' $ROBUST_TESTS; done
   build_tree plain
   dataset "$CLI"
-  # Every IO site armed at 30% per hit, a different stream per round.
-  echo "== fault storm: MIO_FAULT='io.*:p=0.3' over mio_cli =="
+  reads=$(load_reads "$CLI")
+  echo "== fault storm, load arm: MIO_FAULT='io.dataset.read:nth=K' =="
   for seed in 1 2 3 4 5 6 7 8; do
+    k=$((1 + (seed - 1) * (reads - 1) / 7))
     for cmd in "query --in=$DATA --r=2 --labels=$W/labels" \
       "convert --in=$DATA --out=$W/copy.bin" "stats --in=$DATA"; do
       set +e
-      MIO_FAULT='io.*:p=0.3' MIO_FAULT_SEED=$seed "$CLI" $cmd \
+      MIO_FAULT="io.dataset.read:nth=$k" "$CLI" $cmd \
         > /dev/null 2> "$W/err.txt"
       rc=$?
       set -e
-      storm_rc "$rc" "seed=$seed ${cmd%% *}"
+      storm_rc "$rc" "nth=$k ${cmd%% *}"
     done
   done
+  # Past the load: the label sites and dataset writes at 30% per hit, a
+  # different stream per round. A label fault leaves the query's exit
+  # code alone (persisting labels is best-effort), so the query's record
+  # carries the faults.injected count.
+  echo "== fault storm, post-load arm: io.label.* and io.dataset.write =="
+  for seed in 1 2 3 4 5 6 7 8; do
+    for cmd in "query --in=$DATA --r=2 --labels=$W/labels \
+      --stats-json=$W/storm.json" "convert --in=$DATA --out=$W/copy.bin" \
+      "stats --in=$DATA"; do
+      rm -f "$W/storm.json"
+      set +e
+      MIO_FAULT='io.label.*:p=0.3;io.dataset.write:p=0.3' \
+        MIO_FAULT_SEED=$seed "$CLI" $cmd > /dev/null 2> "$W/err.txt"
+      rc=$?
+      set -e
+      storm_rc "$rc" "seed=$seed ${cmd%% *}"
+      if [ "$rc" -ne 0 ] || [ "$(injected_in "$W/storm.json")" -gt 0 ]; then
+        shown=$((shown + 1))
+      fi
+    done
+  done
+  [ "$shown" -gt 0 ] || fail "no post-load storm run injected a fault"
+  echo "  [storm] $shown of 24 post-load runs injected a fault"
   # Out-of-domain input exits 2 with a message: never runs (k = -1 once
   # verified every object), crashes (--delta on untimestamped data) or
   # hangs (SG at r = 1e-300). `mio serve`'s flags: cli_test.
@@ -642,16 +704,39 @@ if "latency_batched" not in report:
 print(f"  ok: 102 batched records match sequential winners; "
       f"report splits batched={report['batched_queries']}")
 PYEOF
-  echo "== fault storm: MIO_FAULT over run-workload --batch =="
+  local reads k shown=0
+  reads=$(load_reads "$CLI")
+  echo "== fault storm, load arm: run-workload --batch, one failed read =="
   for seed in 1 2 3 4; do
+    k=$((1 + (seed - 1) * (reads - 1) / 3))
     set +e
-    MIO_FAULT='io.*:p=0.3;workload.query_delay:nth=7' MIO_FAULT_SEED=$seed \
+    MIO_FAULT="io.dataset.read:nth=$k" \
       "$CLI" run-workload --spec="$W/mix.spec" --in="$DATA" \
       --qlog="$W/storm.jsonl" --batch > /dev/null 2> "$W/err.txt"
     rc=$?
     set -e
-    storm_rc "$rc" "seed=$seed"
+    storm_rc "$rc" "nth=$k"
   done
+  # Past the load, with a label store so the label sites are reached.
+  # workload.query_delay:nth=7 fires at most once, so a faults.injected
+  # count of two or more includes a label or write fault.
+  echo "== fault storm, post-load arm: run-workload --batch, label sites =="
+  for seed in 1 2 3 4; do
+    rm -f "$W/storm.prom"
+    set +e
+    MIO_FAULT='io.label.*:p=0.3;io.dataset.write:p=0.3;workload.query_delay:nth=7' \
+      MIO_FAULT_SEED=$seed "$CLI" run-workload --spec="$W/mix.spec" \
+      --in="$DATA" --qlog="$W/storm.jsonl" --labels="$W/storm-labels" \
+      --metrics-out="$W/storm.prom" --batch > /dev/null 2> "$W/err.txt"
+    rc=$?
+    set -e
+    storm_rc "$rc" "seed=$seed"
+    if [ "$rc" -ne 0 ] || [ "$(injected_in "$W/storm.prom")" -ge 2 ]; then
+      shown=$((shown + 1))
+    fi
+  done
+  [ "$shown" -gt 0 ] || fail "no post-load batch storm run injected a fault"
+  echo "  [storm] $shown of 4 post-load batch runs injected a fault"
 }
 
 stage_telemetry() {

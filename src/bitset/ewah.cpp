@@ -10,6 +10,7 @@ namespace mio {
 
 void Ewah::AddRunWords(bool bit, std::uint64_t count) {
   size_in_bits_ += count * 64;
+  if (count > 0 && buffer_.empty()) NewMarker();
   while (count > 0) {
     std::uint64_t marker = buffer_[rlw_pos_];
     bool can_extend =
@@ -28,7 +29,9 @@ void Ewah::AddRunWords(bool bit, std::uint64_t count) {
 }
 
 void Ewah::AddLiteralWordRaw(std::uint64_t w) {
-  if (LitCount(buffer_[rlw_pos_]) >= kMaxLitCount) NewMarker();
+  if (buffer_.empty() || LitCount(buffer_[rlw_pos_]) >= kMaxLitCount) {
+    NewMarker();
+  }
   SetLitCount(LitCount(buffer_[rlw_pos_]) + 1);
   buffer_.push_back(w);
   size_in_bits_ += 64;
@@ -44,6 +47,34 @@ void Ewah::AddLiteralWord(std::uint64_t w) {
   }
 }
 
+Ewah Ewah::FromSortedIds(std::span<const std::uint32_t> ids,
+                         std::vector<std::uint64_t>* scratch) {
+  if (ids.empty()) return Ewah();
+  Ewah enc(std::move(*scratch), 0, 0);
+  enc.Reset();
+  std::size_t next = 0;  // first word not yet emitted
+  for (std::size_t k = 0; k < ids.size();) {
+    const std::size_t w = ids[k] / 64;
+    std::uint64_t word = 0;
+    for (; k < ids.size() && ids[k] / 64 == w; ++k) {
+      word |= std::uint64_t(1) << (ids[k] % 64);
+    }
+    if (w > next) enc.AddRunWords(false, w - next);
+    // Set folds a completed all-ones word into a ones run when it moves
+    // on to the next word, and leaves the last word a literal.
+    if (k < ids.size()) {
+      enc.AddLiteralWord(word);
+    } else {
+      enc.AddLiteralWordRaw(word);
+    }
+    next = w + 1;
+  }
+  Ewah out(std::vector<std::uint64_t>(enc.buffer_.begin(), enc.buffer_.end()),
+           enc.rlw_pos_, static_cast<std::size_t>(ids.back()) + 1);
+  *scratch = std::move(enc.buffer_);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Bit access
 // ---------------------------------------------------------------------------
@@ -57,7 +88,7 @@ void Ewah::Set(std::size_t i) {
     // dense regions would otherwise stay uncompressed), then round the
     // logical size up to a word boundary, pad with zero words, and emit
     // the word holding bit i.
-    if (LitCount(buffer_[rlw_pos_]) >= 1 &&
+    if (!buffer_.empty() && LitCount(buffer_[rlw_pos_]) >= 1 &&
         buffer_.back() == ~std::uint64_t(0)) {
       SetLitCount(LitCount(buffer_[rlw_pos_]) - 1);
       buffer_.pop_back();

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,9 +30,13 @@ namespace mio {
 /// decompress-patch-recompress slow path, so arbitrary writes stay correct,
 /// just not fast — random-write-heavy code should use PlainBitset and
 /// convert at the boundary.
+///
+/// A bitset of zero logical words (default-constructed, or after Reset)
+/// holds no buffer word and so owns no heap block; the first builder call
+/// opens its first marker.
 class Ewah {
  public:
-  Ewah() { buffer_.push_back(0); }
+  Ewah() = default;
 
   /// Sets bit i to 1. Amortised O(1) for non-decreasing i; O(size) when
   /// patching inside an earlier zero run.
@@ -62,10 +67,16 @@ class Ewah {
   /// Removes all bits, keeping capacity.
   void Reset() {
     buffer_.clear();
-    buffer_.push_back(0);
     rlw_pos_ = 0;
     size_in_bits_ = 0;
   }
+
+  /// The bitset of `ids`, which must ascend strictly, encoded byte for
+  /// byte as Set() called on each id in turn would encode it, at exact
+  /// capacity. It is built in `scratch` (reused across calls) and copied
+  /// out, as UnionAccumulator::ToEwah builds its unions.
+  static Ewah FromSortedIds(std::span<const std::uint32_t> ids,
+                            std::vector<std::uint64_t>* scratch);
 
   static Ewah Or(const Ewah& a, const Ewah& b);
   static Ewah And(const Ewah& a, const Ewah& b);

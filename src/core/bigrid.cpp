@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/fault_injection.hpp"
 #include "common/guardrails.hpp"
@@ -27,29 +29,98 @@ std::mutex& StripeFor(const void* p) {
   return stripes[h % stripes.size()];
 }
 
+/// Runs f(t) for every shard t < shards, one thread per shard; one shard
+/// runs on the calling thread.
+template <typename F>
+void ForEachShard(std::size_t shards, F&& f) {
+  if (shards == 1) {
+    f(std::size_t{0});
+    return;
+  }
+  const auto count = static_cast<std::int64_t>(shards);
+#pragma omp parallel for schedule(static, 1) num_threads(static_cast<int>(shards))
+  for (std::int64_t t = 0; t < count; ++t) f(static_cast<std::size_t>(t));
+}
+
+/// Index and cell-array bytes of a grid's shards.
+template <typename Shard>
+std::size_t TableBytes(const std::vector<Shard>& shards) {
+  std::size_t bytes = 0;
+  for (const Shard& shard : shards) bytes += shard.TableBytes();
+  return bytes;
+}
+
+constexpr ObjectId kNoObject = static_cast<ObjectId>(-1);
+
+/// One cell's pass-1 counts, which pass 2 turns into its write cursors.
+struct CellTally {
+  ObjectId last_obj = kNoObject;  ///< last object seen (dedup)
+  std::uint32_t objects = 0;      ///< distinct objects, then object cursor
+  std::uint32_t points = 0;       ///< points, then point cursor (large)
+};
+
+/// One shard's build state for one grid, dropped when the build ends.
+struct ShardScratch {
+  std::vector<CellTally> tally;        ///< by cell id
+  std::vector<std::uint32_t> obj_off;  ///< by cell id, then the end
+  std::vector<std::uint32_t> pt_off;   ///< large grid: by cell id, then end
+  std::vector<CellKey> keys;           ///< small grid: by cell id
+  std::vector<ObjectId> members;       ///< small grid: each cell's objects
+
+  /// Dense id of the cell with key k in `index`, created on first sight.
+  std::uint32_t Intern(FlatHashMap<CellKey, std::uint32_t, CellKeyHash>* index,
+                       const CellKey& k, bool keep_key) {
+    std::uint32_t& slot = (*index)[k];
+    if (slot == 0) {
+      tally.emplace_back();
+      if (keep_key) keys.push_back(k);
+      slot = static_cast<std::uint32_t>(tally.size());
+    }
+    return slot - 1;
+  }
+
+  /// Exclusive prefix sums of the tallies into obj_off (and pt_off), which
+  /// resets each tally into its cell's cursors.
+  void Offsets(bool points) {
+    const std::size_t cells = tally.size();
+    obj_off.resize(cells + 1);
+    if (points) pt_off.resize(cells + 1);
+    std::uint32_t objs = 0, pts = 0;
+    for (std::size_t c = 0; c < cells; ++c) {
+      CellTally& tl = tally[c];
+      obj_off[c] = objs;
+      objs += tl.objects;
+      tl.objects = obj_off[c];
+      if (points) {
+        pt_off[c] = pts;
+        pts += tl.points;
+        tl.points = pt_off[c];
+      }
+      tl.last_obj = kNoObject;
+    }
+    obj_off[cells] = objs;
+    if (points) pt_off[cells] = pts;
+  }
+
+  std::span<const ObjectId> Objects(const std::vector<ObjectId>& all,
+                                    std::size_t c) const {
+    return {all.data() + obj_off[c], obj_off[c + 1] - obj_off[c]};
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // LargeCell
 // ---------------------------------------------------------------------------
 
-void LargeCell::AddPostingPoint(ObjectId obj, const Point& p) {
-  if (post_obj.empty() || post_obj.back() != obj) {
-    post_obj.push_back(obj);
-    post_start.push_back(static_cast<std::uint32_t>(post_xs.size()));
-  }
-  post_xs.push_back(p.x);
-  post_ys.push_back(p.y);
-  post_zs.push_back(p.z);
-}
-
 PostingView LargeCell::PostingAt(std::size_t idx) const {
   std::uint32_t begin = post_start[idx];
-  std::uint32_t end = idx + 1 < post_start.size()
-                          ? post_start[idx + 1]
-                          : static_cast<std::uint32_t>(post_xs.size());
-  return PostingView{post_xs.data() + begin, post_ys.data() + begin,
-                     post_zs.data() + begin, end - begin};
+  std::uint32_t end = idx + 1 < post_start.size() ? post_start[idx + 1]
+                                                  : num_points;
+  const double* xs = post_xyz + begin;
+  return PostingView{xs, xs + num_points, xs + 2 * std::size_t{num_points},
+                     end - begin};
 }
 
 PostingView LargeCell::Posting(ObjectId obj) const {
@@ -58,23 +129,9 @@ PostingView LargeCell::Posting(ObjectId obj) const {
   return PostingAt(static_cast<std::size_t>(it - post_obj.begin()));
 }
 
-std::size_t LargeCell::MemoryUsageBytes() const {
-  return bits.MemoryUsageBytes() + (AdjReady() ? adj.MemoryUsageBytes() : 0) +
-         post_obj.capacity() * sizeof(ObjectId) +
-         post_start.capacity() * sizeof(std::uint32_t) +
-         (post_xs.capacity() + post_ys.capacity() + post_zs.capacity()) *
-             sizeof(double);
-}
-
 std::size_t LargeGridPostingBytes(const LargeGridData& grid) {
   std::size_t bytes = 0;
-  for (const auto& shard : grid.shards) {
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      bytes += cell.post_obj.size() * sizeof(ObjectId) +
-               cell.post_start.size() * sizeof(std::uint32_t) +
-               cell.NumPostingPoints() * 3 * sizeof(double);
-    });
-  }
+  for (const auto& shard : grid.shards) bytes += shard.PostingBytes();
   return bytes;
 }
 
@@ -86,7 +143,8 @@ BiGrid::BiGrid(const ObjectSet& objects, double r, bool planar,
                std::shared_ptr<LargeGridData> reuse)
     : objects_(&objects),
       r_(r),
-      small_width_(planar ? SmallGridWidth2D(r) : SmallGridWidth(r)) {
+      small_width_(planar ? SmallGridWidth2D(r) : SmallGridWidth(r)),
+      key_offsets_(objects.size() + 1, 0) {
   double width = LargeGridWidth(r);
   if (reuse != nullptr && reuse->width == width && reuse->complete) {
     large_ = std::move(reuse);
@@ -97,134 +155,225 @@ BiGrid::BiGrid(const ObjectSet& objects, double r, bool planar,
   }
 }
 
-void BiGrid::MapPointSmall(ObjectId i, const Point& p, bool update_key_lists) {
-  CellKey key = KeyForWidth(p, small_width_);
-  SmallCell& cell = small_[ShardOfSmall(key)].GetOrCreate(key);
-  if (cell.last_obj == i && cell.num_objects > 0) return;  // same-object dedup
-  cell.last_obj = i;
-  cell.bits.Set(i);
-  ++cell.num_objects;
-  if (cell.num_objects == 1) {
-    cell.first_obj = i;
-  } else if (update_key_lists) {
-    // Cells holding a single object contribute nothing to any lower bound
-    // (Lemma 1's union minus the object's own bit), so keys enter the key
-    // lists only once a second object arrives — and then retroactively for
-    // the first object too (Algorithm 3 lines 7-10).
-    if (cell.num_objects == 2) key_lists_[cell.first_obj].push_back(key);
-    key_lists_[i].push_back(key);
-  }
-}
-
-void BiGrid::MapPointLarge(ObjectId i, const Point& p) {
-  CellKey key = KeyForWidth(p, large_->width);
-  LargeCell& cell = large_->shards[ShardOfLarge(key)].GetOrCreate(key);
-  if (cell.last_obj != i || cell.post_obj.empty()) {
-    cell.bits.Set(i);
-    cell.last_obj = i;
-  }
-  cell.AddPostingPoint(i, p);
-}
-
-void BiGrid::Build(const LabelSet* labels, bool build_groups,
-                   QueryGuard* guard) {
-  MIO_TRACE_SPAN_CAT("grid.build", "grid");
-  const ObjectSet& objs = *objects_;
-  const std::size_t n = objs.size();
-  small_.assign(1, SmallMap{});
-  key_lists_.assign(n, {});
-
-  const bool build_large = !reused_large_;
-  if (build_large) {
-    large_->shards.assign(1, LargeMap{});
-    large_->groups.clear();
-    large_->has_groups = false;
-    large_->complete = labels == nullptr;
-  }
-
-  for (ObjectId i = 0; i < n; ++i) {
-    if (guard != nullptr && (i % kGuardStrideObjects) == 0) {
-      if (MIO_FAULT_HIT("alloc.bigrid")) guard->TripResource();
-      if (guard->Poll()) {
-        // Abandoned mid-map: the grid misses points, so it must never be
-        // cached or queried; the engine discards it.
-        large_->complete = false;
-        return;
-      }
-    }
-    const Object& o = objs[i];
-    for (std::size_t j = 0; j < o.points.size(); ++j) {
-      if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) {
-        continue;  // Labeling-1: prunable everywhere (Lemma 3)
-      }
-      MapPointSmall(i, o.points[j], /*update_key_lists=*/true);
-      if (build_large) MapPointLarge(i, o.points[j]);
-    }
-  }
-
-  if (build_groups) BuildGroups(labels, /*threads=*/1);
-}
-
 void BiGrid::BuildParallel(int threads, const LabelSet* labels,
                            bool build_groups, QueryGuard* guard) {
+  MIO_TRACE_SPAN_CAT("grid.build", "grid");
   threads = ResolveThreads(threads);
-  if (threads <= 1) {
-    Build(labels, build_groups, guard);
-    return;
-  }
-  MIO_TRACE_SPAN_CAT("grid.build_parallel", "grid");
+  const std::size_t shards = static_cast<std::size_t>(threads);
   const ObjectSet& objs = *objects_;
   const std::size_t n = objs.size();
-  small_.assign(threads, SmallMap{});
-  key_lists_.assign(n, {});
-
   const bool build_large = !reused_large_;
-  if (build_large) {
-    large_->shards.assign(threads, LargeMap{});
-    large_->groups.clear();
-    large_->has_groups = false;
-    large_->complete = labels == nullptr;
-  }
+  auto reset = [&] {
+    small_.clear();
+    small_.resize(shards);
+    std::fill(key_offsets_.begin(), key_offsets_.end(), 0);
+    keys_ = std::vector<CellKey>();
+    if (build_large) {
+      large_->shards.clear();
+      large_->shards.resize(shards);
+      large_->groups.clear();
+      large_->has_groups = false;
+      large_->complete = labels == nullptr;
+      large_->built_bytes = 0;
+      large_->adj_bytes = 0;
+      large_->group_bytes = 0;
+    }
+  };
+  reset();
 
-  // Hash partitioning of points by cell key: thread t exclusively owns
-  // shard t of each grid, so all cell updates are single-writer. Each
-  // thread scans all points and keeps those hashing to its shard; the scan
-  // is duplicated but cheap compared with the hash-map updates.
-#pragma omp parallel num_threads(threads)
-  {
+  // Pass 1 writes each mapped point's cell, per grid, as (id << bits) | t,
+  // t the owning shard, so that pass 2 finds its shard's points without
+  // hashing their keys again. Unmapped points keep no code: pass 2 skips
+  // them by their label, as pass 1 did.
+  std::vector<std::size_t> first_point(n + 1, 0);
+  for (ObjectId i = 0; i < n; ++i) {
+    first_point[i + 1] = first_point[i] + objs[i].points.size();
+  }
+  const int shard_bits = static_cast<int>(std::bit_width(shards - 1));
+  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits) - 1;
+  auto small_code = std::make_unique_for_overwrite<std::uint32_t[]>(
+      first_point[n]);
+  auto large_code = std::make_unique_for_overwrite<std::uint32_t[]>(
+      build_large ? first_point[n] : 0);
+  std::vector<ShardScratch> small_scratch(shards);
+  std::vector<ShardScratch> large_scratch(build_large ? shards : 0);
+  auto mapped = [&](ObjectId i, std::size_t j) {
+    return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
+  };
+
+  // Pass 1: intern every mapped point's cell in the shard owning its key,
+  // counting each cell's distinct objects and (large grid) points. The
+  // points arrive in (object, point) order, so an object is new to a cell
+  // exactly when it differs from the cell's last one.
+  ForEachShard(shards, [&](std::size_t t) {
     MIO_TRACE_SPAN_CAT("grid.map.worker", "grid");
-    std::size_t t = static_cast<std::size_t>(ThreadId());
+    SmallShard& ss = small_[t];
+    ShardScratch& sx = small_scratch[t];
     for (ObjectId i = 0; i < n; ++i) {
       if (guard != nullptr && (i % kGuardStrideObjects) == 0) {
         if (t == 0 && MIO_FAULT_HIT("alloc.bigrid")) guard->TripResource();
-        if (guard->Poll()) break;  // each worker drains independently
+        if (guard->Poll()) return;  // each shard drains independently
       }
       const Object& o = objs[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
-        if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) {
-          continue;
-        }
+        if (!mapped(i, j)) continue;  // Labeling-1: prunable (Lemma 3)
         const Point& p = o.points[j];
-        CellKey ks = KeyForWidth(p, small_width_);
-        if (CellKeyHash{}(ks) % small_.size() == t) {
-          MapPointSmall(i, p, /*update_key_lists=*/false);
-        }
-        if (build_large) {
-          CellKey kl = KeyForWidth(p, large_->width);
-          if (CellKeyHash{}(kl) % large_->shards.size() == t) {
-            MapPointLarge(i, p);
+        const std::size_t pt = first_point[i] + j;
+        const CellKey ks = KeyForWidth(p, small_width_);
+        if (shards == 1 || CellKeyHash{}(ks) % shards == t) {
+          const std::uint32_t c = sx.Intern(&ss.index, ks, /*keep_key=*/true);
+          CellTally& tl = sx.tally[c];
+          if (tl.last_obj != i) {
+            tl.last_obj = i;
+            ++tl.objects;
           }
+          small_code[pt] = (c << shard_bits) | static_cast<std::uint32_t>(t);
+        }
+        if (!build_large) continue;
+        const CellKey kl = KeyForWidth(p, large_->width);
+        if (shards == 1 || CellKeyHash{}(kl) % shards == t) {
+          ShardScratch& lx = large_scratch[t];
+          const std::uint32_t c =
+              lx.Intern(&large_->shards[t].index, kl, /*keep_key=*/false);
+          CellTally& tl = lx.tally[c];
+          if (tl.last_obj != i) {
+            tl.last_obj = i;
+            ++tl.objects;
+          }
+          ++tl.points;
+          large_code[pt] = (c << shard_bits) | static_cast<std::uint32_t>(t);
         }
       }
     }
-  }
-
+  });
   if (guard != nullptr && guard->tripped()) {
-    large_->complete = false;  // partial map: never cache or query
+    // Abandoned mid-map: the cells miss points, so the grid is emptied,
+    // never cached and never queried; the engine discards it.
+    reset();
+    small_bytes_ = TableBytes(small_);
+    if (build_large) {
+      large_->complete = false;
+      large_->built_bytes = TableBytes(large_->shards);
+    }
     return;
   }
 
-  DeriveKeyListsFromCells(threads);
+  // Pass 2: scatter each cell's distinct objects (small grid), and its
+  // posting objects, their offsets and its coordinates (large grid), into
+  // the shard's arrays at the offsets the counts give.
+  ForEachShard(shards, [&](std::size_t t) {
+    ShardScratch& sx = small_scratch[t];
+    sx.Offsets(/*points=*/false);
+    sx.members.resize(sx.obj_off.back());
+    LargeShard* ls = build_large ? &large_->shards[t] : nullptr;
+    if (ls != nullptr) {
+      ShardScratch& lx = large_scratch[t];
+      lx.Offsets(/*points=*/true);
+      ls->post_obj.resize(lx.obj_off.back());
+      ls->post_start.resize(lx.obj_off.back());
+      ls->post_xyz.resize(3 * std::size_t{lx.pt_off.back()});
+    }
+    for (ObjectId i = 0; i < n; ++i) {
+      const Object& o = objs[i];
+      for (std::size_t j = 0; j < o.points.size(); ++j) {
+        if (!mapped(i, j)) continue;
+        const std::size_t pt = first_point[i] + j;
+        const std::uint32_t sc = small_code[pt];
+        if ((sc & shard_mask) == t) {
+          CellTally& tl = sx.tally[sc >> shard_bits];
+          if (tl.last_obj != i) {
+            tl.last_obj = i;
+            sx.members[tl.objects++] = i;
+          }
+        }
+        if (ls == nullptr) continue;
+        const std::uint32_t lc = large_code[pt];
+        if ((lc & shard_mask) != t) continue;
+        ShardScratch& lx = large_scratch[t];
+        const std::uint32_t c = lc >> shard_bits;
+        CellTally& tl = lx.tally[c];
+        const std::uint32_t first = lx.pt_off[c];
+        if (tl.last_obj != i) {
+          tl.last_obj = i;
+          ls->post_obj[tl.objects] = i;
+          ls->post_start[tl.objects] = tl.points - first;
+          ++tl.objects;
+        }
+        const std::size_t size = lx.pt_off[c + 1] - first;
+        double* xs = ls->post_xyz.data() + 3 * std::size_t{first};
+        const std::size_t k = tl.points++ - first;
+        const Point& p = o.points[j];
+        xs[k] = p.x;
+        xs[size + k] = p.y;
+        xs[2 * size + k] = p.z;
+      }
+    }
+  });
+  small_code.reset();
+  large_code.reset();
+
+  // Encode each cell bitset once from its ascending ids, at exact size.
+  std::vector<std::size_t> small_bytes(shards, 0), large_bytes(shards, 0);
+  ForEachShard(shards, [&](std::size_t t) {
+    std::vector<std::uint64_t> scratch;
+    ShardScratch& sx = small_scratch[t];
+    std::vector<CellTally>().swap(sx.tally);
+    SmallShard& ss = small_[t];
+    ss.cells.resize(sx.keys.size());
+    std::size_t bytes = 0;
+    for (std::size_t c = 0; c < ss.cells.size(); ++c) {
+      ss.cells[c].bits = Ewah::FromSortedIds(sx.Objects(sx.members, c),
+                                             &scratch);
+      bytes += ss.cells[c].bits.MemoryUsageBytes();
+    }
+    small_bytes[t] = bytes + ss.TableBytes();
+    if (!build_large) return;
+    ShardScratch& lx = large_scratch[t];
+    std::vector<CellTally>().swap(lx.tally);
+    LargeShard& ls = large_->shards[t];
+    ls.cells.resize(lx.obj_off.size() - 1);
+    bytes = 0;
+    for (std::size_t c = 0; c < ls.cells.size(); ++c) {
+      LargeCell& cell = ls.cells[c];
+      cell.post_obj = lx.Objects(ls.post_obj, c);
+      cell.post_start = {ls.post_start.data() + lx.obj_off[c],
+                         cell.post_obj.size()};
+      cell.post_xyz = ls.post_xyz.data() + 3 * std::size_t{lx.pt_off[c]};
+      cell.num_points = lx.pt_off[c + 1] - lx.pt_off[c];
+      cell.bits = Ewah::FromSortedIds(cell.post_obj, &scratch);
+      bytes += cell.bits.MemoryUsageBytes();
+    }
+    large_bytes[t] = bytes + ls.TableBytes() + ls.PostingBytes();
+  });
+  small_bytes_ = 0;
+  for (std::size_t b : small_bytes) small_bytes_ += b;
+  if (build_large) {
+    large_->built_bytes = 0;
+    for (std::size_t b : large_bytes) large_->built_bytes += b;
+  }
+
+  // Key lists: a key belongs to o_i.L iff its small cell holds two or more
+  // objects and o_i is one of them (Algorithm 3 lines 5-13). Count each
+  // object's keys, then fill its range, advancing key_offsets_[i] as its
+  // cursor and shifting the offsets back after.
+  auto for_each_shared_cell = [&](auto&& f) {
+    for (const ShardScratch& sx : small_scratch) {
+      for (std::size_t c = 0; c < sx.keys.size(); ++c) {
+        std::span<const ObjectId> ids = sx.Objects(sx.members, c);
+        if (ids.size() >= 2) f(sx.keys[c], ids);
+      }
+    }
+  };
+  for_each_shared_cell([&](const CellKey&, std::span<const ObjectId> ids) {
+    for (ObjectId obj : ids) ++key_offsets_[obj + 1];
+  });
+  for (std::size_t i = 0; i < n; ++i) key_offsets_[i + 1] += key_offsets_[i];
+  keys_.resize(key_offsets_[n]);
+  for_each_shared_cell([&](const CellKey& key, std::span<const ObjectId> ids) {
+    for (ObjectId obj : ids) keys_[key_offsets_[obj]++] = key;
+  });
+  for (std::size_t i = n; i > 0; --i) key_offsets_[i] = key_offsets_[i - 1];
+  key_offsets_[0] = 0;
 
   if (build_groups) BuildGroups(labels, threads);
 }
@@ -243,6 +392,15 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
 #pragma omp parallel for schedule(dynamic, 16) num_threads(threads)
       for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i, group_labels);
     }
+    std::size_t bytes =
+        large_->groups.capacity() * sizeof(std::vector<PointGroup>);
+    for (const auto& groups : large_->groups) {
+      bytes += groups.capacity() * sizeof(PointGroup);
+      for (const auto& g : groups) {
+        bytes += g.point_idx.capacity() * sizeof(std::uint32_t);
+      }
+    }
+    large_->group_bytes = bytes;
     large_->MarkGroupsReady();
   };
   if (!reused_large_) {
@@ -258,31 +416,6 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
   std::lock_guard<std::mutex> lock(StripeFor(large_.get()));
   if (large_->GroupsReady()) return;
   build();
-}
-
-void BiGrid::DeriveKeyListsFromCells(int threads) {
-  // Post-pass equivalent of the incremental key-list maintenance: a key
-  // belongs to o_i.L iff its small cell holds >= 2 distinct objects and
-  // o_i is one of them — exactly the membership Algorithm 3 arrives at.
-  std::vector<std::vector<std::pair<ObjectId, CellKey>>> local(
-      static_cast<std::size_t>(threads));
-#pragma omp parallel num_threads(threads)
-  {
-    std::size_t t = static_cast<std::size_t>(ThreadId());
-    auto& buf = local[t];
-    for (std::size_t s = t; s < small_.size();
-         s += static_cast<std::size_t>(threads)) {
-      small_[s].ForEach([&](const CellKey& key, SmallCell& cell) {
-        if (cell.num_objects < 2) return;
-        cell.bits.ForEachSetBit([&](std::size_t obj) {
-          buf.emplace_back(static_cast<ObjectId>(obj), key);
-        });
-      });
-    }
-  }
-  for (const auto& buf : local) {
-    for (const auto& [obj, key] : buf) key_lists_[obj].push_back(key);
-  }
 }
 
 void BiGrid::BuildGroupsFor(ObjectId i, const LabelSet* labels) {
@@ -326,6 +459,8 @@ LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
   if (cell.AdjReady()) return cell;
   obs::Add(obs::Counter::kAdjBuilds);
   cell.adj = NeighborhoodUnion(k, cell, &cell.adj_count);
+  large_->adj_bytes.fetch_add(cell.adj.MemoryUsageBytes(),
+                              std::memory_order_relaxed);
   std::atomic_ref<bool>(cell.adj_computed)
       .store(true, std::memory_order_release);
   return cell;
@@ -355,39 +490,13 @@ Ewah BiGrid::NeighborhoodUnion(const CellKey& k, const LargeCell& cell,
 
 MemoryBreakdown BiGrid::MemoryUsage() const {
   MemoryBreakdown mb;
-  std::size_t small_bytes = 0;
-  for (const auto& shard : small_) {
-    small_bytes += shard.TableBytes();
-    shard.ForEach([&](const CellKey&, const SmallCell& cell) {
-      small_bytes += cell.bits.MemoryUsageBytes();
-    });
-  }
-  mb.Add("small_grid", small_bytes);
-
-  std::size_t large_bytes = 0;
-  for (const auto& shard : large_->shards) {
-    large_bytes += shard.TableBytes();
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      large_bytes += cell.MemoryUsageBytes();
-    });
-  }
-  mb.Add("large_grid", large_bytes);
-
-  std::size_t kl_bytes = key_lists_.capacity() * sizeof(std::vector<CellKey>);
-  for (const auto& kl : key_lists_) kl_bytes += kl.capacity() * sizeof(CellKey);
-  mb.Add("key_lists", kl_bytes);
-
-  if (large_->GroupsReady()) {
-    std::size_t g_bytes =
-        large_->groups.capacity() * sizeof(std::vector<PointGroup>);
-    for (const auto& groups : large_->groups) {
-      g_bytes += groups.capacity() * sizeof(PointGroup);
-      for (const auto& g : groups) {
-        g_bytes += g.point_idx.capacity() * sizeof(std::uint32_t);
-      }
-    }
-    mb.Add("point_groups", g_bytes);
-  }
+  mb.Add("small_grid", small_bytes_);
+  mb.Add("large_grid",
+         large_->built_bytes +
+             large_->adj_bytes.load(std::memory_order_relaxed));
+  mb.Add("key_lists", key_offsets_.capacity() * sizeof(std::uint32_t) +
+                          keys_.capacity() * sizeof(CellKey));
+  if (large_->GroupsReady()) mb.Add("point_groups", large_->group_bytes);
   return mb;
 }
 

@@ -12,9 +12,14 @@
 //     cell must lie in the 27-cell neighbourhood, so the large grid drives
 //     upper-bounding and verification.
 //
-// Cells are created on demand (no empty cells), every point maps to
-// exactly one cell per grid (no replication), and each build operation is
-// O(1) amortised — GRID-MAPPING is O(nm) (paper Algorithm 3).
+// Cells exist only where points fall (no empty cells), and every point
+// maps to exactly one cell per grid (no replication). GRID-MAPPING
+// (paper Algorithm 3) is two O(nm) passes over the points in (object,
+// point) order: the first gives each point a dense cell id per grid and
+// counts each cell's points and distinct objects, the second scatters
+// object ids and coordinates into a few exact-size arrays per shard. Each
+// cell bitset is then encoded once, and the key lists are derived from
+// the cells that hold two or more objects.
 //
 // Because the large grid depends only on ceil(r) (the observation behind
 // the paper's label mechanism, §III-D), it is held in a shareable
@@ -28,9 +33,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "bitset/bitset_stats.hpp"
@@ -45,18 +49,10 @@ namespace mio {
 
 class QueryGuard;  // common/guardrails.hpp
 
-/// One small-grid cell: the compressed bitset plus the build-time
-/// bookkeeping that feeds the key lists (Algorithm 3 lines 5-13).
+/// One small-grid cell: the compressed bitset b(c) of the objects with a
+/// point in the cell.
 struct SmallCell {
   Ewah bits;
-  /// First object mapped into the cell; when a second distinct object
-  /// arrives, this one retroactively receives the key in its key list.
-  ObjectId first_obj = 0;
-  /// Last object that touched the cell (dedups same-object points: the
-  /// build iterates objects in ascending id order).
-  ObjectId last_obj = static_cast<ObjectId>(-1);
-  /// Number of distinct objects in the cell (|b| without a popcount).
-  std::uint32_t num_objects = 0;
 };
 
 /// Structure-of-arrays view over one posting list: three parallel
@@ -73,10 +69,11 @@ struct PostingView {
 };
 
 /// One large-grid cell: bitset, lazy neighbourhood bitset, and the
-/// inverted list I(c) stored as postings grouped by object id (ascending,
-/// because the build visits objects in id order). Posting coordinates are
-/// kept structure-of-arrays (contiguous xs/ys/zs) so verification's inner
-/// loop is one batch-kernel call per (point, candidate-object) pair.
+/// inverted list I(c): postings grouped by object id, ascending. The
+/// postings live in the owning shard's arrays (LargeShard): the cell's
+/// points form one [xs | ys | zs] block there, and each object's posting
+/// is one index range of all three thirds, so verification's inner loop
+/// is one batch-kernel call per (point, candidate-object) pair.
 struct LargeCell {
   Ewah bits;
 
@@ -95,17 +92,10 @@ struct LargeCell {
         .load(std::memory_order_acquire);
   }
 
-  ObjectId last_obj = static_cast<ObjectId>(-1);
-
-  std::vector<ObjectId> post_obj;        ///< object ids (ascending)
-  std::vector<std::uint32_t> post_start; ///< post_obj-parallel offsets
-  std::vector<double> post_xs;           ///< concatenated posting xs
-  std::vector<double> post_ys;           ///< concatenated posting ys
-  std::vector<double> post_zs;           ///< concatenated posting zs
-
-  /// Appends a point to object `obj`'s posting (obj must be >= the last
-  /// object added — the ascending build order).
-  void AddPostingPoint(ObjectId obj, const Point& p);
+  std::span<const ObjectId> post_obj;         ///< object ids (ascending)
+  std::span<const std::uint32_t> post_start;  ///< post_obj-parallel offsets
+  const double* post_xyz = nullptr;           ///< the [xs | ys | zs] block
+  std::uint32_t num_points = 0;               ///< points in the block
 
   /// Posting list I(c)[obj], empty when the object has no points here.
   PostingView Posting(ObjectId obj) const;
@@ -114,9 +104,7 @@ struct LargeCell {
   PostingView PostingAt(std::size_t idx) const;
 
   /// Total points stored across all postings.
-  std::size_t NumPostingPoints() const { return post_xs.size(); }
-
-  std::size_t MemoryUsageBytes() const;
+  std::size_t NumPostingPoints() const { return num_points; }
 };
 
 /// Per-object grouping of points by large-grid key (paper §IV: P_{i,K}),
@@ -127,30 +115,22 @@ struct PointGroup {
 };
 
 /// One grid shard: a flat open-addressing index (16-byte slots, cheap to
-/// probe and to rehash) pointing into a stable deque pool of cells (fat
-/// structs never move, so rehashing never copies them and cell pointers
-/// stay valid across inserts).
+/// probe and to rehash) from key to dense cell id, over an exact-size
+/// array of cells. A build gives each thread one shard per grid, the
+/// cells whose key hashes to it; the serial build has one shard.
 template <typename Cell>
 struct CellShard {
-  // Slot values are index+1; 0 means absent.
+  // Slot values are id+1; 0 means absent.
   FlatHashMap<CellKey, std::uint32_t, CellKeyHash> index;
-  std::deque<Cell> cells;
+  std::vector<Cell> cells;
 
-  Cell& GetOrCreate(const CellKey& k) {
-    std::uint32_t& slot = index[k];
-    if (slot == 0) {
-      cells.emplace_back();
-      slot = static_cast<std::uint32_t>(cells.size());
-    }
-    return cells[slot - 1];
-  }
   Cell* Find(const CellKey& k) {
     std::uint32_t* slot = index.Find(k);
-    return (slot != nullptr && *slot != 0) ? &cells[*slot - 1] : nullptr;
+    return slot != nullptr ? &cells[*slot - 1] : nullptr;
   }
   const Cell* Find(const CellKey& k) const {
     const std::uint32_t* slot = index.Find(k);
-    return (slot != nullptr && *slot != 0) ? &cells[*slot - 1] : nullptr;
+    return slot != nullptr ? &cells[*slot - 1] : nullptr;
   }
   std::size_t size() const { return cells.size(); }
   template <typename F>
@@ -165,7 +145,24 @@ struct CellShard {
     });
   }
   std::size_t TableBytes() const {
-    return index.TableBytes() + cells.size() * sizeof(Cell);
+    return index.TableBytes() + cells.capacity() * sizeof(Cell);
+  }
+};
+
+using SmallShard = CellShard<SmallCell>;
+
+/// A large-grid shard: its cells' postings, cell after cell, in three
+/// exact-size arrays that the cells' spans point into.
+struct LargeShard : CellShard<LargeCell> {
+  std::vector<ObjectId> post_obj;         ///< each cell's posting objects
+  std::vector<std::uint32_t> post_start;  ///< post_obj-parallel offsets
+  std::vector<double> post_xyz;           ///< each cell's [xs | ys | zs]
+
+  /// Bytes of the three posting arrays.
+  std::size_t PostingBytes() const {
+    return post_obj.capacity() * sizeof(ObjectId) +
+           post_start.capacity() * sizeof(std::uint32_t) +
+           post_xyz.capacity() * sizeof(double);
   }
 };
 
@@ -176,10 +173,19 @@ struct CellShard {
 /// labelled build omits points and its groups reference fewer cells.
 struct LargeGridData {
   double width = 0.0;
-  std::vector<CellShard<LargeCell>> shards;
+  std::vector<LargeShard> shards;
   std::vector<std::vector<PointGroup>> groups;
   bool has_groups = false;
   bool complete = false;
+
+  /// Byte tallies read by BiGrid::MemoryUsage, so that it walks no cell:
+  /// the shards as built (tables, cell arrays, posting arrays, cell
+  /// bitsets), every memoised b_adj (EnsureAdj adds each one, possibly
+  /// from concurrent queries), and the groups (set before they are
+  /// marked ready).
+  std::size_t built_bytes = 0;
+  std::atomic<std::size_t> adj_bytes{0};
+  std::size_t group_bytes = 0;
 
   /// Acquire-load of has_groups. Like LargeCell::AdjReady: a cached grid
   /// is shared across concurrent queries and the P_{i,K} groups are built
@@ -211,20 +217,23 @@ class BiGrid {
   BiGrid(const ObjectSet& objects, double r, bool planar = false,
          std::shared_ptr<LargeGridData> reuse = nullptr);
 
-  /// GRID-MAPPING(O, r), serial (paper Algorithm 3). When `labels` is
-  /// non-empty, points with a cleared kMap bit are skipped entirely
-  /// (GRID-MAPPING-WITH-LABEL, Lemma 3). `build_groups` additionally
-  /// materialises the P_{i,K} groups needed by the parallel phases.
-  /// `guard` (optional) is polled on an amortised stride and checked
-  /// against the "alloc.bigrid" fault site; a tripped guard abandons the
-  /// build early (the grid is then incomplete and must be discarded).
+  /// GRID-MAPPING(O, r) (paper Algorithm 3) on one thread: BuildParallel
+  /// with one shard per grid.
   void Build(const LabelSet* labels = nullptr, bool build_groups = false,
-             QueryGuard* guard = nullptr);
+             QueryGuard* guard = nullptr) {
+    BuildParallel(1, labels, build_groups, guard);
+  }
 
-  /// Hash-partitioned parallel build (paper §IV, PARALLEL-GRID-MAPPING):
-  /// each thread owns the cells whose key hashes to it, so no cell is
-  /// written by two threads; the key lists are derived in a post-pass,
-  /// which yields exactly the sets Algorithm 3 builds incrementally.
+  /// GRID-MAPPING(O, r), hash-partitioned (paper §IV,
+  /// PARALLEL-GRID-MAPPING): thread t owns shard t of each grid, the cells
+  /// whose key hashes to it, so no cell is written by two threads; one
+  /// thread is the one-shard case. When `labels` is non-empty, points with
+  /// a cleared kMap bit are skipped entirely (GRID-MAPPING-WITH-LABEL,
+  /// Lemma 3). `build_groups` additionally materialises the P_{i,K}
+  /// groups needed by the parallel phases. `guard` (optional) is polled
+  /// on an amortised stride of the first pass and checked against the
+  /// "alloc.bigrid" fault site; a tripped guard abandons the build (the
+  /// grid is then empty and incomplete, and must be discarded).
   void BuildParallel(int threads, const LabelSet* labels = nullptr,
                      bool build_groups = false, QueryGuard* guard = nullptr);
 
@@ -239,8 +248,9 @@ class BiGrid {
 
   /// o_i.L — small-grid keys of cells shared with at least one other
   /// object (exactly the cells that contribute to the lower bound).
-  const std::vector<CellKey>& KeyList(ObjectId i) const {
-    return key_lists_[i];
+  std::span<const CellKey> KeyList(ObjectId i) const {
+    return {keys_.data() + key_offsets_[i],
+            key_offsets_[i + 1] - key_offsets_[i]};
   }
 
   /// P_{i,K} groups; only populated when built with build_groups.
@@ -284,13 +294,14 @@ class BiGrid {
     return n;
   }
 
-  /// Structure footprint (the paper's memory-usage figures).
+  /// Structure footprint (the paper's memory-usage figures), read from
+  /// byte tallies the build, EnsureAdj and BuildGroups keep.
   MemoryBreakdown MemoryUsage() const;
 
   /// Compression accounting over every cell bitset (paper footnote 4).
   BitsetCompressionStats CompressionStats() const;
 
-  /// Iterates large cells (used by the parallel builder's post passes).
+  /// Iterates large cells.
   template <typename F>
   void ForEachLargeCell(F&& f) {
     for (auto& shard : large_->shards) {
@@ -298,13 +309,10 @@ class BiGrid {
     }
   }
 
- private:
-  using SmallMap = CellShard<SmallCell>;
-  using LargeMap = CellShard<LargeCell>;
+  /// The small grid's shards (its cells and tables).
+  const std::vector<SmallShard>& small_shards() const { return small_; }
 
-  // The grids are sharded by key hash: the serial build uses one shard;
-  // the parallel build gives each thread exclusive ownership of one shard
-  // per grid, so cell creation and bitset updates need no synchronisation.
+ private:
   // Small and large shard counts may differ when a cached large grid
   // (built under a different thread count) is adopted.
   std::size_t ShardOfSmall(const CellKey& k) const {
@@ -316,24 +324,24 @@ class BiGrid {
                : CellKeyHash{}(k) % large_->shards.size();
   }
 
-  void MapPointSmall(ObjectId i, const Point& p, bool update_key_lists);
-  void MapPointLarge(ObjectId i, const Point& p);
   /// Builds the P_{i,K} groups once per LargeGridData. On a reused
   /// (shared) grid the build happens under the grid's stripe lock with a
   /// double check, so concurrent queries adopting the same cached grid
   /// race safely: one builds, the rest adopt.
   void BuildGroups(const LabelSet* labels, int threads);
   void BuildGroupsFor(ObjectId i, const LabelSet* labels);
-  void DeriveKeyListsFromCells(int threads);
 
   const ObjectSet* objects_;
   double r_;
   double small_width_;
 
-  std::vector<SmallMap> small_;
+  std::vector<SmallShard> small_;
+  std::size_t small_bytes_ = 0;  ///< small_'s tables, cells and bitsets
   std::shared_ptr<LargeGridData> large_;
   bool reused_large_ = false;
-  std::vector<std::vector<CellKey>> key_lists_;
+  /// Key lists: object i's keys are keys_[key_offsets_[i], key_offsets_[i+1]).
+  std::vector<std::uint32_t> key_offsets_;
+  std::vector<CellKey> keys_;
 };
 
 }  // namespace mio

@@ -77,7 +77,7 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
     // Polled per object (not per stride): each iteration already pays for
     // a parallel region, so the poll cost is negligible here.
     if (guard != nullptr && guard->Poll()) break;
-    const std::vector<CellKey>& keys = grid.KeyList(i);
+    const std::span<const CellKey> keys = grid.KeyList(i);
 #pragma omp parallel num_threads(threads)
     {
       std::size_t t = static_cast<std::size_t>(ThreadId());

@@ -244,6 +244,207 @@ TEST(EwahTest, EqualityIsLogical) {
   EXPECT_TRUE(a == b);
 }
 
+// --- the empty bitset: zero words, no heap block ----------------------------
+
+/// The empty set of zero logical words: default-constructed, or Reset
+/// after holding bits (which keeps the buffer's capacity).
+Ewah MakeEmpty(bool reset) {
+  Ewah e;
+  if (reset) {
+    for (std::size_t i : {3u, 64u, 5000u}) e.Set(i);
+    e.Reset();
+  }
+  return e;
+}
+
+/// {5, 700}: a literal, a nine-word zero run, a literal.
+Ewah FiveAndSevenHundred() {
+  Ewah e;
+  e.Set(5);
+  e.Set(700);
+  return e;
+}
+
+// Marker fields: literal count (bits 33..63), run length (bits 1..32),
+// run bit (bit 0).
+constexpr std::uint64_t kOneLiteral = std::uint64_t(1) << 33;
+constexpr std::uint64_t RunWords(std::uint64_t words) { return words << 1; }
+
+TEST(EwahEmptyTest, DefaultOwnsNoHeapBlock) {
+  Ewah e;
+  EXPECT_EQ(e.MemoryUsageBytes(), 0u);
+  EXPECT_EQ(e.CompressedBytes(), 0u);
+  EXPECT_TRUE(e.buffer().empty());
+  Ewah reset = MakeEmpty(true);
+  EXPECT_TRUE(reset.buffer().empty());
+  EXPECT_EQ(reset.CompressedBytes(), 0u);
+  EXPECT_EQ(reset.SizeInBits(), 0u);
+}
+
+TEST(EwahEmptyTest, ReadsSeeNoBit) {
+  for (bool reset : {false, true}) {
+    const Ewah e = MakeEmpty(reset);
+    EXPECT_EQ(e.Count(), 0u);
+    EXPECT_TRUE(e.Empty());
+    EXPECT_FALSE(e.Test(0));
+    EXPECT_FALSE(e.Test(64));
+    EXPECT_EQ(e.SizeInBits(), 0u);
+    EXPECT_EQ(e.WordCount(), 0u);
+    EXPECT_EQ(e.UncompressedBytes(), 0u);
+    std::size_t calls = 0;
+    e.ForEachWord([&](std::size_t, std::uint64_t) {
+      ++calls;
+      return true;
+    });
+    e.ForEachSetBit([&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0u);
+    PlainBitset decoded;
+    decoded.Set(7);  // DecodeInto clears first, and never shrinks
+    e.DecodeInto(&decoded);
+    EXPECT_EQ(decoded.Count(), 0u);
+    EXPECT_EQ(decoded.SizeInBits(), 8u);
+    EXPECT_EQ(e.ToPlain().SizeInBits(), 0u);
+    EXPECT_EQ(e.ToPlain().Count(), 0u);
+    EXPECT_TRUE(e == Ewah());
+    EXPECT_FALSE(e == FiveAndSevenHundred());
+    // A zero run holds no bit either, so it equals the empty set.
+    Ewah zeros;
+    zeros.AddRunWords(false, 4);
+    EXPECT_TRUE(e == zeros);
+  }
+}
+
+TEST(EwahEmptyTest, BuildersOpenTheFirstMarker) {
+  for (bool reset : {false, true}) {
+    Ewah e = MakeEmpty(reset);
+    e.Set(5);
+    EXPECT_EQ(e.buffer(), (std::vector<std::uint64_t>{kOneLiteral, 1u << 5}));
+    EXPECT_EQ(e.SizeInBits(), 6u);
+
+    e = MakeEmpty(reset);
+    e.Set(130);
+    EXPECT_EQ(e.buffer(),
+              (std::vector<std::uint64_t>{kOneLiteral | RunWords(2), 1u << 2}));
+    EXPECT_EQ(e.SizeInBits(), 131u);
+
+    e = MakeEmpty(reset);
+    e.AddRunWords(true, 3);
+    EXPECT_EQ(e.buffer(), (std::vector<std::uint64_t>{RunWords(3) | 1u}));
+    EXPECT_EQ(e.SizeInBits(), 192u);
+    EXPECT_EQ(e.Count(), 192u);
+
+    e = MakeEmpty(reset);
+    e.AddRunWords(false, 0);  // adds no word: still the empty set
+    EXPECT_TRUE(e.buffer().empty());
+    EXPECT_EQ(e.SizeInBits(), 0u);
+    EXPECT_EQ(e.Count(), 0u);
+
+    e = MakeEmpty(reset);
+    e.AddLiteralWord(0);
+    EXPECT_EQ(e.buffer(), (std::vector<std::uint64_t>{RunWords(1)}));
+    EXPECT_EQ(e.SizeInBits(), 64u);
+
+    e = MakeEmpty(reset);
+    e.AddLiteralWord(~std::uint64_t(0));
+    EXPECT_EQ(e.buffer(), (std::vector<std::uint64_t>{RunWords(1) | 1u}));
+
+    e = MakeEmpty(reset);
+    e.AddLiteralWord(0x5);
+    EXPECT_EQ(e.buffer(), (std::vector<std::uint64_t>{kOneLiteral, 0x5}));
+    EXPECT_EQ(e.Count(), 2u);
+  }
+}
+
+TEST(EwahEmptyTest, OpsTreatEmptyAsAllZero) {
+  const Ewah x = FiveAndSevenHundred();
+  const std::vector<std::uint64_t> x_words = {
+      kOneLiteral, 1u << 5, kOneLiteral | RunWords(9),
+      std::uint64_t(1) << (700 - 640)};
+  ASSERT_EQ(x.buffer(), x_words);
+  const std::vector<std::uint64_t> eleven_zero_words = {RunWords(11)};
+  for (bool reset : {false, true}) {
+    const Ewah empty = MakeEmpty(reset);
+    for (const Ewah& both :
+         {Ewah::Or(empty, empty), Ewah::And(empty, empty),
+          Ewah::AndNot(empty, empty), Ewah::Xor(empty, empty)}) {
+      EXPECT_TRUE(both.buffer().empty());
+      EXPECT_EQ(both.SizeInBits(), 0u);
+      EXPECT_EQ(both.Count(), 0u);
+    }
+    for (const Ewah& same : {Ewah::Or(empty, x), Ewah::Or(x, empty),
+                             Ewah::Xor(empty, x), Ewah::AndNot(x, empty)}) {
+      EXPECT_EQ(same.buffer(), x_words);
+      EXPECT_EQ(same.SizeInBits(), 701u);
+    }
+    for (const Ewah& none : {Ewah::And(empty, x), Ewah::And(x, empty),
+                             Ewah::AndNot(empty, x)}) {
+      EXPECT_EQ(none.buffer(), eleven_zero_words);
+      EXPECT_EQ(none.SizeInBits(), 701u);
+      EXPECT_EQ(none.Count(), 0u);
+    }
+  }
+}
+
+TEST(EwahEmptyTest, UnionAccumulatorAddsNothing) {
+  for (bool reset : {false, true}) {
+    const Ewah empty = MakeEmpty(reset);
+    UnionAccumulator acc;
+    EXPECT_FALSE(acc.Add(empty));
+    EXPECT_EQ(acc.Count(), 0u);
+    const Ewah none = acc.ToEwah();
+    EXPECT_TRUE(none.buffer().empty());
+    EXPECT_EQ(none.SizeInBits(), 0u);
+    EXPECT_EQ(none.MemoryUsageBytes(), 0u);
+    EXPECT_TRUE(acc.Add(FiveAndSevenHundred()));
+    EXPECT_FALSE(acc.Add(empty));
+    EXPECT_EQ(acc.Count(), 2u);
+    EXPECT_EQ(acc.ToEwah().buffer(), FiveAndSevenHundred().buffer());
+  }
+}
+
+// --- FromSortedIds: Set's encoding, built once ------------------------------
+
+/// Ascending Set calls: the encoding FromSortedIds must reproduce.
+Ewah SetEach(const std::vector<std::uint32_t>& ids) {
+  Ewah e;
+  for (std::uint32_t id : ids) e.Set(id);
+  return e;
+}
+
+TEST(EwahFromSortedIdsTest, MatchesIncrementalSetByteForByte) {
+  std::vector<std::vector<std::uint32_t>> cases = {
+      {}, {0}, {63}, {64}, {5, 700}, {0, 1, 2, 200000}};
+  // Full words: a completed all-ones word folds into a ones run, and a
+  // last all-ones word stays a literal, as Set leaves them.
+  std::vector<std::uint32_t> full;
+  for (std::uint32_t i = 0; i < 64; ++i) full.push_back(i);
+  cases.push_back(full);
+  for (std::uint32_t i = 64; i < 64 * 5 + 3; ++i) full.push_back(i);
+  cases.push_back(full);
+  full.push_back(64 * 40);
+  cases.push_back(full);
+  Pcg32 rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint32_t> ids;
+    std::uint32_t next = rng.NextBounded(300);
+    const double dense = rng.NextDouble();
+    for (int k = 0; k < 300; ++k) {
+      ids.push_back(next);
+      next += rng.NextDouble() < dense ? 1 : 1 + rng.NextBounded(400);
+    }
+    cases.push_back(ids);
+  }
+  std::vector<std::uint64_t> scratch;  // reused, as the grid build does
+  for (const auto& ids : cases) {
+    const Ewah want = SetEach(ids);
+    const Ewah got = Ewah::FromSortedIds(ids, &scratch);
+    EXPECT_EQ(got.buffer(), want.buffer()) << ids.size() << " ids";
+    EXPECT_EQ(got.SizeInBits(), want.SizeInBits());
+    EXPECT_EQ(got.MemoryUsageBytes(), got.CompressedBytes());
+    EXPECT_EQ(got.Count(), ids.size());
+  }
+}
+
 // --- logical op correctness, differential against PlainBitset -------------
 
 struct OpCase {
