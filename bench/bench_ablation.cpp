@@ -123,8 +123,8 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
   mio::Timer t;
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
     acc.Clear();
-    for (const mio::Point& p : set[i].points) {
-      acc.Add(g1.EnsureAdj(mio::KeyForWidth(p, g1.large_width())).adj);
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      acc.Add(g1.EnsureAdj(g1.LargeCellOf(i, j)).adj);
     }
     benchmark_sink += acc.Count();
   }
@@ -137,7 +137,7 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
     acc.Clear();
     for (const mio::PointGroup& g : g2.LargeGroups(i)) {
-      acc.Add(g2.EnsureAdj(g.key).adj);
+      acc.Add(g2.EnsureAdj(g.cell).adj);
     }
     benchmark_sink += acc.Count();
   }

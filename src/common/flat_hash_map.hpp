@@ -1,17 +1,15 @@
 // Open-addressing hash map with linear probing, used for the BIGrid cell
-// tables. Cells are inserted during grid mapping and then only looked up
-// (never erased), which this layout exploits: contiguous slot storage,
-// one cache line per probe, no per-node allocation — the neighbourhood
-// probes of EnsureAdj are the hottest lookups in the system and run ~4x
-// faster than on std::unordered_map here.
+// tables. Cells are interned during grid mapping and never erased, which
+// this layout exploits: contiguous slot storage and no per-node
+// allocation. A probe reads two arrays, the occupancy bytes (`states_`)
+// and the key/value slots (`slots_`).
 //
 // Constraints (checked by usage, not the type system):
-//  * no erase (Clear empties the whole table);
+//  * no erase;
 //  * references returned by operator[]/Find are invalidated by the next
 //    insert that triggers a rehash — do not hold them across inserts.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -57,12 +55,6 @@ class FlatHashMap {
   }
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
-
-  /// Removes every element, keeping the capacity. O(capacity).
-  void Clear() {
-    std::fill(states_.begin(), states_.end(), kEmpty);
-    size_ = 0;
-  }
 
   /// Invokes f(key, value) for every element (unspecified order).
   template <typename F>

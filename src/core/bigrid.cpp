@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <mutex>
-#include <unordered_map>
 
 #include "common/fault_injection.hpp"
 #include "common/guardrails.hpp"
@@ -59,24 +58,38 @@ struct CellTally {
   std::uint32_t points = 0;       ///< points, then point cursor (large)
 };
 
+using CellIndex = FlatHashMap<CellKey, std::uint32_t, CellKeyHash>;
+
 /// One shard's build state for one grid, dropped when the build ends.
 struct ShardScratch {
   std::vector<CellTally> tally;        ///< by cell id
   std::vector<std::uint32_t> obj_off;  ///< by cell id, then the end
   std::vector<std::uint32_t> pt_off;   ///< large grid: by cell id, then end
-  std::vector<CellKey> keys;           ///< small grid: by cell id
+  std::vector<CellKey> keys;           ///< by cell id
   std::vector<ObjectId> members;       ///< small grid: each cell's objects
+  std::vector<std::uint32_t> renum;    ///< large grid: pass-1 id -> id
+  std::vector<std::uint32_t> dirs;     ///< large grid: nbr_dirs by id
 
   /// Dense id of the cell with key k in `index`, created on first sight.
-  std::uint32_t Intern(FlatHashMap<CellKey, std::uint32_t, CellKeyHash>* index,
-                       const CellKey& k, bool keep_key) {
+  std::uint32_t Intern(CellIndex* index, const CellKey& k) {
     std::uint32_t& slot = (*index)[k];
     if (slot == 0) {
       tally.emplace_back();
-      if (keep_key) keys.push_back(k);
+      keys.push_back(k);
       slot = static_cast<std::uint32_t>(tally.size());
     }
     return slot - 1;
+  }
+
+  /// Moves each cell's tally to its new id and points `index` at the new
+  /// ids: the renumbering SortLargeCells left in `renum`.
+  void Renumber(CellIndex* index) {
+    std::vector<CellTally> moved(tally.size());
+    for (std::size_t c = 0; c < tally.size(); ++c) moved[renum[c]] = tally[c];
+    tally.swap(moved);
+    index->ForEach([&](const CellKey&, std::uint32_t& slot) {
+      slot = renum[slot - 1] + 1;
+    });
   }
 
   /// Exclusive prefix sums of the tallies into obj_off (and pt_off), which
@@ -107,6 +120,130 @@ struct ShardScratch {
     return {all.data() + obj_off[c], obj_off[c + 1] - obj_off[c]};
   }
 };
+
+/// A large cell in the sweep's key order: its lattice coordinates with
+/// the sign bit flipped, so that unsigned order is signed order, x and y
+/// packed into one word.
+struct SweepCell {
+  std::uint64_t xy;
+  std::uint32_t z;
+  std::uint32_t id;
+};
+
+std::uint32_t Ordered(std::int32_t v) {
+  return static_cast<std::uint32_t>(v) ^ 0x80000000u;
+}
+
+/// Sorts `cells` into key order (CellKey::operator<): an LSD radix sort,
+/// z first, eleven bits at a time, that skips each digit all cells share.
+/// One read counts every digit.
+void RadixSortByKey(std::vector<SweepCell>* cells) {
+  constexpr int kBits = 11;
+  constexpr int kDigits = 9;  // 3 of z, then 6 of xy
+  constexpr std::size_t kRadix = std::size_t{1} << kBits;
+  auto digit = [](const SweepCell& c, int d) -> std::size_t {
+    const std::uint64_t word = d < 3 ? c.z : c.xy;
+    const int shift = kBits * (d < 3 ? d : d - 3);
+    return static_cast<std::size_t>(word >> shift) & (kRadix - 1);
+  };
+  std::vector<std::uint32_t> count(kDigits * kRadix, 0);
+  for (const SweepCell& c : *cells) {
+    for (int d = 0; d < kDigits; ++d) ++count[d * kRadix + digit(c, d)];
+  }
+  std::vector<SweepCell> out(cells->size());
+  for (int d = 0; d < kDigits; ++d) {
+    std::uint32_t* bucket = count.data() + d * kRadix;
+    if (cells->empty() || bucket[digit(cells->front(), d)] == cells->size()) {
+      continue;
+    }
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      const std::uint32_t n = bucket[b];
+      bucket[b] = sum;
+      sum += n;
+    }
+    for (const SweepCell& c : *cells) out[bucket[digit(c, d)]++] = c;
+    cells->swap(out);
+  }
+}
+
+/// Numbers every large shard's cells in ascending key order and lists
+/// each cell's existing neighbours. Sorts all cells by key once; a shard's
+/// cells take their new ids in that order (in `renum`), so each shard
+/// ascends by key. Then one sweep over the sorted cells finds each cell's
+/// neighbours: those of (x, y, z) in column (x + dx, y + dy) are the cells
+/// (x + dx, y + dy, z - 1..z + 1), a run of at most three in key order.
+/// Each of the nine columns keeps a cursor at the first cell not below
+/// (x + dx, y + dy, z - 1), which only moves forward as the sweep does.
+/// Columns in (dx, dy) order, each run by dz, is ForEachNeighbor order.
+/// The table goes to the shards, nbr_dirs to `dirs`; the keys are freed.
+void SortLargeCells(std::vector<ShardScratch>* scratch, LargeGridData* grid) {
+  const int bits = grid->shard_bits;
+  const std::uint32_t mask = (std::uint32_t{1} << bits) - 1;
+  std::size_t total = 0;
+  for (const ShardScratch& sx : *scratch) total += sx.keys.size();
+  std::vector<SweepCell> cells;
+  cells.reserve(total);
+  for (std::size_t t = 0; t < scratch->size(); ++t) {
+    std::vector<CellKey>& keys = (*scratch)[t].keys;
+    for (std::size_t c = 0; c < keys.size(); ++c) {
+      const CellKey& k = keys[c];
+      cells.push_back(SweepCell{
+          (std::uint64_t{Ordered(k.x)} << 32) | Ordered(k.y), Ordered(k.z),
+          static_cast<std::uint32_t>((c << bits) | t)});
+    }
+    (*scratch)[t].renum.resize(keys.size());
+    (*scratch)[t].dirs.resize(keys.size());
+    std::vector<CellKey>().swap(keys);
+  }
+  RadixSortByKey(&cells);
+  std::vector<std::uint32_t> next(scratch->size(), 0);
+  for (SweepCell& c : cells) {
+    const std::uint32_t t = c.id & mask;
+    const std::uint32_t id = next[t]++;
+    (*scratch)[t].renum[c.id >> bits] = id;
+    c.id = (id << bits) | t;
+  }
+
+  for (std::size_t t = 0; t < scratch->size(); ++t) {
+    grid->shards[t].nbr_off.resize((*scratch)[t].renum.size() + 1);
+    grid->shards[t].nbr_ids.clear();
+  }
+  std::array<std::size_t, 9> cursor{};
+  for (const SweepCell& c : cells) {
+    const std::uint32_t t = c.id & mask;
+    LargeShard& shard = grid->shards[t];
+    const std::uint32_t id = c.id >> bits;
+    shard.nbr_off[id] = static_cast<std::uint32_t>(shard.nbr_ids.size());
+    const std::uint32_t x = static_cast<std::uint32_t>(c.xy >> 32);
+    const std::uint32_t y = static_cast<std::uint32_t>(c.xy);
+    std::uint32_t dirs = 0;
+    for (std::uint32_t col = 0; col < 9; ++col) {
+      // x + dx and y + dy; a query's domain check leaves one cell of
+      // headroom on each side, so neither wraps.
+      const std::uint64_t xy = (std::uint64_t{x + col / 3 - 1} << 32) |
+                               std::uint32_t{y + col % 3 - 1};
+      const std::uint32_t z = c.z - 1;
+      std::size_t& p = cursor[col];
+      while (p < cells.size() &&
+             (cells[p].xy < xy || (cells[p].xy == xy && cells[p].z < z))) {
+        ++p;
+      }
+      for (std::size_t q = p; q < cells.size() && q < p + 3; ++q) {
+        if (cells[q].xy != xy || cells[q].z > c.z + 1) break;
+        const std::uint32_t d = 3 * col + (cells[q].z - z);
+        if (d == kNeighborhoodSize / 2) continue;  // the cell itself
+        dirs |= std::uint32_t{1} << d;
+        shard.nbr_ids.push_back(cells[q].id);
+      }
+    }
+    (*scratch)[t].dirs[id] = dirs;
+  }
+  for (LargeShard& shard : grid->shards) {
+    shard.nbr_off.back() = static_cast<std::uint32_t>(shard.nbr_ids.size());
+    shard.nbr_ids.shrink_to_fit();
+  }
+}
 
 }  // namespace
 
@@ -163,14 +300,20 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   const ObjectSet& objs = *objects_;
   const std::size_t n = objs.size();
   const bool build_large = !reused_large_;
+  const int shard_bits = static_cast<int>(std::bit_width(shards - 1));
+  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits) - 1;
   auto reset = [&] {
     small_.clear();
     small_.resize(shards);
+    small_bits_ = shard_bits;
     std::fill(key_offsets_.begin(), key_offsets_.end(), 0);
-    keys_ = std::vector<CellKey>();
+    key_cells_ = std::vector<std::uint32_t>();
     if (build_large) {
+      large_->shard_bits = shard_bits;
       large_->shards.clear();
       large_->shards.resize(shards);
+      large_->point_begin = std::vector<std::size_t>();
+      large_->point_cell = std::vector<std::uint32_t>();
       large_->groups.clear();
       large_->has_groups = false;
       large_->complete = labels == nullptr;
@@ -183,18 +326,18 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
 
   // Pass 1 writes each mapped point's cell, per grid, as (id << bits) | t,
   // t the owning shard, so that pass 2 finds its shard's points without
-  // hashing their keys again. Unmapped points keep no code: pass 2 skips
-  // them by their label, as pass 1 did.
+  // hashing their keys again. The large grid keeps its codes as the
+  // points' cell ids; an unmapped point's is kNoCell, and pass 2 skips it
+  // by its label, as pass 1 did.
   std::vector<std::size_t> first_point(n + 1, 0);
   for (ObjectId i = 0; i < n; ++i) {
     first_point[i + 1] = first_point[i] + objs[i].points.size();
   }
-  const int shard_bits = static_cast<int>(std::bit_width(shards - 1));
-  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits) - 1;
+  const std::size_t num_points = first_point[n];
   auto small_code = std::make_unique_for_overwrite<std::uint32_t[]>(
-      first_point[n]);
-  auto large_code = std::make_unique_for_overwrite<std::uint32_t[]>(
-      build_large ? first_point[n] : 0);
+      num_points);
+  std::vector<std::uint32_t>& large_code = large_->point_cell;
+  if (build_large) large_code.resize(num_points);
   std::vector<ShardScratch> small_scratch(shards);
   std::vector<ShardScratch> large_scratch(build_large ? shards : 0);
   auto mapped = [&](ObjectId i, std::size_t j) {
@@ -216,12 +359,15 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
       }
       const Object& o = objs[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
-        if (!mapped(i, j)) continue;  // Labeling-1: prunable (Lemma 3)
-        const Point& p = o.points[j];
         const std::size_t pt = first_point[i] + j;
+        if (!mapped(i, j)) {  // Labeling-1: prunable (Lemma 3)
+          if (build_large && t == 0) large_code[pt] = kNoCell;
+          continue;
+        }
+        const Point& p = o.points[j];
         const CellKey ks = KeyForWidth(p, small_width_);
         if (shards == 1 || CellKeyHash{}(ks) % shards == t) {
-          const std::uint32_t c = sx.Intern(&ss.index, ks, /*keep_key=*/true);
+          const std::uint32_t c = sx.Intern(&ss.index, ks);
           CellTally& tl = sx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -233,8 +379,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         const CellKey kl = KeyForWidth(p, large_->width);
         if (shards == 1 || CellKeyHash{}(kl) % shards == t) {
           ShardScratch& lx = large_scratch[t];
-          const std::uint32_t c =
-              lx.Intern(&large_->shards[t].index, kl, /*keep_key=*/false);
+          const std::uint32_t c = lx.Intern(&large_->shards[t].index, kl);
           CellTally& tl = lx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -258,9 +403,13 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     return;
   }
 
+  // Number the large cells in key order and list their neighbours.
+  if (build_large) SortLargeCells(&large_scratch, large_.get());
+
   // Pass 2: scatter each cell's distinct objects (small grid), and its
   // posting objects, their offsets and its coordinates (large grid), into
-  // the shard's arrays at the offsets the counts give.
+  // the shard's arrays at the offsets the counts give. The large cells'
+  // blocks thus follow their keys.
   ForEachShard(shards, [&](std::size_t t) {
     ShardScratch& sx = small_scratch[t];
     sx.Offsets(/*points=*/false);
@@ -268,6 +417,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     LargeShard* ls = build_large ? &large_->shards[t] : nullptr;
     if (ls != nullptr) {
       ShardScratch& lx = large_scratch[t];
+      lx.Renumber(&ls->index);
       lx.Offsets(/*points=*/true);
       ls->post_obj.resize(lx.obj_off.back());
       ls->post_start.resize(lx.obj_off.back());
@@ -290,7 +440,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         const std::uint32_t lc = large_code[pt];
         if ((lc & shard_mask) != t) continue;
         ShardScratch& lx = large_scratch[t];
-        const std::uint32_t c = lc >> shard_bits;
+        const std::uint32_t c = lx.renum[lc >> shard_bits];
         CellTally& tl = lx.tally[c];
         const std::uint32_t first = lx.pt_off[c];
         if (tl.last_obj != i) {
@@ -310,9 +460,11 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     }
   });
   small_code.reset();
-  large_code.reset();
 
-  // Encode each cell bitset once from its ascending ids, at exact size.
+  // Encode each cell bitset once from its ascending ids, at exact size,
+  // and give every point its renumbered large cell, shard t taking the
+  // t-th slice of the points (pass 2 read every code, so none is
+  // rewritten before it ends).
   std::vector<std::size_t> small_bytes(shards, 0), large_bytes(shards, 0);
   ForEachShard(shards, [&](std::size_t t) {
     std::vector<std::uint64_t> scratch;
@@ -328,6 +480,16 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     }
     small_bytes[t] = bytes + ss.TableBytes();
     if (!build_large) return;
+    for (std::size_t pt = num_points * t / shards,
+                     end = num_points * (t + 1) / shards;
+         pt < end; ++pt) {
+      const std::uint32_t code = large_code[pt];
+      if (code == kNoCell) continue;
+      const std::uint32_t owner = code & shard_mask;
+      large_code[pt] =
+          (large_scratch[owner].renum[code >> shard_bits] << shard_bits) |
+          owner;
+    }
     ShardScratch& lx = large_scratch[t];
     std::vector<CellTally>().swap(lx.tally);
     LargeShard& ls = large_->shards[t];
@@ -340,6 +502,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
                          cell.post_obj.size()};
       cell.post_xyz = ls.post_xyz.data() + 3 * std::size_t{lx.pt_off[c]};
       cell.num_points = lx.pt_off[c + 1] - lx.pt_off[c];
+      cell.nbr_dirs = lx.dirs[c];
       cell.bits = Ewah::FromSortedIds(cell.post_obj, &scratch);
       bytes += cell.bits.MemoryUsageBytes();
     }
@@ -348,49 +511,54 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   small_bytes_ = 0;
   for (std::size_t b : small_bytes) small_bytes_ += b;
   if (build_large) {
-    large_->built_bytes = 0;
-    for (std::size_t b : large_bytes) large_->built_bytes += b;
+    large_->point_begin = std::move(first_point);
+    large_->built_bytes =
+        large_->point_begin.capacity() * sizeof(std::size_t) +
+        large_code.capacity() * sizeof(std::uint32_t);
+    for (std::size_t t = 0; t < shards; ++t) {
+      large_->built_bytes += large_bytes[t] + large_->shards[t].NeighborBytes();
+    }
   }
 
-  // Key lists: a key belongs to o_i.L iff its small cell holds two or more
-  // objects and o_i is one of them (Algorithm 3 lines 5-13). Count each
-  // object's keys, then fill its range, advancing key_offsets_[i] as its
-  // cursor and shifting the offsets back after.
+  // Key lists: a cell belongs to o_i.L iff it holds two or more objects
+  // and o_i is one of them (Algorithm 3 lines 5-13). Count each object's
+  // cells, then fill its range, advancing key_offsets_[i] as its cursor
+  // and shifting the offsets back after.
   auto for_each_shared_cell = [&](auto&& f) {
-    for (const ShardScratch& sx : small_scratch) {
+    for (std::size_t t = 0; t < shards; ++t) {
+      const ShardScratch& sx = small_scratch[t];
       for (std::size_t c = 0; c < sx.keys.size(); ++c) {
         std::span<const ObjectId> ids = sx.Objects(sx.members, c);
-        if (ids.size() >= 2) f(sx.keys[c], ids);
+        if (ids.size() >= 2) {
+          f(static_cast<std::uint32_t>((c << shard_bits) | t), ids);
+        }
       }
     }
   };
-  for_each_shared_cell([&](const CellKey&, std::span<const ObjectId> ids) {
+  for_each_shared_cell([&](std::uint32_t, std::span<const ObjectId> ids) {
     for (ObjectId obj : ids) ++key_offsets_[obj + 1];
   });
   for (std::size_t i = 0; i < n; ++i) key_offsets_[i + 1] += key_offsets_[i];
-  keys_.resize(key_offsets_[n]);
-  for_each_shared_cell([&](const CellKey& key, std::span<const ObjectId> ids) {
-    for (ObjectId obj : ids) keys_[key_offsets_[obj]++] = key;
+  key_cells_.resize(key_offsets_[n]);
+  for_each_shared_cell([&](std::uint32_t id, std::span<const ObjectId> ids) {
+    for (ObjectId obj : ids) key_cells_[key_offsets_[obj]++] = id;
   });
   for (std::size_t i = n; i > 0; --i) key_offsets_[i] = key_offsets_[i - 1];
   key_offsets_[0] = 0;
 
-  if (build_groups) BuildGroups(labels, threads);
+  if (build_groups) BuildGroups(threads);
 }
 
-void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
+void BiGrid::BuildGroups(int threads) {
   if (large_->GroupsReady()) return;
-  // A reused (complete) grid needs complete groups; a fresh labelled grid
-  // needs label-filtered groups matching its cell population.
-  const LabelSet* group_labels = reused_large_ ? nullptr : labels;
   const std::size_t n = objects_->size();
   auto build = [&] {
     large_->groups.assign(n, {});
     if (threads <= 1) {
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i, group_labels);
+      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i);
     } else {
 #pragma omp parallel for schedule(dynamic, 16) num_threads(threads)
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i, group_labels);
+      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i);
     }
     std::size_t bytes =
         large_->groups.capacity() * sizeof(std::vector<PointGroup>);
@@ -418,17 +586,36 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
   build();
 }
 
-void BiGrid::BuildGroupsFor(ObjectId i, const LabelSet* labels) {
-  const Object& o = (*objects_)[i];
-  auto& groups = large_->groups[i];
-  std::unordered_map<CellKey, std::size_t, CellKeyHash> index;
-  for (std::size_t j = 0; j < o.points.size(); ++j) {
-    if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) continue;
-    CellKey key = KeyForWidth(o.points[j], large_->width);
-    auto [it, inserted] = index.emplace(key, groups.size());
-    if (inserted) groups.push_back(PointGroup{key, {}});
-    groups[it->second].point_idx.push_back(static_cast<std::uint32_t>(j));
+void BiGrid::BuildGroupsFor(ObjectId i) {
+  // The object's points sorted by (cell, index): each run is one group.
+  // The groups are then ordered by their first point, the order in which
+  // the object's points reach them.
+  const std::size_t m = (*objects_)[i].points.size();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pts;
+  pts.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::uint32_t cell = LargeCellOf(i, j);
+    if (cell != kNoCell) pts.emplace_back(cell, static_cast<std::uint32_t>(j));
   }
+  std::sort(pts.begin(), pts.end());
+  std::size_t runs = 0;
+  for (std::size_t a = 0; a < pts.size(); ++a) {
+    runs += a == 0 || pts[a].first != pts[a - 1].first;
+  }
+  auto& groups = large_->groups[i];
+  groups.reserve(runs);
+  for (std::size_t a = 0; a < pts.size();) {
+    std::size_t b = a + 1;
+    while (b < pts.size() && pts[b].first == pts[a].first) ++b;
+    PointGroup& g = groups.emplace_back();
+    g.cell = pts[a].first;
+    g.point_idx.reserve(b - a);
+    for (; a < b; ++a) g.point_idx.push_back(pts[a].second);
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const PointGroup& x, const PointGroup& y) {
+              return x.point_idx.front() < y.point_idx.front();
+            });
 }
 
 // ---------------------------------------------------------------------------
@@ -447,8 +634,8 @@ LargeCell* BiGrid::FindLarge(const CellKey& k) {
   return large_->shards[ShardOfLarge(k)].Find(k);
 }
 
-LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
-  LargeCell& cell = *FindLarge(k);
+LargeCell& BiGrid::EnsureAdj(std::uint32_t id) {
+  LargeCell& cell = LargeCellAt(id);
   if (cell.AdjReady()) return cell;
   // Double-checked locking: a cached grid's cells are shared across
   // concurrently running queries, so two of them may race to memoise the
@@ -458,7 +645,7 @@ LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
   std::lock_guard<std::mutex> lock(StripeFor(&cell));
   if (cell.AdjReady()) return cell;
   obs::Add(obs::Counter::kAdjBuilds);
-  cell.adj = NeighborhoodUnion(k, cell, &cell.adj_count);
+  cell.adj = NeighborhoodUnion(id, &cell.adj_count);
   large_->adj_bytes.fetch_add(cell.adj.MemoryUsageBytes(),
                               std::memory_order_relaxed);
   std::atomic_ref<bool>(cell.adj_computed)
@@ -466,22 +653,17 @@ LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
   return cell;
 }
 
-Ewah BiGrid::NeighborhoodUnion(const CellKey& k, const LargeCell& cell,
-                               std::uint32_t* count) const {
+Ewah BiGrid::NeighborhoodUnion(std::uint32_t id, std::uint32_t* count) const {
   // Whichever thread first needs a union builds it, so the scratch is
   // per thread: n/64 words, reused by every build on that thread.
   thread_local UnionAccumulator acc;
+  const LargeCell& cell = LargeCellAt(id);
+  const std::span<const std::uint32_t> neighbors = LargeNeighbors(id);
   acc.Clear();
   acc.Add(cell.bits);
-  bool any_neighbor = false;
-  ForEachNeighbor(k, /*include_self=*/false, [&](const CellKey& nk) {
-    if (const LargeCell* nc = FindLarge(nk)) {
-      acc.Add(nc->bits);
-      any_neighbor = true;
-    }
-  });
+  for (std::uint32_t nb : neighbors) acc.Add(LargeCellAt(nb).bits);
   *count = static_cast<std::uint32_t>(acc.Count());
-  return any_neighbor ? acc.ToEwah() : cell.bits;
+  return neighbors.empty() ? cell.bits : acc.ToEwah();
 }
 
 // ---------------------------------------------------------------------------
@@ -494,8 +676,8 @@ MemoryBreakdown BiGrid::MemoryUsage() const {
   mb.Add("large_grid",
          large_->built_bytes +
              large_->adj_bytes.load(std::memory_order_relaxed));
-  mb.Add("key_lists", key_offsets_.capacity() * sizeof(std::uint32_t) +
-                          keys_.capacity() * sizeof(CellKey));
+  mb.Add("key_lists", (key_offsets_.capacity() + key_cells_.capacity()) *
+                          sizeof(std::uint32_t));
   if (large_->GroupsReady()) mb.Add("point_groups", large_->group_bytes);
   return mb;
 }

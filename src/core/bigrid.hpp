@@ -21,6 +21,13 @@
 // cell bitset is then encoded once, and the key lists are derived from
 // the cells that hold two or more objects.
 //
+// The query phases name cells by id, never by key. A cell's id is
+// (its index in its shard << shard bits) | shard. Each large shard
+// numbers its cells in ascending key order, and one sweep over all of
+// them in key order lists every large cell's existing neighbours by id.
+// Each point keeps its large cell's id and each key list holds small-cell
+// ids, so the hash index only interns cells while the grid is mapped.
+//
 // Because the large grid depends only on ceil(r) (the observation behind
 // the paper's label mechanism, §III-D), it is held in a shareable
 // LargeGridData block: the engine can cache it — including the memoised
@@ -30,6 +37,7 @@
 // extension of the paper's "leveraging previous results" idea.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -68,6 +76,9 @@ struct PostingView {
   Point operator[](std::size_t i) const { return Point{xs[i], ys[i], zs[i]}; }
 };
 
+/// The id of no cell: what a point the build skipped holds.
+inline constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
+
 /// One large-grid cell: bitset, lazy neighbourhood bitset, and the
 /// inverted list I(c): postings grouped by object id, ascending. The
 /// postings live in the owning shard's arrays (LargeShard): the cell's
@@ -96,6 +107,11 @@ struct LargeCell {
   std::span<const std::uint32_t> post_start;  ///< post_obj-parallel offsets
   const double* post_xyz = nullptr;           ///< the [xs | ys | zs] block
   std::uint32_t num_points = 0;               ///< points in the block
+  /// Which neighbours exist: bit d for the d-th cell of
+  /// ForEachNeighbor(key, /*include_self=*/true), so bit 13, the cell
+  /// itself, is clear. The shard's neighbour table lists these cells by
+  /// id in ascending d.
+  std::uint32_t nbr_dirs = 0;
 
   /// Posting list I(c)[obj], empty when the object has no points here.
   PostingView Posting(ObjectId obj) const;
@@ -107,17 +123,19 @@ struct LargeCell {
   std::size_t NumPostingPoints() const { return num_points; }
 };
 
-/// Per-object grouping of points by large-grid key (paper §IV: P_{i,K}),
+/// Per-object grouping of points by large-grid cell (paper §IV: P_{i,K}),
 /// the unit of the cost-based parallel partitioning.
 struct PointGroup {
-  CellKey key;
+  std::uint32_t cell = kNoCell;  ///< the large cell's id
   std::vector<std::uint32_t> point_idx;
 };
 
 /// One grid shard: a flat open-addressing index (16-byte slots, cheap to
 /// probe and to rehash) from key to dense cell id, over an exact-size
 /// array of cells. A build gives each thread one shard per grid, the
-/// cells whose key hashes to it; the serial build has one shard.
+/// cells whose key hashes to it; the serial build has one shard. The
+/// index interns cells while the grid is mapped; queries reach cells by
+/// id.
 template <typename Cell>
 struct CellShard {
   // Slot values are id+1; 0 means absent.
@@ -151,12 +169,17 @@ struct CellShard {
 
 using SmallShard = CellShard<SmallCell>;
 
-/// A large-grid shard: its cells' postings, cell after cell, in three
-/// exact-size arrays that the cells' spans point into.
+/// A large-grid shard: cells in ascending key order, their postings, cell
+/// after cell, in three exact-size arrays that the cells' spans point
+/// into, and the neighbour table: cell c's existing neighbours are
+/// nbr_ids[nbr_off[c], nbr_off[c + 1]), global ids in ForEachNeighbor
+/// order.
 struct LargeShard : CellShard<LargeCell> {
   std::vector<ObjectId> post_obj;         ///< each cell's posting objects
   std::vector<std::uint32_t> post_start;  ///< post_obj-parallel offsets
   std::vector<double> post_xyz;           ///< each cell's [xs | ys | zs]
+  std::vector<std::uint32_t> nbr_off;     ///< by cell, then the end
+  std::vector<std::uint32_t> nbr_ids;     ///< each cell's neighbours
 
   /// Bytes of the three posting arrays.
   std::size_t PostingBytes() const {
@@ -164,25 +187,36 @@ struct LargeShard : CellShard<LargeCell> {
            post_start.capacity() * sizeof(std::uint32_t) +
            post_xyz.capacity() * sizeof(double);
   }
+  /// Bytes of the neighbour table.
+  std::size_t NeighborBytes() const {
+    return (nbr_off.capacity() + nbr_ids.capacity()) * sizeof(std::uint32_t);
+  }
 };
 
 /// The shareable half of a BIGrid: everything that depends only on
-/// ceil(r) — the large-grid cells (with their lazily memoised b_adj) and
-/// the per-object P_{i,K} groups. `complete` marks grids built from every
-/// point (no label pruning); only complete grids may be cached, since a
-/// labelled build omits points and its groups reference fewer cells.
+/// ceil(r) — the large-grid cells (with their lazily memoised b_adj),
+/// their neighbour table, each point's cell id and the per-object P_{i,K}
+/// groups. `complete` marks grids built from every point (no label
+/// pruning); only complete grids may be cached, since a labelled build
+/// omits points and its groups reference fewer cells.
 struct LargeGridData {
   double width = 0.0;
+  /// A cell's id is (its index in its shard << shard_bits) | its shard.
+  int shard_bits = 0;
   std::vector<LargeShard> shards;
+  /// Point j of object i is point_begin[i] + j of point_cell, which holds
+  /// its cell's id, or kNoCell for a point the build skipped.
+  std::vector<std::size_t> point_begin;
+  std::vector<std::uint32_t> point_cell;
   std::vector<std::vector<PointGroup>> groups;
   bool has_groups = false;
   bool complete = false;
 
   /// Byte tallies read by BiGrid::MemoryUsage, so that it walks no cell:
   /// the shards as built (tables, cell arrays, posting arrays, cell
-  /// bitsets), every memoised b_adj (EnsureAdj adds each one, possibly
-  /// from concurrent queries), and the groups (set before they are
-  /// marked ready).
+  /// bitsets, neighbour tables) with the point ids, every memoised b_adj
+  /// (EnsureAdj adds each one, possibly from concurrent queries), and the
+  /// groups (set before they are marked ready).
   std::size_t built_bytes = 0;
   std::atomic<std::size_t> adj_bytes{0};
   std::size_t group_bytes = 0;
@@ -198,6 +232,35 @@ struct LargeGridData {
   }
   void MarkGroupsReady() {
     std::atomic_ref<bool>(has_groups).store(true, std::memory_order_release);
+  }
+
+  LargeCell& Cell(std::uint32_t id) {
+    return shards[id & ShardMask()].cells[id >> shard_bits];
+  }
+  const LargeCell& Cell(std::uint32_t id) const {
+    return shards[id & ShardMask()].cells[id >> shard_bits];
+  }
+  /// The ids of cell `id`'s existing neighbours, in ForEachNeighbor order.
+  std::span<const std::uint32_t> Neighbors(std::uint32_t id) const {
+    const LargeShard& shard = shards[id & ShardMask()];
+    const std::uint32_t c = id >> shard_bits;
+    return {shard.nbr_ids.data() + shard.nbr_off[c],
+            shard.nbr_off[c + 1] - shard.nbr_off[c]};
+  }
+  /// One more than the largest id any cell may hold.
+  std::size_t IdLimit() const {
+    std::size_t limit = 0;
+    for (std::size_t t = 0; t < shards.size(); ++t) {
+      if (!shards[t].cells.empty()) {
+        limit = std::max(limit, ((shards[t].size() - 1) << shard_bits) + t + 1);
+      }
+    }
+    return limit;
+  }
+
+ private:
+  std::uint32_t ShardMask() const {
+    return (std::uint32_t{1} << shard_bits) - 1;
   }
 };
 
@@ -242,14 +305,40 @@ class BiGrid {
   double small_width() const { return small_width_; }
   double large_width() const { return large_->width; }
 
+  /// The cell with key k, or nullptr: a hash probe, which the build's
+  /// interning and the tests use; the query phases name cells by id.
   const SmallCell* FindSmall(const CellKey& k) const;
   const LargeCell* FindLarge(const CellKey& k) const;
   LargeCell* FindLarge(const CellKey& k);
 
-  /// o_i.L — small-grid keys of cells shared with at least one other
+  /// The small cell with id `id` (a KeyList entry).
+  const SmallCell& SmallCellAt(std::uint32_t id) const {
+    return small_[id & ((std::uint32_t{1} << small_bits_) - 1)]
+        .cells[id >> small_bits_];
+  }
+  /// The large cell with id `id`.
+  LargeCell& LargeCellAt(std::uint32_t id) { return large_->Cell(id); }
+  const LargeCell& LargeCellAt(std::uint32_t id) const {
+    return large_->Cell(id);
+  }
+  /// The ids of large cell `id`'s existing neighbours, in ForEachNeighbor
+  /// order; LargeCellAt(id).nbr_dirs says which neighbour each one is.
+  std::span<const std::uint32_t> LargeNeighbors(std::uint32_t id) const {
+    return large_->Neighbors(id);
+  }
+  /// One more than the largest large-cell id: the size of an array
+  /// indexed by large-cell id.
+  std::size_t LargeIdLimit() const { return large_->IdLimit(); }
+  /// The id of point j of object i's large cell, or kNoCell when the
+  /// build skipped the point (its kMap label was cleared).
+  std::uint32_t LargeCellOf(ObjectId i, std::size_t j) const {
+    return large_->point_cell[large_->point_begin[i] + j];
+  }
+
+  /// o_i.L — the ids of the small cells shared with at least one other
   /// object (exactly the cells that contribute to the lower bound).
-  std::span<const CellKey> KeyList(ObjectId i) const {
-    return {keys_.data() + key_offsets_[i],
+  std::span<const std::uint32_t> KeyList(ObjectId i) const {
+    return {key_cells_.data() + key_offsets_[i],
             key_offsets_[i + 1] - key_offsets_[i]};
   }
 
@@ -259,21 +348,20 @@ class BiGrid {
   }
   bool has_groups() const { return large_->GroupsReady(); }
 
-  /// Computes (memoises) b_adj of the cell with key k; returns the cell.
+  /// Computes (memoises) b_adj of large cell `id`; returns the cell.
   /// Thread-safe, including against other BiGrids sharing this cell via a
   /// cached LargeGridData: the memoised path is one acquire load, and
   /// builders serialise on a per-cell stripe lock (double-checked), so a
   /// cell's union is computed exactly once across all concurrent readers.
-  LargeCell& EnsureAdj(const CellKey& k);
+  LargeCell& EnsureAdj(std::uint32_t id);
 
-  /// b_adj of `cell`, the cell with key k, computed afresh: its bitset
-  /// ORed with those of its existing neighbours in this thread's
-  /// UnionAccumulator, encoded as the Ewah::Or fold from the cell's own
-  /// bitset would be (which keeps that bitset verbatim when no neighbour
-  /// exists). Writes |b_adj| to `count`. EnsureAdj memoises it; UB-greedy-d
-  /// keeps private per-thread memos of it.
-  Ewah NeighborhoodUnion(const CellKey& k, const LargeCell& cell,
-                         std::uint32_t* count) const;
+  /// b_adj of large cell `id`, computed afresh: its bitset ORed with
+  /// those of its listed neighbours in this thread's UnionAccumulator,
+  /// encoded as the Ewah::Or fold from the cell's own bitset would be
+  /// (which keeps that bitset verbatim when no neighbour exists). Writes
+  /// |b_adj| to `count`. EnsureAdj memoises it; UB-greedy-d keeps private
+  /// per-thread memos of it.
+  Ewah NeighborhoodUnion(std::uint32_t id, std::uint32_t* count) const;
 
   /// Shares the ceil(r)-dependent half for reuse by later queries with
   /// the same ceiling (includes memoised b_adj and groups).
@@ -324,24 +412,27 @@ class BiGrid {
                : CellKeyHash{}(k) % large_->shards.size();
   }
 
-  /// Builds the P_{i,K} groups once per LargeGridData. On a reused
-  /// (shared) grid the build happens under the grid's stripe lock with a
-  /// double check, so concurrent queries adopting the same cached grid
-  /// race safely: one builds, the rest adopt.
-  void BuildGroups(const LabelSet* labels, int threads);
-  void BuildGroupsFor(ObjectId i, const LabelSet* labels);
+  /// Builds the P_{i,K} groups once per LargeGridData, over the points
+  /// the large grid holds. On a reused (shared) grid the build happens
+  /// under the grid's stripe lock with a double check, so concurrent
+  /// queries adopting the same cached grid race safely: one builds, the
+  /// rest adopt.
+  void BuildGroups(int threads);
+  void BuildGroupsFor(ObjectId i);
 
   const ObjectSet* objects_;
   double r_;
   double small_width_;
 
   std::vector<SmallShard> small_;
+  int small_bits_ = 0;           ///< as LargeGridData::shard_bits
   std::size_t small_bytes_ = 0;  ///< small_'s tables, cells and bitsets
   std::shared_ptr<LargeGridData> large_;
   bool reused_large_ = false;
-  /// Key lists: object i's keys are keys_[key_offsets_[i], key_offsets_[i+1]).
+  /// Key lists: object i's small-cell ids are
+  /// key_cells_[key_offsets_[i], key_offsets_[i+1]).
   std::vector<std::uint32_t> key_offsets_;
-  std::vector<CellKey> keys_;
+  std::vector<std::uint32_t> key_cells_;
 };
 
 }  // namespace mio

@@ -19,9 +19,7 @@ std::uint32_t LowerBoundResult::KthLargest(std::size_t k) const {
 std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i,
                             UnionAccumulator* acc) {
   acc->Clear();
-  for (const CellKey& key : grid.KeyList(i)) {
-    acc->Add(grid.FindSmall(key)->bits);
-  }
+  for (std::uint32_t id : grid.KeyList(i)) acc->Add(grid.SmallCellAt(id).bits);
   return acc->Count();
 }
 

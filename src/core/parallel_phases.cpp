@@ -77,14 +77,14 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
     // Polled per object (not per stride): each iteration already pays for
     // a parallel region, so the poll cost is negligible here.
     if (guard != nullptr && guard->Poll()) break;
-    const std::span<const CellKey> keys = grid.KeyList(i);
+    const std::span<const std::uint32_t> cells = grid.KeyList(i);
 #pragma omp parallel num_threads(threads)
     {
       std::size_t t = static_cast<std::size_t>(ThreadId());
       locals[t].Clear();
-      for (std::size_t idx = t; idx < keys.size();
+      for (std::size_t idx = t; idx < cells.size();
            idx += static_cast<std::size_t>(threads)) {
-        locals[t].Add(grid.FindSmall(keys[idx])->bits);
+        locals[t].Add(grid.SmallCellAt(cells[idx]).bits);
       }
     }
     UnionAccumulator& acc = locals[0];
@@ -153,8 +153,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
     // recorded (it is "omitted when the labels are utilized").
     std::vector<std::uint64_t> weights(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      const LargeCell* cell = grid.FindLarge(groups[g].key);
-      std::uint64_t w = (cell != nullptr && cell->AdjReady())
+      std::uint64_t w = grid.LargeCellAt(groups[g].cell).AdjReady()
                             ? 1
                             : static_cast<std::uint64_t>(kNeighborhoodSize);
       if (record_labels != nullptr) w += groups[g].point_idx.size();
@@ -183,7 +182,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
         }
         // Points with the same key share one cell, so exactly one core
         // computes b_adj for it — no synchronisation (paper §IV).
-        LargeCell& cell = grid.EnsureAdj(group.key);
+        LargeCell& cell = grid.EnsureAdj(group.cell);
         if (record_labels != nullptr && cell.adj_count == 1) {
           for (std::uint32_t j : group.point_idx) {
             record_labels->labels[i][j] &=
@@ -216,7 +215,6 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
                                 LabelSet* record_labels, QueryGuard* guard) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
-  const double large_width = grid.large_width();
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
 
@@ -231,8 +229,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
 #pragma omp parallel num_threads(threads)
   {
     int t = ThreadId();
-    std::unordered_map<CellKey, std::pair<Ewah, std::uint32_t>, CellKeyHash>
-        memo;
+    std::unordered_map<std::uint32_t, std::pair<Ewah, std::uint32_t>> memo;
     UnionAccumulator acc;
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
@@ -248,12 +245,12 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
           std::uint8_t l = use_labels->Get(i, j);
           if ((l & label::kMap) == 0 || (l & label::kUpper) == 0) continue;
         }
-        CellKey key = KeyForWidth(o.points[j], large_width);
-        auto it = memo.find(key);
+        const std::uint32_t id = grid.LargeCellOf(i, j);
+        auto it = memo.find(id);
         if (it == memo.end()) {
           std::uint32_t cnt = 0;
-          Ewah adj = grid.NeighborhoodUnion(key, *grid.FindLarge(key), &cnt);
-          it = memo.emplace(key, std::make_pair(std::move(adj), cnt)).first;
+          Ewah adj = grid.NeighborhoodUnion(id, &cnt);
+          it = memo.emplace(id, std::make_pair(std::move(adj), cnt)).first;
         }
         const auto& [adj, adj_count] = it->second;
         if (record_labels != nullptr && adj_count == 1) {
@@ -332,11 +329,11 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   const std::vector<PointGroup>& groups = grid.LargeGroups(i);
 
   // Phase 1: make sure every needed b_adj exists (with labels, upper
-  // bounding may have skipped some cells). Keys are unique per group, so
+  // bounding may have skipped some cells). Cells are unique per group, so
   // parallel EnsureAdj calls touch distinct cells.
 #pragma omp parallel for schedule(dynamic, 8) num_threads(threads)
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    grid.EnsureAdj(groups[g].key);
+    grid.EnsureAdj(groups[g].cell);
   }
 
   PlainBitset seed;
@@ -352,7 +349,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
       PlainBitset b;  // per-thread decode scratch
 #pragma omp for schedule(static)
       for (std::size_t g = 0; g < groups.size(); ++g) {
-        grid.FindLarge(groups[g].key)->adj.DecodeInto(&b);
+        grid.LargeCellAt(groups[g].cell).adj.DecodeInto(&b);
         b.AndNotWith(seed);
         group_alive[g] = b.Count() > 0 ? 1 : 0;
       }
@@ -416,7 +413,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
         if (guard->Poll()) break;  // partial score: the caller discards it
       }
       since_poll += share.end - share.begin;
-      VerifyGroup(grid, i, groups[share.group].key,
+      VerifyGroup(grid, i, groups[share.group].cell,
                   mine.subspan(share.begin, share.end - share.begin),
                   &core.acc, &core.scratch, record_labels, &comps[t]);
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_hash_map.hpp"
 #include "common/guardrails.hpp"
 #include "core/lower_bound.hpp"
 #include "obs/metrics.hpp"
@@ -45,26 +44,25 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
                                const std::vector<std::uint32_t>* tau_low) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
-  const double large_width = grid.large_width();
 
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
   res.candidates.reserve(n / 4 + 1);
 
   UnionAccumulator acc;
-  // The object's large cells seen so far, each with whether o_i is alone
-  // in its neighbourhood. A repeated cell cannot change acc, so it is
-  // ORed once; a repeat's labels are those of its first point's outcome
-  // repeated: kMap cleared for an isolated cell, else kUpper
-  // (Labeling-2: its OR would change nothing).
-  FlatHashMap<CellKey, bool, CellKeyHash> seen;
+  // Per large cell, the last object that reached it, as 2 * (i + 1), plus
+  // one when o_i is alone in the cell's neighbourhood. A repeated cell
+  // cannot change acc, so it is ORed once; a repeat's labels are those of
+  // its first point's outcome repeated: kMap cleared for an isolated
+  // cell, else kUpper (Labeling-2: its OR would change nothing).
+  std::vector<std::uint32_t> seen(grid.LargeIdLimit(), 0);
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial candidate queue; usable only for best-so-far
     }
     const Object& o = objects[i];
+    const std::uint32_t stamp = 2 * (static_cast<std::uint32_t>(i) + 1);
     acc.Clear();
-    seen.Clear();
     std::size_t ors = 0;
     for (std::size_t j = 0; j < o.points.size(); ++j) {
       if (use_labels != nullptr) {
@@ -72,13 +70,13 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
         // UPPER-BOUNDING-WITH-LABEL iterates only points labelled 11*.
         if ((l & label::kMap) == 0 || (l & label::kUpper) == 0) continue;
       }
-      CellKey key = KeyForWidth(o.points[j], large_width);
+      const std::uint32_t id = grid.LargeCellOf(i, j);
       std::uint8_t clear = 0;
-      if (const bool* isolated = seen.Find(key)) {
-        clear = *isolated ? label::kMap : label::kUpper;
+      if ((seen[id] & ~std::uint32_t{1}) == stamp) {
+        clear = (seen[id] & 1) != 0 ? label::kMap : label::kUpper;
       } else {
-        LargeCell& cell = grid.EnsureAdj(key);
-        seen[key] = cell.adj_count == 1;
+        LargeCell& cell = grid.EnsureAdj(id);
+        seen[id] = stamp | (cell.adj_count == 1 ? 1 : 0);
         if (record_labels != nullptr && cell.adj_count == 1) {
           // Labeling-1: only o_i occupies this neighbourhood — the point
           // is irrelevant to every phase of future same-ceil(r) queries.

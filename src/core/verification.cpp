@@ -1,6 +1,7 @@
 #include "core/verification.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -69,22 +70,23 @@ namespace {
 constexpr double kFaceSlack = 1e-9;
 
 /// Lower bound on the squared distance from `p` (mapped into cell `home`)
-/// to any point mapped into the neighbouring cell `nb` at width `w`. It
-/// never exceeds the kernel's own squared distance to such a point
-/// (per-axis gaps are smaller, and rounded arithmetic is monotone), so
-/// `> r²` proves no point of `nb` is within r of p.
-double NeighborGap2(const Point& p, const CellKey& home, const CellKey& nb,
-                    double w) {
-  auto axis = [w](double c, std::int32_t h, std::int32_t n) {
-    if (n == h) return 0.0;
-    double face = (n > h ? static_cast<double>(h) + 1.0
-                         : static_cast<double>(h)) * w;
-    double gap = (n > h ? face - c : c - face) -
+/// to any point mapped into home's neighbour `d`, the d-th cell of
+/// ForEachNeighbor(home, /*include_self=*/true), at width `w`. It never
+/// exceeds the kernel's own squared distance to such a point (per-axis
+/// gaps are smaller, and rounded arithmetic is monotone), so `> r²` proves
+/// no point of that cell is within r of p.
+double NeighborGap2(const Point& p, const CellKey& home, int d, double w) {
+  // step: the neighbour's offset from home on one axis, -1, 0 or 1.
+  auto axis = [w](double c, std::int32_t h, int step) {
+    if (step == 0) return 0.0;
+    double face = (step > 0 ? static_cast<double>(h) + 1.0
+                            : static_cast<double>(h)) * w;
+    double gap = (step > 0 ? face - c : c - face) -
                  kFaceSlack * (std::fabs(face) + w);
     return gap > 0.0 ? gap * gap : 0.0;
   };
-  return axis(p.x, home.x, nb.x) + axis(p.y, home.y, nb.y) +
-         axis(p.z, home.z, nb.z);
+  return axis(p.x, home.x, d / 9 - 1) + axis(p.y, home.y, d / 3 % 3 - 1) +
+         axis(p.z, home.z, d % 3 - 1);
 }
 
 }  // namespace
@@ -95,8 +97,8 @@ void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
     lb_bitset->DecodeInto(acc);
   } else {
     acc->Reset();
-    for (const CellKey& key : grid.KeyList(i)) {
-      grid.FindSmall(key)->bits.ForEachWord(
+    for (std::uint32_t id : grid.KeyList(i)) {
+      grid.SmallCellAt(id).bits.ForEachWord(
           [acc](std::size_t w, std::uint64_t word) {
             acc->OrWord(w, word);
             return true;
@@ -106,7 +108,7 @@ void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
   acc->Set(i);
 }
 
-void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
+void VerifyGroup(BiGrid& grid, ObjectId i, std::uint32_t cell,
                  std::span<const std::uint32_t> points, PlainBitset* acc,
                  GroupScratch* scratch, LabelSet* record_labels,
                  std::size_t* dist_comps) {
@@ -115,12 +117,12 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
   const double width = grid.large_width();
   // With labels, some cells may have skipped upper-bounding entirely, so
   // b_adj may be missing here — compute it first (paper §III-D).
-  LargeCell& cell = grid.EnsureAdj(key);
+  const LargeCell& home = grid.EnsureAdj(cell);
 
   // b <- b_adj(c) - b(o_i): candidates not yet confirmed, shared by every
   // point of the group (they all have the same 27-cell neighbourhood).
   PlainBitset& b = scratch->b;
-  cell.adj.DecodeInto(&b);
+  home.adj.DecodeInto(&b);
   b.AndNotWith(*acc);
   std::size_t remaining = b.Count();
   obs::Add(obs::Counter::kVerifyGroups);
@@ -142,28 +144,27 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
 
   std::size_t comps = 0;
   std::size_t postings = 0;
-  std::size_t probes = 0;
+  std::size_t visited = 0;
   std::size_t confirmed = 0;
-  // Scan the cell itself, then its neighbours, stopping as soon as no
-  // candidate remains. Postings are only touched for set bits of b
+  // Scan the cell itself, then its listed neighbours, stopping as soon as
+  // no candidate remains. Postings are only touched for set bits of b
   // (Algorithm 6 line 13): the walk ANDs b's words with the cell's
   // bitset, a word at a time, and finds each surviving object's posting
   // by rank — the cell's set bits below it. That index is valid because
-  // MapPointLarge sets an object's bit exactly when it opens the object's
-  // posting, so bits and post_obj list the same ids in the same ascending
-  // order. Each touched posting is tested against the group's points that
-  // can reach the cell, nearest first, until the first hit — one
-  // batch-kernel call per point over the posting's contiguous SoA
-  // coordinates.
+  // Ewah::FromSortedIds encodes each cell's bits from its post_obj, so
+  // bits and post_obj list the same ids in the same ascending order. Each
+  // touched posting is tested against the group's points that can reach
+  // the cell, nearest first, until the first hit — one batch-kernel call
+  // per point over the posting's contiguous SoA coordinates.
+  const CellKey key = KeyForWidth(pts[points.front()], width);
   std::vector<std::pair<double, std::uint32_t>>& order = scratch->order;
   const std::vector<std::uint64_t>& live_words = b.words();
-  auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
-    ++probes;
-    const LargeCell* c = grid.FindLarge(ck);
-    if (c == nullptr) return true;
+  // d: the cell's place in ForEachNeighbor(key, /*include_self=*/true).
+  auto scan_cell = [&](const LargeCell* c, int d) -> bool {  // false = stop
+    ++visited;
     order.clear();
     for (std::uint32_t j : points) {
-      double gap2 = NeighborGap2(pts[j], key, ck, width);
+      double gap2 = NeighborGap2(pts[j], key, d, width);
       if (gap2 <= r2) order.emplace_back(gap2, j);
     }
     if (order.empty()) return true;
@@ -209,13 +210,15 @@ void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
     return more;
   };
 
-  if (scan_cell(key)) {
-    bool stop = false;
-    ForEachNeighbor(key, /*include_self=*/false, [&](const CellKey& nk) {
-      if (!stop) stop = !scan_cell(nk);
-    });
+  if (scan_cell(&home, kNeighborhoodSize / 2)) {
+    std::uint32_t dirs = home.nbr_dirs;
+    for (std::uint32_t nb : grid.LargeNeighbors(cell)) {
+      const int d = std::countr_zero(dirs);
+      dirs &= dirs - 1;
+      if (!scan_cell(&grid.LargeCellAt(nb), d)) break;
+    }
   }
-  obs::Add(obs::Counter::kVerifyCellProbes, probes);
+  obs::Add(obs::Counter::kVerifyCellsVisited, visited);
   obs::Add(obs::Counter::kPostingScans, postings);
   obs::Add(obs::Counter::kVerifyPartnersConfirmed, confirmed);
   if (dist_comps != nullptr) *dist_comps += comps;
@@ -243,6 +246,7 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
   for (std::size_t j = 0; j < o.points.size(); ++j) {
     if (!VerifiesPoint(use_labels, i, j, use_verify_bit)) continue;
     a.keyed.push_back(KeyedPoint{KeyForWidth(o.points[j], width),
+                                 grid.LargeCellOf(i, j),
                                  static_cast<std::uint32_t>(j)});
   }
   std::sort(a.keyed.begin(), a.keyed.end(),
@@ -267,8 +271,9 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
       if (guard->Poll()) break;  // partial score: the caller must discard it
     }
     since_poll += end - begin;
-    VerifyGroup(grid, i, a.keyed[begin].key, all.subspan(begin, end - begin),
-                &acc, &a.scratch, record_labels, dist_comps);
+    VerifyGroup(grid, i, a.keyed[begin].cell,
+                all.subspan(begin, end - begin), &acc, &a.scratch,
+                record_labels, dist_comps);
     begin = end;
   }
 

@@ -5,9 +5,9 @@
 // uses the large grid, cell-major: b(o_i) starts from the object's
 // Lemma-1 partners, the object's points are grouped by large cell, and
 // per group the still-unconfirmed candidates are b = b_adj(c) - b(o_i);
-// the 27-cell neighbourhood is walked once per group, each cell's
-// postings are reached only through b AND b(c), and the walk stops the
-// moment b empties.
+// the cell and its listed neighbours are walked once per group, each
+// cell's postings are reached only through b AND b(c), and the walk stops
+// the moment b empties.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,11 @@ namespace mio {
 
 class QueryGuard;  // common/guardrails.hpp
 
-/// A point index tagged with its large-grid cell key: the sort record
-/// ExactScore groups an object's points by.
+/// A point index tagged with its large-grid cell, by key and by id: the
+/// sort record ExactScore groups an object's points by.
 struct KeyedPoint {
   CellKey key;
+  std::uint32_t cell = kNoCell;
   std::uint32_t idx = 0;
 };
 
@@ -76,10 +77,10 @@ void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
                   PlainBitset* acc);
 
 /// Verifies one group of object i's points that share the large cell
-/// `key` (the cell-major step of exact scoring). Computes the
-/// unconfirmed-candidate set b = b_adj(key) - acc once, probes each of
-/// the 27 neighbourhood cells once, and walks b AND b(c) once per cell,
-/// word by word: the posting of each object in both is tested with the
+/// with id `cell` (the cell-major step of exact scoring). Computes the
+/// unconfirmed-candidate set b = b_adj(cell) - acc once, visits the cell
+/// and then each listed neighbour once, and walks b AND b(c) once per
+/// cell, word by word: the posting of each object in both is tested with the
 /// batch distance kernel (geo/kernels.hpp) against the group's points
 /// until the first hit, which folds the object into `acc`. Per cell, points
 /// that cannot reach it (distance to the cell's box > r) are skipped and
@@ -90,7 +91,7 @@ void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
 /// clears every point. Shared by the serial and parallel paths (the
 /// parallel path passes per-core accumulators, scratch, and each core's
 /// share of the group).
-void VerifyGroup(BiGrid& grid, ObjectId i, const CellKey& key,
+void VerifyGroup(BiGrid& grid, ObjectId i, std::uint32_t cell,
                  std::span<const std::uint32_t> points, PlainBitset* acc,
                  GroupScratch* scratch, LabelSet* record_labels,
                  std::size_t* dist_comps);

@@ -43,7 +43,7 @@ enum class Counter : int {
   kVerifyPointsSettled,  ///< verified points whose neighbourhood was
                          ///< already fully confirmed (no posting scan)
   kVerifyGroups,         ///< per-cell point groups verified (VerifyGroup)
-  kVerifyCellProbes,     ///< neighbourhood cell lookups during verification
+  kVerifyCellsVisited,   ///< existing cells the verification walks visit
   kVerifyPartnersConfirmed,  ///< partners confirmed by a posting scan
   kFaultsInjected,        ///< fault-injection sites that fired
   kQueryDeadlineExceeded, ///< queries stopped by their deadline
@@ -106,7 +106,7 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "verify_points",
     "verify_points_settled",
     "verify_groups",
-    "verify_cell_probes",
+    "verify_cells_visited",
     "verify_partners_confirmed",
     "faults.injected",
     "query.deadline_exceeded",

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -31,6 +32,144 @@ void ExpectBitsInLockstep(const LargeCell& cell) {
   EXPECT_EQ(from_bits, std::vector<ObjectId>(cell.post_obj.begin(),
                                               cell.post_obj.end()));
   EXPECT_EQ(cell.post_start.size(), cell.post_obj.size());
+}
+
+using KeyTuple = std::tuple<int, int, int>;
+KeyTuple AsTuple(const CellKey& k) { return {k.x, k.y, k.z}; }
+CellKey AsKey(const KeyTuple& t) {
+  return CellKey{std::get<0>(t), std::get<1>(t), std::get<2>(t)};
+}
+
+/// Clears kMap on every third point of the even objects and on every
+/// point of object 1, so labelled builds skip points and a whole object.
+LabelSet PruneSome(const ObjectSet& set) {
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      if (i == 1 || (i % 2 == 0 && j % 3 == 0)) {
+        labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
+      }
+    }
+  }
+  return labels;
+}
+
+bool Mapped(const LabelSet* labels, ObjectId i, std::size_t j) {
+  return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
+}
+
+/// Every cell's key by its id, (index << bits) | shard, read from the
+/// shards' hash indexes.
+template <typename Shard>
+std::map<std::uint32_t, CellKey> KeysById(const std::vector<Shard>& shards,
+                                          int bits) {
+  std::map<std::uint32_t, CellKey> keys;
+  for (std::size_t t = 0; t < shards.size(); ++t) {
+    shards[t].index.ForEach([&](const CellKey& k, std::uint32_t slot) {
+      keys[static_cast<std::uint32_t>(((slot - 1) << bits) | t)] = k;
+    });
+  }
+  return keys;
+}
+std::map<std::uint32_t, CellKey> SmallKeys(const BiGrid& grid) {
+  const auto& shards = grid.small_shards();
+  return KeysById(shards, static_cast<int>(std::bit_width(shards.size() - 1)));
+}
+std::map<std::uint32_t, CellKey> LargeKeys(const BiGrid& grid) {
+  const LargeGridData& large = *grid.ShareLargeGrid();
+  return KeysById(large.shards, large.shard_bits);
+}
+
+/// The id of the large cell with key k, or kNoCell.
+std::uint32_t LargeId(const BiGrid& grid, const CellKey& k) {
+  const LargeCell* cell = grid.FindLarge(k);
+  if (cell == nullptr) return kNoCell;
+  const LargeGridData& large = *grid.ShareLargeGrid();
+  for (std::size_t t = 0; t < large.shards.size(); ++t) {
+    const std::vector<LargeCell>& cells = large.shards[t].cells;
+    if (cell >= cells.data() && cell < cells.data() + cells.size()) {
+      return static_cast<std::uint32_t>(
+          (static_cast<std::size_t>(cell - cells.data()) << large.shard_bits) |
+          t);
+    }
+  }
+  return kNoCell;
+}
+
+/// The neighbour table agrees with the hash index: each large cell lists
+/// exactly the cells FindLarge finds among its 26 neighbours, by id, in
+/// ForEachNeighbor order, and nbr_dirs marks which neighbour each one is.
+void ExpectNeighborTable(const BiGrid& grid) {
+  for (const auto& [id, key] : LargeKeys(grid)) {
+    std::vector<std::uint32_t> want;
+    std::uint32_t dirs = 0;
+    int d = 0;
+    ForEachNeighbor(key, /*include_self=*/true, [&](const CellKey& nk) {
+      if (d != kNeighborhoodSize / 2 && grid.FindLarge(nk) != nullptr) {
+        want.push_back(LargeId(grid, nk));
+        dirs |= std::uint32_t{1} << d;
+      }
+      ++d;
+    });
+    const std::span<const std::uint32_t> got = grid.LargeNeighbors(id);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+        << key.ToString();
+    EXPECT_EQ(grid.LargeCellAt(id).nbr_dirs, dirs) << key.ToString();
+  }
+}
+
+/// What names cells by id agrees with the keys: each shard's cells and
+/// their posting blocks ascend by key; each point's id names the cell of
+/// its key, and a point the build skipped holds kNoCell; each key list
+/// names exactly the small cells of the object shared with another.
+void ExpectIdLayer(const BiGrid& grid, const LabelSet* labels) {
+  const LargeGridData& large = *grid.ShareLargeGrid();
+  const std::map<std::uint32_t, CellKey> large_keys = LargeKeys(grid);
+  for (std::size_t t = 0; t < large.shards.size(); ++t) {
+    const std::vector<LargeCell>& cells = large.shards[t].cells;
+    for (std::size_t c = 1; c < cells.size(); ++c) {
+      const auto id = [&](std::size_t at) {
+        return static_cast<std::uint32_t>((at << large.shard_bits) | t);
+      };
+      EXPECT_TRUE(large_keys.at(id(c - 1)) < large_keys.at(id(c)));
+      EXPECT_LT(cells[c - 1].post_obj.data(), cells[c].post_obj.data());
+      EXPECT_LT(cells[c - 1].post_xyz, cells[c].post_xyz);
+    }
+  }
+  const ObjectSet& set = grid.objects();
+  const bool skips = labels != nullptr && !grid.reused_large_grid();
+  std::map<KeyTuple, std::set<ObjectId>> small;
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      const Point& p = set[i].points[j];
+      const bool mapped =
+          labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
+      if (mapped) small[AsTuple(KeyForWidth(p, grid.small_width()))].insert(i);
+      if (!mapped && skips) {
+        EXPECT_EQ(grid.LargeCellOf(i, j), kNoCell);
+      } else {
+        const std::uint32_t id = grid.LargeCellOf(i, j);
+        ASSERT_NE(id, kNoCell);
+        EXPECT_EQ(&grid.LargeCellAt(id),
+                  grid.FindLarge(KeyForWidth(p, grid.large_width())));
+      }
+    }
+  }
+  const std::map<std::uint32_t, CellKey> small_keys = SmallKeys(grid);
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    std::set<KeyTuple> want;
+    for (const auto& [kt, objs] : small) {
+      if (objs.size() >= 2 && objs.count(i) != 0) want.insert(kt);
+    }
+    std::set<KeyTuple> got;
+    for (std::uint32_t id : grid.KeyList(i)) {
+      ASSERT_EQ(small_keys.count(id), 1u) << "object " << i;
+      EXPECT_EQ(&grid.SmallCellAt(id), grid.FindSmall(small_keys.at(id)));
+      got.insert(AsTuple(small_keys.at(id)));
+    }
+    EXPECT_EQ(got, want) << "object " << i;
+    EXPECT_EQ(grid.KeyList(i).size(), got.size()) << "duplicate cells";
+  }
 }
 
 TEST(BiGridTest, WidthsFollowDefinitions) {
@@ -85,7 +224,8 @@ TEST(BiGridTest, KeyListsAreExactlyMultiObjectCells) {
       if (objs.size() >= 2 && objs.count(i)) want.insert(kt);
     }
     std::set<std::tuple<int, int, int>> got;
-    for (const CellKey& k : grid.KeyList(i)) got.insert({k.x, k.y, k.z});
+    const std::map<std::uint32_t, CellKey> keys = SmallKeys(grid);
+    for (std::uint32_t id : grid.KeyList(i)) got.insert(AsTuple(keys.at(id)));
     EXPECT_EQ(got, want) << "object " << i;
     EXPECT_EQ(grid.KeyList(i).size(), got.size()) << "duplicate keys";
   }
@@ -130,14 +270,19 @@ TEST(BiGridTest, PostingOfAbsentObjectIsEmpty) {
   });
 }
 
+// b_adj is the OR over the cell and the neighbours its table lists, and
+// the table lists exactly the neighbours the hash index finds: shard
+// counts 1-4, with and without labels, and over an adopted cached grid.
 TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
   ObjectSet set = testing::MakeRandomObjects(12, 4, 8, 12.0, 6);
   double r = 3.0;
   BiGrid grid(set, r);
   grid.Build();
 
-  CellKey key = KeyForWidth(set[0].points[0], grid.large_width());
-  LargeCell& cell = grid.EnsureAdj(key);
+  const std::uint32_t id = grid.LargeCellOf(0, 0);
+  const CellKey key = KeyForWidth(set[0].points[0], grid.large_width());
+  LargeCell& cell = grid.EnsureAdj(id);
+  ASSERT_EQ(&cell, grid.FindLarge(key));
   ASSERT_TRUE(cell.adj_computed);
 
   PlainBitset want;
@@ -149,22 +294,47 @@ TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
   EXPECT_TRUE(cell.adj.ToPlain() == want);
   EXPECT_EQ(cell.adj_count, want.Count());
   // Second call is a memo hit (same object, no recompute).
-  EXPECT_EQ(&grid.EnsureAdj(key), &cell);
+  EXPECT_EQ(&grid.EnsureAdj(id), &cell);
 
   // Every cell's b_adj is encoded word for word as the Ewah::Or fold that
   // starts from the cell's own bitset.
-  grid.ForEachLargeCell([&](const CellKey& k, LargeCell& c) {
-    Ewah fold = c.bits;
-    ForEachNeighbor(k, false, [&](const CellKey& nk) {
-      if (const LargeCell* nc = grid.FindLarge(nk)) {
-        fold = Ewah::Or(fold, nc->bits);
-      }
-    });
-    const LargeCell& adj = grid.EnsureAdj(k);
-    EXPECT_EQ(adj.adj.buffer(), fold.buffer());
-    EXPECT_EQ(adj.adj.SizeInBits(), fold.SizeInBits());
-    EXPECT_EQ(adj.adj_count, fold.Count());
-  });
+  auto expect_folds = [](BiGrid& g) {
+    for (const auto& [cid, k] : LargeKeys(g)) {
+      Ewah fold = g.FindLarge(k)->bits;
+      ForEachNeighbor(k, false, [&](const CellKey& nk) {
+        if (const LargeCell* nc = g.FindLarge(nk)) {
+          fold = Ewah::Or(fold, nc->bits);
+        }
+      });
+      const LargeCell& adj = g.EnsureAdj(cid);
+      EXPECT_EQ(&adj, g.FindLarge(k));
+      EXPECT_EQ(adj.adj.buffer(), fold.buffer());
+      EXPECT_EQ(adj.adj.SizeInBits(), fold.SizeInBits());
+      EXPECT_EQ(adj.adj_count, fold.Count());
+    }
+  };
+  ExpectNeighborTable(grid);
+  expect_folds(grid);
+
+  const ObjectSet dense = testing::MakeRandomObjects(40, 5, 12, 14.0, 24, 2.0);
+  const LabelSet labels = PruneSome(dense);
+  BiGrid cached(dense, r);
+  cached.BuildParallel(3);
+  for (const LabelSet* lab : {static_cast<const LabelSet*>(nullptr), &labels}) {
+    for (int threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (lab != nullptr ? " labelled" : ""));
+      BiGrid built(dense, r);
+      built.BuildParallel(threads, lab);
+      ExpectNeighborTable(built);
+      expect_folds(built);
+      BiGrid adopter(dense, r, /*planar=*/false, cached.ShareLargeGrid());
+      adopter.BuildParallel(threads, lab);
+      ASSERT_TRUE(adopter.reused_large_grid());
+      ExpectNeighborTable(adopter);
+      expect_folds(adopter);
+    }
+  }
 }
 
 TEST(BiGridTest, NoEmptyCells) {
@@ -175,30 +345,6 @@ TEST(BiGridTest, NoEmptyCells) {
     EXPECT_GT(cell.NumPostingPoints(), 0u);
     EXPECT_GT(cell.bits.Count(), 0u);
   });
-}
-
-/// Clears kMap on every third point of the even objects and on every
-/// point of object 1, so labelled builds skip points and a whole object.
-LabelSet PruneSome(const ObjectSet& set) {
-  LabelSet labels = LabelSet::MakeAllOnes(set);
-  for (ObjectId i = 0; i < set.size(); ++i) {
-    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
-      if (i == 1 || (i % 2 == 0 && j % 3 == 0)) {
-        labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
-      }
-    }
-  }
-  return labels;
-}
-
-bool Mapped(const LabelSet* labels, ObjectId i, std::size_t j) {
-  return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
-}
-
-using KeyTuple = std::tuple<int, int, int>;
-KeyTuple AsTuple(const CellKey& k) { return {k.x, k.y, k.z}; }
-CellKey AsKey(const KeyTuple& t) {
-  return CellKey{std::get<0>(t), std::get<1>(t), std::get<2>(t)};
 }
 
 /// One large cell's postings, from the points directly: each object's
@@ -250,15 +396,20 @@ void ExpectSameSmallGrid(const BiGrid& want, const BiGrid& got) {
       EXPECT_EQ(g->bits.SizeInBits(), cell.bits.SizeInBits());
     });
   }
-  // Key lists agree as sets per object, without duplicates.
-  auto as_set = [](std::span<const CellKey> keys) {
+  // Key lists name the same cells per object, without duplicates.
+  const std::map<std::uint32_t, CellKey> want_keys = SmallKeys(want);
+  const std::map<std::uint32_t, CellKey> got_keys = SmallKeys(got);
+  auto as_set = [](std::span<const std::uint32_t> ids,
+                   const std::map<std::uint32_t, CellKey>& keys) {
     std::set<KeyTuple> s;
-    for (const CellKey& k : keys) s.insert(AsTuple(k));
+    for (std::uint32_t id : ids) s.insert(AsTuple(keys.at(id)));
     return s;
   };
   for (ObjectId i = 0; i < want.objects().size(); ++i) {
-    EXPECT_EQ(as_set(got.KeyList(i)), as_set(want.KeyList(i))) << "object " << i;
-    EXPECT_EQ(got.KeyList(i).size(), as_set(got.KeyList(i)).size());
+    EXPECT_EQ(as_set(got.KeyList(i), got_keys),
+              as_set(want.KeyList(i), want_keys))
+        << "object " << i;
+    EXPECT_EQ(got.KeyList(i).size(), as_set(got.KeyList(i), got_keys).size());
   }
 }
 
@@ -282,7 +433,9 @@ void ExpectSameLargeGrid(const BiGrid& want, const BiGrid& got) {
   }
 }
 
-/// Every group of every object, over the points the groups must cover.
+/// Every group of every object, over the points the groups must cover:
+/// each group holds the points of its cell in ascending order, and the
+/// groups follow their first points.
 void ExpectGroupsCover(const BiGrid& grid, const LabelSet* labels) {
   const ObjectSet& set = grid.objects();
   for (ObjectId i = 0; i < set.size(); ++i) {
@@ -291,7 +444,18 @@ void ExpectGroupsCover(const BiGrid& grid, const LabelSet* labels) {
       want += Mapped(labels, i, j);
     }
     std::size_t covered = 0;
-    for (const PointGroup& g : grid.LargeGroups(i)) covered += g.point_idx.size();
+    std::uint32_t last_first = 0;
+    for (const PointGroup& g : grid.LargeGroups(i)) {
+      covered += g.point_idx.size();
+      ASSERT_FALSE(g.point_idx.empty());
+      EXPECT_TRUE(covered == g.point_idx.size() ||
+                  last_first < g.point_idx.front());
+      last_first = g.point_idx.front();
+      EXPECT_TRUE(std::is_sorted(g.point_idx.begin(), g.point_idx.end()));
+      for (std::uint32_t j : g.point_idx) {
+        EXPECT_EQ(grid.LargeCellOf(i, j), g.cell) << "object " << i;
+      }
+    }
     EXPECT_EQ(covered, want) << "object " << i;
   }
 }
@@ -299,7 +463,8 @@ void ExpectGroupsCover(const BiGrid& grid, const LabelSet* labels) {
 // One build path serves every thread count: shard counts 1-4, with and
 // without labels, and over an adopted cached grid, give the serial
 // build's cell bitsets byte for byte, its postings (ids and coordinates)
-// and its key-list sets.
+// and its key-list sets, and every grid names its cells by id as its keys
+// do (ExpectIdLayer).
 TEST(BiGridTest, ParallelBuildMatchesSerial) {
   ObjectSet set = testing::MakeRandomObjects(30, 5, 12, 25.0, 8);
   double r = 4.5;
@@ -309,9 +474,11 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
   BiGrid cached(set, r);
   cached.BuildParallel(3, nullptr, true);
   ASSERT_TRUE(cached.large_grid_complete());
+  ExpectIdLayer(complete, nullptr);
   for (const LabelSet* lab : {static_cast<const LabelSet*>(nullptr), &labels}) {
     BiGrid serial(set, r);
     serial.Build(lab, true);
+    ExpectIdLayer(serial, lab);
     for (int threads : {1, 2, 3, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads) +
                    (lab != nullptr ? " labelled" : ""));
@@ -320,6 +487,7 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
       ExpectSameSmallGrid(serial, parallel);
       ExpectSameLargeGrid(serial, parallel);
       ExpectGroupsCover(parallel, lab);
+      ExpectIdLayer(parallel, lab);
 
       BiGrid adopter(set, r, /*planar=*/false, cached.ShareLargeGrid());
       adopter.BuildParallel(threads, lab, true);
@@ -327,6 +495,7 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
       ExpectSameSmallGrid(serial, adopter);
       ExpectSameLargeGrid(complete, adopter);
       ExpectGroupsCover(adopter, nullptr);  // a cached grid is complete
+      ExpectIdLayer(adopter, lab);
     }
   }
 }
@@ -464,8 +633,9 @@ TEST(BiGridTest, PostingsPartitionTheirShardArrays) {
 }
 
 /// MemoryUsage recomputed by walking every structure: index tables,
-/// cell arrays, shard posting arrays, every cell bitset, every ready
-/// b_adj, the key lists and the groups.
+/// cell arrays, shard posting arrays, neighbour tables, every cell
+/// bitset, every ready b_adj, the points' cell ids, the key lists and the
+/// groups.
 std::vector<std::pair<std::string, std::size_t>> ReferenceMemory(
     const BiGrid& grid) {
   std::vector<std::pair<std::string, std::size_t>> parts;
@@ -484,17 +654,22 @@ std::vector<std::pair<std::string, std::size_t>> ReferenceMemory(
              shard.cells.capacity() * sizeof(LargeCell) +
              shard.post_obj.capacity() * sizeof(ObjectId) +
              shard.post_start.capacity() * sizeof(std::uint32_t) +
-             shard.post_xyz.capacity() * sizeof(double);
+             shard.post_xyz.capacity() * sizeof(double) +
+             shard.nbr_off.capacity() * sizeof(std::uint32_t) +
+             shard.nbr_ids.capacity() * sizeof(std::uint32_t);
     for (const LargeCell& cell : shard.cells) {
       large += cell.bits.MemoryUsageBytes();
       if (cell.AdjReady()) large += cell.adj.MemoryUsageBytes();
     }
   }
+  const LargeGridData& data = *grid.ShareLargeGrid();
+  large += data.point_begin.capacity() * sizeof(std::size_t) +
+           data.point_cell.capacity() * sizeof(std::uint32_t);
   parts.emplace_back("large_grid", large);
   const std::size_t n = grid.objects().size();
   std::size_t keys = (n + 1) * sizeof(std::uint32_t);
   for (ObjectId i = 0; i < n; ++i) {
-    keys += grid.KeyList(i).size() * sizeof(CellKey);
+    keys += grid.KeyList(i).size() * sizeof(std::uint32_t);
   }
   parts.emplace_back("key_lists", keys);
   if (grid.has_groups()) {
@@ -606,16 +781,14 @@ TEST(BiGridTest, MemoryTalliesMatchAReferenceWalk) {
     BiGrid grid(set, r);
     grid.BuildParallel(threads);
     ExpectTallyMatchesWalk(grid);
-    std::vector<CellKey> keys;
-    grid.ForEachLargeCell([&](const CellKey& k, LargeCell&) {
-      keys.push_back(k);
-    });
-    for (std::size_t c = 0; c < keys.size(); c += 2) grid.EnsureAdj(keys[c]);
+    std::vector<std::uint32_t> ids;
+    for (const auto& [id, key] : LargeKeys(grid)) ids.push_back(id);
+    for (std::size_t c = 0; c < ids.size(); c += 2) grid.EnsureAdj(ids[c]);
     ExpectTallyMatchesWalk(grid);
     std::vector<std::thread> racers;
     for (int t = 0; t < 4; ++t) {
       racers.emplace_back([&] {
-        for (const CellKey& k : keys) grid.EnsureAdj(k);
+        for (std::uint32_t id : ids) grid.EnsureAdj(id);
       });
     }
     for (std::thread& racer : racers) racer.join();
@@ -625,7 +798,7 @@ TEST(BiGridTest, MemoryTalliesMatchAReferenceWalk) {
     grouped.BuildParallel(threads, nullptr, /*build_groups=*/true);
     ASSERT_TRUE(grouped.has_groups());
     ExpectTallyMatchesWalk(grouped);
-    grouped.EnsureAdj(keys.front());
+    grouped.EnsureAdj(grouped.LargeCellOf(0, 0));
     BiGrid adopter(set, 3.7, /*planar=*/false, grouped.ShareLargeGrid());
     adopter.Build(&labels);
     ASSERT_TRUE(adopter.reused_large_grid());
@@ -689,8 +862,7 @@ TEST(BiGridTest, ReusedGridKeepsPostingsInLockstep) {
   ObjectSet set = testing::MakeRandomObjects(40, 5, 12, 20.0, 12, 2.0);
   BiGrid first(set, 3.2);
   first.BuildParallel(2, nullptr, true);
-  first.ForEachLargeCell(
-      [&](const CellKey& k, LargeCell&) { first.EnsureAdj(k); });
+  for (const auto& [id, key] : LargeKeys(first)) first.EnsureAdj(id);
   ASSERT_TRUE(first.large_grid_complete());
   BiGrid adopter(set, 3.7, /*planar=*/false, first.ShareLargeGrid());
   adopter.Build();

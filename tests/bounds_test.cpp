@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <set>
 
 #include "core/bigrid.hpp"
 #include "core/lower_bound.hpp"
@@ -123,11 +124,20 @@ TEST(GroupedVerificationTest, DenseGroupsMatchOracleForEveryCandidate) {
   obs::ResetMetrics();
   VerifyArena arena;  // shared across candidates, like Verification does
   std::size_t comps = 0;
+  // A group visits at most its own cell and the neighbours it lists.
+  std::uint64_t walkable = 0;
   for (ObjectId i : ub.candidates) {
     EXPECT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, &comps, true,
                          nullptr, &arena),
               exact[i])
         << "object " << i;
+    std::set<std::uint32_t> cells;
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      cells.insert(grid.LargeCellOf(i, j));
+    }
+    for (std::uint32_t cell : cells) {
+      walkable += 1 + grid.LargeNeighbors(cell).size();
+    }
   }
   EXPECT_GT(comps, 0u);
   obs::MetricsSnapshot m = obs::SnapshotMetrics();
@@ -138,8 +148,9 @@ TEST(GroupedVerificationTest, DenseGroupsMatchOracleForEveryCandidate) {
   ASSERT_GT(groups, 0u);
   EXPECT_GE(counter(obs::Counter::kVerifyPoints), 2 * groups)
       << "fixture is not dense enough to exercise multi-point groups";
-  EXPECT_LE(counter(obs::Counter::kVerifyCellProbes),
-            groups * static_cast<std::uint64_t>(kNeighborhoodSize));
+  EXPECT_GT(counter(obs::Counter::kVerifyCellsVisited), 0u);
+  EXPECT_LE(counter(obs::Counter::kVerifyCellsVisited), walkable);
+  EXPECT_LT(walkable, groups * static_cast<std::uint64_t>(kNeighborhoodSize));
   EXPECT_GT(counter(obs::Counter::kVerifyPartnersConfirmed), 0u);
 }
 
@@ -247,8 +258,7 @@ LabelSet PerPointUpperLabels(const ObjectSet& set, double r,
     PlainBitset acc;
     std::size_t acc_count = 0;
     for (std::size_t j = 0; j < set[i].points.size(); ++j) {
-      LargeCell& cell =
-          grid.EnsureAdj(KeyForWidth(set[i].points[j], grid.large_width()));
+      LargeCell& cell = grid.EnsureAdj(grid.LargeCellOf(i, j));
       if (cell.adj_count == 1) {
         labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
         continue;
@@ -304,8 +314,8 @@ TEST(RecordedLabelsTest, KeptLowerBoundBitsetsAreOrFolds) {
   ASSERT_EQ(lb.lb_bitsets.size(), set.size());
   for (ObjectId i = 0; i < set.size(); ++i) {
     Ewah fold;
-    for (const CellKey& key : grid.KeyList(i)) {
-      fold = Ewah::Or(fold, grid.FindSmall(key)->bits);
+    for (std::uint32_t id : grid.KeyList(i)) {
+      fold = Ewah::Or(fold, grid.SmallCellAt(id).bits);
     }
     EXPECT_EQ(lb.lb_bitsets[i].buffer(), fold.buffer()) << "object " << i;
     EXPECT_EQ(lb.lb_bitsets[i].SizeInBits(), fold.SizeInBits());

@@ -102,19 +102,5 @@ TEST(FlatHashMapTest, CollidingKeysProbeCorrectly) {
   EXPECT_EQ(map.Find(1000), nullptr);
 }
 
-TEST(FlatHashMapTest, ClearEmptiesAndKeepsCapacity) {
-  FlatHashMap<int, int, IntHash> map;
-  for (int i = 0; i < 300; ++i) map[i] = i;
-  const std::size_t bytes = map.TableBytes();
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(map.TableBytes(), bytes);
-  for (int i = 0; i < 300; ++i) EXPECT_EQ(map.Find(i), nullptr);
-  map[7] = 70;  // refills after a clear like a fresh table
-  ASSERT_NE(map.Find(7), nullptr);
-  EXPECT_EQ(*map.Find(7), 70);
-  EXPECT_EQ(map.size(), 1u);
-}
-
 }  // namespace
 }  // namespace mio

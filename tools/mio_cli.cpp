@@ -864,13 +864,13 @@ int CmdExplain(const mio::ArgParser& args) {
         counter(mio::obs::Counter::kVerifyPartnersConfirmed);
     std::printf(
         "verification: %llu points in %llu groups (%.2f points/group), "
-        "%llu cell probes, %llu postings touched, %llu partners confirmed "
+        "%llu cells visited, %llu postings touched, %llu partners confirmed "
         "(%.1f comparisons/partner)\n",
         static_cast<unsigned long long>(points),
         static_cast<unsigned long long>(groups),
         ratio(static_cast<double>(points), groups),
         static_cast<unsigned long long>(
-            counter(mio::obs::Counter::kVerifyCellProbes)),
+            counter(mio::obs::Counter::kVerifyCellsVisited)),
         static_cast<unsigned long long>(
             counter(mio::obs::Counter::kPostingScans)),
         static_cast<unsigned long long>(partners),
