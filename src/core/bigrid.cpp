@@ -253,8 +253,8 @@ void SortLargeCells(std::vector<ShardScratch>* scratch, LargeGridData* grid) {
 
 PostingView LargeCell::PostingAt(std::size_t idx) const {
   std::uint32_t begin = post_start[idx];
-  std::uint32_t end = idx + 1 < post_start.size() ? post_start[idx + 1]
-                                                  : num_points;
+  std::uint32_t end = idx + 1 < post_obj.size() ? post_start[idx + 1]
+                                                : num_points;
   const double* xs = post_xyz + begin;
   return PostingView{xs, xs + num_points, xs + 2 * std::size_t{num_points},
                      end - begin};
@@ -498,8 +498,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     for (std::size_t c = 0; c < ls.cells.size(); ++c) {
       LargeCell& cell = ls.cells[c];
       cell.post_obj = lx.Objects(ls.post_obj, c);
-      cell.post_start = {ls.post_start.data() + lx.obj_off[c],
-                         cell.post_obj.size()};
+      cell.post_start = ls.post_start.data() + lx.obj_off[c];
       cell.post_xyz = ls.post_xyz.data() + 3 * std::size_t{lx.pt_off[c]};
       cell.num_points = lx.pt_off[c + 1] - lx.pt_off[c];
       cell.nbr_dirs = lx.dirs[c];

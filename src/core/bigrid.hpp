@@ -104,7 +104,8 @@ struct LargeCell {
   }
 
   std::span<const ObjectId> post_obj;         ///< object ids (ascending)
-  std::span<const std::uint32_t> post_start;  ///< post_obj-parallel offsets
+  /// post_obj-parallel offsets: post_obj.size() entries
+  const std::uint32_t* post_start = nullptr;
   const double* post_xyz = nullptr;           ///< the [xs | ys | zs] block
   std::uint32_t num_points = 0;               ///< points in the block
   /// Which neighbours exist: bit d for the d-th cell of

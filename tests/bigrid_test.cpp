@@ -31,7 +31,6 @@ void ExpectBitsInLockstep(const LargeCell& cell) {
   });
   EXPECT_EQ(from_bits, std::vector<ObjectId>(cell.post_obj.begin(),
                                               cell.post_obj.end()));
-  EXPECT_EQ(cell.post_start.size(), cell.post_obj.size());
 }
 
 using KeyTuple = std::tuple<int, int, int>;
@@ -423,8 +422,9 @@ void ExpectSameLargeGrid(const BiGrid& want, const BiGrid& got) {
       EXPECT_EQ(g->bits.SizeInBits(), cell.bits.SizeInBits());
       EXPECT_EQ(PostObjs(*g), PostObjs(cell));
       ASSERT_EQ(g->NumPostingPoints(), cell.NumPostingPoints());
-      EXPECT_TRUE(std::equal(cell.post_start.begin(), cell.post_start.end(),
-                             g->post_start.begin(), g->post_start.end()));
+      EXPECT_TRUE(std::equal(cell.post_start,
+                             cell.post_start + cell.post_obj.size(),
+                             g->post_start));
       EXPECT_TRUE(std::equal(cell.post_xyz,
                              cell.post_xyz + 3 * cell.NumPostingPoints(),
                              g->post_xyz));
@@ -592,16 +592,16 @@ TEST(BiGridTest, PostingsPartitionTheirShardArrays) {
         std::size_t objs = 0, pts = 0;
         for (const LargeCell* c : cells) {
           EXPECT_EQ(c->post_obj.data(), shard.post_obj.data() + objs);
-          EXPECT_EQ(c->post_start.data(), shard.post_start.data() + objs);
+          EXPECT_EQ(c->post_start, shard.post_start.data() + objs);
           EXPECT_EQ(c->post_xyz, shard.post_xyz.data() + 3 * pts);
           ASSERT_FALSE(c->post_obj.empty());
-          EXPECT_EQ(c->post_start.size(), c->post_obj.size());
           EXPECT_EQ(c->post_start[0], 0u);
           for (std::size_t k = 1; k < c->post_obj.size(); ++k) {
             EXPECT_LT(c->post_obj[k - 1], c->post_obj[k]);
             EXPECT_LT(c->post_start[k - 1], c->post_start[k]);
           }
-          EXPECT_LT(c->post_start.back(), c->NumPostingPoints());
+          EXPECT_LT(c->post_start[c->post_obj.size() - 1],
+                    c->NumPostingPoints());
           objs += c->post_obj.size();
           pts += c->NumPostingPoints();
         }
@@ -814,7 +814,7 @@ TEST(BiGridTest, MemoryTalliesMatchAReferenceWalk) {
     }
     grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
       cells += cell.post_obj.size() * sizeof(ObjectId) +
-               cell.post_start.size() * sizeof(std::uint32_t) +
+               cell.post_obj.size() * sizeof(std::uint32_t) +
                cell.NumPostingPoints() * 3 * sizeof(double);
     });
     EXPECT_EQ(LargeGridPostingBytes(*grid.ShareLargeGrid()), arrays);
