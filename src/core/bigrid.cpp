@@ -326,9 +326,9 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
 
   // Pass 1 writes each mapped point's cell, per grid, as (id << bits) | t,
   // t the owning shard, so that pass 2 finds its shard's points without
-  // hashing their keys again. The large grid keeps its codes as the
-  // points' cell ids; an unmapped point's is kNoCell, and pass 2 skips it
-  // by its label, as pass 1 did.
+  // hashing their keys again. Unmapped points keep no code: pass 2 skips
+  // them by their label, as pass 1 did. Pass 2 writes each point's
+  // renumbered large cell into point_cell, kNoCell for an unmapped one.
   std::vector<std::size_t> first_point(n + 1, 0);
   for (ObjectId i = 0; i < n; ++i) {
     first_point[i + 1] = first_point[i] + objs[i].points.size();
@@ -336,8 +336,8 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   const std::size_t num_points = first_point[n];
   auto small_code = std::make_unique_for_overwrite<std::uint32_t[]>(
       num_points);
-  std::vector<std::uint32_t>& large_code = large_->point_cell;
-  if (build_large) large_code.resize(num_points);
+  auto large_code = std::make_unique_for_overwrite<std::uint32_t[]>(
+      build_large ? num_points : 0);
   std::vector<ShardScratch> small_scratch(shards);
   std::vector<ShardScratch> large_scratch(build_large ? shards : 0);
   auto mapped = [&](ObjectId i, std::size_t j) {
@@ -359,12 +359,9 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
       }
       const Object& o = objs[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
-        const std::size_t pt = first_point[i] + j;
-        if (!mapped(i, j)) {  // Labeling-1: prunable (Lemma 3)
-          if (build_large && t == 0) large_code[pt] = kNoCell;
-          continue;
-        }
+        if (!mapped(i, j)) continue;  // Labeling-1: prunable (Lemma 3)
         const Point& p = o.points[j];
+        const std::size_t pt = first_point[i] + j;
         const CellKey ks = KeyForWidth(p, small_width_);
         if (shards == 1 || CellKeyHash{}(ks) % shards == t) {
           const std::uint32_t c = sx.Intern(&ss.index, ks);
@@ -404,7 +401,11 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   }
 
   // Number the large cells in key order and list their neighbours.
-  if (build_large) SortLargeCells(&large_scratch, large_.get());
+  std::vector<std::uint32_t>& point_cell = large_->point_cell;
+  if (build_large) {
+    SortLargeCells(&large_scratch, large_.get());
+    point_cell.resize(num_points);
+  }
 
   // Pass 2: scatter each cell's distinct objects (small grid), and its
   // posting objects, their offsets and its coordinates (large grid), into
@@ -426,8 +427,11 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     for (ObjectId i = 0; i < n; ++i) {
       const Object& o = objs[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
-        if (!mapped(i, j)) continue;
         const std::size_t pt = first_point[i] + j;
+        if (!mapped(i, j)) {
+          if (ls != nullptr && t == 0) point_cell[pt] = kNoCell;
+          continue;
+        }
         const std::uint32_t sc = small_code[pt];
         if ((sc & shard_mask) == t) {
           CellTally& tl = sx.tally[sc >> shard_bits];
@@ -441,6 +445,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         if ((lc & shard_mask) != t) continue;
         ShardScratch& lx = large_scratch[t];
         const std::uint32_t c = lx.renum[lc >> shard_bits];
+        point_cell[pt] = (c << shard_bits) | static_cast<std::uint32_t>(t);
         CellTally& tl = lx.tally[c];
         const std::uint32_t first = lx.pt_off[c];
         if (tl.last_obj != i) {
@@ -460,11 +465,9 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     }
   });
   small_code.reset();
+  large_code.reset();
 
-  // Encode each cell bitset once from its ascending ids, at exact size,
-  // and give every point its renumbered large cell, shard t taking the
-  // t-th slice of the points (pass 2 read every code, so none is
-  // rewritten before it ends).
+  // Encode each cell bitset once from its ascending ids, at exact size.
   std::vector<std::size_t> small_bytes(shards, 0), large_bytes(shards, 0);
   ForEachShard(shards, [&](std::size_t t) {
     std::vector<std::uint64_t> scratch;
@@ -480,16 +483,6 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     }
     small_bytes[t] = bytes + ss.TableBytes();
     if (!build_large) return;
-    for (std::size_t pt = num_points * t / shards,
-                     end = num_points * (t + 1) / shards;
-         pt < end; ++pt) {
-      const std::uint32_t code = large_code[pt];
-      if (code == kNoCell) continue;
-      const std::uint32_t owner = code & shard_mask;
-      large_code[pt] =
-          (large_scratch[owner].renum[code >> shard_bits] << shard_bits) |
-          owner;
-    }
     ShardScratch& lx = large_scratch[t];
     std::vector<CellTally>().swap(lx.tally);
     LargeShard& ls = large_->shards[t];
@@ -513,7 +506,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     large_->point_begin = std::move(first_point);
     large_->built_bytes =
         large_->point_begin.capacity() * sizeof(std::size_t) +
-        large_code.capacity() * sizeof(std::uint32_t);
+        point_cell.capacity() * sizeof(std::uint32_t);
     for (std::size_t t = 0; t < shards; ++t) {
       large_->built_bytes += large_bytes[t] + large_->shards[t].NeighborBytes();
     }
