@@ -234,35 +234,6 @@ struct LargeGridData {
   void MarkGroupsReady() {
     std::atomic_ref<bool>(has_groups).store(true, std::memory_order_release);
   }
-
-  LargeCell& Cell(std::uint32_t id) {
-    return shards[id & ShardMask()].cells[id >> shard_bits];
-  }
-  const LargeCell& Cell(std::uint32_t id) const {
-    return shards[id & ShardMask()].cells[id >> shard_bits];
-  }
-  /// The ids of cell `id`'s existing neighbours, in ForEachNeighbor order.
-  std::span<const std::uint32_t> Neighbors(std::uint32_t id) const {
-    const LargeShard& shard = shards[id & ShardMask()];
-    const std::uint32_t c = id >> shard_bits;
-    return {shard.nbr_ids.data() + shard.nbr_off[c],
-            shard.nbr_off[c + 1] - shard.nbr_off[c]};
-  }
-  /// One more than the largest id any cell may hold.
-  std::size_t IdLimit() const {
-    std::size_t limit = 0;
-    for (std::size_t t = 0; t < shards.size(); ++t) {
-      if (!shards[t].cells.empty()) {
-        limit = std::max(limit, ((shards[t].size() - 1) << shard_bits) + t + 1);
-      }
-    }
-    return limit;
-  }
-
- private:
-  std::uint32_t ShardMask() const {
-    return (std::uint32_t{1} << shard_bits) - 1;
-  }
 };
 
 /// Bytes held by the SoA posting arrays across all cells of the grid —
@@ -318,18 +289,32 @@ class BiGrid {
         .cells[id >> small_bits_];
   }
   /// The large cell with id `id`.
-  LargeCell& LargeCellAt(std::uint32_t id) { return large_->Cell(id); }
+  LargeCell& LargeCellAt(std::uint32_t id) {
+    return LargeShardOf(id).cells[id >> large_->shard_bits];
+  }
   const LargeCell& LargeCellAt(std::uint32_t id) const {
-    return large_->Cell(id);
+    return LargeShardOf(id).cells[id >> large_->shard_bits];
   }
   /// The ids of large cell `id`'s existing neighbours, in ForEachNeighbor
   /// order; LargeCellAt(id).nbr_dirs says which neighbour each one is.
   std::span<const std::uint32_t> LargeNeighbors(std::uint32_t id) const {
-    return large_->Neighbors(id);
+    const LargeShard& shard = LargeShardOf(id);
+    const std::uint32_t c = id >> large_->shard_bits;
+    return {shard.nbr_ids.data() + shard.nbr_off[c],
+            shard.nbr_off[c + 1] - shard.nbr_off[c]};
   }
   /// One more than the largest large-cell id: the size of an array
   /// indexed by large-cell id.
-  std::size_t LargeIdLimit() const { return large_->IdLimit(); }
+  std::size_t LargeIdLimit() const {
+    std::size_t limit = 0;
+    for (std::size_t t = 0; t < large_->shards.size(); ++t) {
+      const std::size_t cells = large_->shards[t].size();
+      if (cells > 0) {
+        limit = std::max(limit, ((cells - 1) << large_->shard_bits) + t + 1);
+      }
+    }
+    return limit;
+  }
   /// The id of point j of object i's large cell, or kNoCell when the
   /// build skipped the point (its kMap label was cleared).
   std::uint32_t LargeCellOf(ObjectId i, std::size_t j) const {
@@ -402,6 +387,12 @@ class BiGrid {
   const std::vector<SmallShard>& small_shards() const { return small_; }
 
  private:
+  LargeShard& LargeShardOf(std::uint32_t id) {
+    return large_->shards[id & ((std::uint32_t{1} << large_->shard_bits) - 1)];
+  }
+  const LargeShard& LargeShardOf(std::uint32_t id) const {
+    return large_->shards[id & ((std::uint32_t{1} << large_->shard_bits) - 1)];
+  }
   // Small and large shard counts may differ when a cached large grid
   // (built under a different thread count) is adopted.
   std::size_t ShardOfSmall(const CellKey& k) const {
