@@ -76,8 +76,8 @@ inline bool VerifiesPoint(const LabelSet* use_labels, ObjectId i,
 void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
                   PlainBitset* acc);
 
-/// Verifies one group of object i's points that share the large cell
-/// with id `cell` (the cell-major step of exact scoring). Computes the
+/// Verifies one non-empty group of object i's points that share the large
+/// cell with id `cell` (the cell-major step of exact scoring). Computes the
 /// unconfirmed-candidate set b = b_adj(cell) - acc once, visits the cell
 /// and then each listed neighbour once, and walks b AND b(c) once per
 /// cell, word by word: the posting of each object in both is tested with the
