@@ -130,14 +130,18 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
   }
   double per_point = t.ElapsedSeconds();
 
-  // One OR per distinct cell per object (grouped).
+  // One OR per distinct cell per object (grouped, the grouping timed).
   mio::BiGrid g2(set, r);
-  g2.Build(nullptr, /*build_groups=*/true);
+  g2.Build();
+  std::vector<mio::CellPoint> points;
   t.Restart();
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
     acc.Clear();
-    for (const mio::PointGroup& g : g2.LargeGroups(i)) {
-      acc.Add(g2.EnsureAdj(g.cell).adj);
+    g2.PointsByCell(i, &points);
+    for (std::size_t a = 0; a < points.size(); ++a) {
+      if (a == 0 || points[a].cell != points[a - 1].cell) {
+        acc.Add(g2.EnsureAdj(points[a].cell).adj);
+      }
     }
     benchmark_sink += acc.Count();
   }

@@ -6,12 +6,15 @@
 # Extracts BASE_REV with `git archive`, builds its `mio` and the checked-out
 # tree's `mio` in Release, generates the five quick presets with seed 42,
 # and runs both binaries over r in {3.0, 4.59375, 6.1} x k in {1, 10} x
-# five modes: serial, --threads=4, and --labels recorded at threads 1,
-# then reused at threads 1 and at threads 4. Per configuration it
-# compares the top-k lines, the --stats-json funnel (candidates, verified,
-# distance computations, tau_low_max) and the lb_cell_ors / ub_cell_ors
-# counters, and byte-compares the recorded label files. It prints one
-# line per configuration and exits 1 on any difference.
+# seven modes: serial, --threads=4, --labels recorded at threads 1, then
+# reused at threads 1 and at threads 4, and --labels recorded at threads 4
+# into a directory of their own, then reused at threads 1. Per
+# configuration it compares the answer (the top-k lines and the
+# --stats-json candidates, verified and tau_low_max) and the work (the
+# distance computations, the lb_cell_ors / ub_cell_ors counters, and the
+# bytes of the label files each recording mode wrote). It prints one line
+# per configuration, counts the configurations whose answers differ and
+# those where only the work differs, and exits 1 on either.
 #
 # WORKDIR (default: a temporary directory, removed on exit) holds both
 # builds, the presets and every output.
@@ -80,7 +83,8 @@ for side in base cand; do
         cfg="$p r=$r k=$k"
         q=(--in="$W/data/$p.bin" --r="$r" --k="$k")
         labels="$W/labels/$side/$p-$r-$k"
-        mkdir -p "$labels"
+        labels4="$W/labels/$side/$p-$r-$k-t4"
+        mkdir -p "$labels" "$labels4"
         run "$side" "$mio" "$cfg serial" "${q[@]}" --threads=1
         run "$side" "$mio" "$cfg threads=4" "${q[@]}" --threads=4
         run "$side" "$mio" "$cfg labels-record" "${q[@]}" --threads=1 \
@@ -89,6 +93,10 @@ for side in base cand; do
           --labels="$labels"
         run "$side" "$mio" "$cfg labels-reuse-4" "${q[@]}" --threads=4 \
           --labels="$labels"
+        run "$side" "$mio" "$cfg labels-record-4" "${q[@]}" --threads=4 \
+          --labels="$labels4"
+        run "$side" "$mio" "$cfg labels-4-reuse-1" "${q[@]}" --threads=1 \
+          --labels="$labels4"
       done
     done
   done
@@ -104,9 +112,11 @@ presets = "bird bird2 syn neuron neuron2".split()
 radii = "3.0 4.59375 6.1".split()
 ks = "1 10".split()
 modes = ["serial", "threads=4", "labels-record", "labels-reuse-1",
-         "labels-reuse-4"]
-funnel_keys = ["candidates", "verified", "distance_computations",
-               "tau_low_max"]
+         "labels-reuse-4", "labels-record-4", "labels-4-reuse-1"]
+# The label directory each recording mode writes.
+recorded = {"labels-record": "", "labels-record-4": "-t4"}
+answer_keys = ["candidates", "verified", "tau_low_max"]
+work_keys = ["distance_computations"]
 counter_keys = ["lb_cell_ors", "ub_cell_ors"]
 
 
@@ -116,13 +126,14 @@ def read(side, cfg):
     with open(os.path.join(w, "out", side, cfg + ".json")) as f:
         record = json.loads(f.read())
     counters = record.get("metrics", {}).get("counters", {})
-    work = {k: record["funnel"].get(k) for k in funnel_keys}
+    answer = {k: record["funnel"].get(k) for k in answer_keys}
+    work = {k: record["funnel"].get(k) for k in work_keys}
     work.update({k: counters.get(k, 0) for k in counter_keys})
-    return top, work
+    return top, answer, work
 
 
-def label_bytes(side, p, r, k):
-    d = os.path.join(w, "labels", side, f"{p}-{r}-{k}")
+def label_bytes(side, p, r, k, suffix):
+    d = os.path.join(w, "labels", side, f"{p}-{r}-{k}{suffix}")
     files = {}
     for name in sorted(os.listdir(d)):
         with open(os.path.join(d, name), "rb") as f:
@@ -130,34 +141,41 @@ def label_bytes(side, p, r, k):
     return files
 
 
-configs = differ = 0
+def diffs(base, cand):
+    return [f"{key} {base[key]} -> {cand[key]}"
+            for key in base if base[key] != cand[key]]
+
+
+configs = answers_differ = work_differs = 0
 for p in presets:
     for r in radii:
         for k in ks:
             for mode in modes:
                 cfg = f"{p} r={r} k={k} {mode}"
-                base_top, base_work = read("base", cfg)
-                cand_top, cand_work = read("cand", cfg)
-                why = []
-                if base_top != cand_top:
-                    why.append("top-k")
-                why += [f"{key} {base_work[key]} -> {cand_work[key]}"
-                        for key in base_work
-                        if base_work[key] != cand_work[key]]
-                if mode == "labels-record":
-                    base_labels = label_bytes("base", p, r, k)
-                    cand_labels = label_bytes("cand", p, r, k)
+                base_top, base_answer, base_work = read("base", cfg)
+                cand_top, cand_answer, cand_work = read("cand", cfg)
+                answer = ["top-k"] if base_top != cand_top else []
+                answer += diffs(base_answer, cand_answer)
+                work = diffs(base_work, cand_work)
+                if mode in recorded:
+                    base_labels = label_bytes("base", p, r, k, recorded[mode])
+                    cand_labels = label_bytes("cand", p, r, k, recorded[mode])
                     if base_labels != cand_labels or not base_labels:
-                        why.append("label files")
+                        work.append("label files")
                 configs += 1
                 winner = base_top[0] if base_top else "no winner"
-                if why:
-                    differ += 1
-                    print(f"DIFF  {cfg}: {'; '.join(why)}")
+                if answer:
+                    answers_differ += 1
+                    print(f"DIFF answer  {cfg}: {'; '.join(answer + work)}")
+                elif work:
+                    work_differs += 1
+                    print(f"DIFF work    {cfg}: {'; '.join(work)}")
                 else:
                     print(f"same  {cfg}: {winner}, "
-                          f"{base_work['verified']} verified, "
+                          f"{base_answer['verified']} verified, "
                           f"{base_work['distance_computations']} comparisons")
-print(f"same_work: {configs} configurations, {differ} differ")
-sys.exit(1 if differ else 0)
+print(f"same_work: {configs} configurations, {answers_differ} with "
+      f"different answers, {work_differs} with the same answers and "
+      f"different work")
+sys.exit(1 if answers_differ or work_differs else 0)
 PYEOF

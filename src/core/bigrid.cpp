@@ -15,12 +15,12 @@ namespace mio {
 
 namespace {
 
-// Striped locks guarding the lazy mutations of shared LargeGridData —
-// b_adj memoisation (per cell) and group building (per grid). Keyed by
-// address so the shared structs stay plain copyable data; 64 stripes keep
-// cross-cell contention negligible while bounding lock storage. Stripe
-// collisions between unrelated cells only serialise two builders, never
-// deadlock (no path holds two stripes at once).
+// Striped locks guarding the lazy b_adj memoisation of shared
+// LargeGridData cells. Keyed by address so the shared structs stay plain
+// copyable data; 64 stripes keep cross-cell contention negligible while
+// bounding lock storage. Stripe collisions between unrelated cells only
+// serialise two builders, never deadlock (no path holds two stripes at
+// once).
 std::mutex& StripeFor(const void* p) {
   static std::array<std::mutex, 64> stripes;
   auto h = reinterpret_cast<std::uintptr_t>(p);
@@ -41,12 +41,9 @@ void ForEachShard(std::size_t shards, F&& f) {
   for (std::int64_t t = 0; t < count; ++t) f(static_cast<std::size_t>(t));
 }
 
-/// Index and cell-array bytes of a grid's shards.
-template <typename Shard>
-std::size_t TableBytes(const std::vector<Shard>& shards) {
-  std::size_t bytes = 0;
-  for (const Shard& shard : shards) bytes += shard.TableBytes();
-  return bytes;
+/// The shard of `shards` that owns the cell with key k.
+std::size_t ShardOf(const CellKey& k, std::size_t shards) {
+  return shards == 1 ? 0 : CellKeyHash{}(k) % shards;
 }
 
 constexpr ObjectId kNoObject = static_cast<ObjectId>(-1);
@@ -58,19 +55,14 @@ struct CellTally {
   std::uint32_t points = 0;       ///< points, then point cursor (large)
 };
 
-using CellIndex = FlatHashMap<CellKey, std::uint32_t, CellKeyHash>;
-
-/// One shard's build state for one grid, dropped when the build ends.
+/// One shard's pass-1 state for one grid: its cells' tallies and keys by
+/// the dense index Intern gives them.
 struct ShardScratch {
-  std::vector<CellTally> tally;        ///< by cell id
-  std::vector<std::uint32_t> obj_off;  ///< by cell id, then the end
-  std::vector<std::uint32_t> pt_off;   ///< large grid: by cell id, then end
-  std::vector<CellKey> keys;           ///< by cell id
-  std::vector<ObjectId> members;       ///< small grid: each cell's objects
-  std::vector<std::uint32_t> renum;    ///< large grid: pass-1 id -> id
-  std::vector<std::uint32_t> dirs;     ///< large grid: nbr_dirs by id
+  std::vector<CellTally> tally;
+  std::vector<CellKey> keys;
+  std::vector<std::uint32_t> id;  ///< large grid: index -> cell id
 
-  /// Dense id of the cell with key k in `index`, created on first sight.
+  /// Index of the cell with key k in `index`, created on first sight.
   std::uint32_t Intern(CellIndex* index, const CellKey& k) {
     std::uint32_t& slot = (*index)[k];
     if (slot == 0) {
@@ -80,17 +72,17 @@ struct ShardScratch {
     }
     return slot - 1;
   }
+};
 
-  /// Moves each cell's tally to its new id and points `index` at the new
-  /// ids: the renumbering SortLargeCells left in `renum`.
-  void Renumber(CellIndex* index) {
-    std::vector<CellTally> moved(tally.size());
-    for (std::size_t c = 0; c < tally.size(); ++c) moved[renum[c]] = tally[c];
-    tally.swap(moved);
-    index->ForEach([&](const CellKey&, std::uint32_t& slot) {
-      slot = renum[slot - 1] + 1;
-    });
-  }
+/// One grid's cells by id for pass 2: their tallies, which Offsets turns
+/// into write cursors, and their offsets into the grid's arrays. Dropped
+/// when the build ends.
+struct GridScratch {
+  std::vector<CellTally> tally;        ///< by cell id
+  std::vector<std::uint32_t> obj_off;  ///< by cell id, then the end
+  std::vector<std::uint32_t> pt_off;   ///< large grid: by cell id, then end
+  std::vector<ObjectId> members;       ///< small grid: each cell's objects
+  std::vector<std::uint32_t> dirs;     ///< large grid: nbr_dirs by id
 
   /// Exclusive prefix sums of the tallies into obj_off (and pt_off), which
   /// resets each tally into its cell's cursors.
@@ -120,6 +112,12 @@ struct ShardScratch {
     return {all.data() + obj_off[c], obj_off[c + 1] - obj_off[c]};
   }
 };
+
+/// Cell ids [begin, end) of shard t's share of `cells` ids split evenly.
+std::pair<std::size_t, std::size_t> Share(std::size_t cells, std::size_t t,
+                                          std::size_t shards) {
+  return {cells * t / shards, cells * (t + 1) / shards};
+}
 
 /// A large cell in the sweep's key order: its lattice coordinates with
 /// the sign bit flipped, so that unsigned order is signed order, x and y
@@ -167,18 +165,19 @@ void RadixSortByKey(std::vector<SweepCell>* cells) {
   }
 }
 
-/// Numbers every large shard's cells in ascending key order and lists
-/// each cell's existing neighbours. Sorts all cells by key once; a shard's
-/// cells take their new ids in that order (in `renum`), so each shard
-/// ascends by key. Then one sweep over the sorted cells finds each cell's
-/// neighbours: those of (x, y, z) in column (x + dx, y + dy) are the cells
-/// (x + dx, y + dy, z - 1..z + 1), a run of at most three in key order.
-/// Each of the nine columns keeps a cursor at the first cell not below
-/// (x + dx, y + dy, z - 1), which only moves forward as the sweep does.
-/// Columns in (dx, dy) order, each run by dz, is ForEachNeighbor order.
-/// The table goes to the shards, nbr_dirs to `dirs`; the keys are freed.
-void SortLargeCells(std::vector<ShardScratch>* scratch, LargeGridData* grid) {
-  const int bits = grid->shard_bits;
+/// Numbers every large cell by its rank in key order and lists each
+/// cell's existing neighbours. Sorts all shards' cells by key once; a
+/// shard's `id` maps each of its cells to its rank, and `out->tally`
+/// takes the shards' tallies by rank. Then one sweep over the sorted
+/// cells finds each cell's neighbours: those of (x, y, z) in column
+/// (x + dx, y + dy) are the cells (x + dx, y + dy, z - 1..z + 1), a run of
+/// at most three in key order. Each of the nine columns keeps a cursor at
+/// the first cell not below (x + dx, y + dy, z - 1), which only moves
+/// forward as the sweep does. Columns in (dx, dy) order, each run by dz,
+/// is ForEachNeighbor order. The table goes to `grid`, nbr_dirs to
+/// out->dirs; the shards' keys and tallies are freed.
+void SortLargeCells(std::vector<ShardScratch>* scratch, int bits,
+                    GridScratch* out, LargeGridData* grid) {
   const std::uint32_t mask = (std::uint32_t{1} << bits) - 1;
   std::size_t total = 0;
   for (const ShardScratch& sx : *scratch) total += sx.keys.size();
@@ -192,29 +191,25 @@ void SortLargeCells(std::vector<ShardScratch>* scratch, LargeGridData* grid) {
           (std::uint64_t{Ordered(k.x)} << 32) | Ordered(k.y), Ordered(k.z),
           static_cast<std::uint32_t>((c << bits) | t)});
     }
-    (*scratch)[t].renum.resize(keys.size());
-    (*scratch)[t].dirs.resize(keys.size());
+    (*scratch)[t].id.resize(keys.size());
     std::vector<CellKey>().swap(keys);
   }
   RadixSortByKey(&cells);
-  std::vector<std::uint32_t> next(scratch->size(), 0);
-  for (SweepCell& c : cells) {
-    const std::uint32_t t = c.id & mask;
-    const std::uint32_t id = next[t]++;
-    (*scratch)[t].renum[c.id >> bits] = id;
-    c.id = (id << bits) | t;
+  out->tally.resize(total);
+  out->dirs.resize(total);
+  for (std::size_t id = 0; id < total; ++id) {
+    ShardScratch& sx = (*scratch)[cells[id].id & mask];
+    const std::uint32_t c = cells[id].id >> bits;
+    sx.id[c] = static_cast<std::uint32_t>(id);
+    out->tally[id] = sx.tally[c];
   }
+  for (ShardScratch& sx : *scratch) std::vector<CellTally>().swap(sx.tally);
 
-  for (std::size_t t = 0; t < scratch->size(); ++t) {
-    grid->shards[t].nbr_off.resize((*scratch)[t].renum.size() + 1);
-    grid->shards[t].nbr_ids.clear();
-  }
+  grid->nbr_off.resize(total + 1);
   std::array<std::size_t, 9> cursor{};
-  for (const SweepCell& c : cells) {
-    const std::uint32_t t = c.id & mask;
-    LargeShard& shard = grid->shards[t];
-    const std::uint32_t id = c.id >> bits;
-    shard.nbr_off[id] = static_cast<std::uint32_t>(shard.nbr_ids.size());
+  for (std::size_t id = 0; id < total; ++id) {
+    const SweepCell& c = cells[id];
+    grid->nbr_off[id] = static_cast<std::uint32_t>(grid->nbr_ids.size());
     const std::uint32_t x = static_cast<std::uint32_t>(c.xy >> 32);
     const std::uint32_t y = static_cast<std::uint32_t>(c.xy);
     std::uint32_t dirs = 0;
@@ -234,15 +229,13 @@ void SortLargeCells(std::vector<ShardScratch>* scratch, LargeGridData* grid) {
         const std::uint32_t d = 3 * col + (cells[q].z - z);
         if (d == kNeighborhoodSize / 2) continue;  // the cell itself
         dirs |= std::uint32_t{1} << d;
-        shard.nbr_ids.push_back(cells[q].id);
+        grid->nbr_ids.push_back(static_cast<std::uint32_t>(q));
       }
     }
-    (*scratch)[t].dirs[id] = dirs;
+    out->dirs[id] = dirs;
   }
-  for (LargeShard& shard : grid->shards) {
-    shard.nbr_off.back() = static_cast<std::uint32_t>(shard.nbr_ids.size());
-    shard.nbr_ids.shrink_to_fit();
-  }
+  grid->nbr_off[total] = static_cast<std::uint32_t>(grid->nbr_ids.size());
+  grid->nbr_ids.shrink_to_fit();
 }
 
 }  // namespace
@@ -267,8 +260,15 @@ PostingView LargeCell::Posting(ObjectId obj) const {
 }
 
 std::size_t LargeGridPostingBytes(const LargeGridData& grid) {
-  std::size_t bytes = 0;
-  for (const auto& shard : grid.shards) bytes += shard.PostingBytes();
+  return grid.post_obj.capacity() * sizeof(ObjectId) +
+         grid.post_start.capacity() * sizeof(std::uint32_t) +
+         grid.post_xyz.capacity() * sizeof(double);
+}
+
+std::size_t SmallGrid::TableBytes() const {
+  std::size_t bytes = cells.capacity() * sizeof(SmallCell) +
+                      base.capacity() * sizeof(std::uint32_t);
+  for (const CellIndex& shard : index) bytes += shard.TableBytes();
   return bytes;
 }
 
@@ -293,42 +293,36 @@ BiGrid::BiGrid(const ObjectSet& objects, double r, bool planar,
 }
 
 void BiGrid::BuildParallel(int threads, const LabelSet* labels,
-                           bool build_groups, QueryGuard* guard) {
+                           QueryGuard* guard) {
   MIO_TRACE_SPAN_CAT("grid.build", "grid");
   threads = ResolveThreads(threads);
   const std::size_t shards = static_cast<std::size_t>(threads);
   const ObjectSet& objs = *objects_;
   const std::size_t n = objs.size();
   const bool build_large = !reused_large_;
-  const int shard_bits = static_cast<int>(std::bit_width(shards - 1));
-  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits) - 1;
+  const double large_width = large_->width;
   auto reset = [&] {
-    small_.clear();
-    small_.resize(shards);
-    small_bits_ = shard_bits;
+    small_ = SmallGrid{};
+    small_.index.resize(shards);
+    small_.base.assign(shards, 0);
     std::fill(key_offsets_.begin(), key_offsets_.end(), 0);
     key_cells_ = std::vector<std::uint32_t>();
     if (build_large) {
-      large_->shard_bits = shard_bits;
-      large_->shards.clear();
-      large_->shards.resize(shards);
-      large_->point_begin = std::vector<std::size_t>();
-      large_->point_cell = std::vector<std::uint32_t>();
-      large_->groups.clear();
-      large_->has_groups = false;
+      large_ = std::make_shared<LargeGridData>();
+      large_->width = large_width;
       large_->complete = labels == nullptr;
-      large_->built_bytes = 0;
-      large_->adj_bytes = 0;
-      large_->group_bytes = 0;
     }
   };
   reset();
 
-  // Pass 1 writes each mapped point's cell, per grid, as (id << bits) | t,
-  // t the owning shard, so that pass 2 finds its shard's points without
-  // hashing their keys again. Unmapped points keep no code: pass 2 skips
-  // them by their label, as pass 1 did. Pass 2 writes each point's
-  // renumbered large cell into point_cell, kNoCell for an unmapped one.
+  // Pass 1 writes each mapped point's cell, per grid, as
+  // (index << shard_bits) | t, t the owning shard, so that pass 2 finds its
+  // shard's points without hashing their keys again. Unmapped points keep
+  // no code: pass 2 skips them by their label, as pass 1 did. Pass 2
+  // writes each point's large cell id into point_cell, kNoCell for an
+  // unmapped one.
+  const int shard_bits = static_cast<int>(std::bit_width(shards - 1));
+  const std::uint32_t shard_mask = (std::uint32_t{1} << shard_bits) - 1;
   std::vector<std::size_t> first_point(n + 1, 0);
   for (ObjectId i = 0; i < n; ++i) {
     first_point[i + 1] = first_point[i] + objs[i].points.size();
@@ -340,6 +334,7 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
       build_large ? num_points : 0);
   std::vector<ShardScratch> small_scratch(shards);
   std::vector<ShardScratch> large_scratch(build_large ? shards : 0);
+  std::vector<CellIndex> large_index(build_large ? shards : 0);
   auto mapped = [&](ObjectId i, std::size_t j) {
     return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
   };
@@ -350,7 +345,6 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   // exactly when it differs from the cell's last one.
   ForEachShard(shards, [&](std::size_t t) {
     MIO_TRACE_SPAN_CAT("grid.map.worker", "grid");
-    SmallShard& ss = small_[t];
     ShardScratch& sx = small_scratch[t];
     for (ObjectId i = 0; i < n; ++i) {
       if (guard != nullptr && (i % kGuardStrideObjects) == 0) {
@@ -363,8 +357,8 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         const Point& p = o.points[j];
         const std::size_t pt = first_point[i] + j;
         const CellKey ks = KeyForWidth(p, small_width_);
-        if (shards == 1 || CellKeyHash{}(ks) % shards == t) {
-          const std::uint32_t c = sx.Intern(&ss.index, ks);
+        if (ShardOf(ks, shards) == t) {
+          const std::uint32_t c = sx.Intern(&small_.index[t], ks);
           CellTally& tl = sx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -373,10 +367,10 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
           small_code[pt] = (c << shard_bits) | static_cast<std::uint32_t>(t);
         }
         if (!build_large) continue;
-        const CellKey kl = KeyForWidth(p, large_->width);
-        if (shards == 1 || CellKeyHash{}(kl) % shards == t) {
+        const CellKey kl = KeyForWidth(p, large_width);
+        if (ShardOf(kl, shards) == t) {
           ShardScratch& lx = large_scratch[t];
-          const std::uint32_t c = lx.Intern(&large_->shards[t].index, kl);
+          const std::uint32_t c = lx.Intern(&large_index[t], kl);
           CellTally& tl = lx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -388,74 +382,83 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
       }
     }
   });
+  std::vector<CellIndex>().swap(large_index);  // interning is done
   if (guard != nullptr && guard->tripped()) {
     // Abandoned mid-map: the cells miss points, so the grid is emptied,
     // never cached and never queried; the engine discards it.
     reset();
-    small_bytes_ = TableBytes(small_);
-    if (build_large) {
-      large_->complete = false;
-      large_->built_bytes = TableBytes(large_->shards);
-    }
+    small_bytes_ = small_.TableBytes();
+    if (build_large) large_->complete = false;
     return;
   }
 
-  // Number the large cells in key order and list their neighbours.
-  std::vector<std::uint32_t>& point_cell = large_->point_cell;
+  // Give the small cells ids shard after shard, and the large cells their
+  // ranks in key order with their neighbours listed; each grid's tallies
+  // then sit by id, and their prefix sums place every cell's block.
+  GridScratch small_ids;
+  for (std::size_t t = 0; t < shards; ++t) {
+    std::vector<CellTally>& tally = small_scratch[t].tally;
+    small_.base[t] = static_cast<std::uint32_t>(small_ids.tally.size());
+    if (t == 0) {
+      small_ids.tally.swap(tally);
+    } else {
+      small_ids.tally.insert(small_ids.tally.end(), tally.begin(),
+                             tally.end());
+    }
+    std::vector<CellTally>().swap(tally);
+    std::vector<CellKey>().swap(small_scratch[t].keys);
+  }
+  small_ids.Offsets(/*points=*/false);
+  small_ids.members.resize(small_ids.obj_off.back());
+  GridScratch large_ids;
+  LargeGridData& large = *large_;
   if (build_large) {
-    SortLargeCells(&large_scratch, large_.get());
-    point_cell.resize(num_points);
+    SortLargeCells(&large_scratch, shard_bits, &large_ids, &large);
+    large_ids.Offsets(/*points=*/true);
+    large.post_obj.resize(large_ids.obj_off.back());
+    large.post_start.resize(large_ids.obj_off.back());
+    large.post_xyz.resize(3 * std::size_t{large_ids.pt_off.back()});
+    large.point_cell.resize(num_points);
   }
 
   // Pass 2: scatter each cell's distinct objects (small grid), and its
   // posting objects, their offsets and its coordinates (large grid), into
-  // the shard's arrays at the offsets the counts give. The large cells'
-  // blocks thus follow their keys.
+  // the grid's arrays at the offsets the counts give. Each shard writes
+  // the cells it owns, so the shards fill disjoint ranges, and the large
+  // cells' blocks follow their keys.
   ForEachShard(shards, [&](std::size_t t) {
-    ShardScratch& sx = small_scratch[t];
-    sx.Offsets(/*points=*/false);
-    sx.members.resize(sx.obj_off.back());
-    LargeShard* ls = build_large ? &large_->shards[t] : nullptr;
-    if (ls != nullptr) {
-      ShardScratch& lx = large_scratch[t];
-      lx.Renumber(&ls->index);
-      lx.Offsets(/*points=*/true);
-      ls->post_obj.resize(lx.obj_off.back());
-      ls->post_start.resize(lx.obj_off.back());
-      ls->post_xyz.resize(3 * std::size_t{lx.pt_off.back()});
-    }
+    const std::uint32_t base = small_.base[t];
     for (ObjectId i = 0; i < n; ++i) {
       const Object& o = objs[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
         const std::size_t pt = first_point[i] + j;
         if (!mapped(i, j)) {
-          if (ls != nullptr && t == 0) point_cell[pt] = kNoCell;
+          if (build_large && t == 0) large.point_cell[pt] = kNoCell;
           continue;
         }
         const std::uint32_t sc = small_code[pt];
         if ((sc & shard_mask) == t) {
-          CellTally& tl = sx.tally[sc >> shard_bits];
+          CellTally& tl = small_ids.tally[base + (sc >> shard_bits)];
           if (tl.last_obj != i) {
             tl.last_obj = i;
-            sx.members[tl.objects++] = i;
+            small_ids.members[tl.objects++] = i;
           }
         }
-        if (ls == nullptr) continue;
+        if (!build_large) continue;
         const std::uint32_t lc = large_code[pt];
         if ((lc & shard_mask) != t) continue;
-        ShardScratch& lx = large_scratch[t];
-        const std::uint32_t c = lx.renum[lc >> shard_bits];
-        point_cell[pt] = (c << shard_bits) | static_cast<std::uint32_t>(t);
-        CellTally& tl = lx.tally[c];
-        const std::uint32_t first = lx.pt_off[c];
+        const std::uint32_t c = large_scratch[t].id[lc >> shard_bits];
+        large.point_cell[pt] = c;
+        CellTally& tl = large_ids.tally[c];
+        const std::uint32_t first = large_ids.pt_off[c];
         if (tl.last_obj != i) {
           tl.last_obj = i;
-          ls->post_obj[tl.objects] = i;
-          ls->post_start[tl.objects] = tl.points - first;
+          large.post_obj[tl.objects] = i;
+          large.post_start[tl.objects] = tl.points - first;
           ++tl.objects;
         }
-        const std::size_t size = lx.pt_off[c + 1] - first;
-        double* xs = ls->post_xyz.data() + 3 * std::size_t{first};
+        const std::size_t size = large_ids.pt_off[c + 1] - first;
+        double* xs = large.post_xyz.data() + 3 * std::size_t{first};
         const std::size_t k = tl.points++ - first;
         const Point& p = o.points[j];
         xs[k] = p.x;
@@ -466,50 +469,48 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   });
   small_code.reset();
   large_code.reset();
+  std::vector<CellTally>().swap(small_ids.tally);
+  std::vector<CellTally>().swap(large_ids.tally);
 
-  // Encode each cell bitset once from its ascending ids, at exact size.
+  // Encode each cell bitset once from its ascending ids, at exact size;
+  // each shard encodes an even share of each grid's ids.
+  small_.cells.resize(small_ids.obj_off.size() - 1);
+  const std::size_t large_cells = build_large ? large_ids.dirs.size() : 0;
+  if (build_large) large.cells.resize(large_cells);
   std::vector<std::size_t> small_bytes(shards, 0), large_bytes(shards, 0);
   ForEachShard(shards, [&](std::size_t t) {
     std::vector<std::uint64_t> scratch;
-    ShardScratch& sx = small_scratch[t];
-    std::vector<CellTally>().swap(sx.tally);
-    SmallShard& ss = small_[t];
-    ss.cells.resize(sx.keys.size());
-    std::size_t bytes = 0;
-    for (std::size_t c = 0; c < ss.cells.size(); ++c) {
-      ss.cells[c].bits = Ewah::FromSortedIds(sx.Objects(sx.members, c),
-                                             &scratch);
-      bytes += ss.cells[c].bits.MemoryUsageBytes();
+    const auto [small_begin, small_end] = Share(small_.cells.size(), t, shards);
+    for (std::size_t c = small_begin; c < small_end; ++c) {
+      SmallCell& cell = small_.cells[c];
+      cell.bits = Ewah::FromSortedIds(small_ids.Objects(small_ids.members, c),
+                                      &scratch);
+      small_bytes[t] += cell.bits.MemoryUsageBytes();
     }
-    small_bytes[t] = bytes + ss.TableBytes();
-    if (!build_large) return;
-    ShardScratch& lx = large_scratch[t];
-    std::vector<CellTally>().swap(lx.tally);
-    LargeShard& ls = large_->shards[t];
-    ls.cells.resize(lx.obj_off.size() - 1);
-    bytes = 0;
-    for (std::size_t c = 0; c < ls.cells.size(); ++c) {
-      LargeCell& cell = ls.cells[c];
-      cell.post_obj = lx.Objects(ls.post_obj, c);
-      cell.post_start = ls.post_start.data() + lx.obj_off[c];
-      cell.post_xyz = ls.post_xyz.data() + 3 * std::size_t{lx.pt_off[c]};
-      cell.num_points = lx.pt_off[c + 1] - lx.pt_off[c];
-      cell.nbr_dirs = lx.dirs[c];
+    const auto [large_begin, large_end] = Share(large_cells, t, shards);
+    for (std::size_t c = large_begin; c < large_end; ++c) {
+      LargeCell& cell = large.cells[c];
+      const std::uint32_t first = large_ids.pt_off[c];
+      cell.post_obj = large_ids.Objects(large.post_obj, c);
+      cell.post_start = large.post_start.data() + large_ids.obj_off[c];
+      cell.post_xyz = large.post_xyz.data() + 3 * std::size_t{first};
+      cell.num_points = large_ids.pt_off[c + 1] - first;
+      cell.nbr_dirs = large_ids.dirs[c];
       cell.bits = Ewah::FromSortedIds(cell.post_obj, &scratch);
-      bytes += cell.bits.MemoryUsageBytes();
+      large_bytes[t] += cell.bits.MemoryUsageBytes();
     }
-    large_bytes[t] = bytes + ls.TableBytes() + ls.PostingBytes();
   });
-  small_bytes_ = 0;
+  small_bytes_ = small_.TableBytes();
   for (std::size_t b : small_bytes) small_bytes_ += b;
   if (build_large) {
-    large_->point_begin = std::move(first_point);
-    large_->built_bytes =
-        large_->point_begin.capacity() * sizeof(std::size_t) +
-        point_cell.capacity() * sizeof(std::uint32_t);
-    for (std::size_t t = 0; t < shards; ++t) {
-      large_->built_bytes += large_bytes[t] + large_->shards[t].NeighborBytes();
-    }
+    large.point_begin = std::move(first_point);
+    large.built_bytes =
+        large.cells.capacity() * sizeof(LargeCell) +
+        LargeGridPostingBytes(large) +
+        (large.nbr_off.capacity() + large.nbr_ids.capacity() +
+         large.point_cell.capacity()) * sizeof(std::uint32_t) +
+        large.point_begin.capacity() * sizeof(std::size_t);
+    for (std::size_t b : large_bytes) large.built_bytes += b;
   }
 
   // Key lists: a cell belongs to o_i.L iff it holds two or more objects
@@ -517,14 +518,9 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   // cells, then fill its range, advancing key_offsets_[i] as its cursor
   // and shifting the offsets back after.
   auto for_each_shared_cell = [&](auto&& f) {
-    for (std::size_t t = 0; t < shards; ++t) {
-      const ShardScratch& sx = small_scratch[t];
-      for (std::size_t c = 0; c < sx.keys.size(); ++c) {
-        std::span<const ObjectId> ids = sx.Objects(sx.members, c);
-        if (ids.size() >= 2) {
-          f(static_cast<std::uint32_t>((c << shard_bits) | t), ids);
-        }
-      }
+    for (std::size_t c = 0; c < small_.cells.size(); ++c) {
+      std::span<const ObjectId> ids = small_ids.Objects(small_ids.members, c);
+      if (ids.size() >= 2) f(static_cast<std::uint32_t>(c), ids);
     }
   };
   for_each_shared_cell([&](std::uint32_t, std::span<const ObjectId> ids) {
@@ -537,77 +533,18 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
   });
   for (std::size_t i = n; i > 0; --i) key_offsets_[i] = key_offsets_[i - 1];
   key_offsets_[0] = 0;
-
-  if (build_groups) BuildGroups(threads);
 }
 
-void BiGrid::BuildGroups(int threads) {
-  if (large_->GroupsReady()) return;
-  const std::size_t n = objects_->size();
-  auto build = [&] {
-    large_->groups.assign(n, {});
-    if (threads <= 1) {
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i);
-    } else {
-#pragma omp parallel for schedule(dynamic, 16) num_threads(threads)
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i);
-    }
-    std::size_t bytes =
-        large_->groups.capacity() * sizeof(std::vector<PointGroup>);
-    for (const auto& groups : large_->groups) {
-      bytes += groups.capacity() * sizeof(PointGroup);
-      for (const auto& g : groups) {
-        bytes += g.point_idx.capacity() * sizeof(std::uint32_t);
-      }
-    }
-    large_->group_bytes = bytes;
-    large_->MarkGroupsReady();
-  };
-  if (!reused_large_) {
-    // Freshly built grid: exclusively owned until the engine caches it, so
-    // no lock is needed (and none of its cells are visible to other
-    // queries yet).
-    build();
-    return;
-  }
-  // Reused shared grid: concurrent queries adopting the same cached grid
-  // may race to populate groups. One builds under the grid's stripe lock;
-  // the rest adopt via the acquire load in GroupsReady().
-  std::lock_guard<std::mutex> lock(StripeFor(large_.get()));
-  if (large_->GroupsReady()) return;
-  build();
-}
-
-void BiGrid::BuildGroupsFor(ObjectId i) {
-  // The object's points sorted by (cell, index): each run is one group.
-  // The groups are then ordered by their first point, the order in which
-  // the object's points reach them.
+void BiGrid::PointsByCell(ObjectId i, std::vector<CellPoint>* out) const {
+  out->clear();
   const std::size_t m = (*objects_)[i].points.size();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pts;
-  pts.reserve(m);
+  const std::uint32_t* cell = large_->point_cell.data() + large_->point_begin[i];
   for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t cell = LargeCellOf(i, j);
-    if (cell != kNoCell) pts.emplace_back(cell, static_cast<std::uint32_t>(j));
+    if (cell[j] != kNoCell) {
+      out->push_back(CellPoint{cell[j], static_cast<std::uint32_t>(j)});
+    }
   }
-  std::sort(pts.begin(), pts.end());
-  std::size_t runs = 0;
-  for (std::size_t a = 0; a < pts.size(); ++a) {
-    runs += a == 0 || pts[a].first != pts[a - 1].first;
-  }
-  auto& groups = large_->groups[i];
-  groups.reserve(runs);
-  for (std::size_t a = 0; a < pts.size();) {
-    std::size_t b = a + 1;
-    while (b < pts.size() && pts[b].first == pts[a].first) ++b;
-    PointGroup& g = groups.emplace_back();
-    g.cell = pts[a].first;
-    g.point_idx.reserve(b - a);
-    for (; a < b; ++a) g.point_idx.push_back(pts[a].second);
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const PointGroup& x, const PointGroup& y) {
-              return x.point_idx.front() < y.point_idx.front();
-            });
+  std::sort(out->begin(), out->end());
 }
 
 // ---------------------------------------------------------------------------
@@ -615,15 +552,18 @@ void BiGrid::BuildGroupsFor(ObjectId i) {
 // ---------------------------------------------------------------------------
 
 const SmallCell* BiGrid::FindSmall(const CellKey& k) const {
-  return small_[ShardOfSmall(k)].Find(k);
+  const std::size_t t = ShardOf(k, small_.index.size());
+  const std::uint32_t* slot = small_.index[t].Find(k);
+  return slot != nullptr ? &small_.cells[small_.base[t] + *slot - 1]
+                         : nullptr;
 }
 
 const LargeCell* BiGrid::FindLarge(const CellKey& k) const {
-  return large_->shards[ShardOfLarge(k)].Find(k);
-}
-
-LargeCell* BiGrid::FindLarge(const CellKey& k) {
-  return large_->shards[ShardOfLarge(k)].Find(k);
+  const std::vector<LargeCell>& cells = large_->cells;
+  auto it = std::partition_point(
+      cells.begin(), cells.end(),
+      [&](const LargeCell& cell) { return LargeKey(cell) < k; });
+  return it != cells.end() && LargeKey(*it) == k ? &*it : nullptr;
 }
 
 LargeCell& BiGrid::EnsureAdj(std::uint32_t id) {
@@ -670,22 +610,15 @@ MemoryBreakdown BiGrid::MemoryUsage() const {
              large_->adj_bytes.load(std::memory_order_relaxed));
   mb.Add("key_lists", (key_offsets_.capacity() + key_cells_.capacity()) *
                           sizeof(std::uint32_t));
-  if (large_->GroupsReady()) mb.Add("point_groups", large_->group_bytes);
   return mb;
 }
 
 BitsetCompressionStats BiGrid::CompressionStats() const {
   BitsetCompressionStats stats;
-  for (const auto& shard : small_) {
-    shard.ForEach([&](const CellKey&, const SmallCell& cell) {
-      stats.Add(cell.bits);
-    });
-  }
-  for (const auto& shard : large_->shards) {
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      stats.Add(cell.bits);
-      if (cell.AdjReady()) stats.Add(cell.adj);
-    });
+  for (const SmallCell& cell : small_.cells) stats.Add(cell.bits);
+  for (const LargeCell& cell : large_->cells) {
+    stats.Add(cell.bits);
+    if (cell.AdjReady()) stats.Add(cell.adj);
   }
   return stats;
 }

@@ -17,28 +17,30 @@
 // (paper Algorithm 3) is two O(nm) passes over the points in (object,
 // point) order: the first gives each point a dense cell id per grid and
 // counts each cell's points and distinct objects, the second scatters
-// object ids and coordinates into a few exact-size arrays per shard. Each
+// object ids and coordinates into a few exact-size arrays per grid. Each
 // cell bitset is then encoded once, and the key lists are derived from
 // the cells that hold two or more objects.
 //
-// The query phases name cells by id, never by key. A cell's id is
-// (its index in its shard << shard bits) | shard. Each large shard
-// numbers its cells in ascending key order, and one sweep over all of
-// them in key order lists every large cell's existing neighbours by id.
-// Each point keeps its large cell's id and each key list holds small-cell
-// ids, so the hash index only interns cells while the grid is mapped.
+// The query phases name cells by id, never by key. A large cell's id is
+// its rank in key order, so the large grid has one layout at every thread
+// count: one cell array, one set of posting arrays and one neighbour
+// table, all in key order. A small cell's id is its shard's base plus its
+// index in the shard. Each point keeps its large cell's id and each key
+// list holds small-cell ids; hash indexes intern cells while the grid is
+// mapped, and only the small grid keeps its index afterwards (for
+// FindSmall: a small cell holds no point to recover its key from).
 //
 // Because the large grid depends only on ceil(r) (the observation behind
 // the paper's label mechanism, §III-D), it is held in a shareable
 // LargeGridData block: the engine can cache it — including the memoised
-// b_adj bitsets and the P_{i,K} groups — and reuse it verbatim for every
-// later query with the same ceiling, skipping half of grid mapping and
-// all first-touch neighbourhood unions. This grid reuse is an engineering
-// extension of the paper's "leveraging previous results" idea.
+// b_adj bitsets — and reuse it verbatim for every later query with the
+// same ceiling, skipping half of grid mapping and all first-touch
+// neighbourhood unions. This grid reuse is an engineering extension of
+// the paper's "leveraging previous results" idea.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,8 +83,8 @@ inline constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
 /// One large-grid cell: bitset, lazy neighbourhood bitset, and the
 /// inverted list I(c): postings grouped by object id, ascending. The
-/// postings live in the owning shard's arrays (LargeShard): the cell's
-/// points form one [xs | ys | zs] block there, and each object's posting
+/// postings live in the grid's arrays (LargeGridData): the cell's points
+/// form one [xs | ys | zs] block there, and each object's posting
 /// is one index range of all three thirds, so verification's inner loop
 /// is one batch-kernel call per (point, candidate-object) pair.
 struct LargeCell {
@@ -110,7 +112,7 @@ struct LargeCell {
   std::uint32_t num_points = 0;               ///< points in the block
   /// Which neighbours exist: bit d for the d-th cell of
   /// ForEachNeighbor(key, /*include_self=*/true), so bit 13, the cell
-  /// itself, is clear. The shard's neighbour table lists these cells by
+  /// itself, is clear. The grid's neighbour table lists these cells by
   /// id in ascending d.
   std::uint32_t nbr_dirs = 0;
 
@@ -124,116 +126,61 @@ struct LargeCell {
   std::size_t NumPostingPoints() const { return num_points; }
 };
 
-/// Per-object grouping of points by large-grid cell (paper §IV: P_{i,K}),
-/// the unit of the cost-based parallel partitioning.
-struct PointGroup {
-  std::uint32_t cell = kNoCell;  ///< the large cell's id
-  std::vector<std::uint32_t> point_idx;
+/// One point of an object and its large cell's id, ordered by cell, then
+/// point index: sorted, an object's points form one run per cell, its
+/// P_{i,K} groups (paper §IV).
+struct CellPoint {
+  std::uint32_t cell = kNoCell;
+  std::uint32_t idx = 0;
+
+  auto operator<=>(const CellPoint&) const = default;
 };
 
-/// One grid shard: a flat open-addressing index (16-byte slots, cheap to
-/// probe and to rehash) from key to dense cell id, over an exact-size
-/// array of cells. A build gives each thread one shard per grid, the
-/// cells whose key hashes to it; the serial build has one shard. The
-/// index interns cells while the grid is mapped; queries reach cells by
-/// id.
-template <typename Cell>
-struct CellShard {
-  // Slot values are id+1; 0 means absent.
-  FlatHashMap<CellKey, std::uint32_t, CellKeyHash> index;
-  std::vector<Cell> cells;
+using CellIndex = FlatHashMap<CellKey, std::uint32_t, CellKeyHash>;
 
-  Cell* Find(const CellKey& k) {
-    std::uint32_t* slot = index.Find(k);
-    return slot != nullptr ? &cells[*slot - 1] : nullptr;
-  }
-  const Cell* Find(const CellKey& k) const {
-    const std::uint32_t* slot = index.Find(k);
-    return slot != nullptr ? &cells[*slot - 1] : nullptr;
-  }
-  std::size_t size() const { return cells.size(); }
-  template <typename F>
-  void ForEach(F&& f) {
-    index.ForEach(
-        [&](const CellKey& k, std::uint32_t slot) { f(k, cells[slot - 1]); });
-  }
-  template <typename F>
-  void ForEach(F&& f) const {
-    index.ForEach([&](const CellKey& k, std::uint32_t slot) {
-      f(k, static_cast<const Cell&>(cells[slot - 1]));
-    });
-  }
-  std::size_t TableBytes() const {
-    return index.TableBytes() + cells.capacity() * sizeof(Cell);
-  }
+/// The small grid: its cells, shard after shard, and each shard's index
+/// from key to the cell's place in the shard plus one (0 means absent).
+/// Shard t's cells start at base[t], so a cell's id is base[t] + its
+/// place. A build gives each thread one shard, the cells whose key hashes
+/// to it; the serial build has one shard.
+struct SmallGrid {
+  std::vector<SmallCell> cells;
+  std::vector<CellIndex> index;
+  std::vector<std::uint32_t> base;
+
+  /// Bytes of the indexes, the cell array and the bases.
+  std::size_t TableBytes() const;
 };
 
-using SmallShard = CellShard<SmallCell>;
-
-/// A large-grid shard: cells in ascending key order, their postings, cell
-/// after cell, in three exact-size arrays that the cells' spans point
-/// into, and the neighbour table: cell c's existing neighbours are
-/// nbr_ids[nbr_off[c], nbr_off[c + 1]), global ids in ForEachNeighbor
-/// order.
-struct LargeShard : CellShard<LargeCell> {
+/// The shareable half of a BIGrid: everything that depends only on
+/// ceil(r) — the large-grid cells (with their lazily memoised b_adj), in
+/// ascending key order, so that a cell's id is its index; their postings,
+/// cell after cell, in three exact-size arrays that the cells' spans point
+/// into; the neighbour table, where cell c's existing neighbours are
+/// nbr_ids[nbr_off[c], nbr_off[c + 1]) in ForEachNeighbor order; and each
+/// point's cell id. The layout is the same at every thread count.
+/// `complete` marks grids built from every point (no label pruning); only
+/// complete grids may be cached, since a labelled build omits points.
+struct LargeGridData {
+  double width = 0.0;
+  std::vector<LargeCell> cells;
   std::vector<ObjectId> post_obj;         ///< each cell's posting objects
   std::vector<std::uint32_t> post_start;  ///< post_obj-parallel offsets
   std::vector<double> post_xyz;           ///< each cell's [xs | ys | zs]
   std::vector<std::uint32_t> nbr_off;     ///< by cell, then the end
   std::vector<std::uint32_t> nbr_ids;     ///< each cell's neighbours
-
-  /// Bytes of the three posting arrays.
-  std::size_t PostingBytes() const {
-    return post_obj.capacity() * sizeof(ObjectId) +
-           post_start.capacity() * sizeof(std::uint32_t) +
-           post_xyz.capacity() * sizeof(double);
-  }
-  /// Bytes of the neighbour table.
-  std::size_t NeighborBytes() const {
-    return (nbr_off.capacity() + nbr_ids.capacity()) * sizeof(std::uint32_t);
-  }
-};
-
-/// The shareable half of a BIGrid: everything that depends only on
-/// ceil(r) — the large-grid cells (with their lazily memoised b_adj),
-/// their neighbour table, each point's cell id and the per-object P_{i,K}
-/// groups. `complete` marks grids built from every point (no label
-/// pruning); only complete grids may be cached, since a labelled build
-/// omits points and its groups reference fewer cells.
-struct LargeGridData {
-  double width = 0.0;
-  /// A cell's id is (its index in its shard << shard_bits) | its shard.
-  int shard_bits = 0;
-  std::vector<LargeShard> shards;
   /// Point j of object i is point_begin[i] + j of point_cell, which holds
   /// its cell's id, or kNoCell for a point the build skipped.
   std::vector<std::size_t> point_begin;
   std::vector<std::uint32_t> point_cell;
-  std::vector<std::vector<PointGroup>> groups;
-  bool has_groups = false;
   bool complete = false;
 
   /// Byte tallies read by BiGrid::MemoryUsage, so that it walks no cell:
-  /// the shards as built (tables, cell arrays, posting arrays, cell
-  /// bitsets, neighbour tables) with the point ids, every memoised b_adj
-  /// (EnsureAdj adds each one, possibly from concurrent queries), and the
-  /// groups (set before they are marked ready).
+  /// the grid as built (cell array, posting arrays, cell bitsets,
+  /// neighbour table, point ids), and every memoised b_adj (EnsureAdj
+  /// adds each one, possibly from concurrent queries).
   std::size_t built_bytes = 0;
   std::atomic<std::size_t> adj_bytes{0};
-  std::size_t group_bytes = 0;
-
-  /// Acquire-load of has_groups. Like LargeCell::AdjReady: a cached grid
-  /// is shared across concurrent queries and the P_{i,K} groups are built
-  /// lazily by the first query that needs them (under the grid's stripe
-  /// lock); the flag is release-stored after the groups are complete, so
-  /// observing true licenses lock-free reads of `groups`.
-  bool GroupsReady() const {
-    return std::atomic_ref<const bool>(has_groups)
-        .load(std::memory_order_acquire);
-  }
-  void MarkGroupsReady() {
-    std::atomic_ref<bool>(has_groups).store(true, std::memory_order_release);
-  }
 };
 
 /// Bytes held by the SoA posting arrays across all cells of the grid —
@@ -254,72 +201,59 @@ class BiGrid {
 
   /// GRID-MAPPING(O, r) (paper Algorithm 3) on one thread: BuildParallel
   /// with one shard per grid.
-  void Build(const LabelSet* labels = nullptr, bool build_groups = false,
-             QueryGuard* guard = nullptr) {
-    BuildParallel(1, labels, build_groups, guard);
+  void Build(const LabelSet* labels = nullptr, QueryGuard* guard = nullptr) {
+    BuildParallel(1, labels, guard);
   }
 
   /// GRID-MAPPING(O, r), hash-partitioned (paper §IV,
   /// PARALLEL-GRID-MAPPING): thread t owns shard t of each grid, the cells
   /// whose key hashes to it, so no cell is written by two threads; one
-  /// thread is the one-shard case. When `labels` is non-empty, points with
-  /// a cleared kMap bit are skipped entirely (GRID-MAPPING-WITH-LABEL,
-  /// Lemma 3). `build_groups` additionally materialises the P_{i,K}
-  /// groups needed by the parallel phases. `guard` (optional) is polled
-  /// on an amortised stride of the first pass and checked against the
-  /// "alloc.bigrid" fault site; a tripped guard abandons the build (the
-  /// grid is then empty and incomplete, and must be discarded).
+  /// thread is the one-shard case. The shards partition the work only:
+  /// the large grid comes out the same at every thread count. When
+  /// `labels` is non-empty, points with a cleared kMap bit are skipped
+  /// entirely (GRID-MAPPING-WITH-LABEL, Lemma 3). `guard` (optional) is
+  /// polled on an amortised stride of the first pass and checked against
+  /// the "alloc.bigrid" fault site; a tripped guard abandons the build
+  /// (the grid is then empty and incomplete, and must be discarded).
   void BuildParallel(int threads, const LabelSet* labels = nullptr,
-                     bool build_groups = false, QueryGuard* guard = nullptr);
+                     QueryGuard* guard = nullptr);
 
   const ObjectSet& objects() const { return *objects_; }
   double r() const { return r_; }
   double small_width() const { return small_width_; }
   double large_width() const { return large_->width; }
 
-  /// The cell with key k, or nullptr: a hash probe, which the build's
-  /// interning and the tests use; the query phases name cells by id.
+  /// The cell with key k, or nullptr, for the tests: a hash probe of the
+  /// small grid's index, and a binary search of the large cells by the
+  /// key of each cell's first posting point. The query phases name cells
+  /// by id.
   const SmallCell* FindSmall(const CellKey& k) const;
   const LargeCell* FindLarge(const CellKey& k) const;
-  LargeCell* FindLarge(const CellKey& k);
 
   /// The small cell with id `id` (a KeyList entry).
   const SmallCell& SmallCellAt(std::uint32_t id) const {
-    return small_[id & ((std::uint32_t{1} << small_bits_) - 1)]
-        .cells[id >> small_bits_];
+    return small_.cells[id];
   }
   /// The large cell with id `id`.
-  LargeCell& LargeCellAt(std::uint32_t id) {
-    return LargeShardOf(id).cells[id >> large_->shard_bits];
-  }
+  LargeCell& LargeCellAt(std::uint32_t id) { return large_->cells[id]; }
   const LargeCell& LargeCellAt(std::uint32_t id) const {
-    return LargeShardOf(id).cells[id >> large_->shard_bits];
+    return large_->cells[id];
   }
   /// The ids of large cell `id`'s existing neighbours, in ForEachNeighbor
   /// order; LargeCellAt(id).nbr_dirs says which neighbour each one is.
   std::span<const std::uint32_t> LargeNeighbors(std::uint32_t id) const {
-    const LargeShard& shard = LargeShardOf(id);
-    const std::uint32_t c = id >> large_->shard_bits;
-    return {shard.nbr_ids.data() + shard.nbr_off[c],
-            shard.nbr_off[c + 1] - shard.nbr_off[c]};
-  }
-  /// One more than the largest large-cell id: the size of an array
-  /// indexed by large-cell id.
-  std::size_t LargeIdLimit() const {
-    std::size_t limit = 0;
-    for (std::size_t t = 0; t < large_->shards.size(); ++t) {
-      const std::size_t cells = large_->shards[t].size();
-      if (cells > 0) {
-        limit = std::max(limit, ((cells - 1) << large_->shard_bits) + t + 1);
-      }
-    }
-    return limit;
+    const std::uint32_t* off = large_->nbr_off.data() + id;
+    return {large_->nbr_ids.data() + off[0], off[1] - off[0]};
   }
   /// The id of point j of object i's large cell, or kNoCell when the
   /// build skipped the point (its kMap label was cleared).
   std::uint32_t LargeCellOf(ObjectId i, std::size_t j) const {
     return large_->point_cell[large_->point_begin[i] + j];
   }
+  /// Object i's points the large grid holds, sorted into `out`: one run
+  /// per cell, its P_{i,K} group, with ascending point indices. Ids
+  /// ascend by key, so the runs come in key order at every thread count.
+  void PointsByCell(ObjectId i, std::vector<CellPoint>* out) const;
 
   /// o_i.L — the ids of the small cells shared with at least one other
   /// object (exactly the cells that contribute to the lower bound).
@@ -327,12 +261,6 @@ class BiGrid {
     return {key_cells_.data() + key_offsets_[i],
             key_offsets_[i + 1] - key_offsets_[i]};
   }
-
-  /// P_{i,K} groups; only populated when built with build_groups.
-  const std::vector<PointGroup>& LargeGroups(ObjectId i) const {
-    return large_->groups[i];
-  }
-  bool has_groups() const { return large_->GroupsReady(); }
 
   /// Computes (memoises) b_adj of large cell `id`; returns the cell.
   /// Thread-safe, including against other BiGrids sharing this cell via a
@@ -350,74 +278,43 @@ class BiGrid {
   Ewah NeighborhoodUnion(std::uint32_t id, std::uint32_t* count) const;
 
   /// Shares the ceil(r)-dependent half for reuse by later queries with
-  /// the same ceiling (includes memoised b_adj and groups).
+  /// the same ceiling (includes memoised b_adj).
   std::shared_ptr<LargeGridData> ShareLargeGrid() const { return large_; }
   /// True when the large grid covers every point (cacheable).
   bool large_grid_complete() const { return large_->complete; }
   /// True when this index adopted a cached large grid.
   bool reused_large_grid() const { return reused_large_; }
 
-  std::size_t NumSmallCells() const {
-    std::size_t n = 0;
-    for (const auto& shard : small_) n += shard.size();
-    return n;
-  }
-  std::size_t NumLargeCells() const {
-    std::size_t n = 0;
-    for (const auto& shard : large_->shards) n += shard.size();
-    return n;
-  }
+  std::size_t NumSmallCells() const { return small_.cells.size(); }
+  std::size_t NumLargeCells() const { return large_->cells.size(); }
 
   /// Structure footprint (the paper's memory-usage figures), read from
-  /// byte tallies the build, EnsureAdj and BuildGroups keep.
+  /// byte tallies the build and EnsureAdj keep.
   MemoryBreakdown MemoryUsage() const;
 
   /// Compression accounting over every cell bitset (paper footnote 4).
   BitsetCompressionStats CompressionStats() const;
 
-  /// Iterates large cells.
+  /// Iterates large cells in key order.
   template <typename F>
   void ForEachLargeCell(F&& f) {
-    for (auto& shard : large_->shards) {
-      shard.ForEach([&](const CellKey& key, LargeCell& cell) { f(key, cell); });
-    }
+    for (LargeCell& cell : large_->cells) f(LargeKey(cell), cell);
   }
 
-  /// The small grid's shards (its cells and tables).
-  const std::vector<SmallShard>& small_shards() const { return small_; }
+  /// The small grid (its cells and indexes).
+  const SmallGrid& small_grid() const { return small_; }
 
  private:
-  LargeShard& LargeShardOf(std::uint32_t id) {
-    return large_->shards[id & ((std::uint32_t{1} << large_->shard_bits) - 1)];
+  /// A large cell's key: that of its first posting point.
+  CellKey LargeKey(const LargeCell& cell) const {
+    return KeyForWidth(cell.PostingAt(0)[0], large_->width);
   }
-  const LargeShard& LargeShardOf(std::uint32_t id) const {
-    return large_->shards[id & ((std::uint32_t{1} << large_->shard_bits) - 1)];
-  }
-  // Small and large shard counts may differ when a cached large grid
-  // (built under a different thread count) is adopted.
-  std::size_t ShardOfSmall(const CellKey& k) const {
-    return small_.size() == 1 ? 0 : CellKeyHash{}(k) % small_.size();
-  }
-  std::size_t ShardOfLarge(const CellKey& k) const {
-    return large_->shards.size() == 1
-               ? 0
-               : CellKeyHash{}(k) % large_->shards.size();
-  }
-
-  /// Builds the P_{i,K} groups once per LargeGridData, over the points
-  /// the large grid holds. On a reused (shared) grid the build happens
-  /// under the grid's stripe lock with a double check, so concurrent
-  /// queries adopting the same cached grid race safely: one builds, the
-  /// rest adopt.
-  void BuildGroups(int threads);
-  void BuildGroupsFor(ObjectId i);
 
   const ObjectSet* objects_;
   double r_;
   double small_width_;
 
-  std::vector<SmallShard> small_;
-  int small_bits_ = 0;           ///< as LargeGridData::shard_bits
+  SmallGrid small_;
   std::size_t small_bytes_ = 0;  ///< small_'s tables, cells and bitsets
   std::shared_ptr<LargeGridData> large_;
   bool reused_large_ = false;

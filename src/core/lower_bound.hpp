@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitset/ewah.hpp"
@@ -36,6 +37,17 @@ struct LowerBoundResult {
 /// it.
 std::size_t LowerBoundUnion(const BiGrid& grid, ObjectId i,
                             UnionAccumulator* acc);
+
+/// Lemma 1 for the objects one worker owns: those with owner[i] ==
+/// `worker`, or every object when `owner` is empty. Writes each one's
+/// tau_low into `res` (sized by the caller), and its union when
+/// res->lb_bitsets is sized too, and returns the largest tau_low written.
+/// `guard` (optional) is polled once per kGuardStrideObjects of the
+/// worker's objects; a trip ends the loop. Serial lower bounding is one
+/// worker over every object; LB-greedy-d runs one per core.
+std::uint32_t LowerBoundObjects(const BiGrid& grid, std::span<const int> owner,
+                                int worker, QueryGuard* guard,
+                                LowerBoundResult* res);
 
 /// Serial lower-bounding over the whole collection. `guard` (optional) is
 /// polled on an amortised stride; a trip abandons the scan, leaving the

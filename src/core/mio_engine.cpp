@@ -192,18 +192,15 @@ QueryResult MioEngine::Query(double r, const QueryOptions& options) {
   // Planar data gets the tighter 2-D small grid (footnote 1); the large
   // grid — and therefore label validity — is unaffected. With reuse_grid,
   // a cached large grid for this ceiling (complete, with memoised b_adj)
-  // is adopted and only the small grid is mapped.
+  // is adopted and only the small grid is mapped; the large grid is the
+  // same whichever thread count built it.
   std::shared_ptr<LargeGridData> reuse;
   if (options.reuse_grid) reuse = LookupCachedGrid(ceil_r);
   BiGrid grid(objects_, r, planar_, std::move(reuse));
   {
     MIO_TRACE_SPAN_CAT("grid_mapping", "query");
     ScopedAccumulator acc(&stats.phases.grid_mapping);
-    if (parallel) {
-      grid.BuildParallel(threads, use_labels, /*build_groups=*/true, &guard);
-    } else {
-      grid.Build(use_labels, /*build_groups=*/false, &guard);
-    }
+    grid.BuildParallel(threads, use_labels, &guard);
   }
   stats.reused_grid = grid.reused_large_grid();
   stats.cells_small = grid.NumSmallCells();

@@ -46,7 +46,7 @@ struct QueryOptions {
   /// parameter setting", footnote 8).
   bool record_labels = false;
 
-  /// Cache and reuse the large grid (cells, memoised b_adj, point groups)
+  /// Cache and reuse the large grid (cells, memoised b_adj, neighbours)
   /// across queries sharing ceil(r) — an engineering extension of the
   /// paper's observation that the large grid depends only on the ceiling.
   /// Off by default so measurements stay paper-faithful (the paper's

@@ -31,29 +31,14 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
   // each core computes whole objects, so no bitset synchronisation.
   std::vector<std::uint64_t> weights(n);
   for (ObjectId i = 0; i < n; ++i) weights[i] = grid.KeyList(i).size() + 1;
-  std::vector<int> assign = GreedyAssign(weights, threads);
+  const std::vector<int> assign = GreedyAssign(weights, threads);
 
   std::vector<std::uint32_t> local_max(threads, 0);
 #pragma omp parallel num_threads(threads)
   {
     MIO_TRACE_SPAN_CAT("lb.worker", "lb");
-    int t = ThreadId();
-    UnionAccumulator acc;
-    std::size_t done = 0;
-    for (ObjectId i = 0; i < n; ++i) {
-      if (assign[i] != t) continue;
-      if (guard != nullptr && (done++ % kGuardStrideObjects) == 0 &&
-          guard->Poll()) {
-        break;  // each worker drains independently
-      }
-      const std::size_t count = LowerBoundUnion(grid, i, &acc);
-      obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
-      obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
-      obs::Observe(obs::Histogram::kLbUnionBits, count);
-      res.tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
-      local_max[t] = std::max(local_max[t], res.tau_low[i]);
-      if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
-    }
+    const int t = ThreadId();
+    local_max[t] = LowerBoundObjects(grid, assign, t, guard, &res);
   }
   for (int t = 0; t < threads; ++t) {
     res.tau_low_max = std::max(res.tau_low_max, local_max[t]);
@@ -119,16 +104,34 @@ LowerBoundResult ParallelLowerBounding(const BiGrid& grid,
 
 namespace {
 
+/// An object's P_{i,K} groups, reused across objects: its points sorted
+/// by cell (BiGrid::PointsByCell), and where each cell's run begins, then
+/// the end.
+struct Groups {
+  std::vector<CellPoint> points;
+  std::vector<std::size_t> begin;
+
+  void Of(const BiGrid& grid, ObjectId i) {
+    grid.PointsByCell(i, &points);
+    begin.clear();
+    for (std::size_t a = 0; a < points.size(); ++a) {
+      if (a == 0 || points[a].cell != points[a - 1].cell) begin.push_back(a);
+    }
+    begin.push_back(points.size());
+  }
+  std::size_t size() const { return begin.size() - 1; }
+  std::uint32_t cell(std::size_t g) const { return points[begin[g]].cell; }
+  std::span<const CellPoint> operator[](std::size_t g) const {
+    return {points.data() + begin[g], begin[g + 1] - begin[g]};
+  }
+};
+
 /// Clears the kUpper bit for the points of a group, optionally keeping the
 /// first one (the point that "carries" the group's OR in future replays).
-void ClearUpperLabels(LabelSet* record, ObjectId i, const PointGroup& g,
-                      bool keep_first) {
-  for (std::size_t idx = keep_first ? 1 : 0; idx < g.point_idx.size(); ++idx) {
-    record->labels[i][g.point_idx[idx]] &=
-        static_cast<std::uint8_t>(~label::kUpper);
-  }
-  if (!keep_first && !g.point_idx.empty()) {
-    record->labels[i][g.point_idx[0]] &=
+void ClearUpperLabels(LabelSet* record, ObjectId i,
+                      std::span<const CellPoint> group, bool keep_first) {
+  for (std::size_t idx = keep_first ? 1 : 0; idx < group.size(); ++idx) {
+    record->labels[i][group[idx].idx] &=
         static_cast<std::uint8_t>(~label::kUpper);
   }
 }
@@ -142,10 +145,11 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
   res.tau_upp.assign(n, 0);
 
   std::vector<UnionAccumulator> locals(threads);
+  Groups groups;
   for (ObjectId i = 0; i < n; ++i) {
     // Per-object poll: each iteration spawns a parallel region anyway.
     if (guard != nullptr && guard->Poll()) break;
-    const std::vector<PointGroup>& groups = grid.LargeGroups(i);
+    groups.Of(grid, i);
 
     // Cost model Eq. (3): a group whose cell still needs b_adj costs 27
     // cell accesses; a memoised one costs a single bitset update. The
@@ -153,10 +157,10 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
     // recorded (it is "omitted when the labels are utilized").
     std::vector<std::uint64_t> weights(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      std::uint64_t w = grid.LargeCellAt(groups[g].cell).AdjReady()
+      std::uint64_t w = grid.LargeCellAt(groups.cell(g)).AdjReady()
                             ? 1
                             : static_cast<std::uint64_t>(kNeighborhoodSize);
-      if (record_labels != nullptr) w += groups[g].point_idx.size();
+      if (record_labels != nullptr) w += groups[g].size();
       weights[g] = w;
     }
     std::vector<int> assign = GreedyAssign(weights, threads);
@@ -167,12 +171,12 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
       locals[t].Clear();
       for (std::size_t g = 0; g < groups.size(); ++g) {
         if (assign[g] != t) continue;
-        const PointGroup& group = groups[g];
+        const std::span<const CellPoint> group = groups[g];
         if (use_labels != nullptr) {
           // Skip the group unless some point still carries kUpper.
           bool any = false;
-          for (std::uint32_t j : group.point_idx) {
-            std::uint8_t l = use_labels->Get(i, j);
+          for (const CellPoint& p : group) {
+            std::uint8_t l = use_labels->Get(i, p.idx);
             if ((l & label::kUpper) != 0 && (l & label::kMap) != 0) {
               any = true;
               break;
@@ -182,10 +186,10 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
         }
         // Points with the same key share one cell, so exactly one core
         // computes b_adj for it — no synchronisation (paper §IV).
-        LargeCell& cell = grid.EnsureAdj(group.cell);
+        LargeCell& cell = grid.EnsureAdj(groups.cell(g));
         if (record_labels != nullptr && cell.adj_count == 1) {
-          for (std::uint32_t j : group.point_idx) {
-            record_labels->labels[i][j] &=
+          for (const CellPoint& p : group) {
+            record_labels->labels[i][p.idx] &=
                 static_cast<std::uint8_t>(~label::kMap);
           }
           continue;
@@ -284,7 +288,7 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
                                        const std::vector<std::uint32_t>*
                                            tau_low) {
   threads = ResolveThreads(threads);
-  if (threads <= 1 || !grid.has_groups()) {
+  if (threads <= 1) {
     return UpperBounding(grid, threshold, use_labels, record_labels, stats,
                          guard, tau_low);
   }
@@ -307,33 +311,35 @@ namespace {
 /// One core's share of one P_{i,K} group: a contiguous run of that core's
 /// point list, verified with one VerifyGroup call.
 struct GroupShare {
-  std::size_t group;
+  std::uint32_t cell;
   std::size_t begin;
   std::size_t end;
 };
 
-/// Parallel exact score of one candidate: points are partitioned across
-/// cores (round-robin within each P_{i,K}; tiny groups go to the least
-/// loaded core) and each core scans its share of every group with a
-/// private accumulator, seeded like the serial path's (SeedPartners);
-/// the accumulators are merged afterwards (paper
-/// §IV, with/without label). Each worker's scan time is accumulated into
+/// Parallel exact score of one candidate: the points are grouped by cell
+/// in key order (BiGrid::PointsByCell), then partitioned across cores
+/// (round-robin within each P_{i,K}; tiny groups go to the least loaded
+/// core) and each core scans its share of every group with a private
+/// accumulator, seeded like the serial path's (SeedPartners); the
+/// accumulators are merged afterwards (paper §IV, with/without label).
+/// Each worker's scan time is accumulated into
 /// stats->verify_thread_seconds so load imbalance is reportable. `cores`
 /// holds one scratch arena per thread, reused across candidates.
 std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
                                  const LabelSet* use_labels,
                                  LabelSet* record_labels, const Ewah* lb_bitset,
                                  QueryStats* stats, bool use_verify_bit,
-                                 QueryGuard* guard,
+                                 QueryGuard* guard, Groups* groups,
                                  std::vector<VerifyArena>& cores) {
-  const std::vector<PointGroup>& groups = grid.LargeGroups(i);
+  groups->Of(grid, i);
+  const std::size_t num_groups = groups->size();
 
   // Phase 1: make sure every needed b_adj exists (with labels, upper
   // bounding may have skipped some cells). Cells are unique per group, so
   // parallel EnsureAdj calls touch distinct cells.
 #pragma omp parallel for schedule(dynamic, 8) num_threads(threads)
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    grid.EnsureAdj(groups[g].cell);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    grid.EnsureAdj(groups->cell(g));
   }
 
   PlainBitset seed;
@@ -342,14 +348,14 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   // Phase 2: prune whole cells already covered by the seed before
   // distributing any points. A recording query keeps them: VerifyGroup
   // must see a settled group to clear its kVerify bits (Labeling-3).
-  std::vector<char> group_alive(groups.size(), 1);
+  std::vector<char> group_alive(num_groups, 1);
   if (record_labels == nullptr) {
 #pragma omp parallel num_threads(threads)
     {
       PlainBitset b;  // per-thread decode scratch
 #pragma omp for schedule(static)
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        grid.LargeCellAt(groups[g].cell).adj.DecodeInto(&b);
+      for (std::size_t g = 0; g < num_groups; ++g) {
+        grid.LargeCellAt(groups->cell(g)).adj.DecodeInto(&b);
         b.AndNotWith(seed);
         group_alive[g] = b.Count() > 0 ? 1 : 0;
       }
@@ -366,11 +372,13 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   std::vector<std::size_t> load(nthreads, 0);
   std::vector<std::size_t> share_begin(nthreads);
   std::vector<std::uint32_t> live;  // the current group's filtered points
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (std::size_t g = 0; g < num_groups; ++g) {
     if (!group_alive[g]) continue;
     live.clear();
-    for (std::uint32_t j : groups[g].point_idx) {
-      if (VerifiesPoint(use_labels, i, j, use_verify_bit)) live.push_back(j);
+    for (const CellPoint& p : (*groups)[g]) {
+      if (VerifiesPoint(use_labels, i, p.idx, use_verify_bit)) {
+        live.push_back(p.idx);
+      }
     }
     if (live.empty()) continue;
     for (std::size_t t = 0; t < nthreads; ++t) {
@@ -387,8 +395,8 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     }
     for (std::size_t t = 0; t < nthreads; ++t) {
       if (task_points[t].size() > share_begin[t]) {
-        shares[t].push_back(
-            GroupShare{g, share_begin[t], task_points[t].size()});
+        shares[t].push_back(GroupShare{groups->cell(g), share_begin[t],
+                                       task_points[t].size()});
       }
     }
   }
@@ -413,7 +421,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
         if (guard->Poll()) break;  // partial score: the caller discards it
       }
       since_poll += share.end - share.begin;
-      VerifyGroup(grid, i, groups[share.group].cell,
+      VerifyGroup(grid, i, share.cell,
                   mine.subspan(share.begin, share.end - share.begin),
                   &core.acc, &core.scratch, record_labels, &comps[t]);
     }
@@ -443,29 +451,22 @@ std::vector<ScoredObject> ParallelVerification(
     const std::vector<Ewah>* lb_bitsets, QueryStats* stats,
     bool use_verify_bit, QueryGuard* guard) {
   threads = ResolveThreads(threads);
-  if (threads <= 1 || !grid.has_groups()) {
+  if (threads <= 1) {
     return Verification(grid, ub, k, use_labels, record_labels, lb_bitsets,
                         stats, use_verify_bit, guard);
   }
-  TopKTracker tracker(k);
   std::vector<VerifyArena> cores(static_cast<std::size_t>(threads));
+  Groups groups;
   if (stats != nullptr) {
     stats->verify_thread_seconds.assign(static_cast<std::size_t>(threads),
                                         0.0);
   }
-  for (ObjectId i : ub.candidates) {
-    if (static_cast<long long>(ub.tau_upp[i]) <= tracker.Threshold()) break;
-    if (guard != nullptr && guard->Poll()) break;
-    MIO_TRACE_SPAN_CAT("verify.candidate", "verify");
-    std::uint32_t score =
-        ParallelExactScore(grid, i, threads, use_labels, record_labels,
-                           lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr,
-                           stats, use_verify_bit, guard, cores);
-    if (guard != nullptr && guard->tripped()) break;  // partial: discard
-    if (stats != nullptr) ++stats->num_verified;
-    tracker.Offer(i, score);
-  }
-  return tracker.Sorted();
+  return VerifyCandidates(
+      ub, k, lb_bitsets, stats, guard, [&](ObjectId i, const Ewah* lb) {
+        return ParallelExactScore(grid, i, threads, use_labels, record_labels,
+                                  lb, stats, use_verify_bit, guard, &groups,
+                                  cores);
+      });
 }
 
 }  // namespace mio

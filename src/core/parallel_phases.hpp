@@ -32,9 +32,10 @@ LowerBoundResult ParallelLowerBounding(const BiGrid& grid,
                                        bool keep_bitsets,
                                        QueryGuard* guard = nullptr);
 
-/// PARALLEL-UPPER-BOUNDING(O, r, tau_low_max). Requires the BiGrid to have
-/// been built with point groups for the cost-based strategy. Guard
-/// semantics as above; a tripped scan yields a partial candidate queue.
+/// PARALLEL-UPPER-BOUNDING(O, r, tau_low_max). UB-greedy-p groups each
+/// object's points by cell (BiGrid::PointsByCell) before assigning the
+/// groups. Guard semantics as above; a tripped scan yields a partial
+/// candidate queue.
 /// `tau_low` (optional) as for UpperBounding: both strategies queue the
 /// candidates in the serial order.
 UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
@@ -48,9 +49,10 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
 
 /// PARALLEL-VERIFICATION(O_cand, r). Candidates are still consumed
 /// best-first and serially (the early-termination check is inherently
-/// sequential); the per-candidate point scan is parallelised. On a guard
-/// trip the in-flight candidate's partial score is discarded, so the
-/// returned list is a sound best-so-far answer.
+/// sequential): VerifyCandidates, the loop Verification runs, scores each
+/// with a parallel point scan. On a guard trip the in-flight candidate's
+/// partial score is discarded, so the returned list is a sound
+/// best-so-far answer. One thread is Verification.
 std::vector<ScoredObject> ParallelVerification(
     BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
     const LabelSet* use_labels, LabelSet* record_labels,

@@ -55,7 +55,7 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
   // cannot change acc, so it is ORed once; a repeat's labels are those of
   // its first point's outcome repeated: kMap cleared for an isolated
   // cell, else kUpper (Labeling-2: its OR would change nothing).
-  std::vector<std::uint32_t> seen(grid.LargeIdLimit(), 0);
+  std::vector<std::uint32_t> seen(grid.NumLargeCells(), 0);
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial candidate queue; usable only for best-so-far

@@ -228,7 +228,6 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          LabelSet* record_labels, const Ewah* lb_bitset,
                          std::size_t* dist_comps, bool use_verify_bit,
                          QueryGuard* guard, VerifyArena* arena) {
-  const Object& o = grid.objects()[i];
   VerifyArena local_arena;
   VerifyArena& a = arena != nullptr ? *arena : local_arena;
 
@@ -238,32 +237,25 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
   PlainBitset& acc = a.acc;
   SeedPartners(grid, i, lb_bitset, &acc);
 
-  // Group the points to verify by large cell. The order is fixed (key,
-  // then point index), so distance_computations does not depend on how
-  // the grid was built; scores do not depend on the order at all.
-  const double width = grid.large_width();
-  a.keyed.clear();
-  for (std::size_t j = 0; j < o.points.size(); ++j) {
-    if (!VerifiesPoint(use_labels, i, j, use_verify_bit)) continue;
-    a.keyed.push_back(KeyedPoint{KeyForWidth(o.points[j], width),
-                                 grid.LargeCellOf(i, j),
-                                 static_cast<std::uint32_t>(j)});
-  }
-  std::sort(a.keyed.begin(), a.keyed.end(),
-            [](const KeyedPoint& x, const KeyedPoint& y) {
-              if (!(x.key == y.key)) return x.key < y.key;
-              return x.idx < y.idx;
-            });
-  a.points.resize(a.keyed.size());
-  for (std::size_t n = 0; n < a.keyed.size(); ++n) {
-    a.points[n] = a.keyed[n].idx;
+  // Group the points to verify by large cell, in key order, then point
+  // index, at every thread count, so distance_computations does not
+  // depend on how the grid was built; scores do not depend on the order
+  // at all.
+  grid.PointsByCell(i, &a.grouped);
+  std::erase_if(a.grouped, [&](const CellPoint& p) {
+    return !VerifiesPoint(use_labels, i, p.idx, use_verify_bit);
+  });
+  a.points.resize(a.grouped.size());
+  for (std::size_t n = 0; n < a.grouped.size(); ++n) {
+    a.points[n] = a.grouped[n].idx;
   }
 
   const std::span<const std::uint32_t> all(a.points);
   std::size_t since_poll = kGuardStridePoints;  // poll before the first group
-  for (std::size_t begin = 0; begin < a.keyed.size();) {
+  for (std::size_t begin = 0; begin < a.grouped.size();) {
     std::size_t end = begin + 1;
-    while (end < a.keyed.size() && a.keyed[end].key == a.keyed[begin].key) {
+    while (end < a.grouped.size() &&
+           a.grouped[end].cell == a.grouped[begin].cell) {
       ++end;
     }
     if (guard != nullptr && since_poll >= kGuardStridePoints) {
@@ -271,7 +263,7 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
       if (guard->Poll()) break;  // partial score: the caller must discard it
     }
     since_poll += end - begin;
-    VerifyGroup(grid, i, a.keyed[begin].cell,
+    VerifyGroup(grid, i, a.grouped[begin].cell,
                 all.subspan(begin, end - begin), &acc, &a.scratch,
                 record_labels, dist_comps);
     begin = end;
@@ -294,26 +286,14 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        QueryStats* stats,
                                        bool use_verify_bit,
                                        QueryGuard* guard) {
-  TopKTracker tracker(k);
   VerifyArena arena;  // reused across every verified candidate
-  for (ObjectId i : ub.candidates) {
-    // Early termination (Corollary 1): the queue is sorted by descending
-    // upper bound, so once the front cannot beat the k-th best exact
-    // score, neither can anything behind it.
-    if (static_cast<long long>(ub.tau_upp[i]) <= tracker.Threshold()) break;
-    if (guard != nullptr && guard->Poll()) break;
-    MIO_TRACE_SPAN_CAT("verify.candidate", "verify");
-    const Ewah* lb =
-        lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr;
-    std::uint32_t score = ExactScore(
-        grid, i, use_labels, record_labels, lb,
-        stats != nullptr ? &stats->distance_computations : nullptr,
-        use_verify_bit, guard, &arena);
-    if (guard != nullptr && guard->tripped()) break;  // partial: discard
-    if (stats != nullptr) ++stats->num_verified;
-    tracker.Offer(i, score);
-  }
-  return tracker.Sorted();
+  return VerifyCandidates(
+      ub, k, lb_bitsets, stats, guard, [&](ObjectId i, const Ewah* lb) {
+        return ExactScore(
+            grid, i, use_labels, record_labels, lb,
+            stats != nullptr ? &stats->distance_computations : nullptr,
+            use_verify_bit, guard, &arena);
+      });
 }
 
 }  // namespace mio

@@ -17,22 +17,14 @@
 #include <vector>
 
 #include "bitset/ewah.hpp"
+#include "common/guardrails.hpp"
 #include "core/bigrid.hpp"
 #include "core/labels.hpp"
 #include "core/query_result.hpp"
 #include "core/upper_bound.hpp"
+#include "obs/trace.hpp"
 
 namespace mio {
-
-class QueryGuard;  // common/guardrails.hpp
-
-/// A point index tagged with its large-grid cell, by key and by id: the
-/// sort record ExactScore groups an object's points by.
-struct KeyedPoint {
-  CellKey key;
-  std::uint32_t cell = kNoCell;
-  std::uint32_t idx = 0;
-};
 
 /// Scratch of one VerifyGroup caller (one per core): the candidate-set
 /// decode target and the per-cell order of the group's points. Neither
@@ -50,8 +42,8 @@ struct GroupScratch {
 struct VerifyArena {
   PlainBitset acc;                    ///< accumulator b(o_i)
   GroupScratch scratch;               ///< VerifyGroup scratch
-  std::vector<KeyedPoint> keyed;      ///< ExactScore's group sort
-  std::vector<std::uint32_t> points;  ///< ExactScore's grouped point indices
+  std::vector<CellPoint> grouped;     ///< ExactScore's points by cell
+  std::vector<std::uint32_t> points;  ///< their indices, in that order
 };
 
 /// True when point j of object i takes part in verification: every
@@ -102,8 +94,8 @@ void VerifyGroup(BiGrid& grid, ObjectId i, std::uint32_t cell,
 /// SeedPartners — `lb_bitset` (the with-label mode's kept lower-bound
 /// union) or, when null, the union recomputed from the grid; `dist_comps`
 /// accumulates distance evaluations. The filtered points are grouped by
-/// large cell — sorted by key, then ascending point index — and each
-/// group is one VerifyGroup call. `arena` (optional) supplies the
+/// large cell (BiGrid::PointsByCell: by key, then ascending point index)
+/// and each group is one VerifyGroup call. `arena` (optional) supplies the
 /// accumulator and every scratch buffer; pass one arena across many
 /// ExactScore calls to keep verification allocation-free (the seed
 /// overwrites the accumulator wholesale, so a stale value cannot leak
@@ -117,26 +109,8 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          QueryGuard* guard = nullptr,
                          VerifyArena* arena = nullptr);
 
-/// Best-first verification of the candidate queue; returns the top-k
-/// objects by exact score, descending. `lb_bitsets` (optional) are the
-/// kept lower-bound unions; without them each verified candidate's seed
-/// is recomputed from the grid, so the answer and the work are the same.
-/// `guard` (optional): on a trip the
-/// in-flight candidate's partial score is discarded and the loop stops —
-/// scores already offered to the tracker stay exact, so the returned
-/// (possibly short) list is a sound best-so-far answer.
-std::vector<ScoredObject> Verification(BiGrid& grid,
-                                       const UpperBoundResult& ub,
-                                       std::size_t k,
-                                       const LabelSet* use_labels,
-                                       LabelSet* record_labels,
-                                       const std::vector<Ewah>* lb_bitsets,
-                                       QueryStats* stats,
-                                       bool use_verify_bit = true,
-                                       QueryGuard* guard = nullptr);
-
 /// Maintains the k best exact scores seen so far and the resulting
-/// termination threshold (shared by serial and parallel verification).
+/// termination threshold (VerifyCandidates' tracker).
 class TopKTracker {
  public:
   explicit TopKTracker(std::size_t k) : k_(k == 0 ? 1 : k) {}
@@ -158,5 +132,48 @@ class TopKTracker {
   std::size_t worst_idx_ = 0;  // index of the current worst entry; valid
                                // whenever entries_ is non-empty
 };
+
+/// The best-first candidate loop of Verification and ParallelVerification.
+/// The queue is sorted by descending upper bound, so the loop stops once
+/// the next bound cannot beat the k-th best exact score, nor can anything
+/// behind it (Corollary 1); it also stops when `guard` (optional) trips.
+/// Each candidate i is scored by score(i, lb), lb its kept lower-bound
+/// union or null, in a "verify.candidate" span; a score the guard tripped
+/// during is partial and discarded, so the returned (possibly short) list
+/// is a sound best-so-far answer.
+template <typename Score>
+std::vector<ScoredObject> VerifyCandidates(const UpperBoundResult& ub,
+                                           std::size_t k,
+                                           const std::vector<Ewah>* lb_bitsets,
+                                           QueryStats* stats,
+                                           QueryGuard* guard, Score&& score) {
+  TopKTracker tracker(k);
+  for (ObjectId i : ub.candidates) {
+    if (static_cast<long long>(ub.tau_upp[i]) <= tracker.Threshold()) break;
+    if (guard != nullptr && guard->Poll()) break;
+    MIO_TRACE_SPAN_CAT("verify.candidate", "verify");
+    const std::uint32_t exact =
+        score(i, lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr);
+    if (guard != nullptr && guard->tripped()) break;  // partial: discard
+    if (stats != nullptr) ++stats->num_verified;
+    tracker.Offer(i, exact);
+  }
+  return tracker.Sorted();
+}
+
+/// Best-first verification of the candidate queue on one thread
+/// (VerifyCandidates scoring with ExactScore); returns the top-k objects
+/// by exact score, descending. `lb_bitsets` (optional) are the kept
+/// lower-bound unions; without them each verified candidate's seed is
+/// recomputed from the grid, so the answer and the work are the same.
+std::vector<ScoredObject> Verification(BiGrid& grid,
+                                       const UpperBoundResult& ub,
+                                       std::size_t k,
+                                       const LabelSet* use_labels,
+                                       LabelSet* record_labels,
+                                       const std::vector<Ewah>* lb_bitsets,
+                                       QueryStats* stats,
+                                       bool use_verify_bit = true,
+                                       QueryGuard* guard = nullptr);
 
 }  // namespace mio

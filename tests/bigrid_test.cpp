@@ -57,42 +57,41 @@ bool Mapped(const LabelSet* labels, ObjectId i, std::size_t j) {
   return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
 }
 
-/// Every cell's key by its id, (index << bits) | shard, read from the
-/// shards' hash indexes.
-template <typename Shard>
-std::map<std::uint32_t, CellKey> KeysById(const std::vector<Shard>& shards,
-                                          int bits) {
+/// Every small cell's key by its id, base[t] + its place in shard t, read
+/// from the shards' hash indexes.
+std::map<std::uint32_t, CellKey> SmallKeys(const BiGrid& grid) {
+  const SmallGrid& small = grid.small_grid();
   std::map<std::uint32_t, CellKey> keys;
-  for (std::size_t t = 0; t < shards.size(); ++t) {
-    shards[t].index.ForEach([&](const CellKey& k, std::uint32_t slot) {
-      keys[static_cast<std::uint32_t>(((slot - 1) << bits) | t)] = k;
+  for (std::size_t t = 0; t < small.index.size(); ++t) {
+    small.index[t].ForEach([&](const CellKey& k, std::uint32_t slot) {
+      keys[small.base[t] + slot - 1] = k;
     });
   }
   return keys;
 }
-std::map<std::uint32_t, CellKey> SmallKeys(const BiGrid& grid) {
-  const auto& shards = grid.small_shards();
-  return KeysById(shards, static_cast<int>(std::bit_width(shards.size() - 1)));
-}
+
+/// Every large cell's key by its id, read from the points: the key of
+/// each point the grid holds, under the id the point names.
 std::map<std::uint32_t, CellKey> LargeKeys(const BiGrid& grid) {
-  const LargeGridData& large = *grid.ShareLargeGrid();
-  return KeysById(large.shards, large.shard_bits);
+  const ObjectSet& set = grid.objects();
+  std::map<std::uint32_t, CellKey> keys;
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      const std::uint32_t id = grid.LargeCellOf(i, j);
+      if (id != kNoCell) {
+        keys.emplace(id, KeyForWidth(set[i].points[j], grid.large_width()));
+      }
+    }
+  }
+  return keys;
 }
 
 /// The id of the large cell with key k, or kNoCell.
 std::uint32_t LargeId(const BiGrid& grid, const CellKey& k) {
   const LargeCell* cell = grid.FindLarge(k);
   if (cell == nullptr) return kNoCell;
-  const LargeGridData& large = *grid.ShareLargeGrid();
-  for (std::size_t t = 0; t < large.shards.size(); ++t) {
-    const std::vector<LargeCell>& cells = large.shards[t].cells;
-    if (cell >= cells.data() && cell < cells.data() + cells.size()) {
-      return static_cast<std::uint32_t>(
-          (static_cast<std::size_t>(cell - cells.data()) << large.shard_bits) |
-          t);
-    }
-  }
-  return kNoCell;
+  return static_cast<std::uint32_t>(cell -
+                                    grid.ShareLargeGrid()->cells.data());
 }
 
 /// The neighbour table agrees with the hash index: each large cell lists
@@ -117,23 +116,20 @@ void ExpectNeighborTable(const BiGrid& grid) {
   }
 }
 
-/// What names cells by id agrees with the keys: each shard's cells and
-/// their posting blocks ascend by key; each point's id names the cell of
-/// its key, and a point the build skipped holds kNoCell; each key list
-/// names exactly the small cells of the object shared with another.
+/// What names cells by id agrees with the keys: ids ascend by key across
+/// the whole large grid, and so do the cells' posting blocks; each point's
+/// id names the cell of its key, and a point the build skipped holds
+/// kNoCell; each key list names exactly the small cells of the object
+/// shared with another.
 void ExpectIdLayer(const BiGrid& grid, const LabelSet* labels) {
-  const LargeGridData& large = *grid.ShareLargeGrid();
+  const std::vector<LargeCell>& cells = grid.ShareLargeGrid()->cells;
   const std::map<std::uint32_t, CellKey> large_keys = LargeKeys(grid);
-  for (std::size_t t = 0; t < large.shards.size(); ++t) {
-    const std::vector<LargeCell>& cells = large.shards[t].cells;
-    for (std::size_t c = 1; c < cells.size(); ++c) {
-      const auto id = [&](std::size_t at) {
-        return static_cast<std::uint32_t>((at << large.shard_bits) | t);
-      };
-      EXPECT_TRUE(large_keys.at(id(c - 1)) < large_keys.at(id(c)));
-      EXPECT_LT(cells[c - 1].post_obj.data(), cells[c].post_obj.data());
-      EXPECT_LT(cells[c - 1].post_xyz, cells[c].post_xyz);
-    }
+  ASSERT_EQ(large_keys.size(), cells.size());
+  ASSERT_TRUE(cells.empty() || large_keys.rbegin()->first == cells.size() - 1);
+  for (std::uint32_t id = 1; id < cells.size(); ++id) {
+    EXPECT_TRUE(large_keys.at(id - 1) < large_keys.at(id)) << "cell " << id;
+    EXPECT_LT(cells[id - 1].post_obj.data(), cells[id].post_obj.data());
+    EXPECT_LT(cells[id - 1].post_xyz, cells[id].post_xyz);
   }
   const ObjectSet& set = grid.objects();
   const bool skips = labels != nullptr && !grid.reused_large_grid();
@@ -387,13 +383,12 @@ std::vector<ObjectId> PostObjs(const LargeCell& cell) {
 
 void ExpectSameSmallGrid(const BiGrid& want, const BiGrid& got) {
   EXPECT_EQ(got.NumSmallCells(), want.NumSmallCells());
-  for (const SmallShard& shard : want.small_shards()) {
-    shard.ForEach([&](const CellKey& k, const SmallCell& cell) {
-      const SmallCell* g = got.FindSmall(k);
-      ASSERT_NE(g, nullptr) << k.ToString();
-      EXPECT_EQ(g->bits.buffer(), cell.bits.buffer()) << k.ToString();
-      EXPECT_EQ(g->bits.SizeInBits(), cell.bits.SizeInBits());
-    });
+  for (const auto& [id, k] : SmallKeys(want)) {
+    const SmallCell& cell = want.SmallCellAt(id);
+    const SmallCell* g = got.FindSmall(k);
+    ASSERT_NE(g, nullptr) << k.ToString();
+    EXPECT_EQ(g->bits.buffer(), cell.bits.buffer()) << k.ToString();
+    EXPECT_EQ(g->bits.SizeInBits(), cell.bits.SizeInBits());
   }
   // Key lists name the same cells per object, without duplicates.
   const std::map<std::uint32_t, CellKey> want_keys = SmallKeys(want);
@@ -412,85 +407,96 @@ void ExpectSameSmallGrid(const BiGrid& want, const BiGrid& got) {
   }
 }
 
+/// `got`'s large grid equals `want`'s array for array: each cell, by id,
+/// has the same bitset, neighbour mask and places in the arrays, and the
+/// posting arrays, the neighbour table and the points' ids are equal.
 void ExpectSameLargeGrid(const BiGrid& want, const BiGrid& got) {
-  EXPECT_EQ(got.NumLargeCells(), want.NumLargeCells());
-  for (const LargeShard& shard : want.ShareLargeGrid()->shards) {
-    shard.ForEach([&](const CellKey& k, const LargeCell& cell) {
-      const LargeCell* g = got.FindLarge(k);
-      ASSERT_NE(g, nullptr) << k.ToString();
-      EXPECT_EQ(g->bits.buffer(), cell.bits.buffer()) << k.ToString();
-      EXPECT_EQ(g->bits.SizeInBits(), cell.bits.SizeInBits());
-      EXPECT_EQ(PostObjs(*g), PostObjs(cell));
-      ASSERT_EQ(g->NumPostingPoints(), cell.NumPostingPoints());
-      EXPECT_TRUE(std::equal(cell.post_start,
-                             cell.post_start + cell.post_obj.size(),
-                             g->post_start));
-      EXPECT_TRUE(std::equal(cell.post_xyz,
-                             cell.post_xyz + 3 * cell.NumPostingPoints(),
-                             g->post_xyz));
-      ExpectBitsInLockstep(*g);
-    });
+  const LargeGridData& w = *want.ShareLargeGrid();
+  const LargeGridData& g = *got.ShareLargeGrid();
+  ASSERT_EQ(g.cells.size(), w.cells.size());
+  for (std::size_t c = 0; c < w.cells.size(); ++c) {
+    const LargeCell& wc = w.cells[c];
+    const LargeCell& gc = g.cells[c];
+    EXPECT_EQ(gc.bits.buffer(), wc.bits.buffer()) << "cell " << c;
+    EXPECT_EQ(gc.bits.SizeInBits(), wc.bits.SizeInBits()) << "cell " << c;
+    EXPECT_EQ(gc.nbr_dirs, wc.nbr_dirs) << "cell " << c;
+    EXPECT_EQ(gc.num_points, wc.num_points) << "cell " << c;
+    EXPECT_EQ(gc.post_obj.data() - g.post_obj.data(),
+              wc.post_obj.data() - w.post_obj.data());
+    EXPECT_EQ(gc.post_obj.size(), wc.post_obj.size());
+    EXPECT_EQ(gc.post_start - g.post_start.data(),
+              wc.post_start - w.post_start.data());
+    EXPECT_EQ(gc.post_xyz - g.post_xyz.data(), wc.post_xyz - w.post_xyz.data());
+    ExpectBitsInLockstep(gc);
   }
+  EXPECT_EQ(g.post_obj, w.post_obj);
+  EXPECT_EQ(g.post_start, w.post_start);
+  EXPECT_EQ(g.post_xyz, w.post_xyz);
+  EXPECT_EQ(g.nbr_off, w.nbr_off);
+  EXPECT_EQ(g.nbr_ids, w.nbr_ids);
+  EXPECT_EQ(g.point_cell, w.point_cell);
 }
 
-/// Every group of every object, over the points the groups must cover:
-/// each group holds the points of its cell in ascending order, and the
-/// groups follow their first points.
+/// BiGrid::PointsByCell's contract, object by object: every mapped point
+/// appears once, with its cell's id; runs come in ascending cell id, point
+/// indices ascend within a run, and pruned points are absent.
 void ExpectGroupsCover(const BiGrid& grid, const LabelSet* labels) {
   const ObjectSet& set = grid.objects();
+  std::vector<CellPoint> points;
   for (ObjectId i = 0; i < set.size(); ++i) {
-    std::size_t want = 0;
+    grid.PointsByCell(i, &points);
+    std::vector<std::uint32_t> want, got;
     for (std::size_t j = 0; j < set[i].points.size(); ++j) {
-      want += Mapped(labels, i, j);
+      if (Mapped(labels, i, j)) want.push_back(static_cast<std::uint32_t>(j));
     }
-    std::size_t covered = 0;
-    std::uint32_t last_first = 0;
-    for (const PointGroup& g : grid.LargeGroups(i)) {
-      covered += g.point_idx.size();
-      ASSERT_FALSE(g.point_idx.empty());
-      EXPECT_TRUE(covered == g.point_idx.size() ||
-                  last_first < g.point_idx.front());
-      last_first = g.point_idx.front();
-      EXPECT_TRUE(std::is_sorted(g.point_idx.begin(), g.point_idx.end()));
-      for (std::uint32_t j : g.point_idx) {
-        EXPECT_EQ(grid.LargeCellOf(i, j), g.cell) << "object " << i;
+    for (std::size_t a = 0; a < points.size(); ++a) {
+      const CellPoint& p = points[a];
+      got.push_back(p.idx);
+      EXPECT_EQ(grid.LargeCellOf(i, p.idx), p.cell) << "object " << i;
+      if (a == 0) continue;
+      EXPECT_LE(points[a - 1].cell, p.cell) << "object " << i;
+      if (points[a - 1].cell == p.cell) {
+        EXPECT_LT(points[a - 1].idx, p.idx) << "object " << i;
       }
     }
-    EXPECT_EQ(covered, want) << "object " << i;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "object " << i;
   }
 }
 
 // One build path serves every thread count: shard counts 1-4, with and
-// without labels, and over an adopted cached grid, give the serial
-// build's cell bitsets byte for byte, its postings (ids and coordinates)
-// and its key-list sets, and every grid names its cells by id as its keys
-// do (ExpectIdLayer).
+// without labels, and an adopted grid cached from a 3-shard build, give
+// the serial build's small-cell bitsets byte for byte and its key-list
+// sets, and its large grid array for array; every grid names its cells by
+// id as its keys do (ExpectIdLayer), and groups its points by cell
+// (ExpectGroupsCover).
 TEST(BiGridTest, ParallelBuildMatchesSerial) {
   ObjectSet set = testing::MakeRandomObjects(30, 5, 12, 25.0, 8);
   double r = 4.5;
   const LabelSet labels = PruneSome(set);
   BiGrid complete(set, r);
-  complete.Build(nullptr, true);
+  complete.Build();
   BiGrid cached(set, r);
-  cached.BuildParallel(3, nullptr, true);
+  cached.BuildParallel(3);
   ASSERT_TRUE(cached.large_grid_complete());
   ExpectIdLayer(complete, nullptr);
   for (const LabelSet* lab : {static_cast<const LabelSet*>(nullptr), &labels}) {
     BiGrid serial(set, r);
-    serial.Build(lab, true);
+    serial.Build(lab);
     ExpectIdLayer(serial, lab);
+    ExpectGroupsCover(serial, lab);
     for (int threads : {1, 2, 3, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads) +
                    (lab != nullptr ? " labelled" : ""));
       BiGrid parallel(set, r);
-      parallel.BuildParallel(threads, lab, true);
+      parallel.BuildParallel(threads, lab);
       ExpectSameSmallGrid(serial, parallel);
       ExpectSameLargeGrid(serial, parallel);
       ExpectGroupsCover(parallel, lab);
       ExpectIdLayer(parallel, lab);
 
       BiGrid adopter(set, r, /*planar=*/false, cached.ShareLargeGrid());
-      adopter.BuildParallel(threads, lab, true);
+      adopter.BuildParallel(threads, lab);
       ASSERT_TRUE(adopter.reused_large_grid());
       ExpectSameSmallGrid(serial, adopter);
       ExpectSameLargeGrid(complete, adopter);
@@ -498,6 +504,56 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
       ExpectIdLayer(adopter, lab);
     }
   }
+}
+
+// FindLarge binary-searches the cells by key: every cell's key finds it,
+// and a key before the first cell, one between two cells, one after the
+// last and the key of a cell whose every point the labels pruned find
+// nothing.
+TEST(BiGridTest, FindLargeMissesAbsentKeys) {
+  const ObjectSet set = testing::MakeRandomObjects(30, 5, 12, 25.0, 8);
+  const double r = 4.5;
+  BiGrid grid(set, r);
+  grid.Build();
+  const std::map<std::uint32_t, CellKey> keys = LargeKeys(grid);
+  ASSERT_GE(keys.size(), 2u);
+  for (const auto& [id, k] : keys) {
+    EXPECT_EQ(grid.FindLarge(k), &grid.LargeCellAt(id)) << k.ToString();
+  }
+  const CellKey first = keys.begin()->second;
+  const CellKey last = keys.rbegin()->second;
+  EXPECT_EQ(grid.FindLarge(CellKey{first.x, first.y, first.z - 1}), nullptr);
+  EXPECT_EQ(grid.FindLarge(CellKey{last.x, last.y, last.z + 1}), nullptr);
+  // (x, y, z + 1) follows (x, y, z) at once in key order, so unless it
+  // is the next cell's key it lies between the two.
+  bool between = false;
+  for (std::uint32_t id = 0; id + 1 < keys.size() && !between; ++id) {
+    const CellKey k = keys.at(id);
+    const CellKey next{k.x, k.y, k.z + 1};
+    if (next == keys.at(id + 1)) continue;
+    EXPECT_EQ(grid.FindLarge(next), nullptr) << next.ToString();
+    between = true;
+  }
+  EXPECT_TRUE(between);
+
+  // Prune every point of the middle cell: a labelled build has no cell
+  // there, and its neighbours in key order are still found.
+  const std::uint32_t middle = static_cast<std::uint32_t>(keys.size() / 2);
+  const CellKey pruned = keys.at(middle);
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      if (grid.LargeCellOf(i, j) == middle) {
+        labels.labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
+      }
+    }
+  }
+  BiGrid labelled(set, r);
+  labelled.Build(&labels);
+  EXPECT_EQ(labelled.NumLargeCells(), grid.NumLargeCells() - 1);
+  EXPECT_EQ(labelled.FindLarge(pruned), nullptr);
+  EXPECT_NE(labelled.FindLarge(keys.at(middle - 1)), nullptr);
+  EXPECT_NE(labelled.FindLarge(keys.at(middle + 1)), nullptr);
 }
 
 /// Random objects, plus one cell every object shares (runs of ones) and
@@ -566,9 +622,9 @@ TEST(BiGridTest, CellBitsetsAreIncrementalEncodings) {
                                         ~std::uint64_t(0)}));
 }
 
-// The cells' postings tile their shard's three arrays in cell order:
-// every mapped point once, objects ascending, each object's points in
-// input order, and each cell's block [xs | ys | zs].
+// The cells' postings tile the grid's three arrays in id order: every
+// mapped point once, objects ascending, each object's points in input
+// order, and each cell's block [xs | ys | zs].
 TEST(BiGridTest, PostingsPartitionTheirShardArrays) {
   const ObjectSet set = testing::MakeRandomObjects(40, 4, 12, 20.0, 22, 2.0);
   const double r = 3.5;
@@ -579,37 +635,25 @@ TEST(BiGridTest, PostingsPartitionTheirShardArrays) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       BiGrid grid(set, r);
       grid.BuildParallel(threads, lab);
-      std::size_t points = 0;
-      for (const LargeShard& shard : grid.ShareLargeGrid()->shards) {
-        std::vector<const LargeCell*> cells;
-        shard.ForEach([&](const CellKey&, const LargeCell& c) {
-          cells.push_back(&c);
-        });
-        std::sort(cells.begin(), cells.end(),
-                  [](const LargeCell* a, const LargeCell* b) {
-                    return a->post_obj.data() < b->post_obj.data();
-                  });
-        std::size_t objs = 0, pts = 0;
-        for (const LargeCell* c : cells) {
-          EXPECT_EQ(c->post_obj.data(), shard.post_obj.data() + objs);
-          EXPECT_EQ(c->post_start, shard.post_start.data() + objs);
-          EXPECT_EQ(c->post_xyz, shard.post_xyz.data() + 3 * pts);
-          ASSERT_FALSE(c->post_obj.empty());
-          EXPECT_EQ(c->post_start[0], 0u);
-          for (std::size_t k = 1; k < c->post_obj.size(); ++k) {
-            EXPECT_LT(c->post_obj[k - 1], c->post_obj[k]);
-            EXPECT_LT(c->post_start[k - 1], c->post_start[k]);
-          }
-          EXPECT_LT(c->post_start[c->post_obj.size() - 1],
-                    c->NumPostingPoints());
-          objs += c->post_obj.size();
-          pts += c->NumPostingPoints();
+      const LargeGridData& large = *grid.ShareLargeGrid();
+      std::size_t objs = 0, points = 0;
+      for (const LargeCell& c : large.cells) {
+        EXPECT_EQ(c.post_obj.data(), large.post_obj.data() + objs);
+        EXPECT_EQ(c.post_start, large.post_start.data() + objs);
+        EXPECT_EQ(c.post_xyz, large.post_xyz.data() + 3 * points);
+        ASSERT_FALSE(c.post_obj.empty());
+        EXPECT_EQ(c.post_start[0], 0u);
+        for (std::size_t k = 1; k < c.post_obj.size(); ++k) {
+          EXPECT_LT(c.post_obj[k - 1], c.post_obj[k]);
+          EXPECT_LT(c.post_start[k - 1], c.post_start[k]);
         }
-        EXPECT_EQ(objs, shard.post_obj.size());
-        EXPECT_EQ(objs, shard.post_start.size());
-        EXPECT_EQ(3 * pts, shard.post_xyz.size());
-        points += pts;
+        EXPECT_LT(c.post_start[c.post_obj.size() - 1], c.NumPostingPoints());
+        objs += c.post_obj.size();
+        points += c.NumPostingPoints();
       }
+      EXPECT_EQ(objs, large.post_obj.size());
+      EXPECT_EQ(objs, large.post_start.size());
+      EXPECT_EQ(3 * points, large.post_xyz.size());
       EXPECT_EQ(points, want.mapped_points);
       for (const auto& [kt, postings] : want.large) {
         const LargeCell* cell = grid.FindLarge(AsKey(kt));
@@ -633,36 +677,28 @@ TEST(BiGridTest, PostingsPartitionTheirShardArrays) {
 }
 
 /// MemoryUsage recomputed by walking every structure: index tables,
-/// cell arrays, shard posting arrays, neighbour tables, every cell
-/// bitset, every ready b_adj, the points' cell ids, the key lists and the
-/// groups.
+/// cell arrays, posting arrays, the neighbour table, every cell bitset,
+/// every ready b_adj, the points' cell ids and the key lists.
 std::vector<std::pair<std::string, std::size_t>> ReferenceMemory(
     const BiGrid& grid) {
   std::vector<std::pair<std::string, std::size_t>> parts;
-  std::size_t small = 0;
-  for (const SmallShard& shard : grid.small_shards()) {
-    small += shard.index.TableBytes() +
-             shard.cells.capacity() * sizeof(SmallCell);
-    for (const SmallCell& cell : shard.cells) {
-      small += cell.bits.MemoryUsageBytes();
-    }
-  }
+  const SmallGrid& sg = grid.small_grid();
+  std::size_t small = sg.cells.capacity() * sizeof(SmallCell) +
+                      sg.base.capacity() * sizeof(std::uint32_t);
+  for (const CellIndex& index : sg.index) small += index.TableBytes();
+  for (const SmallCell& cell : sg.cells) small += cell.bits.MemoryUsageBytes();
   parts.emplace_back("small_grid", small);
-  std::size_t large = 0;
-  for (const LargeShard& shard : grid.ShareLargeGrid()->shards) {
-    large += shard.index.TableBytes() +
-             shard.cells.capacity() * sizeof(LargeCell) +
-             shard.post_obj.capacity() * sizeof(ObjectId) +
-             shard.post_start.capacity() * sizeof(std::uint32_t) +
-             shard.post_xyz.capacity() * sizeof(double) +
-             shard.nbr_off.capacity() * sizeof(std::uint32_t) +
-             shard.nbr_ids.capacity() * sizeof(std::uint32_t);
-    for (const LargeCell& cell : shard.cells) {
-      large += cell.bits.MemoryUsageBytes();
-      if (cell.AdjReady()) large += cell.adj.MemoryUsageBytes();
-    }
-  }
   const LargeGridData& data = *grid.ShareLargeGrid();
+  std::size_t large = data.cells.capacity() * sizeof(LargeCell) +
+                      data.post_obj.capacity() * sizeof(ObjectId) +
+                      data.post_start.capacity() * sizeof(std::uint32_t) +
+                      data.post_xyz.capacity() * sizeof(double) +
+                      data.nbr_off.capacity() * sizeof(std::uint32_t) +
+                      data.nbr_ids.capacity() * sizeof(std::uint32_t);
+  for (const LargeCell& cell : data.cells) {
+    large += cell.bits.MemoryUsageBytes();
+    if (cell.AdjReady()) large += cell.adj.MemoryUsageBytes();
+  }
   large += data.point_begin.capacity() * sizeof(std::size_t) +
            data.point_cell.capacity() * sizeof(std::uint32_t);
   parts.emplace_back("large_grid", large);
@@ -672,17 +708,6 @@ std::vector<std::pair<std::string, std::size_t>> ReferenceMemory(
     keys += grid.KeyList(i).size() * sizeof(std::uint32_t);
   }
   parts.emplace_back("key_lists", keys);
-  if (grid.has_groups()) {
-    const auto& all = grid.ShareLargeGrid()->groups;
-    std::size_t bytes = all.capacity() * sizeof(std::vector<PointGroup>);
-    for (const auto& groups : all) {
-      bytes += groups.capacity() * sizeof(PointGroup);
-      for (const PointGroup& g : groups) {
-        bytes += g.point_idx.capacity() * sizeof(std::uint32_t);
-      }
-    }
-    parts.emplace_back("point_groups", bytes);
-  }
   return parts;
 }
 
@@ -691,12 +716,11 @@ void ExpectTallyMatchesWalk(const BiGrid& grid) {
 }
 
 /// A tripped build leaves an empty, incomplete grid that any read may
-/// still touch: no cell, no key, no group, only empty tables.
+/// still touch: no cell, no key, only empty tables.
 void ExpectAbandoned(const BiGrid& grid) {
   EXPECT_FALSE(grid.large_grid_complete());
   EXPECT_EQ(grid.NumSmallCells(), 0u);
   EXPECT_EQ(grid.NumLargeCells(), 0u);
-  EXPECT_FALSE(grid.has_groups());
   for (ObjectId i = 0; i < grid.objects().size(); ++i) {
     EXPECT_TRUE(grid.KeyList(i).empty());
   }
@@ -726,14 +750,14 @@ TEST(BiGridTest, TrippedBuildIsIncompleteAndUncached) {
     QueryGuard guard;
     guard.SetCancelToken(&token);
     BiGrid grid(set, r);
-    grid.BuildParallel(threads, nullptr, /*build_groups=*/true, &guard);
+    grid.BuildParallel(threads, nullptr, &guard);
     EXPECT_EQ(guard.code(), StatusCode::kCancelled);
     ExpectAbandoned(grid);
 
     QueryGuard adopter_guard;
     adopter_guard.SetCancelToken(&token);
     BiGrid adopter(set, r, /*planar=*/false, cached.ShareLargeGrid());
-    adopter.BuildParallel(threads, nullptr, false, &adopter_guard);
+    adopter.BuildParallel(threads, nullptr, &adopter_guard);
     EXPECT_EQ(adopter.NumSmallCells(), 0u);
     EXPECT_TRUE(cached.large_grid_complete());
     EXPECT_EQ(adopter.NumLargeCells(), cached.NumLargeCells());
@@ -747,7 +771,7 @@ TEST(BiGridTest, TrippedBuildIsIncompleteAndUncached) {
     ASSERT_TRUE(fault::Arm("alloc.bigrid", "nth=2").ok());
     QueryGuard guard;
     BiGrid grid(set, r);
-    grid.BuildParallel(threads, nullptr, false, &guard);
+    grid.BuildParallel(threads, nullptr, &guard);
     fault::Reset();
     EXPECT_EQ(guard.code(), StatusCode::kResourceExhausted);
     ExpectAbandoned(grid);
@@ -766,8 +790,8 @@ TEST(BiGridTest, TrippedBuildIsIncompleteAndUncached) {
 
 // MemoryUsage reads byte tallies, not the cells, and they equal a walk
 // of every structure: after a build, after EnsureAdj (also from several
-// threads at once), after the groups, and on a grid adopting a cached
-// large grid an earlier query extended.
+// threads at once), and on a grid adopting a cached large grid an earlier
+// query extended.
 TEST(BiGridTest, MemoryTalliesMatchAReferenceWalk) {
   const ObjectSet set = testing::MakeRandomObjects(60, 4, 12, 25.0, 23, 3.0);
   const double r = 3.2;
@@ -794,24 +818,21 @@ TEST(BiGridTest, MemoryTalliesMatchAReferenceWalk) {
     for (std::thread& racer : racers) racer.join();
     ExpectTallyMatchesWalk(grid);
 
-    BiGrid grouped(set, r);
-    grouped.BuildParallel(threads, nullptr, /*build_groups=*/true);
-    ASSERT_TRUE(grouped.has_groups());
-    ExpectTallyMatchesWalk(grouped);
-    grouped.EnsureAdj(grouped.LargeCellOf(0, 0));
-    BiGrid adopter(set, 3.7, /*planar=*/false, grouped.ShareLargeGrid());
+    BiGrid shared(set, r);
+    shared.BuildParallel(threads);
+    shared.EnsureAdj(shared.LargeCellOf(0, 0));
+    BiGrid adopter(set, 3.7, /*planar=*/false, shared.ShareLargeGrid());
     adopter.Build(&labels);
     ASSERT_TRUE(adopter.reused_large_grid());
     ExpectTallyMatchesWalk(adopter);
 
-    // LargeGridPostingBytes: the shard arrays' posting bytes, which are
-    // the cells' postings.
-    std::size_t arrays = 0, cells = 0;
-    for (const LargeShard& shard : grid.ShareLargeGrid()->shards) {
-      arrays += shard.post_obj.size() * sizeof(ObjectId) +
-                shard.post_start.size() * sizeof(std::uint32_t) +
-                shard.post_xyz.size() * sizeof(double);
-    }
+    // LargeGridPostingBytes: the posting arrays' bytes, which are the
+    // cells' postings.
+    const LargeGridData& large = *grid.ShareLargeGrid();
+    const std::size_t arrays = large.post_obj.size() * sizeof(ObjectId) +
+                               large.post_start.size() * sizeof(std::uint32_t) +
+                               large.post_xyz.size() * sizeof(double);
+    std::size_t cells = 0;
     grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
       cells += cell.post_obj.size() * sizeof(ObjectId) +
                cell.post_obj.size() * sizeof(std::uint32_t) +
@@ -861,7 +882,7 @@ TEST(BiGridTest, BuildWithLabelsSkipsPrunedPoints) {
 TEST(BiGridTest, ReusedGridKeepsPostingsInLockstep) {
   ObjectSet set = testing::MakeRandomObjects(40, 5, 12, 20.0, 12, 2.0);
   BiGrid first(set, 3.2);
-  first.BuildParallel(2, nullptr, true);
+  first.BuildParallel(2);
   for (const auto& [id, key] : LargeKeys(first)) first.EnsureAdj(id);
   ASSERT_TRUE(first.large_grid_complete());
   BiGrid adopter(set, 3.7, /*planar=*/false, first.ShareLargeGrid());

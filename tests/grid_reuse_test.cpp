@@ -2,6 +2,11 @@
 // identical with and without the cache, in every mode combination.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "core/mio_engine.hpp"
 #include "test_utils.hpp"
 
@@ -99,6 +104,35 @@ TEST_F(GridReuseTest, ReuseAcrossThreadCounts) {
   QueryResult res2 = engine2.Query(4.0, serial);
   EXPECT_TRUE(res2.stats.reused_grid);
   EXPECT_EQ(res2.best().score, best);
+
+  // The large grid is the same at every thread count, so a serial query
+  // that records labels over a grid cached at 4 threads does the serial
+  // query's work and records its label bytes.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mio_grid_reuse_" + std::to_string(::testing::UnitTest::GetInstance()
+                                              ->random_seed()));
+  std::filesystem::remove_all(dir);
+  QueryOptions record = serial;
+  record.record_labels = true;
+  MioEngine fresh(set_, (dir / "fresh").string());
+  QueryResult want = fresh.Query(4.0, record);
+  MioEngine warmed(set_, (dir / "warmed").string());
+  warmed.Query(4.0, parallel);
+  QueryResult got = warmed.Query(4.0, record);
+  EXPECT_FALSE(want.stats.reused_grid);
+  EXPECT_TRUE(got.stats.reused_grid);
+  EXPECT_EQ(got.best().score, best);
+  EXPECT_EQ(got.stats.distance_computations,
+            want.stats.distance_computations);
+  auto bytes = [](const std::filesystem::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string want_labels = bytes(dir / "fresh" / "labels_4.bin");
+  EXPECT_FALSE(want_labels.empty());
+  EXPECT_EQ(bytes(dir / "warmed" / "labels_4.bin"), want_labels);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(GridReuseTest, TopKWithReuse) {

@@ -66,7 +66,7 @@ TEST_P(ParallelPhaseTest, LowerBoundingStrategiesMatchSerial) {
   const ParallelCase& c = GetParam();
   ObjectSet set = MakeSet();
   BiGrid grid(set, c.r);
-  grid.Build(nullptr, true);
+  grid.Build();
 
   LowerBoundResult serial = LowerBounding(grid, true);
   for (LbStrategy strategy : {LbStrategy::kGreedyDivideObjects,
@@ -92,7 +92,7 @@ TEST_P(ParallelPhaseTest, UpperBoundingStrategiesMatchSerial) {
   for (UbStrategy strategy :
        {UbStrategy::kCostBasedGreedy, UbStrategy::kGreedyDivideObjects}) {
     BiGrid pgrid(set, c.r);
-    pgrid.BuildParallel(c.threads, nullptr, true);
+    pgrid.BuildParallel(c.threads);
     UpperBoundResult par = ParallelUpperBounding(
         pgrid, 0, strategy, c.threads, nullptr, nullptr, nullptr);
     EXPECT_EQ(par.tau_upp, serial.tau_upp)
