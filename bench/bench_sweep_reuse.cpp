@@ -5,7 +5,7 @@
 //   BIGrid            — rebuild everything per query (the paper's mode);
 //   BIGrid-label      — label reuse (the paper's §III-D);
 //   BIGrid-label+grid — labels plus this library's cached large grid
-//                       (cells, memoised b_adj, point groups).
+//                       (cells, postings, memoised b_adj).
 //
 //   ./bench_sweep_reuse [--datasets=neuron,bird2] [--rbase=4]
 //                       [--steps=5] [--full]

@@ -19,7 +19,7 @@ namespace {
 // LargeGridData cells. Keyed by address so the shared structs stay plain
 // copyable data; 64 stripes keep cross-cell contention negligible while
 // bounding lock storage. Stripe collisions between unrelated cells only
-// serialise two builders, never deadlock (no path holds two stripes at
+// serialise two unions, never deadlock (no path holds two stripes at
 // once).
 std::mutex& StripeFor(const void* p) {
   static std::array<std::mutex, 64> stripes;
