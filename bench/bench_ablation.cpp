@@ -11,8 +11,13 @@
 //      one OR per distinct cell (what Labeling-2 effectively converges
 //      to, and what serial UpperBounding does) — quantifies how much of
 //      BIGrid-label's gain is key dedup.
+//  (4) stopping losers: best-first verification whose scans get the
+//      top-1 threshold (a scan stops once its confirmed partners plus its
+//      undecided objects cannot beat it) vs every scan run to its exact
+//      score — candidates verified and stopped, distance computations and
+//      verification time.
 //
-//   ./bench_ablation [--datasets=neuron,bird2] [--r=4]
+//   ./bench_ablation [--datasets=neuron,bird2] [--r=4[,R2,...]]
 #include <cmath>
 #include <numeric>
 
@@ -113,6 +118,35 @@ void ReportVerificationOrderAblation(const mio::ObjectSet& set, double r) {
               best_first, arbitrary, ub.candidates.size());
 }
 
+void ReportStopAblation(const mio::ObjectSet& set, double r) {
+  mio::BiGrid grid(set, r);
+  grid.Build();
+  mio::LowerBoundResult lb = mio::LowerBounding(grid, false);
+  mio::UpperBoundResult ub =
+      mio::UpperBounding(grid, lb.tau_low_max, nullptr, nullptr, nullptr,
+                         nullptr, &lb.tau_low);
+  for (bool stop : {false, true}) {
+    mio::QueryStats stats;
+    mio::VerifyArena arena;
+    mio::Timer t;
+    const std::vector<mio::ScoredObject> top = mio::VerifyCandidates(
+        ub, 1, nullptr, &stats, nullptr,
+        [&](mio::ObjectId i, const mio::Ewah*, long long threshold,
+            bool* stopped) {
+          return mio::ExactScore(grid, i, nullptr, nullptr, nullptr,
+                                 &stats.distance_computations, true, nullptr,
+                                 &arena, stop ? threshold : -1, stopped);
+        });
+    const double ms = t.ElapsedSeconds() * 1e3;
+    std::printf("  verification %-17s verified %zu, stopped %zu, %zu distance "
+                "computations, %.2f ms (tau=%u)\n",
+                stop ? "with threshold:" : "without threshold:",
+                stats.num_verified, stats.num_stopped,
+                stats.distance_computations, ms,
+                top.empty() ? 0u : top.front().score);
+  }
+}
+
 std::size_t benchmark_sink = 0;
 
 void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
@@ -157,7 +191,7 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
 
 int main(int argc, char** argv) {
   mio::ArgParser args(argc, argv);
-  double r = args.GetDouble("r", 4.0);
+  std::vector<double> radii = args.GetDoubleList("r", {4.0});
   std::vector<std::string> names =
       args.GetStringList("datasets", {"neuron", "bird2"});
 
@@ -167,29 +201,32 @@ int main(int argc, char** argv) {
     if (!mio::datagen::ParsePreset(name, &preset)) continue;
     mio::ObjectSet set =
         mio::datagen::MakePreset(preset, mio::datagen::Scale::kQuick);
-    std::vector<std::uint32_t> exact = mio::SimpleGridScores(set, r);
+    for (double r : radii) {
+      std::vector<std::uint32_t> exact = mio::SimpleGridScores(set, r);
 
-    std::printf("\ndataset=%s r=%.1f\n", name.c_str(), r);
-    ReportWidthAblation(set, r, exact);
-    ReportVerificationOrderAblation(set, r);
-    ReportUbGranularityAblation(set, r);
+      std::printf("\ndataset=%s r=%.1f\n", name.c_str(), r);
+      ReportWidthAblation(set, r, exact);
+      ReportVerificationOrderAblation(set, r);
+      ReportUbGranularityAblation(set, r);
+      ReportStopAblation(set, r);
 
-    // The paper's II-B claim: MBR indexing is ineffective for point-set
-    // objects. Emptiness near 1.0 = "uselessly large rectangles"; the RT
-    // baseline timing shows the consequence.
-    {
-      double emptiness = mio::MbrEmptinessFraction(set, r);
-      mio::Timer t;
-      mio::QueryResult rt = mio::RtreeMbrQuery(set, r);
-      double rt_time = t.ElapsedSeconds();
-      t.Restart();
-      mio::MioEngine engine(set);
-      mio::QueryResult bg = engine.Query(r);
-      std::printf("  MBR indexing (paper II-B): mean MBR emptiness %.1f%%; "
-                  "RT %s vs BIGrid %s (answers agree: %s)\n",
-                  emptiness * 100.0, mio::bench::Sec(rt_time).c_str(),
-                  mio::bench::Sec(t.ElapsedSeconds()).c_str(),
-                  rt.best().score == bg.best().score ? "yes" : "NO");
+      // The paper's II-B claim: MBR indexing is ineffective for point-set
+      // objects. Emptiness near 1.0 = "uselessly large rectangles"; the RT
+      // baseline timing shows the consequence.
+      {
+        double emptiness = mio::MbrEmptinessFraction(set, r);
+        mio::Timer t;
+        mio::QueryResult rt = mio::RtreeMbrQuery(set, r);
+        double rt_time = t.ElapsedSeconds();
+        t.Restart();
+        mio::MioEngine engine(set);
+        mio::QueryResult bg = engine.Query(r);
+        std::printf("  MBR indexing (paper II-B): mean MBR emptiness %.1f%%; "
+                    "RT %s vs BIGrid %s (answers agree: %s)\n",
+                    emptiness * 100.0, mio::bench::Sec(rt_time).c_str(),
+                    mio::bench::Sec(t.ElapsedSeconds()).c_str(),
+                    rt.best().score == bg.best().score ? "yes" : "NO");
+      }
     }
   }
   (void)benchmark_sink;

@@ -476,7 +476,8 @@ SHAPE = {  # section -> {field: type}
                "lower_bounding": NUMBER, "upper_bounding": NUMBER,
                "verification": NUMBER, "total": NUMBER},
     "funnel": {"objects": NUMBER, "candidates": NUMBER, "verified": NUMBER,
-               "distance_computations": NUMBER, "tau_low_max": NUMBER},
+               "stopped": NUMBER, "distance_computations": NUMBER,
+               "tau_low_max": NUMBER},
     "grid": {"reused": BOOL, "cells_small": NUMBER, "cells_large": NUMBER},
     "winner": {"id": NUMBER, "score": NUMBER},
     "labels": {"outcome": STRING, "points_pruned": NUMBER},

@@ -55,19 +55,20 @@ struct CellTally {
   std::uint32_t points = 0;       ///< points, then point cursor (large)
 };
 
-/// One shard's pass-1 state for one grid: its cells' tallies and keys by
-/// the dense index Intern gives them.
+/// One shard's pass-1 state for one grid: its cells' tallies, and for
+/// the large grid their keys, by the dense index Intern gives them.
 struct ShardScratch {
   std::vector<CellTally> tally;
-  std::vector<CellKey> keys;
+  std::vector<CellKey> keys;      ///< large grid: read by SortLargeCells
   std::vector<std::uint32_t> id;  ///< large grid: index -> cell id
 
-  /// Index of the cell with key k in `index`, created on first sight.
-  std::uint32_t Intern(CellIndex* index, const CellKey& k) {
+  /// Index of the cell with key k in `index`, created on first sight;
+  /// `keep_key` appends a new cell's key to `keys`.
+  std::uint32_t Intern(CellIndex* index, const CellKey& k, bool keep_key) {
     std::uint32_t& slot = (*index)[k];
     if (slot == 0) {
       tally.emplace_back();
-      keys.push_back(k);
+      if (keep_key) keys.push_back(k);
       slot = static_cast<std::uint32_t>(tally.size());
     }
     return slot - 1;
@@ -358,7 +359,8 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         const std::size_t pt = first_point[i] + j;
         const CellKey ks = KeyForWidth(p, small_width_);
         if (ShardOf(ks, shards) == t) {
-          const std::uint32_t c = sx.Intern(&small_.index[t], ks);
+          const std::uint32_t c =
+              sx.Intern(&small_.index[t], ks, /*keep_key=*/false);
           CellTally& tl = sx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -370,7 +372,8 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
         const CellKey kl = KeyForWidth(p, large_width);
         if (ShardOf(kl, shards) == t) {
           ShardScratch& lx = large_scratch[t];
-          const std::uint32_t c = lx.Intern(&large_index[t], kl);
+          const std::uint32_t c =
+              lx.Intern(&large_index[t], kl, /*keep_key=*/true);
           CellTally& tl = lx.tally[c];
           if (tl.last_obj != i) {
             tl.last_obj = i;
@@ -406,7 +409,6 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
                              tally.end());
     }
     std::vector<CellTally>().swap(tally);
-    std::vector<CellKey>().swap(small_scratch[t].keys);
   }
   small_ids.Offsets(/*points=*/false);
   small_ids.members.resize(small_ids.obj_off.back());

@@ -1,6 +1,7 @@
 #include "core/parallel_phases.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <unordered_map>
 
@@ -308,146 +309,150 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
 
 namespace {
 
-/// One core's share of one P_{i,K} group: a contiguous run of that core's
-/// point list, verified with one VerifyGroup call.
-struct GroupShare {
-  std::uint32_t cell;
-  std::size_t begin;
-  std::size_t end;
+/// One core's decisions for the current candidate. `round` holds, by
+/// round parity, its disproofs so far and whether its guard poll tripped:
+/// a core writes round r + 1's slot while the others still read round
+/// r's, and none can write round r's again before all pass round r + 1's
+/// barrier.
+struct alignas(64) CoreScan {
+  struct Round {
+    std::size_t disproved = 0;
+    bool tripped = false;
+  };
+  Round round[2];
+  std::vector<std::uint32_t> witnesses;
+  std::size_t confirmed = 0;
+  std::size_t disproved = 0;
+  std::size_t comps = 0;
 };
 
-/// Parallel exact score of one candidate: the points are grouped by cell
-/// in key order (BiGrid::PointsByCell), then partitioned across cores
-/// (round-robin within each P_{i,K}; tiny groups go to the least loaded
-/// core) and each core scans its share of every group with a private
-/// accumulator, seeded like the serial path's (SeedPartners); the
-/// accumulators are merged afterwards (paper §IV, with/without label).
-/// Each worker's scan time is accumulated into
-/// stats->verify_thread_seconds so load imbalance is reportable. `cores`
-/// holds one scratch arena per thread, reused across candidates.
-std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
+/// The parallel verifier's scratch, reused across candidates: one arena
+/// for the candidate's scan, the indices of its undecided set's non-zero
+/// words, and one CoreScan per core.
+struct ParallelScan {
+  VerifyArena arena;
+  std::vector<std::uint32_t> live;
+  std::vector<CoreScan> cores;
+};
+
+/// Parallel exact score of one candidate (paper §IV, with/without
+/// label): StartScan runs on the calling thread, then one region splits
+/// the undecided objects across cores in word-aligned shares. In each
+/// round every core decides the objects of one live (non-zero) word of
+/// the undecided set with ReachTable::Witness, the same test as
+/// ExactScore's; then the cores sum their disproofs and all stop
+/// together once confirmed + undecided <= threshold. One word per round
+/// stops bird's losers about as early as the serial scan does; deciding
+/// a whole share per core with no check inside the region verified
+/// slower on quick bird and full bird2 at 4 threads (CHANGES.md). Shares
+/// are fixed by round and core, so the result and the work do not
+/// depend on timing. Witnesses are collected per core and recorded after
+/// the region, so no two cores write one label byte. Each worker's time
+/// is accumulated into stats->verify_thread_seconds so load imbalance is
+/// reportable.
+std::uint32_t ParallelExactScore(const BiGrid& grid, ObjectId i, int threads,
                                  const LabelSet* use_labels,
                                  LabelSet* record_labels, const Ewah* lb_bitset,
                                  QueryStats* stats, bool use_verify_bit,
-                                 QueryGuard* guard, Groups* groups,
-                                 std::vector<VerifyArena>& cores) {
-  groups->Of(grid, i);
-  const std::size_t num_groups = groups->size();
-
-  // Phase 1: make sure every needed b_adj exists (with labels, upper
-  // bounding may have skipped some cells). Cells are unique per group, so
-  // parallel EnsureAdj calls touch distinct cells.
-#pragma omp parallel for schedule(dynamic, 8) num_threads(threads)
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    grid.EnsureAdj(groups->cell(g));
+                                 QueryGuard* guard, long long threshold,
+                                 bool* stopped, ParallelScan* scan) {
+  VerifyArena& a = scan->arena;
+  const ScanStart start =
+      StartScan(grid, i, use_labels, use_verify_bit, lb_bitset, &a);
+  auto beaten = [&](std::size_t ruled_out) {
+    return static_cast<long long>(start.confirmed + start.undecided -
+                                  ruled_out) <= threshold;
+  };
+  const std::vector<std::uint64_t>& words = a.undecided.words();
+  std::vector<std::uint32_t>& live = scan->live;
+  live.clear();
+  if (!beaten(0)) {
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if (words[w] != 0) live.push_back(static_cast<std::uint32_t>(w));
+    }
   }
 
-  PlainBitset seed;
-  SeedPartners(grid, i, lb_bitset, &seed);
-
-  // Phase 2: prune whole cells already covered by the seed before
-  // distributing any points. A recording query keeps them: VerifyGroup
-  // must see a settled group to clear its kVerify bits (Labeling-3).
-  std::vector<char> group_alive(num_groups, 1);
-  if (record_labels == nullptr) {
+  const std::size_t nthreads = static_cast<std::size_t>(threads);
+  const std::size_t rounds = (live.size() + nthreads - 1) / nthreads;
+  const double r2 = grid.r() * grid.r();
+  std::vector<CoreScan>& cores = scan->cores;
+  for (CoreScan& core : cores) {
+    core.witnesses.clear();
+    core.confirmed = core.disproved = core.comps = 0;
+  }
+  if (rounds > 0) {
 #pragma omp parallel num_threads(threads)
     {
-      PlainBitset b;  // per-thread decode scratch
-#pragma omp for schedule(static)
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        grid.LargeCellAt(groups->cell(g)).adj.DecodeInto(&b);
-        b.AndNotWith(seed);
-        group_alive[g] = b.Count() > 0 ? 1 : 0;
+      MIO_TRACE_SPAN_CAT("verify.worker", "verify");
+      Timer worker_timer;
+      const std::size_t t = static_cast<std::size_t>(ThreadId());
+      CoreScan& core = cores[t];
+      bool tripped = false;
+      std::size_t since_poll = kGuardStridePoints;  // poll before the first
+      for (std::size_t round = 0; round < rounds; ++round) {
+        const std::size_t at = round * nthreads + t;
+        const std::size_t w = at < live.size() ? live[at] : 0;
+        const std::uint64_t mine = at < live.size() && !tripped ? words[w] : 0;
+        for (std::uint64_t word = mine; word != 0; word &= word - 1) {
+          const auto o =
+              static_cast<ObjectId>(w * 64 + std::countr_zero(word));
+          if (guard != nullptr && since_poll >= kGuardStridePoints) {
+            since_poll = 0;
+            if (guard->Poll()) {  // partial score: the caller discards it
+              tripped = true;
+              break;
+            }
+          }
+          since_poll += grid.objects()[o].points.size();
+          const std::int64_t witness =
+              a.reach.Witness(grid, o, r2, &core.comps);
+          if (witness >= 0) {
+            ++core.confirmed;
+            core.witnesses.push_back(static_cast<std::uint32_t>(witness));
+          } else {
+            ++core.disproved;
+          }
+        }
+        core.round[round % 2] = CoreScan::Round{core.disproved, tripped};
+#pragma omp barrier
+        std::size_t ruled_out = 0;
+        bool any_tripped = false;
+        for (const CoreScan& c : cores) {
+          ruled_out += c.round[round % 2].disproved;
+          any_tripped = any_tripped || c.round[round % 2].tripped;
+        }
+        if (any_tripped || beaten(ruled_out)) break;
+      }
+      if (stats != nullptr) {
+        stats->verify_thread_seconds[t] += worker_timer.ElapsedSeconds();
       }
     }
   }
 
-  // Phase 3: distribute the label-filtered points. Each surviving group
-  // is split round-robin across cores; groups smaller than the core count
-  // feed the least loaded core instead. A core's points of one group form
-  // one contiguous share.
-  const std::size_t nthreads = static_cast<std::size_t>(threads);
-  std::vector<std::vector<std::uint32_t>> task_points(nthreads);
-  std::vector<std::vector<GroupShare>> shares(nthreads);
-  std::vector<std::size_t> load(nthreads, 0);
-  std::vector<std::size_t> share_begin(nthreads);
-  std::vector<std::uint32_t> live;  // the current group's filtered points
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    if (!group_alive[g]) continue;
-    live.clear();
-    for (const CellPoint& p : (*groups)[g]) {
-      if (VerifiesPoint(use_labels, i, p.idx, use_verify_bit)) {
-        live.push_back(p.idx);
-      }
-    }
-    if (live.empty()) continue;
-    for (std::size_t t = 0; t < nthreads; ++t) {
-      share_begin[t] = task_points[t].size();
-    }
-    for (std::size_t idx = 0; idx < live.size(); ++idx) {
-      std::size_t t =
-          live.size() >= nthreads
-              ? idx % nthreads
-              : static_cast<std::size_t>(
-                    std::min_element(load.begin(), load.end()) - load.begin());
-      task_points[t].push_back(live[idx]);
-      ++load[t];
-    }
-    for (std::size_t t = 0; t < nthreads; ++t) {
-      if (task_points[t].size() > share_begin[t]) {
-        shares[t].push_back(GroupShare{groups->cell(g), share_begin[t],
-                                       task_points[t].size()});
-      }
+  std::size_t confirmed = start.confirmed;
+  std::size_t undecided = start.undecided;
+  std::size_t comps = 0;
+  for (const CoreScan& core : cores) {
+    confirmed += core.confirmed;
+    undecided -= core.confirmed + core.disproved;
+    comps += core.comps;
+  }
+  if (record_labels != nullptr && undecided == 0) {
+    for (const CoreScan& core : cores) {
+      a.witnesses.insert(a.witnesses.end(), core.witnesses.begin(),
+                         core.witnesses.end());
     }
   }
-
-  // Phase 4: per-core scans with private accumulators. Copy-assigning
-  // the seed reuses each core's accumulator capacity.
-  std::vector<std::size_t> comps(threads, 0);
-  std::vector<double> seconds(threads, 0.0);
-#pragma omp parallel num_threads(threads)
-  {
-    MIO_TRACE_SPAN_CAT("verify.worker", "verify");
-    Timer worker_timer;
-    int t = ThreadId();
-    VerifyArena& core = cores[static_cast<std::size_t>(t)];
-    core.acc = seed;
-    const std::span<const std::uint32_t> mine(
-        task_points[static_cast<std::size_t>(t)]);
-    std::size_t since_poll = kGuardStridePoints;  // poll before the first
-    for (const GroupShare& share : shares[static_cast<std::size_t>(t)]) {
-      if (guard != nullptr && since_poll >= kGuardStridePoints) {
-        since_poll = 0;
-        if (guard->Poll()) break;  // partial score: the caller discards it
-      }
-      since_poll += share.end - share.begin;
-      VerifyGroup(grid, i, share.cell,
-                  mine.subspan(share.begin, share.end - share.begin),
-                  &core.acc, &core.scratch, record_labels, &comps[t]);
-    }
-    seconds[static_cast<std::size_t>(t)] = worker_timer.ElapsedSeconds();
-  }
-
-  PlainBitset& merged = cores[0].acc;
-  for (int t = 1; t < threads; ++t) {
-    merged.OrWith(cores[static_cast<std::size_t>(t)].acc);
-  }
-  if (stats != nullptr) {
-    for (int t = 0; t < threads; ++t) {
-      stats->distance_computations += comps[t];
-      stats->verify_thread_seconds[static_cast<std::size_t>(t)] +=
-          seconds[static_cast<std::size_t>(t)];
-    }
-  }
-  std::size_t count = merged.Count();
-  return count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
+  if (stats != nullptr) stats->distance_computations += comps;
+  return FinishScan(i, start, confirmed, undecided, guard, record_labels, a,
+                    stopped);
 }
 
 }  // namespace
 
 std::vector<ScoredObject> ParallelVerification(
-    BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
-    const LabelSet* use_labels, LabelSet* record_labels,
+    const BiGrid& grid, const UpperBoundResult& ub, std::size_t k,
+    int threads, const LabelSet* use_labels, LabelSet* record_labels,
     const std::vector<Ewah>* lb_bitsets, QueryStats* stats,
     bool use_verify_bit, QueryGuard* guard) {
   threads = ResolveThreads(threads);
@@ -455,17 +460,18 @@ std::vector<ScoredObject> ParallelVerification(
     return Verification(grid, ub, k, use_labels, record_labels, lb_bitsets,
                         stats, use_verify_bit, guard);
   }
-  std::vector<VerifyArena> cores(static_cast<std::size_t>(threads));
-  Groups groups;
+  ParallelScan scan;
+  scan.cores.resize(static_cast<std::size_t>(threads));
   if (stats != nullptr) {
     stats->verify_thread_seconds.assign(static_cast<std::size_t>(threads),
                                         0.0);
   }
   return VerifyCandidates(
-      ub, k, lb_bitsets, stats, guard, [&](ObjectId i, const Ewah* lb) {
+      ub, k, lb_bitsets, stats, guard,
+      [&](ObjectId i, const Ewah* lb, long long threshold, bool* stopped) {
         return ParallelExactScore(grid, i, threads, use_labels, record_labels,
-                                  lb, stats, use_verify_bit, guard, &groups,
-                                  cores);
+                                  lb, stats, use_verify_bit, guard, threshold,
+                                  stopped, &scan);
       });
 }
 

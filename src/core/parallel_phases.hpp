@@ -6,8 +6,9 @@
 //   upper-bounding  — UB-greedy-p (cost-based greedy over P_{i,K} groups,
 //                     Eq. (3); single-writer b_adj) or UB-greedy-d
 //                     (divide O by |P_i|, per-thread b_adj memos);
-//   verification    — per-candidate point partitioning with per-core
-//                     accumulators merged after the scan.
+//   verification    — per-candidate word-aligned shares of the undecided
+//                     objects, decided in rounds between which the cores
+//                     check the stop bound together.
 // The parallel grid mapping lives on BiGrid::BuildParallel.
 #pragma once
 
@@ -50,11 +51,12 @@ UpperBoundResult ParallelUpperBounding(BiGrid& grid, std::uint32_t threshold,
 /// PARALLEL-VERIFICATION(O_cand, r). Candidates are still consumed
 /// best-first and serially (the early-termination check is inherently
 /// sequential): VerifyCandidates, the loop Verification runs, scores each
-/// with a parallel point scan. On a guard trip the in-flight candidate's
-/// partial score is discarded, so the returned list is a sound
-/// best-so-far answer. One thread is Verification.
+/// in one parallel region that splits its undecided objects across cores.
+/// On a guard trip the in-flight candidate's partial score is discarded,
+/// so the returned list is a sound best-so-far answer. One thread is
+/// Verification.
 std::vector<ScoredObject> ParallelVerification(
-    BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
+    const BiGrid& grid, const UpperBoundResult& ub, std::size_t k, int threads,
     const LabelSet* use_labels, LabelSet* record_labels,
     const std::vector<Ewah>* lb_bitsets, QueryStats* stats,
     bool use_verify_bit = true, QueryGuard* guard = nullptr);

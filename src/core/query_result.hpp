@@ -69,7 +69,10 @@ struct QueryStats {
   // Pruning effectiveness counters.
   std::uint32_t tau_low_max = 0;       ///< best lower bound found
   std::size_t num_candidates = 0;      ///< |O_cand| after upper-bounding
-  std::size_t num_verified = 0;        ///< objects exactly scored
+  std::size_t num_verified = 0;        ///< candidates that entered exact
+                                       ///< scoring
+  std::size_t num_stopped = 0;         ///< of those, scans stopped on the
+                                       ///< top-k threshold
   std::size_t distance_computations = 0;
   std::size_t cells_small = 0;
   std::size_t cells_large = 0;

@@ -108,176 +108,199 @@ void SeedPartners(const BiGrid& grid, ObjectId i, const Ewah* lb_bitset,
   acc->Set(i);
 }
 
-void VerifyGroup(BiGrid& grid, ObjectId i, std::uint32_t cell,
-                 std::span<const std::uint32_t> points, PlainBitset* acc,
-                 GroupScratch* scratch, LabelSet* record_labels,
-                 std::size_t* dist_comps) {
+void ReachTable::Build(const BiGrid& grid, ObjectId i,
+                       std::span<const std::uint32_t> points) {
+  if (stamp_.size() < grid.NumLargeCells()) {
+    stamp_.assign(grid.NumLargeCells(), 0);
+    generation_ = 0;
+  }
+  if (++generation_ == 0) {  // wrapped: no stamp may look current
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    generation_ = 1;
+  }
+  cells_.clear();
+  run_.assign(1, 0);
+  pairs_.clear();
   const std::vector<Point>& pts = grid.objects()[i].points;
   const double r2 = grid.r() * grid.r();
   const double width = grid.large_width();
-  // With labels, some cells may have skipped upper-bounding entirely, so
-  // b_adj may be missing here — compute it first (paper §III-D).
-  const LargeCell& home = grid.EnsureAdj(cell);
-
-  // b <- b_adj(c) - b(o_i): candidates not yet confirmed, shared by every
-  // point of the group (they all have the same 27-cell neighbourhood).
-  PlainBitset& b = scratch->b;
-  home.adj.DecodeInto(&b);
-  b.AndNotWith(*acc);
-  std::size_t remaining = b.Count();
-  obs::Add(obs::Counter::kVerifyGroups);
-  obs::Add(obs::Counter::kVerifyPoints, points.size());
-  obs::Observe(obs::Histogram::kVerifyCandsPerGroup, remaining);
-  if (record_labels != nullptr) {
-    // Labeling-3 at group granularity: clear every point, then restore
-    // kVerify on each witness below. Every confirmed partner keeps a
-    // witness, so a replay at the recorded radius still confirms it; a
-    // settled group (Observation 3) keeps none.
-    for (std::uint32_t j : points) {
-      record_labels->labels[i][j] &= static_cast<std::uint8_t>(~label::kVerify);
+  // Counting pass: a cell's first (point, cell) pair gives it the next
+  // slot, and run_[slot + 1] counts its points.
+  auto reach = [&](std::uint32_t cell, std::uint32_t j) {
+    std::uint64_t& stamp = stamp_[cell];
+    if ((stamp >> 32) != generation_) {
+      stamp = (std::uint64_t{generation_} << 32) | cells_.size();
+      cells_.push_back(cell);
+      run_.push_back(0);
+    }
+    const auto slot = static_cast<std::uint32_t>(stamp);
+    ++run_[slot + 1];
+    pairs_.push_back((std::uint64_t{slot} << 32) | j);
+  };
+  for (std::uint32_t j : points) {
+    const std::uint32_t home = grid.LargeCellOf(i, j);
+    reach(home, j);
+    const CellKey key = KeyForWidth(pts[j], width);
+    std::uint32_t dirs = grid.LargeCellAt(home).nbr_dirs;
+    for (std::uint32_t nb : grid.LargeNeighbors(home)) {
+      const int d = std::countr_zero(dirs);
+      dirs &= dirs - 1;
+      if (NeighborGap2(pts[j], key, d, width) <= r2) reach(nb, j);
     }
   }
-  if (remaining == 0) {
-    obs::Add(obs::Counter::kVerifyPointsSettled, points.size());
-    return;
+  // Scatter: run_[slot] is the slot's write cursor, then its end, which
+  // the shift turns back into its start.
+  for (std::size_t s = 1; s < run_.size(); ++s) run_[s] += run_[s - 1];
+  xs_.resize(pairs_.size());
+  ys_.resize(pairs_.size());
+  zs_.resize(pairs_.size());
+  point_.resize(pairs_.size());
+  for (std::uint64_t pair : pairs_) {
+    const auto j = static_cast<std::uint32_t>(pair);
+    const std::uint32_t at = run_[pair >> 32]++;
+    xs_[at] = pts[j].x;
+    ys_[at] = pts[j].y;
+    zs_[at] = pts[j].z;
+    point_[at] = j;
   }
+  for (std::size_t s = run_.size() - 1; s > 0; --s) run_[s] = run_[s - 1];
+  run_[0] = 0;
+}
 
+void ReachTable::Cover(const BiGrid& grid, PlainBitset* out) const {
+  for (std::uint32_t cell : cells_) {
+    grid.LargeCellAt(cell).bits.ForEachWord(
+        [out](std::size_t w, std::uint64_t word) {
+          out->OrWord(w, word);
+          return true;
+        });
+  }
+}
+
+std::int64_t ReachTable::Witness(const BiGrid& grid, ObjectId o, double r2,
+                                 std::size_t* comps) const {
+  const std::vector<Point>& pts = grid.objects()[o].points;
+  std::size_t evaluated = 0;
+  std::int64_t witness = -1;
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    const std::uint32_t cell = grid.LargeCellOf(o, j);
+    if (cell == kNoCell) continue;  // not mapped (Labeling-1)
+    const std::uint64_t stamp = stamp_[cell];
+    if ((stamp >> 32) != generation_) continue;  // unreachable cell
+    const auto slot = static_cast<std::uint32_t>(stamp);
+    const std::uint32_t begin = run_[slot];
+    const std::size_t size = run_[slot + 1] - begin;
+    const std::ptrdiff_t hit = AnyWithin(pts[j], xs_.data() + begin,
+                                         ys_.data() + begin,
+                                         zs_.data() + begin, size, r2);
+    if (hit < 0) {
+      evaluated += size;
+      continue;
+    }
+    evaluated += static_cast<std::size_t>(hit) + 1;
+    witness = point_[begin + static_cast<std::size_t>(hit)];
+    break;
+  }
+  *comps += evaluated;
+  return witness;
+}
+
+ScanStart StartScan(const BiGrid& grid, ObjectId i,
+                    const LabelSet* use_labels, bool use_verify_bit,
+                    const Ewah* lb_bitset, VerifyArena* arena) {
+  SeedPartners(grid, i, lb_bitset, &arena->seed);
+  arena->points.clear();
+  const std::size_t m = grid.objects()[i].points.size();
+  for (std::size_t j = 0; j < m; ++j) {
+    if (grid.LargeCellOf(i, j) != kNoCell &&
+        VerifiesPoint(use_labels, i, j, use_verify_bit)) {
+      arena->points.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  arena->reach.Build(grid, i, arena->points);
+  arena->undecided.Reset();
+  arena->reach.Cover(grid, &arena->undecided);
+  arena->undecided.AndNotWith(arena->seed);
+  arena->witnesses.clear();
+  obs::Add(obs::Counter::kVerifyPoints, arena->points.size());
+  return ScanStart{arena->seed.Count() - 1, arena->undecided.Count()};
+}
+
+std::uint32_t FinishScan(ObjectId i, const ScanStart& start,
+                         std::size_t confirmed, std::size_t undecided,
+                         const QueryGuard* guard, LabelSet* record_labels,
+                         const VerifyArena& arena, bool* stopped) {
+  const bool left = undecided > 0 && (guard == nullptr || !guard->tripped());
+  obs::Add(obs::Counter::kVerifyObjectsDecided, start.undecided - undecided);
+  obs::Add(obs::Counter::kVerifyPartnersConfirmed,
+           confirmed - start.confirmed);
+  if (left) obs::Add(obs::Counter::kVerifyStops);
+  if (stopped != nullptr) *stopped = left;
+  if (record_labels != nullptr && undecided == 0) {
+    std::vector<std::uint8_t>& labels = record_labels->labels[i];
+    for (std::uint32_t j : arena.points) {
+      labels[j] &= static_cast<std::uint8_t>(~label::kVerify);
+    }
+    for (std::uint32_t j : arena.witnesses) labels[j] |= label::kVerify;
+  }
+  return static_cast<std::uint32_t>(confirmed);
+}
+
+std::uint32_t ExactScore(const BiGrid& grid, ObjectId i,
+                         const LabelSet* use_labels, LabelSet* record_labels,
+                         const Ewah* lb_bitset, std::size_t* dist_comps,
+                         bool use_verify_bit, QueryGuard* guard,
+                         VerifyArena* arena, long long threshold,
+                         bool* stopped) {
+  VerifyArena local_arena;
+  VerifyArena& a = arena != nullptr ? *arena : local_arena;
+  const ScanStart start =
+      StartScan(grid, i, use_labels, use_verify_bit, lb_bitset, &a);
+  const double r2 = grid.r() * grid.r();
+  const std::vector<std::uint64_t>& words = a.undecided.words();
+  std::size_t confirmed = start.confirmed;
+  std::size_t undecided = start.undecided;
+  // Only a disproof lowers confirmed + undecided; the first check covers
+  // a candidate its seed and reach already rule out.
+  auto beaten = [&] {
+    return static_cast<long long>(confirmed + undecided) <= threshold;
+  };
   std::size_t comps = 0;
-  std::size_t postings = 0;
-  std::size_t visited = 0;
-  std::size_t confirmed = 0;
-  // Scan the cell itself, then its listed neighbours, stopping as soon as
-  // no candidate remains. Postings are only touched for set bits of b
-  // (Algorithm 6 line 13): the walk ANDs b's words with the cell's
-  // bitset, a word at a time, and finds each surviving object's posting
-  // by rank — the cell's set bits below it. That index is valid because
-  // Ewah::FromSortedIds encodes each cell's bits from its post_obj, so
-  // bits and post_obj list the same ids in the same ascending order. Each
-  // touched posting is tested against the group's points that can reach
-  // the cell, nearest first, until the first hit — one batch-kernel call
-  // per point over the posting's contiguous SoA coordinates.
-  const CellKey key = KeyForWidth(pts[points.front()], width);
-  std::vector<std::pair<double, std::uint32_t>>& order = scratch->order;
-  const std::vector<std::uint64_t>& live_words = b.words();
-  // d: the cell's place in ForEachNeighbor(key, /*include_self=*/true).
-  auto scan_cell = [&](const LargeCell* c, int d) -> bool {  // false = stop
-    ++visited;
-    order.clear();
-    for (std::uint32_t j : points) {
-      double gap2 = NeighborGap2(pts[j], key, d, width);
-      if (gap2 <= r2) order.emplace_back(gap2, j);
-    }
-    if (order.empty()) return true;
-    std::sort(order.begin(), order.end());
-    bool more = true;
-    std::size_t rank = 0;  // set bits of c->bits before word w
-    c->bits.ForEachWord([&](std::size_t w, std::uint64_t cell_word) {
-      if (w >= live_words.size()) return false;  // past b: nothing live
-      std::uint64_t live = cell_word & live_words[w];
-      while (live != 0) {
-        const int bit = __builtin_ctzll(live);
-        live &= live - 1;
-        const ObjectId obj = static_cast<ObjectId>(w * 64 + bit);
-        const std::uint64_t below = (std::uint64_t(1) << bit) - 1;
-        ++postings;
-        PostingView posting = c->PostingAt(
-            rank + static_cast<std::size_t>(
-                       __builtin_popcountll(cell_word & below)));
-        for (const auto& [gap2, j] : order) {
-          std::ptrdiff_t hit = AnyWithin(pts[j], posting.xs, posting.ys,
-                                         posting.zs, posting.size, r2);
-          if (hit < 0) {
-            comps += posting.size;
-            continue;
-          }
-          comps += static_cast<std::size_t>(hit) + 1;
-          acc->Set(obj);
-          b.Clear(obj);
-          ++confirmed;
-          if (record_labels != nullptr) {
-            record_labels->labels[i][j] |= label::kVerify;
-          }
-          if (--remaining == 0) {
-            more = false;
-            return false;
-          }
+  std::size_t since_poll = kGuardStridePoints;  // poll before the first
+  bool stop = undecided > 0 && beaten();
+  for (std::size_t w = 0; w < words.size() && !stop; ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const auto o =
+          static_cast<ObjectId>(w * 64 + std::countr_zero(word));
+      if (guard != nullptr && since_poll >= kGuardStridePoints) {
+        since_poll = 0;
+        if (guard->Poll()) {  // partial score: the caller must discard it
+          stop = true;
           break;
         }
       }
-      rank += static_cast<std::size_t>(__builtin_popcountll(cell_word));
-      return true;
-    });
-    return more;
-  };
-
-  if (scan_cell(&home, kNeighborhoodSize / 2)) {
-    std::uint32_t dirs = home.nbr_dirs;
-    for (std::uint32_t nb : grid.LargeNeighbors(cell)) {
-      const int d = std::countr_zero(dirs);
-      dirs &= dirs - 1;
-      if (!scan_cell(&grid.LargeCellAt(nb), d)) break;
+      since_poll += grid.objects()[o].points.size();
+      const std::int64_t witness = a.reach.Witness(grid, o, r2, &comps);
+      --undecided;
+      if (witness >= 0) {
+        ++confirmed;
+        a.witnesses.push_back(static_cast<std::uint32_t>(witness));
+      } else if (undecided > 0 && beaten()) {
+        stop = true;
+        break;
+      }
     }
   }
-  obs::Add(obs::Counter::kVerifyCellsVisited, visited);
-  obs::Add(obs::Counter::kPostingScans, postings);
-  obs::Add(obs::Counter::kVerifyPartnersConfirmed, confirmed);
   if (dist_comps != nullptr) *dist_comps += comps;
-}
-
-std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
-                         LabelSet* record_labels, const Ewah* lb_bitset,
-                         std::size_t* dist_comps, bool use_verify_bit,
-                         QueryGuard* guard, VerifyArena* arena) {
-  VerifyArena local_arena;
-  VerifyArena& a = arena != nullptr ? *arena : local_arena;
-
-  // b(o_i): confirmed interaction partners (plus bit i), seeded with the
-  // Lemma-1 partners. The seed fully overwrites the accumulator, so arena
-  // reuse across candidates is safe.
-  PlainBitset& acc = a.acc;
-  SeedPartners(grid, i, lb_bitset, &acc);
-
-  // Group the points to verify by large cell, in key order, then point
-  // index, at every thread count, so distance_computations does not
-  // depend on how the grid was built; scores do not depend on the order
-  // at all.
-  grid.PointsByCell(i, &a.grouped);
-  std::erase_if(a.grouped, [&](const CellPoint& p) {
-    return !VerifiesPoint(use_labels, i, p.idx, use_verify_bit);
-  });
-  a.points.resize(a.grouped.size());
-  for (std::size_t n = 0; n < a.grouped.size(); ++n) {
-    a.points[n] = a.grouped[n].idx;
-  }
-
-  const std::span<const std::uint32_t> all(a.points);
-  std::size_t since_poll = kGuardStridePoints;  // poll before the first group
-  for (std::size_t begin = 0; begin < a.grouped.size();) {
-    std::size_t end = begin + 1;
-    while (end < a.grouped.size() &&
-           a.grouped[end].cell == a.grouped[begin].cell) {
-      ++end;
-    }
-    if (guard != nullptr && since_poll >= kGuardStridePoints) {
-      since_poll = 0;
-      if (guard->Poll()) break;  // partial score: the caller must discard it
-    }
-    since_poll += end - begin;
-    VerifyGroup(grid, i, a.grouped[begin].cell,
-                all.subspan(begin, end - begin), &acc, &a.scratch,
-                record_labels, dist_comps);
-    begin = end;
-  }
-
-  std::size_t count = acc.Count();
-  return count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
+  return FinishScan(i, start, confirmed, undecided, guard, record_labels, a,
+                    stopped);
 }
 
 // ---------------------------------------------------------------------------
 // Best-first verification
 // ---------------------------------------------------------------------------
 
-std::vector<ScoredObject> Verification(BiGrid& grid,
+std::vector<ScoredObject> Verification(const BiGrid& grid,
                                        const UpperBoundResult& ub,
                                        std::size_t k,
                                        const LabelSet* use_labels,
@@ -288,11 +311,12 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        QueryGuard* guard) {
   VerifyArena arena;  // reused across every verified candidate
   return VerifyCandidates(
-      ub, k, lb_bitsets, stats, guard, [&](ObjectId i, const Ewah* lb) {
+      ub, k, lb_bitsets, stats, guard,
+      [&](ObjectId i, const Ewah* lb, long long threshold, bool* stopped) {
         return ExactScore(
             grid, i, use_labels, record_labels, lb,
             stats != nullptr ? &stats->distance_computations : nullptr,
-            use_verify_bit, guard, &arena);
+            use_verify_bit, guard, &arena, threshold, stopped);
       });
 }
 

@@ -1,7 +1,7 @@
 // Pipeline metrics registry: monotonic counters and log2-scale
 // histograms recording distributions the per-query QueryStats scalars
 // cannot capture (key-list lengths, union cardinalities, kernel batch
-// sizes, per-point candidate counts).
+// sizes, server latencies).
 //
 // Recording is contention-free: each thread owns a cache-line-aligned
 // shard (registered on first use, kept for the thread pool's lifetime)
@@ -37,14 +37,11 @@ enum class Counter : int {
   kUbCellOrs,            ///< b_adj ORs of serial upper bounding (one per
                          ///< distinct large cell of an object)
   kAdjBuilds,            ///< large-cell neighbourhood unions computed
-  kPostingScans,         ///< posting lists scanned during verification
   kKernelBatches,        ///< dispatched (non-inline) batch kernel calls
-  kVerifyPoints,         ///< points exactly verified
-  kVerifyPointsSettled,  ///< verified points whose neighbourhood was
-                         ///< already fully confirmed (no posting scan)
-  kVerifyGroups,         ///< per-cell point groups verified (VerifyGroup)
-  kVerifyCellsVisited,   ///< existing cells the verification walks visit
-  kVerifyPartnersConfirmed,  ///< partners confirmed by a posting scan
+  kVerifyPoints,         ///< candidate points exactly verified
+  kVerifyObjectsDecided, ///< undecided objects a scan confirmed or ruled out
+  kVerifyPartnersConfirmed,  ///< partners confirmed by a scan (not seeded)
+  kVerifyStops,          ///< scans stopped on the top-k threshold
   kFaultsInjected,        ///< fault-injection sites that fired
   kQueryDeadlineExceeded, ///< queries stopped by their deadline
   kQueryCancelled,        ///< queries stopped by a cancel token
@@ -81,8 +78,6 @@ enum class Histogram : int {
   kLbUnionBits,           ///< lower-bound union cardinality per object
   kUbGroupsPerObject,     ///< large-cell groups per object
   kUbUnionBits,           ///< upper-bound union cardinality per object
-  kVerifyCandsPerGroup,   ///< unconfirmed candidates per verified group
-                          ///< (observed once per VerifyGroup entry)
   kKernelBatchSize,       ///< span length per dispatched kernel call
   kServerQueueWaitUs,     ///< admission-queue wait per executed request (µs)
   kServerE2eUs,           ///< accept-to-respond latency per request (µs)
@@ -101,13 +96,11 @@ inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "lb_cell_ors",
     "ub_cell_ors",
     "adj_builds",
-    "posting_scans",
     "kernel_batches",
     "verify_points",
-    "verify_points_settled",
-    "verify_groups",
-    "verify_cells_visited",
+    "verify_objects_decided",
     "verify_partners_confirmed",
+    "verify_stops",
     "faults.injected",
     "query.deadline_exceeded",
     "query.cancelled",
@@ -141,7 +134,6 @@ inline constexpr std::array<const char*, kNumHistograms> kHistogramNames = {
     "lb_union_bits",
     "ub_groups_per_object",
     "ub_union_bits",
-    "verify_cands_per_group",
     "kernel_batch_size",
     "server.queue_wait_us",
     "server.e2e_us",

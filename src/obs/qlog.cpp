@@ -229,6 +229,7 @@ constexpr Field kFields[] = {
     {"funnel", "objects", &QlogRecord::objects},
     {"funnel", "candidates", &QlogRecord::candidates},
     {"funnel", "verified", &QlogRecord::verified},
+    {"funnel", "stopped", &QlogRecord::stopped, Presence::kOptional},
     {"funnel", "distance_computations", &QlogRecord::distance_computations},
     {"funnel", "tau_low_max", &QlogRecord::tau_low_max, Presence::kOptional},
     {"grid", "reused", &QlogRecord::grid_reused},
@@ -410,6 +411,7 @@ QlogRecord BuildQlogRecord(QlogRecord rec, const QueryResult* result,
   rec.phase_verification = stats.phases.verification;
   rec.candidates = stats.num_candidates;
   rec.verified = stats.num_verified;
+  rec.stopped = stats.num_stopped;
   rec.distance_computations = stats.distance_computations;
   rec.tau_low_max = stats.tau_low_max;
   if (!result->topk.empty()) {

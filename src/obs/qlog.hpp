@@ -95,10 +95,12 @@ struct QlogRecord {
   double phase_upper_bounding = 0.0;
   double phase_verification = 0.0;
 
-  // Pruning funnel (objects -> upper-bound survivors -> verified).
+  // Pruning funnel (objects -> upper-bound survivors -> verified, of
+  // which `stopped` ended their scan on the top-k threshold).
   std::uint64_t objects = 0;
   std::uint64_t candidates = 0;
   std::uint64_t verified = 0;
+  std::uint64_t stopped = 0;
   std::uint64_t distance_computations = 0;
   std::uint64_t winner_id = 0;
   std::uint64_t winner_score = 0;

@@ -97,6 +97,62 @@ TEST_P(BoundsTest, ExactScoreMatchesOracleForAllCandidates) {
   (void)ub;
 }
 
+// ExactScore with the tracker's threshold T, for every object and T in
+// {-1, exact - 1, exact, exact + 1}: above T the score is exact and the
+// scan does the unthresholded scan's work; at or below T the value is at
+// most T. Only a ruled-out object lowers confirmed + undecided, so an
+// object with two or more to rule out reaches T = exact + 1 one disproof
+// before the last: that scan must stop after deciding some objects, with
+// fewer distance computations. (The sparse case has no such object.)
+TEST_P(BoundsTest, ThresholdedExactScoreIsExactAboveTheThreshold) {
+  const BoundsCase& c = GetParam();
+  ObjectSet set = testing::MakeRandomObjects(c.n, c.m_min, c.m_max, c.domain,
+                                             c.seed, c.cluster_sigma);
+  std::vector<std::uint32_t> exact = testing::OracleScores(set, c.r);
+
+  BiGrid grid(set, c.r);
+  grid.Build();
+  VerifyArena arena;
+  auto counter = [](obs::Counter k) {
+    return obs::SnapshotMetrics().counters[static_cast<std::size_t>(k)];
+  };
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    obs::ResetMetrics();
+    std::size_t full = 0;
+    ASSERT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, &full, true,
+                         nullptr, &arena),
+              exact[i]);
+    const std::uint64_t ruled_out =
+        counter(obs::Counter::kVerifyObjectsDecided) -
+        counter(obs::Counter::kVerifyPartnersConfirmed);
+    const long long e = exact[i];
+    for (long long t : {-1LL, e - 1, e, e + 1}) {
+      obs::ResetMetrics();
+      std::size_t comps = 0;
+      bool stopped = false;
+      const std::uint32_t got =
+          ExactScore(grid, i, nullptr, nullptr, nullptr, &comps, true,
+                     nullptr, &arena, t, &stopped);
+      EXPECT_EQ(counter(obs::Counter::kVerifyStops), stopped ? 1u : 0u);
+      if (e > t) {
+        EXPECT_EQ(got, exact[i]) << "object " << i << " T=" << t;
+        EXPECT_FALSE(stopped) << "object " << i << " T=" << t;
+        EXPECT_EQ(comps, full) << "object " << i << " T=" << t;
+        continue;
+      }
+      EXPECT_LE(static_cast<long long>(got), t)
+          << "object " << i << " T=" << t;
+      EXPECT_LE(comps, full) << "object " << i << " T=" << t;
+      if (t == e + 1 && ruled_out >= 2) {
+        EXPECT_TRUE(stopped) << "object " << i;
+        EXPECT_GT(counter(obs::Counter::kVerifyObjectsDecided), 0u)
+            << "object " << i;
+        EXPECT_LT(comps, full) << "object " << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BoundsTest,
     ::testing::Values(
@@ -109,9 +165,11 @@ INSTANTIATE_TEST_SUITE_P(
         BoundsCase{30, 4, 10, 18.0, 8.0, 0.7, 5},  // r < 1 (ceil = 1)
         BoundsCase{20, 5, 10, 20.0, 4.0, 6.0, 6}));
 
-// Cell-major verification on a dense fixture: tight clouds (sigma 1)
+// Object-major verification on a dense fixture: tight clouds (sigma 1)
 // against width-4 cells put several points of one object in most large
-// cells, so nearly every VerifyGroup call serves a multi-point group.
+// cells, so most reachable cells hold a run of several points. Without a
+// threshold every candidate's points are verified, no scan stops, and
+// every partner the seed misses is confirmed exactly once.
 TEST(GroupedVerificationTest, DenseGroupsMatchOracleForEveryCandidate) {
   const double r = 3.5;
   ObjectSet set = testing::MakeRandomObjects(40, 20, 40, 20.0, 21, 1.0);
@@ -124,34 +182,41 @@ TEST(GroupedVerificationTest, DenseGroupsMatchOracleForEveryCandidate) {
   obs::ResetMetrics();
   VerifyArena arena;  // shared across candidates, like Verification does
   std::size_t comps = 0;
-  // A group visits at most its own cell and the neighbours it lists.
-  std::uint64_t walkable = 0;
+  std::uint64_t points = 0;
+  std::uint64_t cells = 0;
+  std::uint64_t unseeded = 0;
+  std::uint64_t others = 0;
   for (ObjectId i : ub.candidates) {
     EXPECT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, &comps, true,
                          nullptr, &arena),
               exact[i])
         << "object " << i;
-    std::set<std::uint32_t> cells;
+    std::set<std::uint32_t> own;
     for (std::size_t j = 0; j < set[i].points.size(); ++j) {
-      cells.insert(grid.LargeCellOf(i, j));
+      own.insert(grid.LargeCellOf(i, j));
     }
-    for (std::uint32_t cell : cells) {
-      walkable += 1 + grid.LargeNeighbors(cell).size();
-    }
+    points += set[i].points.size();
+    cells += own.size();
+    PlainBitset seed;
+    SeedPartners(grid, i, nullptr, &seed);
+    unseeded += exact[i] - (seed.Count() - 1);
+    others += set.size() - seed.Count();
   }
   EXPECT_GT(comps, 0u);
+  EXPECT_GE(points, 2 * cells)
+      << "fixture is not dense enough to put several points in one cell";
   obs::MetricsSnapshot m = obs::SnapshotMetrics();
   auto counter = [&m](obs::Counter c) {
     return m.counters[static_cast<std::size_t>(c)];
   };
-  const std::uint64_t groups = counter(obs::Counter::kVerifyGroups);
-  ASSERT_GT(groups, 0u);
-  EXPECT_GE(counter(obs::Counter::kVerifyPoints), 2 * groups)
-      << "fixture is not dense enough to exercise multi-point groups";
-  EXPECT_GT(counter(obs::Counter::kVerifyCellsVisited), 0u);
-  EXPECT_LE(counter(obs::Counter::kVerifyCellsVisited), walkable);
-  EXPECT_LT(walkable, groups * static_cast<std::uint64_t>(kNeighborhoodSize));
-  EXPECT_GT(counter(obs::Counter::kVerifyPartnersConfirmed), 0u);
+  EXPECT_EQ(counter(obs::Counter::kVerifyPoints), points);
+  EXPECT_EQ(counter(obs::Counter::kVerifyPartnersConfirmed), unseeded);
+  EXPECT_GT(unseeded, 0u);
+  // Decided: the confirmed partners plus at least one ruled-out object,
+  // and never an object the seed already holds.
+  EXPECT_GT(counter(obs::Counter::kVerifyObjectsDecided), unseeded);
+  EXPECT_LE(counter(obs::Counter::kVerifyObjectsDecided), others);
+  EXPECT_EQ(counter(obs::Counter::kVerifyStops), 0u);
 }
 
 // Isolated single-point pairs at exactly distance r whose second point

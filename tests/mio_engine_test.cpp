@@ -11,6 +11,7 @@
 #include <ostream>
 #include <utility>
 
+#include "core/lower_bound.hpp"
 #include "core/query_result.hpp"
 #include "core/upper_bound.hpp"
 #include "core/verification.hpp"
@@ -170,6 +171,65 @@ TEST(EngineLabelTest, GroupLabelsReplayEveryExactScore) {
     // The replay skipped the points whose kVerify bit was cleared.
     EXPECT_LT(replayed.stats.distance_computations,
               recorded.stats.distance_computations)
+        << "threads=" << threads;
+  }
+}
+
+// Labeling-3 with stops (k = 1, so every candidate after the first is
+// scanned against a threshold): a completed scan keeps kVerify on its
+// witnesses only, and a stopped one on every point, since the objects it
+// left undecided have no witness. Replaying the labels at the recorded
+// radius gives the same top-k, candidate queue and verified count.
+TEST(EngineLabelTest, StoppedScansKeepEveryVerifyBit) {
+  const double r = 3.5;
+  ObjectSet set = testing::MakeRandomObjects(50, 20, 40, 25.0, 17, 1.0);
+  BiGrid grid(set, r);
+  grid.Build();
+  LabelSet labels = LabelSet::MakeAllOnes(set);
+  labels.recorded_r = r;
+  LowerBoundResult lb = LowerBounding(grid, false);
+  UpperBoundResult ub = UpperBounding(grid, lb.tau_low_max, nullptr, &labels,
+                                      nullptr, nullptr, &lb.tau_low);
+  VerifyArena arena;
+  std::vector<ObjectId> stopped_ids;
+  VerifyCandidates(
+      ub, 1, nullptr, nullptr, nullptr,
+      [&](ObjectId i, const Ewah* seed, long long threshold, bool* stopped) {
+        const std::uint32_t score =
+            ExactScore(grid, i, nullptr, &labels, seed, nullptr, true,
+                       nullptr, &arena, threshold, stopped);
+        if (*stopped) stopped_ids.push_back(i);
+        return score;
+      });
+  ASSERT_FALSE(stopped_ids.empty());
+  for (ObjectId i : stopped_ids) {
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      EXPECT_NE(labels.labels[i][j] & label::kVerify, 0)
+          << "object " << i << " point " << j;
+    }
+  }
+
+  const std::uint32_t best = testing::MaxScore(testing::OracleScores(set, r));
+  for (int threads : {1, 2}) {
+    MioEngine engine(set);
+    QueryOptions opt;
+    opt.threads = threads;
+    opt.use_labels = true;
+    opt.record_labels = true;
+    QueryResult recorded = engine.Query(r, opt);
+    ASSERT_EQ(recorded.stats.label_outcome, LabelOutcome::kMissRecorded);
+    EXPECT_GT(recorded.stats.num_stopped, 0u) << "threads=" << threads;
+    QueryResult replayed = engine.Query(r, opt);
+    ASSERT_EQ(replayed.stats.label_outcome, LabelOutcome::kHitMemory);
+    ASSERT_EQ(replayed.topk.size(), recorded.topk.size());
+    for (std::size_t pos = 0; pos < recorded.topk.size(); ++pos) {
+      EXPECT_EQ(replayed.topk[pos].id, recorded.topk[pos].id);
+      EXPECT_EQ(replayed.topk[pos].score, recorded.topk[pos].score);
+    }
+    EXPECT_EQ(recorded.best().score, best) << "threads=" << threads;
+    EXPECT_EQ(replayed.stats.num_candidates, recorded.stats.num_candidates)
+        << "threads=" << threads;
+    EXPECT_EQ(replayed.stats.num_verified, recorded.stats.num_verified)
         << "threads=" << threads;
   }
 }

@@ -164,10 +164,10 @@ class MetricsTest : public ::testing::Test {
 };
 
 TEST_F(MetricsTest, CountersAccumulate) {
-  Add(Counter::kPostingScans);
-  Add(Counter::kPostingScans, 4);
+  Add(Counter::kAdjBuilds);
+  Add(Counter::kAdjBuilds, 4);
   MetricsSnapshot snap = SnapshotMetrics();
-  EXPECT_EQ(snap.counters[static_cast<int>(Counter::kPostingScans)], 5u);
+  EXPECT_EQ(snap.counters[static_cast<int>(Counter::kAdjBuilds)], 5u);
   ResetMetrics();
   EXPECT_TRUE(SnapshotMetrics().Empty());
 }
@@ -180,15 +180,14 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
 #pragma omp for
     for (int i = 0; i < threads * per_thread; ++i) {
       Add(Counter::kVerifyPoints);
-      Observe(Histogram::kVerifyCandsPerGroup,
-              static_cast<std::uint64_t>(i % 7));
+      Observe(Histogram::kUbUnionBits, static_cast<std::uint64_t>(i % 7));
     }
   }
   MetricsSnapshot snap = SnapshotMetrics();
   EXPECT_EQ(snap.counters[static_cast<int>(Counter::kVerifyPoints)],
             static_cast<std::uint64_t>(threads * per_thread));
   const HistogramSnapshot& h =
-      snap.histograms[static_cast<int>(Histogram::kVerifyCandsPerGroup)];
+      snap.histograms[static_cast<int>(Histogram::kUbUnionBits)];
   EXPECT_EQ(h.count, static_cast<std::uint64_t>(threads * per_thread));
   EXPECT_EQ(h.min, 0u);
   EXPECT_EQ(h.max, 6u);
@@ -312,7 +311,7 @@ TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   id.wall_seconds = 1.6;
 
   ResetMetrics();
-  Add(Counter::kPostingScans, 3);
+  Add(Counter::kAdjBuilds, 3);
   Observe(Histogram::kKernelBatchSize, 32);
   MetricsSnapshot metrics = SnapshotMetrics();
 
@@ -331,7 +330,7 @@ TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   EXPECT_NE(doc.find("\"parts\":{\"small_grid\":1024}"), std::string::npos);
   EXPECT_NE(doc.find("\"tracker\""), std::string::npos);
   EXPECT_NE(doc.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"posting_scans\":3"), std::string::npos);
+  EXPECT_NE(doc.find("\"adj_builds\":3"), std::string::npos);
   EXPECT_NE(doc.find("\"kernel_batch_size\""), std::string::npos);
   EXPECT_NE(doc.find("\"git\""), std::string::npos);
   ResetMetrics();

@@ -67,6 +67,7 @@ QlogRecord MakeFullRecord() {
   rec.objects = 1200;
   rec.candidates = 321;
   rec.verified = 54;
+  rec.stopped = 51;
   rec.distance_computations = 987654;
   rec.winner_id = 17;
   rec.winner_score = 290;
@@ -143,6 +144,7 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.objects, rec.objects);
   EXPECT_EQ(back.candidates, rec.candidates);
   EXPECT_EQ(back.verified, rec.verified);
+  EXPECT_EQ(back.stopped, rec.stopped);
   EXPECT_EQ(back.distance_computations, rec.distance_computations);
   EXPECT_EQ(back.winner_id, rec.winner_id);
   EXPECT_EQ(back.winner_score, rec.winner_score);
@@ -241,7 +243,7 @@ QlogRecord MakeDetailRecord() {
   stats->compression.uncompressed_bytes = 1200;
   rec.detail = stats;
   auto metrics = std::make_shared<MetricsSnapshot>();
-  metrics->counters[static_cast<std::size_t>(Counter::kPostingScans)] = 9;
+  metrics->counters[static_cast<std::size_t>(Counter::kAdjBuilds)] = 9;
   HistogramSnapshot& hist =
       metrics->histograms[static_cast<std::size_t>(Histogram::kUbUnionBits)];
   hist.count = 3;
@@ -273,7 +275,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"grid_mapping":0.032,"lower_bounding":0.008)"
        R"(,"upper_bounding":0.046,"verification":0.03,"total":0.117})"
        R"(,"funnel":{"objects":1200,"candidates":321,"verified":54)"
-       R"(,"distance_computations":987654,"tau_low_max":288})"
+       R"(,"stopped":51,"distance_computations":987654,"tau_low_max":288})"
        R"(,"grid":{"reused":true,"cells_small":4321,"cells_large":765})"
        R"(,"winner":{"id":17,"score":290},"labels":{"outcome":"hit_disk")"
        R"(,"points_pruned":23456},"outcome":{"status":"DeadlineExceeded")"
@@ -293,7 +295,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
        R"(,"upper_bounding":0,"verification":0,"total":0})"
        R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
-       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"stopped":0,"distance_computations":0,"tau_low_max":0})"
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"Overloaded")"
@@ -311,7 +313,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
        R"(,"upper_bounding":0,"verification":0,"total":0})"
        R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
-       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"stopped":0,"distance_computations":0,"tau_low_max":0})"
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"recorded")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
@@ -325,7 +327,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
        R"(,"upper_bounding":0,"verification":0,"total":0})"
        R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
-       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"stopped":0,"distance_computations":0,"tau_low_max":0})"
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
@@ -339,7 +341,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,"phases":{"label_input":0,"grid_mapping":0,"lower_bounding":0)"
        R"(,"upper_bounding":0,"verification":0,"total":0})"
        R"(,"funnel":{"objects":0,"candidates":0,"verified":0)"
-       R"(,"distance_computations":0,"tau_low_max":0})"
+       R"(,"stopped":0,"distance_computations":0,"tau_low_max":0})"
        R"(,"grid":{"reused":false,"cells_small":0,"cells_large":0})"
        R"(,"winner":{"id":0,"score":0},"labels":{"outcome":"off")"
        R"(,"points_pruned":0},"outcome":{"status":"OK","complete":true)"
@@ -353,7 +355,7 @@ TEST(QlogRecord, WriterBytesArePinned) {
        R"(,0.75],"min_seconds":0.25,"max_seconds":0.75,"mean_seconds":0.5)"
        R"(,"imbalance":1.5},"compression":{"num_bitsets":12)"
        R"(,"compressed_bytes":300,"uncompressed_bytes":1200)"
-       R"(,"savings_ratio":0.75},"metrics":{"counters":{"posting_scans":9})"
+       R"(,"savings_ratio":0.75},"metrics":{"counters":{"adj_builds":9})"
        R"(,"histograms":{"ub_union_bits":{"count":3,"sum":14,"min":2)"
        R"(,"max":8,"mean":4.66666667,"p50":6,"p90":8,"p99":8)"
        R"(,"log2_buckets":{"2":1,"3":1,"4":1}}}}})"},
@@ -417,6 +419,7 @@ TEST(QlogBuilder, RecordCarriesTheQueryStats) {
     EXPECT_EQ(rec.phase_verification, s.phases.verification);
     EXPECT_EQ(rec.candidates, s.num_candidates);
     EXPECT_EQ(rec.verified, s.num_verified);
+    EXPECT_EQ(rec.stopped, s.num_stopped);
     EXPECT_EQ(rec.distance_computations, s.distance_computations);
     EXPECT_EQ(rec.tau_low_max, s.tau_low_max);
     EXPECT_EQ(rec.winner_id, res.best().id);
@@ -781,14 +784,15 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
   EXPECT_FALSE(old_back.HasServer());
   EXPECT_DOUBLE_EQ(old_back.server_e2e_seconds, 0.0);
 
-  // Records written before params.scale, funnel.tau_low_max, the grid
-  // section and env.git existed (the committed BENCH files) still
-  // validate and read back with defaults. So does a server section
-  // without any of its optional keys. The list of optional keys is
-  // written out by hand, independently of the writer.
+  // Records written before params.scale, funnel.tau_low_max,
+  // funnel.stopped, the grid section and env.git existed (the committed
+  // BENCH files) still validate and read back with defaults. So does a
+  // server section without any of its optional keys. The list of
+  // optional keys is written out by hand, independently of the writer.
   std::string pre_grid = new_line;
   for (const std::string cut :
        {",\"scale\":\"quick\"", ",\"tau_low_max\":288",
+        ",\"stopped\":51",
         "\"git\":\"v1.2-3-gabcdef\",", "\"correlation_id\":\"client-7\",",
         "\"client\":\"c3\",", ",\"refusal\":\"not really\"",
         ",\"retry_after_ms\":12.5",
@@ -805,6 +809,7 @@ TEST(QlogValidate, MixedOldAndNewShapesCoexist) {
   ASSERT_TRUE(ParseQlogRecord(pre_grid, &pre_back).ok()) << pre_grid;
   EXPECT_EQ(pre_back.scale, "");
   EXPECT_EQ(pre_back.tau_low_max, 0u);
+  EXPECT_EQ(pre_back.stopped, 0u);
   EXPECT_FALSE(pre_back.grid_reused);
   EXPECT_EQ(pre_back.cells_small, 0u);
   EXPECT_EQ(pre_back.cells_large, 0u);
@@ -893,6 +898,9 @@ TEST(QlogValidate, OlderHardwareTierRecordParsesAndWritesBackWithoutIt) {
   std::string expected = older;
   expected.erase(expected.find(env_tier), env_tier.size());
   expected.erase(expected.find(hardware), hardware.size());
+  // funnel.stopped, absent from the older record, is written back as 0.
+  const std::string verified = R"("verified":5,)";
+  expected.insert(expected.find(verified) + verified.size(), R"("stopped":0,)");
   EXPECT_EQ(QlogRecordToJsonLine(back), expected);
 }
 

@@ -838,17 +838,21 @@ int CmdExplain(const mio::ArgParser& args) {
               "candidate queue)\n",
               st.num_candidates, pct(st.num_candidates, n));
   std::printf("  verified exactly      %12zu  (%.2f%% of candidates; %zu "
-              "early-terminated by the queue bound)\n",
+              "early-terminated by the queue bound; %zu scans stopped on "
+              "the top-k threshold)\n",
               st.num_verified, pct(st.num_verified, st.num_candidates),
               st.num_candidates > st.num_verified
                   ? st.num_candidates - st.num_verified
-                  : 0);
+                  : 0,
+              st.num_stopped);
   if (!res.topk.empty()) {
     std::printf("  winner                object %u  tau=%u\n", res.best().id,
                 res.best().score);
   }
   std::printf("\nwork: %zu distance computations, cells small/large %zu/%zu\n",
               st.distance_computations, st.cells_small, st.cells_large);
+  std::printf("memory: index_bytes=%zu (%s)\n", st.index_memory_bytes,
+              mio::FormatBytes(st.index_memory_bytes).c_str());
   const mio::obs::MetricsSnapshot m = mio::obs::SnapshotMetrics();
   auto counter = [&m](mio::obs::Counter c) {
     return m.counters[static_cast<std::size_t>(c)];
@@ -857,22 +861,17 @@ int CmdExplain(const mio::ArgParser& args) {
     return den > 0 ? num / static_cast<double>(den) : 0.0;
   };
   {
-    // Cell-major verification: one neighbourhood walk per point group.
-    const std::uint64_t points = counter(mio::obs::Counter::kVerifyPoints);
-    const std::uint64_t groups = counter(mio::obs::Counter::kVerifyGroups);
+    // Object-major verification: each undecided object is decided once
+    // against the candidate's verified points.
     const std::uint64_t partners =
         counter(mio::obs::Counter::kVerifyPartnersConfirmed);
     std::printf(
-        "verification: %llu points in %llu groups (%.2f points/group), "
-        "%llu cells visited, %llu postings touched, %llu partners confirmed "
-        "(%.1f comparisons/partner)\n",
-        static_cast<unsigned long long>(points),
-        static_cast<unsigned long long>(groups),
-        ratio(static_cast<double>(points), groups),
+        "verification: %llu points verified, %llu objects decided, %llu "
+        "partners confirmed (%.1f comparisons/partner)\n",
         static_cast<unsigned long long>(
-            counter(mio::obs::Counter::kVerifyCellsVisited)),
+            counter(mio::obs::Counter::kVerifyPoints)),
         static_cast<unsigned long long>(
-            counter(mio::obs::Counter::kPostingScans)),
+            counter(mio::obs::Counter::kVerifyObjectsDecided)),
         static_cast<unsigned long long>(partners),
         ratio(static_cast<double>(st.distance_computations), partners));
   }
