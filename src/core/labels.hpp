@@ -10,9 +10,11 @@
 //   bit kUpper  (paper "Labeling-2", pattern 10*): the point's OR into
 //     b(o_i) changed nothing during upper-bounding (Observation 2) — skip
 //     it in future upper-bounding.
-//   bit kVerify (paper "Labeling-3", pattern 1*0): the candidate set
-//     b = b_adj - b(o_i) was already empty at this point during
-//     verification (Observation 3) — skip it in future verification.
+//   bit kVerify (paper "Labeling-3", pattern 1*0): the point confirmed
+//     no partner in verification (Observation 3) — skip it in future
+//     verification. A scan that decided every object keeps the bit only
+//     on its witnesses, the points that confirmed a partner; a scan
+//     stopped on the top-k threshold keeps it on every point.
 #pragma once
 
 #include <cstddef>

@@ -18,6 +18,7 @@ namespace {
 struct ShardRegistry {
   std::mutex mu;
   std::vector<std::unique_ptr<MetricShard>> shards;
+  std::vector<MetricShard*> released;  ///< shards of exited threads
 };
 
 ShardRegistry& GetShardRegistry() {
@@ -25,13 +26,38 @@ ShardRegistry& GetShardRegistry() {
   return *r;
 }
 
+/// Hands the calling thread's shard back when the thread exits, for the
+/// next registering thread to write. A server that starts a thread per
+/// connection then keeps one shard per live thread, not one per thread
+/// it ever started. The counts stay in the shard, so snapshots still sum
+/// them, and the registry's mutex orders the old owner's last write
+/// before the new owner's first.
+struct ShardLease {
+  MetricShard* shard = nullptr;
+  ~ShardLease() {
+    if (shard == nullptr) return;
+    ShardRegistry& reg = GetShardRegistry();
+    std::lock_guard<std::mutex> lock(reg.mu);
+    reg.released.push_back(shard);
+    tl_shard = nullptr;
+  }
+};
+
+thread_local ShardLease tl_lease;
+
 }  // namespace
 
 MetricShard* RegisterShard() {
   ShardRegistry& reg = GetShardRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  reg.shards.push_back(std::make_unique<MetricShard>());
-  tl_shard = reg.shards.back().get();
+  if (reg.released.empty()) {
+    reg.shards.push_back(std::make_unique<MetricShard>());
+    tl_shard = reg.shards.back().get();
+  } else {
+    tl_shard = reg.released.back();
+    reg.released.pop_back();
+  }
+  tl_lease.shard = tl_shard;
   return tl_shard;
 }
 

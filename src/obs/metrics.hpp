@@ -4,8 +4,9 @@
 // sizes, server latencies).
 //
 // Recording is contention-free: each thread owns a cache-line-aligned
-// shard (registered on first use, kept for the thread pool's lifetime)
-// and a snapshot merges the shards under the registry lock. Shard slots
+// shard (registered on first use; when the thread exits, the next
+// registering thread takes it over, counts and all) and a snapshot
+// merges the shards under the registry lock. Shard slots
 // are single-writer relaxed atomics — the owning thread updates with a
 // plain load+store pair (same codegen as a non-atomic add, no RMW) and
 // only a concurrent snapshot (the telemetry sampler, a server /metrics

@@ -189,13 +189,26 @@ Status MioServer::Serve() {
     obs::Add(obs::Counter::kServerConnections);
     const std::uint64_t conn_id =
         conn_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->fd = conn;
-    sessions_.push_back(std::move(session));
-    raw->thread =
-        std::thread([this, conn, conn_id] { SessionLoop(conn, conn_id); });
+    // A session whose fd is closed has left its last locked region, so its
+    // thread is ending and joins promptly. Reaping those here keeps one
+    // Session and one thread stack per open connection, not one per
+    // connection ever accepted.
+    std::vector<std::thread> ended;
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      std::erase_if(sessions_, [&ended](const std::unique_ptr<Session>& s) {
+        if (s->fd >= 0) return false;
+        if (s->thread.joinable()) ended.push_back(std::move(s->thread));
+        return true;
+      });
+      auto session = std::make_unique<Session>();
+      Session* raw = session.get();
+      raw->fd = conn;
+      sessions_.push_back(std::move(session));
+      raw->thread =
+          std::thread([this, conn, conn_id] { SessionLoop(conn, conn_id); });
+    }
+    for (std::thread& t : ended) t.join();
   }
 
   // --- Graceful drain ----------------------------------------------------

@@ -19,7 +19,8 @@
 //    stays honest (0 vs 9).
 //
 // Threading model: one accept loop (the Serve() caller), one session
-// thread per connection doing all socket I/O, and a fixed worker pool
+// thread per connection doing all socket I/O (the accept loop joins and
+// frees the sessions whose connection has closed), and a fixed worker pool
 // executing admitted queries. Session threads never run queries: every
 // execution, including a follower's re-execution after a non-shareable
 // result, goes through admission to a worker, and workers never touch

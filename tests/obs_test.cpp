@@ -12,6 +12,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -191,6 +192,25 @@ TEST_F(MetricsTest, ShardsMergeAcrossThreads) {
   EXPECT_EQ(h.count, static_cast<std::uint64_t>(threads * per_thread));
   EXPECT_EQ(h.min, 0u);
   EXPECT_EQ(h.max, 6u);
+}
+
+// A thread that exits hands its shard to the next thread that records,
+// so a server starting one thread per connection keeps one shard per
+// live thread; the exited thread's counts stay in the snapshot.
+TEST_F(MetricsTest, ExitedThreadsShardIsReusedWithItsCounts) {
+  const detail::MetricShard* first = nullptr;
+  const detail::MetricShard* second = nullptr;
+  std::thread([&first] {
+    Add(Counter::kAdjBuilds, 2);
+    first = &detail::Shard();
+  }).join();
+  std::thread([&second] {
+    Add(Counter::kAdjBuilds, 3);
+    second = &detail::Shard();
+  }).join();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(SnapshotMetrics().counters[static_cast<int>(Counter::kAdjBuilds)],
+            5u);
 }
 
 TEST_F(MetricsTest, HistogramBucketing) {

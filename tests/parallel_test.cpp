@@ -166,9 +166,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{4, 10.0, 5}, ParallelCase{8, 6.0, 6}));
 
 // Dense fixture (sigma 1, r 3.5): most large cells hold several points
-// of one object, so every core's share of a group is a multi-point
-// VerifyGroup call. Cores split groups differently at every thread count;
-// the answer must not move.
+// of one object, so most reachable cells hold a run of several candidate
+// points. Cores split each candidate's undecided objects differently at
+// every thread count; the answer must not move.
 TEST(ParallelGroupedVerificationTest, DenseTopKIdenticalAcrossThreads) {
   const double r = 3.5;
   ObjectSet set = testing::MakeRandomObjects(60, 20, 40, 25.0, 23, 1.0);
